@@ -236,6 +236,38 @@ func BenchmarkSimulatorEASY(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorEASYHuge replays one 25,000-job Lublin-Huge trace on 4096
+// nodes under FCFS + EASY: the shape of the repo benchmark's replay-easy
+// unit, where ~120 jobs run at once, so what a reservation costs per running
+// job shows (BenchmarkSimulatorEASY's 128-processor surrogate keeps the
+// running set too small for that). "rt" is the classic policy-order scan;
+// "sjf" decorates and sorts the candidates every round; "aging" adds one
+// reservation per starving job per round on top of the head's.
+func BenchmarkSimulatorEASYHuge(b *testing.B) {
+	tr := experiments.HugeTrace(lublin.Huge(0, 0, 0), 25_000, 1)
+	aging := sched.Scenario{StarvationBound: 4}
+	for _, c := range []struct {
+		name string
+		scn  sched.Scenario
+		mk   func() backfill.Backfiller
+	}{
+		{"rt", sched.Scenario{}, func() backfill.Backfiller { return backfill.NewEASY(backfill.RequestTime{}) }},
+		{"sjf", sched.Scenario{}, func() backfill.Backfiller {
+			return &backfill.EASY{Est: backfill.RequestTime{}, Order: backfill.SJFOrder}
+		}},
+		{"aging", aging, func() backfill.Backfiller { return &backfill.EASY{Est: backfill.RequestTime{}, Scn: aging} }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Run(tr, sim.Config{Policy: sched.FCFS{}, Scenario: c.scn, Backfiller: c.mk()}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSimulatorPriorityMem measures the enriched-scenario replay cost:
 // the EASY workload with per-job memory demands, priority tiers, and the
 // aging starvation bound all active. The delta against BenchmarkSimulatorEASY

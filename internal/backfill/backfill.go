@@ -7,6 +7,7 @@
 package backfill
 
 import (
+	"reflect"
 	"sort"
 
 	"repro/internal/trace"
@@ -100,9 +101,8 @@ type Reservation struct {
 	ExtraMem int   // memory free at Shadow beyond the head's need (0 when off)
 }
 
-// jobEnd decorates one running job with its estimated completion so the
-// estimator runs exactly once per job per reservation, not inside the sort
-// comparator.
+// jobEnd is one running job in the reservation index: its estimated
+// completion (the sort key, with the ID) and what it frees at that moment.
 type jobEnd struct {
 	end   int64
 	id    int
@@ -110,10 +110,14 @@ type jobEnd struct {
 	mem   int
 }
 
+func newJobEnd(r Running, end int64, memTotal int) jobEnd {
+	return jobEnd{end: end, id: r.Job.ID, procs: r.Job.Procs, mem: memDemand(r.Job, memTotal)}
+}
+
 // jobEnds orders by (end, id) — a total order (IDs are unique), so any sort
-// algorithm produces the same permutation. The pointer-receiver sort.Sort
-// form keeps the per-reservation sort allocation-free (sort.Slice's closure
-// escapes on every call).
+// algorithm, and any sequence of ordered inserts and removes, produces the
+// same permutation. The pointer-receiver sort.Sort form keeps the rebuild
+// allocation-free (sort.Slice's closure escapes on every call).
 type jobEnds []jobEnd
 
 func (s *jobEnds) Len() int      { return len(*s) }
@@ -126,12 +130,109 @@ func (s *jobEnds) Less(i, j int) bool {
 	return a.id < b.id
 }
 
-// ReservationScratch holds the reusable decoration buffer for reservation
-// computations. Backfillers that compute reservations on every round (EASY,
-// the RL agent) should embed one to keep the hot path allocation-free. The
-// zero value is ready to use; a scratch is not goroutine-safe.
+// search returns the first position whose (end, id) is not below the key.
+func (s jobEnds) search(end int64, id int) int {
+	return sort.Search(len(s), func(i int) bool { return s[i].end > end || (s[i].end == end && s[i].id >= id) })
+}
+
+func (s *jobEnds) insert(e jobEnd) {
+	k := s.search(e.end, e.id)
+	*s = append(*s, jobEnd{})
+	copy((*s)[k+1:], (*s)[k:])
+	(*s)[k] = e
+}
+
+// remove deletes one entry equal to e, if there is one. Entries that share a
+// key (a job ID seen again as another job, while Running is out of ID order)
+// are told apart by what they free.
+func (s *jobEnds) remove(e jobEnd) bool {
+	for k := s.search(e.end, e.id); k < len(*s) && (*s)[k].end == e.end && (*s)[k].id == e.id; k++ {
+		if (*s)[k] == e {
+			*s = append((*s)[:k], (*s)[k+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+// indexedRun is one job of the State.Running snapshot the index reflects,
+// with the end it is filed under, so that a finished job is removed by key.
+type indexedRun struct {
+	Running
+	end int64
+}
+
+// ReservationScratch is the reservation index: the running set in
+// estimated-end order, kept across calls and brought up to date by delta
+// (DESIGN.md §6). Each Compute walks the snapshot of State.Running it last
+// saw against the current one, removes the jobs that finished and inserts
+// the ones that started by binary search, and reads the reservation off a
+// prefix; the estimator runs once per job start. It re-sorts from scratch
+// when the estimator or the memory switch changed, when an ID reappears as
+// another *trace.Job or Start (a new episode, a restore), or when the delta
+// is about half the set. (end, id) is a total order, so the result equals
+// sorting on every call. Any Running order is correct; ID order, which the
+// engine keeps, is fastest.
+//
+// Backfillers that compute reservations on every round (EASY, the RL agent)
+// embed one. The zero value is ready to use; a scratch is not goroutine-safe.
 type ReservationScratch struct {
-	ends jobEnds
+	ends       jobEnds
+	run, spare []indexedRun // the snapshot, and the buffer the next is merged into
+	est        Estimator    // what ends was built with; nil = no valid index
+	memOn      bool
+}
+
+// merge applies the difference between the snapshot and running to ends. It
+// gives up, leaving the index for rebuild to overwrite, on an identity
+// mismatch or a delta past the point where sorting is cheaper.
+func (s *ReservationScratch) merge(running []Running, est Estimator, memTotal int) bool {
+	old, next := s.run, s.spare[:0]
+	budget := 8 + len(running)/2
+	for i, j := 0, 0; i < len(old) || j < len(running); {
+		switch {
+		case i < len(old) && j < len(running) && old[i].Running == running[j]:
+			next = append(next, old[i])
+			i++
+			j++
+			continue
+		case j == len(running) || (i < len(old) && old[i].Job.ID < running[j].Job.ID):
+			if !s.ends.remove(newJobEnd(old[i].Running, old[i].end, memTotal)) {
+				return false
+			}
+			i++
+		case i == len(old) || running[j].Job.ID < old[i].Job.ID:
+			r := running[j]
+			end := r.Start + est.Estimate(r.Job)
+			s.ends.insert(newJobEnd(r, end, memTotal))
+			next = append(next, indexedRun{r, end})
+			j++
+		default: // same ID, another job or another start
+			return false
+		}
+		if budget--; budget < 0 {
+			return false
+		}
+	}
+	s.run, s.spare = next, old
+	return true
+}
+
+// rebuild decorates the whole running set and sorts it: the fallback.
+func (s *ReservationScratch) rebuild(running []Running, est Estimator, memTotal int) {
+	s.run, s.ends = s.run[:0], s.ends[:0]
+	for _, r := range running {
+		end := r.Start + est.Estimate(r.Job)
+		s.run = append(s.run, indexedRun{r, end})
+		s.ends = append(s.ends, newJobEnd(r, end, memTotal))
+	}
+	sort.Sort(&s.ends)
+	// Only a comparable estimator is remembered: est != s.est then never
+	// panics, and an uncomparable one simply rebuilds on every call.
+	s.est, s.memOn = nil, memTotal != 0
+	if reflect.ValueOf(est).Comparable() {
+		s.est = est
+	}
 }
 
 // Compute derives the head job's reservation from the running jobs'
@@ -147,15 +248,12 @@ func (s *ReservationScratch) Compute(st State, head *trace.Job, est Estimator) R
 	if free >= head.Procs && memFree >= needMem {
 		return Reservation{Shadow: st.Now(), Extra: free - head.Procs, ExtraMem: memFree - needMem}
 	}
+	// Bring the index up to date with the running set: by delta if it can
+	// be, from scratch otherwise.
 	running := st.Running()
-	if cap(s.ends) < len(running) {
-		s.ends = make([]jobEnd, len(running))
+	if s.est == nil || est != s.est || s.memOn != (memTotal != 0) || !s.merge(running, est, memTotal) {
+		s.rebuild(running, est, memTotal)
 	}
-	s.ends = s.ends[:len(running)]
-	for i, r := range running {
-		s.ends[i] = jobEnd{end: r.Start + est.Estimate(r.Job), id: r.Job.ID, procs: r.Job.Procs, mem: memDemand(r.Job, memTotal)}
-	}
-	sort.Sort(&s.ends)
 	avail := free
 	availMem := memFree
 	for _, r := range s.ends {

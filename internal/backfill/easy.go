@@ -77,14 +77,18 @@ func (e *EASY) Name() string {
 	return n
 }
 
-// Backfill implements Backfiller.
+// Backfill implements Backfiller. The head's reservation is computed when the
+// first candidate that fits the free resources appears, so a round that can
+// start nothing (a full machine, or only wide jobs waiting) costs one pass of
+// integer compares; in policy order candidates are scanned straight off the
+// queue and estimated only once they fit.
 func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
-	res := e.res.Compute(st, head, e.Est)
-	now := st.Now()
 	free := st.FreeProcs()
+	if free == 0 {
+		return
+	}
+	now := st.Now()
 	memFree, memTotal := MemOf(st)
-	extra := res.Extra
-	extraMem := res.ExtraMem
 
 	// With aging on, every starving queued job gets its own blocking
 	// reservation, computed EASY-style against the running set. Candidates
@@ -98,55 +102,33 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 		}
 	}
 
-	scnOrder := e.Scn.Enabled()
-	if cap(e.cands) < len(queue) {
-		e.cands = make([]estimated, len(queue))
-	}
-	cands := e.cands[:len(queue)]
-	for i, j := range queue {
-		cands[i] = estimated{job: j, est: e.Est.Estimate(j)}
-		if scnOrder {
-			cands[i].starving = e.Scn.Starving(j, now)
-			cands[i].pri = j.Priority
-		}
-	}
-	if e.Order == SJFOrder {
-		if scnOrder {
-			// Starving first, then higher tiers, then the classic
-			// shortest-estimate order. With uniform tiers and nobody
-			// starving this is exactly the classic comparison.
-			pri := e.Scn.Priorities
-			sort.SliceStable(cands, func(a, b int) bool {
-				if cands[a].starving != cands[b].starving {
-					return cands[a].starving
-				}
-				if pri && cands[a].pri != cands[b].pri {
-					return cands[a].pri > cands[b].pri
-				}
-				if cands[a].est != cands[b].est {
-					return cands[a].est < cands[b].est
-				}
-				return cands[a].job.ID < cands[b].job.ID
-			})
-		} else {
-			sort.SliceStable(cands, func(a, b int) bool {
-				if cands[a].est != cands[b].est {
-					return cands[a].est < cands[b].est
-				}
-				return cands[a].job.ID < cands[b].job.ID
-			})
-		}
+	// In policy order the queue itself is the scan order.
+	sorted := e.Order == SJFOrder
+	var cands []estimated
+	if sorted {
+		cands = e.sjfOrder(queue, now)
 	}
 
-	for _, c := range cands {
-		j := c.job
+	var res Reservation
+	haveRes := false
+	for i, j := range queue {
+		var est int64
+		if sorted {
+			j, est = cands[i].job, cands[i].est
+		}
 		jm := memDemand(j, memTotal)
 		if j.Procs > free || jm > memFree {
 			continue
 		}
-		end := now + c.est
+		if !sorted {
+			est = e.Est.Estimate(j)
+		}
+		if !haveRes {
+			res, haveRes = e.res.Compute(st, head, e.Est), true
+		}
+		end := now + est
 		endsByShadow := end <= res.Shadow
-		usesExtraOnly := j.Procs <= extra && jm <= extraMem
+		usesExtraOnly := j.Procs <= res.Extra && jm <= res.ExtraMem
 		if !endsByShadow && !usesExtraOnly {
 			continue
 		}
@@ -171,8 +153,8 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 		if !endsByShadow {
 			// The job runs past the shadow time, so it permanently consumes
 			// part of the head job's surplus.
-			extra -= j.Procs
-			extraMem -= jm
+			res.Extra -= j.Procs
+			res.ExtraMem -= jm
 		}
 		for pi := 0; pi < len(e.prots); pi++ {
 			p := &e.prots[pi]
@@ -191,4 +173,39 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 			return
 		}
 	}
+}
+
+// sjfOrder decorates the queue with each job's estimate (and, when a scenario
+// is active, its scan-order keys), computed once per round rather than per
+// comparison, and returns it shortest-estimate-first.
+func (e *EASY) sjfOrder(queue []*trace.Job, now int64) []estimated {
+	scnOrder := e.Scn.Enabled()
+	if cap(e.cands) < len(queue) {
+		e.cands = make([]estimated, len(queue))
+	}
+	cands := e.cands[:len(queue)]
+	for i, j := range queue {
+		cands[i] = estimated{job: j, est: e.Est.Estimate(j)}
+		if scnOrder {
+			cands[i].starving = e.Scn.Starving(j, now)
+			cands[i].pri = j.Priority
+		}
+	}
+	// Starving first, then higher tiers, then the classic shortest-estimate
+	// order: exactly the classic comparison when no scenario is active, and
+	// under one with uniform tiers and nobody starving.
+	pri := e.Scn.Priorities
+	sort.SliceStable(cands, func(a, b int) bool {
+		if cands[a].starving != cands[b].starving {
+			return cands[a].starving
+		}
+		if pri && cands[a].pri != cands[b].pri {
+			return cands[a].pri > cands[b].pri
+		}
+		if cands[a].est != cands[b].est {
+			return cands[a].est < cands[b].est
+		}
+		return cands[a].job.ID < cands[b].job.ID
+	})
+	return cands
 }

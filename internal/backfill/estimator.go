@@ -11,6 +11,15 @@ import (
 // central observation (§1, Figures 1-2) is that the choice of estimator
 // trades the head job's reservation tightness against backfilling
 // opportunity, and that higher accuracy does not imply better schedules.
+//
+// Contract: Estimate is a pure function of the job — the same estimator
+// value returns the same number for the same job every time, with no side
+// effects — and an estimator is not mutated while a backfiller holds it (to
+// change predictions, pass another value). The reservation index relies on
+// it: a running job's estimated end is computed once, when the job is first
+// seen running. Values of comparable types (all the ones here) let the index
+// notice a swap with ==; one holding a slice, map or func still works, but
+// re-sorts the running set on every reservation.
 type Estimator interface {
 	Name() string
 	// Estimate returns the predicted runtime in seconds (always >= 1).

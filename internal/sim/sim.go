@@ -10,8 +10,9 @@
 // re-sorted — while time-varying policies (WFP3) fall back to a decorated
 // re-sort that computes each score exactly once per event. Queue removal
 // locates jobs by binary search on their score instead of a linear scan, and
-// the running set is maintained as an ID-sorted slice so backfillers'
-// reservation computations never trigger a rebuild-and-sort. All orderings
+// the running set is maintained as an ID-sorted slice, the order in which
+// backfill.ReservationScratch reconciles its estimated-end index with one
+// linear walk instead of a rebuild-and-sort per reservation. All orderings
 // use sched.Less (score, then submit time, then ID), and arrivals are fed
 // lazily from the submit-sorted trace instead of being heap-pushed one event
 // per job up front — the event heap holds only pending completions (size ~
