@@ -571,45 +571,65 @@ func BenchmarkKernelForward(b *testing.B) {
 }
 
 // BenchmarkPPOUpdate measures one PPO update over a synthetic batch of 512
-// decisions with 16-slot observations.
+// decisions: 16-slot observations (the historical number), and the paper's
+// 129x13 observation with 8 rows occupied (the first 7 and the skip slot,
+// about what a train-sdsc decision holds) with the occupancy on the step
+// (occ8) and with the same zero-padded rows carrying none (dense). occ8 over
+// dense is the critic's saving from skipping observation padding.
 func BenchmarkPPOUpdate(b *testing.B) {
-	rng := stats.NewRNG(2)
-	const slots, feat = 16, core.JobFeatures
-	policy := nn.NewMLP([]int{feat, 32, 16, 8, 1}, nn.ReLU, rng)
-	value := nn.NewMLP([]int{feat * slots, 64, 32, 1}, nn.ReLU, rng)
-	cfg := ppo.DefaultConfig()
-	cfg.PiIters = 5
-	cfg.VIters = 5
-	cfg.MiniBatch = 0
-	p := ppo.New(policy, value, cfg)
+	const feat = core.JobFeatures
+	for _, bc := range []struct {
+		name       string
+		slots, occ int // occ leading rows are filled, and the last (skip) slot
+		live       bool
+	}{
+		{"16x13", 16, 16, false},
+		{"129x13/occ8", 129, 7, true},
+		{"129x13/dense", 129, 7, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := stats.NewRNG(2)
+			slots := bc.slots
+			policy := nn.NewMLP([]int{feat, 32, 16, 8, 1}, nn.ReLU, rng)
+			value := nn.NewMLP([]int{feat * slots, 64, 32, 1}, nn.ReLU, rng)
+			cfg := ppo.DefaultConfig()
+			cfg.PiIters = 5
+			cfg.VIters = 5
+			cfg.MiniBatch = 0
+			p := ppo.New(policy, value, cfg)
 
-	mkTraj := func() ppo.Trajectory {
-		steps := make([]ppo.Step, 8)
-		for si := range steps {
-			obs := make([][]float64, slots)
-			mask := make([]bool, slots)
-			flat := make([]float64, feat*slots)
-			for i := 0; i < slots; i++ {
-				row := make([]float64, feat)
-				for k := range row {
-					row[k] = rng.Float64()
+			mkTraj := func() ppo.Trajectory {
+				steps := make([]ppo.Step, 8)
+				for si := range steps {
+					obs := make([][]float64, slots)
+					mask := make([]bool, slots)
+					flat := make([]float64, feat*slots)
+					for i := 0; i < slots; i++ {
+						obs[i] = flat[i*feat : (i+1)*feat]
+						if i < bc.occ || i == slots-1 {
+							for k := range obs[i] {
+								obs[i][k] = rng.Float64()
+							}
+							mask[i] = true
+						}
+					}
+					steps[si] = ppo.Step{Obs: obs, FlatObs: flat, Mask: mask, Action: rng.Intn(bc.occ),
+						LogP: -2.77, Value: 0, Reward: rng.Float64()}
+					if bc.live {
+						steps[si].Live = nn.Live{Head: bc.occ * feat, Tail: feat}
+					}
 				}
-				obs[i] = row
-				mask[i] = true
-				copy(flat[i*feat:], row)
+				return ppo.Trajectory{Steps: steps}
 			}
-			steps[si] = ppo.Step{Obs: obs, FlatObs: flat, Mask: mask, Action: rng.Intn(slots),
-				LogP: -2.77, Value: 0, Reward: rng.Float64()}
-		}
-		return ppo.Trajectory{Steps: steps}
-	}
-	trajs := make([]ppo.Trajectory, 64)
-	for i := range trajs {
-		trajs[i] = mkTraj()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Update(trajs)
+			trajs := make([]ppo.Trajectory, 64)
+			for i := range trajs {
+				trajs[i] = mkTraj()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Update(trajs)
+			}
+		})
 	}
 }
 

@@ -160,6 +160,7 @@ func (a *Agent) Backfill(st backfill.State, head *trace.Job, queue []*trace.Job)
 			a.rec.steps = append(a.rec.steps, ppo.Step{
 				Obs:     rows,
 				FlatObs: flat,
+				Live:    nn.Live{Head: obs.Occupied * JobFeatures, Tail: JobFeatures},
 				Mask:    append([]bool(nil), obs.Mask...),
 				Action:  action,
 				LogP:    nn.LogProb(probs, action),
@@ -225,7 +226,7 @@ func (a *Agent) estimateValues(steps []ppo.Step) {
 		}
 		in := a.vBatch.Input(hi - lo)
 		for r := lo; r < hi; r++ {
-			copy(in.Row(r-lo), steps[r].FlatObs)
+			a.vBatch.SetRow(r-lo, steps[r].FlatObs, steps[r].Live)
 		}
 		out := a.Value.ForwardBatch(in, a.vBatch)
 		for r := lo; r < hi; r++ {

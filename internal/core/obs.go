@@ -105,6 +105,9 @@ type Observation struct {
 	// Selectable counts the selectable job rows (excluding the skip slot);
 	// when it is zero no backfill decision is needed.
 	Selectable int
+	// Occupied counts the leading job rows the builder filled (the head plus
+	// the observed queue): every row in [Occupied, SkipRow) is zero padding.
+	Occupied int
 
 	// sortBuf is the scratch for the FCFS cut; the pointer-receiver sorter
 	// keeps sort.Stable allocation-free (a closure-based sort.SliceStable
@@ -187,6 +190,7 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 	if len(jobs) > cfg.MaxObs-1 {
 		jobs = jobs[:cfg.MaxObs-1]
 	}
+	o.Occupied = len(jobs) + 1
 
 	window := float64(res.Shadow - now) // the head's backfill window (Figure 2)
 	safeCount := 0
@@ -201,7 +205,8 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 		if wait < 0 {
 			wait = 0
 		}
-		estimate := float64(est.Estimate(j))
+		e := est.Estimate(j)
+		estimate := float64(e)
 		row[featWait] = logNorm(wait, cfg.MaxWait)
 		row[featEstimate] = logNorm(estimate, cfg.MaxRun)
 		row[featProcs] = clamp01(float64(j.Procs) / float64(total))
@@ -228,7 +233,7 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 		if extraFit {
 			row[featExtraFit] = 1
 		}
-		safe := fits && (now+est.Estimate(j) <= res.Shadow || extraFit)
+		safe := fits && (now+e <= res.Shadow || extraFit)
 		if safe {
 			row[featSafe] = 1
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/backfill"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -89,5 +90,78 @@ func TestObservationZeroWindowWhenHeadFits(t *testing.T) {
 	o := buildObs(ObsConfig{MaxObs: 4}, st, head, nil)
 	if o.Rows[0][featWindow] != 1 {
 		t.Fatalf("zero-window feature = %v, want 1", o.Rows[0][featWindow])
+	}
+}
+
+// TestObservationOccupiedInvariant pins what the critic's kernels rely on:
+// over fuzzed queues — empty, short, longer than MaxObs-1 — with the skip
+// action on and off, and with one observation reused across decisions, rows
+// [Occupied, SkipRow) are all zero and row Occupied-1 is not.
+func TestObservationOccupiedInvariant(t *testing.T) {
+	rng := stats.NewRNG(11)
+	est := backfill.RequestTime{}
+	for _, skip := range []bool{true, false} {
+		cfg := ObsConfig{MaxObs: 8, SkipAction: skip}
+		o := NewObservation(cfg)
+		for trial := 0; trial < 200; trial++ {
+			st := &fakeState{now: 1000, free: rng.Intn(9), total: 16,
+				running: []backfill.Running{{Job: job(1, 0, 5000, 5000, 8), Start: 0}}}
+			head := job(2, 10, 100, 100, 16)
+			queue := make([]*trace.Job, rng.Intn(14)) // 0 .. 13 against 7 observable
+			for i := range queue {
+				queue[i] = job(10+i, int64(rng.Intn(900)), 60, int64(1+rng.Intn(2000)), 1+rng.Intn(8))
+			}
+			BuildObservationInto(cfg, st, head, queue, est, backfill.ComputeReservation(st, head, est), o)
+
+			if want := min(len(queue), cfg.MaxObs-1) + 1; o.Occupied != want {
+				t.Fatalf("skip=%v queue=%d: Occupied = %d, want %d", skip, len(queue), o.Occupied, want)
+			}
+			zero := func(row []float64) bool {
+				for _, v := range row {
+					if v != 0 {
+						return false
+					}
+				}
+				return true
+			}
+			for i := o.Occupied; i < o.SkipRow; i++ {
+				if !zero(o.Rows[i]) {
+					t.Fatalf("skip=%v queue=%d: padding row %d (Occupied %d) is not zero: %v", skip, len(queue), i, o.Occupied, o.Rows[i])
+				}
+			}
+			if zero(o.Rows[o.Occupied-1]) {
+				t.Fatalf("skip=%v queue=%d: last occupied row %d is all zero", skip, len(queue), o.Occupied-1)
+			}
+			if zero(o.Rows[o.SkipRow]) == skip {
+				t.Fatalf("skip=%v: skip row zero = %v", skip, !skip)
+			}
+		}
+	}
+}
+
+// TestRecordedStepsCarryOccupancy checks the hand-over to ppo: every recorded
+// step's Live covers all non-zero cells of its FlatObs and is narrower than
+// the padded observation.
+func TestRecordedStepsCarryOccupancy(t *testing.T) {
+	a := NewAgent(ObsConfig{MaxObs: 8, SkipAction: true}, NetworkSpec{}, backfill.RequestTime{}, 5)
+	worker := a.CloneForRollout(stats.NewRNG(7), -5)
+	st := &fakeState{now: 0, free: 6, total: 16,
+		running: []backfill.Running{{Job: job(1, 0, 100, 100, 10), Start: 0}}}
+	head := job(2, 0, 50, 50, 16)
+	queue := []*trace.Job{job(3, 0, 50, 50, 2), job(4, 0, 50, 50, 2), job(5, 0, 50, 50, 2)}
+	worker.Backfill(st, head, queue)
+	traj, _ := worker.takeTrajectory(0)
+	if len(traj.Steps) == 0 {
+		t.Fatal("no steps recorded")
+	}
+	for si, s := range traj.Steps {
+		if s.Live.Head <= 0 || s.Live.Head+s.Live.Tail >= len(s.FlatObs) {
+			t.Fatalf("step %d: occupancy %+v of %d cells is not sparse", si, s.Live, len(s.FlatObs))
+		}
+		for i := s.Live.Head; i < len(s.FlatObs)-s.Live.Tail; i++ {
+			if s.FlatObs[i] != 0 {
+				t.Fatalf("step %d: cell %d outside occupancy %+v is %v", si, i, s.Live, s.FlatObs[i])
+			}
+		}
 	}
 }

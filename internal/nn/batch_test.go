@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/stats"
@@ -62,7 +63,8 @@ func TestBatchedKernelDifferential(t *testing.T) {
 			copy(in.Data[:n*in.Cols], x.Data)
 			batchOut := m.ForwardBatch(in, bc)
 			batchG := NewGrads(m)
-			batchIn := m.BackwardBatch(bc, gradOut, batchG)
+			m.BackwardBatch(bc, gradOut, batchG)
+			batchIn := bc.InputGrad(m)
 
 			for i := range seqOut.Data {
 				if batchOut.Data[i] != seqOut.Data[i] {
@@ -92,6 +94,108 @@ func TestBatchedKernelDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSpanKernelDifferential pins the occupancy contract of the layer-0
+// kernels: rows loaded with SetRow and an occupancy produce outputs, parameter
+// gradients and (requested explicitly) input gradients bit-identical to the
+// full-width per-row Forward/Backward loop. Each batch mixes occupancies
+// inside its 4-row and 2-row kernel blocks, has n%4 and n%2 tail rows, dense
+// (zero Live) rows, exact zeros and -0.0 inside live spans and -0.0 in dead
+// cells. The reused input buffer is filled with NaN before every load, so a
+// kernel that reads a cell under its block's union that the load did not
+// rewrite turns the result into NaN.
+func TestSpanKernelDifferential(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, act := range []Activation{ReLU, Tanh, Identity} {
+		for seed := uint64(1); seed <= 40; seed++ {
+			r := stats.NewRNG(seed*53 + uint64(len(act)))
+			sizes := randSizes(r)
+			sizes[0] = r.Intn(40) + 1
+			cols := sizes[0]
+			m := NewMLP(sizes, act, r)
+			bc := NewBatchCache(m, 20) // reused across rounds, capacity above n
+
+			for round := 0; round < 3; round++ {
+				n := r.Intn(17) + 1
+				allDense := round == 2 && r.Bool(0.5)
+				x := NewMat(n, cols)
+				live := make([]Live, n)
+				gradOut := NewMat(n, sizes[len(sizes)-1])
+				for row := 0; row < n; row++ {
+					l := Live{Head: r.Intn(cols + 1)}
+					l.Tail = r.Intn(cols - l.Head + 1)
+					if allDense || r.Bool(0.2) {
+						l = Live{}
+					}
+					live[row] = l
+					for j := 0; j < cols; j++ {
+						inside := l == (Live{}) || j < l.Head || j >= cols-l.Tail
+						switch {
+						case !inside && r.Bool(0.3), inside && r.Bool(0.1):
+							x.Set(row, j, negZero)
+						case inside && !r.Bool(0.15): // else an exact +0.0
+							x.Set(row, j, r.Normal(0, 1))
+						}
+					}
+				}
+				for i := range gradOut.Data {
+					if !r.Bool(0.25) {
+						gradOut.Data[i] = r.Normal(0, 1)
+					}
+				}
+
+				cache := NewCache(m)
+				seqG := NewGrads(m)
+				seqOut := NewMat(n, gradOut.Cols)
+				seqIn := NewMat(n, cols)
+				for row := 0; row < n; row++ {
+					copy(seqOut.Row(row), m.Forward(x.Row(row), cache))
+					copy(seqIn.Row(row), m.Backward(cache, gradOut.Row(row), seqG))
+				}
+
+				for i := range bc.X[0].Data {
+					bc.X[0].Data[i] = math.NaN()
+				}
+				in := bc.Input(n)
+				for row := 0; row < n; row++ {
+					bc.SetRow(row, x.Row(row), live[row])
+				}
+				out := m.ForwardBatch(in, bc)
+				g := NewGrads(m)
+				m.BackwardBatch(bc, gradOut, g)
+				gin := bc.InputGrad(m)
+
+				same := func(what string, got, want []float64) {
+					t.Helper()
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("act=%s seed=%d round=%d sizes=%v n=%d live=%v: %s[%d] %v != %v",
+								act, seed, round, sizes, n, live, what, i, got[i], want[i])
+						}
+					}
+				}
+				same("output", out.Data[:n*out.Cols], seqOut.Data)
+				same("input grad", gin.Data[:n*cols], seqIn.Data)
+				for l := range seqG.W {
+					same("dW", g.W[l].Data, seqG.W[l].Data)
+					same("dB", g.B[l], seqG.B[l])
+				}
+			}
+		}
+	}
+}
+
+func TestSetRowRejectsWrongWidth(t *testing.T) {
+	m := NewMLP([]int{5, 2}, ReLU, stats.NewRNG(9))
+	bc := NewBatchCache(m, 2)
+	bc.Input(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetRow with a 4-wide row into a 5-wide input did not panic")
+		}
+	}()
+	bc.SetRow(0, make([]float64, 4), Live{})
 }
 
 // TestBatchedGradSplitInvariant pins the accumulation-order contract that

@@ -91,44 +91,88 @@ func (m *Mat) MulVecT(x, y []float64) {
 	}
 }
 
+// Live says which columns of one input row may be non-zero: the first Head
+// and the last Tail. Every column between them must hold ±0.0. The zero value
+// means all columns (a dense row), as do counts that meet or pass the row
+// width. Occupancy is data the producer of the row already has (core's
+// observation builder knows how many job rows it filled); the layer-0 kernels
+// use it to skip columns whose products are exact zeros.
+type Live struct{ Head, Tail int }
+
+// span is a half-open range of columns.
+type span struct{ lo, hi int }
+
+// liveSpans returns the union of the live columns of batch rows [lo, hi) as
+// one or two ascending spans of a cols-wide input. nil live, a dense row, or
+// a head and tail that meet give the single full-width span.
+//
+// A block's union is wider than a short row's own occupancy, so every row
+// must really be zero outside its own Live across the whole union: load rows
+// whole (BatchCache.SetRow), never only their live cells into a reused buffer.
+func liveSpans(live []Live, lo, hi, cols int) ([2]span, int) {
+	full := [2]span{{0, cols}}
+	if live == nil {
+		return full, 1
+	}
+	var u Live
+	for _, l := range live[lo:hi] {
+		if l == (Live{}) {
+			return full, 1
+		}
+		u.Head, u.Tail = max(u.Head, l.Head), max(u.Tail, l.Tail)
+	}
+	if u.Head+u.Tail >= cols {
+		return full, 1
+	}
+	if u.Tail == 0 {
+		return [2]span{{0, u.Head}}, 1
+	}
+	return [2]span{{0, u.Head}, {cols - u.Tail, cols}}, 2
+}
+
 // MulMatT computes Y = X·Mᵀ, i.e. Y.Row(r) = M*X.Row(r) for every batch row
 // (X is batch x Cols, Y batch x Rows): the batched forward of a linear layer.
+// live, when non-nil, gives the occupancy of each row of X (see Live).
 //
 // Bit-identity contract: every output element is a dot product accumulated
 // over the input dimension in ascending index order — exactly MulVec's
 // summation order — so MulMatT(X)[r] is bit-identical to MulVec(X.Row(r)).
+// Columns outside the block's live spans are skipped, which is exact: the
+// accumulator starts at +0.0, can never become -0.0, and adding w*(±0.0) to
+// it is the identity for finite w (DESIGN.md §8 rule 4).
 // The kernel is blocked over four batch rows that share one scan of each
 // weight row: the four accumulators are independent dependency chains, which
 // is where the speedup over row-at-a-time MulVec comes from (a single dot
-// product is serial in its adds and therefore FP-latency-bound).
-func (m *Mat) MulMatT(x, y *Mat) {
+// product is serial in its adds and therefore FP-latency-bound). A short last
+// block repeats its final row, storing the same value more than once.
+func (m *Mat) MulMatT(x, y *Mat, live []Live) {
 	if x.Cols != m.Cols || y.Cols != m.Rows || x.Rows != y.Rows {
 		panic("nn: MulMatT shape mismatch")
 	}
-	n, out := x.Rows, m.Rows
-	r := 0
-	for ; r+4 <= n; r += 4 {
-		x0 := x.Data[r*x.Cols : (r+1)*x.Cols]
-		x1 := x.Data[(r+1)*x.Cols : (r+2)*x.Cols]
-		x2 := x.Data[(r+2)*x.Cols : (r+3)*x.Cols]
-		x3 := x.Data[(r+3)*x.Cols : (r+4)*x.Cols]
-		for k := 0; k < out; k++ {
-			row := m.Data[k*m.Cols : (k+1)*m.Cols]
-			var s0, s1, s2, s3 float64
-			for j, w := range row {
-				s0 += w * x0[j]
-				s1 += w * x1[j]
-				s2 += w * x2[j]
-				s3 += w * x3[j]
+	n, out, cols := x.Rows, m.Rows, m.Cols
+	for r := 0; r < n; r += 4 {
+		r1, r2, r3 := min(r+1, n-1), min(r+2, n-1), min(r+3, n-1)
+		spans, ns := liveSpans(live, r, r3+1, cols)
+		y0, y1, y2, y3 := y.Data[r*out:], y.Data[r1*out:], y.Data[r2*out:], y.Data[r3*out:]
+		for si, sp := range spans[:ns] {
+			a0 := x.Data[r*cols : (r+1)*cols][sp.lo:sp.hi]
+			a1 := x.Data[r1*cols : (r1+1)*cols][sp.lo:sp.hi]
+			a2 := x.Data[r2*cols : (r2+1)*cols][sp.lo:sp.hi]
+			a3 := x.Data[r3*cols : (r3+1)*cols][sp.lo:sp.hi]
+			for k := 0; k < out; k++ {
+				var s0, s1, s2, s3 float64
+				if si > 0 { // a later span resumes the sums the earlier one stored
+					s0, s1, s2, s3 = y0[k], y1[k], y2[k], y3[k]
+				}
+				for j, w := range m.Data[k*cols : (k+1)*cols][sp.lo:sp.hi] {
+					s0 += w * a0[j]
+					s1 += w * a1[j]
+					s2 += w * a2[j]
+					s3 += w * a3[j]
+				}
+				y0[k], y1[k], y2[k], y3[k] = s0, s1, s2, s3
 			}
-			y.Data[r*y.Cols+k] = s0
-			y.Data[(r+1)*y.Cols+k] = s1
-			y.Data[(r+2)*y.Cols+k] = s2
-			y.Data[(r+3)*y.Cols+k] = s3
 		}
-	}
-	for ; r < n; r++ {
-		m.MulVec(x.Row(r), y.Row(r))
 	}
 }
 
@@ -180,46 +224,54 @@ func (m *Mat) MulMat(d, y *Mat) {
 
 // AddMatOuterScaled accumulates a * Dᵀ·X into m row pair by row pair
 // (D batch x Rows, X batch x Cols): the batched weight-gradient update
-// dW += a * Σ_r gradOut_r ⊗ input_r.
+// dW += a * Σ_r gradOut_r ⊗ input_r. live, when non-nil, gives the occupancy
+// of each row of X (see Live); columns outside a pair's live spans would only
+// receive ±0.0 and are skipped, which is exact for an m that holds no -0.0
+// (gradient storage starts at +0.0 and never reaches it).
 //
 // Bit-identity contract: per element of m the contributions are added one
 // batch row at a time in ascending row order — never pre-reduced in a
 // register — so the result is bit-identical to calling AddOuterScaled once
 // per batch row, no matter how the caller splits batches.
-func (m *Mat) AddMatOuterScaled(d, x *Mat, a float64) {
+func (m *Mat) AddMatOuterScaled(d, x *Mat, a float64, live []Live) {
 	if d.Cols != m.Rows || x.Cols != m.Cols || d.Rows != x.Rows {
 		panic("nn: AddMatOuterScaled shape mismatch")
 	}
-	n := d.Rows
-	r := 0
-	for ; r+2 <= n; r += 2 {
-		x0 := x.Data[r*x.Cols : (r+1)*x.Cols]
-		x1 := x.Data[(r+1)*x.Cols : (r+2)*x.Cols]
-		for k := 0; k < m.Rows; k++ {
-			d0 := a * d.Data[r*d.Cols+k]
-			d1 := a * d.Data[(r+1)*d.Cols+k]
-			row := m.Data[k*m.Cols : (k+1)*m.Cols]
-			switch {
-			case d0 != 0 && d1 != 0:
-				// One load/store of row[j] for both contributions; the two
-				// adds stay separate instructions in row order.
-				for j := range row {
-					v := row[j] + d0*x0[j]
-					row[j] = v + d1*x1[j]
+	n, cols := d.Rows, m.Cols
+	for r := 0; r < n; r += 2 {
+		pair := r+1 < n // an odd last row runs alone: its partner's coefficient is 0
+		spans, ns := liveSpans(live, r, min(r+2, n), cols)
+		for _, sp := range spans[:ns] {
+			a0 := x.Data[r*cols : (r+1)*cols][sp.lo:sp.hi]
+			a1 := a0
+			if pair {
+				a1 = x.Data[(r+1)*cols : (r+2)*cols][sp.lo:sp.hi]
+			}
+			for k := 0; k < m.Rows; k++ {
+				d0, d1 := a*d.Data[r*d.Cols+k], 0.0
+				if pair {
+					d1 = a * d.Data[(r+1)*d.Cols+k]
 				}
-			case d0 != 0:
-				for j := range row {
-					row[j] += d0 * x0[j]
-				}
-			case d1 != 0:
-				for j := range row {
-					row[j] += d1 * x1[j]
+				row := m.Data[k*cols : (k+1)*cols][sp.lo:sp.hi]
+				switch {
+				case d0 != 0 && d1 != 0:
+					// One load/store of row[j] for both contributions; the two
+					// adds stay separate instructions in row order.
+					for j := range row {
+						v := row[j] + d0*a0[j]
+						row[j] = v + d1*a1[j]
+					}
+				case d0 != 0:
+					for j := range row {
+						row[j] += d0 * a0[j]
+					}
+				case d1 != 0:
+					for j := range row {
+						row[j] += d1 * a1[j]
+					}
 				}
 			}
 		}
-	}
-	for ; r < n; r++ {
-		m.AddOuterScaled(d.Row(r), x.Row(r), a)
 	}
 }
 

@@ -156,14 +156,22 @@ func (m *MLP) Forward(x []float64, cache *Cache) []float64 {
 // once at a fixed row capacity and reused across calls (Input shrinks the
 // logical row count without reallocating). Each goroutine uses its own
 // BatchCache, like Cache.
+//
+// Input rows carry an occupancy (Live): rows written through the matrix
+// Input returns are dense, rows loaded with SetRow have the occupancy given
+// there, and layer 0 of ForwardBatch and BackwardBatch skips the columns no
+// row of a kernel block occupies. Dense and sparse rows take the same kernel.
 type BatchCache struct {
 	// X[0] is the input batch; X[l+1] the activation batch after layer l.
 	X []*Mat
 	// Z[l] is the pre-activation batch of layer l.
 	Z []*Mat
-	// Delta[l] is the backward scratch for dLoss/dX[l].
+	// Delta[l] is the backward scratch for dLoss/dX[l]; Delta[0] (the input
+	// gradient) exists only once InputGrad was asked for it.
 	Delta []*Mat
 	cap   int
+	// live[r] is input row r's occupancy.
+	live []Live
 }
 
 // NewBatchCache allocates a batch cache for up to maxRows samples. The
@@ -174,7 +182,7 @@ func NewBatchCache(m *MLP, maxRows int) *BatchCache {
 	if maxRows <= 0 {
 		panic("nn: BatchCache needs a positive row capacity")
 	}
-	c := &BatchCache{cap: maxRows}
+	c := &BatchCache{cap: maxRows, live: make([]Live, maxRows)}
 	for l := 0; l <= m.Layers(); l++ {
 		c.X = append(c.X, NewMat(maxRows, m.Sizes[l]))
 		if l < m.Layers() {
@@ -184,16 +192,27 @@ func NewBatchCache(m *MLP, maxRows int) *BatchCache {
 	return c
 }
 
+// liveAt returns the row occupancies the kernels of layer l see: the input's
+// at layer 0, none (dense) above it.
+func (c *BatchCache) liveAt(l int) []Live {
+	if l == 0 {
+		return c.live
+	}
+	return nil
+}
+
 // Cap returns the row capacity.
 func (c *BatchCache) Cap() int { return c.cap }
 
-// Input sets the logical batch size to n rows and returns the input matrix
-// for the caller to fill, so batches can be assembled without an extra copy
-// in ForwardBatch.
+// Input sets the logical batch size to n rows, marks every row dense, and
+// returns the input matrix for the caller to fill (directly, or row by row
+// with SetRow), so batches can be assembled without an extra copy in
+// ForwardBatch.
 func (c *BatchCache) Input(n int) *Mat {
 	if n < 0 || n > c.cap {
 		panic(fmt.Sprintf("nn: batch size %d outside cache capacity %d", n, c.cap))
 	}
+	clear(c.live[:n])
 	for l := range c.X {
 		c.X[l].Rows = n
 		if l < len(c.Z) {
@@ -203,16 +222,43 @@ func (c *BatchCache) Input(n int) *Mat {
 	return c.X[0]
 }
 
+// SetRow copies x into input row r of the batch sized by the last Input call
+// and records its occupancy: x must be zero outside live (the zero Live means
+// dense, no promise). The whole row is copied, not just its live cells: a
+// kernel block reads each of its rows across the union of the block's
+// occupancies, so what an earlier batch left beyond this row's own must go.
+func (c *BatchCache) SetRow(r int, x []float64, live Live) {
+	if len(x) != c.X[0].Cols {
+		panic(fmt.Sprintf("nn: input row width %d, want %d", len(x), c.X[0].Cols))
+	}
+	copy(c.X[0].Row(r), x)
+	c.live[r] = live
+}
+
+// InputGrad finishes and returns dLoss/dInput of the last BackwardBatch (a
+// view into the cache; copy before reuse), one row per sample, bit-identical
+// to what Backward returns row by row. BackwardBatch itself stops at layer 0's
+// parameters: no training path reads the input gradient.
+func (c *BatchCache) InputGrad(m *MLP) *Mat {
+	if c.Delta[0] == nil {
+		c.Delta[0] = NewMat(c.cap, m.Sizes[0])
+	}
+	c.Delta[0].Rows = c.Delta[1].Rows
+	m.W[0].MulMat(c.Delta[1], c.Delta[0])
+	return c.Delta[0]
+}
+
 // ensureDelta allocates the backward scratch on first use and aligns its
 // logical row count with the current batch.
 func (c *BatchCache) ensureDelta(m *MLP, n int) {
 	if c.Delta == nil {
-		for l := 0; l <= m.Layers(); l++ {
-			c.Delta = append(c.Delta, NewMat(c.cap, m.Sizes[l]))
+		c.Delta = make([]*Mat, m.Layers()+1)
+		for l := 1; l <= m.Layers(); l++ {
+			c.Delta[l] = NewMat(c.cap, m.Sizes[l])
 		}
 	}
-	for l := range c.Delta {
-		c.Delta[l].Rows = n
+	for _, d := range c.Delta[1:] {
+		d.Rows = n
 	}
 }
 
@@ -233,7 +279,7 @@ func (m *MLP) ForwardBatch(x *Mat, cache *BatchCache) *Mat {
 	}
 	L := m.Layers()
 	for l := 0; l < L; l++ {
-		m.W[l].MulMatT(cache.X[l], cache.Z[l])
+		m.W[l].MulMatT(cache.X[l], cache.Z[l], cache.liveAt(l))
 		act := m.Act
 		if l == L-1 {
 			act = Identity
@@ -312,13 +358,14 @@ func (m *MLP) ScoreMasked(rows [][]float64, mask []bool, bc *BatchCache,
 
 // BackwardBatch accumulates dLoss/dParams into g for a whole batch, given
 // the cache of the ForwardBatch that produced the outputs and
-// gradOut = dLoss/dOutput (one row per sample). It returns dLoss/dInput (a
-// view into the cache; copy before reuse).
+// gradOut = dLoss/dOutput (one row per sample). Layer 0's weight gradient
+// skips the columns the input rows do not occupy (see BatchCache), and
+// dLoss/dInput is not computed; cache.InputGrad finishes it on demand.
 //
 // Per element of g the batch rows accumulate in ascending order directly
 // into the gradient storage, so the result is bit-identical to calling
 // Backward once per row in order — at any batch split (see DESIGN.md §8).
-func (m *MLP) BackwardBatch(cache *BatchCache, gradOut *Mat, g *Grads) *Mat {
+func (m *MLP) BackwardBatch(cache *BatchCache, gradOut *Mat, g *Grads) {
 	L := m.Layers()
 	n := cache.X[0].Rows
 	if gradOut.Cols != m.Sizes[L] || gradOut.Rows != n {
@@ -354,17 +401,17 @@ func (m *MLP) BackwardBatch(cache *BatchCache, gradOut *Mat, g *Grads) *Mat {
 			}
 		}
 		// parameter gradients, batch rows in ascending order
-		g.W[l].AddMatOuterScaled(d, cache.X[l], 1)
+		g.W[l].AddMatOuterScaled(d, cache.X[l], 1, cache.liveAt(l))
 		gb := g.B[l]
 		for r := 0; r < n; r++ {
 			for i, v := range d.Row(r) {
 				gb[i] += v
 			}
 		}
-		// propagate to the previous layer
-		m.W[l].MulMat(d, cache.Delta[l])
+		if l > 0 { // propagate to the previous layer
+			m.W[l].MulMat(d, cache.Delta[l])
+		}
 	}
-	return cache.Delta[0]
 }
 
 // Grads accumulates parameter gradients for an MLP.

@@ -27,6 +27,11 @@ type Step struct {
 	Obs [][]float64
 	// FlatObs is the fixed-size flattened observation for the value network.
 	FlatObs []float64
+	// Live is FlatObs's occupancy: all cells outside its first Live.Head and
+	// last Live.Tail are zero, and the critic skips them. The observation
+	// builder knows it; the zero value promises nothing (dense) and costs
+	// only time.
+	Live nn.Live
 	// Mask marks selectable rows.
 	Mask []bool
 	// Action is the sampled row index.
@@ -419,7 +424,6 @@ func (p *PPO) valueStep(steps []Step, rets []float64, batch []int, workers int) 
 			defer wg.Done()
 			s.g.Zero()
 			s.loss = 0
-			flatDim := p.Value.Sizes[0]
 			for start := lo; start < hi; start += valueBatchRows {
 				end := start + valueBatchRows
 				if end > hi {
@@ -428,10 +432,7 @@ func (p *PPO) valueStep(steps []Step, rets []float64, batch []int, workers int) 
 				nb := end - start
 				in := s.bc.Input(nb)
 				for r, si := range batch[start:end] {
-					if len(steps[si].FlatObs) != flatDim {
-						panic("ppo: step FlatObs width does not match the value network")
-					}
-					copy(in.Row(r), steps[si].FlatObs)
+					s.bc.SetRow(r, steps[si].FlatObs, steps[si].Live)
 				}
 				out := p.Value.ForwardBatch(in, s.bc)
 				gradOut := s.gradOut

@@ -300,3 +300,69 @@ func TestDistributionMasksInvalidRows(t *testing.T) {
 		t.Fatal("valid probabilities do not sum to 1")
 	}
 }
+
+// TestUpdateOccupancyInvariant pins that Step.Live only saves time: the same
+// zero-padded trajectories with and without their occupancy leave identical
+// policy and value networks and identical UpdateStats, bit for bit, at 1 and
+// 3 workers. Occupancies vary from step to step, so the shuffled minibatches
+// mix them inside the critic's kernel blocks, and the 300 steps span several
+// valueBatchRows blocks of the reused batch cache.
+func TestUpdateOccupancyInvariant(t *testing.T) {
+	const feat, slots = 4, 12
+	for _, workers := range []int{1, 3} {
+		run := func(withLive bool) (*PPO, UpdateStats) {
+			cfg := DefaultConfig()
+			cfg.PiIters, cfg.VIters = 4, 4
+			cfg.MiniBatch = 170
+			cfg.Workers = workers
+			cfg.Seed = 7
+			p := mkPPO(feat, slots, cfg)
+			rng := stats.NewRNG(31)
+			trajs := make([]Trajectory, 20)
+			for ti := range trajs {
+				steps := make([]Step, 15)
+				for si := range steps {
+					occ := 1 + rng.Intn(slots-1) // leading rows filled; the last row is the skip slot
+					flat := make([]float64, feat*slots)
+					obs := make([][]float64, slots)
+					mask := make([]bool, slots)
+					for i := range obs {
+						obs[i] = flat[i*feat : (i+1)*feat]
+						if i < occ || i == slots-1 {
+							for k := range obs[i] {
+								obs[i][k] = rng.Normal(0, 1)
+							}
+							mask[i] = true
+						}
+					}
+					steps[si] = Step{Obs: obs, FlatObs: flat, Mask: mask, Action: rng.Intn(occ),
+						LogP: -math.Log(float64(occ + 1)), Value: rng.Normal(0, 1), Reward: rng.Float64()}
+					if withLive {
+						steps[si].Live = nn.Live{Head: occ * feat, Tail: feat}
+					}
+				}
+				trajs[ti] = Trajectory{Steps: steps}
+			}
+			return p, p.Update(trajs)
+		}
+		dense, denseStats := run(false)
+		sparse, sparseStats := run(true)
+		if denseStats != sparseStats {
+			t.Fatalf("workers=%d: UpdateStats differ:\n dense  %+v\n sparse %+v", workers, denseStats, sparseStats)
+		}
+		for name, nets := range map[string][2]*nn.MLP{"policy": {dense.Policy, sparse.Policy}, "value": {dense.Value, sparse.Value}} {
+			for l := range nets[0].W {
+				for i, w := range nets[0].W[l].Data {
+					if math.Float64bits(w) != math.Float64bits(nets[1].W[l].Data[i]) {
+						t.Fatalf("workers=%d: %s W[%d][%d] %v != %v", workers, name, l, i, w, nets[1].W[l].Data[i])
+					}
+				}
+				for i, b := range nets[0].B[l] {
+					if math.Float64bits(b) != math.Float64bits(nets[1].B[l][i]) {
+						t.Fatalf("workers=%d: %s B[%d][%d] %v != %v", workers, name, l, i, b, nets[1].B[l][i])
+					}
+				}
+			}
+		}
+	}
+}
