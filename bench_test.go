@@ -573,9 +573,10 @@ func BenchmarkKernelForward(b *testing.B) {
 // BenchmarkPPOUpdate measures one PPO update over a synthetic batch of 512
 // decisions: 16-slot observations (the historical number), and the paper's
 // 129x13 observation with 8 rows occupied (the first 7 and the skip slot,
-// about what a train-sdsc decision holds) with the occupancy on the step
-// (occ8) and with the same zero-padded rows carrying none (dense). occ8 over
-// dense is the critic's saving from skipping observation padding.
+// about what a train-sdsc decision holds) as the compact step core records
+// (occ8) and as the whole zero-padded observation (dense). occ8 over dense is
+// what skipping observation padding saves, in the critic's kernels and in
+// loading its batches.
 func BenchmarkPPOUpdate(b *testing.B) {
 	const feat = core.JobFeatures
 	for _, bc := range []struct {
@@ -601,22 +602,23 @@ func BenchmarkPPOUpdate(b *testing.B) {
 			mkTraj := func() ppo.Trajectory {
 				steps := make([]ppo.Step, 8)
 				for si := range steps {
-					obs := make([][]float64, slots)
 					mask := make([]bool, slots)
 					flat := make([]float64, feat*slots)
 					for i := 0; i < slots; i++ {
-						obs[i] = flat[i*feat : (i+1)*feat]
 						if i < bc.occ || i == slots-1 {
-							for k := range obs[i] {
-								obs[i][k] = rng.Float64()
+							for k := 0; k < feat; k++ {
+								flat[i*feat+k] = rng.Float64()
 							}
 							mask[i] = true
 						}
 					}
-					steps[si] = ppo.Step{Obs: obs, FlatObs: flat, Mask: mask, Action: rng.Intn(bc.occ),
+					steps[si] = ppo.Step{FlatObs: flat, Mask: mask, Action: rng.Intn(bc.occ),
 						LogP: -2.77, Value: 0, Reward: rng.Float64()}
-					if bc.live {
-						steps[si].Live = nn.Live{Head: bc.occ * feat, Tail: feat}
+					if bc.live { // the compact form core records: occupied rows, then the skip row
+						head := bc.occ * feat
+						steps[si].FlatObs = append(flat[:head:head], flat[(slots-1)*feat:]...)
+						steps[si].Mask = append(mask[:bc.occ:bc.occ], true)
+						steps[si].Live = nn.Live{Head: head, Tail: feat}
 					}
 				}
 				return ppo.Trajectory{Steps: steps}

@@ -5,12 +5,19 @@
 //
 //	rlbf-train -trace sdsc-sp2 -policy FCFS -epochs 20 -o rl-sdsc.json
 //	rlbf-train -trace /data/SDSC-SP2-1998-4.2-cln.swf -jobs 10000 -scale paper -o m.json
+//	rlbf-train -scale quick -epochs 3 -cpuprofile cpu.prof -memprofile mem.prof
+//
+// The two profile flags cover the training epochs only (not trace loading or
+// the model write); read them with `go tool pprof -top rlbf-train cpu.prof`
+// and `go tool pprof -sample_index=alloc_space -top rlbf-train mem.prof`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -26,6 +33,8 @@ func main() {
 	seed := flag.Uint64("seed", 0, "master seed (0 = scale default)")
 	out := flag.String("o", "rlbf-model.json", "output model path")
 	curve := flag.String("curve", "", "write the per-epoch training curve (Figure 4 data) to this CSV file")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the training epochs to this file")
+	memProfile := flag.String("memprofile", "", "write a heap/allocation profile taken after the last epoch to this file")
 	flag.Parse()
 
 	sc, ok := experiments.ByName(*scaleArg)
@@ -67,12 +76,34 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "training on %s (%d jobs, %d procs) with %s base policy, %d epochs\n",
 		tr.Name, tr.Len(), tr.Procs, policy.Name(), sc.Epochs)
+	stopCPU := func() {}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatal("%v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal("cpu profile: %v", err)
+		}
+		stopCPU = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fatal("cpu profile: %v", err)
+			}
+		}
+	}
 	hist, err := trainer.Train(sc.Epochs, func(st core.EpochStats) {
 		fmt.Fprintf(os.Stderr, "epoch %3d: bsld=%8.2f baseline=%8.2f reward=%+.3f steps=%5d violations=%d kl=%.4f\n",
 			st.Epoch, st.MeanBSLD, st.BaselineBSLD, st.MeanReward, st.Steps, st.Violations, st.Update.KL)
 	})
+	stopCPU()
 	if err != nil {
 		fatal("training: %v", err)
+	}
+	if *memProfile != "" {
+		if err := writeHeapProfile(*memProfile); err != nil {
+			fatal("heap profile: %v", err)
+		}
 	}
 	if best := core.BestEpoch(hist); best >= 0 {
 		fmt.Fprintf(os.Stderr, "best epoch %d (bsld %.2f); converged=%v\n",
@@ -98,6 +129,22 @@ func main() {
 		fatal("saving model: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "saved model to %s\n", *out)
+}
+
+// writeHeapProfile writes the allocation record (alloc_space counts every
+// byte since start, inuse_space what is live now) after a collection, so the
+// most recent frees are in it.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(format string, args ...any) {

@@ -55,6 +55,36 @@ type recorder struct {
 	violationPenalty float64
 }
 
+// record appends the decision to the episode in ppo.Step's compact form: the
+// occupied head rows and the skip row, back to back, with the mask and the
+// action renumbered onto those rows (the skip slot follows the last occupied
+// row). The selectable rows keep their order, so PPO's softmax over them is
+// bit-identical to the agent's over the padded observation, and nothing the
+// step allocates grows with MaxObs. Value is filled in one batched critic
+// forward over the whole episode when the trajectory is taken: the weights do
+// not change mid-rollout, so deferring is bit-identical to scoring here.
+func (r *recorder) record(obs *Observation, action int, logP float64) *ppo.Step {
+	occ := obs.Occupied
+	head := occ * JobFeatures
+	cells := make([]float64, head+JobFeatures)
+	copy(cells, obs.Flat[:head])
+	copy(cells[head:], obs.Rows[obs.SkipRow])
+	mask := make([]bool, occ+1)
+	copy(mask, obs.Mask[:occ])
+	mask[occ] = obs.Mask[obs.SkipRow]
+	if action == obs.SkipRow {
+		action = occ
+	}
+	r.steps = append(r.steps, ppo.Step{
+		FlatObs: cells,
+		Live:    nn.Live{Head: head, Tail: JobFeatures},
+		Mask:    mask,
+		Action:  action,
+		LogP:    logP,
+	})
+	return &r.steps[len(r.steps)-1]
+}
+
 // NetworkSpec controls the network shapes; zero values give the paper's
 // architecture (§3.3: kernel 32-16-8, 3-layer value MLP).
 type NetworkSpec struct {
@@ -141,31 +171,12 @@ func (a *Agent) Backfill(st backfill.State, head *trace.Job, queue []*trace.Job)
 		probs := a.distribution(obs)
 
 		var action int
-		if a.rec != nil {
-			action = nn.SampleCategorical(probs, a.rec.rng)
-		} else {
-			action = nn.Argmax(probs)
-		}
-
 		var step *ppo.Step
 		if a.rec != nil {
-			flat := append([]float64(nil), obs.Flat...)
-			rows := make([][]float64, len(obs.Rows))
-			for i := range obs.Rows {
-				rows[i] = flat[i*JobFeatures : (i+1)*JobFeatures]
-			}
-			// Value is filled in one batched critic forward over the whole
-			// episode when the trajectory is taken: the weights do not change
-			// mid-rollout, so deferring is bit-identical to scoring here.
-			a.rec.steps = append(a.rec.steps, ppo.Step{
-				Obs:     rows,
-				FlatObs: flat,
-				Live:    nn.Live{Head: obs.Occupied * JobFeatures, Tail: JobFeatures},
-				Mask:    append([]bool(nil), obs.Mask...),
-				Action:  action,
-				LogP:    nn.LogProb(probs, action),
-			})
-			step = &a.rec.steps[len(a.rec.steps)-1]
+			action = nn.SampleCategorical(probs, a.rec.rng)
+			step = a.rec.record(obs, action, nn.LogProb(probs, action))
+		} else {
+			action = nn.Argmax(probs)
 		}
 
 		if action == obs.SkipRow {
@@ -201,13 +212,14 @@ func (a *Agent) Backfill(st backfill.State, head *trace.Job, queue []*trace.Job)
 // bit-identical to the per-row Forward loop this replaces
 // (nn.TestBatchedKernelDifferential), and the call is allocation-free.
 func (a *Agent) distribution(obs *Observation) []float64 {
-	n := len(obs.Rows)
-	probs, _ := a.Policy.ScoreMasked(obs.Rows, obs.Mask, a.pBatch, a.gather, a.scores[:n], a.probs[:n])
+	n := len(obs.Mask)
+	probs, _ := a.Policy.ScoreMasked(obs.Flat, obs.Mask, a.pBatch, a.gather, a.scores[:n], a.probs[:n])
 	return probs
 }
 
 // valueBlockRows bounds the critic batch when filling step values: at the
-// paper's 1290-wide flat observation one block is ~0.7 MB of cache.
+// paper's 1,677-wide flat observation (129 rows x 13 features) one block is
+// ~0.9 MB of cache.
 const valueBlockRows = 64
 
 // estimateValues fills Step.Value for every recorded step of an episode with
@@ -224,11 +236,11 @@ func (a *Agent) estimateValues(steps []ppo.Step) {
 		if hi > len(steps) {
 			hi = len(steps)
 		}
-		in := a.vBatch.Input(hi - lo)
+		a.vBatch.Resize(hi - lo)
 		for r := lo; r < hi; r++ {
 			a.vBatch.SetRow(r-lo, steps[r].FlatObs, steps[r].Live)
 		}
-		out := a.Value.ForwardBatch(in, a.vBatch)
+		out := a.Value.ForwardBatch(a.vBatch.X[0], a.vBatch)
 		for r := lo; r < hi; r++ {
 			steps[r].Value = out.At(r-lo, 0)
 		}

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/backfill"
+	"repro/internal/ppo"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -111,5 +115,64 @@ func TestAgentEvalBackfillNoAllocs(t *testing.T) {
 		a.Backfill(st, head, queue)
 	}); avg != 0 {
 		t.Fatalf("eval Backfill allocates %v per run, want 0", avg)
+	}
+}
+
+// TestRecordedDecisionFootprint gates what a training rollout keeps per
+// decision: two allocations (cells, mask) whose bytes follow the rows the
+// observation occupies, not MaxObs. The fixture queues eight jobs of which one
+// fits, so every Backfill call records exactly one decision over nine occupied
+// rows whatever it samples, and the same fixture must cost the same bytes at
+// MaxObs 16 and at the paper's 128 (where the padded observation alone is
+// 13.4 KB). The step slice is pre-sized so its amortised growth is not in the
+// count.
+func TestRecordedDecisionFootprint(t *testing.T) {
+	head := job(2, 10, 100, 100, 32)
+	queue := []*trace.Job{job(10, 500, 60, 90, 2)}
+	for i := 1; i < 8; i++ {
+		queue = append(queue, job(10+i, int64(500-7*i), 60, 90, 16)) // wider than the free processors
+	}
+	runner := job(1, 0, 5000, 5000, 24)
+	const runs = 200
+
+	measure := func(maxObs int) (bytes, allocs float64, step ppo.Step) {
+		a := NewAgent(ObsConfig{MaxObs: maxObs, SkipAction: true}, NetworkSpec{}, backfill.RequestTime{}, 7)
+		w := a.CloneForRollout(stats.NewRNG(3), -2)
+		w.rec.steps = make([]ppo.Step, 0, runs+1)
+		st := &fakeState{running: make([]backfill.Running, 1, 4), started: make([]*trace.Job, 0, 4)}
+		reset := func() {
+			st.now, st.free, st.total = 1000, 8, 32
+			st.running = st.running[:1]
+			st.running[0] = backfill.Running{Job: runner, Start: 0}
+			st.started = st.started[:0]
+		}
+		reset()
+		w.Backfill(st, head, queue) // warm remaining/reservation scratch
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		allocs = testing.AllocsPerRun(runs-1, func() { // runs calls, counting its own warm-up
+			reset()
+			w.Backfill(st, head, queue)
+		})
+		runtime.ReadMemStats(&m1)
+		if got := len(w.rec.steps) - 1; got != runs {
+			t.Fatalf("MaxObs %d: %d decisions recorded over %d calls, fixture wants one each", maxObs, got, runs)
+		}
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / runs, allocs, w.rec.steps[runs]
+	}
+
+	small, smallAllocs, _ := measure(16)
+	paper, paperAllocs, step := measure(128)
+	if rows := len(queue) + 2; len(step.Mask) != rows || len(step.FlatObs) != rows*JobFeatures {
+		t.Fatalf("recorded %d cells and %d mask entries, want %d rows (head, queue, skip)", len(step.FlatObs), len(step.Mask), rows)
+	}
+	// one eighth on top for the allocator's size classes
+	bound := float64(8*len(step.FlatObs)+len(step.Mask))*9/8 + 64
+	if paper > bound || paperAllocs > 2 || smallAllocs > 2 {
+		t.Fatalf("a recorded decision costs %.0f B in %.0f allocations (MaxObs 16: %.0f), want <= %.0f B in 2",
+			paper, paperAllocs, smallAllocs, bound)
+	}
+	if math.Abs(paper-small) > 0.01*small { // the collector's own few allocations land in either count
+		t.Fatalf("a recorded decision costs %.0f B at MaxObs 128 and %.0f B at MaxObs 16: footprint follows MaxObs", paper, small)
 	}
 }

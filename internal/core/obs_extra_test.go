@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/backfill"
+	"repro/internal/nn"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -140,27 +141,70 @@ func TestObservationOccupiedInvariant(t *testing.T) {
 }
 
 // TestRecordedStepsCarryOccupancy checks the hand-over to ppo: every recorded
-// step's Live covers all non-zero cells of its FlatObs and is narrower than
-// the padded observation.
+// step is the compact form of the padded observation the agent decided on —
+// the occupied head rows and the skip row back to back, Live placing them,
+// mask and action renumbered onto those rows — and is smaller than it. The
+// decisions are replayed on a second state to rebuild each padded observation.
 func TestRecordedStepsCarryOccupancy(t *testing.T) {
-	a := NewAgent(ObsConfig{MaxObs: 8, SkipAction: true}, NetworkSpec{}, backfill.RequestTime{}, 5)
+	cfg := ObsConfig{MaxObs: 8, SkipAction: true}
+	est := backfill.RequestTime{}
+	a := NewAgent(cfg, NetworkSpec{}, est, 5)
 	worker := a.CloneForRollout(stats.NewRNG(7), -5)
-	st := &fakeState{now: 0, free: 6, total: 16,
-		running: []backfill.Running{{Job: job(1, 0, 100, 100, 10), Start: 0}}}
+	mkState := func() *fakeState {
+		return &fakeState{now: 0, free: 6, total: 16,
+			running: []backfill.Running{{Job: job(1, 0, 100, 100, 10), Start: 0}}}
+	}
 	head := job(2, 0, 50, 50, 16)
 	queue := []*trace.Job{job(3, 0, 50, 50, 2), job(4, 0, 50, 50, 2), job(5, 0, 50, 50, 2)}
-	worker.Backfill(st, head, queue)
+	worker.Backfill(mkState(), head, queue)
 	traj, _ := worker.takeTrajectory(0)
 	if len(traj.Steps) == 0 {
 		t.Fatal("no steps recorded")
 	}
+	st, remaining := mkState(), append([]*trace.Job(nil), queue...)
 	for si, s := range traj.Steps {
-		if s.Live.Head <= 0 || s.Live.Head+s.Live.Tail >= len(s.FlatObs) {
-			t.Fatalf("step %d: occupancy %+v of %d cells is not sparse", si, s.Live, len(s.FlatObs))
+		o := BuildObservation(cfg, st, head, remaining, est, backfill.ComputeReservation(st, head, est))
+		headCells := o.Occupied * JobFeatures
+		if want := (nn.Live{Head: headCells, Tail: JobFeatures}); s.Live != want {
+			t.Fatalf("step %d: occupancy %+v, want %+v", si, s.Live, want)
 		}
-		for i := s.Live.Head; i < len(s.FlatObs)-s.Live.Tail; i++ {
-			if s.FlatObs[i] != 0 {
-				t.Fatalf("step %d: cell %d outside occupancy %+v is %v", si, i, s.Live, s.FlatObs[i])
+		if len(s.FlatObs) != headCells+JobFeatures || len(s.FlatObs) >= cfg.FlatDim() {
+			t.Fatalf("step %d: %d cells recorded for %d occupied rows of a %d-cell observation",
+				si, len(s.FlatObs), o.Occupied, cfg.FlatDim())
+		}
+		if s.Obs != nil {
+			t.Fatalf("step %d: recorded a row-header slice", si)
+		}
+		want := append(append([]float64(nil), o.Flat[:headCells]...), o.Rows[o.SkipRow]...)
+		for i, v := range want {
+			if s.FlatObs[i] != v {
+				t.Fatalf("step %d: cell %d = %v, want %v", si, i, s.FlatObs[i], v)
+			}
+		}
+		wantMask := append(append([]bool(nil), o.Mask[:o.Occupied]...), o.Mask[o.SkipRow])
+		if len(s.Mask) != len(wantMask) {
+			t.Fatalf("step %d: mask over %d rows, want %d", si, len(s.Mask), len(wantMask))
+		}
+		for i, m := range wantMask {
+			if s.Mask[i] != m {
+				t.Fatalf("step %d: mask[%d] = %v, want %v", si, i, s.Mask[i], m)
+			}
+		}
+		if s.Action < 0 || s.Action > o.Occupied || !s.Mask[s.Action] {
+			t.Fatalf("step %d: action %d is not a selectable recorded row", si, s.Action)
+		}
+		if s.Action == o.Occupied { // the skip slot follows the last occupied row
+			if si != len(traj.Steps)-1 {
+				t.Fatalf("step %d skipped but %d steps were recorded", si, len(traj.Steps))
+			}
+			break
+		}
+		started := o.Jobs[s.Action]
+		st.StartJob(started)
+		for i, j := range remaining {
+			if j == started {
+				remaining = append(remaining[:i], remaining[i+1:]...)
+				break
 			}
 		}
 	}

@@ -96,15 +96,25 @@ func TestBatchedKernelDifferential(t *testing.T) {
 	}
 }
 
+// compactRow returns the cells SetRow takes for a full-width row x with
+// occupancy live: the first Head and the last Tail, or all of x when dense.
+func compactRow(x []float64, live Live) []float64 {
+	if live == (Live{}) {
+		return x
+	}
+	return append(append([]float64(nil), x[:live.Head]...), x[len(x)-live.Tail:]...)
+}
+
 // TestSpanKernelDifferential pins the occupancy contract of the layer-0
-// kernels: rows loaded with SetRow and an occupancy produce outputs, parameter
-// gradients and (requested explicitly) input gradients bit-identical to the
-// full-width per-row Forward/Backward loop. Each batch mixes occupancies
-// inside its 4-row and 2-row kernel blocks, has n%4 and n%2 tail rows, dense
-// (zero Live) rows, exact zeros and -0.0 inside live spans and -0.0 in dead
-// cells. The reused input buffer is filled with NaN before every load, so a
-// kernel that reads a cell under its block's union that the load did not
-// rewrite turns the result into NaN.
+// kernels: rows loaded with SetRow from their compact cells and an occupancy
+// produce outputs, parameter gradients and (requested explicitly) input
+// gradients bit-identical to the full-width per-row Forward/Backward loop.
+// Each batch mixes occupancies inside its 4-row and 2-row kernel blocks, has
+// n%4 and n%2 tail rows, dense (zero Live) rows, exact zeros and -0.0 inside
+// live spans and -0.0 in the reference's dead cells (the cache holds +0.0
+// there). The reused input buffer is filled with NaN behind Input's back
+// before every load, so a kernel that reads a cell under its block's union
+// that the load neither wrote nor cleared turns the result into NaN.
 func TestSpanKernelDifferential(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, act := range []Activation{ReLU, Tanh, Identity} {
@@ -159,7 +169,7 @@ func TestSpanKernelDifferential(t *testing.T) {
 				}
 				in := bc.Input(n)
 				for row := 0; row < n; row++ {
-					bc.SetRow(row, x.Row(row), live[row])
+					bc.SetRow(row, compactRow(x.Row(row), live[row]), live[row])
 				}
 				out := m.ForwardBatch(in, bc)
 				g := NewGrads(m)
@@ -182,6 +192,100 @@ func TestSpanKernelDifferential(t *testing.T) {
 					same("dB", g.B[l], seqG.B[l])
 				}
 			}
+		}
+	}
+}
+
+// TestSetRowReuseProperty pins the load rule that lets SetRow touch only what
+// a row occupies: over random sequences of compact loads into ONE reused
+// cache — heads growing, shrinking and empty, with and without a tail, dense
+// rows, batches of changing size — interleaved with dense writes through
+// Input's matrix, the input matrix is byte-equal to a fresh zeroed cache given
+// the same rows at full width, and ForwardBatch, BackwardBatch and the
+// gradients they accumulate are bit-equal to that dense cache's. A SetRow that
+// clears too little leaves an earlier occupant's cells under a later block's
+// union; one that forgets Input made rows dense leaves the caller's.
+func TestSetRowReuseProperty(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for seed := uint64(1); seed <= 30; seed++ {
+		r := stats.NewRNG(seed * 97)
+		cols := r.Intn(40) + 2
+		sizes := []int{cols, r.Intn(8) + 1, r.Intn(3) + 1}
+		m := NewMLP(sizes, ReLU, r)
+		const capRows = 11
+		reused := NewBatchCache(m, capRows)
+		cell := func() float64 {
+			switch {
+			case r.Bool(0.1):
+				return 0
+			case r.Bool(0.1):
+				return negZero
+			}
+			return r.Normal(0, 1)
+		}
+
+		for round := 0; round < 60; round++ {
+			n := r.Intn(capRows) + 1
+			fresh := NewBatchCache(m, capRows)
+			want := fresh.Input(n)
+			if r.Bool(0.2) { // the caller fills Input's matrix itself: every row dense
+				in := reused.Input(n)
+				for i := range want.Data[:n*cols] {
+					want.Data[i] = cell()
+					in.Data[i] = want.Data[i]
+				}
+			} else {
+				reused.Resize(n)
+				for row := 0; row < n; row++ {
+					var live Live
+					switch r.Intn(5) {
+					case 0: // dense: the cells are the whole row
+					case 1: // empty head
+						live.Tail = r.Intn(cols) + 1
+					case 2: // no tail
+						live.Head = r.Intn(cols) + 1
+					default:
+						live.Head = r.Intn(cols + 1)
+						live.Tail = r.Intn(cols - live.Head + 1)
+						if live == (Live{}) {
+							live.Head = 1
+						}
+					}
+					full := want.Row(row)
+					for j := range full {
+						if live == (Live{}) || j < live.Head || j >= cols-live.Tail {
+							full[j] = cell()
+						}
+					}
+					reused.SetRow(row, compactRow(full, live), live)
+				}
+			}
+
+			same := func(what string, got, want []float64) {
+				t.Helper()
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("seed=%d round=%d n=%d cols=%d: %s[%d] %v != %v", seed, round, n, cols, what, i, got[i], want[i])
+					}
+				}
+			}
+			same("input", reused.X[0].Data[:n*cols], want.Data[:n*cols])
+
+			gradOut := NewMat(n, sizes[2])
+			for i := range gradOut.Data {
+				gradOut.Data[i] = r.Normal(0, 1)
+			}
+			got, exp := NewGrads(m), NewGrads(m)
+			outGot := m.ForwardBatch(reused.X[0], reused)
+			outExp := m.ForwardBatch(want, fresh)
+			same("output", outGot.Data[:n*sizes[2]], outExp.Data[:n*sizes[2]])
+			m.BackwardBatch(reused, gradOut, got)
+			m.BackwardBatch(fresh, gradOut, exp)
+			for l := range exp.W {
+				same("dW", got.W[l].Data, exp.W[l].Data)
+				same("dB", got.B[l], exp.B[l])
+			}
+			same("input grad", reused.InputGrad(m).Data[:n*cols], fresh.InputGrad(m).Data[:n*cols])
 		}
 	}
 }

@@ -107,8 +107,9 @@ type span struct{ lo, hi int }
 // a head and tail that meet give the single full-width span.
 //
 // A block's union is wider than a short row's own occupancy, so every row
-// must really be zero outside its own Live across the whole union: load rows
-// whole (BatchCache.SetRow), never only their live cells into a reused buffer.
+// must really be zero outside its own Live across the whole union: writing
+// only a row's live cells into a reused buffer is not enough unless what the
+// buffer held beyond them is cleared too (BatchCache.SetRow keeps that record).
 func liveSpans(live []Live, lo, hi, cols int) ([2]span, int) {
 	full := [2]span{{0, cols}}
 	if live == nil {

@@ -170,7 +170,12 @@ type BatchCache struct {
 	// gradient) exists only once InputGrad was asked for it.
 	Delta []*Mat
 	cap   int
-	// live[r] is input row r's occupancy.
+	// live[r] is input row r's occupancy, and it is physical: every cell of
+	// row r of X[0] outside its first Head and last Tail is +0.0, whether or
+	// not the row is part of the current batch. Input and SetRow store literal
+	// counts (a dense row is {Cols, 0}), so the zero value only ever marks a
+	// row nothing was written to: the kernels read it as dense, SetRow as
+	// having nothing to clear, and for an all-zero row both are right.
 	live []Live
 }
 
@@ -204,34 +209,63 @@ func (c *BatchCache) liveAt(l int) []Live {
 // Cap returns the row capacity.
 func (c *BatchCache) Cap() int { return c.cap }
 
-// Input sets the logical batch size to n rows, marks every row dense, and
-// returns the input matrix for the caller to fill (directly, or row by row
-// with SetRow), so batches can be assembled without an extra copy in
-// ForwardBatch.
-func (c *BatchCache) Input(n int) *Mat {
+// Resize sets the logical batch size to n rows and leaves the rows as they
+// are: the caller loads each of them with SetRow, then forwards X[0].
+func (c *BatchCache) Resize(n int) {
 	if n < 0 || n > c.cap {
 		panic(fmt.Sprintf("nn: batch size %d outside cache capacity %d", n, c.cap))
 	}
-	clear(c.live[:n])
 	for l := range c.X {
 		c.X[l].Rows = n
 		if l < len(c.Z) {
 			c.Z[l].Rows = n
 		}
 	}
+}
+
+// Input sets the logical batch size to n rows and returns the input matrix
+// for the caller to fill directly, so batches can be assembled without an
+// extra copy in ForwardBatch. What the caller writes is not seen here, so
+// every one of the n rows counts as dense, for the kernels and for the next
+// SetRow into it.
+func (c *BatchCache) Input(n int) *Mat {
+	c.Resize(n)
+	dense := Live{Head: c.X[0].Cols}
+	for r := range c.live[:n] {
+		c.live[r] = dense
+	}
 	return c.X[0]
 }
 
-// SetRow copies x into input row r of the batch sized by the last Input call
-// and records its occupancy: x must be zero outside live (the zero Live means
-// dense, no promise). The whole row is copied, not just its live cells: a
-// kernel block reads each of its rows across the union of the block's
-// occupancies, so what an earlier batch left beyond this row's own must go.
-func (c *BatchCache) SetRow(r int, x []float64, live Live) {
-	if len(x) != c.X[0].Cols {
-		panic(fmt.Sprintf("nn: input row width %d, want %d", len(x), c.X[0].Cols))
+// SetRow loads input row r from its compact form: cells holds the row's
+// first live.Head columns followed by its last live.Tail columns, and every
+// column between them is zero. The zero Live means cells is the whole row.
+//
+// Head and tail are scattered into place, and only the cells the row's
+// previous occupant left outside the new occupancy are cleared, so a load
+// costs what the row occupies, not its width. A kernel block reads each of
+// its rows across the union of the block's occupancies, wider than a short
+// row's own; clearing against the recorded occupancy is what makes every cell
+// under that union a true zero.
+func (c *BatchCache) SetRow(r int, cells []float64, live Live) {
+	w := c.X[0].Cols
+	if live == (Live{}) {
+		live.Head = w
 	}
-	copy(c.X[0].Row(r), x)
+	if len(cells) != live.Head+live.Tail || len(cells) > w {
+		panic(fmt.Sprintf("nn: input row of %d cells with occupancy %+v, width %d", len(cells), live, w))
+	}
+	row := c.X[0].Row(r)
+	tail := w - live.Tail
+	copy(row[:live.Head], cells)
+	copy(row[tail:], cells[live.Head:])
+	was := c.live[r]
+	if hi := min(was.Head, tail); hi > live.Head {
+		clear(row[live.Head:hi])
+	}
+	if lo := max(w-was.Tail, live.Head); lo < tail {
+		clear(row[lo:tail])
+	}
 	c.live[r] = live
 }
 
@@ -326,25 +360,30 @@ func (m *MLP) ForwardBatch(x *Mat, cache *BatchCache) *Mat {
 
 // ScoreMasked scores every mask-selected row with one batched forward of a
 // single-output network and returns the masked softmax over all rows plus
-// the number of gathered rows. This is the shared per-decision scoring
+// the number of gathered rows. cells holds the rows back to back, Sizes[0]
+// columns each, one per mask entry. This is the shared per-decision scoring
 // protocol of the RL agent and the PPO policy update: gather the selectable
 // rows into bc (whose forward cache the caller may then reuse for a
 // BackwardBatch aligned with the gather order), scatter output 0 of each
 // row into scores (masked rows score 0), softmax into probs. gather, scores
-// and probs must have len(rows); the result is bit-identical to a per-row
+// and probs must have len(mask); the result is bit-identical to a per-row
 // Forward loop over the selectable rows.
-func (m *MLP) ScoreMasked(rows [][]float64, mask []bool, bc *BatchCache,
+func (m *MLP) ScoreMasked(cells []float64, mask []bool, bc *BatchCache,
 	gather []int, scores, probs []float64) ([]float64, int) {
+	w := m.Sizes[0]
+	if len(cells) != len(mask)*w {
+		panic(fmt.Sprintf("nn: %d cells for %d rows of width %d", len(cells), len(mask), w))
+	}
 	k := 0
-	for i := range rows {
-		if mask[i] {
+	for i, ok := range mask {
+		if ok {
 			gather[k] = i
 			k++
 		}
 	}
 	in := bc.Input(k)
-	for j := 0; j < k; j++ {
-		copy(in.Row(j), rows[gather[j]])
+	for j, i := range gather[:k] {
+		copy(in.Row(j), cells[i*w:(i+1)*w])
 	}
 	out := m.ForwardBatch(in, bc)
 	for i := range scores {

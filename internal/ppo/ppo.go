@@ -20,21 +20,23 @@ import (
 	"repro/internal/stats"
 )
 
-// Step is one decision recorded during a rollout.
+// Step is one decision recorded during a rollout. It keeps only the rows the
+// observation occupies, so a step costs what the decision saw, not the
+// observation's padded width.
 type Step struct {
-	// Obs holds one feature vector per action slot (the kernel network is
-	// applied to each). Only rows with Mask true are selectable.
-	Obs [][]float64
-	// FlatObs is the fixed-size flattened observation for the value network.
+	// FlatObs holds the step's rows back to back, one feature vector each
+	// (the kernel network's input width): row i is what the kernel network
+	// scores for action i.
 	FlatObs []float64
-	// Live is FlatObs's occupancy: all cells outside its first Live.Head and
-	// last Live.Tail are zero, and the critic skips them. The observation
-	// builder knows it; the zero value promises nothing (dense) and costs
-	// only time.
+	// Live places FlatObs in the value network's input: FlatObs is that
+	// input's first Live.Head cells followed by its last Live.Tail, and every
+	// cell between them is zero (core's observation builder knows how many
+	// rows it filled; the skip slot is the tail). The zero value means FlatObs
+	// is the whole input.
 	Live nn.Live
-	// Mask marks selectable rows.
+	// Mask marks the selectable rows of FlatObs.
 	Mask []bool
-	// Action is the sampled row index.
+	// Action is the sampled row of FlatObs.
 	Action int
 	// LogP is log pi(a|s) at collection time.
 	LogP float64
@@ -42,6 +44,11 @@ type Step struct {
 	Value float64
 	// Reward is the immediate reward credited to this step.
 	Reward float64
+
+	// Obs is read by nothing: the rows are FlatObs's. The field stays only
+	// because benchmark/train.go names it in a literal and that directory is
+	// frozen to changes that claim a gain; the next benchmark change drops it.
+	Obs [][]float64
 }
 
 // Trajectory is a full episode of steps.
@@ -139,8 +146,8 @@ func (s *piScratch) ensure(policy *nn.MLP, n int) {
 }
 
 // valueBatchRows bounds the value-network batch matrix: large enough that
-// the GEMM amortises, small enough that the cache stays ~1 MB at the paper's
-// 1290-wide flat observation.
+// the GEMM amortises, small enough that the cache stays ~1.7 MB at the paper's
+// 1,677-wide flat observation (129 rows x 13 features).
 const valueBatchRows = 128
 
 // vScratch is one value-update worker's reusable state.
@@ -359,14 +366,14 @@ func (p *PPO) policyStep(steps []Step, advs []float64, batch []int, workers int)
 // selectable rows, surrogate loss, and batched backward of the score
 // gradients into s.g.
 func (p *PPO) policyStepOne(s *piScratch, st *Step, adv, clip float64) {
-	n := len(st.Obs)
+	n := len(st.Mask)
 	s.ensure(p.Policy, n)
 
 	// gather + score the selectable rows with one batched forward (masked
 	// rows score 0 and never reach the backward pass, exactly like the
 	// per-row loop); s.bc keeps the forward cache in gather order for the
 	// BackwardBatch below.
-	probs, k := p.Policy.ScoreMasked(st.Obs, st.Mask, s.bc, s.gather, s.scores[:n], s.probs[:n])
+	probs, k := p.Policy.ScoreMasked(st.FlatObs, st.Mask, s.bc, s.gather, s.scores[:n], s.probs[:n])
 	newLogP := nn.LogProb(probs, st.Action)
 	ratio := math.Exp(newLogP - st.LogP)
 
@@ -430,11 +437,11 @@ func (p *PPO) valueStep(steps []Step, rets []float64, batch []int, workers int) 
 					end = hi
 				}
 				nb := end - start
-				in := s.bc.Input(nb)
+				s.bc.Resize(nb)
 				for r, si := range batch[start:end] {
 					s.bc.SetRow(r, steps[si].FlatObs, steps[si].Live)
 				}
-				out := p.Value.ForwardBatch(in, s.bc)
+				out := p.Value.ForwardBatch(s.bc.X[0], s.bc)
 				gradOut := s.gradOut
 				gradOut.Rows = nb
 				for r, si := range batch[start:end] {

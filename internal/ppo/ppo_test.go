@@ -129,7 +129,7 @@ func banditTrajectories(p *PPO, rng *stats.RNG, nTraj, featDim, slots int) []Tra
 			reward = 1
 		}
 		trajs[ti] = Trajectory{Steps: []Step{{
-			Obs: obs, FlatObs: flat, Mask: mask, Action: a,
+			FlatObs: flat, Mask: mask, Action: a,
 			LogP:   nn.LogProb(probs, a),
 			Value:  p.ValueOf(flat, vcache),
 			Reward: reward,
@@ -249,8 +249,7 @@ func TestValueRegression(t *testing.T) {
 		flat := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
 		target := flat[0] + flat[1] // learnable function
 		trajs = append(trajs, Trajectory{Steps: []Step{{
-			Obs: [][]float64{{1, 0}, {0, 1}}, FlatObs: flat,
-			Mask: []bool{true, true}, Action: 0, LogP: math.Log(0.5),
+			FlatObs: flat, Mask: []bool{true, true}, Action: 0, LogP: math.Log(0.5),
 			Value: 0, Reward: target,
 		}}})
 	}
@@ -301,16 +300,18 @@ func TestDistributionMasksInvalidRows(t *testing.T) {
 	}
 }
 
-// TestUpdateOccupancyInvariant pins that Step.Live only saves time: the same
-// zero-padded trajectories with and without their occupancy leave identical
-// policy and value networks and identical UpdateStats, bit for bit, at 1 and
-// 3 workers. Occupancies vary from step to step, so the shuffled minibatches
-// mix them inside the critic's kernel blocks, and the 300 steps span several
-// valueBatchRows blocks of the reused batch cache.
+// TestUpdateOccupancyInvariant pins that the compact step only saves time and
+// memory: the same decisions recorded compactly (occupied rows and the skip
+// row, with their Live) and as whole zero-padded observations (no Live) leave
+// identical policy and value networks and identical UpdateStats, bit for bit,
+// at 1 and 3 workers. Occupancies vary from step to step, so the shuffled
+// minibatches mix them inside the critic's kernel blocks and a cache row's
+// next occupant is shorter or longer than its last, and the 300 steps span
+// several valueBatchRows blocks of the reused batch cache.
 func TestUpdateOccupancyInvariant(t *testing.T) {
 	const feat, slots = 4, 12
 	for _, workers := range []int{1, 3} {
-		run := func(withLive bool) (*PPO, UpdateStats) {
+		run := func(compact bool) (*PPO, UpdateStats) {
 			cfg := DefaultConfig()
 			cfg.PiIters, cfg.VIters = 4, 4
 			cfg.MiniBatch = 170
@@ -324,20 +325,25 @@ func TestUpdateOccupancyInvariant(t *testing.T) {
 				for si := range steps {
 					occ := 1 + rng.Intn(slots-1) // leading rows filled; the last row is the skip slot
 					flat := make([]float64, feat*slots)
-					obs := make([][]float64, slots)
 					mask := make([]bool, slots)
-					for i := range obs {
-						obs[i] = flat[i*feat : (i+1)*feat]
+					for i := range mask {
 						if i < occ || i == slots-1 {
-							for k := range obs[i] {
-								obs[i][k] = rng.Normal(0, 1)
+							for k := 0; k < feat; k++ {
+								flat[i*feat+k] = rng.Normal(0, 1)
 							}
 							mask[i] = true
 						}
 					}
-					steps[si] = Step{Obs: obs, FlatObs: flat, Mask: mask, Action: rng.Intn(occ),
+					act := rng.Intn(occ + 1) // occ is the skip slot once compact
+					steps[si] = Step{FlatObs: flat, Mask: mask, Action: act,
 						LogP: -math.Log(float64(occ + 1)), Value: rng.Normal(0, 1), Reward: rng.Float64()}
-					if withLive {
+					if act == occ {
+						steps[si].Action = slots - 1
+					}
+					if compact {
+						steps[si].Action = act
+						steps[si].FlatObs = append(flat[:occ*feat:occ*feat], flat[(slots-1)*feat:]...)
+						steps[si].Mask = append(mask[:occ:occ], mask[slots-1])
 						steps[si].Live = nn.Live{Head: occ * feat, Tail: feat}
 					}
 				}

@@ -1124,31 +1124,42 @@ func (s *Scheduler) statsLocked() Stats {
 	}
 }
 
-// captureState snapshots the engine plus daemon bookkeeping into a portable
-// State. Called on the run goroutine after advanceTo, so the snapshot is at
-// a quiescent instant: every event at or before the current simulation time
-// has been fully processed.
-func (s *Scheduler) captureState() (*State, error) {
+// liveState snapshots the engine plus daemon bookkeeping into the live-state
+// form of State: everything but the record history, at a cost that does not
+// grow with it. Called on the run goroutine after advanceTo, so the snapshot
+// is at a quiescent instant: every event at or before the current simulation
+// time has been fully processed. Idem aliases the scheduler's own map, so the
+// result must be marshalled and dropped before the run goroutine moves on.
+func (s *Scheduler) liveState() *State {
 	snap := s.eng.Snapshot()
 	st := &State{
-		Version:  stateVersion,
-		Name:     s.cfg.Name,
-		Procs:    s.cfg.Procs,
-		Mem:      s.cfg.Mem,
-		SimClock: snap.Clock,
-		NextID:   s.nextID,
-		Queued:   snap.Queued,
-		Running:  snap.Running,
-		Pending:  s.eng.AppendPending(nil),
+		Version:      stateVersion,
+		Name:         s.cfg.Name,
+		Procs:        s.cfg.Procs,
+		Mem:          s.cfg.Mem,
+		SimClock:     snap.Clock,
+		NextID:       s.nextID,
+		Queued:       snap.Queued,
+		Running:      snap.Running,
+		Pending:      s.eng.AppendPending(nil),
+		HistoryCount: s.histCount,
 	}
-	st.Records = append(append([]metrics.Record(nil), s.prior...), s.eng.Records()...)
 	for id := range s.canceledIDs {
 		st.Canceled = append(st.Canceled, id)
 	}
 	sort.Ints(st.Canceled)
 	if len(s.idem) > 0 {
-		st.Idem = maps.Clone(s.idem)
+		st.Idem = s.idem
 	}
-	st.HistoryCount = s.histCount
+	return st
+}
+
+// captureState is liveState made self-contained for a caller on another
+// goroutine (snapshot and drain replies, the legacy snapshot file): it adds a
+// copy of the whole record history and clones the idempotency map.
+func (s *Scheduler) captureState() (*State, error) {
+	st := s.liveState()
+	st.Records = append(append([]metrics.Record(nil), s.prior...), s.eng.Records()...)
+	st.Idem = maps.Clone(st.Idem)
 	return st, nil
 }

@@ -321,14 +321,8 @@ func (s *Scheduler) compactTo(gen uint64) {
 			return
 		}
 	}
-	st, err := s.captureState()
-	if err != nil {
-		s.degrade("capture state", err)
-		return
-	}
+	st := s.liveState() // the history log owns the record stream
 	st.WALGen = gen
-	st.WALRecords = 0
-	st.Records = nil // the history log owns the record stream
 	data, err := marshalState(st)
 	if err != nil {
 		s.degrade("snapshot marshal", err)

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/metrics"
 	"repro/internal/wal"
 )
 
@@ -202,6 +206,71 @@ func TestServeWALCompactionBoundsRecovery(t *testing.T) {
 	}
 	if got := renderRecords(st.Records); got != want {
 		t.Fatalf("compacted recovery differs from uninterrupted run:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestCompactionCapturesLiveStateOnly pins what state.go promises of a
+// rotation: the snapshot it writes is the live-state form (byte for byte what
+// stripping a full capture gives, idempotency keys included), and building it
+// does not copy the record history — with every job finished, capturing the
+// live state allocates less than one copy of the records would.
+func TestCompactionCapturesLiveStateOnly(t *testing.T) {
+	const n = 400
+	ops := makeScript(17, n, 32, false)
+	clk := NewManualClock(time.Unix(1700000000, 0))
+	cfg := walConfig(clk, t.TempDir(), wal.OSFS{}, 0)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	for i, op := range ops {
+		clk.Advance(op.advance)
+		op.req.IdemKey = fmt.Sprintf("key-%d", i)
+		if _, err := s.Submit(op.req); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	clk.Advance(24 * time.Hour)
+	if _, err := s.Stats(); err != nil { // runs the event train: every job finishes
+		t.Fatal(err)
+	}
+	s.crash() // the run goroutine is gone: its methods are this goroutine's to call
+
+	full, err := s.captureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Records) != n || len(full.Idem) != n {
+		t.Fatalf("captured %d records and %d idempotency keys, want %d of each", len(full.Records), len(full.Idem), n)
+	}
+	full.Records, full.WALGen, full.WALRecords = nil, s.walGen+1, 0
+	want, err := marshalState(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	live := s.liveState()
+	runtime.ReadMemStats(&m1)
+	if live.Records != nil {
+		t.Fatalf("live state carries %d records", len(live.Records))
+	}
+	if got, history := m1.TotalAlloc-m0.TotalAlloc, uint64(n)*uint64(unsafe.Sizeof(metrics.Record{})); got >= history {
+		t.Fatalf("capturing the live state allocated %d B with nothing queued or running; one copy of the %d-record history is %d B", got, n, history)
+	}
+
+	s.compact()
+	if s.degraded.Load() {
+		t.Fatal("compaction degraded the daemon")
+	}
+	got, err := os.ReadFile(cfg.SnapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("rotation snapshot differs from the stripped full capture:\n got %s\nwant %s", got, want)
 	}
 }
 
