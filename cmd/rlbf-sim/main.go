@@ -7,6 +7,11 @@
 //	rlbf-sim -trace sdsc-sp2 -policy SJF -backfill easy
 //	rlbf-sim -trace lublin-1 -policy F1 -backfill conservative -csv jobs.csv
 //	rlbf-sim -trace hpc2n -policy FCFS -backfill rlbf -model rl.json
+//	rlbf-sim -trace lublin-huge -jobs 100000 -cpuprofile cpu.prof -memprofile mem.prof
+//
+// The two profile flags cover the replay only (not trace loading or the
+// report); read them with `go tool pprof -top rlbf-sim cpu.prof` and
+// `go tool pprof -sample_index=alloc_space -top rlbf-sim mem.prof`.
 package main
 
 import (
@@ -18,6 +23,7 @@ import (
 	"repro/internal/backfill"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/prof"
 	"repro/internal/sched"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -42,6 +48,8 @@ func main() {
 	tiers := flag.Int("priority-tiers", 0, "enrich the trace with geometric priority tiers (0 or 1 = none)")
 	priorities := flag.Bool("priorities", false, "schedule with priority-tier ordering")
 	starvationBound := flag.Float64("starvation-bound", 0, "aging bound: a job starves once wait exceeds bound x request (0 = off)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the replay to this file")
+	memProfile := flag.String("memprofile", "", "write a heap/allocation profile taken after the replay to this file")
 	flag.Parse()
 
 	policy, err := sched.ByNameExtended(*policyArg)
@@ -126,9 +134,19 @@ func main() {
 		probe = &sim.TimelineProbe{}
 		simCfg.Probe = probe // assigned only when non-nil: a typed-nil probe would defeat the engine's nil check
 	}
+	stopCPU, err := prof.StartCPU(*cpuProfile)
+	if err != nil {
+		fatal("cpu profile: %v", err)
+	}
 	res, err := shard.Replay(tr, simCfg, shardCfg, nil)
+	if perr := stopCPU(); perr != nil {
+		fatal("cpu profile: %v", perr)
+	}
 	if err != nil {
 		fatal("%v", err)
+	}
+	if err := prof.WriteHeap(*memProfile); err != nil {
+		fatal("heap profile: %v", err)
 	}
 	bfName := "none"
 	if bf != nil {

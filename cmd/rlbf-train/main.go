@@ -16,11 +16,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/prof"
 	"repro/internal/sched"
 )
 
@@ -76,34 +75,22 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "training on %s (%d jobs, %d procs) with %s base policy, %d epochs\n",
 		tr.Name, tr.Len(), tr.Procs, policy.Name(), sc.Epochs)
-	stopCPU := func() {}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal("cpu profile: %v", err)
-		}
-		stopCPU = func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fatal("cpu profile: %v", err)
-			}
-		}
+	stopCPU, err := prof.StartCPU(*cpuProfile)
+	if err != nil {
+		fatal("cpu profile: %v", err)
 	}
 	hist, err := trainer.Train(sc.Epochs, func(st core.EpochStats) {
 		fmt.Fprintf(os.Stderr, "epoch %3d: bsld=%8.2f baseline=%8.2f reward=%+.3f steps=%5d violations=%d kl=%.4f\n",
 			st.Epoch, st.MeanBSLD, st.BaselineBSLD, st.MeanReward, st.Steps, st.Violations, st.Update.KL)
 	})
-	stopCPU()
+	if perr := stopCPU(); perr != nil {
+		fatal("cpu profile: %v", perr)
+	}
 	if err != nil {
 		fatal("training: %v", err)
 	}
-	if *memProfile != "" {
-		if err := writeHeapProfile(*memProfile); err != nil {
-			fatal("heap profile: %v", err)
-		}
+	if err := prof.WriteHeap(*memProfile); err != nil {
+		fatal("heap profile: %v", err)
 	}
 	if best := core.BestEpoch(hist); best >= 0 {
 		fmt.Fprintf(os.Stderr, "best epoch %d (bsld %.2f); converged=%v\n",
@@ -129,22 +116,6 @@ func main() {
 		fatal("saving model: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "saved model to %s\n", *out)
-}
-
-// writeHeapProfile writes the allocation record (alloc_space counts every
-// byte since start, inuse_space what is live now) after a collection, so the
-// most recent frees are in it.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(format string, args ...any) {

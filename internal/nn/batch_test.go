@@ -20,15 +20,15 @@ func randSizes(r *stats.RNG) []int {
 // kernels: over fuzzed shapes, activations and batch sizes, ForwardBatch and
 // BackwardBatch are bit-identical — outputs, parameter gradients AND input
 // gradients — to running the per-row Forward/Backward loop in batch-row
-// order. Inputs include exact zeros so the zero-coefficient paths (MulVecT's
-// skip vs MulMat's blocked adds) are exercised.
+// order. Inputs include exact zeros, which the kernels skip and the per-row
+// reference adds.
 func TestBatchedKernelDifferential(t *testing.T) {
 	for _, act := range []Activation{ReLU, Tanh, Identity} {
 		for seed := uint64(1); seed <= 25; seed++ {
 			r := stats.NewRNG(seed*31 + uint64(len(act)))
 			sizes := randSizes(r)
 			m := NewMLP(sizes, act, r)
-			n := r.Intn(17) + 1 // batch rows, covers the 4-blocked and remainder paths
+			n := r.Intn(17) + 1
 
 			x := NewMat(n, sizes[0])
 			gradOut := NewMat(n, sizes[len(sizes)-1])
@@ -109,12 +109,10 @@ func compactRow(x []float64, live Live) []float64 {
 // kernels: rows loaded with SetRow from their compact cells and an occupancy
 // produce outputs, parameter gradients and (requested explicitly) input
 // gradients bit-identical to the full-width per-row Forward/Backward loop.
-// Each batch mixes occupancies inside its 4-row and 2-row kernel blocks, has
-// n%4 and n%2 tail rows, dense (zero Live) rows, exact zeros and -0.0 inside
-// live spans and -0.0 in the reference's dead cells (the cache holds +0.0
-// there). The reused input buffer is filled with NaN behind Input's back
-// before every load, so a kernel that reads a cell under its block's union
-// that the load neither wrote nor cleared turns the result into NaN.
+// Each batch mixes occupancies, dense (zero Live) rows, exact zeros and -0.0
+// inside live spans and -0.0 in the reference's dead cells. The reused input
+// buffer is filled with NaN behind Input's back before every load, so a
+// kernel that reads a cell the load did not write turns the result into NaN.
 func TestSpanKernelDifferential(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, act := range []Activation{ReLU, Tanh, Identity} {
@@ -196,15 +194,15 @@ func TestSpanKernelDifferential(t *testing.T) {
 	}
 }
 
-// TestSetRowReuseProperty pins the load rule that lets SetRow touch only what
-// a row occupies: over random sequences of compact loads into ONE reused
-// cache — heads growing, shrinking and empty, with and without a tail, dense
-// rows, batches of changing size — interleaved with dense writes through
-// Input's matrix, the input matrix is byte-equal to a fresh zeroed cache given
-// the same rows at full width, and ForwardBatch, BackwardBatch and the
-// gradients they accumulate are bit-equal to that dense cache's. A SetRow that
-// clears too little leaves an earlier occupant's cells under a later block's
-// union; one that forgets Input made rows dense leaves the caller's.
+// TestSetRowReuseProperty pins what a load may leave behind: over random
+// sequences of compact loads into ONE reused cache — heads growing, shrinking
+// and empty, with and without a tail, dense rows, batches of changing size —
+// interleaved with dense writes through Input's matrix, ForwardBatch,
+// BackwardBatch, the gradients they accumulate and InputGrad are bit-equal to
+// a fresh zeroed cache given the same rows at full width. Before every load
+// the reused input is NaN from end to end, so each row holds NaN everywhere
+// outside its new Live: a kernel that read one cell outside a row's own span
+// would turn the result into NaN.
 func TestSetRowReuseProperty(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for seed := uint64(1); seed <= 30; seed++ {
@@ -228,6 +226,9 @@ func TestSetRowReuseProperty(t *testing.T) {
 			n := r.Intn(capRows) + 1
 			fresh := NewBatchCache(m, capRows)
 			want := fresh.Input(n)
+			for i := range reused.X[0].Data {
+				reused.X[0].Data[i] = math.NaN()
+			}
 			if r.Bool(0.2) { // the caller fills Input's matrix itself: every row dense
 				in := reused.Input(n)
 				for i := range want.Data[:n*cols] {
@@ -269,8 +270,6 @@ func TestSetRowReuseProperty(t *testing.T) {
 					}
 				}
 			}
-			same("input", reused.X[0].Data[:n*cols], want.Data[:n*cols])
-
 			gradOut := NewMat(n, sizes[2])
 			for i := range gradOut.Data {
 				gradOut.Data[i] = r.Normal(0, 1)

@@ -52,19 +52,22 @@ func actBackward(a Activation, x, y float64) float64 {
 }
 
 // MLP is a fully connected feed-forward network. Layer l maps Sizes[l] to
-// Sizes[l+1] via W[l]*x + B[l] followed by Act (Identity on the final
-// layer). Weights are read-only during Forward/Backward, so one MLP can be
-// shared across goroutines that own their own Cache and Grads.
+// Sizes[l+1] via W[l]ᵀ*x + B[l] followed by Act (Identity on the final
+// layer). Weights are input-major: row j of W[l] is input j's fan-out, so a
+// layer's forward is a sum of weight rows scaled by the inputs (see addRows).
+// Weights are read-only during Forward/Backward, so one MLP can be shared
+// across goroutines that own their own Cache and Grads.
 type MLP struct {
 	Sizes []int
 	Act   Activation
-	W     []*Mat      // W[l] is Sizes[l+1] x Sizes[l]
+	W     []*Mat      // W[l] is Sizes[l] x Sizes[l+1]
 	B     [][]float64 // B[l] has len Sizes[l+1]
 }
 
 // NewMLP builds an MLP with the given layer sizes (at least two entries:
 // input and output) and hidden activation, initialised with He-uniform
-// weights drawn from rng.
+// weights drawn from rng, one output's fan-in after another (the order the
+// model file lists them in).
 func NewMLP(sizes []int, act Activation, rng *stats.RNG) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least input and output sizes")
@@ -77,10 +80,12 @@ func NewMLP(sizes []int, act Activation, rng *stats.RNG) *MLP {
 	m := &MLP{Sizes: append([]int(nil), sizes...), Act: act}
 	for l := 0; l < len(sizes)-1; l++ {
 		in, out := sizes[l], sizes[l+1]
-		w := NewMat(out, in)
+		w := NewMat(in, out)
 		bound := math.Sqrt(6.0 / float64(in))
-		for i := range w.Data {
-			w.Data[i] = rng.Uniform(-bound, bound)
+		for k := 0; k < out; k++ {
+			for j := 0; j < in; j++ {
+				w.Set(j, k, rng.Uniform(-bound, bound))
+			}
 		}
 		m.W = append(m.W, w)
 		m.B = append(m.B, make([]float64, out))
@@ -138,7 +143,7 @@ func (m *MLP) Forward(x []float64, cache *Cache) []float64 {
 	}
 	copy(cache.X[0], x)
 	for l := 0; l < m.Layers(); l++ {
-		m.W[l].MulVec(cache.X[l], cache.Z[l])
+		m.W[l].MulVecT(cache.X[l], cache.Z[l])
 		act := m.Act
 		if l == m.Layers()-1 {
 			act = Identity
@@ -159,8 +164,9 @@ func (m *MLP) Forward(x []float64, cache *Cache) []float64 {
 //
 // Input rows carry an occupancy (Live): rows written through the matrix
 // Input returns are dense, rows loaded with SetRow have the occupancy given
-// there, and layer 0 of ForwardBatch and BackwardBatch skips the columns no
-// row of a kernel block occupies. Dense and sparse rows take the same kernel.
+// there, and layer 0 of ForwardBatch and BackwardBatch walks, row by row, only
+// the columns that row occupies. What a cache row holds outside its own
+// occupancy is never read, so a load writes the live cells and nothing else.
 type BatchCache struct {
 	// X[0] is the input batch; X[l+1] the activation batch after layer l.
 	X []*Mat
@@ -170,13 +176,7 @@ type BatchCache struct {
 	// gradient) exists only once InputGrad was asked for it.
 	Delta []*Mat
 	cap   int
-	// live[r] is input row r's occupancy, and it is physical: every cell of
-	// row r of X[0] outside its first Head and last Tail is +0.0, whether or
-	// not the row is part of the current batch. Input and SetRow store literal
-	// counts (a dense row is {Cols, 0}), so the zero value only ever marks a
-	// row nothing was written to: the kernels read it as dense, SetRow as
-	// having nothing to clear, and for an all-zero row both are right.
-	live []Live
+	live  []Live // live[r] is input row r's occupancy
 }
 
 // NewBatchCache allocates a batch cache for up to maxRows samples. The
@@ -197,13 +197,15 @@ func NewBatchCache(m *MLP, maxRows int) *BatchCache {
 	return c
 }
 
-// liveAt returns the row occupancies the kernels of layer l see: the input's
-// at layer 0, none (dense) above it.
-func (c *BatchCache) liveAt(l int) []Live {
-	if l == 0 {
-		return c.live
+// span returns the columns of row r of layer l's input the kernels walk:
+// [0, head) and [tail, cols). Only layer 0 has an occupancy; a dense row, or
+// a head and tail that meet, is all head.
+func (c *BatchCache) span(l, r int) (head, tail int) {
+	cols := c.X[l].Cols
+	if live := c.live[r]; l == 0 && live != (Live{}) && live.Head+live.Tail < cols {
+		return live.Head, cols - live.Tail
 	}
-	return nil
+	return cols, cols
 }
 
 // Cap returns the row capacity.
@@ -226,27 +228,18 @@ func (c *BatchCache) Resize(n int) {
 // Input sets the logical batch size to n rows and returns the input matrix
 // for the caller to fill directly, so batches can be assembled without an
 // extra copy in ForwardBatch. What the caller writes is not seen here, so
-// every one of the n rows counts as dense, for the kernels and for the next
-// SetRow into it.
+// every one of the n rows counts as dense.
 func (c *BatchCache) Input(n int) *Mat {
 	c.Resize(n)
-	dense := Live{Head: c.X[0].Cols}
-	for r := range c.live[:n] {
-		c.live[r] = dense
-	}
+	clear(c.live[:n])
 	return c.X[0]
 }
 
 // SetRow loads input row r from its compact form: cells holds the row's
 // first live.Head columns followed by its last live.Tail columns, and every
-// column between them is zero. The zero Live means cells is the whole row.
-//
-// Head and tail are scattered into place, and only the cells the row's
-// previous occupant left outside the new occupancy are cleared, so a load
-// costs what the row occupies, not its width. A kernel block reads each of
-// its rows across the union of the block's occupancies, wider than a short
-// row's own; clearing against the recorded occupancy is what makes every cell
-// under that union a true zero.
+// column between them counts as zero. The zero Live means cells is the whole
+// row. Head and tail are scattered into place and the occupancy recorded; the
+// columns between them keep whatever they held, because no kernel reads them.
 func (c *BatchCache) SetRow(r int, cells []float64, live Live) {
 	w := c.X[0].Cols
 	if live == (Live{}) {
@@ -256,16 +249,8 @@ func (c *BatchCache) SetRow(r int, cells []float64, live Live) {
 		panic(fmt.Sprintf("nn: input row of %d cells with occupancy %+v, width %d", len(cells), live, w))
 	}
 	row := c.X[0].Row(r)
-	tail := w - live.Tail
 	copy(row[:live.Head], cells)
-	copy(row[tail:], cells[live.Head:])
-	was := c.live[r]
-	if hi := min(was.Head, tail); hi > live.Head {
-		clear(row[live.Head:hi])
-	}
-	if lo := max(w-was.Tail, live.Head); lo < tail {
-		clear(row[lo:tail])
-	}
+	copy(row[w-live.Tail:], cells[live.Head:])
 	c.live[r] = live
 }
 
@@ -278,7 +263,7 @@ func (c *BatchCache) InputGrad(m *MLP) *Mat {
 		c.Delta[0] = NewMat(c.cap, m.Sizes[0])
 	}
 	c.Delta[0].Rows = c.Delta[1].Rows
-	m.W[0].MulMat(c.Delta[1], c.Delta[0])
+	m.backprop(0, c)
 	return c.Delta[0]
 }
 
@@ -296,11 +281,11 @@ func (c *BatchCache) ensureDelta(m *MLP, n int) {
 	}
 }
 
-// ForwardBatch runs the network on every row of x with one GEMM per layer,
-// recording intermediates in cache, and returns the output batch (a view
-// into the cache; copy before reuse). Row r of the result is bit-identical
-// to Forward(x.Row(r)) — see MulMatT's contract. Pass cache.Input(n) itself
-// (after filling it) to skip the input copy.
+// ForwardBatch runs the network on every row of x, recording intermediates
+// in cache, and returns the output batch (a view into the cache; copy before
+// reuse). Row r of the result is bit-identical to Forward(x.Row(r)) — see
+// addRows' contract. Pass cache.Input(n) itself (after filling it) to skip
+// the input copy.
 func (m *MLP) ForwardBatch(x *Mat, cache *BatchCache) *Mat {
 	if x.Cols != m.Sizes[0] {
 		panic(fmt.Sprintf("nn: batch input width %d, want %d", x.Cols, m.Sizes[0]))
@@ -313,13 +298,20 @@ func (m *MLP) ForwardBatch(x *Mat, cache *BatchCache) *Mat {
 	}
 	L := m.Layers()
 	for l := 0; l < L; l++ {
-		m.W[l].MulMatT(cache.X[l], cache.Z[l], cache.liveAt(l))
+		w, b := m.W[l].Data, m.B[l]
+		xi, z, xo := cache.X[l], cache.Z[l], cache.X[l+1]
+		out := z.Cols
+		for r := 0; r < z.Rows; r++ {
+			xr, zr := xi.Row(r), z.Row(r)
+			clear(zr)
+			head, tail := cache.span(l, r)
+			addRows(xr[:head], w[:head*out], zr)
+			addRows(xr[tail:], w[tail*out:], zr)
+		}
 		act := m.Act
 		if l == L-1 {
 			act = Identity
 		}
-		b := m.B[l]
-		z, xo := cache.Z[l], cache.X[l+1]
 		// activation hoisted out of the element loop (actForward switches on
 		// the activation name; per-element that dominates small layers)
 		switch act {
@@ -398,7 +390,7 @@ func (m *MLP) ScoreMasked(cells []float64, mask []bool, bc *BatchCache,
 // BackwardBatch accumulates dLoss/dParams into g for a whole batch, given
 // the cache of the ForwardBatch that produced the outputs and
 // gradOut = dLoss/dOutput (one row per sample). Layer 0's weight gradient
-// skips the columns the input rows do not occupy (see BatchCache), and
+// walks only the columns each input row occupies (see BatchCache), and
 // dLoss/dInput is not computed; cache.InputGrad finishes it on demand.
 //
 // Per element of g the batch rows accumulate in ascending order directly
@@ -413,42 +405,57 @@ func (m *MLP) BackwardBatch(cache *BatchCache, gradOut *Mat, g *Grads) {
 	cache.ensureDelta(m, n)
 	copy(cache.Delta[L].Data[:n*gradOut.Cols], gradOut.Data[:n*gradOut.Cols])
 	for l := L - 1; l >= 0; l-- {
-		act := m.Act
-		if l == L-1 {
-			act = Identity
-		}
-		// delta through the activation (hoisted like ForwardBatch)
-		d, z, xo := cache.Delta[l+1], cache.Z[l], cache.X[l+1]
-		switch act {
-		case ReLU:
-			for r := 0; r < n; r++ {
-				dr, zr := d.Row(r), z.Row(r)
-				for i := range dr {
-					if zr[i] <= 0 {
-						dr[i] = 0
-					}
-				}
-			}
-		case Identity:
-			// derivative 1: delta unchanged
-		default:
-			for r := 0; r < n; r++ {
-				dr, zr, xr := d.Row(r), z.Row(r), xo.Row(r)
-				for i := range dr {
-					dr[i] *= actBackward(act, zr[i], xr[i])
-				}
-			}
-		}
+		d := cache.Delta[l+1] // dLoss/dZ[l]: the output layer is linear, backprop applies the rest
 		// parameter gradients, batch rows in ascending order
-		g.W[l].AddMatOuterScaled(d, cache.X[l], 1, cache.liveAt(l))
-		gb := g.B[l]
+		xi, gw, gb := cache.X[l], g.W[l].Data, g.B[l]
+		out := d.Cols
 		for r := 0; r < n; r++ {
-			for i, v := range d.Row(r) {
+			xr, dr := xi.Row(r), d.Row(r)
+			head, tail := cache.span(l, r)
+			addOuter(xr[:head], dr, gw[:head*out])
+			addOuter(xr[tail:], dr, gw[tail*out:])
+			for i, v := range dr {
 				gb[i] += v
 			}
 		}
-		if l > 0 { // propagate to the previous layer
-			m.W[l].MulMat(d, cache.Delta[l])
+		if l > 0 {
+			m.backprop(l, cache)
+		}
+	}
+}
+
+// backprop fills Delta[l] = dLoss/dZ[l-1] (for layer 0, which no activation
+// feeds, dLoss/dInput) from Delta[l+1]: per input one dot product over its
+// own weight row in ascending output order — MulVec's summation — times the
+// activation's derivative. An input ReLU left dead gets its zero without the
+// dot product.
+func (m *MLP) backprop(l int, cache *BatchCache) {
+	w, d, y := m.W[l], cache.Delta[l+1], cache.Delta[l]
+	act := Identity
+	if l > 0 {
+		act = m.Act
+	}
+	for r := 0; r < d.Rows; r++ {
+		dr, yr := d.Row(r), y.Row(r)
+		switch act {
+		case ReLU:
+			for j, z := range cache.Z[l-1].Row(r) {
+				s := 0.0
+				if z > 0 {
+					for k, wk := range w.Row(j) {
+						s += wk * dr[k]
+					}
+				}
+				yr[j] = s
+			}
+		case Identity:
+			w.MulVec(dr, yr)
+		default:
+			w.MulVec(dr, yr)
+			zr, xr := cache.Z[l-1].Row(r), cache.X[l].Row(r)
+			for j := range yr {
+				yr[j] *= actBackward(act, zr[j], xr[j])
+			}
 		}
 	}
 }
@@ -526,12 +533,12 @@ func (m *MLP) Backward(cache *Cache, gradOut []float64, g *Grads) []float64 {
 			d[i] *= actBackward(act, cache.Z[l][i], cache.X[l+1][i])
 		}
 		// parameter gradients
-		g.W[l].AddOuterScaled(d, cache.X[l], 1)
+		g.W[l].AddOuterScaled(cache.X[l], d, 1)
 		for i, v := range d {
 			g.B[l][i] += v
 		}
 		// propagate to the previous layer
-		m.W[l].MulVecT(d, g.delta[l])
+		m.W[l].MulVec(d, g.delta[l])
 	}
 	return g.delta[0]
 }

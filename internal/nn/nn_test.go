@@ -2,7 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"os"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -449,5 +452,94 @@ func TestCloneIsDeep(t *testing.T) {
 	c.B[0][0] = 999
 	if m.W[0].At(0, 0) == 999 || m.B[0][0] == 999 {
 		t.Fatal("Clone shares parameter storage")
+	}
+}
+
+// parentRecipe builds and trains the network of testdata/mlp_parent.json: the
+// commit before weights went input-major ran exactly these calls to write it.
+func parentRecipe() *MLP {
+	r := stats.NewRNG(20)
+	m := NewMLP([]int{6, 5, 4, 2}, ReLU, r)
+	opt := NewAdam(m, 1e-2)
+	const n = 7
+	bc := NewBatchCache(m, n)
+	g := NewGrads(m)
+	gradOut := NewMat(n, 2)
+	for step := 0; step < 5; step++ {
+		in := bc.Input(n)
+		for i := range in.Data[:n*6] {
+			in.Data[i] = 0
+			if !r.Bool(0.2) {
+				in.Data[i] = r.Normal(0, 1)
+			}
+		}
+		out := m.ForwardBatch(in, bc)
+		for i, v := range out.Data[:n*2] {
+			gradOut.Data[i] = v - r.Normal(0, 1)
+		}
+		g.Zero()
+		m.BackwardBatch(bc, gradOut, g)
+		g.Scale(1.0 / n)
+		opt.Step(m, g)
+	}
+	return m
+}
+
+// TestParentModelFile pins the on-disk format across the layout change. The
+// model file and the probe outputs under testdata were written by the parent
+// commit (output-major weights in memory). Loading the file reproduces the
+// recorded forward outputs bit for bit, per row and batched; saving it again
+// yields the same bytes; and the recipe that produced it — NewMLP's draws,
+// five batched Adam steps — still produces those bytes.
+func TestParentModelFile(t *testing.T) {
+	file, err := os.ReadFile("testdata/mlp_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadMLP(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probes []struct{ In, Out []string }
+	raw, err := os.ReadFile("testdata/mlp_parent_probes.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &probes); err != nil {
+		t.Fatal(err)
+	}
+	bits := func(hex []string) []float64 {
+		out := make([]float64, len(hex))
+		for i, h := range hex {
+			u, err := strconv.ParseUint(h, 16, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = math.Float64frombits(u)
+		}
+		return out
+	}
+	bc := NewBatchCache(m, len(probes))
+	in := bc.Input(len(probes))
+	for r, p := range probes {
+		copy(in.Row(r), bits(p.In))
+	}
+	batch := m.ForwardBatch(in, bc)
+	for r, p := range probes {
+		row := m.Forward(bits(p.In), NewCache(m))
+		for i, want := range bits(p.Out) {
+			if math.Float64bits(row[i]) != math.Float64bits(want) || math.Float64bits(batch.At(r, i)) != math.Float64bits(want) {
+				t.Fatalf("probe %d output %d: Forward %v, ForwardBatch %v, recorded %v", r, i, row[i], batch.At(r, i), want)
+			}
+		}
+	}
+	for what, net := range map[string]*MLP{"loaded": m, "rebuilt": parentRecipe()} {
+		var buf bytes.Buffer
+		if err := net.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), file) {
+			t.Fatalf("%s network saves as\n%s\nwant the parent commit's\n%s", what, buf.Bytes(), file)
+		}
 	}
 }

@@ -6,11 +6,13 @@ import (
 	"io"
 )
 
-// mlpJSON is the stable on-disk form of an MLP.
+// mlpJSON is the stable on-disk form of an MLP. The file lists each layer's
+// weights one output after another (w[l][k*in+j] connects input j to output
+// k), the transpose of the input-major rows held in memory.
 type mlpJSON struct {
 	Sizes []int       `json:"sizes"`
 	Act   Activation  `json:"act"`
-	W     [][]float64 `json:"w"` // row-major per layer
+	W     [][]float64 `json:"w"`
 	B     [][]float64 `json:"b"`
 }
 
@@ -18,7 +20,7 @@ type mlpJSON struct {
 func (m *MLP) MarshalJSON() ([]byte, error) {
 	j := mlpJSON{Sizes: m.Sizes, Act: m.Act}
 	for l := range m.W {
-		j.W = append(j.W, m.W[l].Data)
+		j.W = append(j.W, m.W[l].T().Data)
 		j.B = append(j.B, m.B[l])
 	}
 	return json.Marshal(j)
@@ -42,12 +44,10 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 	m.B = nil
 	for l := 0; l < len(j.Sizes)-1; l++ {
 		in, out := j.Sizes[l], j.Sizes[l+1]
-		if len(j.W[l]) != in*out || len(j.B[l]) != out {
+		if in <= 0 || out <= 0 || len(j.W[l]) != in*out || len(j.B[l]) != out {
 			return fmt.Errorf("nn: serialized MLP layer %d has wrong shape", l)
 		}
-		w := NewMat(out, in)
-		copy(w.Data, j.W[l])
-		m.W = append(m.W, w)
+		m.W = append(m.W, (&Mat{Rows: out, Cols: in, Data: j.W[l]}).T())
 		m.B = append(m.B, j.B[l])
 	}
 	return nil
