@@ -7,8 +7,13 @@
 // Usage:
 //
 //	rlbf-serve -addr :8080 -procs 128 -policy FCFS -backfill conservative
-//	rlbf-serve -addr :8080 -procs 128 -scale 3600 -snapshot state.json -snapshot-every 10s
-//	rlbf-serve -resume state.json -addr :8080 -procs 128
+//	rlbf-serve -addr :8080 -procs 128 -scale 3600 -wal state.wal -snapshot state.json
+//
+// With -wal the daemon is durable (DESIGN.md §13): every acknowledged
+// command is fsync'd to the write-ahead log first, and a restart with the
+// same -wal/-snapshot pair recovers the exact schedule. -wal-nosync drops the
+// per-ack fsync; a crash may then lose the last acknowledged commands.
+// Without -wal the daemon keeps its state in memory only.
 //
 // Replicated deployment (DESIGN.md §14): a primary plus warm-standby
 // followers that tail its command WAL over HTTP, byte-verify the derived
@@ -24,9 +29,9 @@
 //	rlbf-serve -loadgen -addr http://127.0.0.1:8080,http://127.0.0.1:8081 -submitters 1000 -duration 20s
 //
 // On SIGTERM or SIGINT the daemon drains: intake closes (submissions get
-// 503), in-flight requests finish, a final state snapshot is written, and
-// the process exits 0 with a "drained clean" log line — the contract the
-// serve-load CI gate asserts.
+// 503), in-flight requests finish, a final state snapshot is written (with
+// -wal), and the process exits 0 with a "drained clean" log line — the
+// contract the serve-load CI gate asserts.
 package main
 
 import (
@@ -59,9 +64,7 @@ func main() {
 	scale := flag.Float64("scale", 1, "simulated seconds per wall second")
 	priorities := flag.Bool("priorities", false, "schedule with priority-tier ordering")
 	starvationBound := flag.Float64("starvation-bound", 0, "aging bound: a job starves once wait exceeds bound x request (0 = off)")
-	snapshotPath := flag.String("snapshot", "", "write periodic JSON state snapshots to this file")
-	snapshotEvery := flag.Duration("snapshot-every", 30*time.Second, "snapshot cadence (needs -snapshot)")
-	resume := flag.String("resume", "", "resume from a state snapshot written by -snapshot")
+	snapshotPath := flag.String("snapshot", "", "JSON state snapshot the WAL rotates through (needs -wal)")
 	walPath := flag.String("wal", "", "durable write-ahead log path (needs -snapshot); recovers automatically from existing files")
 	walNoSync := flag.Bool("wal-nosync", false, "skip the per-command WAL fsync (faster, may lose acked work on crash)")
 	compactEvery := flag.Int("compact-every", 4096, "rotate snapshot+WAL after this many log records")
@@ -119,16 +122,15 @@ func main() {
 	cfg := serve.Config{
 		Name: *name, Procs: *procs, Mem: *mem,
 		Policy: policy, Backfiller: bf, Scenario: scn, Estimator: est,
-		TimeScale: *scale, SnapshotPath: *snapshotPath, SnapshotEvery: *snapshotEvery,
-		PredictCap: *predictCap,
-		WALPath:    *walPath, WALNoSync: *walNoSync, CompactEvery: *compactEvery,
+		TimeScale: *scale, SnapshotPath: *snapshotPath, PredictCap: *predictCap,
+		WALPath: *walPath, WALNoSync: *walNoSync, CompactEvery: *compactEvery,
 		Lease: *lease, Peers: peers, ReplAckTimeout: *ackTimeout, RoundBudget: *roundBudget,
-	}
-	if *snapshotPath == "" {
-		cfg.SnapshotEvery = 0
 	}
 	if *walPath != "" && *snapshotPath == "" {
 		fatal("-wal requires -snapshot (compaction rotates through the snapshot file)")
+	}
+	if *snapshotPath != "" && *walPath == "" {
+		fatal("-snapshot requires -wal (a snapshot is only recoverable with the WAL it extends; -wal-nosync skips the per-ack fsync)")
 	}
 
 	var sched *serve.Scheduler
@@ -175,16 +177,6 @@ func main() {
 		if fenced {
 			sched.Fence(fencePeer, fenceGen)
 		}
-	case *resume != "":
-		st, err := serve.ReadState(*resume)
-		if err != nil {
-			fatal("%v", err)
-		}
-		if sched, err = serve.NewFromState(cfg, st); err != nil {
-			fatal("%v", err)
-		}
-		log.Printf("rlbf-serve: resumed %s at sim clock %d: %d queued, %d running, %d records",
-			st.Name, st.SimClock, len(st.Queued), len(st.Running), len(st.Records))
 	default:
 		if sched, err = serve.New(cfg); err != nil {
 			fatal("%v", err)

@@ -5,13 +5,9 @@
 // retained for the reference kernel the differential test pins the engine
 // against, and for callers that do queue both kinds.
 //
-// Queue is a calendar (bucket) queue: pending events hash into fixed-width
-// time buckets walked by a monotonically advancing cursor, with a binary
-// heap absorbing events beyond the calendar horizon (see calendar.go). Heap
-// is that binary heap on its own — the pre-calendar implementation, kept
-// both as the overflow structure and as the golden model the property tests
-// pin the calendar's pop order against. Both order events identically, by
-// (Time, Kind, Seq).
+// Queue is a binary min-heap ordered by (Time, Kind, Seq). A calendar queue
+// was tried and removed: it measured no end-to-end win over the heap
+// (DESIGN.md §9).
 package eventq
 
 // Kind distinguishes the event types of the scheduling simulator.
@@ -52,10 +48,9 @@ type Event struct {
 	Payload any
 }
 
-// less is the total event order shared by the heap and the calendar queue:
-// completions at time t are processed before arrivals at t so freed
-// processors are visible to the newly arrived job, and insertion order
-// breaks remaining ties for determinism.
+// less is the total event order: completions at time t are processed before
+// arrivals at t so freed processors are visible to the newly arrived job, and
+// insertion order breaks remaining ties for determinism.
 func less(a, b Event) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
@@ -68,34 +63,37 @@ func less(a, b Event) bool {
 	return a.Seq < b.Seq
 }
 
-// Heap is a min-heap of events ordered by (Time, Kind, Seq). Unlike Queue it
-// does not assign Seq — callers (the calendar queue, tests) manage insertion
-// sequence themselves. The zero value is ready to use.
-type Heap struct {
-	h []Event
+// Queue is the simulator's event queue: a min-heap of events ordered by
+// (Time, Kind, Seq). Push stamps Seq in insertion order. The zero value is
+// ready to use.
+type Queue struct {
+	seq int
+	h   []Event
 }
 
-// Len returns the number of heaped events.
-func (q *Heap) Len() int { return len(q.h) }
+// Len returns the number of queued events.
+func (q *Queue) Len() int { return len(q.h) }
 
-// Push inserts an event, preserving its Seq.
-func (q *Heap) Push(e Event) {
+// Push inserts an event, stamping its insertion sequence.
+func (q *Queue) Push(e Event) {
+	e.Seq = q.seq
+	q.seq++
 	q.h = append(q.h, e)
 	q.up(len(q.h) - 1)
 }
 
 // Peek returns the earliest event without removing it. ok is false when the
-// heap is empty.
-func (q *Heap) Peek() (Event, bool) {
+// queue is empty.
+func (q *Queue) Peek() (Event, bool) {
 	if len(q.h) == 0 {
 		return Event{}, false
 	}
 	return q.h[0], true
 }
 
-// Pop removes and returns the earliest event. ok is false when the heap is
+// Pop removes and returns the earliest event. ok is false when the queue is
 // empty.
-func (q *Heap) Pop() (Event, bool) {
+func (q *Queue) Pop() (Event, bool) {
 	if len(q.h) == 0 {
 		return Event{}, false
 	}
@@ -110,7 +108,7 @@ func (q *Heap) Pop() (Event, bool) {
 	return top, true
 }
 
-func (q *Heap) up(i int) {
+func (q *Queue) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !less(q.h[i], q.h[parent]) {
@@ -121,7 +119,7 @@ func (q *Heap) up(i int) {
 	}
 }
 
-func (q *Heap) down(i int) {
+func (q *Queue) down(i int) {
 	n := len(q.h)
 	for {
 		l, r := 2*i+1, 2*i+2

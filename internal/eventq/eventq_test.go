@@ -1,6 +1,8 @@
 package eventq
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -70,74 +72,87 @@ func TestPeekDoesNotRemove(t *testing.T) {
 	}
 }
 
-// TestCalendarMatchesHeap pins the calendar queue's pop order against the
-// binary heap — the pre-calendar implementation kept as the golden model —
-// on fuzzed event batches: clustered and spread times, both kinds, and
-// interleaved pushes and pops (which slide the calendar window and exercise
-// overflow migration, cursor jumps and rebuilds).
-func TestCalendarMatchesHeap(t *testing.T) {
+// TestQueueMatchesSortedOracle fuzzes Queue against a sorted-slice oracle
+// under the engine's access pattern: pushes, peeks and pops interleaved;
+// equal times across Finish, Arrive and Wake; and pushes earlier than the
+// last popped event (the engine makes them when a job starts and finishes
+// inside the current batch horizon). Every Peek must preview the next Pop,
+// and every Pop must return the oracle's least event by (Time, Kind, Seq).
+func TestQueueMatchesSortedOracle(t *testing.T) {
+	kindOrder := map[Kind]int{Finish: 0, Arrive: 1, Wake: 2} // same-time contract
 	for seed := uint64(1); seed <= 30; seed++ {
 		rng := stats.NewRNG(seed)
-		var cal Queue
-		var heap Heap
+		var q Queue
+		var oracle []Event // sorted by (Time, kindOrder, Seq)
 		seq := 0
-		// Time regimes per seed: tight clusters, wide spreads, and a drifting
-		// "simulation clock" with completions scattered ahead of it.
+		// Time regimes per seed: heavy ties, wide spreads, and a drifting
+		// clock that scatters pushes around (and behind) the last pop.
 		regime := seed % 3
-		clock := int64(0)
+		last := int64(0)
 		nextTime := func() int64 {
 			switch regime {
 			case 0:
-				return rng.Int63n(50) // heavy ties, single-bucket clusters
+				return rng.Int63n(50)
 			case 1:
-				return rng.Int63n(1_000_000) // sparse, overflow-heavy
+				return rng.Int63n(1_000_000)
 			default:
-				clock += rng.Int63n(30)
-				return clock + rng.Int63n(5000) // drifting window
+				return last - 100 + rng.Int63n(5000)
 			}
+		}
+		pop := func(where string) {
+			pe, pok := q.Peek()
+			ge, gok := q.Pop()
+			if !pok || !gok || pe != ge {
+				t.Fatalf("seed %d %s: Peek %+v (%v) but Pop %+v (%v)", seed, where, pe, pok, ge, gok)
+			}
+			if ge != oracle[0] {
+				t.Fatalf("seed %d %s: popped %+v, oracle %+v", seed, where, ge, oracle[0])
+			}
+			oracle = oracle[1:]
+			last = ge.Time
 		}
 		ops := int(rng.Int63n(400)) + 100
 		for op := 0; op < ops; op++ {
-			if rng.Bool(0.6) || cal.Len() == 0 {
-				e := Event{Time: nextTime(), Kind: Kind(rng.Intn(2)), Payload: op}
-				e.Seq = seq
+			switch {
+			case rng.Bool(0.55) || q.Len() == 0:
+				e := Event{Time: nextTime(), Kind: Kind(rng.Intn(3)), Seq: seq, Payload: op}
 				seq++
-				heap.Push(e)
-				cal.Push(e) // Queue re-stamps Seq; same counter, same value
-			} else {
-				ce, cok := cal.Pop()
-				he, hok := heap.Pop()
-				if cok != hok || ce != he {
-					t.Fatalf("seed %d op %d: calendar popped %+v (%v), heap %+v (%v)",
-						seed, op, ce, cok, he, hok)
+				q.Push(e) // Queue re-stamps Seq; same counter, same value
+				// Insert after every event not strictly later in (Time, kind
+				// order): pushes arrive in Seq order, so that is the Seq tie-break.
+				i := sort.Search(len(oracle), func(i int) bool {
+					o := oracle[i]
+					return o.Time > e.Time || o.Time == e.Time && kindOrder[o.Kind] > kindOrder[e.Kind]
+				})
+				oracle = slices.Insert(oracle, i, e)
+			case rng.Bool(0.3):
+				if e, ok := q.Peek(); !ok || e != oracle[0] {
+					t.Fatalf("seed %d op %d: peeked %+v (%v), oracle %+v", seed, op, e, ok, oracle[0])
 				}
+			default:
+				pop(fmt.Sprintf("op %d", op))
 			}
-			if cal.Len() != heap.Len() {
-				t.Fatalf("seed %d op %d: calendar len %d, heap len %d", seed, op, cal.Len(), heap.Len())
-			}
-		}
-		// Drain both completely.
-		for heap.Len() > 0 {
-			ce, cok := cal.Pop()
-			he, hok := heap.Pop()
-			if cok != hok || ce != he {
-				t.Fatalf("seed %d drain: calendar popped %+v (%v), heap %+v (%v)", seed, ce, cok, he, hok)
+			if q.Len() != len(oracle) {
+				t.Fatalf("seed %d op %d: queue len %d, oracle len %d", seed, op, q.Len(), len(oracle))
 			}
 		}
-		if cal.Len() != 0 {
-			t.Fatalf("seed %d: calendar retains %d events after heap drained", seed, cal.Len())
+		for len(oracle) > 0 {
+			pop("drain")
+		}
+		if _, ok := q.Pop(); ok || q.Len() != 0 {
+			t.Fatalf("seed %d: queue retains %d events after the oracle drained", seed, q.Len())
 		}
 	}
 }
 
-// TestCalendarPeekMatchesPop pins that Peek always previews exactly the
-// event the next Pop returns, across window advances and rebuilds.
-func TestCalendarPeekMatchesPop(t *testing.T) {
+// TestQueuePeekMatchesPop pins that Peek always previews exactly the event
+// the next Pop returns over a long interleaved push/pop run, all kinds.
+func TestQueuePeekMatchesPop(t *testing.T) {
 	rng := stats.NewRNG(4)
 	var q Queue
 	for op := 0; op < 2000; op++ {
 		if rng.Bool(0.55) || q.Len() == 0 {
-			q.Push(Event{Time: rng.Int63n(10000), Kind: Kind(rng.Intn(2)), Payload: op})
+			q.Push(Event{Time: rng.Int63n(10000), Kind: Kind(rng.Intn(3)), Payload: op})
 		} else {
 			pe, pok := q.Peek()
 			ge, gok := q.Pop()

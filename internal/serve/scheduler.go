@@ -10,9 +10,10 @@
 // locks and stays exactly the deterministic batch kernel. The clock adapter
 // maps wall time to simulation seconds (simNow = simEpoch + elapsed *
 // TimeScale); between commands the goroutine sleeps until the next pending
-// engine event's wall deadline. Periodic snapshots give crash recovery:
-// CaptureState marshals the engine snapshot plus the daemon bookkeeping, and
-// NewFromState resumes a byte-identical schedule.
+// engine event's wall deadline. Crash recovery is the write-ahead log of
+// DESIGN.md §13: every state-changing command is logged before its ack, the
+// log rotates through live-state snapshots, and Recover replays snapshot plus
+// log tail into a byte-identical schedule.
 package serve
 
 import (
@@ -55,12 +56,9 @@ type Config struct {
 	TimeScale float64
 	// Clock abstracts wall time; nil defaults to RealClock.
 	Clock Clock
-	// SnapshotPath, when non-empty, receives periodic JSON state snapshots
-	// (atomic tmp+rename) and the final drain snapshot.
+	// SnapshotPath receives the live-state JSON snapshots (atomic tmp+rename)
+	// the WAL rotates through, plus the drain snapshot. Requires WALPath.
 	SnapshotPath string
-	// SnapshotEvery is the wall-clock snapshot cadence; 0 disables periodic
-	// snapshots (the drain snapshot still happens).
-	SnapshotEvery time.Duration
 	// PredictCap bounds the queue depth up to which predicted starts are
 	// computed: projecting is O(queue) profile placements, so a deep backlog
 	// would turn every status query into a full plan. 0 defaults to 4096;
@@ -285,8 +283,8 @@ type reply struct {
 	err    error
 }
 
-// Scheduler owns the live engine. Construct with New or NewFromState, call
-// Start, and issue commands through the exported methods; every method is
+// Scheduler owns the live engine. Construct with New, Recover or NewFollower,
+// call Start, and issue commands through the exported methods; every method is
 // safe for concurrent use (they serialize on the command channel).
 type Scheduler struct {
 	cfg   Config
@@ -410,17 +408,10 @@ func newEmpty(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// NewFromState resumes a scheduler from a legacy self-contained snapshot
-// (record history embedded in the state). WAL-mode recovery goes through
-// Recover instead, which also replays the log tail.
-func NewFromState(cfg Config, st *State) (*Scheduler, error) {
-	return newFromStateWithPrior(cfg, st, st.Records)
-}
-
 // newFromStateWithPrior rebuilds the engine via sim.NewEngineFromSnapshot
-// with an explicit prior-record history (embedded in the snapshot for legacy
-// states, loaded from the history log in WAL mode), and re-anchors the clock
-// adapter so simulation time continues from the snapshot clock.
+// with an explicit prior-record history (loaded from the history log or the
+// replication bootstrap), and re-anchors the clock adapter so simulation time
+// continues from the snapshot clock.
 func newFromStateWithPrior(cfg Config, st *State, prior []metrics.Record) (*Scheduler, error) {
 	if st.Procs != cfg.Procs || st.Mem != cfg.Mem {
 		return nil, fmt.Errorf("serve: state machine %d procs/%d mem does not match config %d/%d",
@@ -472,6 +463,9 @@ func newScheduler(cfg Config) (*Scheduler, error) {
 	}
 	if cfg.WALPath != "" && cfg.SnapshotPath == "" {
 		return nil, errors.New("serve: WALPath requires SnapshotPath (compaction writes snapshots)")
+	}
+	if cfg.SnapshotPath != "" && cfg.WALPath == "" {
+		return nil, errors.New("serve: SnapshotPath requires WALPath (a snapshot is only recoverable with the WAL it extends)")
 	}
 	applyWALDefaults(&cfg)
 	s := &Scheduler{
@@ -680,7 +674,7 @@ func (s *Scheduler) Sync() error {
 }
 
 // CaptureState advances to now and returns a consistent state snapshot
-// (also written to SnapshotPath when configured).
+// (also written to SnapshotPath while the WAL is up).
 func (s *Scheduler) CaptureState() (*State, error) {
 	r, err := s.do(command{kind: cmdSnapshot})
 	return r.state, err
@@ -718,7 +712,7 @@ func (s *Scheduler) Promote() error {
 }
 
 // Drain stops the scheduler loop: intake is closed, a final state snapshot
-// is captured (and written to SnapshotPath when configured), and every
+// is captured (and written to SnapshotPath while the WAL is up), and every
 // subsequent command fails with ErrStopped. The returned state holds the
 // complete record history for reporting.
 func (s *Scheduler) Drain() (*State, error) {
@@ -741,10 +735,6 @@ func (s *Scheduler) do(c command) (reply, error) {
 // run is the single-writer engine loop.
 func (s *Scheduler) run() {
 	defer close(s.done)
-	var snapC <-chan time.Time
-	if s.cfg.SnapshotEvery > 0 && s.cfg.SnapshotPath != "" {
-		snapC = s.clock.After(s.cfg.SnapshotEvery)
-	}
 	for {
 		var timerC <-chan time.Time
 		// Only a primary self-advances: followers and fenced zombies move
@@ -776,14 +766,6 @@ func (s *Scheduler) run() {
 			s.advanceTo(s.simNow())
 			s.endRound()
 			s.maybeCompact()
-		case <-snapC:
-			s.beginRound()
-			s.advanceNow()
-			if st, err := s.captureState(); err == nil {
-				_ = s.writeSnapshot(st)
-			}
-			s.endRound()
-			snapC = s.clock.After(s.cfg.SnapshotEvery)
 		case <-s.killC:
 			// Test hook: die in place, like SIGKILL — no sync, no close, no
 			// final snapshot.
@@ -1155,8 +1137,8 @@ func (s *Scheduler) liveState() *State {
 }
 
 // captureState is liveState made self-contained for a caller on another
-// goroutine (snapshot and drain replies, the legacy snapshot file): it adds a
-// copy of the whole record history and clones the idempotency map.
+// goroutine (snapshot and drain replies): it adds a copy of the whole record
+// history and clones the idempotency map.
 func (s *Scheduler) captureState() (*State, error) {
 	st := s.liveState()
 	st.Records = append(append([]metrics.Record(nil), s.prior...), s.eng.Records()...)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -62,141 +61,6 @@ func renderRecords(recs []metrics.Record) string {
 		fmt.Fprintf(&sb, "%d %d %d %d %d\n", r.Job.ID, r.Job.Submit, r.Job.Procs, r.Start, r.End)
 	}
 	return sb.String()
-}
-
-func runScript(t *testing.T, s *Scheduler, clk *ManualClock, ops []scriptOp) {
-	t.Helper()
-	for _, op := range ops {
-		clk.Advance(op.advance)
-		if _, err := s.Submit(op.req); err != nil {
-			t.Fatalf("submit: %v", err)
-		}
-	}
-}
-
-// TestSchedulerCrashRecoveryByteIdentical is the crash-recovery round trip
-// the issue pins: run half a submission script, snapshot to JSON, abandon
-// the daemon, resume a fresh one from the file, run the second half — and
-// the merged schedule must be byte-identical to an uninterrupted run of the
-// whole script.
-func TestSchedulerCrashRecoveryByteIdentical(t *testing.T) {
-	for _, seed := range []uint64{5, 21} {
-		ops := makeScript(seed, 300, 32, false)
-		half := len(ops) / 2
-		epoch := time.Unix(1700000000, 0)
-
-		// Uninterrupted reference.
-		refClk := NewManualClock(epoch)
-		ref, err := New(testConfig(refClk))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.Start()
-		runScript(t, ref, refClk, ops)
-		refClk.Advance(24 * time.Hour) // let everything finish
-		refState, err := ref.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// Interrupted run: first half, snapshot to disk, kill.
-		path := filepath.Join(t.TempDir(), "state.json")
-		clk := NewManualClock(epoch)
-		cfg := testConfig(clk)
-		cfg.SnapshotPath = path
-		first, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		first.Start()
-		runScript(t, first, clk, ops[:half])
-		if _, err := first.CaptureState(); err != nil {
-			t.Fatal(err)
-		}
-		// Simulate the crash: stop the loop without using its drain state.
-		if _, err := first.Drain(); err != nil {
-			t.Fatal(err)
-		}
-
-		// Resume from the on-disk snapshot (full JSON round trip) and play
-		// the rest of the script on the same wall clock.
-		st, err := ReadState(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed, err := NewFromState(testConfig(clk), st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resumed.Start()
-		runScript(t, resumed, clk, ops[half:])
-		clk.Advance(24 * time.Hour)
-		finState, err := resumed.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		want := renderRecords(refState.Records)
-		got := renderRecords(finState.Records)
-		if got != want {
-			t.Fatalf("seed %d: resumed schedule differs from uninterrupted run:\n got:\n%s\nwant:\n%s", seed, got, want)
-		}
-		if len(finState.Records) == 0 || len(finState.Records) != len(ops) {
-			t.Fatalf("seed %d: %d records, want %d", seed, len(finState.Records), len(ops))
-		}
-	}
-}
-
-// TestSchedulerDrainSnapshotResumable pins that the snapshot written by
-// Drain itself (not just CaptureState) resumes exactly.
-func TestSchedulerDrainSnapshotResumable(t *testing.T) {
-	ops := makeScript(9, 120, 32, false)
-	epoch := time.Unix(1700000000, 0)
-
-	refClk := NewManualClock(epoch)
-	ref, err := New(testConfig(refClk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Start()
-	runScript(t, ref, refClk, ops)
-	refClk.Advance(24 * time.Hour)
-	refState, err := ref.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "drain.json")
-	clk := NewManualClock(epoch)
-	cfg := testConfig(clk)
-	cfg.SnapshotPath = path
-	first, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first.Start()
-	runScript(t, first, clk, ops[:40])
-	if _, err := first.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := ReadState(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := NewFromState(testConfig(clk), st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed.Start()
-	runScript(t, resumed, clk, ops[40:])
-	clk.Advance(24 * time.Hour)
-	finState, err := resumed.Drain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := renderRecords(finState.Records), renderRecords(refState.Records); got != want {
-		t.Fatalf("drain-snapshot resume differs:\n got:\n%s\nwant:\n%s", got, want)
-	}
 }
 
 // TestSchedulerPredictedStartNeverLater is the predicted-start consistency

@@ -23,10 +23,11 @@ const stateVersion = 1
 // batch replays, extended over the live path. It marshals to plain JSON so
 // operators can inspect snapshots with standard tools.
 //
-// In WAL mode (DESIGN.md §13) the on-disk snapshot carries the live state
-// only: Records is stripped (the append-only history log holds the record
-// stream) and WALGen/WALRecords/HistoryCount tie the snapshot to its logs,
-// so a periodic snapshot costs O(live state), not O(history).
+// The on-disk snapshot (DESIGN.md §13) carries the live state only: Records
+// is stripped (the append-only history log holds the record stream) and
+// WALGen/WALRecords/HistoryCount tie the snapshot to its logs, so writing one
+// costs O(live state), not O(history). Drain and CaptureState return the
+// State with Records filled, for reporting.
 type State struct {
 	Version  int                `json:"version"`
 	Name     string             `json:"name"`
@@ -54,22 +55,6 @@ type State struct {
 	HistoryCount int `json:"history_count,omitempty"`
 }
 
-// WriteState crash-safely persists a state snapshot through the shared
-// atomic-replace helper: temp file, fsync, rename, then fsync of the
-// containing directory — the rename alone is not durable on ext4/xfs until
-// the directory itself is synced.
-func WriteState(path string, st *State) error {
-	return writeStateFS(wal.OSFS{}, path, st)
-}
-
-func writeStateFS(fs wal.FS, path string, st *State) error {
-	data, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("serve: marshal state: %v", err)
-	}
-	return wal.WriteFileAtomic(fs, path, data)
-}
-
 // marshalState renders the snapshot JSON once, for callers that both persist
 // it and hand it to the replication feed.
 func marshalState(st *State) ([]byte, error) {
@@ -80,9 +65,8 @@ func marshalState(st *State) ([]byte, error) {
 	return data, nil
 }
 
-// parseState validates snapshot bytes (the wire twin of readStateFS, used
-// when the snapshot arrives over the replication bootstrap instead of from
-// disk).
+// parseState validates snapshot bytes, whether read from disk (readStateFS)
+// or received over the replication bootstrap.
 func parseState(data []byte) (*State, error) {
 	var st State
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -100,28 +84,15 @@ func parseState(data []byte) (*State, error) {
 	return &st, nil
 }
 
-// ReadState loads and validates a snapshot written by WriteState.
-func ReadState(path string) (*State, error) {
-	return readStateFS(wal.OSFS{}, path)
-}
-
+// readStateFS loads and validates the snapshot file at path.
 func readStateFS(fs wal.FS, path string) (*State, error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var st State
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("serve: parse state %s: %v", path, err)
+	st, err := parseState(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w (%s)", err, path)
 	}
-	if st.Version != stateVersion {
-		return nil, fmt.Errorf("serve: state %s has version %d, this build understands %d", path, st.Version, stateVersion)
-	}
-	if st.Procs <= 0 {
-		return nil, fmt.Errorf("serve: state %s has non-positive machine size %d", path, st.Procs)
-	}
-	if st.NextID < 1 {
-		st.NextID = 1
-	}
-	return &st, nil
+	return st, nil
 }

@@ -357,17 +357,14 @@ func (s *Scheduler) setGen(gen uint64) {
 	s.walGenA.Store(gen)
 }
 
-// writeSnapshot persists the current state outside the rotation path (the
-// periodic timer, cmdSnapshot, drain). In WAL mode it writes the compact
-// live-state form tied to the current generation; with the WAL degraded or
-// unconfigured it writes the legacy self-contained snapshot with the full
-// record history.
+// writeSnapshot persists the current state outside the rotation path
+// (cmdSnapshot, drain) in the live-state form tied to the current WAL
+// generation. Without a WAL — none configured, or degraded — it writes
+// nothing: the on-disk triple stays the last consistent one, which Recover
+// restarts from.
 func (s *Scheduler) writeSnapshot(st *State) error {
-	if s.cfg.SnapshotPath == "" {
-		return nil
-	}
 	if !s.walActive() {
-		return writeStateFS(s.fs, s.cfg.SnapshotPath, st)
+		return nil
 	}
 	if s.hlog != nil {
 		if err := s.hlog.Sync(); err != nil {
@@ -379,7 +376,11 @@ func (s *Scheduler) writeSnapshot(st *State) error {
 	cp.Records = nil
 	cp.WALGen = s.walGen
 	cp.WALRecords = s.wlog.Records()
-	if err := writeStateFS(s.fs, s.cfg.SnapshotPath, &cp); err != nil {
+	data, err := marshalState(&cp)
+	if err == nil {
+		err = wal.WriteFileAtomic(s.fs, s.cfg.SnapshotPath, data)
+	}
+	if err != nil {
 		s.degrade("snapshot write", err)
 		return err
 	}

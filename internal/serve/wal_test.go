@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -24,8 +25,8 @@ func walConfig(clk Clock, dir string, fs wal.FS, compactEvery int) Config {
 	return cfg
 }
 
-// runScriptCancel plays a script like runScript, canceling every cancelEvery-th
-// job that did not start immediately. The cancel decision depends only on
+// runScriptCancel plays a submission script, canceling every cancelEvery-th
+// job that did not start immediately (cancelEvery 0: none). The cancel decision depends only on
 // deterministic state, so reference and crash-recovered runs make the same
 // calls.
 func runScriptCancel(t *testing.T, s *Scheduler, clk *ManualClock, ops []scriptOp, from, cancelEvery int) {
@@ -68,15 +69,30 @@ func refRun(t *testing.T, ops []scriptOp, epoch time.Time, cancelEvery int) stri
 // the daemon (no drain, no final snapshot, unsynced page cache discarded) at
 // various points — including twice in one run — recover from snapshot + WAL
 // tail, finish the script, and the complete schedule must be byte-identical
-// to an uninterrupted run.
+// to an uninterrupted run. The drain rows stop the daemon cleanly instead
+// (drain snapshot written, files closed) and restart it through the same
+// Recover: a planned restart must be as invisible as a crash.
 func TestServeWALCrashRecoveryByteIdentical(t *testing.T) {
 	const n = 240
 	ops := makeScript(41, n, 32, false)
 	epoch := time.Unix(1700000000, 0)
 	want := refRun(t, ops, epoch, 0)
 
-	for _, crashAt := range [][]int{{1}, {120}, {n - 1}, {80, 160}} {
-		t.Run(fmt.Sprint(crashAt), func(t *testing.T) {
+	for _, tc := range []struct {
+		stopAt []int
+		drain  bool
+	}{
+		{stopAt: []int{1}},
+		{stopAt: []int{120}},
+		{stopAt: []int{n - 1}},
+		{stopAt: []int{80, 160}},
+		{stopAt: []int{120}, drain: true},
+	} {
+		name := fmt.Sprint(tc.stopAt)
+		if tc.drain {
+			name = "drain" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			ffs := wal.NewFaultFS(wal.OSFS{})
 			clk := NewManualClock(epoch)
@@ -87,10 +103,16 @@ func TestServeWALCrashRecoveryByteIdentical(t *testing.T) {
 			}
 			s.Start()
 			next := 0
-			for _, k := range crashAt {
+			for _, k := range tc.stopAt {
 				runScriptCancel(t, s, clk, ops[next:k], next, 0)
 				next = k
-				s.crash()
+				if tc.drain {
+					if _, err := s.Drain(); err != nil {
+						t.Fatalf("drain at %d: %v", k, err)
+					}
+				} else {
+					s.crash()
+				}
 				if err := ffs.Crash(); err != nil {
 					t.Fatal(err)
 				}
@@ -110,10 +132,10 @@ func TestServeWALCrashRecoveryByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := renderRecords(st.Records); got != want {
-				t.Fatalf("crash at %v: schedule differs from uninterrupted run:\n got:\n%s\nwant:\n%s", crashAt, got, want)
+				t.Fatalf("stop at %v: schedule differs from uninterrupted run:\n got:\n%s\nwant:\n%s", tc.stopAt, got, want)
 			}
 			if len(st.Records) != n {
-				t.Fatalf("crash at %v: %d records, want %d", crashAt, len(st.Records), n)
+				t.Fatalf("stop at %v: %d records, want %d", tc.stopAt, len(st.Records), n)
 			}
 		})
 	}
@@ -378,6 +400,10 @@ func TestServeWALIdempotentSubmitAcrossCrash(t *testing.T) {
 // TestServeWALDegradedMode pins graceful degradation: when the disk starts
 // failing, the daemon flips to in-memory mode — surfacing it through
 // Degraded/Stats — and keeps scheduling rather than dying with jobs queued.
+// Once the disk is back, the drained daemon must still restart: Recover over
+// the same files rebuilds every job acknowledged before the first failed
+// sync. Jobs acknowledged while degraded were never durable (/healthz said
+// so) and are not expected back.
 func TestServeWALDegradedMode(t *testing.T) {
 	dir := t.TempDir()
 	ffs := wal.NewFaultFS(wal.OSFS{})
@@ -390,7 +416,15 @@ func TestServeWALDegradedMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
-	runScriptCancel(t, s, clk, ops[:30], 0, 0)
+	var durable []SubmitResult
+	for i, op := range ops[:30] {
+		clk.Advance(op.advance)
+		res, err := s.Submit(op.req)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		durable = append(durable, res)
+	}
 	if s.Degraded() {
 		t.Fatal("degraded before any fault")
 	}
@@ -414,7 +448,7 @@ func TestServeWALDegradedMode(t *testing.T) {
 	if !stats.Degraded {
 		t.Fatal("stats do not report degraded")
 	}
-	ffs.FailSyncsAfter(-1) // disk "recovers" so the drain snapshot can land
+	ffs.FailSyncsAfter(-1) // the disk comes back before the drain
 	clk.Advance(24 * time.Hour)
 	st, err := s.Drain()
 	if err != nil {
@@ -422,5 +456,37 @@ func TestServeWALDegradedMode(t *testing.T) {
 	}
 	if len(st.Records) != 60 {
 		t.Fatalf("%d records after degraded run, want 60", len(st.Records))
+	}
+
+	s, info, err := Recover(cfg)
+	if err != nil {
+		t.Fatalf("restart after a degraded drain: %v", err)
+	}
+	if info.Verified == 0 || info.HistoryTruncated != 0 {
+		t.Fatalf("recovery %+v: want records byte-verified against history and no orphans", info)
+	}
+	s.Start()
+	clk.Advance(24 * time.Hour)
+	for _, res := range durable {
+		js, err := s.Status(res.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js.State != "finished" || js.Submit != res.Submit {
+			t.Fatalf("job %d acknowledged at %d before the disk failed: recovered as %+v", res.ID, res.Submit, js)
+		}
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotPathRequiresWAL pins that a snapshot path without a WAL is
+// refused: Recover cannot restart from a snapshot no WAL extends.
+func TestSnapshotPathRequiresWAL(t *testing.T) {
+	cfg := testConfig(NewManualClock(time.Unix(1700000000, 0)))
+	cfg.SnapshotPath = filepath.Join(t.TempDir(), "state.json")
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "WALPath") {
+		t.Fatalf("New with SnapshotPath and no WALPath: %v, want an error naming WALPath", err)
 	}
 }
