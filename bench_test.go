@@ -238,11 +238,12 @@ func BenchmarkSimulatorEASY(b *testing.B) {
 
 // BenchmarkSimulatorEASYHuge replays one 25,000-job Lublin-Huge trace on 4096
 // nodes under FCFS + EASY: the shape of the repo benchmark's replay-easy
-// unit, where ~120 jobs run at once, so what a reservation costs per running
-// job shows (BenchmarkSimulatorEASY's 128-processor surrogate keeps the
-// running set too small for that). "rt" is the classic policy-order scan;
-// "sjf" decorates and sorts the candidates every round; "aging" adds one
-// reservation per starving job per round on top of the head's.
+// unit, where ~120 jobs run and ~200 wait at once, so what a round costs per
+// queued and per running job shows (BenchmarkSimulatorEASY's 128-processor
+// surrogate keeps both too small for that). "rt" is the classic policy-order
+// scan; "sjf" decorates and sorts the candidates that fit every round;
+// "aging" adds one reservation per starving job per round on top of the
+// head's.
 func BenchmarkSimulatorEASYHuge(b *testing.B) {
 	tr := experiments.HugeTrace(lublin.Huge(0, 0, 0), 25_000, 1)
 	aging := sched.Scenario{StarvationBound: 4}
@@ -536,15 +537,15 @@ func BenchmarkEventQueue(b *testing.B) {
 func BenchmarkKernelForward(b *testing.B) {
 	rng := stats.NewRNG(1)
 	m := nn.NewMLP([]int{core.JobFeatures, 32, 16, 8, 1}, nn.ReLU, rng)
-	cache := nn.NewCache(m)
-	x := make([]float64, core.JobFeatures)
-	for i := range x {
-		x[i] = rng.Float64()
+	cache := nn.NewBatchCache(m, 1)
+	x := cache.Input(1)
+	for i := range x.Data {
+		x.Data[i] = rng.Float64()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Forward(x, cache)
+		_ = m.ForwardBatch(x, cache)
 	}
 }
 

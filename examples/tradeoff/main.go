@@ -24,11 +24,13 @@ func main() {
 }
 
 // microState adapts a hand-built scenario to the backfill.State interface.
+// It never changes, so it keeps no journal.
 type microState struct {
 	now     int64
 	free    int
 	total   int
 	running []backfill.Running
+	journal backfill.Journal
 }
 
 func (m *microState) Now() int64                  { return m.now }
@@ -36,6 +38,7 @@ func (m *microState) FreeProcs() int              { return m.free }
 func (m *microState) TotalProcs() int             { return m.total }
 func (m *microState) Running() []backfill.Running { return m.running }
 func (m *microState) StartJob(*trace.Job)         { panic("read-only scenario") }
+func (m *microState) Journal() *backfill.Journal  { return &m.journal }
 
 func part1() {
 	fmt.Println("== Figure 2 micro-scenario ==")

@@ -36,6 +36,10 @@ type State interface {
 	// StartJob begins executing a waiting job immediately. It panics if the
 	// job does not fit; callers must check FreeProcs first.
 	StartJob(j *trace.Job)
+	// Journal returns the state's change journal (never nil). A state that
+	// keeps none returns a zero Journal, and backfillers then re-derive
+	// everything on every call.
+	Journal() *Journal
 }
 
 // MemState is implemented by States whose machine carries the memory
@@ -110,14 +114,14 @@ type jobEnd struct {
 	mem   int
 }
 
-func newJobEnd(r Running, end int64, memTotal int) jobEnd {
-	return jobEnd{end: end, id: r.Job.ID, procs: r.Job.Procs, mem: memDemand(r.Job, memTotal)}
+func newJobEnd(j *trace.Job, end int64, memTotal int) jobEnd {
+	return jobEnd{end: end, id: j.ID, procs: j.Procs, mem: memDemand(j, memTotal)}
 }
 
-// jobEnds orders by (end, id) — a total order (IDs are unique), so any sort
-// algorithm, and any sequence of ordered inserts and removes, produces the
-// same permutation. The pointer-receiver sort.Sort form keeps the rebuild
-// allocation-free (sort.Slice's closure escapes on every call).
+// jobEnds orders by (end, id) — a total order (running IDs are unique), so
+// any sort algorithm, and any sequence of ordered inserts and removes,
+// produces the same permutation. The pointer-receiver sort.Sort form keeps
+// the rebuild allocation-free (sort.Slice's closure escapes on every call).
 type jobEnds []jobEnd
 
 func (s *jobEnds) Len() int      { return len(*s) }
@@ -135,104 +139,102 @@ func (s jobEnds) search(end int64, id int) int {
 	return sort.Search(len(s), func(i int) bool { return s[i].end > end || (s[i].end == end && s[i].id >= id) })
 }
 
-func (s *jobEnds) insert(e jobEnd) {
-	k := s.search(e.end, e.id)
-	*s = append(*s, jobEnd{})
-	copy((*s)[k+1:], (*s)[k:])
-	(*s)[k] = e
-}
-
-// remove deletes one entry equal to e, if there is one. Entries that share a
-// key (a job ID seen again as another job, while Running is out of ID order)
-// are told apart by what they free.
-func (s *jobEnds) remove(e jobEnd) bool {
-	for k := s.search(e.end, e.id); k < len(*s) && (*s)[k].end == e.end && (*s)[k].id == e.id; k++ {
-		if (*s)[k] == e {
-			*s = append((*s)[:k], (*s)[k+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// indexedRun is one job of the State.Running snapshot the index reflects,
-// with the end it is filed under, so that a finished job is removed by key.
-type indexedRun struct {
-	Running
-	end int64
-}
-
 // ReservationScratch is the reservation index: the running set in
-// estimated-end order, kept across calls and brought up to date by delta
-// (DESIGN.md §6). Each Compute walks the snapshot of State.Running it last
-// saw against the current one, removes the jobs that finished and inserts
-// the ones that started by binary search, and reads the reservation off a
-// prefix; the estimator runs once per job start. It re-sorts from scratch
-// when the estimator or the memory switch changed, when an ID reappears as
-// another *trace.Job or Start (a new episode, a restore), or when the delta
-// is about half the set. (end, id) is a total order, so the result equals
-// sorting on every call. Any Running order is correct; ID order, which the
-// engine keeps, is fastest.
+// estimated-end order, kept across calls and fed by the State's journal
+// (DESIGN.md §6). Each Compute applies the entries recorded since its cursor
+// — a start is inserted by binary search; a finish is found by ID and
+// removed, shifting the prefix instead of the tail when it sits in the front
+// half — then reads the reservation off a prefix; the estimator runs once
+// per job start. It re-sorts State.Running from scratch when it has no index
+// yet, when the estimator or the memory switch changed, or when the journal
+// rejects its cursor (another journal, or entries dropped while it lagged).
+// (end, id) is a total order, so the result equals sorting on every call.
 //
 // Backfillers that compute reservations on every round (EASY, the RL agent)
 // embed one. The zero value is ready to use; a scratch is not goroutine-safe.
 type ReservationScratch struct {
-	ends       jobEnds
-	run, spare []indexedRun // the snapshot, and the buffer the next is merged into
-	est        Estimator    // what ends was built with; nil = no valid index
-	memOn      bool
+	buf   jobEnds // the index is buf[lo:]; front removals leave slack below lo
+	lo    int
+	at    Cursor    // the journal position the index reflects
+	est   Estimator // what the index was built with; nil = no valid index
+	memOn bool
 }
 
-// merge applies the difference between the snapshot and running to ends. It
-// gives up, leaving the index for rebuild to overwrite, on an identity
-// mismatch or a delta past the point where sorting is cheaper.
-func (s *ReservationScratch) merge(running []Running, est Estimator, memTotal int) bool {
-	old, next := s.run, s.spare[:0]
-	budget := 8 + len(running)/2
-	for i, j := 0, 0; i < len(old) || j < len(running); {
-		switch {
-		case i < len(old) && j < len(running) && old[i].Running == running[j]:
-			next = append(next, old[i])
-			i++
-			j++
+// insert files a started job.
+func (s *ReservationScratch) insert(x jobEnd) {
+	ends := s.buf[s.lo:]
+	k := ends.search(x.end, x.id)
+	if len(s.buf) == cap(s.buf) && s.lo > 0 { // reclaim the front slack before growing
+		n := copy(s.buf, ends)
+		s.buf, s.lo = s.buf[:n], 0
+	}
+	s.buf = append(s.buf, jobEnd{})
+	ends = s.buf[s.lo:]
+	copy(ends[k+1:], ends[k:])
+	ends[k] = x
+}
+
+// remove drops a finished job: one in the front half shifts the prefix up,
+// any other the tail down. It reports false when the job is not there.
+func (s *ReservationScratch) remove(id int) bool {
+	ends := s.buf[s.lo:]
+	for k := range ends {
+		if ends[k].id != id {
 			continue
-		case j == len(running) || (i < len(old) && old[i].Job.ID < running[j].Job.ID):
-			if !s.ends.remove(newJobEnd(old[i].Running, old[i].end, memTotal)) {
+		}
+		if k < len(ends)/2 {
+			copy(ends[1:], ends[:k])
+			s.lo++
+		} else {
+			copy(ends[k:], ends[k+1:])
+			s.buf = s.buf[:len(s.buf)-1]
+		}
+		return true
+	}
+	return false
+}
+
+// catchUp applies the journal entries after the cursor. It gives up, leaving
+// the index for rebuild to overwrite, when the journal rejects the cursor or
+// names a finished job the index does not hold.
+func (s *ReservationScratch) catchUp(jr *Journal, est Estimator, memTotal int) bool {
+	changes, ok := jr.Since(s.at)
+	if !ok {
+		return false
+	}
+	for _, c := range changes {
+		switch c.Kind {
+		case Started:
+			s.insert(newJobEnd(c.Job, c.Time+est.Estimate(c.Job), memTotal))
+		case Finished:
+			if !s.remove(c.Job.ID) {
 				return false
 			}
-			i++
-		case i == len(old) || running[j].Job.ID < old[i].Job.ID:
-			r := running[j]
-			end := r.Start + est.Estimate(r.Job)
-			s.ends.insert(newJobEnd(r, end, memTotal))
-			next = append(next, indexedRun{r, end})
-			j++
-		default: // same ID, another job or another start
-			return false
-		}
-		if budget--; budget < 0 {
-			return false
 		}
 	}
-	s.run, s.spare = next, old
+	s.at = jr.Cursor()
 	return true
 }
 
-// rebuild decorates the whole running set and sorts it: the fallback.
-func (s *ReservationScratch) rebuild(running []Running, est Estimator, memTotal int) {
-	s.run, s.ends = s.run[:0], s.ends[:0]
-	for _, r := range running {
-		end := r.Start + est.Estimate(r.Job)
-		s.run = append(s.run, indexedRun{r, end})
-		s.ends = append(s.ends, newJobEnd(r, end, memTotal))
+// rebuild decorates the whole running set and sorts it.
+func (s *ReservationScratch) rebuild(st State, est Estimator, memTotal int) {
+	s.buf, s.lo = s.buf[:0], 0
+	for _, r := range st.Running() {
+		s.buf = append(s.buf, newJobEnd(r.Job, r.Start+est.Estimate(r.Job), memTotal))
 	}
-	sort.Sort(&s.ends)
-	// Only a comparable estimator is remembered: est != s.est then never
-	// panics, and an uncomparable one simply rebuilds on every call.
-	s.est, s.memOn = nil, memTotal != 0
+	sort.Sort(&s.buf)
+	s.at = st.Journal().Cursor()
+	s.est, s.memOn = comparableOrNil(est), memTotal != 0
+}
+
+// comparableOrNil returns est if == on it cannot panic, else nil.
+// Only a comparable estimator is remembered across calls: est != remembered
+// then never panics, and an uncomparable one is simply never reused.
+func comparableOrNil(est Estimator) Estimator {
 	if reflect.ValueOf(est).Comparable() {
-		s.est = est
+		return est
 	}
+	return nil
 }
 
 // Compute derives the head job's reservation from the running jobs'
@@ -248,15 +250,14 @@ func (s *ReservationScratch) Compute(st State, head *trace.Job, est Estimator) R
 	if free >= head.Procs && memFree >= needMem {
 		return Reservation{Shadow: st.Now(), Extra: free - head.Procs, ExtraMem: memFree - needMem}
 	}
-	// Bring the index up to date with the running set: by delta if it can
-	// be, from scratch otherwise.
-	running := st.Running()
-	if s.est == nil || est != s.est || s.memOn != (memTotal != 0) || !s.merge(running, est, memTotal) {
-		s.rebuild(running, est, memTotal)
+	// Bring the index up to date: from the journal if it can be, from
+	// scratch otherwise.
+	if s.est == nil || est != s.est || s.memOn != (memTotal != 0) || !s.catchUp(st.Journal(), est, memTotal) {
+		s.rebuild(st, est, memTotal)
 	}
 	avail := free
 	availMem := memFree
-	for _, r := range s.ends {
+	for _, r := range s.buf[s.lo:] {
 		avail += r.procs
 		availMem += r.mem
 		if avail >= head.Procs && availMem >= needMem {

@@ -1,24 +1,28 @@
 package backfill
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
 )
 
-// memState is an in-memory backfill.State for unit tests.
+// memState is an in-memory backfill.State for unit tests. Its journal stays
+// closed unless a test opens it.
 type memState struct {
 	now     int64
 	free    int
 	total   int
 	running []Running
 	started []*trace.Job
+	journal Journal
 }
 
 func (m *memState) Now() int64         { return m.now }
 func (m *memState) FreeProcs() int     { return m.free }
 func (m *memState) TotalProcs() int    { return m.total }
 func (m *memState) Running() []Running { return m.running }
+func (m *memState) Journal() *Journal  { return &m.journal }
 func (m *memState) StartJob(j *trace.Job) {
 	if j.Procs > m.free {
 		panic("memState: job does not fit")
@@ -26,6 +30,24 @@ func (m *memState) StartJob(j *trace.Job) {
 	m.free -= j.Procs
 	m.started = append(m.started, j)
 	m.running = append(m.running, Running{Job: j, Start: m.now})
+	m.journal.Record(Started, j, m.now)
+}
+
+// setRunning replaces the running set in place, journaling the difference:
+// a finish for every job that leaves, a start for every job that joins.
+// next must not share storage with the running set.
+func (m *memState) setRunning(next []Running) {
+	for _, r := range m.running {
+		if !slices.Contains(next, r) {
+			m.journal.Record(Finished, r.Job, m.now)
+		}
+	}
+	for _, r := range next {
+		if !slices.Contains(m.running, r) {
+			m.journal.Record(Started, r.Job, r.Start)
+		}
+	}
+	m.running = append(m.running[:0], next...)
 }
 
 func job(id int, submit, run, req int64, procs int) *trace.Job {

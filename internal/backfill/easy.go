@@ -1,7 +1,8 @@
 package backfill
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -43,6 +44,7 @@ type EASY struct {
 	res   ReservationScratch
 	cands []estimated
 	prots []protection
+	idle  verdict
 }
 
 // estimated decorates a candidate with its runtime estimate (and, when a
@@ -59,6 +61,25 @@ type estimated struct {
 type protection struct {
 	job *trace.Job
 	res Reservation
+}
+
+// verdict is what a round that started nothing leaves behind: with aging
+// off, every candidate failed against free resources, the head's
+// reservation and now. Until the journal shows a start or a finish, the
+// free resources and the running set — hence the reservation — stay as they
+// were, except that a shadow behind now is clamped up to it; and now only
+// grows, so every job that failed still fails, and only arrivals need a
+// test. The cached reservation answers that test exactly: every estimate is
+// at least 1, so a job starting now ends after now and fails a shadow
+// clamped to now just as it fails one left behind. Cancels only remove
+// candidates, and another head drops the verdict.
+type verdict struct {
+	at       Cursor // the journal position it holds at; zero = no verdict
+	head     *trace.Job
+	est      Estimator
+	memTotal int
+	res      Reservation // the head's, when the round computed it
+	haveRes  bool
 }
 
 // NewEASY returns EASY backfilling with the given estimator and the classic
@@ -81,7 +102,10 @@ func (e *EASY) Name() string {
 // first candidate that fits the free resources appears, so a round that can
 // start nothing (a full machine, or only wide jobs waiting) costs one pass of
 // integer compares; in policy order candidates are scanned straight off the
-// queue and estimated only once they fit.
+// queue and estimated only once they fit. A round after one that started
+// nothing tests only the jobs that arrived since, while the verdict holds.
+// The queue must be the state's waiting queue (less the head), which grows
+// only through journaled arrivals.
 func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	free := st.FreeProcs()
 	if free == 0 {
@@ -89,6 +113,10 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	}
 	now := st.Now()
 	memFree, memTotal := MemOf(st)
+	if e.stillIdle(st, head, now, free, memFree, memTotal) {
+		return
+	}
+	e.idle = verdict{}
 
 	// With aging on, every starving queued job gets its own blocking
 	// reservation, computed EASY-style against the running set. Candidates
@@ -102,19 +130,25 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 		}
 	}
 
-	// In policy order the queue itself is the scan order.
+	// In policy order the queue itself is the scan order; in SJF order only
+	// the jobs that fit at round start are decorated and sorted.
 	sorted := e.Order == SJFOrder
+	n := len(queue)
 	var cands []estimated
 	if sorted {
-		cands = e.sjfOrder(queue, now)
+		cands = e.sjfOrder(queue, now, free, memFree, memTotal)
+		n = len(cands)
 	}
 
 	var res Reservation
-	haveRes := false
-	for i, j := range queue {
+	haveRes, started := false, false
+	for i := 0; i < n; i++ {
+		var j *trace.Job
 		var est int64
 		if sorted {
 			j, est = cands[i].job, cands[i].est
+		} else {
+			j = queue[i]
 		}
 		jm := memDemand(j, memTotal)
 		if j.Procs > free || jm > memFree {
@@ -148,6 +182,7 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 			continue
 		}
 		st.StartJob(j)
+		started = true
 		free -= j.Procs
 		memFree -= jm
 		if !endsByShadow {
@@ -173,39 +208,83 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 			return
 		}
 	}
+	if !started {
+		e.idle = verdict{at: st.Journal().Cursor(), head: head, est: comparableOrNil(e.Est), memTotal: memTotal, res: res, haveRes: haveRes}
+	}
 }
 
-// sjfOrder decorates the queue with each job's estimate (and, when a scenario
-// is active, its scan-order keys), computed once per round rather than per
-// comparison, and returns it shortest-estimate-first.
-func (e *EASY) sjfOrder(queue []*trace.Job, now int64) []estimated {
-	scnOrder := e.Scn.Enabled()
-	if cap(e.cands) < len(queue) {
-		e.cands = make([]estimated, len(queue))
+// stillIdle reports whether the last round's verdict still holds: aging is
+// off, the head, estimator and memory switch are the same, and the journal
+// shows only arrivals since, none of which passes the candidate test. The
+// first arrival that passes hands the round back to the full scan.
+func (e *EASY) stillIdle(st State, head *trace.Job, now int64, free, memFree, memTotal int) bool {
+	v := &e.idle
+	if v.head != head || v.est == nil || e.Est != v.est || v.memTotal != memTotal || e.Scn.Aging() {
+		return false
 	}
-	cands := e.cands[:len(queue)]
-	for i, j := range queue {
-		cands[i] = estimated{job: j, est: e.Est.Estimate(j)}
-		if scnOrder {
-			cands[i].starving = e.Scn.Starving(j, now)
-			cands[i].pri = j.Priority
+	jr := st.Journal()
+	changes, ok := jr.Since(v.at)
+	if !ok {
+		return false
+	}
+	for _, c := range changes {
+		if c.Kind != Arrived {
+			return false
+		}
+		j := c.Job
+		jm := memDemand(j, memTotal)
+		if j.Procs > free || jm > memFree {
+			continue
+		}
+		if !v.haveRes {
+			v.res, v.haveRes = e.res.Compute(st, head, e.Est), true
+		}
+		if now+e.Est.Estimate(j) <= v.res.Shadow || (j.Procs <= v.res.Extra && jm <= v.res.ExtraMem) {
+			return false
 		}
 	}
+	v.at = jr.Cursor()
+	return true
+}
+
+// sjfOrder decorates the jobs that fit the free resources with their
+// estimates (and, when a scenario is active, their scan-order keys), computed
+// once per round rather than per comparison, and returns them
+// shortest-estimate-first. Leaving out the jobs that do not fit is exact:
+// free resources only fall within a round, so they never would.
+func (e *EASY) sjfOrder(queue []*trace.Job, now int64, free, memFree, memTotal int) []estimated {
+	scnOrder := e.Scn.Enabled()
+	cands := e.cands[:0]
+	for _, j := range queue {
+		if j.Procs > free || memDemand(j, memTotal) > memFree {
+			continue
+		}
+		c := estimated{job: j, est: e.Est.Estimate(j)}
+		if scnOrder {
+			c.starving = e.Scn.Starving(j, now)
+			c.pri = j.Priority
+		}
+		cands = append(cands, c)
+	}
+	e.cands = cands
 	// Starving first, then higher tiers, then the classic shortest-estimate
 	// order: exactly the classic comparison when no scenario is active, and
 	// under one with uniform tiers and nobody starving.
 	pri := e.Scn.Priorities
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].starving != cands[b].starving {
-			return cands[a].starving
+	slices.SortStableFunc(cands, func(a, b estimated) int {
+		if a.starving != b.starving {
+			if a.starving {
+				return -1
+			}
+			return 1
 		}
-		if pri && cands[a].pri != cands[b].pri {
-			return cands[a].pri > cands[b].pri
+		if pri && a.pri != b.pri {
+			return cmp.Compare(b.pri, a.pri)
 		}
-		if cands[a].est != cands[b].est {
-			return cands[a].est < cands[b].est
+		if a.est != b.est {
+			return cmp.Compare(a.est, b.est)
 		}
-		return cands[a].job.ID < cands[b].job.ID
+		return cmp.Compare(a.job.ID, b.job.ID)
 	})
 	return cands
 }

@@ -44,8 +44,9 @@ func refReservation(st State, head *trace.Job, est Estimator) Reservation {
 }
 
 // fuzzState is a small machine with both resource dimensions whose running
-// set the test drives directly. It hands Running out in ID order (as the
-// engine does) or in start order (as append-only fakes do).
+// set the test drives directly, journaling every change. It hands Running
+// out in ID order (as the engine does) or in start order (as append-only
+// fakes do).
 type fuzzState struct {
 	now      int64
 	procs    int
@@ -53,11 +54,13 @@ type fuzzState struct {
 	running  []Running
 	idSorted bool
 	view     []Running
+	journal  Journal
 }
 
-func (f *fuzzState) Now() int64      { return f.now }
-func (f *fuzzState) TotalProcs() int { return f.procs }
-func (f *fuzzState) TotalMem() int   { return f.mem }
+func (f *fuzzState) Now() int64        { return f.now }
+func (f *fuzzState) TotalProcs() int   { return f.procs }
+func (f *fuzzState) TotalMem() int     { return f.mem }
+func (f *fuzzState) Journal() *Journal { return &f.journal }
 
 func (f *fuzzState) FreeProcs() int {
 	free := f.procs
@@ -85,6 +88,13 @@ func (f *fuzzState) Running() []Running {
 
 func (f *fuzzState) StartJob(j *trace.Job) {
 	f.running = append(f.running, Running{Job: j, Start: f.now})
+	f.journal.Record(Started, j, f.now)
+}
+
+// finish takes the i-th running job off the machine.
+func (f *fuzzState) finish(i int) {
+	f.journal.Record(Finished, f.running[i].Job, f.now)
+	f.running = append(f.running[:i], f.running[i+1:]...)
 }
 
 // half underestimates every job, so running jobs outlive their estimated end
@@ -108,26 +118,34 @@ func (boxed) Name() string                  { return "boxed" }
 func (b boxed) Estimate(j *trace.Job) int64 { return b.inner.Estimate(j) }
 
 // TestReservationIndexDifferential drives one long-lived ReservationScratch
-// through fuzzed start/finish sequences and requires every Compute to equal
-// the stateless sort-per-call reference. The walk covers what can invalidate
-// or stress the index: estimators that underestimate, the memory dimension
-// switched on and off, the estimator swapped mid-run (including for values
-// that cannot be compared), a new episode whose jobs reuse the IDs (and often
-// the start times) of the cached ones, the whole running set turning over
-// between two calls, heads that fit at once (so the index skips rounds and
-// catches up on a larger delta), and Running handed out in either order.
+// through fuzzed, journaled start/finish sequences and requires every Compute
+// to equal the stateless sort-per-call reference. The walk covers what can
+// invalidate or stress the index: estimators that underestimate, the memory
+// dimension switched on and off, the estimator swapped mid-run (including
+// for values that cannot be compared), a new episode whose jobs reuse the
+// IDs (and often the start times) of the cached ones under a newly opened
+// journal, the whole running set turning over between two calls, a job
+// restarted later, a burst that drops the entries a lagging index has not
+// read, heads that fit at once (so the index skips rounds and catches up on
+// a longer stretch), Running handed out in either order, and a state that
+// keeps no journal at all.
 func TestReservationIndexDifferential(t *testing.T) {
 	estimators := []Estimator{
 		RequestTime{}, ActualRuntime{}, half{}, Noisy{Level: 0.5, Seed: 9},
 		tabled{scale: []int64{1, 2, 3}}, boxed{inner: RequestTime{}}, boxed{inner: tabled{scale: []int64{2}}},
 		&Noisy{Level: 0.2, Seed: 3},
 	}
-	for seed := uint64(1); seed <= 6; seed++ {
+	trimmed := 0
+	for seed := uint64(1); seed <= 7; seed++ {
 		rng := stats.NewRNG(seed)
 		intn := func(n int) int { return int(rng.Uint64() % uint64(n)) }
 		st := &fuzzState{procs: 96, idSorted: seed%2 == 1}
 		if seed%3 != 0 {
 			st.mem = 960
+		}
+		journaled := seed != 7
+		if journaled {
+			st.journal.Open()
 		}
 		est := estimators[intn(len(estimators))]
 		var s ReservationScratch
@@ -142,17 +160,15 @@ func TestReservationIndexDifferential(t *testing.T) {
 				st.StartJob(j)
 			}
 		}
-		calls, waited := 0, 0
+		calls, waited, fed := 0, 0, 0
 		for step := 0; step < 1500; step++ {
 			st.now += int64(intn(30))
 			// finish what has really ended, and now and then a job early
-			keep := st.running[:0]
-			for _, r := range st.running {
-				if r.Start+r.Job.Runtime > st.now && intn(40) != 0 {
-					keep = append(keep, r)
+			for i := len(st.running) - 1; i >= 0; i-- {
+				if r := st.running[i]; r.Start+r.Job.Runtime <= st.now || intn(40) == 0 {
+					st.finish(i)
 				}
 			}
-			st.running = keep
 			for k := intn(4); k > 0; k-- {
 				start(newJob(nextID))
 				nextID++
@@ -164,7 +180,7 @@ func TestReservationIndexDifferential(t *testing.T) {
 				if st.mem == 0 {
 					st.mem = 960
 					for st.FreeMem() < 0 {
-						st.running = st.running[:len(st.running)-1]
+						st.finish(len(st.running) - 1)
 					}
 				} else {
 					st.mem = 0
@@ -183,21 +199,43 @@ func TestReservationIndexDifferential(t *testing.T) {
 				if n := len(st.running); n > 1 { // and in another order
 					st.running = append(st.running[1:n:n], st.running[0])
 				}
-			case 3: // the whole set turns over: a delta far past the merge budget
-				st.running = st.running[:0]
+				if journaled {
+					st.journal.Open()
+				}
+			case 3: // the whole set turns over between two calls
+				for len(st.running) > 0 {
+					st.finish(0)
+				}
 				for k := 0; k < 40; k++ {
 					start(newJob(nextID))
 					nextID++
 				}
 			case 4: // a restart: the same job object, a later start
 				if len(st.running) > 0 {
-					st.running[intn(len(st.running))].Start = st.now
+					i := intn(len(st.running))
+					j := st.running[i].Job
+					st.finish(i)
+					st.StartJob(j)
+				}
+			case 5: // a burst of short jobs drops what the index has not read
+				for k := 0; k < journalCap && st.FreeProcs() > 0; k++ {
+					j := newJob(nextID)
+					nextID++
+					j.Procs, j.Mem = 1, 0
+					st.StartJob(j)
+					st.finish(len(st.running) - 1)
+				}
+				if _, ok := st.journal.Since(s.at); !ok && journaled && s.est != nil {
+					trimmed++
 				}
 			}
 			for k := 1 + intn(3); k > 0; k-- {
 				head := newJob(-1)
 				head.Procs = 1 + intn(st.procs)
 				head.Mem = intn(st.mem + 1)
+				if _, ok := st.journal.Since(s.at); ok && s.est != nil {
+					fed++
+				}
 				got, want := s.Compute(st, head, est), refReservation(st, head, est)
 				if got != want {
 					t.Fatalf("seed %d step %d (%s, mem %d, %d running): index %+v, reference %+v",
@@ -212,16 +250,24 @@ func TestReservationIndexDifferential(t *testing.T) {
 		if waited < calls/4 {
 			t.Fatalf("seed %d: only %d of %d reservations had to wait; the fuzz is not exercising the index", seed, waited, calls)
 		}
+		if journaled != (fed > calls/3) {
+			t.Fatalf("seed %d (journaled %v): %d of %d reservations resumed from the journal", seed, journaled, fed, calls)
+		}
+	}
+	if trimmed == 0 {
+		t.Fatal("no burst ever dropped entries a lagging index still needed")
 	}
 }
 
 // TestReservationIndexSharedKey is the one case the fuzz reaches too rarely:
 // Running out of ID order, and a job replaced by another with the same ID and
-// the same estimated end but a different width, so that for a moment the
-// order holds two entries under one key and must drop the right one.
+// the same estimated end but a different width, so that the journal finishes
+// one and starts the other under one key and the index must keep the right
+// one.
 func TestReservationIndexSharedKey(t *testing.T) {
 	y, x := job(9, 0, 500, 500, 4), job(5, 0, 300, 300, 6)
 	st := &fuzzState{procs: 16, running: []Running{{Job: y}, {Job: x}}}
+	st.journal.Open()
 	head := job(20, 0, 10, 10, 12)
 	var s ReservationScratch
 	est := RequestTime{}
@@ -230,7 +276,8 @@ func TestReservationIndexSharedKey(t *testing.T) {
 	}
 	x2 := *x
 	x2.Procs = 2
-	st.running = []Running{{Job: &x2}, {Job: y}}
+	st.finish(1)
+	st.StartJob(&x2)
 	if got, want := s.Compute(st, head, est), refReservation(st, head, est); got != want {
 		t.Fatalf("after the swap: index %+v, reference %+v", got, want)
 	}
@@ -238,24 +285,23 @@ func TestReservationIndexSharedKey(t *testing.T) {
 
 // TestReservationIndexEstimateOncePerStart pins the cost model the index is
 // for: across a run of blocked rounds the estimator is asked once per job
-// that starts, not once per running job per round.
+// that starts, not once per running job per round, and finishes cost none.
 func TestReservationIndexEstimateOncePerStart(t *testing.T) {
 	st := &fuzzState{procs: 64, idSorted: true}
+	st.journal.Open()
 	est := &countingEstimator{}
 	var s ReservationScratch
 	head := &trace.Job{ID: -1, Runtime: 10, Request: 10, Procs: 64}
 	for id := 1; id <= 200; id++ {
 		st.now += 5
 		if len(st.running) == 16 {
-			st.running = st.running[1:]
+			st.finish(0)
 		}
 		st.StartJob(&trace.Job{ID: id, Runtime: 1000, Request: 1000, Procs: 2})
 		s.Compute(st, head, est)
 		s.Compute(st, head, est)
 	}
-	// The first few rounds fall back to the rebuild (a one-job delta is a
-	// large share of a tiny set), so allow a little over one call per start.
-	if est.calls > 250 {
+	if est.calls != 200 {
 		t.Fatalf("estimator called %d times for 200 job starts over 400 reservations", est.calls)
 	}
 }
@@ -269,10 +315,12 @@ func (c *countingEstimator) Estimate(j *trace.Job) int64 {
 }
 
 // TestReservationAndEASYRoundNoAllocs guards the steady state: once the
-// buffers are warm, a reservation on a changing running set and a whole EASY
-// round (fitting candidates, reservation, starts) allocate nothing.
+// buffers are warm, a reservation on a changing running set, a whole EASY
+// round (fitting candidates, reservation, starts) and a round answered by
+// the previous round's verdict allocate nothing.
 func TestReservationAndEASYRoundNoAllocs(t *testing.T) {
 	st := &memState{total: 64, running: make([]Running, 0, 64), started: make([]*trace.Job, 0, 64)}
+	st.journal.Open()
 	var runners []*trace.Job
 	for id := 1; id <= 20; id++ {
 		runners = append(runners, job(id, 0, 3000, int64(2000+id*7), 3))
@@ -288,19 +336,20 @@ func TestReservationAndEASYRoundNoAllocs(t *testing.T) {
 	}
 	spares := []*trace.Job{job(31, 0, 3000, 2005, 3), job(32, 0, 3000, 2090, 3), job(33, 0, 3000, 2300, 3)}
 	round := 0
+	next := make([]Running, 0, 64)
 	reset := func() {
 		// 20 jobs on 60 of 64 processors. Every round one of the regulars
 		// is replaced by another spare, so the index always has a finish
-		// and a start to apply.
+		// and a start to apply; what the last round started finishes too.
 		st.now, st.free = 1000, 4
-		st.running = st.running[:0]
+		next = next[:0]
 		for i, j := range runners {
-			if i == round%len(runners) {
-				continue
+			if i != round%len(runners) {
+				next = append(next, Running{Job: j})
 			}
-			st.running = append(st.running, Running{Job: j})
 		}
-		st.running = append(st.running, Running{Job: spares[round%len(spares)]})
+		next = append(next, Running{Job: spares[round%len(spares)]})
+		st.setRunning(next)
 		st.started = st.started[:0]
 		round++
 	}
@@ -326,15 +375,43 @@ func TestReservationAndEASYRoundNoAllocs(t *testing.T) {
 		if len(st.started) == 0 {
 			t.Fatalf("%s: fixture round starts nothing", e.Name())
 		}
-		want := 0.0
-		if e.Order == SJFOrder {
-			want = 3 // sort.SliceStable's closure and reflect swapper, as before
-		}
 		if avg := testing.AllocsPerRun(200, func() {
 			reset()
 			e.Backfill(st, head, queue)
-		}); avg > want {
-			t.Fatalf("%s round allocates %v per run, want <= %v", e.Name(), avg, want)
+		}); avg != 0 {
+			t.Fatalf("%s round allocates %v per run, want 0", e.Name(), avg)
+		}
+	}
+
+	// Two-processor jobs that run far past the shadow fit the free
+	// processors but not the head's extra, so a round over them starts
+	// nothing. Each later round sees one more such arrival, and the verdict
+	// answers it by estimating the arrival alone.
+	idle := make([]*trace.Job, 0, 16)
+	for i := 0; i < 10; i++ {
+		idle = append(idle, job(300+i, 0, 5000, 5000, 2))
+	}
+	late := job(400, 0, 5000, 5000, 2)
+	for _, order := range []CandidateOrder{PolicyOrder, SJFOrder} {
+		ce := &countingEstimator{}
+		e := &EASY{Est: ce, Order: order}
+		reset()
+		e.Backfill(st, head, idle)
+		if len(st.started) != 0 {
+			t.Fatalf("%s: idle fixture started %d jobs", e.Name(), len(st.started))
+		}
+		withLate := append(idle, late)
+		ce.calls = 0
+		const runs = 200
+		if avg := testing.AllocsPerRun(runs, func() {
+			st.journal.Record(Arrived, late, st.now)
+			e.Backfill(st, head, withLate)
+		}); avg != 0 {
+			t.Fatalf("%s verdict round allocates %v per run, want 0", e.Name(), avg)
+		}
+		if len(st.started) != 0 || ce.calls != runs+1 {
+			t.Fatalf("%s: %d rounds after an idle one started %d jobs after %d estimates, want only the arrivals estimated",
+				e.Name(), runs+1, len(st.started), ce.calls)
 		}
 	}
 }

@@ -12,19 +12,23 @@ import (
 	"repro/internal/trace"
 )
 
-// fakeState is a minimal backfill.State for observation tests.
+// fakeState is a minimal backfill.State for observation tests. Its tests
+// reset the running set in place, so it keeps no journal: the zero Journal
+// makes every reservation a rebuild.
 type fakeState struct {
 	now     int64
 	free    int
 	total   int
 	running []backfill.Running
 	started []*trace.Job
+	journal backfill.Journal
 }
 
 func (f *fakeState) Now() int64                  { return f.now }
 func (f *fakeState) FreeProcs() int              { return f.free }
 func (f *fakeState) TotalProcs() int             { return f.total }
 func (f *fakeState) Running() []backfill.Running { return f.running }
+func (f *fakeState) Journal() *backfill.Journal  { return &f.journal }
 func (f *fakeState) StartJob(j *trace.Job) {
 	f.started = append(f.started, j)
 	f.free -= j.Procs

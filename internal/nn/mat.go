@@ -82,26 +82,6 @@ func (m *Mat) MulVec(x, y []float64) {
 	}
 }
 
-// MulVecT computes y = Mᵀ*x (x has len Rows, y len Cols): with input-major
-// weights, the per-sample forward of a linear layer. Together with MulVec and
-// AddOuterScaled it is the plain-loop reference the batched kernels are
-// compared against bit for bit, so it adds every product, zeros included,
-// and never calls axpy.
-func (m *Mat) MulVecT(x, y []float64) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic("nn: MulVecT shape mismatch")
-	}
-	for j := range y {
-		y[j] = 0
-	}
-	for i, xi := range x {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, w := range row {
-			y[j] += w * xi
-		}
-	}
-}
-
 // Live says which columns of one input row may be non-zero: the first Head
 // and the last Tail. Every column between them counts as ±0.0 and is never
 // read. The zero value means all columns (a dense row), as do counts that meet
@@ -115,10 +95,11 @@ type Live struct{ Head, Tail int }
 // of a linear layer for one sample, one axpy per input.
 //
 // Bit-identity contract: y[k] receives the products x[j]·w[j][k] in ascending
-// j, one addition each — exactly the dot product MulVecT accumulates. An x[j]
-// that is ±0.0 is skipped, which is exact: y starts at +0.0, can never become
-// -0.0, and adding w·(±0.0) to it is the identity for finite w (DESIGN.md §8
-// rule 4). A ReLU-dead input of the layers above 0 costs one compare that way.
+// j, one addition each — exactly the dot product the tests' plain-loop
+// MulVecT accumulates. An x[j] that is ±0.0 is skipped, which is exact: y
+// starts at +0.0, can never become -0.0, and adding w·(±0.0) to it is the
+// identity for finite w (DESIGN.md §8 rule 4). A ReLU-dead input of the
+// layers above 0 costs one compare that way.
 func addRows(x, w, y []float64) {
 	n := len(y)
 	for j, a := range x {
@@ -134,30 +115,15 @@ func addRows(x, w, y []float64) {
 //
 // Bit-identity contract: the caller feeds batch rows in ascending order, so
 // every element of g sees its contributions one row at a time in that order,
-// never pre-reduced — the result is bit-identical to AddOuterScaled once per
-// batch row, no matter how the caller splits batches. Skipping an x[j] that
-// is ±0.0 is exact for a g that holds no -0.0 (gradient storage starts at
-// +0.0 and never reaches it).
+// never pre-reduced — the result is bit-identical to the tests' plain-loop
+// AddOuterScaled once per batch row, no matter how the caller splits batches.
+// Skipping an x[j] that is ±0.0 is exact for a g that holds no -0.0
+// (gradient storage starts at +0.0 and never reaches it).
 func addOuter(x, d, g []float64) {
 	n := len(d)
 	for j, a := range x {
 		if a != 0 {
 			axpy(a, d, g[j*n:(j+1)*n])
-		}
-	}
-}
-
-// AddOuterScaled accumulates a * x·yᵀ into m (x len Rows, y len Cols): with
-// input-major gradients, the per-sample update dW += a * input ⊗ gradOut.
-func (m *Mat) AddOuterScaled(x, y []float64, a float64) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic("nn: AddOuterScaled shape mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := a * x[i]
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, yj := range y {
-			row[j] += xi * yj
 		}
 	}
 }

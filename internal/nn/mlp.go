@@ -55,8 +55,8 @@ func actBackward(a Activation, x, y float64) float64 {
 // Sizes[l+1] via W[l]ᵀ*x + B[l] followed by Act (Identity on the final
 // layer). Weights are input-major: row j of W[l] is input j's fan-out, so a
 // layer's forward is a sum of weight rows scaled by the inputs (see addRows).
-// Weights are read-only during Forward/Backward, so one MLP can be shared
-// across goroutines that own their own Cache and Grads.
+// Weights are read-only during ForwardBatch/BackwardBatch, so one MLP can be
+// shared across goroutines that own their own BatchCache and Grads.
 type MLP struct {
 	Sizes []int
 	Act   Activation
@@ -115,52 +115,11 @@ func (m *MLP) Clone() *MLP {
 	return c
 }
 
-// Cache stores the per-layer pre-activations and activations of one forward
-// pass, enabling an exact backward pass. Each goroutine uses its own Cache.
-type Cache struct {
-	// X[0] is the input; X[l+1] the activation after layer l.
-	X [][]float64
-	// Z[l] is the pre-activation of layer l.
-	Z [][]float64
-}
-
-// NewCache allocates a cache matching the network shape.
-func NewCache(m *MLP) *Cache {
-	c := &Cache{}
-	c.X = append(c.X, make([]float64, m.Sizes[0]))
-	for l := 0; l < m.Layers(); l++ {
-		c.Z = append(c.Z, make([]float64, m.Sizes[l+1]))
-		c.X = append(c.X, make([]float64, m.Sizes[l+1]))
-	}
-	return c
-}
-
-// Forward runs the network on x, recording intermediates in cache, and
-// returns the output activation (a view into the cache; copy before reuse).
-func (m *MLP) Forward(x []float64, cache *Cache) []float64 {
-	if len(x) != m.Sizes[0] {
-		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.Sizes[0]))
-	}
-	copy(cache.X[0], x)
-	for l := 0; l < m.Layers(); l++ {
-		m.W[l].MulVecT(cache.X[l], cache.Z[l])
-		act := m.Act
-		if l == m.Layers()-1 {
-			act = Identity
-		}
-		for i, z := range cache.Z[l] {
-			cache.Z[l][i] = z + m.B[l][i]
-			cache.X[l+1][i] = actForward(act, cache.Z[l][i])
-		}
-	}
-	return cache.X[m.Layers()]
-}
-
-// BatchCache is the batched counterpart of Cache: per-layer activation,
-// pre-activation and delta matrices with one row per batch sample, allocated
-// once at a fixed row capacity and reused across calls (Input shrinks the
-// logical row count without reallocating). Each goroutine uses its own
-// BatchCache, like Cache.
+// BatchCache stores the intermediates of a batched forward pass, enabling an
+// exact backward pass: per-layer activation, pre-activation and delta
+// matrices with one row per batch sample, allocated once at a fixed row
+// capacity and reused across calls (Input shrinks the logical row count
+// without reallocating). Each goroutine uses its own BatchCache.
 //
 // Input rows carry an occupancy (Live): rows written through the matrix
 // Input returns are dense, rows loaded with SetRow have the occupancy given
@@ -283,8 +242,8 @@ func (c *BatchCache) ensureDelta(m *MLP, n int) {
 
 // ForwardBatch runs the network on every row of x, recording intermediates
 // in cache, and returns the output batch (a view into the cache; copy before
-// reuse). Row r of the result is bit-identical to Forward(x.Row(r)) — see
-// addRows' contract. Pass cache.Input(n) itself (after filling it) to skip
+// reuse). Row r of the result is bit-identical to the per-sample reference
+// forward the tests keep — see addRows' contract. Pass cache.Input(n) itself (after filling it) to skip
 // the input copy.
 func (m *MLP) ForwardBatch(x *Mat, cache *BatchCache) *Mat {
 	if x.Cols != m.Sizes[0] {
@@ -359,7 +318,7 @@ func (m *MLP) ForwardBatch(x *Mat, cache *BatchCache) *Mat {
 // BackwardBatch aligned with the gather order), scatter output 0 of each
 // row into scores (masked rows score 0), softmax into probs. gather, scores
 // and probs must have len(mask); the result is bit-identical to a per-row
-// Forward loop over the selectable rows.
+// forward over the selectable rows.
 func (m *MLP) ScoreMasked(cells []float64, mask []bool, bc *BatchCache,
 	gather []int, scores, probs []float64) ([]float64, int) {
 	w := m.Sizes[0]
@@ -394,8 +353,9 @@ func (m *MLP) ScoreMasked(cells []float64, mask []bool, bc *BatchCache,
 // dLoss/dInput is not computed; cache.InputGrad finishes it on demand.
 //
 // Per element of g the batch rows accumulate in ascending order directly
-// into the gradient storage, so the result is bit-identical to calling
-// Backward once per row in order — at any batch split (see DESIGN.md §8).
+// into the gradient storage, so the result is bit-identical to the tests'
+// per-sample reference backward run once per row in order — at any batch
+// split (see DESIGN.md §8).
 func (m *MLP) BackwardBatch(cache *BatchCache, gradOut *Mat, g *Grads) {
 	L := m.Layers()
 	n := cache.X[0].Rows
@@ -464,8 +424,6 @@ func (m *MLP) backprop(l int, cache *BatchCache) {
 type Grads struct {
 	W []*Mat
 	B [][]float64
-	// scratch buffers for Backward, sized per layer
-	delta [][]float64
 }
 
 // NewGrads allocates zeroed gradients matching the network.
@@ -474,9 +432,6 @@ func NewGrads(m *MLP) *Grads {
 	for l := range m.W {
 		g.W = append(g.W, NewMat(m.W[l].Rows, m.W[l].Cols))
 		g.B = append(g.B, make([]float64, len(m.B[l])))
-	}
-	for l := 0; l <= m.Layers(); l++ {
-		g.delta = append(g.delta, make([]float64, m.Sizes[l]))
 	}
 	return g
 }
@@ -511,34 +466,4 @@ func (g *Grads) Scale(f float64) {
 			g.B[l][i] *= f
 		}
 	}
-}
-
-// Backward accumulates dLoss/dParams into g given the cache of the forward
-// pass that produced the output and gradOut = dLoss/dOutput. It returns
-// dLoss/dInput (a view into g's scratch space; copy before reuse).
-func (m *MLP) Backward(cache *Cache, gradOut []float64, g *Grads) []float64 {
-	L := m.Layers()
-	if len(gradOut) != m.Sizes[L] {
-		panic(fmt.Sprintf("nn: gradOut size %d, want %d", len(gradOut), m.Sizes[L]))
-	}
-	copy(g.delta[L], gradOut)
-	for l := L - 1; l >= 0; l-- {
-		act := m.Act
-		if l == L-1 {
-			act = Identity
-		}
-		// delta through the activation
-		d := g.delta[l+1]
-		for i := range d {
-			d[i] *= actBackward(act, cache.Z[l][i], cache.X[l+1][i])
-		}
-		// parameter gradients
-		g.W[l].AddOuterScaled(cache.X[l], d, 1)
-		for i, v := range d {
-			g.B[l][i] += v
-		}
-		// propagate to the previous layer
-		m.W[l].MulVec(d, g.delta[l])
-	}
-	return g.delta[0]
 }

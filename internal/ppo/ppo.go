@@ -196,25 +196,6 @@ func New(policy, value *nn.MLP, cfg Config) *PPO {
 	}
 }
 
-// Distribution runs the kernel network over every row of obs and returns the
-// masked-softmax action distribution. cache must match Policy's shape;
-// scores is scratch of len(obs). Both may be reused across calls.
-func (p *PPO) Distribution(obs [][]float64, mask []bool, cache *nn.Cache, scores []float64) []float64 {
-	for i, row := range obs {
-		if !mask[i] {
-			scores[i] = 0
-			continue
-		}
-		scores[i] = p.Policy.Forward(row, cache)[0]
-	}
-	return nn.MaskedSoftmax(scores[:len(obs)], mask)
-}
-
-// ValueOf evaluates the critic on a flattened observation.
-func (p *PPO) ValueOf(flat []float64, cache *nn.Cache) float64 {
-	return p.Value.Forward(flat, cache)[0]
-}
-
 // UpdateStats reports what one Update did.
 type UpdateStats struct {
 	Steps      int

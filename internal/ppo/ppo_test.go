@@ -88,6 +88,26 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// Distribution scores every selectable row of obs with the kernel network,
+// through the batched path Update scores with, and returns the masked-softmax
+// action distribution.
+func (p *PPO) Distribution(obs [][]float64, mask []bool) []float64 {
+	var cells []float64
+	for _, row := range obs {
+		cells = append(cells, row...)
+	}
+	n := len(mask)
+	probs, _ := p.Policy.ScoreMasked(cells, mask, nn.NewBatchCache(p.Policy, n), make([]int, n), make([]float64, n), make([]float64, n))
+	return probs
+}
+
+// ValueOf evaluates the critic on a flattened observation.
+func (p *PPO) ValueOf(flat []float64) float64 {
+	x := nn.NewMat(1, len(flat))
+	copy(x.Data, flat)
+	return p.Value.ForwardBatch(x, nn.NewBatchCache(p.Value, 1)).At(0, 0)
+}
+
 // mkPPO builds a small agent with deterministic init.
 func mkPPO(featDim, slots int, cfg Config) *PPO {
 	rng := stats.NewRNG(99)
@@ -100,9 +120,6 @@ func mkPPO(featDim, slots int, cfg Config) *PPO {
 // choosing the row whose first feature is larger yields reward 1, else 0.
 func banditTrajectories(p *PPO, rng *stats.RNG, nTraj, featDim, slots int) []Trajectory {
 	trajs := make([]Trajectory, nTraj)
-	cache := nn.NewCache(p.Policy)
-	vcache := nn.NewCache(p.Value)
-	scores := make([]float64, slots)
 	for ti := range trajs {
 		obs := make([][]float64, slots)
 		mask := make([]bool, slots)
@@ -122,7 +139,7 @@ func banditTrajectories(p *PPO, rng *stats.RNG, nTraj, featDim, slots int) []Tra
 				best = i
 			}
 		}
-		probs := p.Distribution(obs, mask, cache, scores)
+		probs := p.Distribution(obs, mask)
 		a := nn.SampleCategorical(probs, rng)
 		reward := 0.0
 		if a == best {
@@ -131,7 +148,7 @@ func banditTrajectories(p *PPO, rng *stats.RNG, nTraj, featDim, slots int) []Tra
 		trajs[ti] = Trajectory{Steps: []Step{{
 			FlatObs: flat, Mask: mask, Action: a,
 			LogP:   nn.LogProb(probs, a),
-			Value:  p.ValueOf(flat, vcache),
+			Value:  p.ValueOf(flat),
 			Reward: reward,
 		}}}
 	}
@@ -151,8 +168,6 @@ func TestPPOLearnsBandit(t *testing.T) {
 	rng := stats.NewRNG(3)
 
 	accuracy := func() float64 {
-		cache := nn.NewCache(p.Policy)
-		scores := make([]float64, slots)
 		hits := 0
 		const trials = 500
 		r := stats.NewRNG(123)
@@ -167,7 +182,7 @@ func TestPPOLearnsBandit(t *testing.T) {
 					bestV, best = row[0], k
 				}
 			}
-			probs := p.Distribution(obs, mask, cache, scores)
+			probs := p.Distribution(obs, mask)
 			if nn.Argmax(probs) == best {
 				hits++
 			}
@@ -288,10 +303,8 @@ func TestUpdateDeterministicForFixedSeed(t *testing.T) {
 
 func TestDistributionMasksInvalidRows(t *testing.T) {
 	p := mkPPO(3, 3, DefaultConfig())
-	cache := nn.NewCache(p.Policy)
-	scores := make([]float64, 3)
 	obs := [][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
-	probs := p.Distribution(obs, []bool{true, false, true}, cache, scores)
+	probs := p.Distribution(obs, []bool{true, false, true})
 	if probs[1] != 0 {
 		t.Fatal("masked row received probability")
 	}

@@ -33,6 +33,7 @@ type refEngine struct {
 	queue      []*trace.Job
 	running    map[int]backfill.Running
 	records    []metrics.Record
+	journal    backfill.Journal // never opened: the reference keeps no journal
 }
 
 func newRefEngine(t *trace.Trace, p sched.Policy, bf backfill.Backfiller) *refEngine {
@@ -125,6 +126,8 @@ func (e *refEngine) Running() []backfill.Running {
 	sort.Slice(rs, func(a, b int) bool { return rs[a].Job.ID < rs[b].Job.ID })
 	return rs
 }
+
+func (e *refEngine) Journal() *backfill.Journal { return &e.journal }
 
 func (e *refEngine) StartJob(j *trace.Job) {
 	if err := e.cluster.Alloc(j.ID, j.Procs); err != nil {

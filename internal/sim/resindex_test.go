@@ -86,12 +86,14 @@ func (c *indexChecker) check(st backfill.State, j *trace.Job) {
 }
 
 // TestReservationIndexDifferential is the engine half of the test of the
-// same name in internal/backfill: one reservation index is carried through
-// real engines — a replay, a second engine over the same job objects, a third
-// over a clone whose jobs reuse the IDs, a snapshot restore, and a live engine
-// fed by Inject and thinned by Cancel — with and without the memory
-// dimension and under an estimator that underestimates, and must agree with
-// the stateless reference on every reservation.
+// same name in internal/backfill: one reservation index, fed by each
+// engine's journal, is carried through real engines — a replay, a second
+// engine over the same job objects, a third over a clone whose jobs reuse
+// the IDs, a snapshot restore, a live engine fed by Inject and thinned by
+// Cancel, and a replay during which the index lags until its journal
+// entries are dropped — with and without the memory dimension and under an
+// estimator that underestimates, and must agree with the stateless
+// reference on every reservation.
 func TestReservationIndexDifferential(t *testing.T) {
 	plain := trace.SyntheticSDSCSP2(500, 3)
 	withMem := mustEnrich(t, trace.SyntheticSDSCSP2(500, 5), trace.EnrichSpec{MemDist: trace.MemDistProp, Seed: 11})
@@ -148,6 +150,14 @@ func TestReservationIndexDifferential(t *testing.T) {
 
 			if c.rounds < 100 || c.indexed < c.rounds {
 				t.Fatalf("trace %d, %s: %d rounds, %d reservations read off the index: too few to test anything", ti, est.Name(), c.rounds, c.indexed)
+			}
+
+			// Sit the checker out until its journal entries are dropped.
+			c.label = "lagging/" + est.Name()
+			lag := &lagging{inner: c}
+			mustRun(t, tr.Clone(), Config{Policy: sched.FCFS{}, Backfiller: lag})
+			if lag.trimmed == 0 {
+				t.Fatalf("trace %d, %s: the lagging index never found its cursor trimmed", ti, est.Name())
 			}
 		}
 	}

@@ -10,14 +10,17 @@
 // re-sorted — while time-varying policies (WFP3) fall back to a decorated
 // re-sort that computes each score exactly once per event. Queue removal
 // locates jobs by binary search on their score instead of a linear scan, and
-// the running set is maintained as an ID-sorted slice, the order in which
-// backfill.ReservationScratch reconciles its estimated-end index with one
-// linear walk instead of a rebuild-and-sort per reservation. All orderings
-// use sched.Less (score, then submit time, then ID), and arrivals are fed
-// lazily from the submit-sorted trace instead of being heap-pushed one event
-// per job up front — the event heap holds only pending completions (size ~
-// running jobs, not trace length) — which keeps schedules bit-identical to a
-// naive sort-every-event kernel.
+// the running set is maintained as an ID-sorted slice. Every start, finish
+// and arrival is also written to a bounded change journal
+// (backfill.Journal), from which backfillers that keep state across rounds
+// learn what changed instead of re-deriving it: the reservation index
+// applies the starts and finishes, and EASY answers a round that saw only
+// arrivals by testing just those. All orderings use sched.Less (score, then
+// submit time, then ID), and arrivals are fed lazily from the submit-sorted
+// trace instead of being heap-pushed one event per job up front — the event
+// heap holds only pending completions (size ~ running jobs, not trace
+// length) — which keeps schedules bit-identical to a naive sort-every-event
+// kernel.
 package sim
 
 import (
@@ -86,6 +89,9 @@ type Engine struct {
 	// running is kept sorted by job ID (insert on start, remove on finish),
 	// so State.Running needs no per-call rebuild.
 	running []backfill.Running
+	// journal records every start, finish and arrival for the backfillers
+	// that keep state across rounds (backfill.State.Journal).
+	journal backfill.Journal
 	restBuf []*trace.Job // scratch: the backfiller's view of queue[1:]
 	records []metrics.Record
 }
@@ -101,7 +107,7 @@ func NewEngine(t *trace.Trace, cfg Config) (*Engine, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{
+	e := &Engine{
 		cfg:      cfg,
 		procs:    t.Procs,
 		cluster:  cluster.NewWithMem(t.Procs, t.Mem),
@@ -109,7 +115,9 @@ func NewEngine(t *trace.Trace, cfg Config) (*Engine, error) {
 		scnOn:    cfg.Scenario.Enabled(),
 		arrivals: t.Jobs,
 		records:  make([]metrics.Record, 0, len(t.Jobs)),
-	}, nil
+	}
+	e.journal.Open()
+	return e, nil
 }
 
 // Run replays the whole trace to completion and returns per-job records plus
@@ -191,6 +199,7 @@ func (e *Engine) applyFinish(j *trace.Job) {
 	if i := e.runningIndex(j.ID); i < len(e.running) && e.running[i].Job.ID == j.ID {
 		e.running = append(e.running[:i], e.running[i+1:]...)
 	}
+	e.journal.Record(backfill.Finished, j, e.clock)
 }
 
 // enqueue adds an arriving job to the waiting queue. Static policies
@@ -200,6 +209,7 @@ func (e *Engine) applyFinish(j *trace.Job) {
 // re-sort. With aging on, the job's starvation-transition instant is queued
 // as a Wake event so its rank change cannot overshoot an event drought.
 func (e *Engine) enqueue(j *trace.Job) {
+	e.journal.Record(backfill.Arrived, j, e.clock)
 	if e.scnOn && e.cfg.Scenario.Aging() {
 		if sa := e.cfg.Scenario.StarvesAt(j); sa > e.clock && sa != math.MaxInt64 {
 			e.events.Push(eventq.Event{Time: sa, Kind: eventq.Wake, Payload: j})
@@ -276,6 +286,10 @@ func (e *Engine) TotalMem() int { return e.cluster.TotalMem() }
 // calls or simulation steps.
 func (e *Engine) Running() []backfill.Running { return e.running }
 
+// Journal implements backfill.State: the engine's recent starts, finishes
+// and arrivals. Every engine, a restored one included, opens its own.
+func (e *Engine) Journal() *backfill.Journal { return &e.journal }
+
 // runningIndex returns the position of job id in the ID-sorted running
 // slice, or the insertion point if absent.
 func (e *Engine) runningIndex(id int) int {
@@ -329,6 +343,7 @@ func (e *Engine) StartJob(j *trace.Job) {
 	e.qscore = append(e.qscore[:i], e.qscore[i+1:]...)
 	run := effectiveRuntime(j)
 	e.insertRunning(j, e.clock)
+	e.journal.Record(backfill.Started, j, e.clock)
 	e.events.Push(eventq.Event{Time: e.clock + run, Kind: eventq.Finish, Payload: j})
 	e.records = append(e.records, metrics.Record{Job: j, Start: e.clock, End: e.clock + run})
 }
