@@ -4,43 +4,25 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// refReservation is the reference model of ReservationScratch.Compute: the
-// stateless decorate-and-sort every reservation paid before the index
-// existed. It allocates a fresh slice, calls the estimator inside the walk
-// and keeps nothing between calls.
-func refReservation(st State, head *trace.Job, est Estimator) Reservation {
-	free := st.FreeProcs()
-	memFree, memTotal := MemOf(st)
-	needMem := memDemand(head, memTotal)
-	if free >= head.Procs && memFree >= needMem {
-		return Reservation{Shadow: st.Now(), Extra: free - head.Procs, ExtraMem: memFree - needMem}
+// oracleMachine is the state's machine as internal/oracle sees it.
+func oracleMachine(st State, est Estimator) *oracle.Machine {
+	m := &oracle.Machine{Now: st.Now(), Procs: st.TotalProcs(), FreeProcs: st.FreeProcs(), Est: est.Estimate}
+	m.FreeMem, m.Mem = MemOf(st)
+	for _, r := range st.Running() {
+		m.Running = append(m.Running, oracle.Running{Job: r.Job, Start: r.Start})
 	}
-	running := append([]Running(nil), st.Running()...)
-	sort.Slice(running, func(a, b int) bool {
-		ea := running[a].Start + est.Estimate(running[a].Job)
-		eb := running[b].Start + est.Estimate(running[b].Job)
-		if ea != eb {
-			return ea < eb
-		}
-		return running[a].Job.ID < running[b].Job.ID
-	})
-	avail, availMem := free, memFree
-	for _, r := range running {
-		avail += r.Job.Procs
-		availMem += memDemand(r.Job, memTotal)
-		if avail >= head.Procs && availMem >= needMem {
-			end := r.Start + est.Estimate(r.Job)
-			if end < st.Now() {
-				end = st.Now()
-			}
-			return Reservation{Shadow: end, Extra: avail - head.Procs, ExtraMem: availMem - needMem}
-		}
-	}
-	return Reservation{Shadow: st.Now(), Extra: 0}
+	return m
+}
+
+// oracleReservation is what ReservationScratch.Compute must answer: the
+// oracle's from-scratch sort of the running set, nothing kept between calls.
+func oracleReservation(st State, head *trace.Job, est Estimator) Reservation {
+	return Reservation(oracleMachine(st, est).Reservation(head))
 }
 
 // fuzzState is a small machine with both resource dimensions whose running
@@ -119,7 +101,7 @@ func (b boxed) Estimate(j *trace.Job) int64 { return b.inner.Estimate(j) }
 
 // TestReservationIndexDifferential drives one long-lived ReservationScratch
 // through fuzzed, journaled start/finish sequences and requires every Compute
-// to equal the stateless sort-per-call reference. The walk covers what can
+// to equal the oracle's from-scratch reservation. The walk covers what can
 // invalidate or stress the index: estimators that underestimate, the memory
 // dimension switched on and off, the estimator swapped mid-run (including
 // for values that cannot be compared), a new episode whose jobs reuse the
@@ -236,9 +218,9 @@ func TestReservationIndexDifferential(t *testing.T) {
 				if _, ok := st.journal.Since(s.at); ok && s.est != nil {
 					fed++
 				}
-				got, want := s.Compute(st, head, est), refReservation(st, head, est)
+				got, want := s.Compute(st, head, est), oracleReservation(st, head, est)
 				if got != want {
-					t.Fatalf("seed %d step %d (%s, mem %d, %d running): index %+v, reference %+v",
+					t.Fatalf("seed %d step %d (%s, mem %d, %d running): index %+v, oracle %+v",
 						seed, step, est.Name(), st.mem, len(st.running), got, want)
 				}
 				calls++
@@ -271,15 +253,15 @@ func TestReservationIndexSharedKey(t *testing.T) {
 	head := job(20, 0, 10, 10, 12)
 	var s ReservationScratch
 	est := RequestTime{}
-	if got, want := s.Compute(st, head, est), refReservation(st, head, est); got != want {
-		t.Fatalf("before: index %+v, reference %+v", got, want)
+	if got, want := s.Compute(st, head, est), oracleReservation(st, head, est); got != want {
+		t.Fatalf("before: index %+v, oracle %+v", got, want)
 	}
 	x2 := *x
 	x2.Procs = 2
 	st.finish(1)
 	st.StartJob(&x2)
-	if got, want := s.Compute(st, head, est), refReservation(st, head, est); got != want {
-		t.Fatalf("after the swap: index %+v, reference %+v", got, want)
+	if got, want := s.Compute(st, head, est), oracleReservation(st, head, est); got != want {
+		t.Fatalf("after the swap: index %+v, oracle %+v", got, want)
 	}
 }
 

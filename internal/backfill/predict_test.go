@@ -1,79 +1,14 @@
 package backfill
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// naiveProject is the reference predictor: an explicit reservation list and
-// an O(candidates x reservations) earliest-fit search per queued job. The
-// planner-backed Predictor must agree exactly.
-func naiveProject(st *memState, est Estimator, queue []*trace.Job) []int64 {
-	type resv struct {
-		start, end int64
-		procs      int
-	}
-	var rs []resv
-	now := st.Now()
-	for _, r := range st.Running() {
-		end := r.Start + est.Estimate(r.Job)
-		if end <= now {
-			end = now + 1 // overdue: assumed to release imminently, like planner.fill
-		}
-		rs = append(rs, resv{start: now, end: end, procs: r.Job.Procs})
-	}
-	fits := func(t, dur int64, procs int) bool {
-		// Demand changes only at reservation boundaries; checking every
-		// boundary inside the window (plus its start) is exact.
-		cands := []int64{t}
-		for _, r := range rs {
-			if r.start > t && r.start < t+dur {
-				cands = append(cands, r.start)
-			}
-		}
-		for _, c := range cands {
-			used := 0
-			for _, r := range rs {
-				if r.start <= c && c < r.end {
-					used += r.procs
-				}
-			}
-			if used+procs > st.TotalProcs() {
-				return false
-			}
-		}
-		return true
-	}
-	var out []int64
-	for _, j := range queue {
-		dur := est.Estimate(j)
-		// Candidate starts: now and every reservation end.
-		cands := []int64{now}
-		for _, r := range rs {
-			if r.end > now {
-				cands = append(cands, r.end)
-			}
-		}
-		sort.Slice(cands, func(a, b int) bool { return cands[a] < cands[b] })
-		var s int64 = -1
-		for _, c := range cands {
-			if fits(c, dur, j.Procs) {
-				s = c
-				break
-			}
-		}
-		if s < 0 { // cannot happen for valid jobs (procs <= total)
-			s = now
-		}
-		rs = append(rs, resv{start: s, end: s + dur, procs: j.Procs})
-		out = append(out, s)
-	}
-	return out
-}
-
+// TestPredictorMatchesNaiveReference requires the planner-backed Predictor
+// to project exactly the oracle's queue-order base plan.
 func TestPredictorMatchesNaiveReference(t *testing.T) {
 	rng := stats.NewRNG(41)
 	var pred Predictor
@@ -100,7 +35,7 @@ func TestPredictorMatchesNaiveReference(t *testing.T) {
 		}
 
 		got := pred.Project(st, RequestTime{}, queue, nil)
-		want := naiveProject(st, RequestTime{}, queue)
+		want := oracleMachine(st, RequestTime{}).Plan(queue)
 		if len(got) != len(queue) {
 			t.Fatalf("trial %d: %d projections for %d queued jobs", trial, len(got), len(queue))
 		}
@@ -109,7 +44,7 @@ func TestPredictorMatchesNaiveReference(t *testing.T) {
 				t.Fatalf("trial %d: projection %d is for job %d, want %d", trial, i, got[i].Job.ID, queue[i].ID)
 			}
 			if got[i].Start != want[i] {
-				t.Fatalf("trial %d: job %d projected start %d, naive reference %d (now=%d total=%d)",
+				t.Fatalf("trial %d: job %d projected start %d, oracle %d (now=%d total=%d)",
 					trial, queue[i].ID, got[i].Start, want[i], st.now, total)
 			}
 		}

@@ -1,181 +1,60 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/stats"
 )
 
-// ---- reference implementations ----
+// ---- the oracle mirror ----
 
-// oldProfile is the pre-rewrite linear-scan profile, kept verbatim as the
-// golden model: the indexed skyline must answer every query identically.
-type oldProfile struct {
-	total int
-	segs  []segment
-}
-
-func newOldProfile(total int, from int64) *oldProfile {
-	return &oldProfile{total: total, segs: []segment{{Time: from, Free: total}}}
-}
-
-func (p *oldProfile) FreeAt(t int64) int {
-	free := p.segs[0].Free
-	for _, s := range p.segs {
-		if s.Time > t {
-			break
-		}
-		free = s.Free
-	}
-	return free
-}
-
-func (p *oldProfile) MinFree(start, end int64) int {
-	if end <= start {
-		return p.FreeAt(start)
-	}
-	min := p.total
-	for i, s := range p.segs {
-		segStart := s.Time
-		var segEnd int64
-		if i+1 < len(p.segs) {
-			segEnd = p.segs[i+1].Time
-		} else {
-			segEnd = end
-			if segEnd < segStart {
-				segEnd = segStart
-			}
-		}
-		if segEnd <= start || segStart >= end {
-			if segStart >= end {
-				break
-			}
-			continue
-		}
-		if s.Free < min {
-			min = s.Free
-		}
-	}
-	return min
-}
-
-func (p *oldProfile) Reserve(start, end int64, procs int) error {
+// oracleReserve applies a reservation Profile.Reserve was asked for to the
+// oracle's flat list and reports whether the profile should have accepted
+// it. A Profile holds nothing before its start, so the window is cut there; a
+// window entirely before the start is accepted (within capacity) and
+// reserves nothing.
+func oracleReserve(o *oracle.Profile, from, start, end int64, procs int) bool {
 	if procs <= 0 || end <= start {
-		return errSkip
+		return false
 	}
-	if p.MinFree(start, end) < procs {
-		return errSkip
+	if start = max(start, from); end <= start {
+		return procs <= o.Procs
 	}
-	p.split(start)
-	p.split(end)
-	for i := range p.segs {
-		if p.segs[i].Time >= start && p.segs[i].Time < end {
-			p.segs[i].Free -= procs
-		}
-	}
-	p.coalesce()
-	return nil
+	return o.Reserve(start, end, procs, 0)
 }
 
-func (p *oldProfile) FindStart(after, duration int64, procs int) int64 {
-	if procs > p.total {
-		procs = p.total
+// checkSkyline requires p to be canonical (strictly increasing times, no two
+// adjacent segments with one free count) and its free function to equal the
+// oracle's free processors (or, with mem, memory) at every boundary of
+// either, from the profile start on. Both functions are constant between
+// consecutive points of that union, so they agree everywhere from the start
+// on; and a canonical piecewise-constant form of a function is unique, so p
+// holds exactly the segments of the oracle's free function.
+func checkSkyline(t *testing.T, label string, p *Profile, o *oracle.Profile, mem bool) {
+	t.Helper()
+	for i := 1; i < len(p.segs); i++ {
+		if p.segs[i].Time <= p.segs[i-1].Time || p.segs[i].Free == p.segs[i-1].Free {
+			t.Fatalf("%s: segments %d,%d not canonical: %+v", label, i-1, i, p.segs)
+		}
 	}
-	if duration <= 0 {
-		duration = 1
-	}
-	if p.MinFree(after, after+duration) >= procs {
-		return after
-	}
+	bounds := o.Boundaries()
 	for _, s := range p.segs {
-		if s.Time > after && p.MinFree(s.Time, s.Time+duration) >= procs {
-			return s.Time
-		}
+		bounds = append(bounds, s.Time)
 	}
-	last := p.segs[len(p.segs)-1].Time
-	if last < after {
-		last = after
-	}
-	return last
-}
-
-func (p *oldProfile) split(t int64) {
-	if t <= p.segs[0].Time {
-		return
-	}
-	for i, s := range p.segs {
-		if s.Time == t {
-			return
-		}
-		if s.Time > t {
-			prev := p.segs[i-1].Free
-			p.segs = append(p.segs, segment{})
-			copy(p.segs[i+1:], p.segs[i:])
-			p.segs[i] = segment{Time: t, Free: prev}
-			return
-		}
-	}
-	p.segs = append(p.segs, segment{Time: t, Free: p.segs[len(p.segs)-1].Free})
-}
-
-func (p *oldProfile) coalesce() {
-	out := p.segs[:1]
-	for _, s := range p.segs[1:] {
-		if s.Free == out[len(out)-1].Free {
+	for _, at := range bounds {
+		if at < p.segs[0].Time {
 			continue
 		}
-		out = append(out, s)
-	}
-	p.segs = out
-}
-
-type skipError struct{}
-
-func (skipError) Error() string { return "reference reserve rejected" }
-
-var errSkip = skipError{}
-
-// naiveProfile models the free function as one counter per timestep over a
-// bounded horizon — the simplest possible reference for range updates.
-type naiveProfile struct {
-	total int
-	from  int64
-	free  []int // free[t - from] for t in [from, from+len)
-}
-
-func newNaiveProfile(total int, from int64, horizon int) *naiveProfile {
-	n := &naiveProfile{total: total, from: from, free: make([]int, horizon)}
-	for i := range n.free {
-		n.free[i] = total
-	}
-	return n
-}
-
-func (n *naiveProfile) reserve(start, end int64, procs int) bool {
-	lo, hi := start-n.from, end-n.from
-	if lo < 0 {
-		lo = 0
-	}
-	for t := lo; t < hi && t < int64(len(n.free)); t++ {
-		if n.free[t] < procs {
-			return false
+		w, wm := o.FreeAt(at)
+		if mem {
+			w = wm
+		}
+		if got := p.FreeAt(at); got != w {
+			t.Fatalf("%s: FreeAt(%d) = %d, oracle %d", label, at, got, w)
 		}
 	}
-	for t := lo; t < hi && t < int64(len(n.free)); t++ {
-		n.free[t] -= procs
-	}
-	return true
-}
-
-func (n *naiveProfile) freeAt(t int64) int {
-	i := t - n.from
-	if i < 0 {
-		i = 0
-	}
-	if i >= int64(len(n.free)) {
-		i = int64(len(n.free)) - 1
-	}
-	return n.free[i]
 }
 
 // ---- direct edge-case unit tests ----
@@ -373,109 +252,104 @@ func TestProfileRollbackFuzz(t *testing.T) {
 	}
 }
 
-// ---- differential fuzz: new vs old vs naive ----
+// ---- differential fuzz against the oracle ----
 
-// TestProfileDifferentialOldVsNew drives the indexed skyline and the verbatim
-// pre-rewrite implementation through identical random op sequences — reserves
+// TestProfileDifferentialOracle drives the indexed skyline and the oracle's
+// flat reservation list through identical random op sequences — reserves
 // (feasible and infeasible, in- and out-of-range), FreeAt, MinFree and
-// FindStart probes — and requires identical answers and identical segment
-// lists throughout.
-func TestProfileDifferentialOldVsNew(t *testing.T) {
+// FindStart probes — and requires identical answers throughout, and after
+// every step the oracle's free function segment for segment.
+func TestProfileDifferentialOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		r := stats.NewRNG(seed)
 		total := []int{1, 4, 32, 100}[r.Intn(4)]
 		from := r.Int63n(200) - 100
-		neu := NewProfile(total, from)
-		old := newOldProfile(total, from)
+		p := NewProfile(total, from)
+		o := &oracle.Profile{Procs: total}
+		// The documented clamps: procs to the machine, durations to one second,
+		// instants before the profile start to the start.
+		findStart := func(after, dur int64, procs int) int64 {
+			return o.FindStart(after, max(dur, 1), min(procs, total), 0)
+		}
+		freeAt := func(at int64) int {
+			free, _ := o.FreeAt(max(at, from))
+			return free
+		}
 		for step := 0; step < 120; step++ {
+			label := fmt.Sprintf("seed %d step %d", seed, step)
 			switch r.Intn(4) {
 			case 0: // reserve, FindStart-placed
 				procs := r.Intn(total+4) + 1
 				dur := r.Int63n(200) + 1
 				after := from + r.Int63n(400) - 50
-				sNew := neu.FindStart(after, dur, procs)
-				sOld := old.FindStart(after, dur, procs)
-				if sNew != sOld {
-					t.Fatalf("seed %d step %d: FindStart(%d,%d,%d) = %d, old %d",
-						seed, step, after, dur, procs, sNew, sOld)
+				s := p.FindStart(after, dur, procs)
+				if w := findStart(after, dur, procs); s != w {
+					t.Fatalf("%s: FindStart(%d,%d,%d) = %d, oracle %d", label, after, dur, procs, s, w)
 				}
-				errNew := neu.Reserve(sNew, sNew+dur, procs)
-				errOld := old.Reserve(sOld, sOld+dur, procs)
-				if (errNew == nil) != (errOld == nil) {
-					t.Fatalf("seed %d step %d: reserve disagreement: new %v, old %v",
-						seed, step, errNew, errOld)
+				err := p.Reserve(s, s+dur, procs)
+				if ok := oracleReserve(o, from, s, s+dur, procs); (err == nil) != ok {
+					t.Fatalf("%s: reserve [%d,%d)x%d: profile %v, oracle %v", label, s, s+dur, procs, err, ok)
 				}
 			case 1: // arbitrary reserve (often rejected)
 				procs := r.Intn(total+4) + 1
 				start := from + r.Int63n(500) - 150
 				end := start + r.Int63n(250) - 20
-				errNew := neu.Reserve(start, end, procs)
-				errOld := old.Reserve(start, end, procs)
-				if (errNew == nil) != (errOld == nil) {
-					t.Fatalf("seed %d step %d: reserve [%d,%d)x%d: new %v, old %v",
-						seed, step, start, end, procs, errNew, errOld)
+				err := p.Reserve(start, end, procs)
+				if ok := oracleReserve(o, from, start, end, procs); (err == nil) != ok {
+					t.Fatalf("%s: reserve [%d,%d)x%d: profile %v, oracle %v", label, start, end, procs, err, ok)
 				}
 			case 2: // point and range probes
 				at := from + r.Int63n(500) - 150
-				if a, b := neu.FreeAt(at), old.FreeAt(at); a != b {
-					t.Fatalf("seed %d step %d: FreeAt(%d) = %d, old %d", seed, step, at, a, b)
+				if a, b := p.FreeAt(at), freeAt(at); a != b {
+					t.Fatalf("%s: FreeAt(%d) = %d, oracle %d", label, at, a, b)
 				}
 				lo := from + r.Int63n(500) - 150
 				hi := lo + r.Int63n(300) - 30
-				if a, b := neu.MinFree(lo, hi), old.MinFree(lo, hi); a != b {
-					t.Fatalf("seed %d step %d: MinFree(%d,%d) = %d, old %d", seed, step, lo, hi, a, b)
+				want := freeAt(lo) // an empty window reports FreeAt(lo)
+				if hi > lo {
+					want, _ = o.MinFree(lo, hi)
+				}
+				if a := p.MinFree(lo, hi); a != want {
+					t.Fatalf("%s: MinFree(%d,%d) = %d, oracle %d", label, lo, hi, a, want)
 				}
 			case 3: // FindStart probe, including zero/negative durations
 				procs := r.Intn(total+4) + 1
 				dur := r.Int63n(200) - 10
 				after := from + r.Int63n(500) - 150
-				if a, b := neu.FindStart(after, dur, procs), old.FindStart(after, dur, procs); a != b {
-					t.Fatalf("seed %d step %d: FindStart(%d,%d,%d) = %d, old %d",
-						seed, step, after, dur, procs, a, b)
+				if a, b := p.FindStart(after, dur, procs), findStart(after, dur, procs); a != b {
+					t.Fatalf("%s: FindStart(%d,%d,%d) = %d, oracle %d", label, after, dur, procs, a, b)
 				}
 			}
-			if len(neu.segs) != len(old.segs) {
-				t.Fatalf("seed %d step %d: %d segments, old %d", seed, step, len(neu.segs), len(old.segs))
-			}
-			for i := range neu.segs {
-				if neu.segs[i] != old.segs[i] {
-					t.Fatalf("seed %d step %d: segment %d = %+v, old %+v",
-						seed, step, i, neu.segs[i], old.segs[i])
-				}
-			}
+			checkSkyline(t, label, p, o, false)
 		}
 	}
 }
 
-// TestProfileDifferentialNaive checks the skyline against a per-timestep
-// counter array: after any accepted reservation sequence the free function
-// must agree at every instant of the horizon.
+// TestProfileDifferentialNaive checks long FindStart-placed reservation
+// sequences, the shape every backfilling round builds, against the oracle:
+// each found start, each reserve's verdict and, at the end, the whole free
+// function.
 func TestProfileDifferentialNaive(t *testing.T) {
-	const horizon = 2000
 	for seed := uint64(1); seed <= 25; seed++ {
 		r := stats.NewRNG(seed)
 		total := []int{2, 16, 64}[r.Intn(3)]
 		p := NewProfile(total, 0)
-		n := newNaiveProfile(total, 0, horizon)
+		o := &oracle.Profile{Procs: total}
 		for i := 0; i < 60; i++ {
 			procs := r.Intn(total) + 1
 			dur := r.Int63n(150) + 1
-			start := p.FindStart(r.Int63n(horizon/2), dur, procs)
-			if start+dur > horizon {
-				continue // keep the naive model's bounded horizon authoritative
+			after := r.Int63n(1000)
+			start := p.FindStart(after, dur, procs)
+			if w := o.FindStart(after, dur, procs, 0); start != w {
+				t.Fatalf("seed %d op %d: FindStart(%d,%d,%d) = %d, oracle %d", seed, i, after, dur, procs, start, w)
 			}
 			err := p.Reserve(start, start+dur, procs)
-			ok := n.reserve(start, start+dur, procs)
-			if (err == nil) != ok {
-				t.Fatalf("seed %d: reserve [%d,%d)x%d: skyline %v, naive %v",
-					seed, start, start+dur, procs, err, ok)
+			if ok := o.Reserve(start, start+dur, procs, 0); (err == nil) != ok {
+				t.Fatalf("seed %d op %d: reserve [%d,%d)x%d: skyline %v, oracle %v",
+					seed, i, start, start+dur, procs, err, ok)
 			}
 		}
-		for tm := int64(0); tm < horizon; tm++ {
-			if a, b := p.FreeAt(tm), n.freeAt(tm); a != b {
-				t.Fatalf("seed %d: FreeAt(%d) = %d, naive %d", seed, tm, a, b)
-			}
-		}
+		checkSkyline(t, fmt.Sprintf("seed %d", seed), p, o, false)
 	}
 }
 

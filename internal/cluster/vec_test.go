@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/stats"
 )
 
@@ -97,89 +99,37 @@ func TestVecProfileWidth1Differential(t *testing.T) {
 	}
 }
 
-// ---- width-2 differential against a per-timestep counter pair ----
-
-// naiveVec is the simplest two-dimension reference: one counter array per
-// dimension, reservations applied to both or neither.
-type naiveVec struct {
-	p, m *naiveProfile
-}
-
-func newNaiveVec(total, memTotal int, from int64, horizon int) *naiveVec {
-	return &naiveVec{
-		p: newNaiveProfile(total, from, horizon),
-		m: newNaiveProfile(memTotal, from, horizon),
-	}
-}
-
-func (n *naiveVec) fits(start, end int64, procs, mem int) bool {
-	for t := start; t < end; t++ {
-		if n.p.freeAt(t) < procs || n.m.freeAt(t) < mem {
-			return false
-		}
-	}
-	return true
-}
-
-func (n *naiveVec) reserve(start, end int64, procs, mem int) bool {
-	if !n.fits(start, end, procs, mem) {
-		return false
-	}
-	n.p.reserve(start, end, procs)
-	n.m.reserve(start, end, mem)
-	return true
-}
-
-// findStart scans every instant for the earliest jointly feasible window.
-func (n *naiveVec) findStart(after, dur int64, procs, mem int, horizon int64) int64 {
-	for s := after; s+dur <= horizon; s++ {
-		if n.fits(s, s+dur, procs, mem) {
-			return s
-		}
-	}
-	return -1
-}
+// ---- width-2 differential against the oracle ----
 
 // TestVecProfileNaiveDifferential checks the two-dimension profile against
-// the counter-pair reference: joint FindStart answers, reserve feasibility
-// and the full free functions of both dimensions after every accepted
-// sequence.
+// the oracle's flat two-dimension reservation list: joint FindStart answers,
+// reserve feasibility and, after every sequence, both dimensions' free
+// functions segment for segment.
 func TestVecProfileNaiveDifferential(t *testing.T) {
-	const horizon = 1500
 	for seed := uint64(1); seed <= 25; seed++ {
 		r := stats.NewRNG(seed)
 		total := []int{2, 16, 64}[r.Intn(3)]
 		memTotal := []int{8, 100, 1000}[r.Intn(3)]
 		v := NewVecProfile(total, memTotal, 0)
-		n := newNaiveVec(total, memTotal, 0, horizon)
+		o := &oracle.Profile{Procs: total, Mem: memTotal}
 		for i := 0; i < 50; i++ {
 			procs := r.Intn(total) + 1
 			mem := r.Intn(memTotal + 1) // 0 = procs-only job
 			dur := r.Int63n(120) + 1
-			after := r.Int63n(horizon / 2)
+			after := r.Int63n(750)
 			start := v.FindStart(after, dur, procs, mem)
-			if start+dur > horizon/2+horizon/4 {
-				continue // stay well inside the naive model's bounded horizon
-			}
-			if ns := n.findStart(after, dur, procs, mem, horizon); ns != start {
-				t.Fatalf("seed %d op %d: FindStart(%d,%d,%d,%d) = %d, naive %d",
-					seed, i, after, dur, procs, mem, start, ns)
+			if w := o.FindStart(after, dur, procs, mem); w != start {
+				t.Fatalf("seed %d op %d: FindStart(%d,%d,%d,%d) = %d, oracle %d",
+					seed, i, after, dur, procs, mem, start, w)
 			}
 			err := v.Reserve(start, start+dur, procs, mem)
-			ok := n.reserve(start, start+dur, procs, mem)
-			if (err == nil) != ok {
-				t.Fatalf("seed %d op %d: reserve [%d,%d)x(%d,%d): skyline %v, naive %v",
+			if ok := o.Reserve(start, start+dur, procs, mem); (err == nil) != ok {
+				t.Fatalf("seed %d op %d: reserve [%d,%d)x(%d,%d): skyline %v, oracle %v",
 					seed, i, start, start+dur, procs, mem, err, ok)
 			}
 		}
-		for tm := int64(0); tm < horizon; tm++ {
-			if a, b := v.FreeAt(tm), n.p.freeAt(tm); a != b {
-				t.Fatalf("seed %d: FreeAt(%d) = %d, naive %d", seed, tm, a, b)
-			}
-			if a, b := v.FreeMemAt(tm), n.m.freeAt(tm); a != b {
-				t.Fatalf("seed %d: FreeMemAt(%d) = %d, naive %d", seed, tm, a, b)
-			}
-		}
+		checkSkyline(t, fmt.Sprintf("seed %d procs", seed), &v.p, o, false)
+		checkSkyline(t, fmt.Sprintf("seed %d mem", seed), &v.m, o, true)
 	}
 }
 

@@ -135,7 +135,7 @@ func TestRecordedDecisionFootprint(t *testing.T) {
 	runner := job(1, 0, 5000, 5000, 24)
 	const runs = 200
 
-	measure := func(maxObs int) (bytes, allocs float64, step ppo.Step) {
+	measureOnce := func(maxObs int) (bytes, allocs float64, step ppo.Step) {
 		a := NewAgent(ObsConfig{MaxObs: maxObs, SkipAction: true}, NetworkSpec{}, backfill.RequestTime{}, 7)
 		w := a.CloneForRollout(stats.NewRNG(3), -2)
 		w.rec.steps = make([]ppo.Step, 0, runs+1)
@@ -149,6 +149,7 @@ func TestRecordedDecisionFootprint(t *testing.T) {
 		reset()
 		w.Backfill(st, head, queue) // warm remaining/reservation scratch
 		var m0, m1 runtime.MemStats
+		runtime.GC() // settle the collector's own work before the window opens
 		runtime.ReadMemStats(&m0)
 		allocs = testing.AllocsPerRun(runs-1, func() { // runs calls, counting its own warm-up
 			reset()
@@ -159,6 +160,16 @@ func TestRecordedDecisionFootprint(t *testing.T) {
 			t.Fatalf("MaxObs %d: %d decisions recorded over %d calls, fixture wants one each", maxObs, got, runs)
 		}
 		return float64(m1.TotalAlloc-m0.TotalAlloc) / runs, allocs, w.rec.steps[runs]
+	}
+	// Background allocations (the runtime's, the race detector's) only ever
+	// add to a window, so the least of three is the decision's own cost.
+	measure := func(maxObs int) (bytes, allocs float64, step ppo.Step) {
+		bytes, allocs = math.Inf(1), math.Inf(1)
+		for attempt := 0; attempt < 3; attempt++ {
+			b, n, s := measureOnce(maxObs)
+			bytes, allocs, step = min(bytes, b), min(allocs, n), s
+		}
+		return bytes, allocs, step
 	}
 
 	small, smallAllocs, _ := measure(16)

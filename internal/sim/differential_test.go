@@ -1,457 +1,83 @@
 package sim
 
-// This file pins the scheduling kernel's behaviour: the optimised engine
-// (incrementally sorted queue, binary-search removal, incrementally
-// maintained running set, scratch-buffer backfillers) must produce schedules
-// bit-identical to the original naive kernel (full stable re-sort at every
-// event, linear-scan removal, rebuild-and-sort running set, allocate-per-call
-// backfillers). The reference implementations below are verbatim copies of
-// that original code, kept only here as the golden model.
+// This file pins the engine against internal/oracle, the naive per-event-time
+// reference simulator: every replay below runs through both and must produce
+// the same records (same jobs, same starts, same ends, in the same order).
+// The classic kernel is the zero-scenario row on memless traces; the enriched
+// rows add memory vectors, priority tiers and aging.
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/backfill"
-	"repro/internal/cluster"
-	"repro/internal/eventq"
 	"repro/internal/metrics"
+	"repro/internal/oracle"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-// ---- reference kernel (the pre-optimisation engine, verbatim) ----
-
-type refEngine struct {
-	policy     sched.Policy
-	backfiller backfill.Backfiller
-	procs      int
-	clock      int64
-	cluster    *cluster.Cluster
-	events     eventq.Queue
-	queue      []*trace.Job
-	running    map[int]backfill.Running
-	records    []metrics.Record
-	journal    backfill.Journal // never opened: the reference keeps no journal
+// bfPair is one backfilling strategy in both implementations. heavy marks the
+// profile-based strategies, whose oracle is O(n^2) or worse per event.
+type bfPair struct {
+	name  string
+	heavy bool
+	est   backfill.Estimator
+	ref   oracle.Backfiller
+	opt   func(scn sched.Scenario) backfill.Backfiller
 }
 
-func newRefEngine(t *trace.Trace, p sched.Policy, bf backfill.Backfiller) *refEngine {
-	e := &refEngine{
-		policy:     p,
-		backfiller: bf,
-		procs:      t.Procs,
-		cluster:    cluster.New(t.Procs),
-		running:    make(map[int]backfill.Running),
+func bfPairs() []bfPair {
+	rt, ar := backfill.RequestTime{}, backfill.ActualRuntime{}
+	easy := func(est backfill.Estimator, order backfill.CandidateOrder) func(sched.Scenario) backfill.Backfiller {
+		return func(scn sched.Scenario) backfill.Backfiller { return &backfill.EASY{Est: est, Order: order, Scn: scn} }
 	}
-	for _, j := range t.Jobs {
-		e.events.Push(eventq.Event{Time: j.Submit, Kind: eventq.Arrive, Payload: j})
-	}
-	return e
-}
-
-func (e *refEngine) run() []metrics.Record {
-	for {
-		ev, ok := e.events.Pop()
-		if !ok {
-			return e.records
-		}
-		e.clock = ev.Time
-		e.apply(ev)
-		for {
-			next, ok := e.events.Peek()
-			if !ok || next.Time != e.clock {
-				break
-			}
-			ev, _ = e.events.Pop()
-			e.apply(ev)
-		}
-		e.schedule()
+	return []bfPair{
+		{name: "none", est: rt, opt: func(sched.Scenario) backfill.Backfiller { return nil }},
+		{name: "easy-rt", est: rt, ref: oracle.EASY(false), opt: easy(rt, backfill.PolicyOrder)},
+		{name: "easy-ar", est: ar, ref: oracle.EASY(false), opt: easy(ar, backfill.PolicyOrder)},
+		{name: "easy-rt-sjf", est: rt, ref: oracle.EASY(true), opt: easy(rt, backfill.SJFOrder)},
+		{name: "cons-rt", heavy: true, est: rt, ref: oracle.Conservative(),
+			opt: func(sched.Scenario) backfill.Backfiller { return backfill.NewConservative(rt) }},
+		{name: "slack-rt", heavy: true, est: rt, ref: oracle.Slack(0.5),
+			opt: func(scn sched.Scenario) backfill.Backfiller {
+				s := backfill.NewSlack(rt)
+				s.Scn = scn
+				return s
+			}},
 	}
 }
 
-func (e *refEngine) apply(ev eventq.Event) {
-	switch ev.Kind {
-	case eventq.Arrive:
-		e.queue = append(e.queue, ev.Payload.(*trace.Job))
-	case eventq.Finish:
-		j := ev.Payload.(*trace.Job)
-		if err := e.cluster.Release(j.ID); err != nil {
-			panic(err)
-		}
-		delete(e.running, j.ID)
-	}
+// diffRow is one row of the differential table: every trace replayed under
+// every scenario x policy x backfiller. The profile-based backfillers replay
+// only the first heavyJobs jobs of each trace when heavyJobs > 0.
+type diffRow struct {
+	traces    []*trace.Trace
+	scenarios []sched.Scenario
+	policies  []sched.Policy
+	heavyJobs int
 }
 
-// refSort is the original comparator sort: Score is recomputed inside the
-// comparator O(n log n) times per event.
-func refSort(jobs []*trace.Job, p sched.Policy, now int64) {
-	sort.SliceStable(jobs, func(a, b int) bool {
-		sa, sb := p.Score(jobs[a], now), p.Score(jobs[b], now)
-		if sa != sb {
-			return sa < sb
-		}
-		if jobs[a].Submit != jobs[b].Submit {
-			return jobs[a].Submit < jobs[b].Submit
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-}
-
-func (e *refEngine) schedule() {
-	if len(e.queue) == 0 {
-		return
-	}
-	refSort(e.queue, e.policy, e.clock)
-	for len(e.queue) > 0 && e.cluster.Fits(e.queue[0].Procs) {
-		e.StartJob(e.queue[0])
-	}
-	if len(e.queue) == 0 || e.backfiller == nil {
-		return
-	}
-	head := e.queue[0]
-	rest := append([]*trace.Job(nil), e.queue[1:]...)
-	e.backfiller.Backfill(e, head, rest)
-}
-
-func (e *refEngine) Now() int64      { return e.clock }
-func (e *refEngine) FreeProcs() int  { return e.cluster.Free() }
-func (e *refEngine) TotalProcs() int { return e.procs }
-
-func (e *refEngine) Running() []backfill.Running {
-	rs := make([]backfill.Running, 0, len(e.running))
-	for _, r := range e.running {
-		rs = append(rs, r)
-	}
-	sort.Slice(rs, func(a, b int) bool { return rs[a].Job.ID < rs[b].Job.ID })
-	return rs
-}
-
-func (e *refEngine) Journal() *backfill.Journal { return &e.journal }
-
-func (e *refEngine) StartJob(j *trace.Job) {
-	if err := e.cluster.Alloc(j.ID, j.Procs); err != nil {
-		panic(err)
-	}
-	removed := false
-	for i, q := range e.queue {
-		if q == j {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			removed = true
-			break
-		}
-	}
-	if !removed {
-		panic("ref: job started but not in queue")
-	}
-	run := j.Runtime
-	if j.Request > 0 && run > j.Request {
-		run = j.Request
-	}
-	e.running[j.ID] = backfill.Running{Job: j, Start: e.clock}
-	e.events.Push(eventq.Event{Time: e.clock + run, Kind: eventq.Finish, Payload: j})
-	e.records = append(e.records, metrics.Record{Job: j, Start: e.clock, End: e.clock + run})
-}
-
-// ---- reference backfillers (pre-optimisation, verbatim) ----
-
-func refComputeReservation(st backfill.State, head *trace.Job, est backfill.Estimator) backfill.Reservation {
-	free := st.FreeProcs()
-	if free >= head.Procs {
-		return backfill.Reservation{Shadow: st.Now(), Extra: free - head.Procs}
-	}
-	running := append([]backfill.Running(nil), st.Running()...)
-	sort.Slice(running, func(a, b int) bool {
-		ea := running[a].Start + est.Estimate(running[a].Job)
-		eb := running[b].Start + est.Estimate(running[b].Job)
-		if ea != eb {
-			return ea < eb
-		}
-		return running[a].Job.ID < running[b].Job.ID
-	})
-	avail := free
-	for _, r := range running {
-		avail += r.Job.Procs
-		if avail >= head.Procs {
-			end := r.Start + est.Estimate(r.Job)
-			if end < st.Now() {
-				end = st.Now()
-			}
-			return backfill.Reservation{Shadow: end, Extra: avail - head.Procs}
-		}
-	}
-	return backfill.Reservation{Shadow: st.Now(), Extra: 0}
-}
-
-type refEASY struct {
-	est      backfill.Estimator
-	sjfOrder bool
-}
-
-func (e *refEASY) Name() string { return "ref-easy" }
-
-func (e *refEASY) Backfill(st backfill.State, head *trace.Job, queue []*trace.Job) {
-	res := refComputeReservation(st, head, e.est)
-	now := st.Now()
-	free := st.FreeProcs()
-	extra := res.Extra
-
-	cands := queue
-	if e.sjfOrder {
-		cands = append([]*trace.Job(nil), queue...)
-		sort.SliceStable(cands, func(a, b int) bool {
-			ea, eb := e.est.Estimate(cands[a]), e.est.Estimate(cands[b])
-			if ea != eb {
-				return ea < eb
-			}
-			return cands[a].ID < cands[b].ID
-		})
-	}
-
-	for _, j := range cands {
-		if j.Procs > free {
-			continue
-		}
-		endsByShadow := now+e.est.Estimate(j) <= res.Shadow
-		usesExtraOnly := j.Procs <= extra
-		if !endsByShadow && !usesExtraOnly {
-			continue
-		}
-		st.StartJob(j)
-		free -= j.Procs
-		if !endsByShadow {
-			extra -= j.Procs
-		}
-		if free == 0 {
-			return
-		}
-	}
-}
-
-type refConservative struct {
-	est backfill.Estimator
-}
-
-func (c *refConservative) Name() string { return "ref-cons" }
-
-func (c *refConservative) Backfill(st backfill.State, head *trace.Job, queue []*trace.Job) {
-	for {
-		started := c.backfillOne(st, head, queue)
-		if started == nil {
-			return
-		}
-		out := queue[:0]
-		for _, j := range queue {
-			if j != started {
-				out = append(out, j)
+func runDiffRow(t *testing.T, row diffRow) {
+	t.Helper()
+	for _, tr := range row.traces {
+		for _, scn := range row.scenarios {
+			for _, p := range row.policies {
+				for _, pair := range bfPairs() {
+					run := tr.Clone()
+					if pair.heavy && row.heavyJobs > 0 && len(run.Jobs) > row.heavyJobs {
+						run.Jobs = run.Jobs[:row.heavyJobs]
+					}
+					label := tr.Name + "/" + p.Name() + "/" + pair.name + "/" + scnLabel(scn)
+					want := oracle.Run(run.Clone(), p, scn, pair.est.Estimate, pair.ref)
+					res, err := Run(run, Config{Policy: p, Scenario: scn, Backfiller: pair.opt(scn)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					diffRecords(t, label, want, res.Records)
+				}
 			}
 		}
-		queue = out
-	}
-}
-
-func (c *refConservative) backfillOne(st backfill.State, head *trace.Job, queue []*trace.Job) *trace.Job {
-	now := st.Now()
-
-	reserve := func(p *cluster.Profile, skip *trace.Job) bool {
-		jobs := append([]*trace.Job{head}, queue...)
-		for _, j := range jobs {
-			if j == skip {
-				continue
-			}
-			dur := c.est.Estimate(j)
-			start := p.FindStart(now, dur, j.Procs)
-			if err := p.Reserve(start, start+dur, j.Procs); err != nil {
-				return false
-			}
-		}
-		return true
-	}
-
-	baseline := c.profile(st, now)
-	if !reserve(baseline, nil) {
-		return nil
-	}
-	starts := c.reservationStarts(st, now, head, queue)
-
-	for _, j := range queue {
-		if j.Procs > st.FreeProcs() {
-			continue
-		}
-		p := c.profile(st, now)
-		dur := c.est.Estimate(j)
-		if p.MinFree(now, now+dur) < j.Procs {
-			continue
-		}
-		if err := p.Reserve(now, now+dur, j.Procs); err != nil {
-			continue
-		}
-		ok := true
-		jobs := append([]*trace.Job{head}, queue...)
-		for _, o := range jobs {
-			if o == j {
-				continue
-			}
-			odur := c.est.Estimate(o)
-			s := p.FindStart(now, odur, o.Procs)
-			if err := p.Reserve(s, s+odur, o.Procs); err != nil {
-				ok = false
-				break
-			}
-			if s > starts[o.ID] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			st.StartJob(j)
-			return j
-		}
-	}
-	return nil
-}
-
-func (c *refConservative) profile(st backfill.State, now int64) *cluster.Profile {
-	p := cluster.NewProfile(st.TotalProcs(), now)
-	for _, r := range st.Running() {
-		end := r.Start + c.est.Estimate(r.Job)
-		if end <= now {
-			end = now + 1
-		}
-		_ = p.Reserve(now, end, r.Job.Procs)
-	}
-	return p
-}
-
-func (c *refConservative) reservationStarts(st backfill.State, now int64, head *trace.Job, queue []*trace.Job) map[int]int64 {
-	p := c.profile(st, now)
-	starts := make(map[int]int64, len(queue)+1)
-	for _, j := range append([]*trace.Job{head}, queue...) {
-		dur := c.est.Estimate(j)
-		s := p.FindStart(now, dur, j.Procs)
-		_ = p.Reserve(s, s+dur, j.Procs)
-		starts[j.ID] = s
-	}
-	return starts
-}
-
-type refSlack struct {
-	est    backfill.Estimator
-	factor float64
-}
-
-func (s *refSlack) Name() string { return "ref-slack" }
-
-func (s *refSlack) Backfill(st backfill.State, head *trace.Job, queue []*trace.Job) {
-	for {
-		started := s.backfillOne(st, head, queue)
-		if started == nil {
-			return
-		}
-		out := queue[:0]
-		for _, j := range queue {
-			if j != started {
-				out = append(out, j)
-			}
-		}
-		queue = out
-	}
-}
-
-func (s *refSlack) backfillOne(st backfill.State, head *trace.Job, queue []*trace.Job) *trace.Job {
-	now := st.Now()
-	baseStarts := s.reservationStarts(st, now, head, queue, nil)
-
-	for _, cand := range queue {
-		if cand.Procs > st.FreeProcs() {
-			continue
-		}
-		newStarts := s.reservationStarts(st, now, head, queue, cand)
-		if newStarts == nil {
-			continue
-		}
-		ok := true
-		for _, o := range append([]*trace.Job{head}, queue...) {
-			if o == cand {
-				continue
-			}
-			allowed := baseStarts[o.ID]
-			if o != head {
-				allowed += int64(s.factor * float64(s.est.Estimate(o)))
-			}
-			if newStarts[o.ID] > allowed {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			st.StartJob(cand)
-			return cand
-		}
-	}
-	return nil
-}
-
-func (s *refSlack) reservationStarts(st backfill.State, now int64, head *trace.Job, queue []*trace.Job, runNow *trace.Job) map[int]int64 {
-	p := cluster.NewProfile(st.TotalProcs(), now)
-	for _, r := range st.Running() {
-		end := r.Start + s.est.Estimate(r.Job)
-		if end <= now {
-			end = now + 1
-		}
-		_ = p.Reserve(now, end, r.Job.Procs)
-	}
-	if runNow != nil {
-		dur := s.est.Estimate(runNow)
-		if p.MinFree(now, now+dur) < runNow.Procs {
-			return nil
-		}
-		if err := p.Reserve(now, now+dur, runNow.Procs); err != nil {
-			return nil
-		}
-	}
-	starts := make(map[int]int64, len(queue)+1)
-	for _, j := range append([]*trace.Job{head}, queue...) {
-		if j == runNow {
-			continue
-		}
-		dur := s.est.Estimate(j)
-		start := p.FindStart(now, dur, j.Procs)
-		_ = p.Reserve(start, start+dur, j.Procs)
-		starts[j.ID] = start
-	}
-	return starts
-}
-
-// ---- the differential test itself ----
-
-// backfillPair yields a freshly constructed (reference, optimised)
-// backfiller pair per call: backfillers carry scratch state, so each replay
-// gets its own instances.
-type backfillPair struct {
-	name string
-	mk   func() (ref backfill.Backfiller, opt backfill.Backfiller)
-}
-
-func backfillPairs() []backfillPair {
-	return []backfillPair{
-		{"none", func() (backfill.Backfiller, backfill.Backfiller) { return nil, nil }},
-		{"easy-rt", func() (backfill.Backfiller, backfill.Backfiller) {
-			return &refEASY{est: backfill.RequestTime{}}, backfill.NewEASY(backfill.RequestTime{})
-		}},
-		{"easy-ar", func() (backfill.Backfiller, backfill.Backfiller) {
-			return &refEASY{est: backfill.ActualRuntime{}}, backfill.NewEASY(backfill.ActualRuntime{})
-		}},
-		{"easy-rt-sjf", func() (backfill.Backfiller, backfill.Backfiller) {
-			return &refEASY{est: backfill.RequestTime{}, sjfOrder: true},
-				&backfill.EASY{Est: backfill.RequestTime{}, Order: backfill.SJFOrder}
-		}},
-		{"cons-rt", func() (backfill.Backfiller, backfill.Backfiller) {
-			return &refConservative{est: backfill.RequestTime{}}, backfill.NewConservative(backfill.RequestTime{})
-		}},
-		{"slack-rt", func() (backfill.Backfiller, backfill.Backfiller) {
-			return &refSlack{est: backfill.RequestTime{}, factor: 0.5}, backfill.NewSlack(backfill.RequestTime{})
-		}},
 	}
 }
 
@@ -469,75 +95,117 @@ func diffRecords(t *testing.T, label string, want, got []metrics.Record) {
 	}
 }
 
-// TestKernelDifferential replays traces under the original and the optimised
-// kernels for every Table 3 policy and every backfilling strategy, and
-// requires bit-identical schedules (same jobs, same starts, same ends, in
-// the same record order).
-func TestKernelDifferential(t *testing.T) {
-	traces := []*trace.Trace{
-		trace.SyntheticSDSCSP2(400, 7),
-		trace.SyntheticHPC2N(300, 13),
+func scnLabel(s sched.Scenario) string {
+	switch {
+	case s.Priorities && s.Aging():
+		return "pri+aging"
+	case s.Priorities:
+		return "pri"
+	case s.Aging():
+		return "aging"
 	}
-	for _, tr := range traces {
-		for _, p := range sched.All() {
-			for _, pair := range backfillPairs() {
-				label := tr.Name + "/" + p.Name() + "/" + pair.name
-				if pair.name == "cons-rt" || pair.name == "slack-rt" {
-					// Profile-based strategies are O(n^2) per event; keep the
-					// differential run fast with a truncated trace.
-					short := tr.Clone()
-					short.Jobs = short.Jobs[:120]
-					refBF, optBF := pair.mk()
-					want := newRefEngine(short.Clone(), p, refBF).run()
-					res, err := Run(short.Clone(), Config{Policy: p, Backfiller: optBF})
-					if err != nil {
-						t.Fatal(err)
-					}
-					diffRecords(t, label, want, res.Records)
-					continue
-				}
-				refBF, optBF := pair.mk()
-				want := newRefEngine(tr.Clone(), p, refBF).run()
-				res, err := Run(tr.Clone(), Config{Policy: p, Backfiller: optBF})
-				if err != nil {
-					t.Fatal(err)
-				}
-				diffRecords(t, label, want, res.Records)
-			}
+	return "off"
+}
+
+func mustEnrich(t *testing.T, tr *trace.Trace, spec trace.EnrichSpec) *trace.Trace {
+	t.Helper()
+	out, err := trace.Enrich(tr, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// randomTrace is a small bursty trace: a third of the jobs share a submit
+// time, so queues run deep and many events land on one instant. With
+// enriched set, half the machines get a memory dimension and every job a
+// random tier.
+func randomTrace(seed uint64, name string, maxJobs int, enriched bool) (*trace.Trace, *stats.RNG) {
+	r := stats.NewRNG(seed)
+	procs := []int{8, 32, 100}[r.Intn(3)]
+	n := r.Intn(maxJobs) + 10
+	tr := &trace.Trace{Name: name, Procs: procs}
+	if enriched && r.Intn(2) == 0 {
+		tr.Mem = procs * 100
+	}
+	var submit int64
+	for i := 0; i < n; i++ {
+		if r.Intn(3) > 0 {
+			submit += r.Int63n(150)
 		}
+		run := r.Int63n(500) + 1
+		req := run + r.Int63n(500)
+		j := &trace.Job{ID: i + 1, Submit: submit, Runtime: run, Request: req, Procs: r.Intn(procs) + 1}
+		if enriched {
+			j.Priority = r.Intn(3)
+		}
+		if tr.Mem > 0 {
+			j.Mem = r.Intn(tr.Mem) + 1
+		}
+		tr.Jobs = append(tr.Jobs, j)
+	}
+	return tr, r
+}
+
+// TestKernelDifferential is the classic kernel's row: memless traces, the
+// zero scenario, every Table 3 policy and every backfilling strategy.
+func TestKernelDifferential(t *testing.T) {
+	runDiffRow(t, diffRow{
+		traces:    []*trace.Trace{trace.SyntheticSDSCSP2(400, 7), trace.SyntheticHPC2N(300, 13)},
+		scenarios: []sched.Scenario{{}},
+		policies:  sched.All(),
+		heavyJobs: 120,
+	})
+}
+
+// TestKernelDifferentialRandom fuzzes the kernel row over random bursty
+// traces, where incremental queue and running-set maintenance could diverge.
+func TestKernelDifferentialRandom(t *testing.T) {
+	for seed := uint64(1); seed <= 12; seed++ {
+		tr, _ := randomTrace(seed, "fuzz", 80, false)
+		runDiffRow(t, diffRow{traces: []*trace.Trace{tr}, scenarios: []sched.Scenario{{}}, policies: sched.All()})
 	}
 }
 
-// TestKernelDifferentialRandom fuzzes the comparison over random small
-// traces: bursty arrivals force deep queues and many same-timestamp event
-// batches, which is where incremental maintenance could diverge.
-func TestKernelDifferentialRandom(t *testing.T) {
-	for seed := uint64(1); seed <= 12; seed++ {
-		r := stats.NewRNG(seed)
-		procs := []int{8, 32, 100}[r.Intn(3)]
-		n := r.Intn(80) + 10
-		tr := &trace.Trace{Name: "fuzz", Procs: procs}
-		var submit int64
-		for i := 0; i < n; i++ {
-			if r.Intn(3) > 0 { // bursts: 1/3 of jobs share a submit time
-				submit += r.Int63n(150)
-			}
-			run := r.Int63n(500) + 1
-			req := run + r.Int63n(500)
-			tr.Jobs = append(tr.Jobs, &trace.Job{
-				ID: i + 1, Submit: submit, Runtime: run, Request: req, Procs: r.Intn(procs) + 1,
-			})
-		}
-		for _, p := range sched.All() {
-			for _, pair := range backfillPairs() {
-				refBF, optBF := pair.mk()
-				want := newRefEngine(tr.Clone(), p, refBF).run()
-				res, err := Run(tr.Clone(), Config{Policy: p, Backfiller: optBF})
-				if err != nil {
-					t.Fatal(err)
-				}
-				diffRecords(t, p.Name()+"/"+pair.name, want, res.Records)
-			}
-		}
+// TestScenarioDifferential replays enriched traces (memory vectors, priority
+// tiers) under every scenario. The zero scenario on an enriched trace
+// exercises the memory dimension alone; the others layer tiers and aging on
+// top.
+func TestScenarioDifferential(t *testing.T) {
+	runDiffRow(t, diffRow{
+		traces: []*trace.Trace{
+			// Memory + tiers: the full scenario surface.
+			mustEnrich(t, trace.SyntheticSDSCSP2(260, 7),
+				trace.EnrichSpec{MemDist: trace.MemDistProp, PriorityTiers: 3, Seed: 11}),
+			// Anti-correlated memory, no tiers: memory pressure alone.
+			mustEnrich(t, trace.SyntheticHPC2N(220, 13),
+				trace.EnrichSpec{MemDist: trace.MemDistUniform, Seed: 17}),
+			// Tiers only, no memory: priority ordering on the scalar machine.
+			mustEnrich(t, trace.SyntheticSDSCSP2(200, 21),
+				trace.EnrichSpec{PriorityTiers: 4, Seed: 23}),
+		},
+		scenarios: []sched.Scenario{
+			{},
+			{Priorities: true},
+			{StarvationBound: 2},
+			{Priorities: true, StarvationBound: 4},
+		},
+		policies:  []sched.Policy{sched.FCFS{}, sched.WFP3{}},
+		heavyJobs: 100,
+	})
+}
+
+// TestScenarioDifferentialRandom fuzzes the enriched rows over random bursty
+// traces with random memory demands, tiers and scenario: starvation
+// transitions land between events.
+func TestScenarioDifferentialRandom(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		tr, r := randomTrace(seed, "fuzz-scn", 60, true)
+		scn := sched.Scenario{Priorities: r.Intn(2) == 0, StarvationBound: float64(r.Intn(3))}
+		runDiffRow(t, diffRow{
+			traces:    []*trace.Trace{tr},
+			scenarios: []sched.Scenario{scn},
+			policies:  []sched.Policy{sched.FCFS{}, sched.SJF{}, sched.WFP3{}},
+		})
 	}
 }

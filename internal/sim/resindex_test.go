@@ -1,57 +1,30 @@
 package sim
 
 import (
-	"sort"
 	"testing"
 
 	"repro/internal/backfill"
+	"repro/internal/oracle"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
-// refReservationMem is refComputeReservation with the memory dimension: the
-// stateless sort-per-call model the reservation index must equal.
-func refReservationMem(st backfill.State, head *trace.Job, est backfill.Estimator) backfill.Reservation {
-	free := st.FreeProcs()
-	memFree, memTotal := backfill.MemOf(st)
-	mem := func(j *trace.Job) int {
-		if memTotal == 0 {
-			return 0
-		}
-		return j.Mem
+// oracleReservation asks internal/oracle for the job's EASY reservation on
+// the state's machine: a fresh sort of the running set, nothing cached.
+func oracleReservation(st backfill.State, j *trace.Job, est backfill.Estimator) backfill.Reservation {
+	m := oracle.Machine{Now: st.Now(), Procs: st.TotalProcs(), FreeProcs: st.FreeProcs(), Est: est.Estimate}
+	m.FreeMem, m.Mem = backfill.MemOf(st)
+	for _, r := range st.Running() {
+		m.Running = append(m.Running, oracle.Running{Job: r.Job, Start: r.Start})
 	}
-	if free >= head.Procs && memFree >= mem(head) {
-		return backfill.Reservation{Shadow: st.Now(), Extra: free - head.Procs, ExtraMem: memFree - mem(head)}
-	}
-	running := append([]backfill.Running(nil), st.Running()...)
-	sort.Slice(running, func(a, b int) bool {
-		ea := running[a].Start + est.Estimate(running[a].Job)
-		eb := running[b].Start + est.Estimate(running[b].Job)
-		if ea != eb {
-			return ea < eb
-		}
-		return running[a].Job.ID < running[b].Job.ID
-	})
-	avail, availMem := free, memFree
-	for _, r := range running {
-		avail += r.Job.Procs
-		availMem += mem(r.Job)
-		if avail >= head.Procs && availMem >= mem(head) {
-			end := r.Start + est.Estimate(r.Job)
-			if end < st.Now() {
-				end = st.Now()
-			}
-			return backfill.Reservation{Shadow: end, Extra: avail - head.Procs, ExtraMem: availMem - mem(head)}
-		}
-	}
-	return backfill.Reservation{Shadow: st.Now(), Extra: 0}
+	return backfill.Reservation(m.Reservation(j))
 }
 
 // indexChecker is EASY with a second, long-lived reservation index beside
 // it: before and after every round it asks the index for the head's and a
-// few queued jobs' reservations and requires each to equal the stateless
-// reference. It deliberately does not implement Cloneable, and one checker
-// is carried from engine to engine.
+// few queued jobs' reservations and requires each to equal the oracle's. It
+// deliberately does not implement Cloneable, and one checker is carried from
+// engine to engine.
 type indexChecker struct {
 	t       *testing.T
 	label   string
@@ -75,9 +48,9 @@ func (c *indexChecker) Backfill(st backfill.State, head *trace.Job, queue []*tra
 }
 
 func (c *indexChecker) check(st backfill.State, j *trace.Job) {
-	got, want := c.res.Compute(st, j, c.est), refReservationMem(st, j, c.est)
+	got, want := c.res.Compute(st, j, c.est), oracleReservation(st, j, c.est)
 	if got != want {
-		c.t.Fatalf("%s: round %d at t=%d, job %d, %d running: index %+v, reference %+v",
+		c.t.Fatalf("%s: round %d at t=%d, job %d, %d running: index %+v, oracle %+v",
 			c.label, c.rounds, st.Now(), j.ID, len(st.Running()), got, want)
 	}
 	if j.Procs > st.FreeProcs() {
@@ -92,8 +65,8 @@ func (c *indexChecker) check(st backfill.State, j *trace.Job) {
 // the IDs, a snapshot restore, a live engine fed by Inject and thinned by
 // Cancel, and a replay during which the index lags until its journal
 // entries are dropped — with and without the memory dimension and under an
-// estimator that underestimates, and must agree with the stateless
-// reference on every reservation.
+// estimator that underestimates, and must agree with the oracle on every
+// reservation.
 func TestReservationIndexDifferential(t *testing.T) {
 	plain := trace.SyntheticSDSCSP2(500, 3)
 	withMem := mustEnrich(t, trace.SyntheticSDSCSP2(500, 5), trace.EnrichSpec{MemDist: trace.MemDistProp, Seed: 11})

@@ -1,642 +1,13 @@
 package sim
 
 import (
-	"math"
 	"sort"
 	"testing"
 
-	"repro/internal/backfill"
-	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
-
-// This file pins the enriched scenario semantics (resource vectors, priority
-// tiers, aging-based starvation bounds) against a naive per-event-time
-// reference simulator, the same way differential_test.go pins the classic
-// kernel. The reference makes every decision from first principles at each
-// event instant: a full stable sort of the queue by Scenario.Less, plain
-// free-processor/free-memory counters, and — for the profile-based
-// backfillers — a reservation-list availability model whose feasibility
-// checks scan every reservation. Nothing is incremental, so any divergence
-// points at the optimised engine's bookkeeping.
-
-// scnProf is a naive two-dimensional availability profile: a flat list of
-// reservations, with feasibility decided by scanning all of them at every
-// boundary instant. It mirrors cluster.VecProfile's semantics (FindStart
-// returns the earliest feasible start, both dimensions jointly) at O(n^2)
-// cost.
-type scnProf struct {
-	total, memTotal int
-	res             []scnRes
-}
-
-type scnRes struct {
-	start, end int64
-	procs, mem int
-}
-
-func (p *scnProf) clone() *scnProf {
-	return &scnProf{total: p.total, memTotal: p.memTotal, res: append([]scnRes(nil), p.res...)}
-}
-
-func (p *scnProf) add(start, end int64, procs, mem int) {
-	p.res = append(p.res, scnRes{start, end, procs, mem})
-}
-
-// freeAt scans every reservation overlapping instant t.
-func (p *scnProf) freeAt(t int64) (int, int) {
-	fp, fm := p.total, p.memTotal
-	for _, r := range p.res {
-		if r.start <= t && t < r.end {
-			fp -= r.procs
-			fm -= r.mem
-		}
-	}
-	return fp, fm
-}
-
-// fits checks both dimensions at the window start and at every reservation
-// boundary strictly inside the window (the free functions are piecewise
-// constant between boundaries).
-func (p *scnProf) fits(start, end int64, procs, mem int) bool {
-	if fp, fm := p.freeAt(start); fp < procs || fm < mem {
-		return false
-	}
-	for _, r := range p.res {
-		for _, t := range [2]int64{r.start, r.end} {
-			if t > start && t < end {
-				if fp, fm := p.freeAt(t); fp < procs || fm < mem {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// findStart returns the earliest t >= after with [t, t+dur) jointly feasible.
-// Candidate starts are `after` and every reservation end beyond it: free
-// resources only increase at reservation ends, so the earliest feasible start
-// is always one of those instants.
-func (p *scnProf) findStart(after, dur int64, procs, mem int) int64 {
-	cands := []int64{after}
-	for _, r := range p.res {
-		if r.end > after {
-			cands = append(cands, r.end)
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a] < cands[b] })
-	for _, c := range cands {
-		if p.fits(c, c+dur, procs, mem) {
-			return c
-		}
-	}
-	// Unreachable for valid inputs: the instant past the last reservation is
-	// an empty machine.
-	return cands[len(cands)-1]
-}
-
-// scnRefBF is a reference backfiller: invoked with the (already sorted) head
-// and rest of the queue, it may start jobs via e.start.
-type scnRefBF func(e *scnRefEngine, head *trace.Job, queue []*trace.Job)
-
-// scnRefRun is one executing job in the reference engine.
-type scnRefRun struct {
-	job        *trace.Job
-	start, end int64
-}
-
-// scnRefEngine is the naive scenario reference simulator. It advances to the
-// next event instant (arrival, completion, or a queued job's starvation
-// transition), applies completions before arrivals, and runs one scheduling
-// pass with a full scenario sort.
-type scnRefEngine struct {
-	policy sched.Policy
-	scn    sched.Scenario
-	est    backfill.Estimator
-	bf     scnRefBF
-
-	totalProcs, totalMem int
-	freeProcs, freeMem   int
-	clock                int64
-
-	pending []*trace.Job // submit-sorted, not yet arrived
-	pi      int
-	queue   []*trace.Job
-	running []scnRefRun
-	// wakes mirrors the engine's Wake events one-for-one: a job's starvation
-	// instant is recorded at arrival and the reference wakes at it even if
-	// the job has long started, because the optimised engine's stale Wake
-	// events also trigger a scheduling pass at that instant.
-	wakes   []int64
-	records []metrics.Record
-}
-
-func newScnRef(t *trace.Trace, p sched.Policy, scn sched.Scenario, est backfill.Estimator, bf scnRefBF) *scnRefEngine {
-	return &scnRefEngine{
-		policy: p, scn: scn, est: est, bf: bf,
-		totalProcs: t.Procs, totalMem: t.Mem,
-		freeProcs: t.Procs, freeMem: t.Mem,
-		pending: t.Jobs,
-	}
-}
-
-// mem is the job's effective memory demand: zero whenever the machine has no
-// memory dimension, matching backfill.memDemand.
-func (e *scnRefEngine) mem(j *trace.Job) int {
-	if e.totalMem == 0 {
-		return 0
-	}
-	return j.Mem
-}
-
-func (e *scnRefEngine) run() []metrics.Record {
-	for {
-		next := int64(math.MaxInt64)
-		if e.pi < len(e.pending) {
-			next = e.pending[e.pi].Submit
-		}
-		for _, r := range e.running {
-			if r.end < next {
-				next = r.end
-			}
-		}
-		for _, w := range e.wakes {
-			if w > e.clock && w < next {
-				next = w
-			}
-		}
-		if next == math.MaxInt64 {
-			return e.records
-		}
-		e.clock = next
-		// Completions before arrivals at the same instant, all drained before
-		// the single scheduling pass — the engine's Step ordering.
-		keep := e.running[:0]
-		for _, r := range e.running {
-			if r.end == e.clock {
-				e.freeProcs += r.job.Procs
-				e.freeMem += e.mem(r.job)
-			} else {
-				keep = append(keep, r)
-			}
-		}
-		e.running = keep
-		for e.pi < len(e.pending) && e.pending[e.pi].Submit == e.clock {
-			j := e.pending[e.pi]
-			e.queue = append(e.queue, j)
-			if e.scn.Aging() {
-				if sa := e.scn.StarvesAt(j); sa > e.clock && sa != math.MaxInt64 {
-					e.wakes = append(e.wakes, sa)
-				}
-			}
-			e.pi++
-		}
-		kw := e.wakes[:0]
-		for _, w := range e.wakes {
-			if w > e.clock {
-				kw = append(kw, w)
-			}
-		}
-		e.wakes = kw
-		e.schedule()
-	}
-}
-
-func (e *scnRefEngine) schedule() {
-	if len(e.queue) == 0 {
-		return
-	}
-	now := e.clock
-	sort.SliceStable(e.queue, func(a, b int) bool {
-		ja, jb := e.queue[a], e.queue[b]
-		return e.scn.Less(ja, jb, e.policy.Score(ja, now), e.policy.Score(jb, now), now)
-	})
-	for len(e.queue) > 0 {
-		h := e.queue[0]
-		if h.Procs > e.freeProcs || e.mem(h) > e.freeMem {
-			break
-		}
-		e.start(h)
-	}
-	if len(e.queue) == 0 || e.bf == nil {
-		return
-	}
-	head := e.queue[0]
-	rest := append([]*trace.Job(nil), e.queue[1:]...)
-	e.bf(e, head, rest)
-}
-
-func (e *scnRefEngine) start(j *trace.Job) {
-	for i, q := range e.queue {
-		if q == j {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			break
-		}
-	}
-	e.freeProcs -= j.Procs
-	e.freeMem -= e.mem(j)
-	run := j.Runtime
-	if j.Request > 0 && run > j.Request {
-		run = j.Request
-	}
-	e.running = append(e.running, scnRefRun{job: j, start: e.clock, end: e.clock + run})
-	e.records = append(e.records, metrics.Record{Job: j, Start: e.clock, End: e.clock + run})
-}
-
-// reservation recomputes a job's EASY reservation from scratch: sort the
-// running set by (estimated end, ID) and accumulate until both dimensions
-// cover the demand.
-func (e *scnRefEngine) reservation(head *trace.Job) backfill.Reservation {
-	needMem := e.mem(head)
-	if e.freeProcs >= head.Procs && e.freeMem >= needMem {
-		return backfill.Reservation{Shadow: e.clock, Extra: e.freeProcs - head.Procs, ExtraMem: e.freeMem - needMem}
-	}
-	ends := append([]scnRefRun(nil), e.running...)
-	sort.Slice(ends, func(a, b int) bool {
-		ea := ends[a].start + e.est.Estimate(ends[a].job)
-		eb := ends[b].start + e.est.Estimate(ends[b].job)
-		if ea != eb {
-			return ea < eb
-		}
-		return ends[a].job.ID < ends[b].job.ID
-	})
-	avail, availMem := e.freeProcs, e.freeMem
-	for _, r := range ends {
-		avail += r.job.Procs
-		availMem += e.mem(r.job)
-		if avail >= head.Procs && availMem >= needMem {
-			end := r.start + e.est.Estimate(r.job)
-			if end < e.clock {
-				end = e.clock
-			}
-			return backfill.Reservation{Shadow: end, Extra: avail - head.Procs, ExtraMem: availMem - needMem}
-		}
-	}
-	return backfill.Reservation{Shadow: e.clock, Extra: 0}
-}
-
-// scnRefEASY is the reference scenario-aware EASY: head reservation plus one
-// blocking reservation per starving queued job, candidates scanned in queue
-// or SJF order.
-func scnRefEASY(sjf bool) scnRefBF {
-	return func(e *scnRefEngine, head *trace.Job, queue []*trace.Job) {
-		res := e.reservation(head)
-		now := e.clock
-		free, memFree := e.freeProcs, e.freeMem
-		extra, extraMem := res.Extra, res.ExtraMem
-
-		type protection struct {
-			job *trace.Job
-			res backfill.Reservation
-		}
-		var prots []protection
-		if e.scn.Aging() {
-			for _, j := range queue {
-				if e.scn.Starving(j, now) {
-					prots = append(prots, protection{job: j, res: e.reservation(j)})
-				}
-			}
-		}
-
-		cands := append([]*trace.Job(nil), queue...)
-		if sjf {
-			scnOrder := e.scn.Enabled()
-			pri := e.scn.Priorities
-			sort.SliceStable(cands, func(a, b int) bool {
-				ja, jb := cands[a], cands[b]
-				if scnOrder {
-					as, bs := e.scn.Starving(ja, now), e.scn.Starving(jb, now)
-					if as != bs {
-						return as
-					}
-					if pri && ja.Priority != jb.Priority {
-						return ja.Priority > jb.Priority
-					}
-				}
-				ea, eb := e.est.Estimate(ja), e.est.Estimate(jb)
-				if ea != eb {
-					return ea < eb
-				}
-				return ja.ID < jb.ID
-			})
-		}
-
-		for _, j := range cands {
-			jm := e.mem(j)
-			if j.Procs > free || jm > memFree {
-				continue
-			}
-			end := now + e.est.Estimate(j)
-			endsByShadow := end <= res.Shadow
-			usesExtraOnly := j.Procs <= extra && jm <= extraMem
-			if !endsByShadow && !usesExtraOnly {
-				continue
-			}
-			clear := true
-			for pi := range prots {
-				p := &prots[pi]
-				if p.job == j {
-					continue
-				}
-				if end <= p.res.Shadow || (j.Procs <= p.res.Extra && jm <= p.res.ExtraMem) {
-					continue
-				}
-				clear = false
-				break
-			}
-			if !clear {
-				continue
-			}
-			e.start(j)
-			free -= j.Procs
-			memFree -= jm
-			if !endsByShadow {
-				extra -= j.Procs
-				extraMem -= jm
-			}
-			for pi := 0; pi < len(prots); pi++ {
-				p := &prots[pi]
-				if p.job == j {
-					prots = append(prots[:pi], prots[pi+1:]...)
-					pi--
-					continue
-				}
-				if end > p.res.Shadow {
-					p.res.Extra -= j.Procs
-					p.res.ExtraMem -= jm
-				}
-			}
-			if free == 0 {
-				return
-			}
-		}
-	}
-}
-
-// scnRefEntry is one job's base placement in a reference planning round.
-type scnRefEntry struct {
-	job   *trace.Job
-	dur   int64
-	start int64
-}
-
-// scnRefPlanBF is the reference profile-based backfiller (conservative and
-// slack share it, differing only in setLimits): rebuild the availability
-// profile from the running set, place everyone in queue order, and start the
-// first candidate whose immediate execution keeps every other job within its
-// limit. Rounds repeat until no candidate is admissible.
-func scnRefPlanBF(setLimits func(scn sched.Scenario, plan []scnRefEntry) []int64) scnRefBF {
-	return func(e *scnRefEngine, head *trace.Job, queue []*trace.Job) {
-		for {
-			started := scnRefPlanRound(e, head, queue, setLimits)
-			if started == nil {
-				return
-			}
-			out := queue[:0]
-			for _, j := range queue {
-				if j != started {
-					out = append(out, j)
-				}
-			}
-			queue = out
-		}
-	}
-}
-
-func scnRefPlanRound(e *scnRefEngine, head *trace.Job, queue []*trace.Job, setLimits func(scn sched.Scenario, plan []scnRefEntry) []int64) *trace.Job {
-	now := e.clock
-	base := &scnProf{total: e.totalProcs, memTotal: e.totalMem}
-	for _, r := range e.running {
-		end := r.start + e.est.Estimate(r.job)
-		if end <= now {
-			end = now + 1
-		}
-		base.add(now, end, r.job.Procs, e.mem(r.job))
-	}
-	prof := base.clone()
-	plan := make([]scnRefEntry, 0, len(queue)+1)
-	for _, j := range append([]*trace.Job{head}, queue...) {
-		dur := e.est.Estimate(j)
-		s := prof.findStart(now, dur, j.Procs, e.mem(j))
-		prof.add(s, s+dur, j.Procs, e.mem(j))
-		plan = append(plan, scnRefEntry{job: j, dur: dur, start: s})
-	}
-	limit := setLimits(e.scn, plan)
-	for ci := 1; ci < len(plan); ci++ {
-		cand := plan[ci]
-		cm := e.mem(cand.job)
-		if cand.job.Procs > e.freeProcs || cm > e.freeMem {
-			continue
-		}
-		candEnd := now + cand.dur
-		trial := base.clone()
-		if !trial.fits(now, candEnd, cand.job.Procs, cm) {
-			continue
-		}
-		trial.add(now, candEnd, cand.job.Procs, cm)
-		ok := true
-		for i := range plan {
-			if i == ci {
-				continue
-			}
-			en := plan[i]
-			s := trial.findStart(now, en.dur, en.job.Procs, e.mem(en.job))
-			trial.add(s, s+en.dur, en.job.Procs, e.mem(en.job))
-			if s > limit[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			e.start(cand.job)
-			return cand.job
-		}
-	}
-	return nil
-}
-
-// scnConsLimits pins every reservation to its base start (zero slip).
-func scnConsLimits(_ sched.Scenario, plan []scnRefEntry) []int64 {
-	limit := make([]int64, len(plan))
-	for i, en := range plan {
-		limit[i] = en.start
-	}
-	return limit
-}
-
-// scnSlackLimits allows each non-head job to slip by factor x its estimate;
-// with aging on, a starving (or about-to-starve) job's limit is pinned back
-// to max(base start, its starvation instant).
-func scnSlackLimits(factor float64) func(scn sched.Scenario, plan []scnRefEntry) []int64 {
-	return func(scn sched.Scenario, plan []scnRefEntry) []int64 {
-		limit := make([]int64, len(plan))
-		aging := scn.Aging()
-		for i, en := range plan {
-			limit[i] = en.start
-			if i > 0 {
-				limit[i] += int64(factor * float64(en.dur))
-				if aging {
-					if sa := scn.StarvesAt(en.job); sa < limit[i] {
-						limit[i] = max(sa, en.start)
-					}
-				}
-			}
-		}
-		return limit
-	}
-}
-
-// scnBackfillPair pairs a reference backfiller with the optimised one under
-// the same scenario.
-type scnBackfillPair struct {
-	name  string
-	heavy bool // profile-based: O(n^2) per event, run on truncated traces
-	mkRef func(scn sched.Scenario) scnRefBF
-	mkOpt func(scn sched.Scenario) backfill.Backfiller
-}
-
-func scnBackfillPairs() []scnBackfillPair {
-	est := backfill.RequestTime{}
-	return []scnBackfillPair{
-		{name: "none",
-			mkRef: func(sched.Scenario) scnRefBF { return nil },
-			mkOpt: func(sched.Scenario) backfill.Backfiller { return nil }},
-		{name: "easy",
-			mkRef: func(scn sched.Scenario) scnRefBF { return scnRefEASY(false) },
-			mkOpt: func(scn sched.Scenario) backfill.Backfiller { return &backfill.EASY{Est: est, Scn: scn} }},
-		{name: "easy-sjf",
-			mkRef: func(scn sched.Scenario) scnRefBF { return scnRefEASY(true) },
-			mkOpt: func(scn sched.Scenario) backfill.Backfiller {
-				return &backfill.EASY{Est: est, Order: backfill.SJFOrder, Scn: scn}
-			}},
-		{name: "cons", heavy: true,
-			mkRef: func(scn sched.Scenario) scnRefBF { return scnRefPlanBF(scnConsLimits) },
-			mkOpt: func(scn sched.Scenario) backfill.Backfiller { return backfill.NewConservative(est) }},
-		{name: "slack", heavy: true,
-			mkRef: func(scn sched.Scenario) scnRefBF { return scnRefPlanBF(scnSlackLimits(0.5)) },
-			mkOpt: func(scn sched.Scenario) backfill.Backfiller {
-				s := backfill.NewSlack(est)
-				s.Scn = scn
-				return s
-			}},
-	}
-}
-
-func mustEnrich(t *testing.T, tr *trace.Trace, spec trace.EnrichSpec) *trace.Trace {
-	t.Helper()
-	out, err := trace.Enrich(tr, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestScenarioDifferential replays enriched traces (memory vectors, priority
-// tiers) under every scenario x policy x backfiller combination through both
-// the naive reference and the optimised engine, requiring bit-identical
-// schedules. The zero scenario on an enriched trace exercises the memory
-// dimension alone; the other scenarios layer tiers and aging on top.
-func TestScenarioDifferential(t *testing.T) {
-	traces := []*trace.Trace{
-		// Memory + tiers: the full scenario surface.
-		mustEnrich(t, trace.SyntheticSDSCSP2(260, 7),
-			trace.EnrichSpec{MemDist: trace.MemDistProp, PriorityTiers: 3, Seed: 11}),
-		// Anti-correlated memory, no tiers: memory pressure alone.
-		mustEnrich(t, trace.SyntheticHPC2N(220, 13),
-			trace.EnrichSpec{MemDist: trace.MemDistUniform, Seed: 17}),
-		// Tiers only, no memory: priority ordering on the scalar machine.
-		mustEnrich(t, trace.SyntheticSDSCSP2(200, 21),
-			trace.EnrichSpec{PriorityTiers: 4, Seed: 23}),
-	}
-	scenarios := []sched.Scenario{
-		{},
-		{Priorities: true},
-		{StarvationBound: 2},
-		{Priorities: true, StarvationBound: 4},
-	}
-	policies := []sched.Policy{sched.FCFS{}, sched.WFP3{}}
-	for _, tr := range traces {
-		for _, scn := range scenarios {
-			for _, p := range policies {
-				for _, pair := range scnBackfillPairs() {
-					label := tr.Name + "/" + p.Name() + "/" + pair.name + "/" + scnLabel(scn)
-					run := tr
-					if pair.heavy {
-						short := tr.Clone()
-						if len(short.Jobs) > 100 {
-							short.Jobs = short.Jobs[:100]
-						}
-						run = short
-					}
-					want := newScnRef(run.Clone(), p, scn, backfill.RequestTime{}, pair.mkRef(scn)).run()
-					res, err := Run(run.Clone(), Config{Policy: p, Scenario: scn, Backfiller: pair.mkOpt(scn)})
-					if err != nil {
-						t.Fatal(err)
-					}
-					diffRecords(t, label, want, res.Records)
-				}
-			}
-		}
-	}
-}
-
-func scnLabel(s sched.Scenario) string {
-	switch {
-	case s.Priorities && s.Aging():
-		return "pri+aging"
-	case s.Priorities:
-		return "pri"
-	case s.Aging():
-		return "aging"
-	}
-	return "off"
-}
-
-// TestScenarioDifferentialRandom fuzzes the comparison over random bursty
-// traces with random memory demands and tiers — deep queues with many
-// same-instant events and starvation transitions landing between events.
-func TestScenarioDifferentialRandom(t *testing.T) {
-	for seed := uint64(1); seed <= 10; seed++ {
-		r := stats.NewRNG(seed)
-		procs := []int{8, 32, 100}[r.Intn(3)]
-		n := r.Intn(60) + 10
-		tr := &trace.Trace{Name: "fuzz-scn", Procs: procs}
-		if r.Intn(2) == 0 {
-			tr.Mem = procs * 100
-		}
-		var submit int64
-		for i := 0; i < n; i++ {
-			if r.Intn(3) > 0 {
-				submit += r.Int63n(150)
-			}
-			run := r.Int63n(500) + 1
-			req := run + r.Int63n(500)
-			j := &trace.Job{
-				ID: i + 1, Submit: submit, Runtime: run, Request: req,
-				Procs: r.Intn(procs) + 1, Priority: r.Intn(3),
-			}
-			if tr.Mem > 0 {
-				j.Mem = r.Intn(tr.Mem) + 1
-			}
-			tr.Jobs = append(tr.Jobs, j)
-		}
-		scn := sched.Scenario{Priorities: r.Intn(2) == 0, StarvationBound: float64(r.Intn(3))}
-		for _, p := range []sched.Policy{sched.FCFS{}, sched.SJF{}, sched.WFP3{}} {
-			for _, pair := range scnBackfillPairs() {
-				label := p.Name() + "/" + pair.name + "/" + scnLabel(scn)
-				want := newScnRef(tr.Clone(), p, scn, backfill.RequestTime{}, pair.mkRef(scn)).run()
-				res, err := Run(tr.Clone(), Config{Policy: p, Scenario: scn, Backfiller: pair.mkOpt(scn)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				diffRecords(t, label, want, res.Records)
-			}
-		}
-	}
-}
 
 // TestStarvationBoundRescuesLowTier pins the aging semantics on a crafted
 // trace: a machine-filling stream of high-tier jobs starves a low-tier job
