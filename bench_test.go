@@ -327,7 +327,7 @@ func BenchmarkSimulatorSlack(b *testing.B) {
 }
 
 // BenchmarkProfileReserve measures one conservative-style profile round on
-// the indexed skyline: bulk-build from 48 running spans, checkpoint, place
+// the skyline: bulk-build from 48 running spans, checkpoint, place
 // 48 queued jobs via FindStart+ReserveFound, roll back. This is the
 // primitive the profile-based backfillers execute once per candidate per
 // scheduling round.
@@ -393,13 +393,8 @@ func BenchmarkProfileFindStart(b *testing.B) {
 // deep conservative backlog: a staircase of overlapping reservations keeps
 // the free count low and jittery across the whole horizon, so machine-scale
 // requests must pass thousands of blocking segments before the tail clears.
-// With indexed=false the block index is disabled and queries take the plain
-// monotonic walk; the same seed yields byte-identical skylines either way.
-func deepLoadedProfile(nSegs, total int, indexed bool) *cluster.Profile {
+func deepLoadedProfile(nSegs, total int) *cluster.Profile {
 	p := cluster.NewProfile(total, 0)
-	if !indexed {
-		p.SetIndexThreshold(-1)
-	}
 	rng := stats.NewRNG(17)
 	const step = 60    // one new job every step seconds
 	const overlap = 48 // each job spans ~overlap steps
@@ -411,35 +406,29 @@ func deepLoadedProfile(nSegs, total int, indexed bool) *cluster.Profile {
 	return p
 }
 
-// BenchmarkProfileFindStartDeep measures FindStart/MinFree on deep backlogs
-// (1K/8K/64K segments), indexed block-skip vs plain monotonic walk. The
-// query mix spans the proc range, so half the FindStarts are machine-scale
-// requests that must cross the whole loaded region — the regime a
-// conservative replay of a million-job trace lives in. The indexed rows are
-// the standing O(walked) → O(blocks-touched) regression gate; allocs are
-// reported so the 0 allocs/op guarantee shows in the artifact.
+// BenchmarkProfileFindStartDeep measures the monotonic FindStart walk on
+// deep backlogs (1K/8K/64K segments). The query mix spans the proc range, so
+// half the FindStarts are machine-scale requests that must cross the whole
+// loaded region — the regime a conservative replay of a million-job trace
+// lives in. Allocs are reported so the 0 allocs/op guarantee shows in the
+// artifact.
 func BenchmarkProfileFindStartDeep(b *testing.B) {
 	const total = 128
 	for _, depth := range []int{1024, 8192, 65536} {
-		for _, mode := range []string{"indexed", "walk"} {
-			b.Run(fmt.Sprintf("segs=%d/%s", depth, mode), func(b *testing.B) {
-				p := deepLoadedProfile(depth, total, mode == "indexed")
-				if got := p.Segments(); got < depth/2 {
-					b.Fatalf("profile too shallow: %d segments, want >= %d", got, depth/2)
-				}
-				if want := mode == "indexed"; p.Indexed() != want {
-					b.Fatalf("Indexed() = %v in mode %s", p.Indexed(), mode)
-				}
-				horizon := int64(p.Segments()) * 60
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					procs := i%total + 1
-					after := (int64(i) * 2654435761) % horizon
-					_ = p.FindStart(after, int64(i%7000)+60, procs)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("segs=%d", depth), func(b *testing.B) {
+			p := deepLoadedProfile(depth, total)
+			if got := p.Segments(); got < depth/2 {
+				b.Fatalf("profile too shallow: %d segments, want >= %d", got, depth/2)
+			}
+			horizon := int64(p.Segments()) * 60
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				procs := i%total + 1
+				after := (int64(i) * 2654435761) % horizon
+				_ = p.FindStart(after, int64(i%7000)+60, procs)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/backfill"
-	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/lublin"
 	"repro/internal/sched"
@@ -40,19 +39,15 @@ func hugeTrace(tb testing.TB) *trace.Trace {
 
 // BenchmarkSimulatorHuge replays the huge-scale scenario under conservative
 // backfilling — the profile-heaviest heuristic, whose reservation skyline
-// grows with the backlog and therefore leans hardest on the indexed
-// FindStart. "seq" is the single-engine replay with the index at its default
-// threshold; "seq-walk" pins the same replay to the plain monotonic walk
-// (cluster.DefaultIndexThreshold = -1), so the pair records the end-to-end
-// win the block index buys on an organically deep backlog; "sharded-auto"
-// replays 64K-job windows with drain-aware auto-sized flanks (Overlap 0)
-// stitched back in trace order. CI runs this at -benchtime 1x as the
-// standing million-job regression record; set RLBF_HUGE_JOBS to iterate
-// locally at smaller scales.
+// grows with the backlog and therefore leans hardest on FindStart. "seq" is
+// the single-engine replay; "sharded-auto" replays 64K-job windows with
+// drain-aware auto-sized flanks (Overlap 0) stitched back in trace order.
+// CI runs this at -benchtime 1x as the standing million-job regression
+// record; set RLBF_HUGE_JOBS to iterate locally at smaller scales.
 func BenchmarkSimulatorHuge(b *testing.B) {
 	tr := hugeTrace(b)
 	mk := func() backfill.Backfiller { return backfill.NewConservative(backfill.ActualRuntime{}) }
-	seq := func(b *testing.B) {
+	b.Run("conservative-seq", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			res, err := sim.Run(tr, sim.Config{Policy: sched.FCFS{}, Backfiller: mk()})
@@ -63,12 +58,6 @@ func BenchmarkSimulatorHuge(b *testing.B) {
 				b.Logf("%d jobs, mean bsld %.3f", tr.Len(), res.Summary.MeanBSLD)
 			}
 		}
-	}
-	b.Run("conservative-seq", seq)
-	b.Run("conservative-seq-walk", func(b *testing.B) {
-		defer func(old int) { cluster.DefaultIndexThreshold = old }(cluster.DefaultIndexThreshold)
-		cluster.DefaultIndexThreshold = -1
-		seq(b)
 	})
 	b.Run("conservative-sharded-auto", func(b *testing.B) {
 		b.ReportAllocs()

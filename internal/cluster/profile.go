@@ -10,7 +10,7 @@ import (
 // reservation per queued job in such a profile; EASY derives its single
 // shadow-time reservation from it as well.
 //
-// The representation is an indexed skyline: segments sorted by start time,
+// The representation is a skyline: segments sorted by start time,
 // always coalesced (no two adjacent segments share a Free count), looked up
 // by binary search. All queries run in O(log S + touched segments) instead of
 // scanning from the first segment, and FindStart is a single monotonic
@@ -32,12 +32,6 @@ type Profile struct {
 	// so Rollback can undo them; Reset and Rollback shrink it in place.
 	journal []resv
 	marks   int
-
-	// Block min/max acceleration index over segs (index.go); engaged only
-	// past a segment-count threshold so shallow profiles pay nothing.
-	blocks       []blockIdx
-	idxOn        bool
-	idxThreshold int // SetIndexThreshold override; 0 = defaults
 }
 
 type segment struct {
@@ -64,12 +58,9 @@ func NewProfile(total int, from int64) *Profile {
 func (p *Profile) Total() int { return p.total }
 
 // Segments returns the current skyline depth (number of coalesced segments).
-// Deep-backlog benchmarks and the index tests use it to confirm they are in
-// the regime they mean to exercise.
+// Deep-backlog benchmarks and tests use it to confirm they are in the regime
+// they mean to exercise.
 func (p *Profile) Segments() int { return len(p.segs) }
-
-// Indexed reports whether the block acceleration index is currently engaged.
-func (p *Profile) Indexed() bool { return p.idxOn }
 
 // Reset reinitialises the profile in place — all processors free from time
 // `from` onwards — reusing the segment and journal storage. Reservation-based
@@ -84,7 +75,6 @@ func (p *Profile) Reset(total int, from int64) {
 	p.segs = append(p.segs[:0], segment{Time: from, Free: total})
 	p.journal = p.journal[:0]
 	p.marks = 0
-	p.reindex()
 }
 
 // Span is one bulk reservation for ResetSpans: Procs processors held from
@@ -138,7 +128,6 @@ func (p *Profile) ResetSpans(total int, from int64, spans []Span) {
 		// free strictly increases (procs > 0), so the skyline stays canonical.
 		p.segs = append(p.segs, segment{Time: end, Free: free})
 	}
-	p.reindex()
 }
 
 // sortSpans orders spans by End. Running sets are small (tens of jobs), so a
@@ -206,13 +195,7 @@ func (p *Profile) MinFree(start, end int64) int {
 		return p.total // window entirely before the first segment
 	}
 	min := p.segs[i].Free
-	steps := 0
 	for i++; i < len(p.segs) && p.segs[i].Time < end; i++ {
-		// Same hybrid escape as FindStart: long scans go blockwise.
-		if steps >= escapeWalk && p.idxOn {
-			return p.minFreeBlockwise(i, end, min)
-		}
-		steps++
 		if p.segs[i].Free < min {
 			min = p.segs[i].Free
 		}
@@ -300,16 +283,7 @@ func (p *Profile) FindStart(after, duration int64, procs int) int64 {
 	cand := after
 	end := cand + duration
 	n := len(p.segs)
-	steps := 0
 	for i := p.seek(cand); ; {
-		// Hybrid escape: a walk that has already crossed two blocks' worth
-		// of segments is in the deep-backlog regime — hand the advance to
-		// the block index, which skips whole blocks per comparison. Short
-		// walks (the overwhelmingly common case) never pay for the index.
-		if steps >= escapeWalk && p.idxOn {
-			return p.findStartBlockwise(i, cand, end, procs)
-		}
-		steps++
 		if p.segs[i].Time >= end {
 			return cand // window cleared before this segment begins
 		}
@@ -359,7 +333,6 @@ func (p *Profile) ensureBoundary(t int64) int {
 	p.segs = append(p.segs, segment{})
 	copy(p.segs[lo+1:], p.segs[lo:])
 	p.segs[lo] = segment{Time: t, Free: p.segs[lo-1].Free}
-	p.idxInsert(lo, p.segs[lo].Free)
 	return lo
 }
 
@@ -377,7 +350,6 @@ func (p *Profile) addRange(start, end int64, delta int) {
 	for k := i; k < j; k++ {
 		p.segs[k].Free += delta
 	}
-	p.idxRangeAdd(i, j, delta)
 	p.mergeAt(j) // j first: merging there leaves indices <= i untouched
 	p.mergeAt(i)
 }
@@ -390,6 +362,5 @@ func (p *Profile) mergeAt(i int) {
 	}
 	if p.segs[i].Free == p.segs[i-1].Free {
 		p.segs = append(p.segs[:i], p.segs[i+1:]...)
-		p.idxRemove(i)
 	}
 }

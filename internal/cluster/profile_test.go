@@ -254,7 +254,7 @@ func TestProfileRollbackFuzz(t *testing.T) {
 
 // ---- differential fuzz against the oracle ----
 
-// TestProfileDifferentialOracle drives the indexed skyline and the oracle's
+// TestProfileDifferentialOracle drives the skyline and the oracle's
 // flat reservation list through identical random op sequences — reserves
 // (feasible and infeasible, in- and out-of-range), FreeAt, MinFree and
 // FindStart probes — and requires identical answers throughout, and after
@@ -328,7 +328,7 @@ func TestProfileDifferentialOracle(t *testing.T) {
 // TestProfileDifferentialNaive checks long FindStart-placed reservation
 // sequences, the shape every backfilling round builds, against the oracle:
 // each found start, each reserve's verdict and, at the end, the whole free
-// function.
+// function. The deep row then covers the deep-backlog regime.
 func TestProfileDifferentialNaive(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		r := stats.NewRNG(seed)
@@ -350,6 +350,110 @@ func TestProfileDifferentialNaive(t *testing.T) {
 			}
 		}
 		checkSkyline(t, fmt.Sprintf("seed %d", seed), p, o, false)
+	}
+	for seed := uint64(1); seed <= 3; seed++ {
+		deepNaiveRow(t, seed)
+	}
+}
+
+// deepNaiveRow is TestProfileDifferentialNaive's deep row: 800 staggered
+// reservations on 512 processors (over 1,500 segments), FindStart and
+// MinFree probes reaching past the last reservation compared against the
+// oracle, then a rollback across half the skyline compared segment for
+// segment with the state at the checkpoint.
+func deepNaiveRow(t *testing.T, seed uint64) {
+	t.Helper()
+	const total, jobs = 512, 800
+	label := fmt.Sprintf("deep seed %d", seed)
+	holds := deepHolds(total, jobs, stats.NewRNG(seed))
+	p, mark, atMark := deepProfile(t, total, holds)
+	o := &oracle.Profile{Procs: total}
+	for _, h := range holds {
+		if !o.Reserve(h.start, h.end, h.procs, 0) {
+			t.Fatalf("%s: oracle rejected %+v", label, h)
+		}
+	}
+	if p.Segments() < 1500 {
+		t.Fatalf("%s: only %d segments", label, p.Segments())
+	}
+	checkSkyline(t, label, p, o, false)
+	probe := stats.NewRNG(seed + 100)
+	horizon := int64(jobs) * 100
+	for q := 0; q < 200; q++ {
+		procs := probe.Intn(total+10) + 1
+		dur := probe.Int63n(500) + 1
+		after := probe.Int63n(horizon + 2000)
+		if a, w := p.FindStart(after, dur, procs), o.FindStart(after, dur, min(procs, total), 0); a != w {
+			t.Fatalf("%s probe %d: FindStart(%d,%d,%d) = %d, oracle %d", label, q, after, dur, procs, a, w)
+		}
+		lo := probe.Int63n(horizon + 2000)
+		hi := lo + probe.Int63n(3000) - 100
+		w, _ := o.MinFree(lo, hi) // an empty window reports FreeAt(lo), as MinFree does
+		if a := p.MinFree(lo, hi); a != w {
+			t.Fatalf("%s probe %d: MinFree(%d,%d) = %d, oracle %d", label, q, lo, hi, a, w)
+		}
+	}
+	p.Rollback(mark)
+	if len(p.segs) != len(atMark) {
+		t.Fatalf("%s: %d segments after rollback, %d at the checkpoint", label, len(p.segs), len(atMark))
+	}
+	for i := range atMark {
+		if p.segs[i] != atMark[i] {
+			t.Fatalf("%s: segment %d after rollback = %+v, at the checkpoint %+v", label, i, p.segs[i], atMark[i])
+		}
+	}
+}
+
+// deepHolds draws n staggered, non-overlapping reservations: each one adds a
+// reserved segment and a full-capacity gap, so the skyline reaches ~2n
+// segments.
+func deepHolds(total, n int, r *stats.RNG) []resv {
+	hs := make([]resv, n)
+	for i := range hs {
+		procs := r.Intn(total-1) + 1
+		start := int64(i) * 100
+		hs[i] = resv{start: start, end: start + r.Int63n(60) + 20, procs: procs}
+	}
+	return hs
+}
+
+// deepProfile reserves holds on a fresh profile, checkpointing halfway. It
+// returns the mark and a copy of the segments at the checkpoint.
+func deepProfile(t *testing.T, total int, holds []resv) (p *Profile, mark int, atMark []segment) {
+	t.Helper()
+	p = NewProfile(total, 0)
+	for i, h := range holds {
+		if i == len(holds)/2 {
+			mark, atMark = p.Checkpoint(), append([]segment(nil), p.segs...)
+		}
+		if err := p.Reserve(h.start, h.end, h.procs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p, mark, atMark
+}
+
+// TestProfileWalkAllocs pins the walk at zero allocations on a deep
+// skyline: FindStart, MinFree, ReserveFound and Rollback run per job in
+// every profile-based round, so an allocation there regresses the hot path.
+func TestProfileWalkAllocs(t *testing.T) {
+	p, _, _ := deepProfile(t, 512, deepHolds(512, 800, stats.NewRNG(3)))
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		after := int64(i%800) * 100
+		dur := int64(i%900) + 30
+		procs := i%500 + 1
+		mark := p.Checkpoint()
+		s := p.FindStart(after, dur, procs)
+		_ = p.MinFree(after, after+int64(i%5000)+100)
+		if err := p.ReserveFound(s, s+dur, procs); err != nil {
+			t.Fatal(err)
+		}
+		p.Rollback(mark)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("FindStart/MinFree/ReserveFound/Rollback allocate %.1f allocs/op, want 0", allocs)
 	}
 }
 

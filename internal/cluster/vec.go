@@ -78,13 +78,6 @@ func (v *VecProfile) ResetSpans(total, memTotal int, from int64, spans []Span) {
 	v.p.ResetSpans(total, from, spans)
 }
 
-// SetIndexThreshold overrides the block-index engagement threshold on both
-// dimensions (see Profile.SetIndexThreshold).
-func (v *VecProfile) SetIndexThreshold(n int) {
-	v.p.SetIndexThreshold(n)
-	v.m.SetIndexThreshold(n)
-}
-
 // FreeAt returns the free processors at time t.
 func (v *VecProfile) FreeAt(t int64) int { return v.p.FreeAt(t) }
 

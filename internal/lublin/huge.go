@@ -121,7 +121,7 @@ func (p Params) runtimeShape(rng *stats.RNG, procs int) float64 {
 // alone stacks only a few hundred jobs of backlog on a 4096-node machine;
 // the weekly swing sustains overload for days at a time, driving the
 // reservation skyline thousands of segments deep — the regime archive
-// workloads exhibit and the indexed FindStart exists for — while the
+// workloads exhibit and conservative FindStart walks cross — while the
 // weekend trough lets the backlog recover so replay cost stays linear in
 // trace length.
 const hugeWeeklyAmp = 0.5
