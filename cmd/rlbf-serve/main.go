@@ -11,9 +11,7 @@
 //
 // With -wal the daemon is durable (DESIGN.md §13): every acknowledged
 // command is fsync'd to the write-ahead log first, and a restart with the
-// same -wal/-snapshot pair recovers the exact schedule. -wal-nosync drops the
-// per-ack fsync; a crash may then lose the last acknowledged commands.
-// Without -wal the daemon keeps its state in memory only.
+// same -wal/-snapshot pair recovers the exact schedule. Without -wal the daemon keeps its state in memory only.
 //
 // Replicated deployment (DESIGN.md §14): a primary plus warm-standby
 // followers that tail its command WAL over HTTP, byte-verify the derived
@@ -66,7 +64,6 @@ func main() {
 	starvationBound := flag.Float64("starvation-bound", 0, "aging bound: a job starves once wait exceeds bound x request (0 = off)")
 	snapshotPath := flag.String("snapshot", "", "JSON state snapshot the WAL rotates through (needs -wal)")
 	walPath := flag.String("wal", "", "durable write-ahead log path (needs -snapshot); recovers automatically from existing files")
-	walNoSync := flag.Bool("wal-nosync", false, "skip the per-command WAL fsync (faster, may lose acked work on crash)")
 	compactEvery := flag.Int("compact-every", 4096, "rotate snapshot+WAL after this many log records")
 	follow := flag.Bool("follow", false, "run as a warm-standby follower of -peer (needs -wal)")
 	peerArg := flag.String("peer", "", "comma-separated base URLs of the other replicas")
@@ -123,14 +120,8 @@ func main() {
 		Name: *name, Procs: *procs, Mem: *mem,
 		Policy: policy, Backfiller: bf, Scenario: scn, Estimator: est,
 		TimeScale: *scale, SnapshotPath: *snapshotPath, PredictCap: *predictCap,
-		WALPath: *walPath, WALNoSync: *walNoSync, CompactEvery: *compactEvery,
-		Lease: *lease, Peers: peers, ReplAckTimeout: *ackTimeout, RoundBudget: *roundBudget,
-	}
-	if *walPath != "" && *snapshotPath == "" {
-		fatal("-wal requires -snapshot (compaction rotates through the snapshot file)")
-	}
-	if *snapshotPath != "" && *walPath == "" {
-		fatal("-snapshot requires -wal (a snapshot is only recoverable with the WAL it extends; -wal-nosync skips the per-ack fsync)")
+		WALPath: *walPath, CompactEvery: *compactEvery,
+		Lease: *lease, ReplAckTimeout: *ackTimeout, RoundBudget: *roundBudget,
 	}
 
 	var sched *serve.Scheduler

@@ -11,8 +11,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/replica"
-	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -72,7 +70,7 @@ func (s *Scheduler) replWait() {
 // history prefix was synced, so the file always holds at least `to` intact
 // records by the time anyone asks.
 func (s *Scheduler) HistoryFrames(to int) ([][]byte, error) {
-	res, err := wal.Replay(s.fs, s.cfg.HistoryPath)
+	res, err := wal.Replay(s.fs, historyPath(s.cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -83,10 +81,10 @@ func (s *Scheduler) HistoryFrames(to int) ([][]byte, error) {
 }
 
 // handleApply mirrors one replication batch (run goroutine, follower role):
-// append each payload verbatim to the local WAL, apply it through the engine
-// exactly as Recover's replay would, then compare the derived history cursor
-// against the primary's. Divergence is a refusal: the replica stops rather
-// than serve (or later promote) a forked history.
+// apply each payload through applyCommand, the applier Recover's replay
+// uses, and append it verbatim to the local WAL, then compare the derived
+// history cursor against the primary's. Divergence is a refusal: the replica
+// stops rather than serve (or later promote) a forked history.
 func (s *Scheduler) handleApply(b *applyBatch) (int, error) {
 	if s.role.Load() != RoleFollower {
 		return 0, ErrNotFollower
@@ -95,42 +93,8 @@ func (s *Scheduler) handleApply(b *applyBatch) (int, error) {
 		return 0, fmt.Errorf("serve: follower degraded: %s", s.DegradedReason())
 	}
 	for i, p := range b.payloads {
-		rec, err := decodeWalRec(p)
-		if err != nil {
-			return 0, fmt.Errorf("serve: apply batch record %d: %v", i, err)
-		}
-		switch rec.kind {
-		case walKindSubmit:
-			if err := s.eng.Inject(rec.job); err != nil {
-				return 0, fmt.Errorf("serve: apply submit of job %d: %v", rec.job.ID, err)
-			}
-			s.submitted[rec.job.ID] = rec.job
-			if rec.idem != "" {
-				s.idem[rec.idem] = rec.job.ID
-			}
-			if rec.job.ID >= s.nextID {
-				s.nextID = rec.job.ID + 1
-			}
-			s.mSubmits.Inc()
-			if rec.job.Submit > s.replClock {
-				s.replClock = rec.job.Submit
-			}
-		case walKindCancel:
-			s.stepTo(rec.time)
-			if s.eng.Cancel(rec.id) {
-				s.mCancels.Inc()
-			}
-			s.canceledIDs[rec.id] = true
-			if rec.time > s.replClock {
-				s.replClock = rec.time
-			}
-		case walKindAdvance:
-			s.stepTo(rec.time)
-			if rec.time > s.replClock {
-				s.replClock = rec.time
-			}
-		default:
-			return 0, fmt.Errorf("serve: apply batch record %d has kind %d, not a command", i, rec.kind)
+		if err := s.applyCommand(p); err != nil {
+			return 0, fmt.Errorf("serve: apply batch record %d: %w", i, err)
 		}
 		s.walAppend(p)
 	}
@@ -174,12 +138,7 @@ func (s *Scheduler) handlePromote() error {
 	// Re-anchor the wall→sim adapter: simulation resumes from the furthest
 	// instant the stream proved, counted from this wall moment — the same
 	// re-anchoring Recover performs after a crash.
-	if s.replClock > s.simEpoch {
-		s.simEpoch = s.replClock
-	}
-	if c := s.eng.Now(); c > s.simEpoch {
-		s.simEpoch = c
-	}
+	s.simEpoch = max(s.simEpoch, s.replClock, s.eng.Now())
 	s.wallEpoch = s.clock.Now()
 	prevGen := s.walGen
 	// Bump the generation BEFORE accepting writes: the rotation is the
@@ -267,26 +226,21 @@ func NewFollower(cfg Config, fc FollowConfig) (*Follower, error) {
 			peer = p
 		}
 	}
-	switch {
-	case local:
-		var err error
+	var err error
+	if local {
 		s, _, err = recoverInternal(cfg, false)
-		if err != nil {
-			return nil, err
-		}
 		// Seed our own feed at the resumed mid-generation position so its
 		// sequence numbers stay absolute; it cannot serve bootstraps until
 		// the next rotation (the mid-generation state is not a rotation
 		// snapshot), which Seed encodes by leaving the snapshot nil.
-		if s.feed != nil {
+		if err == nil && s.feed != nil {
 			s.feed.Seed(s.walGen, int(s.walCount.Load()), s.histCount, s.histDigest)
 		}
-	default:
-		var err error
+	} else {
 		s, peer, err = bootstrapFollower(cfg, fc)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	s.role.Store(RoleFollower)
 	s.mRole.Set(int64(RoleFollower))
@@ -298,10 +252,10 @@ func NewFollower(cfg Config, fc FollowConfig) (*Follower, error) {
 		s: s, fc: fc, lease: cfg.Lease,
 		cl:   &replica.Client{Base: peer, Session: fc.Session, HTTP: fc.HTTP},
 		gen:  s.walGen,
+		seq:  int(s.walCount.Load()),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	f.seq = int(s.walCount.Load())
 	log.Printf("serve: %s: following %s from generation %d, record %d", cfg.Name, peer, f.gen, f.seq)
 	return f, nil
 }
@@ -380,41 +334,16 @@ func fetchBootstrap(cl *replica.Client) (*bootstrapData, error) {
 	}, nil
 }
 
-// installBootstrap persists the bootstrap's durability triple (snapshot,
-// history log, empty WAL at the snapshot generation) and points the
-// scheduler's run-goroutine state at it. Any previously open logs must be
-// closed by the caller.
+// installBootstrap persists the bootstrap's durability triple (a history log
+// holding its verified prefix, then its snapshot and an empty WAL at the
+// snapshot generation through rotate) and points the history cursor at it.
+// Any previously open logs must be closed by the caller.
 func (s *Scheduler) installBootstrap(b *bootstrapData) error {
-	if err := wal.WriteFileAtomic(s.fs, s.cfg.SnapshotPath, b.state); err != nil {
-		return fmt.Errorf("serve: follower bootstrap: snapshot: %w", err)
+	if err := s.createHistory(b.frames); err != nil {
+		return fmt.Errorf("serve: follower bootstrap: %w", err)
 	}
-	hl, err := wal.Create(s.fs, s.cfg.HistoryPath, 1)
-	if err != nil {
-		return fmt.Errorf("serve: follower bootstrap: history log: %w", err)
-	}
-	for _, p := range b.frames {
-		if err := hl.Append(p); err != nil {
-			hl.Close()
-			return fmt.Errorf("serve: follower bootstrap: history append: %w", err)
-		}
-	}
-	if err := hl.Sync(); err != nil {
-		hl.Close()
-		return fmt.Errorf("serve: follower bootstrap: history sync: %w", err)
-	}
-	s.hlog = hl
-	s.histCount = b.histCount
-	s.histDigest = b.histDigest
-	wl, err := wal.Create(s.fs, s.cfg.WALPath, b.gen)
-	if err != nil {
-		return fmt.Errorf("serve: follower bootstrap: wal: %w", err)
-	}
-	s.wlog = wl
-	s.setGen(b.gen)
-	s.walCount.Store(0)
-	s.mWALBytes.Set(wl.Size())
-	if s.feed != nil {
-		s.feed.Rotate(b.gen, b.state, b.histCount, b.histDigest)
+	if err := s.rotate(b.gen, b.state); err != nil {
+		return fmt.Errorf("serve: follower bootstrap: %w", err)
 	}
 	return nil
 }
@@ -432,12 +361,15 @@ func bootstrapFollower(cfg Config, fc FollowConfig) (*Scheduler, string, error) 
 	if err != nil {
 		return nil, "", err
 	}
-	s, err := newFromStateWithPrior(cfg, b.st, b.prior)
-	if err != nil {
-		return nil, "", err
+	s, err := newEmpty(cfg)
+	if err == nil {
+		err = s.loadState(b.st, b.prior)
 	}
-	// Persist the local triple so a follower restart resumes in place.
-	if err := s.installBootstrap(b); err != nil {
+	if err == nil {
+		// Persist the local triple so a follower restart resumes in place.
+		err = s.installBootstrap(b)
+	}
+	if err != nil {
 		return nil, "", err
 	}
 	return s, peer, nil
@@ -446,9 +378,11 @@ func bootstrapFollower(cfg Config, fc FollowConfig) (*Scheduler, string, error) 
 // handleReseed (run goroutine) replaces a follower's entire state with a
 // fresh verified bootstrap — the recovery path for a follower whose stream
 // position fell out of the primary's feed retention (it lagged more than one
-// compaction behind). It is NewFollower's bootstrap applied in place, so the
-// scheduler identity — HTTP bindings, metrics registry, command channel —
-// survives the reset.
+// compaction behind). It is NewFollower's bootstrap applied in place, through
+// the same loader and rotation, so the scheduler identity — HTTP bindings,
+// metrics registry, command channel — survives the reset. The state loads
+// before the old logs close, so a bootstrap that does not load leaves the
+// follower as it was.
 func (s *Scheduler) handleReseed(b *bootstrapData) error {
 	if s.role.Load() != RoleFollower {
 		return ErrNotFollower
@@ -456,67 +390,16 @@ func (s *Scheduler) handleReseed(b *bootstrapData) error {
 	if s.degraded.Load() {
 		return fmt.Errorf("serve: reseed: degraded: %s", s.DegradedReason())
 	}
-	if b.st.Procs != s.cfg.Procs || b.st.Mem != s.cfg.Mem {
-		return fmt.Errorf("serve: reseed: state machine %d procs/%d mem does not match config %d/%d",
-			b.st.Procs, b.st.Mem, s.cfg.Procs, s.cfg.Mem)
-	}
-	rest := &trace.Trace{Name: s.cfg.Name, Procs: s.cfg.Procs, Mem: s.cfg.Mem, Jobs: b.st.Pending}
-	snap := sim.Snapshot{Clock: b.st.SimClock, Queued: b.st.Queued, Running: b.st.Running}
-	eng, err := sim.NewEngineFromSnapshot(rest, s.simConfig(), snap)
-	if err != nil {
+	if err := s.loadState(b.st, b.prior); err != nil {
 		return fmt.Errorf("serve: reseed: %w", err)
 	}
-	prevCount := s.histCount
-	if s.hlog != nil {
-		s.hlog.Close()
-		s.hlog = nil
-	}
-	if s.wlog != nil {
-		s.wlog.Close()
-		s.wlog = nil
-	}
+	s.closeLogs()
 	if err := s.installBootstrap(b); err != nil {
 		// The old logs are gone and the new triple is incomplete: durability
 		// is lost until an operator intervenes, exactly like a failed rotation.
 		s.degrade("reseed", err)
 		return err
 	}
-	s.eng = eng
-	s.simEpoch = b.st.SimClock
-	s.wallEpoch = s.clock.Now()
-	s.replClock = b.st.SimClock
-	s.nextID = b.st.NextID
-	s.prior = b.prior
-	s.recSeen = 0
-	s.repPend = nil
-	s.submitted = make(map[int]*trace.Job)
-	s.started = make(map[int]metrics.Record)
-	s.canceledIDs = make(map[int]bool)
-	s.idem = make(map[string]int)
-	s.predCache = make(map[int]int64)
-	s.predStamp = -1
-	for _, r := range b.prior {
-		s.started[r.Job.ID] = r
-		s.submitted[r.Job.ID] = r.Job
-	}
-	for _, j := range b.st.Queued {
-		s.submitted[j.ID] = j
-	}
-	for _, j := range b.st.Pending {
-		s.submitted[j.ID] = j
-	}
-	for _, id := range b.st.Canceled {
-		s.canceledIDs[id] = true
-	}
-	for k, id := range b.st.Idem {
-		s.idem[k] = id
-	}
-	if d := b.histCount - prevCount; d > 0 {
-		s.mStarted.Add(int64(d))
-	}
-	s.mQueue.Set(int64(s.eng.QueueLen()))
-	s.mFree.Set(int64(s.eng.FreeProcs()))
-	s.mRunning.Set(int64(s.eng.RunningCount()))
 	s.mReplReseeds.Inc()
 	log.Printf("serve: %s: re-bootstrapped in place at generation %d (%d history records, digest %08x)",
 		s.cfg.Name, b.gen, b.histCount, b.histDigest)
@@ -566,14 +449,7 @@ func (f *Follower) poll() time.Duration {
 	if f.fc.Poll > 0 {
 		return f.fc.Poll
 	}
-	p := f.lease / 4
-	if p > time.Second {
-		p = time.Second
-	}
-	if p < 50*time.Millisecond {
-		p = 50 * time.Millisecond
-	}
-	return p
+	return min(max(f.lease/4, 50*time.Millisecond), time.Second)
 }
 
 // loop is the follower's stream loop: long-poll the primary, apply batches,

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -365,5 +366,96 @@ func TestServeFollowerReadOnly(t *testing.T) {
 	hresp.Body.Close()
 	if h.Role != "follower" || h.Gen != f.Scheduler().WALGen() || h.Name != "bravo" {
 		t.Fatalf("follower health %+v", h)
+	}
+}
+
+// snapshotCounter counts the follower's /replica/snapshot fetches, the
+// requests only a bootstrap makes.
+type snapshotCounter struct {
+	n atomic.Int64
+}
+
+func (c *snapshotCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/replica/snapshot" {
+		c.n.Add(1)
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestServeFollowerRestartInPlace crashes a follower mid-stream and rebuilds
+// it on its own durability files. While the primary stays on the follower's
+// generation, the follower recovers in place and resumes at its (generation,
+// record) position without fetching a snapshot; once the primary has rotated
+// past it, the follower re-bootstraps. Either way, after a failover the
+// complete schedule is byte-identical to one uninterrupted run.
+func TestServeFollowerRestartInPlace(t *testing.T) {
+	const n, cancelEvery = 90, 7
+	ops := makeScript(53, n, 32, false)
+	epoch := time.Unix(1700000000, 0)
+	want := refRun(t, ops, epoch, cancelEvery)
+
+	for _, row := range []struct {
+		name         string
+		compactEvery int
+		bootstrap    bool
+	}{
+		{"same generation", 0, false},
+		{"primary rotated past it", 8, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			clk := NewManualClock(epoch)
+			sc := &snapshotCounter{}
+			fc := FollowConfig{HTTP: &http.Client{Transport: sc}}
+			// Acks wait for the crashed follower until they time out: keep it short.
+			p, _, ts, f := startReplicaPair(t, clk, row.compactEvery, fc,
+				func(c *Config) { c.ReplAckTimeout = 20 * time.Millisecond })
+			runScriptCancel(t, p, clk, ops[:30], 0, cancelEvery)
+			waitCaughtUp(t, p, f.Scheduler(), 10*time.Second)
+
+			// SIGKILL the follower: no drain, no close.
+			cfgF := f.Scheduler().cfg
+			genAtCrash := f.Scheduler().WALGen()
+			f.Stop()
+			f.Scheduler().crash()
+			runScriptCancel(t, p, clk, ops[30:60], 30, cancelEvery)
+			if rotated := p.WALGen() != genAtCrash; rotated != row.bootstrap {
+				t.Fatalf("primary at generation %d, follower crashed at %d: rotated %v, row expects %v",
+					p.WALGen(), genAtCrash, rotated, row.bootstrap)
+			}
+
+			fetches := sc.n.Load()
+			f2, err := NewFollower(cfgF, f.fc)
+			if err != nil {
+				t.Fatalf("restart follower: %v", err)
+			}
+			f2.Start()
+			t.Cleanup(f2.Stop)
+			runScriptCancel(t, p, clk, ops[60:], 60, cancelEvery)
+			waitCaughtUp(t, p, f2.Scheduler(), 10*time.Second)
+			if err := f2.Err(); err != nil {
+				t.Fatalf("restarted follower stream error: %v", err)
+			}
+			if got := sc.n.Load() - fetches; (got > 0) != row.bootstrap {
+				t.Fatalf("restarted follower fetched %d snapshots; bootstrap expected: %v", got, row.bootstrap)
+			}
+			if got := f2.Scheduler().mReplReseeds.Value(); got != 0 {
+				t.Fatalf("rlbf_repl_rebootstraps_total = %d after a restart, want 0", got)
+			}
+
+			p.crash()
+			ts.Close()
+			f2.Stop()
+			if err := f2.Promote(); err != nil {
+				t.Fatalf("promote restarted follower: %v", err)
+			}
+			clk.Advance(24 * time.Hour)
+			st, err := f2.Scheduler().Drain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderRecords(st.Records); got != want {
+				t.Fatalf("schedule after follower restart differs from uninterrupted run:\n got:\n%s\nwant:\n%s", got, want)
+			}
+		})
 	}
 }

@@ -71,17 +71,10 @@ type Config struct {
 	// log and fsync'd before the client sees its acknowledgement, so a crash
 	// at any instant loses no accepted work. Requires SnapshotPath.
 	WALPath string
-	// HistoryPath is the append-only completed-record log paired with the
-	// WAL; "" defaults to WALPath + ".hist".
-	HistoryPath string
 	// CompactEvery rotates the durability files once the WAL holds this many
 	// records (snapshot + fresh generation), bounding both log growth and
 	// recovery replay. 0 defaults to 4096.
 	CompactEvery int
-	// WALNoSync skips the per-command fsync (group commit at snapshot and
-	// compaction boundaries only). Faster, but a crash may lose the last
-	// acknowledged commands — recovery stays consistent, not complete.
-	WALNoSync bool
 	// FS abstracts the filesystem for fault-injection tests; nil = the real
 	// one.
 	FS wal.FS
@@ -90,10 +83,6 @@ type Config struct {
 	// advertised via /healthz so operators see the configured window. 0
 	// defaults to 3s.
 	Lease time.Duration
-	// Peers lists the other replicas' base URLs. A restarting primary
-	// probes them before recovery: any peer at a higher WAL generation
-	// means this daemon was failed over while down, and it fences itself.
-	Peers []string
 	// RoundBudget arms the stuck-round watchdog: if one scheduling pass
 	// (command handling plus its engine advance) exceeds the budget, the
 	// watchdog sets rlbf_round_stalled and logs a full goroutine dump.
@@ -111,9 +100,6 @@ type Config struct {
 func applyWALDefaults(cfg *Config) {
 	if cfg.FS == nil {
 		cfg.FS = wal.OSFS{}
-	}
-	if cfg.WALPath != "" && cfg.HistoryPath == "" {
-		cfg.HistoryPath = cfg.WALPath + ".hist"
 	}
 	if cfg.CompactEvery <= 0 {
 		cfg.CompactEvery = 4096
@@ -408,29 +394,40 @@ func newEmpty(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// newFromStateWithPrior rebuilds the engine via sim.NewEngineFromSnapshot
-// with an explicit prior-record history (loaded from the history log or the
-// replication bootstrap), and re-anchors the clock adapter so simulation time
-// continues from the snapshot clock.
-func newFromStateWithPrior(cfg Config, st *State, prior []metrics.Record) (*Scheduler, error) {
-	if st.Procs != cfg.Procs || st.Mem != cfg.Mem {
-		return nil, fmt.Errorf("serve: state machine %d procs/%d mem does not match config %d/%d",
-			st.Procs, st.Mem, cfg.Procs, cfg.Mem)
+// loadState replaces the engine and the daemon bookkeeping with st, whose
+// record history is prior (from the history log or a replication bootstrap):
+// the one state loader behind recovery, follower bootstrap and in-place
+// reseed. The engine is built first, so a state that does not load leaves
+// the scheduler untouched. Simulation time re-anchors at the snapshot clock,
+// and rlbf_jobs_started_total only moves forward, to the prior count. Call it
+// before the history cursor moves to the new state.
+func (s *Scheduler) loadState(st *State, prior []metrics.Record) error {
+	if st.Procs != s.cfg.Procs || st.Mem != s.cfg.Mem {
+		return fmt.Errorf("serve: state machine %d procs/%d mem does not match config %d/%d",
+			st.Procs, st.Mem, s.cfg.Procs, s.cfg.Mem)
 	}
-	s, err := newScheduler(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rest := &trace.Trace{Name: cfg.Name, Procs: cfg.Procs, Mem: cfg.Mem, Jobs: st.Pending}
+	rest := &trace.Trace{Name: s.cfg.Name, Procs: s.cfg.Procs, Mem: s.cfg.Mem, Jobs: st.Pending}
 	snap := sim.Snapshot{Clock: st.SimClock, Queued: st.Queued, Running: st.Running}
 	eng, err := sim.NewEngineFromSnapshot(rest, s.simConfig(), snap)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("serve: load state: %w", err)
+	}
+	if d := len(prior) - s.histCount; d > 0 {
+		s.mStarted.Add(int64(d))
 	}
 	s.eng = eng
 	s.simEpoch = st.SimClock
+	s.wallEpoch = s.clock.Now()
+	s.replClock = st.SimClock
 	s.nextID = st.NextID
 	s.prior = prior
+	s.recSeen = 0
+	s.repPend = nil
+	s.predStamp = -1
+	clear(s.submitted)
+	clear(s.started)
+	clear(s.canceledIDs)
+	clear(s.idem)
 	for _, r := range prior {
 		s.started[r.Job.ID] = r
 		s.submitted[r.Job.ID] = r.Job
@@ -444,11 +441,11 @@ func newFromStateWithPrior(cfg Config, st *State, prior []metrics.Record) (*Sche
 	for _, id := range st.Canceled {
 		s.canceledIDs[id] = true
 	}
-	for k, id := range st.Idem {
-		s.idem[k] = id
-	}
-	s.mStarted.Add(int64(len(prior)))
-	return s, nil
+	maps.Copy(s.idem, st.Idem)
+	s.mQueue.Set(int64(eng.QueueLen()))
+	s.mFree.Set(int64(eng.FreeProcs()))
+	s.mRunning.Set(int64(eng.RunningCount()))
+	return nil
 }
 
 func newScheduler(cfg Config) (*Scheduler, error) {
@@ -872,6 +869,7 @@ func (s *Scheduler) handle(c command) bool {
 		}
 		if ok {
 			s.canceledIDs[c.id] = true
+			s.predStamp = -1 // the plan changed without a counted round
 			s.mCancels.Inc()
 			if s.wlog != nil {
 				s.encBuf = encodeCancel(s.encBuf[:0], c.id, now)
@@ -1044,7 +1042,10 @@ func (s *Scheduler) statusOf(id int, now int64) JobStatus {
 
 // predictedStart answers from the reservation profile via the shared
 // planner (backfill.Predictor), caching the full plan per engine state so a
-// burst of status queries costs one projection. Queues beyond PredictCap are
+// burst of status queries costs one projection. The cache is keyed on the
+// decision count and the clock; an engine mutation outside a counted round (a
+// cancel, an applied command, a loaded state) drops it by resetting
+// predStamp. Queues beyond PredictCap are
 // not projected (ok=false) — a deep backlog would make every query O(queue).
 func (s *Scheduler) predictedStart(id int, now int64) (int64, bool) {
 	decs := s.mDecisions.Value()

@@ -277,3 +277,53 @@ func TestSchedulerCancelAndStatus(t *testing.T) {
 		t.Fatalf("submit after drain: %v, want ErrStopped", err)
 	}
 }
+
+// TestSchedulerPredictionAfterCancel pins that a cancel refreshes the
+// predicted starts behind it within the same simulated second, on the
+// primary that takes the cancel and on a follower that applies it from the
+// stream. A fills the machine for 100 s; B (50 s) and C (10 s) queue behind
+// it, each as wide as the machine, so C is predicted at A's end + 50 until B
+// is canceled, and at A's end after.
+func TestSchedulerPredictionAfterCancel(t *testing.T) {
+	for _, row := range []string{"primary", "follower"} {
+		t.Run(row, func(t *testing.T) {
+			clk := NewManualClock(time.Unix(1700000000, 0))
+			p, cfg, _, f := startReplicaPair(t, clk, 0, FollowConfig{}, nil)
+			q := p
+			if row == "follower" {
+				q = f.Scheduler()
+			}
+			clk.Advance(time.Second)
+			var ids [3]int
+			var aEnd int64
+			for i, run := range []int64{100, 50, 10} {
+				res, err := p.Submit(JobRequest{Procs: cfg.Procs, Runtime: run})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids[i] = res.ID
+				if i == 0 {
+					aEnd = res.Submit + run
+				}
+			}
+			predC := func() int64 {
+				t.Helper()
+				waitCaughtUp(t, p, f.Scheduler(), 10*time.Second)
+				st, err := q.Status(ids[2])
+				if err != nil || st.State != "queued" {
+					t.Fatalf("status of C: %+v, err %v", st, err)
+				}
+				return st.PredictedStart
+			}
+			if got := predC(); got != aEnd+50 {
+				t.Fatalf("C predicted at %d before the cancel, want %d", got, aEnd+50)
+			}
+			if ok, err := p.CancelJob(ids[1]); !ok || err != nil {
+				t.Fatalf("cancel B: ok %v, err %v", ok, err)
+			}
+			if got := predC(); got != aEnd {
+				t.Fatalf("C predicted at %d in the cancel's second, want %d (A's end)", got, aEnd)
+			}
+		})
+	}
+}

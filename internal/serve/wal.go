@@ -16,15 +16,15 @@ import (
 
 // Durability layer (DESIGN.md §13). Three files cooperate:
 //
-//	snapshot  (cfg.SnapshotPath)   live state, atomically replaced, O(state)
-//	wal       (cfg.WALPath)        state-changing commands since the last
+//	snapshot  (SnapshotPath)       live state, atomically replaced, O(state)
+//	wal       (WALPath)            state-changing commands since the last
 //	                               rotation: submit / cancel / clock advance
-//	history   (cfg.HistoryPath)    append-only stream of every completed
+//	history   (WALPath + ".hist")  append-only stream of every completed
 //	                               record (job start+end), never rewritten
 //
-// Every state-changing command is framed, CRC'd and (unless WALNoSync)
-// fsync'd into the WAL before the client sees its acknowledgement, so a
-// SIGKILL at any instant loses no accepted submission. Recovery loads the
+// Every state-changing command is framed, CRC'd and fsync'd into the WAL
+// before the client sees its acknowledgement, so a SIGKILL at any instant
+// loses no accepted submission. Recovery loads the
 // snapshot, replays the WAL tail onto it and — because the kernel is
 // deterministic — re-derives exactly the records the crashed process had
 // produced; the history log is the witness: the re-derived stream is
@@ -165,10 +165,6 @@ func decodeWalRec(p []byte) (walRec, error) {
 
 // --- scheduler-side logging hooks (run goroutine only) ---
 
-// walActive reports whether the durability layer is up (configured and not
-// degraded).
-func (s *Scheduler) walActive() bool { return s.wlog != nil }
-
 // degrade flips the daemon into degraded in-memory mode: the durability
 // layer is closed, the reason is surfaced through /healthz, Stats and the
 // rlbf_degraded gauge, and scheduling continues without persistence. The
@@ -181,14 +177,7 @@ func (s *Scheduler) degrade(op string, err error) {
 	s.degradedReason.Store(reason)
 	s.degraded.Store(true)
 	s.mDegraded.Set(1)
-	if s.wlog != nil {
-		s.wlog.Close()
-		s.wlog = nil
-	}
-	if s.hlog != nil {
-		s.hlog.Close()
-		s.hlog = nil
-	}
+	s.closeLogs()
 	log.Printf("serve: %s: durability lost (%s); continuing degraded in-memory", s.cfg.Name, reason)
 	if s.feed != nil {
 		// A degraded daemon cannot replicate (its WAL no longer advances).
@@ -254,10 +243,9 @@ func (s *Scheduler) walAdvance(now int64) {
 	s.walAppend(s.encBuf)
 }
 
-// walSync makes the WAL durable before a client acknowledgement. No-op when
-// WALNoSync opted out of per-command fsync (group commit at snapshots only).
+// walSync makes the WAL durable before a client acknowledgement.
 func (s *Scheduler) walSync() {
-	if s.wlog == nil || s.cfg.WALNoSync {
+	if s.wlog == nil {
 		return
 	}
 	t0 := time.Now()
@@ -315,40 +303,44 @@ func (s *Scheduler) compactTo(gen uint64) {
 	// Publish any pending records first so the feed's previous-generation
 	// buffer is complete before it rotates.
 	s.publishRepl()
-	if s.hlog != nil {
-		if err := s.hlog.Sync(); err != nil {
-			s.degrade("history sync", err)
-			return
-		}
-	}
 	st := s.liveState() // the history log owns the record stream
 	st.WALGen = gen
-	data, err := marshalState(st)
+	data, err := s.encodeSnapshot(st)
+	if err == nil {
+		err = s.rotate(gen, data)
+	}
 	if err != nil {
-		s.degrade("snapshot marshal", err)
+		s.degrade("compaction", err)
 		return
 	}
+	s.mCompactions.Inc()
+}
+
+// rotate makes data, a rotation snapshot at generation gen, the durable
+// base: it writes the snapshot atomically, replaces the WAL with an empty
+// generation gen and rotates the replication feed onto it. The history log
+// must already hold every record the snapshot counts. This is the one
+// bring-up behind compaction, a fresh daemon and a follower bootstrap.
+func (s *Scheduler) rotate(gen uint64, data []byte) error {
 	if err := wal.WriteFileAtomic(s.fs, s.cfg.SnapshotPath, data); err != nil {
-		s.degrade("snapshot write", err)
-		return
+		return fmt.Errorf("snapshot write: %w", err)
 	}
 	if s.wlog != nil {
 		s.wlog.Close()
+		s.wlog = nil
 	}
 	wl, err := wal.Create(s.fs, s.cfg.WALPath, gen)
 	if err != nil {
-		s.wlog = nil
-		s.degrade("wal rotate", err)
-		return
+		return fmt.Errorf("wal rotate: %w", err)
 	}
 	s.wlog = wl
 	s.setGen(gen)
 	s.walCount.Store(0)
-	s.mCompactions.Inc()
 	s.mWALBytes.Set(wl.Size())
 	if s.feed != nil {
 		s.feed.Rotate(gen, data, s.histCount, s.histDigest)
 	}
+	return nil
 }
 
 // setGen updates the run goroutine's generation and its atomic shadow.
@@ -357,34 +349,51 @@ func (s *Scheduler) setGen(gen uint64) {
 	s.walGenA.Store(gen)
 }
 
+// encodeSnapshot syncs the history log, so every record the snapshot's
+// HistoryCount cursor covers is durable before the snapshot can be, and
+// marshals st.
+func (s *Scheduler) encodeSnapshot(st *State) ([]byte, error) {
+	if s.hlog != nil {
+		if err := s.hlog.Sync(); err != nil {
+			return nil, fmt.Errorf("history sync: %w", err)
+		}
+	}
+	return marshalState(st)
+}
+
 // writeSnapshot persists the current state outside the rotation path
 // (cmdSnapshot, drain) in the live-state form tied to the current WAL
 // generation. Without a WAL — none configured, or degraded — it writes
 // nothing: the on-disk triple stays the last consistent one, which Recover
 // restarts from.
 func (s *Scheduler) writeSnapshot(st *State) error {
-	if !s.walActive() {
+	if s.wlog == nil {
 		return nil
-	}
-	if s.hlog != nil {
-		if err := s.hlog.Sync(); err != nil {
-			s.degrade("history sync", err)
-			return err
-		}
 	}
 	cp := *st
 	cp.Records = nil
 	cp.WALGen = s.walGen
 	cp.WALRecords = s.wlog.Records()
-	data, err := marshalState(&cp)
+	data, err := s.encodeSnapshot(&cp)
 	if err == nil {
 		err = wal.WriteFileAtomic(s.fs, s.cfg.SnapshotPath, data)
 	}
 	if err != nil {
 		s.degrade("snapshot write", err)
-		return err
 	}
-	return nil
+	return err
+}
+
+// closeLogs closes both durability logs without syncing them.
+func (s *Scheduler) closeLogs() {
+	if s.wlog != nil {
+		s.wlog.Close()
+		s.wlog = nil
+	}
+	if s.hlog != nil {
+		s.hlog.Close()
+		s.hlog = nil
+	}
 }
 
 // closeWAL syncs and closes the durability files (drain path).
@@ -399,28 +408,55 @@ func (s *Scheduler) closeWAL() {
 			s.degrade("history sync", err)
 		}
 	}
-	if s.wlog != nil {
-		s.wlog.Close()
-		s.wlog = nil
+	s.closeLogs()
+}
+
+// historyPath is where the history log lives: beside the WAL it pairs with.
+func historyPath(cfg Config) string { return cfg.WALPath + ".hist" }
+
+// createHistory starts a fresh history log holding frames, durably, and
+// points the history cursor at its end.
+func (s *Scheduler) createHistory(frames [][]byte) error {
+	hl, err := wal.Create(s.fs, historyPath(s.cfg), 1)
+	if err != nil {
+		return fmt.Errorf("serve: create history log: %w", err)
 	}
-	if s.hlog != nil {
-		s.hlog.Close()
-		s.hlog = nil
+	for _, p := range frames {
+		if err = hl.Append(p); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = hl.Sync()
+	}
+	if err != nil {
+		hl.Close()
+		return fmt.Errorf("serve: write history log: %w", err)
+	}
+	s.useHistory(hl, frames)
+	return nil
+}
+
+// useHistory makes hl, which holds exactly frames, the history log, with the
+// cursor (record count, chained digest) at its end.
+func (s *Scheduler) useHistory(hl *wal.Log, frames [][]byte) {
+	s.hlog = hl
+	s.histCount = len(frames)
+	s.histDigest = 0
+	for _, p := range frames {
+		s.histDigest = wal.Digest(s.histDigest, p)
 	}
 }
 
 // initFreshWAL brings the durability files up for a brand-new daemon: an
-// empty history log and, via compact, an initial snapshot plus WAL
-// generation 1 — so recovery always finds a consistent triple, even after a
-// crash seconds into the first run.
+// empty history log, then an initial snapshot plus WAL generation 1 — so
+// recovery always finds a consistent triple, even after a crash seconds into
+// the first run.
 func (s *Scheduler) initFreshWAL() error {
-	hl, err := wal.Create(s.fs, s.cfg.HistoryPath, 1)
-	if err != nil {
-		return fmt.Errorf("serve: create history log: %w", err)
+	if err := s.createHistory(nil); err != nil {
+		return err
 	}
-	s.hlog = hl
-	s.walGen = 0
-	s.compact() // writes snapshot gen 1, creates WAL gen 1
+	s.compactTo(1)
 	if s.degraded.Load() {
 		return fmt.Errorf("serve: init durability: %s", s.DegradedReason())
 	}
@@ -459,7 +495,7 @@ type RecoveryInfo struct {
 var ErrReplayDivergence = errors.New("serve: wal replay diverges from history log")
 
 // Recover rebuilds a scheduler from the durability triple at
-// cfg.SnapshotPath / cfg.WALPath / cfg.HistoryPath: load the snapshot (or
+// cfg.SnapshotPath / cfg.WALPath / cfg.WALPath+".hist": load the snapshot (or
 // start empty), replay the WAL tail, byte-verify the re-derived records
 // against the history log, repair torn tails, and immediately compact so the
 // next crash recovers from a fresh generation. Missing files are not errors
@@ -509,7 +545,7 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	// boundary into prior history and the post-snapshot suffix the replay
 	// must reproduce.
 	var hres *wal.ReplayResult
-	switch res, err := wal.Replay(fs, cfg.HistoryPath); {
+	switch res, err := wal.Replay(fs, historyPath(cfg)); {
 	case err == nil:
 		hres = res
 		info.TornHistory = res.Torn
@@ -540,12 +576,9 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 
 	// 3. Build the scheduler at the snapshot state, with prior history from
 	// the history log rather than the snapshot body.
-	var s *Scheduler
-	var err error
-	if st != nil {
-		s, err = newFromStateWithPrior(cfg, st, histJobs[:histBase])
-	} else {
-		s, err = newEmpty(cfg)
+	s, err := newEmpty(cfg)
+	if err == nil && st != nil {
+		err = s.loadState(st, histJobs[:histBase])
 	}
 	if err != nil {
 		return nil, nil, err
@@ -590,44 +623,9 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	// 5. Replay commands. The kernel is deterministic, so applying the same
 	// submissions, cancellations and clock advances to the snapshot state
 	// reproduces exactly the schedule the crashed process computed.
-	maxClock := s.eng.Now()
 	for i, p := range cmds {
-		rec, err := decodeWalRec(p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: wal record %d: %v", skip+i, err)
-		}
-		switch rec.kind {
-		case walKindSubmit:
-			if err := s.eng.Inject(rec.job); err != nil {
-				return nil, nil, fmt.Errorf("serve: replaying submit of job %d: %v", rec.job.ID, err)
-			}
-			s.submitted[rec.job.ID] = rec.job
-			if rec.idem != "" {
-				s.idem[rec.idem] = rec.job.ID
-			}
-			if rec.job.ID >= s.nextID {
-				s.nextID = rec.job.ID + 1
-			}
-			s.mSubmits.Inc()
-			if rec.job.Submit > maxClock {
-				maxClock = rec.job.Submit
-			}
-		case walKindCancel:
-			s.stepTo(rec.time)
-			if s.eng.Cancel(rec.id) {
-				s.mCancels.Inc()
-			}
-			s.canceledIDs[rec.id] = true
-			if rec.time > maxClock {
-				maxClock = rec.time
-			}
-		case walKindAdvance:
-			s.stepTo(rec.time)
-			if rec.time > maxClock {
-				maxClock = rec.time
-			}
-		default:
-			return nil, nil, fmt.Errorf("serve: wal record %d has kind %d, not a command", skip+i, rec.kind)
+		if err := s.applyCommand(p); err != nil {
+			return nil, nil, fmt.Errorf("serve: wal record %d: %w", skip+i, err)
 		}
 	}
 	info.Applied = len(cmds)
@@ -660,25 +658,18 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	for _, p := range hres.Records[:keep] {
 		goodSize += 8 + int64(len(p))
 	}
-	var hl *wal.Log
-	if _, err := fs.Stat(cfg.HistoryPath); errors.Is(err, os.ErrNotExist) {
-		hl, err = wal.Create(fs, cfg.HistoryPath, 1)
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: create history log: %w", err)
+	if _, err := fs.Stat(historyPath(cfg)); errors.Is(err, os.ErrNotExist) {
+		if err := s.createHistory(nil); err != nil {
+			return nil, nil, err
 		}
 	} else {
-		hl, err = wal.OpenAppend(fs, cfg.HistoryPath, &wal.ReplayResult{
+		hl, err := wal.OpenAppend(fs, historyPath(cfg), &wal.ReplayResult{
 			Gen: hres.Gen, Records: hres.Records[:keep], GoodSize: goodSize,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("serve: reopen history log: %w", err)
 		}
-	}
-	s.hlog = hl
-	s.histCount = keep
-	s.histDigest = 0
-	for _, p := range hres.Records[:keep] {
-		s.histDigest = wal.Digest(s.histDigest, p)
+		s.useHistory(hl, hres.Records[:keep])
 	}
 	for _, r := range rederived[common:] {
 		s.walHistory(r)
@@ -687,20 +678,15 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 
 	// 8. Adopt the re-derived records into the daemon bookkeeping and
 	// re-anchor the clock at the furthest instant the log proves was
-	// reached.
+	// reached: the snapshot clock or the latest replayed command (both in
+	// replClock), or the engine's own clock.
 	for _, r := range rederived {
 		s.started[r.Job.ID] = r
 		s.mStarted.Inc()
 	}
 	s.recSeen = len(rederived)
-	if c := s.eng.Now(); c > maxClock {
-		maxClock = c
-	}
-	if st != nil && st.SimClock > maxClock {
-		maxClock = st.SimClock
-	}
-	s.simEpoch = maxClock
-	s.replClock = maxClock
+	s.replClock = max(s.replClock, s.eng.Now())
+	s.simEpoch = s.replClock
 	s.setGen(gen)
 
 	if compactAfter {
@@ -733,8 +719,48 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	return s, info, nil
 }
 
-// stepTo advances the engine through every event at or before t (the replay
-// twin of advanceTo, without wall-clock metrics or WAL writes).
+// applyCommand applies one logged command to the engine: the one applier
+// behind crash recovery's WAL replay and a follower's batch apply. A submit
+// is injected with its bookkeeping; a cancel or an advance first steps the
+// engine through its instant. replClock keeps the furthest instant a command
+// proves was reached, and the predicted-start cache is dropped: the plan may
+// have changed without a counted scheduling round.
+func (s *Scheduler) applyCommand(p []byte) error {
+	rec, err := decodeWalRec(p)
+	if err != nil {
+		return err
+	}
+	t := rec.time
+	switch rec.kind {
+	case walKindSubmit:
+		if err := s.eng.Inject(rec.job); err != nil {
+			return fmt.Errorf("submit of job %d: %v", rec.job.ID, err)
+		}
+		s.submitted[rec.job.ID] = rec.job
+		if rec.idem != "" {
+			s.idem[rec.idem] = rec.job.ID
+		}
+		s.nextID = max(s.nextID, rec.job.ID+1)
+		s.mSubmits.Inc()
+		t = rec.job.Submit
+	case walKindCancel, walKindAdvance:
+		s.stepTo(t)
+		if rec.kind == walKindCancel {
+			if s.eng.Cancel(rec.id) {
+				s.mCancels.Inc()
+			}
+			s.canceledIDs[rec.id] = true
+		}
+	default:
+		return fmt.Errorf("kind %d is not a command", rec.kind)
+	}
+	s.replClock = max(s.replClock, t)
+	s.predStamp = -1
+	return nil
+}
+
+// stepTo advances the engine through every event at or before t (the
+// applier's twin of advanceTo, without wall-clock metrics or WAL writes).
 func (s *Scheduler) stepTo(t int64) {
 	for {
 		et, ok := s.eng.NextEventTime()
