@@ -310,26 +310,10 @@ func BenchmarkSimulatorConservative(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorSlack measures the slack-based backfilling cost on the
-// conservative benchmark's workload (the other profile-based heuristic).
-func BenchmarkSimulatorSlack(b *testing.B) {
-	tr := trace.SyntheticSDSCSP2(500, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(tr.Clone(), sim.Config{
-			Policy:     sched.FCFS{},
-			Backfiller: backfill.NewSlack(backfill.RequestTime{}),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkProfileReserve measures one conservative-style profile round on
 // the skyline: bulk-build from 48 running spans, checkpoint, place
 // 48 queued jobs via FindStart+ReserveFound, roll back. This is the
-// primitive the profile-based backfillers execute once per candidate per
+// primitive conservative backfilling executes once per candidate per
 // scheduling round.
 func BenchmarkProfileReserve(b *testing.B) {
 	rng := stats.NewRNG(3)

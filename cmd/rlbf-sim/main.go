@@ -35,7 +35,7 @@ func main() {
 	jobs := flag.Int("jobs", 5000, "jobs to use from the trace")
 	seed := flag.Uint64("seed", 1, "generator seed for built-in workloads")
 	policyArg := flag.String("policy", "FCFS", "FCFS, SJF, WFP3, F1, F2, F3, F4 or SAF")
-	bfArg := flag.String("backfill", "easy", "none, easy, easy-ar, easy-sjf, conservative, slack or rlbf")
+	bfArg := flag.String("backfill", "easy", "none, easy, easy-ar, easy-sjf, conservative or rlbf")
 	modelArg := flag.String("model", "", "model file for -backfill rlbf")
 	noise := flag.Float64("noise", 0, "prediction noise level for easy (+x, e.g. 0.2)")
 	csvPath := flag.String("csv", "", "write per-job records to this CSV file")
@@ -83,10 +83,6 @@ func main() {
 		bf = &backfill.EASY{Est: est, Order: backfill.SJFOrder, Scn: scn}
 	case "conservative":
 		bf = backfill.NewConservative(est)
-	case "slack":
-		s := backfill.NewSlack(est)
-		s.Scn = scn
-		bf = s
 	case "rlbf":
 		if *modelArg == "" {
 			fatal("-backfill rlbf needs -model")

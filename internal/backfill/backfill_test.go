@@ -167,6 +167,38 @@ func TestEASYStopsWhenMachineFull(t *testing.T) {
 	}
 }
 
+// TestEASYResumeRecomputesExtraAfterStarts pins the one way a round that
+// started jobs could mislead the next: job 5 ends exactly at the shadow that
+// job 1 sets, so it consumes none of the in-round Extra, but its ID sorts
+// after job 1's and a fresh reservation counts it as still running at the
+// shadow — Extra 0, not 2. An arrival that only the in-round Extra admits
+// must not start.
+func TestEASYResumeRecomputesExtraAfterStarts(t *testing.T) {
+	st := &memState{now: 0, free: 4, total: 10, running: []Running{
+		{Job: job(1, 0, 100, 100, 6), Start: 0},
+	}}
+	st.journal.Open()
+	head := job(2, 0, 50, 50, 8)   // shadow 100, extra (4+6)-8 = 2
+	wide := job(3, 0, 500, 500, 3) // ends past the shadow, wider than the extra
+	atShadow := job(5, 0, 100, 100, 2)
+	e := NewEASY(RequestTime{})
+	e.Backfill(st, head, []*trace.Job{wide, atShadow})
+	if !slices.Equal(ids(st.started), []int{5}) {
+		t.Fatalf("first round started %v, want [5]", ids(st.started))
+	}
+	if res := ComputeReservation(st, head, RequestTime{}); res != (Reservation{Shadow: 100, Extra: 0}) {
+		t.Fatalf("fresh reservation %+v, want shadow 100 and no extra", res)
+	}
+
+	long := job(6, 1, 500, 500, 2) // fits the 2 free procs, ends past the shadow
+	st.now = 1
+	st.journal.Record(Arrived, long, 1)
+	e.Backfill(st, head, []*trace.Job{wide, long})
+	if !slices.Equal(ids(st.started), []int{5}) {
+		t.Fatalf("second round started %v: the arrival used the previous round's extra", ids(st.started))
+	}
+}
+
 func TestEstimatorNames(t *testing.T) {
 	if (RequestTime{}).Name() != "RT" || (ActualRuntime{}).Name() != "AR" {
 		t.Fatal("estimator names wrong")
@@ -221,6 +253,54 @@ func TestConservativeDoesNotDelayAnyReservation(t *testing.T) {
 	// job 3 fits now and delays nobody: it must start
 	if len(st.started) != 1 || st.started[0].ID != 3 {
 		t.Fatalf("conservative refused a harmless backfill: %v", ids(st.started))
+	}
+}
+
+func TestConservativeNeverDelaysHead(t *testing.T) {
+	st := &memState{now: 0, free: 2, total: 10, running: []Running{
+		{Job: job(1, 0, 100, 100, 8), Start: 0},
+	}}
+	head := job(2, 0, 50, 50, 10)
+	long := job(3, 1, 500, 500, 2) // runs way past the head's reservation at 100
+	NewConservative(RequestTime{}).Backfill(st, head, []*trace.Job{long})
+	if len(st.started) != 0 {
+		t.Fatalf("conservative delayed the head by starting %v", ids(st.started))
+	}
+}
+
+func TestConservativeProtectsNonHeadReservations(t *testing.T) {
+	// Machine 10. Running: 8 procs until t=100. The head (8 procs) is
+	// reserved at [100,150) and mid (all 10 procs) at [150,200). cand (2
+	// procs, 200s) fits the 2 free procs and the head's 2 spare ones, but
+	// starting it now would push mid from 150 to 200. EASY, which protects
+	// only the head, starts it; conservative must not.
+	mk := func() (*memState, *trace.Job, []*trace.Job) {
+		st := &memState{now: 0, free: 2, total: 10, running: []Running{
+			{Job: job(1, 0, 100, 100, 8), Start: 0},
+		}}
+		return st, job(2, 0, 50, 50, 8), []*trace.Job{job(3, 1, 50, 50, 10), job(4, 2, 200, 200, 2)}
+	}
+	st, head, queue := mk()
+	NewEASY(RequestTime{}).Backfill(st, head, queue)
+	if !slices.Equal(ids(st.started), []int{4}) {
+		t.Fatalf("EASY started %v, want [4]", ids(st.started))
+	}
+	st, head, queue = mk()
+	NewConservative(RequestTime{}).Backfill(st, head, queue)
+	if len(st.started) != 0 {
+		t.Fatalf("conservative delayed a non-head reservation by starting %v", ids(st.started))
+	}
+}
+
+func TestConservativeSkipsOversizedCandidates(t *testing.T) {
+	st := &memState{now: 0, free: 2, total: 10, running: []Running{
+		{Job: job(1, 0, 100, 100, 8), Start: 0},
+	}}
+	head := job(2, 0, 50, 50, 10)
+	wide := job(3, 1, 10, 10, 4) // wider than the 2 free procs
+	NewConservative(RequestTime{}).Backfill(st, head, []*trace.Job{wide})
+	if len(st.started) != 0 {
+		t.Fatal("conservative started a job that does not fit")
 	}
 }
 

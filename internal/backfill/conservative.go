@@ -13,14 +13,14 @@ import (
 //
 // Scenario semantics come for free: the engine hands the queue over in
 // scenario order (starving first, then priority tiers), the base plan
-// reserves in that order so higher tiers hold earlier reservations, and the
-// zero-slip limits already guarantee no reservation — starving or not — ever
+// reserves in that order so higher tiers hold earlier reservations, and
+// zero slip already guarantees no reservation — starving or not — ever
 // moves later. On memory-carrying machines every reservation spans both
-// resource dimensions via the shared planner's vector profile.
+// resource dimensions via the planner's vector profile.
 type Conservative struct {
 	Est Estimator
 
-	// pl holds the reusable per-round profile, plan and limit scratch.
+	// pl holds the reusable per-round profile and plan scratch.
 	pl planner
 }
 
@@ -35,24 +35,14 @@ func (c *Conservative) Name() string { return "CONS-" + c.Est.Name() }
 
 // Backfill implements Backfiller. Each round plans reservations for the head
 // and every queued job, then starts the first candidate whose immediate
-// execution moves nobody's reserved start later — the limit of every job is
-// exactly its base start (no slip allowed). Rounds repeat until no candidate
-// is admissible.
+// execution moves nobody's reserved start later (no slip allowed). Rounds
+// repeat until no candidate is admissible.
 func (c *Conservative) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	for {
-		started := c.pl.backfillOne(st, c.Est, st.Now(), head, queue, true, c.setLimits)
+		started := c.pl.backfillOne(st, c.Est, st.Now(), head, queue)
 		if started == nil {
 			return
 		}
 		queue = removeStarted(queue, started)
-	}
-}
-
-// setLimits pins every job to its base reserved start: conservative
-// backfilling tolerates zero slip.
-func (c *Conservative) setLimits() {
-	limit := c.pl.growLimits()
-	for i := range c.pl.plan {
-		limit[i] = c.pl.plan[i].start
 	}
 }

@@ -44,7 +44,7 @@ type EASY struct {
 	res   ReservationScratch
 	cands []estimated
 	prots []protection
-	idle  verdict
+	last  verdict
 }
 
 // estimated decorates a candidate with its runtime estimate (and, when a
@@ -63,22 +63,27 @@ type protection struct {
 	res Reservation
 }
 
-// verdict is what a round that started nothing leaves behind: with aging
-// off, every candidate failed against free resources, the head's
-// reservation and now. Until the journal shows a start or a finish, the
-// free resources and the running set — hence the reservation — stay as they
-// were, except that a shadow behind now is clamped up to it; and now only
-// grows, so every job that failed still fails, and only arrivals need a
-// test. The cached reservation answers that test exactly: every estimate is
-// at least 1, so a job starting now ends after now and fails a shadow
-// clamped to now just as it fails one left behind. Cancels only remove
-// candidates, and another head drops the verdict.
+// verdict is what the last round leaves behind: with aging off, every queued
+// job it did not start failed against free resources, the head's reservation
+// and now. Until the journal shows a start or a finish, the free resources
+// and the running set — hence the reservation — stay as they were, except
+// that a shadow behind now is clamped up to it; and now only grows, so every
+// job that failed still fails, and only arrivals need a test. The cached
+// reservation of a round that started nothing answers that test exactly:
+// every estimate is at least 1, so a job starting now ends after now and
+// fails a shadow clamped to now just as it fails one left behind. A round
+// that started jobs caches none: its in-round Extra can be more permissive
+// than a fresh one (a backfilled job that ends exactly at the shadow, and
+// whose ID sorts after the job that set it, lowers the fresh Extra); a fresh
+// reservation has the same shadow and an Extra no larger, so every job that
+// failed still fails. Cancels only remove candidates, and another head drops
+// the verdict.
 type verdict struct {
-	at       Cursor // the journal position it holds at; zero = no verdict
+	at       Cursor // the journal position after the round's own starts; zero = no verdict
 	head     *trace.Job
 	est      Estimator
 	memTotal int
-	res      Reservation // the head's, when the round computed it
+	res      Reservation // the head's, when a round that started nothing computed it
 	haveRes  bool
 }
 
@@ -102,10 +107,10 @@ func (e *EASY) Name() string {
 // first candidate that fits the free resources appears, so a round that can
 // start nothing (a full machine, or only wide jobs waiting) costs one pass of
 // integer compares; in policy order candidates are scanned straight off the
-// queue and estimated only once they fit. A round after one that started
-// nothing tests only the jobs that arrived since, while the verdict holds.
-// The queue must be the state's waiting queue (less the head), which grows
-// only through journaled arrivals.
+// queue and estimated only once they fit. While the last round's verdict
+// holds, the scan starts at the first job that arrived since (resume). The
+// queue must be the state's waiting queue (less the head), which grows only
+// through journaled arrivals.
 func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	free := st.FreeProcs()
 	if free == 0 {
@@ -113,10 +118,8 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	}
 	now := st.Now()
 	memFree, memTotal := MemOf(st)
-	if e.stillIdle(st, head, now, free, memFree, memTotal) {
-		return
-	}
-	e.idle = verdict{}
+	queue = queue[e.resume(st, head, queue, memTotal):]
+	res, haveRes := e.last.res, e.last.haveRes
 
 	// With aging on, every starving queued job gets its own blocking
 	// reservation, computed EASY-style against the running set. Candidates
@@ -140,9 +143,8 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 		n = len(cands)
 	}
 
-	var res Reservation
-	haveRes, started := false, false
-	for i := 0; i < n; i++ {
+	started := false
+	for i := 0; i < n && free > 0; i++ {
 		var j *trace.Job
 		var est int64
 		if sorted {
@@ -204,47 +206,35 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 				p.res.ExtraMem -= jm
 			}
 		}
-		if free == 0 {
-			return
-		}
 	}
+	e.last = verdict{at: st.Journal().Cursor(), head: head, est: comparableOrNil(e.Est), memTotal: memTotal}
 	if !started {
-		e.idle = verdict{at: st.Journal().Cursor(), head: head, est: comparableOrNil(e.Est), memTotal: memTotal, res: res, haveRes: haveRes}
+		e.last.res, e.last.haveRes = res, haveRes
 	}
 }
 
-// stillIdle reports whether the last round's verdict still holds: aging is
-// off, the head, estimator and memory switch are the same, and the journal
-// shows only arrivals since, none of which passes the candidate test. The
-// first arrival that passes hands the round back to the full scan.
-func (e *EASY) stillIdle(st State, head *trace.Job, now int64, free, memFree, memTotal int) bool {
-	v := &e.idle
-	if v.head != head || v.est == nil || e.Est != v.est || v.memTotal != memTotal || e.Scn.Aging() {
-		return false
-	}
-	jr := st.Journal()
-	changes, ok := jr.Since(v.at)
-	if !ok {
-		return false
-	}
-	for _, c := range changes {
-		if c.Kind != Arrived {
-			return false
-		}
-		j := c.Job
-		jm := memDemand(j, memTotal)
-		if j.Procs > free || jm > memFree {
-			continue
-		}
-		if !v.haveRes {
-			v.res, v.haveRes = e.res.Compute(st, head, e.Est), true
-		}
-		if now+e.Est.Estimate(j) <= v.res.Shadow || (j.Procs <= v.res.Extra && jm <= v.res.ExtraMem) {
-			return false
+// resume returns the index where this round's scan starts. The last round's
+// verdict holds when aging is off, the head, estimator and memory switch are
+// the same, and the journal shows only arrivals since, sitting at the
+// queue's tail in journal order: every job before them still fails, so the
+// scan starts at the first arrival. Otherwise it drops the verdict, and the
+// scan starts at 0.
+func (e *EASY) resume(st State, head *trace.Job, queue []*trace.Job, memTotal int) int {
+	v := &e.last
+	if v.head == head && v.est != nil && e.Est == v.est && v.memTotal == memTotal && !e.Scn.Aging() {
+		if changes, ok := st.Journal().Since(v.at); ok && len(changes) <= len(queue) {
+			from := len(queue) - len(changes)
+			i := 0
+			for i < len(changes) && changes[i].Kind == Arrived && changes[i].Job == queue[from+i] {
+				i++
+			}
+			if i == len(changes) {
+				return from
+			}
 		}
 	}
-	v.at = jr.Cursor()
-	return true
+	*v = verdict{}
+	return 0
 }
 
 // sjfOrder decorates the jobs that fit the free resources with their

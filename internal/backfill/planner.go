@@ -15,8 +15,8 @@ type planEntry struct {
 	start int64
 }
 
-// planner is the shared per-round machinery of the profile-based backfillers
-// (Conservative, Slack). A round builds the availability profile from the
+// planner is the per-round machinery of conservative backfilling, shared
+// with the Predictor. A round builds the availability profile from the
 // running set exactly once (one bulk ResetSpans sweep), records every
 // waiting job's base reservation under a checkpoint, and then trial-places
 // each candidate under its own checkpoint — rollback restores the base
@@ -27,7 +27,6 @@ type planner struct {
 	prof   cluster.VecProfile
 	spans  []cluster.Span
 	plan   []planEntry // base placement, in policy order: head first, then queue
-	limit  []int64     // latest admissible start per plan entry during trials
 	sufMin []int64     // sufMin[i] = min base start over plan[i:]
 }
 
@@ -52,25 +51,18 @@ func (pl *planner) fill(st State, est Estimator, now int64) *cluster.VecProfile 
 }
 
 // basePlan places the head and then every queued job in order under a
-// checkpoint, recording each base start, and rolls the profile back. In
-// strict mode a failed reservation aborts the round (Conservative); lenient
-// mode records the found start and moves on (Slack, matching its historic
-// semantics). On success it also fills the suffix minima of the base starts
-// that the trial fast path keys on.
-func (pl *planner) basePlan(p *cluster.VecProfile, est Estimator, now int64, head *trace.Job, queue []*trace.Job, strict bool) bool {
+// checkpoint, recording each base start, and rolls the profile back. A
+// failed reservation aborts the round. On success it also fills the suffix
+// minima of the base starts that the trial fast path keys on.
+func (pl *planner) basePlan(p *cluster.VecProfile, est Estimator, now int64, head *trace.Job, queue []*trace.Job) bool {
 	pl.plan = pl.plan[:0]
 	mark := p.Checkpoint()
-	ok := pl.placeBase(p, est, now, head, strict)
-	if ok {
-		for _, j := range queue {
-			if !pl.placeBase(p, est, now, j, strict) {
-				ok = false
-				break
-			}
-		}
+	err := pl.placeBase(p, est, now, head)
+	for i := 0; err == nil && i < len(queue); i++ {
+		err = pl.placeBase(p, est, now, queue[i])
 	}
 	p.Rollback(mark)
-	if !ok {
+	if err != nil {
 		return false
 	}
 	n := len(pl.plan)
@@ -85,30 +77,19 @@ func (pl *planner) basePlan(p *cluster.VecProfile, est Estimator, now int64, hea
 	return true
 }
 
-func (pl *planner) placeBase(p *cluster.VecProfile, est Estimator, now int64, j *trace.Job, strict bool) bool {
+// placeBase reserves j at its earliest start and records the placement, even
+// when the reservation fails; it returns the reservation's error.
+func (pl *planner) placeBase(p *cluster.VecProfile, est Estimator, now int64, j *trace.Job) error {
 	dur := est.Estimate(j)
 	s := p.FindStart(now, dur, j.Procs, j.Mem)
-	if err := p.ReserveFound(s, s+dur, j.Procs, j.Mem); err != nil && strict {
-		return false
-	}
 	pl.plan = append(pl.plan, planEntry{job: j, dur: dur, start: s})
-	return true
-}
-
-// growLimits sizes the limit slice to the current plan.
-func (pl *planner) growLimits() []int64 {
-	n := len(pl.plan)
-	if cap(pl.limit) < n {
-		pl.limit = make([]int64, n)
-	}
-	pl.limit = pl.limit[:n]
-	return pl.limit
+	return p.ReserveFound(s, s+dur, j.Procs, j.Mem)
 }
 
 // trial re-places every planned job except plan[ci] (the candidate, already
-// reserved at [now, candEnd)) and reports whether everyone's new start stays
-// within its limit. It aborts on the first violation — the verdict is
-// already decided.
+// reserved at [now, candEnd)) and reports whether everyone still starts by
+// its base start. It aborts on the first violation — the verdict is already
+// decided.
 //
 // Fast path: while every re-placed job has landed exactly on its base start
 // AND the loop has not yet passed the candidate's own slot, the trial
@@ -121,7 +102,7 @@ func (pl *planner) growLimits() []int64 {
 // reservation, which can open earlier holes and cascade, so every later job
 // gets a full search. When the candidate is the final slot and the whole
 // remaining suffix is disjoint (sufMin), the trial is accepted outright.
-func (pl *planner) trial(p *cluster.VecProfile, now int64, ci int, candEnd int64, strict bool) bool {
+func (pl *planner) trial(p *cluster.VecProfile, now int64, ci int, candEnd int64) bool {
 	exact := true
 	last := len(pl.plan) - 1
 	for i := range pl.plan {
@@ -134,17 +115,14 @@ func (pl *planner) trial(p *cluster.VecProfile, now int64, ci int, candEnd int64
 				return true
 			}
 			if e.start >= candEnd {
-				if err := p.ReserveFound(e.start, e.start+e.dur, e.job.Procs, e.job.Mem); err != nil && strict {
+				if p.ReserveFound(e.start, e.start+e.dur, e.job.Procs, e.job.Mem) != nil {
 					return false
 				}
 				continue
 			}
 		}
 		s := p.FindStart(now, e.dur, e.job.Procs, e.job.Mem)
-		if err := p.ReserveFound(s, s+e.dur, e.job.Procs, e.job.Mem); err != nil && strict {
-			return false
-		}
-		if s > pl.limit[i] {
+		if s > e.start || p.ReserveFound(s, s+e.dur, e.job.Procs, e.job.Mem) != nil {
 			return false
 		}
 		if s != e.start {
@@ -154,16 +132,14 @@ func (pl *planner) trial(p *cluster.VecProfile, now int64, ci int, candEnd int64
 	return true
 }
 
-// backfillOne runs one round for a profile-based strategy: build the base
-// profile, record the base plan (with `limits` filled by the caller via
-// setLimits), and start the first candidate whose immediate execution keeps
-// every other job within its limit. Returns the started job, or nil.
-func (pl *planner) backfillOne(st State, est Estimator, now int64, head *trace.Job, queue []*trace.Job, strict bool, setLimits func()) *trace.Job {
+// backfillOne runs one conservative round: build the base profile, record
+// the base plan, and start the first candidate whose immediate execution
+// moves no other job's start later. Returns the started job, or nil.
+func (pl *planner) backfillOne(st State, est Estimator, now int64, head *trace.Job, queue []*trace.Job) *trace.Job {
 	p := pl.fill(st, est, now)
-	if !pl.basePlan(p, est, now, head, queue, strict) {
+	if !pl.basePlan(p, est, now, head, queue) {
 		return nil
 	}
-	setLimits()
 	free := st.FreeProcs()
 	memFree, memTotal := MemOf(st)
 	for ci := 1; ci < len(pl.plan); ci++ {
@@ -177,7 +153,7 @@ func (pl *planner) backfillOne(st State, est Estimator, now int64, head *trace.J
 			p.Rollback(mark)
 			continue
 		}
-		ok := pl.trial(p, now, ci, candEnd, strict)
+		ok := pl.trial(p, now, ci, candEnd)
 		p.Rollback(mark)
 		if ok {
 			st.StartJob(cand.job)
@@ -188,7 +164,7 @@ func (pl *planner) backfillOne(st State, est Estimator, now int64, head *trace.J
 }
 
 // removeStarted drops a started job from the local queue view between
-// rounds (shared by the profile-based strategies' Backfill loops).
+// rounds.
 func removeStarted(queue []*trace.Job, started *trace.Job) []*trace.Job {
 	out := queue[:0]
 	for _, j := range queue {

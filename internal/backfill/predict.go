@@ -11,18 +11,18 @@ type PlannedStart struct {
 
 // Predictor projects start times for a waiting queue from the running set's
 // reservation profile — the serve daemon's "when will my job start?" answer.
-// It reuses the profile-backfiller planner: the profile is rebuilt from the
-// running jobs' estimated completions, then every queued job is placed
+// It reuses conservative backfilling's planner: the profile is rebuilt from
+// the running jobs' estimated completions, then every queued job is placed
 // greedily in the given order (FindStart + reserve), and each job's found
 // start is its projection. For conservative backfilling with the same
 // estimator and the engine's queue order this reproduces exactly the base
 // plan the next backfill round will compute, so the projection is the
-// authoritative reservation; for EASY and slack it is the same
-// profile-derived estimate conservative would give (those strategies protect
-// fewer reservations, so jobs may in fact start earlier). Placement is
-// lenient: an over-full profile records the found start instead of aborting,
-// so malformed states still get an answer. A Predictor reuses its scratch
-// across calls and is not goroutine-safe.
+// authoritative reservation; for EASY it is the same profile-derived
+// estimate conservative would give (EASY protects only the head, so jobs may
+// in fact start earlier). A failed reservation is ignored rather than
+// aborting: an over-full profile records the found start, so malformed
+// states still get an answer. A Predictor reuses its scratch across calls
+// and is not goroutine-safe.
 type Predictor struct {
 	pl planner
 }
@@ -38,7 +38,7 @@ func (pr *Predictor) Project(st State, est Estimator, queue []*trace.Job, out []
 	p := pr.pl.fill(st, est, now)
 	pr.pl.plan = pr.pl.plan[:0]
 	for _, j := range queue {
-		pr.pl.placeBase(p, est, now, j, false)
+		_ = pr.pl.placeBase(p, est, now, j)
 	}
 	for _, e := range pr.pl.plan {
 		out = append(out, PlannedStart{Job: e.job, Start: e.start})

@@ -212,6 +212,34 @@ func TestTable4Tiny(t *testing.T) {
 	}
 }
 
+// End-to-end at tiny scale: the scenario grid trains its agent, and every
+// row fills exactly the columns its header names.
+func TestScenarioTiny(t *testing.T) {
+	if testing.Short() {
+		t.Skip("RL experiment skipped in -short mode")
+	}
+	sc := TinyScale()
+	sc.TraceJobs = 300
+	sc.Eval = evalCfg(2, 100)
+	tbl, err := ScenarioCompare(sc, NewZoo(), nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("scenario grid has %d rows", len(tbl.Rows))
+	}
+	for _, row := range tbl.Rows {
+		if len(row) != len(tbl.Header) {
+			t.Fatalf("row %v has %d cells, header %v has %d", row, len(row), tbl.Header, len(tbl.Header))
+		}
+		for c, cell := range row[1 : len(row)-1] { // the heuristic columns
+			if _, err := strconv.ParseFloat(cell, 64); err != nil {
+				t.Fatalf("%s: %s cell %q is not a number", row[0], tbl.Header[c+1], cell)
+			}
+		}
+	}
+}
+
 func TestLoadSweep(t *testing.T) {
 	sc := TinyScale()
 	sc.TraceJobs = 300

@@ -14,8 +14,8 @@ import (
 // LoadSweep is an extension experiment (DESIGN.md §5): how the heuristic
 // backfilling strategies compare as the offered load scales. It compresses
 // the SDSC-SP2 surrogate's arrivals by factors 0.5-2.0 and reports bsld for
-// no backfilling, EASY, SJF-ordered EASY, conservative and slack-based
-// backfilling under FCFS. Every (factor, strategy) point is a cell on the
+// no backfilling, EASY, SJF-ordered EASY and conservative backfilling under
+// FCFS. Every (factor, strategy) point is a cell on the
 // worker pool — weight 1 normally, or the shard worker count when
 // Scale.Shard splits long replays into parallel windows — each scaling the
 // trace and constructing its backfiller privately. The crossover structure (aggressive EASY gaining on
@@ -32,7 +32,6 @@ func LoadSweep(sc Scale, p *pool.Pool, _ io.Writer) (*Table, error) {
 		{"EASY", func() backfill.Backfiller { return backfill.NewEASY(est) }},
 		{"EASY-SJF", func() backfill.Backfiller { return &backfill.EASY{Est: est, Order: backfill.SJFOrder} }},
 		{"conservative", func() backfill.Backfiller { return backfill.NewConservative(est) }},
-		{"slack-0.5", func() backfill.Backfiller { return backfill.NewSlack(est) }},
 	}
 	factors := []float64{0.5, 0.75, 1.0, 1.5, 2.0}
 

@@ -49,7 +49,7 @@ func ScenarioWorkloads(n int, seed uint64) ([]*trace.Trace, error) {
 
 // ScenarioCompare evaluates the enriched-scenario semantics end to end: each
 // prioritized procs+mem surrogate is scheduled under FCFS/SJF/WFP3 crossed
-// with EASY, conservative and slack backfilling — every engine running with
+// with EASY and conservative backfilling — every engine running with
 // priority tiers and the starvation bound active — plus an RL agent trained
 // directly on the enriched workload (FCFS base, the paper's transfer choice).
 // Columns are mean bounded slowdowns under the eval protocol, so the table
@@ -70,9 +70,8 @@ func ScenarioCompare(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, e
 	}
 	tbl := &Table{
 		Title: "Scenario: bsld on prioritized procs+mem workloads (tiers + starvation bound)",
-		Header: []string{"trace", "FCFS+EASY", "FCFS+CONS", "FCFS+SLACK",
-			"SJF+EASY", "SJF+CONS", "SJF+SLACK",
-			"WFP3+EASY", "WFP3+CONS", "WFP3+SLACK", "FCFS+RLBF"},
+		Header: []string{"trace", "FCFS+EASY", "FCFS+CONS", "SJF+EASY", "SJF+CONS",
+			"WFP3+EASY", "WFP3+CONS", "FCFS+RLBF"},
 		Notes: []string{
 			fmt.Sprintf("scale=%s: eval %d sequences x %d jobs, seed %d",
 				sc.Name, sc.Eval.Sequences, sc.Eval.SeqLen, sc.Eval.Seed),
@@ -98,7 +97,7 @@ func ScenarioCompare(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, e
 	return tbl, nil
 }
 
-// scenarioColumns builds the column evaluators: three backfilling heuristics
+// scenarioColumns builds the column evaluators: two backfilling heuristics
 // per base policy (each scenario-aware) and the RL agent. Every cell
 // constructs its own backfiller — they carry scratch state.
 func scenarioColumns(sc Scale, zoo *Zoo, log io.Writer, scn sched.Scenario) []table4Column {
@@ -123,11 +122,6 @@ func scenarioColumns(sc Scale, zoo *Zoo, log io.Writer, scn sched.Scenario) []ta
 				// order plus zero-slip reservations already honour tiers and
 				// bounds (see internal/backfill/conservative.go).
 				return backfill.NewConservative(est)
-			}),
-			heuristic(pol, func(est backfill.Estimator) backfill.Backfiller {
-				s := backfill.NewSlack(est)
-				s.Scn = scn
-				return s
 			}),
 		)
 	}

@@ -195,22 +195,15 @@ func EASY(sjf bool) Backfiller {
 	}
 }
 
-// Conservative is the reference conservative backfiller: no job's planned
-// start may move later at all, which is slack with no slip.
-func Conservative() Backfiller { return Slack(0) }
-
-// Slack is the reference slack backfiller. A round plans head and queue in
-// queue order on the running set's profile (Machine.Plan). Each queued job
-// other than the head may then slip by factor times its estimate; with aging
-// on, a job that is or will be starving by then is pinned back to the later
-// of its planned start and its starvation instant. The round starts the first
-// candidate that fits now and whose immediate start lets every other job,
-// re-planned in order after it, start by its limit. Rounds repeat until one
-// starts nothing.
-func Slack(factor float64) Backfiller {
+// Conservative is the reference conservative backfiller. A round plans head
+// and queue in queue order on the running set's profile (Machine.Plan). The
+// round starts the first candidate that fits now and whose immediate start
+// lets every other job, re-planned in order after it, start by its planned
+// start. Rounds repeat until one starts nothing.
+func Conservative() Backfiller {
 	return func(e *Engine, head *trace.Job, queue []*trace.Job) {
 		for {
-			started := planRound(e, append([]*trace.Job{head}, queue...), factor)
+			started := planRound(e, append([]*trace.Job{head}, queue...))
 			if started == nil {
 				return
 			}
@@ -219,15 +212,8 @@ func Slack(factor float64) Backfiller {
 	}
 }
 
-func planRound(e *Engine, jobs []*trace.Job, factor float64) *trace.Job {
+func planRound(e *Engine, jobs []*trace.Job) *trace.Job {
 	starts := e.Plan(jobs)
-	limit := slices.Clone(starts)
-	for i, j := range jobs[1:] {
-		limit[i+1] += int64(factor * float64(e.Est(j)))
-		if sa := e.scn.StarvesAt(j); e.scn.Aging() && sa < limit[i+1] {
-			limit[i+1] = max(sa, starts[i+1])
-		}
-	}
 	for ci, cand := range jobs {
 		if ci == 0 || !e.fitsNow(cand) {
 			continue
@@ -238,7 +224,7 @@ func planRound(e *Engine, jobs []*trace.Job, factor float64) *trace.Job {
 		}
 		ok := true
 		for i, j := range jobs {
-			if i != ci && trial.place(e.Now, e.Est(j), j.Procs, e.demand(j)) > limit[i] {
+			if i != ci && trial.place(e.Now, e.Est(j), j.Procs, e.demand(j)) > starts[i] {
 				ok = false
 				break
 			}

@@ -54,13 +54,6 @@ func TestHandWorkedSchedules(t *testing.T) {
 		// 173 (job 4's end) and 0 extra, which shuts out jobs 5 (ends 250)
 		// and 6 (ends 190). Job 3 starts at 173, jobs 5 and 6 at 200.
 		{"easy", EASY(false), map[int]int64{1: 0, 4: 3, 2: 100, 3: 173, 5: 200, 6: 200}},
-		// Slack 0.5 lets job 3 slip to 100 + 60 = 160. At 3 job 4 would push
-		// it to 173: refused. At 4 job 5 pushes it only to 154, and job 4 stays
-		// at 200: job 5 starts, and the machine is full until 100. At 100 job
-		// 2 starts; job 3 is head, planned at 154 with no slack, and job 4
-		// (to 270) or job 6 (to 190) would push it to 200 or 190: refused.
-		// Job 3 starts at 154, jobs 4 and 6 at 200.
-		{"slack", Slack(0.5), map[int]int64{1: 0, 5: 4, 2: 100, 3: 154, 4: 200, 6: 200}},
 	} {
 		recs := Run(handTrace(), sched.FCFS{}, sched.Scenario{}, request, c.bf)
 		if len(recs) != len(c.starts) {

@@ -28,7 +28,7 @@ import (
 //     completion past a gap the FCFS model drains in).
 //
 // An index where BOTH models find running+queued at zero is declared a
-// drain. Every real strategy (FCFS with or without EASY/conservative/slack
+// drain. Every real strategy (FCFS with or without EASY or conservative
 // backfilling) interleaves these two extremes, so an arrival that finds both
 // models empty almost surely finds the real engine empty too. "Almost": a
 // backfiller may keep a job running across a gap both models drain in, so

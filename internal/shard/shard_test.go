@@ -14,7 +14,7 @@ import (
 
 // strategies is the heuristic matrix the differential pins (the same set the
 // kernel differential covers, minus the RL agent which needs a trained
-// model): nil, EASY, SJF-ordered EASY, conservative and slack backfilling.
+// model): nil, EASY, SJF-ordered EASY and conservative backfilling.
 var strategies = []struct {
 	name string
 	mk   func() backfill.Backfiller
@@ -25,7 +25,6 @@ var strategies = []struct {
 		return &backfill.EASY{Est: backfill.RequestTime{}, Order: backfill.SJFOrder}
 	}},
 	{"conservative", func() backfill.Backfiller { return backfill.NewConservative(backfill.RequestTime{}) }},
-	{"slack", func() backfill.Backfiller { return backfill.NewSlack(backfill.RequestTime{}) }},
 }
 
 // moderateLoadTrace returns a workload whose backlog drains regularly, so a
@@ -80,8 +79,8 @@ func TestShardDifferential(t *testing.T) {
 	}
 	for _, tr := range traces {
 		for _, s := range strategies {
-			if testing.Short() && (s.name == "conservative" || s.name == "slack") && tr.Name == "SDSC-SP2" {
-				continue // profile-based strategies dominate the runtime
+			if testing.Short() && s.name == "conservative" && tr.Name == "SDSC-SP2" {
+				continue // the profile-based strategy dominates the runtime
 			}
 			seq := sequentialResult(t, tr, s.mk)
 			sh := shardedResult(t, tr, s.mk, cfg)

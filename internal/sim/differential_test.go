@@ -17,8 +17,8 @@ import (
 	"repro/internal/trace"
 )
 
-// bfPair is one backfilling strategy in both implementations. heavy marks the
-// profile-based strategies, whose oracle is O(n^2) or worse per event.
+// bfPair is one backfilling strategy in both implementations. heavy marks
+// conservative backfilling, whose oracle is O(n^2) or worse per event.
 type bfPair struct {
 	name  string
 	heavy bool
@@ -39,18 +39,12 @@ func bfPairs() []bfPair {
 		{name: "easy-rt-sjf", est: rt, ref: oracle.EASY(true), opt: easy(rt, backfill.SJFOrder)},
 		{name: "cons-rt", heavy: true, est: rt, ref: oracle.Conservative(),
 			opt: func(sched.Scenario) backfill.Backfiller { return backfill.NewConservative(rt) }},
-		{name: "slack-rt", heavy: true, est: rt, ref: oracle.Slack(0.5),
-			opt: func(scn sched.Scenario) backfill.Backfiller {
-				s := backfill.NewSlack(rt)
-				s.Scn = scn
-				return s
-			}},
 	}
 }
 
 // diffRow is one row of the differential table: every trace replayed under
-// every scenario x policy x backfiller. The profile-based backfillers replay
-// only the first heavyJobs jobs of each trace when heavyJobs > 0.
+// every scenario x policy x backfiller. Conservative backfilling replays only
+// the first heavyJobs jobs of each trace when heavyJobs > 0.
 type diffRow struct {
 	traces    []*trace.Trace
 	scenarios []sched.Scenario

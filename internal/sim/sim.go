@@ -45,9 +45,9 @@ type Config struct {
 	Backfiller backfill.Backfiller
 	// Scenario layers priority tiers and the aging-based starvation bound
 	// onto the base policy (see sched.Scenario). The zero value keeps the
-	// classic, byte-identical scheduling semantics. Backfillers that honour
-	// scenarios (EASY, Slack) carry their own copy; callers should configure
-	// both from the same value.
+	// classic, byte-identical scheduling semantics. EASY honours scenarios
+	// through its own copy; callers should configure both from the same
+	// value.
 	Scenario sched.Scenario
 	// Probe, when non-nil, observes the engine after every event batch
 	// (instrumentation only; it cannot influence scheduling).

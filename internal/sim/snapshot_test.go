@@ -24,8 +24,8 @@ func TestSnapshotResumeDifferential(t *testing.T) {
 		{"FCFS+EASY", func() Config {
 			return Config{Policy: sched.FCFS{}, Backfiller: backfill.NewEASY(backfill.RequestTime{})}
 		}},
-		{"SJF+slack", func() Config {
-			return Config{Policy: sched.SJF{}, Backfiller: backfill.NewSlack(backfill.RequestTime{})}
+		{"SJF+conservative", func() Config {
+			return Config{Policy: sched.SJF{}, Backfiller: backfill.NewConservative(backfill.RequestTime{})}
 		}},
 		{"WFP3+none", func() Config {
 			return Config{Policy: sched.WFP3{}}

@@ -51,36 +51,38 @@ func (l *lagging) Backfill(st backfill.State, head *trace.Job, queue []*trace.Jo
 }
 
 // verdictRounds counts the rounds a verdict can answer: the previous round
-// of the same backfiller on the same head started nothing, and the journal
-// shows only arrivals since.
+// of the same backfiller ran on the same head, and the journal shows only
+// arrivals since. afterStarts counts those whose previous round started jobs
+// itself, the rounds that must not reuse its in-round reservation.
 type verdictRounds struct {
-	inner    backfill.Backfiller
-	after    backfill.Cursor
-	idleHead *trace.Job
-	rounds   int
-	eligible int
+	inner       backfill.Backfiller
+	after       backfill.Cursor
+	head        *trace.Job
+	started     bool
+	eligible    int
+	afterStarts int
 }
 
 func (v *verdictRounds) Name() string { return v.inner.Name() }
 
 func (v *verdictRounds) Backfill(st backfill.State, head *trace.Job, queue []*trace.Job) {
 	jr := st.Journal()
-	if changes, ok := jr.Since(v.after); ok && head == v.idleHead {
+	if changes, ok := jr.Since(v.after); ok && head == v.head {
 		onlyArrivals := true
 		for _, c := range changes {
 			onlyArrivals = onlyArrivals && c.Kind == backfill.Arrived
 		}
 		if onlyArrivals {
 			v.eligible++
+			if v.started {
+				v.afterStarts++
+			}
 		}
 	}
-	v.rounds++
 	before := jr.Cursor()
 	v.inner.Backfill(st, head, queue)
-	v.after, v.idleHead = jr.Cursor(), nil
-	if v.after == before {
-		v.idleHead = head
-	}
+	v.after, v.head = jr.Cursor(), head
+	v.started = v.after != before
 }
 
 // engineWalk drives one backfiller through every kind of engine its journal
@@ -136,7 +138,8 @@ func engineWalk(t *testing.T, tr *trace.Trace, cfg Config) [][]metrics.Record {
 }
 
 // TestEASYVerdictDifferential requires EASY — with its journal-fed
-// reservation index and the verdict that answers arrival-only rounds — to
+// reservation index and the verdict that starts arrival-only rounds at the
+// first arrival, after rounds that started jobs or not — to
 // schedule exactly as a fresh EASY per round does, across base policies
 // (static and time-varying), both candidate orders, estimators that are
 // exact, pessimistic, noisy and optimistic, the memory dimension, priority
@@ -148,7 +151,7 @@ func TestEASYVerdictDifferential(t *testing.T) {
 	enriched := mustEnrich(t, trace.SyntheticSDSCSP2(600, 5), trace.EnrichSpec{MemDist: trace.MemDistProp, PriorityTiers: 3, Seed: 11})
 	estimators := []backfill.Estimator{backfill.RequestTime{}, backfill.ActualRuntime{}, backfill.Noisy{Level: 0.4, Seed: 2}, underEstimator{}}
 	scenarios := []sched.Scenario{{}, {Priorities: true}, {StarvationBound: 2}}
-	eligible, trimmed := 0, 0
+	eligible, afterStarts, trimmed := 0, 0, 0
 	for ti, tr := range []*trace.Trace{plain, enriched} {
 		for _, pol := range []sched.Policy{sched.FCFS{}, sched.SJF{}, sched.WFP3{}} {
 			for _, order := range []backfill.CandidateOrder{backfill.PolicyOrder, backfill.SJFOrder} {
@@ -163,6 +166,7 @@ func TestEASYVerdictDifferential(t *testing.T) {
 						diffRecords(t, fmt.Sprintf("%s/engine %d", label, k), want[k], got[k])
 					}
 					eligible += opt.eligible
+					afterStarts += opt.afterStarts
 
 					lagRef, lagOpt := &lagging{inner: freshEASY{proto}}, &lagging{inner: proto.Fresh()}
 					want = engineWalk(t, tr, Config{Policy: pol, Scenario: scn, Backfiller: lagRef})
@@ -175,8 +179,9 @@ func TestEASYVerdictDifferential(t *testing.T) {
 			}
 		}
 	}
-	if eligible < 5000 || trimmed < 100 {
-		t.Fatalf("%d rounds could be answered by a verdict, %d catch-ups found their cursor trimmed: the walk is not exercising the verdict", eligible, trimmed)
+	if eligible < 5000 || afterStarts < 5000 || trimmed < 100 {
+		t.Fatalf("%d rounds could be answered by a verdict (%d after a round that started jobs), %d catch-ups found their cursor trimmed: the walk is not exercising the verdict",
+			eligible, afterStarts, trimmed)
 	}
-	t.Logf("%d verdict-eligible rounds, %d trimmed catch-ups", eligible, trimmed)
+	t.Logf("%d verdict-eligible rounds (%d after a round that started jobs), %d trimmed catch-ups", eligible, afterStarts, trimmed)
 }
