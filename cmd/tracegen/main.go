@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,25 +32,43 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	workload := flag.String("workload", "sdsc-sp2", "sdsc-sp2, hpc2n, lublin-1, lublin-2 or huge")
-	n := flag.Int("n", 10000, "number of jobs")
-	seed := flag.Uint64("seed", 1, "generator seed")
-	out := flag.String("o", "", "output SWF path (default stdout)")
-	memDist := flag.String("mem-dist", trace.MemDistNone, "per-job memory enrichment: none, prop or uniform")
-	memPerProc := flag.Int("mem-per-proc", 0, "machine memory per processor in KB (default "+fmt.Sprint(trace.DefaultMemPerProc)+" when enriching)")
-	tiers := flag.Int("priority-tiers", 0, "priority tiers to synthesize (geometric; 0 or 1 = none)")
-	nodes := flag.Int("nodes", 0, "huge workload: machine size in processors (0 = 4096)")
-	streams := flag.Int("streams", 0, "huge workload: partition streams composed (0 = nodes/256)")
-	load := flag.Float64("load", 0, "huge workload: target machine utilization (0 = 0.8)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	w := io.Writer(os.Stdout)
+// run is the command with its arguments and output streams; it returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "sdsc-sp2", "sdsc-sp2, hpc2n, lublin-1, lublin-2 or huge")
+	n := fs.Int("n", 10000, "number of jobs (at least 1)")
+	seed := fs.Uint64("seed", 1, "generator seed")
+	out := fs.String("o", "", "output SWF path (default stdout)")
+	memDist := fs.String("mem-dist", trace.MemDistNone, "per-job memory enrichment: none, prop or uniform")
+	memPerProc := fs.Int("mem-per-proc", 0, "machine memory per processor in KB (default "+fmt.Sprint(trace.DefaultMemPerProc)+" when enriching)")
+	tiers := fs.Int("priority-tiers", 0, "priority tiers to synthesize (geometric; 0 or 1 = none)")
+	nodes := fs.Int("nodes", 0, "huge workload: machine size in processors (0 = 4096)")
+	streams := fs.Int("streams", 0, "huge workload: partition streams composed (0 = nodes/256)")
+	load := fs.Float64("load", 0, "huge workload: target machine utilization (0 = 0.8)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *n < 1 {
+		fmt.Fprintf(stderr, "tracegen: -n %d: need at least 1 job\n", *n)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "tracegen: %v\n", err)
+		return 1
+	}
+
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		w = f
@@ -73,21 +92,27 @@ func main() {
 			ts, ok = experiments.ResolveStream(*workload, *n, *seed)
 		}
 		if ok {
+			wrote := 0
 			sw, err := trace.NewSWFWriter(w, ts.Name, ts.Procs, 0)
 			if err == nil {
-				err = ts.Run(func(j *trace.Job) error { return sw.WriteJob(j) })
+				err = ts.Run(func(j *trace.Job) error {
+					if err := sw.WriteJob(j); err != nil {
+						return err
+					}
+					wrote++
+					return nil
+				})
 			}
 			if err == nil {
 				err = sw.Flush()
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-				os.Exit(1)
+				return fail(err)
 			}
 			if *out != "" {
-				fmt.Fprintf(os.Stderr, "tracegen: wrote %d jobs to %s\n", *n, *out)
+				fmt.Fprintf(stderr, "tracegen: wrote %d jobs to %s\n", wrote, *out)
 			}
-			return
+			return 0
 		}
 	}
 
@@ -99,21 +124,18 @@ func main() {
 		tr, err = experiments.ResolveTrace(*workload, *n, *seed)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if spec.Enabled() {
-		tr, err = trace.Enrich(tr, spec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-			os.Exit(1)
+		if tr, err = trace.Enrich(tr, spec); err != nil {
+			return fail(err)
 		}
 	}
 	if err := trace.WriteSWF(w, tr); err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *out != "" {
-		fmt.Fprintf(os.Stderr, "tracegen: wrote %d jobs to %s\n", tr.Len(), *out)
+		fmt.Fprintf(stderr, "tracegen: wrote %d jobs to %s\n", tr.Len(), *out)
 	}
+	return 0
 }
