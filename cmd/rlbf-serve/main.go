@@ -30,6 +30,12 @@
 // 503), in-flight requests finish, a final state snapshot is written (with
 // -wal), and the process exits 0 with a "drained clean" log line — the
 // contract the serve-load CI gate asserts.
+//
+// -debug-addr serves net/http/pprof on a listener of its own, never on the
+// daemon's address; the drain sequence closes it:
+//
+//	rlbf-serve -addr :8080 -debug-addr 127.0.0.1:6060
+//	go tool pprof http://127.0.0.1:6060/debug/pprof/heap
 package main
 
 import (
@@ -40,6 +46,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -54,6 +61,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (daemon) or base URL (-loadgen)")
+	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof, separate from -addr (empty = off)")
 	name := flag.String("name", "rlbf-serve", "deployment name")
 	procs := flag.Int("procs", 128, "machine size in processors")
 	mem := flag.Int("mem", 0, "machine memory capacity (0 = no memory dimension)")
@@ -193,6 +201,16 @@ func main() {
 			fatal("%v", err)
 		}
 	}()
+	var debugSrv *http.Server
+	if *debugAddr != "" {
+		debugSrv = &http.Server{Addr: *debugAddr, Handler: debugHandler()}
+		go func() {
+			log.Printf("rlbf-serve: pprof listening on %s", *debugAddr)
+			if err := debugSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				fatal("debug listener: %v", err)
+			}
+		}()
+	}
 
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, syscall.SIGTERM, syscall.SIGINT)
@@ -212,6 +230,11 @@ func main() {
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		log.Printf("rlbf-serve: http shutdown: %v", err)
+	}
+	if debugSrv != nil {
+		// Close, not Shutdown: a profile in flight (a CPU profile runs for
+		// its full duration) must not hold up the drain.
+		debugSrv.Close()
 	}
 	server.Close()
 	st, err := sched.Drain()
@@ -281,6 +304,19 @@ func runLoadgen(c loadgenConfig) {
 	if c.maxP99 > 0 && rep.SubmitP99Ms > c.maxP99 {
 		fatal("loadgen: submit p99 %.2fms above gate %.2fms", rep.SubmitP99Ms, c.maxP99)
 	}
+}
+
+// debugHandler routes the net/http/pprof endpoints. It is served only on
+// -debug-addr: the daemon's own mux (serve.Server.Handler) has no
+// /debug/pprof/ route, so profiles are never exposed on the service address.
+func debugHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 func bfName(bf backfill.Backfiller) string {

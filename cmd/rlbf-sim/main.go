@@ -32,7 +32,7 @@ import (
 
 func main() {
 	traceArg := flag.String("trace", "sdsc-sp2", "built-in workload name or SWF file path")
-	jobs := flag.Int("jobs", 5000, "jobs to use from the trace")
+	jobs := flag.Int("jobs", 5000, "jobs to use from the trace: at least 1 for a built-in workload; for an SWF file 0 = the whole file")
 	seed := flag.Uint64("seed", 1, "generator seed for built-in workloads")
 	policyArg := flag.String("policy", "FCFS", "FCFS, SJF, WFP3, F1, F2, F3, F4 or SAF")
 	bfArg := flag.String("backfill", "easy", "none, easy, easy-ar, easy-sjf, conservative or rlbf")
@@ -51,6 +51,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 	memProfile := flag.String("memprofile", "", "write a heap/allocation profile taken after the replay to this file")
 	flag.Parse()
+	if _, builtin := experiments.ResolveStream(*traceArg, *jobs, *seed); builtin && *jobs < 1 {
+		fmt.Fprintf(os.Stderr, "rlbf-sim: -jobs %d: a built-in workload needs at least 1 job\n", *jobs)
+		os.Exit(2)
+	}
 
 	policy, err := sched.ByNameExtended(*policyArg)
 	if err != nil {

@@ -202,7 +202,7 @@ func (st *hugePart) draw(j *trace.Job) {
 		Runtime: run,
 		Request: run, // synthetic: no user estimate, as with Lublin-1/2
 		Procs:   procs,
-		User:    st.user0 + 1 + st.rng.Intn(p.Users),
+		User:    int32(st.user0 + 1 + st.rng.Intn(p.Users)),
 		Status:  1,
 	}
 }

@@ -91,7 +91,7 @@ func TestHugeInvariants(t *testing.T) {
 		if j.Request != j.Runtime {
 			t.Fatalf("job %d request %d != runtime %d (synthetic traces carry no estimate)", i, j.Request, j.Runtime)
 		}
-		if j.User < 1 || j.User > maxUser {
+		if j.User < 1 || int(j.User) > maxUser {
 			t.Fatalf("job %d user %d outside [1,%d]", i, j.User, maxUser)
 		}
 	}
@@ -252,7 +252,7 @@ func crossStreamTies(h HugeSpec, jobs []*trace.Job) int {
 	ties := 0
 	for i := 1; i < len(jobs); i++ {
 		a, b := jobs[i-1], jobs[i]
-		if a.Submit == b.Submit && (a.User-1)/h.Base.Users != (b.User-1)/h.Base.Users {
+		if a.Submit == b.Submit && int(a.User-1)/h.Base.Users != int(b.User-1)/h.Base.Users {
 			ties++
 		}
 	}

@@ -170,7 +170,7 @@ func (p Params) Stream(n int, seed uint64, yield func(*trace.Job) error) error {
 			// runtime (paper §4.1.2).
 			Request: run,
 			Procs:   procs[i],
-			User:    1 + rng.Intn(p.Users),
+			User:    int32(1 + rng.Intn(p.Users)),
 			Status:  1,
 		}
 		if err := yield(j); err != nil {

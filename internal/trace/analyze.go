@@ -42,7 +42,7 @@ func Analyze(t *Trace) Analysis {
 		return a
 	}
 	var runs, reqs, procs, gaps, overs []float64
-	users := map[int]int{}
+	users := map[int32]int{}
 	var prev int64
 	serial, pow2 := 0, 0
 	var area float64

@@ -31,13 +31,16 @@ type Job struct {
 	// scheduling under them is identical to the priority-unaware code path.
 	Priority int
 	// User, Group and Executable are optional SWF identity fields, kept so
-	// that parsed traces round-trip; they do not influence scheduling.
-	User, Group, Executable int
+	// that parsed traces round-trip; they do not influence scheduling. The
+	// six identity fields are int32 (ParseSWF rejects values outside that
+	// range), so Job is 80 bytes on 64-bit platforms with the scheduling
+	// fields above in its first 56.
+	User, Group, Executable int32
 	// Queue and Partition are optional SWF fields.
-	Queue, Partition int
+	Queue, Partition int32
 	// Status is the SWF completion status (1 = completed). Synthetic jobs
 	// use 1.
-	Status int
+	Status int32
 }
 
 // Validate reports whether the job has the minimal attributes scheduling
@@ -90,11 +93,19 @@ func (t *Trace) Len() int { return len(t.Jobs) }
 
 // Clone deep-copies the trace.
 func (t *Trace) Clone() *Trace {
-	c := &Trace{Name: t.Name, Procs: t.Procs, Mem: t.Mem, Jobs: make([]*Job, len(t.Jobs))}
-	for i, j := range t.Jobs {
-		c.Jobs[i] = j.Clone()
+	return &Trace{Name: t.Name, Procs: t.Procs, Mem: t.Mem, Jobs: cloneJobs(t.Jobs)}
+}
+
+// cloneJobs copies jobs into one slab and returns pointers into it: two
+// allocations for any number of jobs.
+func cloneJobs(jobs []*Job) []*Job {
+	slab := make([]Job, len(jobs))
+	out := make([]*Job, len(jobs))
+	for i, j := range jobs {
+		slab[i] = *j
+		out[i] = &slab[i]
 	}
-	return c
+	return out
 }
 
 // Validate checks every job and the trace-level invariants (sorted submits,

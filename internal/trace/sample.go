@@ -6,8 +6,10 @@ import "repro/internal/stats"
 // trace, cloning the jobs and rebasing submit times so the first job arrives
 // at time 0. This mirrors the paper's evaluation protocol (§4.3): random
 // 256-job sequences for training and 1024-job sequences for testing. If the
-// trace has fewer than n jobs the whole trace is returned.
+// trace has fewer than n jobs the whole trace is returned; a negative n
+// yields an empty trace.
 func SampleSequence(t *Trace, rng *stats.RNG, n int) *Trace {
+	n = max(n, 0)
 	if n >= len(t.Jobs) {
 		c := t.Clone()
 		rebase(c.Jobs)
@@ -18,18 +20,12 @@ func SampleSequence(t *Trace, rng *stats.RNG, n int) *Trace {
 }
 
 // Slice clones n jobs starting at index start and rebases their submit times
-// to 0.
+// to 0. start is clamped to [0, t.Len()] and n to [0, t.Len()-start], so
+// out-of-range arguments yield a shorter or empty trace.
 func Slice(t *Trace, start, n int) *Trace {
-	if start < 0 {
-		start = 0
-	}
-	if start+n > len(t.Jobs) {
-		n = len(t.Jobs) - start
-	}
-	c := &Trace{Name: t.Name, Procs: t.Procs, Mem: t.Mem, Jobs: make([]*Job, 0, n)}
-	for _, j := range t.Jobs[start : start+n] {
-		c.Jobs = append(c.Jobs, j.Clone())
-	}
+	start = min(max(start, 0), len(t.Jobs))
+	n = min(max(n, 0), len(t.Jobs)-start)
+	c := &Trace{Name: t.Name, Procs: t.Procs, Mem: t.Mem, Jobs: cloneJobs(t.Jobs[start : start+n])}
 	rebase(c.Jobs)
 	return c
 }

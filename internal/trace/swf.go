@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -38,7 +39,10 @@ const (
 // capacity; name is attached to the returned trace. Jobs with non-positive
 // runtime or processor counts (failed or malformed records) are skipped,
 // mirroring how the paper's simulator (RLScheduler) loads traces. Submit
-// times are rebased so the first job arrives at 0.
+// times are rebased so the first job arrives at 0. Fractional values
+// truncate toward zero; a value that is not finite or not within int64, or
+// an identity column (status, user, group, executable, queue, partition)
+// outside int32, is an error naming the line and field.
 //
 // Memory requests come from the requested-memory column (SWF field 10,
 // KB per processor), falling back to used memory (field 7); Job.Mem stores
@@ -54,6 +58,7 @@ func ParseSWF(r io.Reader, name string) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	lineNo := 0
+	vals := make([]int64, swfNumFields)
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -68,7 +73,6 @@ func ParseSWF(r io.Reader, name string) (*Trace, error) {
 		if len(fields) < swfReqTime+1 {
 			return nil, fmt.Errorf("trace: swf line %d has %d fields, want >= %d", lineNo, len(fields), swfReqTime+1)
 		}
-		vals := make([]int64, swfNumFields)
 		for i := range vals {
 			vals[i] = -1
 		}
@@ -80,7 +84,15 @@ func ParseSWF(r io.Reader, name string) (*Trace, error) {
 			if err != nil {
 				return nil, fmt.Errorf("trace: swf line %d field %d: %v", lineNo, i+1, err)
 			}
+			// int64(v) is implementation-defined for NaN, ±Inf and values
+			// outside int64, so those are rejected, not converted.
+			if !(v >= -0x1p63 && v < 0x1p63) {
+				return nil, fmt.Errorf("trace: swf line %d field %d: %q is not a finite value in int64 range", lineNo, i+1, f)
+			}
 			vals[i] = int64(v)
+			if isSWFIdentity(i) && (vals[i] < math.MinInt32 || vals[i] > math.MaxInt32) {
+				return nil, fmt.Errorf("trace: swf line %d field %d: %q is outside int32 range", lineNo, i+1, f)
+			}
 		}
 		j := jobFromSWF(vals)
 		if j == nil {
@@ -109,6 +121,16 @@ func ParseSWF(r io.Reader, name string) (*Trace, error) {
 		}
 	}
 	return t, nil
+}
+
+// isSWFIdentity reports whether field i is one of the identity columns
+// Job holds as int32.
+func isSWFIdentity(i int) bool {
+	switch i {
+	case swfStatus, swfUserID, swfGroupID, swfExecutable, swfQueue, swfPartition:
+		return true
+	}
+	return false
 }
 
 // jobFromSWF converts one SWF record to a Job, or nil if the record should
@@ -146,12 +168,12 @@ func jobFromSWF(v []int64) *Job {
 		Procs:      int(procs),
 		Mem:        int(mem),
 		Priority:   int(pri),
-		User:       int(v[swfUserID]),
-		Group:      int(v[swfGroupID]),
-		Executable: int(v[swfExecutable]),
-		Queue:      int(v[swfQueue]),
-		Partition:  int(v[swfPartition]),
-		Status:     int(v[swfStatus]),
+		User:       int32(v[swfUserID]),
+		Group:      int32(v[swfGroupID]),
+		Executable: int32(v[swfExecutable]),
+		Queue:      int32(v[swfQueue]),
+		Partition:  int32(v[swfPartition]),
+		Status:     int32(v[swfStatus]),
 	}
 }
 
@@ -256,9 +278,9 @@ func (sw *SWFWriter) WriteJob(j *Job) error {
 	if j.Mem > 0 && j.Procs > 0 {
 		memPerProc = int64((j.Mem + j.Procs - 1) / j.Procs)
 	}
-	queue := j.Queue
+	queue := int64(j.Queue)
 	if queue == 0 && j.Priority > 0 {
-		queue = j.Priority
+		queue = int64(j.Priority)
 	}
 	_, err := fmt.Fprintf(sw.bw, "%d %d -1 %d %d -1 -1 %d %d %d %d %d %d %d %d %d -1 -1\n",
 		j.ID, j.Submit, j.Runtime, j.Procs, j.Procs, j.Request, memPerProc, status,

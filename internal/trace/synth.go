@@ -215,7 +215,7 @@ func (s SynthSpec) Stream(n int, seed uint64, yield func(*Job) error) error {
 			Runtime: run,
 			Request: req,
 			Procs:   procs[i],
-			User:    1 + rng.Intn(maxInt(s.Users, 1)),
+			User:    int32(1 + rng.Intn(maxInt(s.Users, 1))),
 			Status:  1,
 		}
 		if err := yield(j); err != nil {

@@ -46,12 +46,23 @@ func TestTraceValidate(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence overwrites every job of a Clone, a Slice and a
+// SampleSequence and checks the source trace is unchanged, field by field.
 func TestCloneIndependence(t *testing.T) {
-	tr := &Trace{Name: "x", Procs: 8, Jobs: []*Job{{ID: 1, Runtime: 5, Request: 5, Procs: 1}}}
-	c := tr.Clone()
-	c.Jobs[0].Runtime = 99
-	if tr.Jobs[0].Runtime != 5 {
-		t.Fatal("Clone shares job storage")
+	tr := SyntheticSDSCSP2(50, 3)
+	want := make([]Job, tr.Len())
+	for i, j := range tr.Jobs {
+		want[i] = *j
+	}
+	for _, c := range []*Trace{tr.Clone(), Slice(tr, 10, 30), SampleSequence(tr, stats.NewRNG(4), 20)} {
+		for _, j := range c.Jobs {
+			*j = Job{ID: -1, Runtime: -1, Procs: -1, User: -1, Status: -1}
+		}
+	}
+	for i, j := range tr.Jobs {
+		if *j != want[i] {
+			t.Fatalf("job %d of the source changed to %+v, want %+v", i, *j, want[i])
+		}
 	}
 }
 
@@ -133,7 +144,7 @@ func TestSWFRoundTrip(t *testing.T) {
 			orig.Jobs = append(orig.Jobs, &Job{
 				ID: i + 1, Submit: submit, Runtime: run,
 				Request: run + rng.Int63n(5000), Procs: rng.Intn(256) + 1,
-				User: rng.Intn(50), Group: rng.Intn(5), Executable: rng.Intn(20),
+				User: int32(rng.Intn(50)), Group: int32(rng.Intn(5)), Executable: int32(rng.Intn(20)),
 				Queue: 1, Partition: 1, Status: 1,
 			})
 		}
@@ -260,6 +271,9 @@ func TestSampleSequenceWholeTrace(t *testing.T) {
 	if s.Len() != 50 {
 		t.Fatalf("whole-trace sample has %d jobs", s.Len())
 	}
+	if s := SampleSequence(tr, stats.NewRNG(1), -3); s.Len() != 0 {
+		t.Fatalf("SampleSequence(t, rng, -3) has %d jobs, want 0", s.Len())
+	}
 }
 
 func TestSplit(t *testing.T) {
@@ -273,15 +287,20 @@ func TestSplit(t *testing.T) {
 	}
 }
 
+// TestSliceBounds checks out-of-range arguments clamp to a shorter or empty
+// trace instead of panicking.
 func TestSliceBounds(t *testing.T) {
-	tr := SyntheticSDSCSP2(10, 1)
-	s := Slice(tr, -5, 3)
-	if s.Len() != 3 {
-		t.Fatalf("Slice(-5,3) has %d jobs", s.Len())
-	}
-	s = Slice(tr, 8, 10)
-	if s.Len() != 2 {
-		t.Fatalf("Slice(8,10) has %d jobs", s.Len())
+	tr := SyntheticSDSCSP2(5, 1)
+	for _, c := range []struct{ start, n, want int }{
+		{-5, 3, 3}, {3, 10, 2}, {9, 2, 0}, {2, -1, 0}, {5, 1, 0},
+	} {
+		s := Slice(tr, c.start, c.n)
+		if s.Len() != c.want {
+			t.Fatalf("Slice(t, %d, %d) has %d jobs, want %d", c.start, c.n, s.Len(), c.want)
+		}
+		if s.Name != tr.Name || s.Procs != tr.Procs {
+			t.Fatalf("Slice(t, %d, %d) lost the trace header: %q procs %d", c.start, c.n, s.Name, s.Procs)
+		}
 	}
 }
 
@@ -291,4 +310,97 @@ func TestComputeStatsEmpty(t *testing.T) {
 		t.Fatalf("unexpected stats for empty trace: %+v", s)
 	}
 	_ = s.String()
+}
+
+// TestParseSWFNumericColumns replaces one column of a valid record and
+// checks the outcome: non-finite values, values outside int64 and identity
+// columns outside int32 are rejected with the line number, whatever the
+// platform's float conversion would do; fractions truncate and -1 means
+// unknown, as always.
+func TestParseSWFNumericColumns(t *testing.T) {
+	const base = "1 100 5 360 4 -1 -1 4 600 -1 1 7 3 2 1 1 -1 -1"
+	cases := []struct {
+		name  string
+		field int // 1-based SWF column
+		val   string
+		err   string // non-empty: ParseSWF must fail, mentioning this
+		check func(*Job) bool
+	}{
+		{name: "runtime 1e30", field: 4, val: "1e30", err: "int64 range"},
+		{name: "runtime NaN", field: 4, val: "NaN", err: "int64 range"},
+		{name: "runtime 2^63", field: 4, val: "9223372036854775808", err: "int64 range"},
+		{name: "runtime -Inf", field: 4, val: "-Inf", err: "int64 range"},
+		{name: "request Inf", field: 9, val: "Inf", err: "int64 range"},
+		{name: "wait NaN", field: 3, val: "nan", err: "int64 range"},
+		{name: "think time 1e300", field: 18, val: "1e300", err: "int64 range"},
+		{name: "user 3000000000", field: 12, val: "3000000000", err: "int32 range"},
+		{name: "group below int32", field: 13, val: "-2147483649", err: "int32 range"},
+		{name: "queue 2^31", field: 15, val: "2147483648", err: "int32 range"},
+		{name: "status 1e10", field: 11, val: "1e10", err: "int32 range"},
+		{name: "user at int32 max", field: 12, val: "2147483647",
+			check: func(j *Job) bool { return j.User == 2147483647 }},
+		{name: "partition at int32 min", field: 16, val: "-2147483648",
+			check: func(j *Job) bool { return j.Partition == -2147483648 }},
+		{name: "wait at int64 min", field: 3, val: "-9223372036854775808",
+			check: func(j *Job) bool { return j.Runtime == 360 }},
+		{name: "runtime 100.9", field: 4, val: "100.9",
+			check: func(j *Job) bool { return j.Runtime == 100 && j.Request == 600 }},
+		{name: "procs 4.5", field: 8, val: "4.5",
+			check: func(j *Job) bool { return j.Procs == 4 }},
+		{name: "request unknown", field: 9, val: "-1",
+			check: func(j *Job) bool { return j.Request == 360 }},
+		{name: "queue 3 is priority 3", field: 15, val: "3",
+			check: func(j *Job) bool { return j.Queue == 3 && j.Priority == 3 }},
+		{name: "runtime unknown drops the record", field: 4, val: "-1"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fields := strings.Fields(base)
+			fields[c.field-1] = c.val
+			in := "; MaxProcs: 64\n" + strings.Join(fields, " ") + "\n"
+			tr, err := ParseSWF(strings.NewReader(in), "num")
+			if c.err != "" {
+				if err == nil {
+					t.Fatalf("accepted: %+v", tr.Jobs)
+				}
+				if msg := err.Error(); !strings.Contains(msg, "line 2") || !strings.Contains(msg, c.err) {
+					t.Fatalf("error %q, want line 2 and %q", msg, c.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.check == nil {
+				if tr.Len() != 0 {
+					t.Fatalf("record kept: %+v", tr.Jobs[0])
+				}
+				return
+			}
+			if tr.Len() != 1 || !c.check(tr.Jobs[0]) {
+				t.Fatalf("parsed %d jobs, first %+v", tr.Len(), tr.Jobs)
+			}
+		})
+	}
+}
+
+// TestWriteJobPriorityBeyondInt32 checks a priority tier that overflows the
+// int32 queue column is written in full, not truncated.
+func TestWriteJobPriorityBeyondInt32(t *testing.T) {
+	var sb strings.Builder
+	sw, err := NewSWFWriter(&sb, "wide", 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.WriteJob(&Job{ID: 1, Runtime: 10, Request: 10, Procs: 1, Priority: 1 << 40}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	fields := strings.Fields(lines[len(lines)-1])
+	if got := fields[swfQueue]; got != "1099511627776" {
+		t.Fatalf("queue column %q, want 1099511627776", got)
+	}
 }
