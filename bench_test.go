@@ -195,12 +195,11 @@ func BenchmarkRunManyTiny(b *testing.B) {
 
 // BenchmarkShardedReplay measures the sharded trace replayer on a ~10K-job
 // synthetic SDSC-SP2 workload at the load level the differential test proves
-// byte-exact for this overlap: one full replay per iteration, sequentially
-// vs split into 2 and 4 windows. On one core the sharded variants pay the
-// overlap tax (each flank re-simulates Overlap jobs); with k cores the
-// windows replay concurrently and the wall clock drops toward
-// (Window+2*Overlap)/(k*Window) of sequential — the CI bench job records
-// both via -cpu 1,4 (EXPERIMENTS.md).
+// byte-exact: one full replay per iteration, sequentially vs cut every 5000
+// and 2500 jobs (2 and 4 kept windows under drain-aware flanks). On one core
+// the sharded variants pay the drain pre-pass and the warm-up each window
+// re-simulates; with k cores the windows replay concurrently — the CI bench
+// job records both via -cpu 1,4 (EXPERIMENTS.md).
 func BenchmarkShardedReplay(b *testing.B) {
 	tr := trace.ScaleLoad(trace.SyntheticSDSCSP2(10000, 1), 0.5)
 	mk := func() backfill.Backfiller { return backfill.NewEASY(backfill.RequestTime{}) }
@@ -214,8 +213,8 @@ func BenchmarkShardedReplay(b *testing.B) {
 		}
 	}
 	b.Run("seq", func(b *testing.B) { run(b, shard.Config{}) })
-	b.Run("shards-2", func(b *testing.B) { run(b, shard.Config{Window: 5000, Overlap: 512, MinJobs: 1}) })
-	b.Run("shards-4", func(b *testing.B) { run(b, shard.Config{Window: 2500, Overlap: 512, MinJobs: 1}) })
+	b.Run("shards-2", func(b *testing.B) { run(b, shard.Config{Window: 5000, MinJobs: 1}) })
+	b.Run("shards-4", func(b *testing.B) { run(b, shard.Config{Window: 2500, MinJobs: 1}) })
 }
 
 // ---- micro-benchmarks for the substrates ----

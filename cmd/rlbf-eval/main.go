@@ -17,22 +17,27 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sched"
-	"repro/internal/shard"
 )
 
 func main() {
 	modelPath := flag.String("model", "", "model JSON produced by rlbf-train (optional)")
 	traceArg := flag.String("trace", "sdsc-sp2", "built-in workload name or SWF file path")
-	jobs := flag.Int("jobs", 10000, "jobs to use from the trace")
+	jobs := flag.Int("jobs", 10000, "jobs to use from the trace: at least 1 for a built-in workload; for an SWF file 0 = the whole file")
 	policyArg := flag.String("policy", "FCFS", "base scheduling policy: FCFS, SJF, WFP3, F1")
-	seqs := flag.Int("seqs", 10, "number of sampled job sequences")
-	seqLen := flag.Int("seqlen", 1024, "jobs per sequence")
+	seqs := flag.Int("seqs", 10, "number of sampled job sequences (at least 1)")
+	seqLen := flag.Int("seqlen", 1024, "jobs per sequence (at least 1)")
 	seed := flag.Uint64("seed", 2023, "sampling seed")
 	workers := flag.Int("workers", 0, "concurrent sequence replays (0 or 1 = sequential)")
-	shardWindow := flag.Int("shard-window", 0, "jobs per shard window for long sequence replays (0 = off)")
-	shardSeconds := flag.Int64("shard-seconds", 0, "simulated seconds per shard window (wall-clock cuts; takes precedence over -shard-window)")
-	shardOverlap := flag.Int("shard-overlap", 0, "warm-up/cool-down jobs per window flank (0 = drain-aware auto-sizing)")
 	flag.Parse()
+	if _, builtin := experiments.ResolveStream(*traceArg, *jobs, *seed); builtin && *jobs < 1 {
+		usage("-jobs %d: a built-in workload needs at least 1 job", *jobs)
+	}
+	if *seqs < 1 {
+		usage("-seqs %d: need at least 1 sequence", *seqs)
+	}
+	if *seqLen < 1 {
+		usage("-seqlen %d: need at least 1 job per sequence", *seqLen)
+	}
 
 	policy, err := sched.ByName(*policyArg)
 	if err != nil {
@@ -42,8 +47,7 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	evalCfg := core.EvalConfig{Sequences: *seqs, SeqLen: *seqLen, Seed: *seed, Workers: *workers,
-		Shard: shard.Config{Window: *shardWindow, WindowSeconds: *shardSeconds, Overlap: *shardOverlap, MinJobs: 1}}
+	evalCfg := core.EvalConfig{Sequences: *seqs, SeqLen: *seqLen, Seed: *seed, Workers: *workers}
 	est := experiments.Estimator(tr)
 
 	fmt.Printf("workload %s (%d jobs, %d procs), base policy %s, %d x %d-job sequences (seed %d)\n",
@@ -95,4 +99,10 @@ func main() {
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "rlbf-eval: "+format+"\n", args...)
 	os.Exit(1)
+}
+
+// usage reports a flag value the protocol cannot run with, before any work.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rlbf-eval: "+format+"\n", args...)
+	os.Exit(2)
 }

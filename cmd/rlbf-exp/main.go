@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/shard"
 )
 
 func main() {
@@ -32,10 +31,6 @@ func main() {
 	epochs := flag.Int("epochs", 0, "override the training epoch count")
 	traj := flag.Int("traj", 0, "override the trajectories per training epoch")
 	workers := flag.Int("workers", 0, "worker-pool size for parallel experiment cells (0 = GOMAXPROCS)")
-	shardWindow := flag.Int("shard-window", 0, "jobs per shard window for long whole-trace replays (0 = off)")
-	shardSeconds := flag.Int64("shard-seconds", 0, "simulated seconds per shard window (wall-clock cuts; takes precedence over -shard-window)")
-	shardOverlap := flag.Int("shard-overlap", 0, "warm-up/cool-down jobs per window flank (0 = drain-aware auto-sizing)")
-	shardMinJobs := flag.Int("shard-min-jobs", 0, "shard replays of at least this many jobs (0 = default 2048; lower it to shard the eval sequences too)")
 	flag.Parse()
 
 	if *list {
@@ -61,14 +56,6 @@ func main() {
 	}
 	if *workers > 0 {
 		sc.Workers = *workers
-	}
-	if *shardWindow > 0 || *shardSeconds > 0 {
-		// RunMany propagates this into the eval protocol as well. The
-		// default MinJobs threshold (2048) keeps sub-threshold replays —
-		// including every named scale's eval sequences — sequential;
-		// -shard-min-jobs lowers it to pull those in too.
-		sc.Shard = shard.Config{Window: *shardWindow, WindowSeconds: *shardSeconds,
-			Overlap: *shardOverlap, MinJobs: *shardMinJobs}
 	}
 
 	var log io.Writer = os.Stderr

@@ -39,10 +39,7 @@ func main() {
 	modelArg := flag.String("model", "", "model file for -backfill rlbf")
 	noise := flag.Float64("noise", 0, "prediction noise level for easy (+x, e.g. 0.2)")
 	csvPath := flag.String("csv", "", "write per-job records to this CSV file")
-	shardWindow := flag.Int("shard-window", 0, "jobs per shard window for parallel replay (0 = sequential)")
-	shardSeconds := flag.Int64("shard-seconds", 0, "simulated seconds per shard window (wall-clock cuts; takes precedence over -shard-window)")
-	shardOverlap := flag.Int("shard-overlap", 0, "warm-up/cool-down jobs per window flank (0 = drain-aware auto-sizing)")
-	shardWorkers := flag.Int("shard-workers", 0, "concurrently simulated windows (0 = GOMAXPROCS)")
+	shardWindow := flag.Int("shard-window", 0, "jobs per window for a parallel replay with drain-aware flanks (0 = sequential)")
 	memDist := flag.String("mem-dist", trace.MemDistNone, "enrich the trace with per-job memory demands: none, prop or uniform")
 	memPerProc := flag.Int("mem-per-proc", 0, "machine memory per processor in KB when enriching")
 	tiers := flag.Int("priority-tiers", 0, "enrich the trace with geometric priority tiers (0 or 1 = none)")
@@ -105,32 +102,27 @@ func main() {
 	}
 
 	// Sharding only engages for a cloneable (or absent) backfiller and more
-	// than one window; otherwise shard.Replay would silently run
-	// sequentially, so keep the probe and tell the user why. Wall-clock
-	// windows produce a second window exactly when the submit span reaches
-	// the width (shard.Config.cutIndices).
-	sharded := *shardWindow > 0 && *shardWindow < tr.Len()
-	if *shardSeconds > 0 {
-		sharded = tr.Len() > 1 && tr.Jobs[tr.Len()-1].Submit-tr.Jobs[0].Submit >= *shardSeconds
+	// than one kept window; otherwise shard.Replay would silently run
+	// sequentially, so keep the probe and tell the user why.
+	shardCfg := shard.Config{Window: *shardWindow, MinJobs: 1}
+	windows := shard.Windows(tr, shardCfg)
+	if *shardWindow > 0 && windows < 2 {
+		fmt.Fprintf(os.Stderr, "rlbf-sim: sharding ignored: -shard-window %d keeps one window (the trace is no longer, or no cut reaches a drain)\n", *shardWindow)
 	}
-	if sharded && bf != nil {
+	if windows > 1 && bf != nil {
 		if _, ok := bf.(backfill.Cloneable); !ok {
 			fmt.Fprintf(os.Stderr, "rlbf-sim: sharding ignored: backfiller %s cannot be cloned across windows\n", bf.Name())
-			sharded = false
+			windows = 1
 		}
 	}
-	// Both modes go through shard.Replay — a zero shard.Config is a
+	// Both modes go through shard.Replay — a configured probe forces a
 	// sequential replay — so the records (and any CSV) come back in trace
 	// order either way and the two outputs stay row-for-row comparable. A
 	// probe observes the whole engine timeline, which a stitched replay
 	// cannot reproduce, so the sparkline exists only in sequential mode.
 	var probe *sim.TimelineProbe
-	var shardCfg shard.Config
 	simCfg := sim.Config{Policy: policy, Scenario: scn, Backfiller: bf}
-	if sharded {
-		shardCfg = shard.Config{Window: *shardWindow, WindowSeconds: *shardSeconds,
-			Overlap: *shardOverlap, MinJobs: 1, Workers: *shardWorkers}
-	} else {
+	if windows < 2 {
 		probe = &sim.TimelineProbe{}
 		simCfg.Probe = probe // assigned only when non-nil: a typed-nil probe would defeat the engine's nil check
 	}
@@ -158,11 +150,7 @@ func main() {
 		fmt.Println(probe)
 		fmt.Printf("util |%s|\n", probe.Sparkline(72))
 	} else {
-		if *shardSeconds > 0 {
-			fmt.Printf("sharded replay: window %ds of simulated time, overlap %d jobs (timeline probe off)\n", *shardSeconds, *shardOverlap)
-		} else {
-			fmt.Printf("sharded replay: window %d, overlap %d (timeline probe off)\n", *shardWindow, *shardOverlap)
-		}
+		fmt.Printf("sharded replay: %d windows cut every %d jobs (timeline probe off)\n", windows, *shardWindow)
 	}
 
 	if *csvPath != "" {

@@ -41,7 +41,7 @@ func hugeTrace(tb testing.TB) *trace.Trace {
 // backfilling — the profile-heaviest heuristic, whose reservation skyline
 // grows with the backlog and therefore leans hardest on FindStart. "seq" is
 // the single-engine replay; "sharded-auto" replays 64K-job windows with
-// drain-aware auto-sized flanks (Overlap 0) stitched back in trace order.
+// drain-aware flanks stitched back in trace order.
 // CI runs this at -benchtime 1x as the standing million-job regression
 // record; set RLBF_HUGE_JOBS to iterate locally at smaller scales.
 func BenchmarkSimulatorHuge(b *testing.B) {

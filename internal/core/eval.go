@@ -1,13 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/backfill"
-	"repro/internal/pool"
 	"repro/internal/sched"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -26,16 +25,6 @@ type EvalConfig struct {
 	// Sequence sampling is derived from Seed alone and results are collected
 	// by sequence index, so the outcome is identical at any worker count.
 	Workers int
-	// Shard, when enabled and SeqLen is at or above its threshold, replays
-	// each sampled sequence as overlapping windows on a pool shared by all
-	// sequences (internal/shard). Below the threshold — every existing test
-	// and the paper's 1024-job sequences under the default threshold — the
-	// replay path is exactly the unsharded one. A sharded replay sums its
-	// summary over trace order rather than start order, so per-sequence
-	// bslds can differ from the unsharded value in the last float bits (the
-	// records themselves are byte-identical given sufficient overlap; see
-	// DESIGN.md §7).
-	Shard shard.Config
 	// Scn threads the scheduling scenario (priority tiers, starvation bound)
 	// into every replayed sequence's engine. The zero value is the classic
 	// evaluation.
@@ -75,25 +64,19 @@ func sequenceStarts(t *trace.Trace, cfg EvalConfig) []int {
 // is bit-identical at any worker count.
 func runSequences(t *trace.Trace, base sched.Policy, cfg EvalConfig,
 	mkBF func() backfill.Backfiller) (float64, []float64, error) {
+	switch {
+	case cfg.Sequences < 1:
+		return 0, nil, fmt.Errorf("eval: %d sequences, need at least 1", cfg.Sequences)
+	case cfg.SeqLen < 1:
+		return 0, nil, fmt.Errorf("eval: sequence length %d, need at least 1", cfg.SeqLen)
+	case t.Len() == 0:
+		return 0, nil, fmt.Errorf("eval: trace %q has no jobs", t.Name)
+	}
 	starts := sequenceStarts(t, cfg)
 	per := make([]float64, len(starts))
 	errs := make([]error, len(starts))
 
 	w := cfg.workers()
-	// All sequences' windows share one pool, so total machine pressure stays
-	// bounded no matter how many sequences replay concurrently (the sequence
-	// goroutines hold no tokens, like RunMany's experiment coordinators).
-	// The pool defaults to the eval worker budget — NOT GOMAXPROCS — so an
-	// evaluation embedded in a weight-1 experiment cell never multiplies the
-	// parallelism its caller configured; an explicit Shard.Workers overrides.
-	var shardPool *pool.Pool
-	if cfg.Shard.Active(cfg.SeqLen) {
-		sw := cfg.Shard.Workers
-		if sw <= 0 {
-			sw = w
-		}
-		shardPool = pool.New(sw)
-	}
 	var wg sync.WaitGroup
 	var failed atomic.Bool
 	sem := make(chan struct{}, w)
@@ -107,13 +90,7 @@ func runSequences(t *trace.Trace, base sched.Policy, cfg EvalConfig,
 			defer wg.Done()
 			defer func() { <-sem }()
 			seq := trace.Slice(t, start, cfg.SeqLen)
-			var res *sim.Result
-			var err error
-			if cfg.Shard.Active(seq.Len()) {
-				res, err = shard.ReplayScenario(seq, base, cfg.Scn, mkBF, cfg.Shard, shardPool)
-			} else {
-				res, err = sim.Run(seq, sim.Config{Policy: base, Scenario: cfg.Scn, Backfiller: mkBF()})
-			}
+			res, err := sim.Run(seq, sim.Config{Policy: base, Scenario: cfg.Scn, Backfiller: mkBF()})
 			if err != nil {
 				errs[i] = err
 				failed.Store(true)
@@ -133,7 +110,8 @@ func runSequences(t *trace.Trace, base sched.Policy, cfg EvalConfig,
 
 // EvaluateStrategy measures a base policy plus heuristic backfiller
 // (nil = no backfilling) under the paper's protocol, returning the mean and
-// per-sequence bounded slowdowns. With cfg.Workers > 1 the sequences replay
+// per-sequence bounded slowdowns. It returns an error when cfg asks for no
+// sequences, empty sequences, or the trace has no jobs. With cfg.Workers > 1 the sequences replay
 // concurrently when the backfiller is nil or backfill.Cloneable; a stateful
 // backfiller that cannot be cloned falls back to a sequential run.
 func EvaluateStrategy(t *trace.Trace, base sched.Policy, bf backfill.Backfiller, cfg EvalConfig) (float64, []float64, error) {
@@ -143,7 +121,6 @@ func EvaluateStrategy(t *trace.Trace, base sched.Policy, bf backfill.Backfiller,
 			mkBF = func() backfill.Backfiller { return c.Fresh() }
 		} else {
 			cfg.Workers = 1 // cannot share scratch state between replays
-			cfg.Shard = shard.Config{}
 		}
 	}
 	return runSequences(t, base, cfg, mkBF)
@@ -151,9 +128,9 @@ func EvaluateStrategy(t *trace.Trace, base sched.Policy, bf backfill.Backfiller,
 
 // EvaluateAgent measures a trained agent (greedy action selection, §3.3.1)
 // under the same protocol; each concurrent replay gets a greedy clone
-// sharing the read-only networks. The agent may have been trained on a
-// different trace — that is exactly the paper's generality experiment
-// (Table 5).
+// sharing the read-only networks, and the same config errors apply. The
+// agent may have been trained on a different trace — that is exactly the
+// paper's generality experiment (Table 5).
 func EvaluateAgent(a *Agent, t *trace.Trace, base sched.Policy, cfg EvalConfig) (float64, []float64, error) {
 	return runSequences(t, base, cfg, a.Fresh)
 }

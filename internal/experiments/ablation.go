@@ -125,9 +125,8 @@ func AblationObs(sc Scale, p *pool.Pool, log io.Writer) (*Table, error) {
 
 // ConservativeCompare pits no-backfilling, EASY and conservative backfilling
 // against each other on every workload (related-work baseline, §5). Each
-// (workload, strategy) replay is a cell constructing its own backfiller —
-// weight 1 normally, or the shard worker count when Scale.Shard splits the
-// whole-trace replays into parallel windows.
+// (workload, strategy) replay is a weight-1 cell constructing its own
+// backfiller.
 func ConservativeCompare(sc Scale, p *pool.Pool, _ io.Writer) (*Table, error) {
 	p = sc.cellPool(p)
 	tbl := &Table{
@@ -141,10 +140,9 @@ func ConservativeCompare(sc Scale, p *pool.Pool, _ io.Writer) (*Table, error) {
 		func(est backfill.Estimator) backfill.Backfiller { return backfill.NewEASY(est) },
 		func(est backfill.Estimator) backfill.Backfiller { return backfill.NewConservative(est) },
 	}
-	weight := sc.shardWeight(p, sc.TraceJobs)
-	grid, err := runGridWeighted(p, weight, len(workloads), len(mkBF), func(wi, si int) (string, error) {
+	grid, err := runGrid(p, len(workloads), len(mkBF), func(wi, si int) (string, error) {
 		tr := workloads[wi]
-		res, err := replayShardable(tr.Clone(), sim.Config{Policy: sched.FCFS{}, Backfiller: mkBF[si](estimatorFor(tr))}, sc.Shard, weight)
+		res, err := sim.Run(tr.Clone(), sim.Config{Policy: sched.FCFS{}, Backfiller: mkBF[si](estimatorFor(tr))})
 		if err != nil {
 			return "", err
 		}

@@ -5,9 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/pool"
-	"repro/internal/shard"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // errAborted reports that a fan-out was cut short because the shared pool
@@ -36,40 +33,6 @@ func (s Scale) cellPool(p *pool.Pool) *pool.Pool {
 // must hold that many tokens to keep the machine subscribed exactly once.
 func (s Scale) trainWeight() int {
 	return s.workers()
-}
-
-// shardWeight resolves the pool weight of a cell replaying a jobs-long
-// trace under the scale's shard config: the windows it will actually fan
-// out, clamped to the shard worker budget and to the pool so an undersized
-// pool degrades the fan-out instead of deadlocking (a cell must never wait
-// for tokens it already holds). A cell whose trace is below the activation
-// threshold replays sequentially and holds a single token like any other
-// weight-1 cell.
-func (s Scale) shardWeight(p *pool.Pool, jobs int) int {
-	if !s.Shard.Active(jobs) {
-		return 1
-	}
-	// Wall-clock windows (WindowSeconds, which takes precedence over Window,
-	// matching shard.Config.cutIndices) can't be counted from the job count
-	// alone; the worker budget bounds them instead (a weight above the real
-	// window count only under-subscribes, never deadlocks).
-	windows := jobs
-	if s.Shard.Window > 0 && s.Shard.WindowSeconds == 0 {
-		windows = (jobs + s.Shard.Window - 1) / s.Shard.Window
-	}
-	return min(s.Shard.WorkerCount(), p.Capacity(), windows)
-}
-
-// replayShardable replays one cell's trace, sharding it per cfg when the
-// trace is long enough. workers is the token weight the cell holds (see
-// shardWeight): the windows run on a private pool of exactly that size, so
-// the cell's real parallelism equals its declared weight.
-func replayShardable(tr *trace.Trace, simCfg sim.Config, cfg shard.Config, workers int) (*sim.Result, error) {
-	if !cfg.Active(tr.Len()) {
-		return sim.Run(tr, simCfg)
-	}
-	cfg.Workers = workers
-	return shard.Replay(tr, simCfg, cfg, nil)
 }
 
 // clampToPool bounds the scale's parallelism to the pool its cells run on,
@@ -132,16 +95,8 @@ func runCells(p *pool.Pool, weight, n int, fn func(i int) error) error {
 // returns the cell strings row by row — the shape shared by every
 // replay-style experiment (one simulation per table cell).
 func runGrid(p *pool.Pool, rows, cols int, cell func(r, c int) (string, error)) ([][]string, error) {
-	return runGridWeighted(p, 1, rows, cols, cell)
-}
-
-// runGridWeighted is runGrid with an explicit per-cell pool weight: a cell
-// that internally fans out (a sharded whole-trace replay runs weight many
-// windows on a private pool) holds that many tokens, the same discipline
-// training cells use, so concurrent cells never oversubscribe the machine.
-func runGridWeighted(p *pool.Pool, weight, rows, cols int, cell func(r, c int) (string, error)) ([][]string, error) {
 	flat := make([]string, rows*cols)
-	err := runCells(p, weight, len(flat), func(i int) error {
+	err := runCells(p, 1, len(flat), func(i int) error {
 		v, err := cell(i/cols, i%cols)
 		if err != nil {
 			return err

@@ -15,11 +15,10 @@ import (
 // backfilling strategies compare as the offered load scales. It compresses
 // the SDSC-SP2 surrogate's arrivals by factors 0.5-2.0 and reports bsld for
 // no backfilling, EASY, SJF-ordered EASY and conservative backfilling under
-// FCFS. Every (factor, strategy) point is a cell on the
-// worker pool — weight 1 normally, or the shard worker count when
-// Scale.Shard splits long replays into parallel windows — each scaling the
-// trace and constructing its backfiller privately. The crossover structure (aggressive EASY gaining on
-// conservative as load rises) is the classic result this checks.
+// FCFS. Every (factor, strategy) point is a weight-1 cell on the worker
+// pool, scaling the trace and constructing its backfiller privately. The
+// crossover structure (aggressive EASY gaining on conservative as load
+// rises) is the classic result this checks.
 func LoadSweep(sc Scale, p *pool.Pool, _ io.Writer) (*Table, error) {
 	p = sc.cellPool(p)
 	base := trace.SyntheticSDSCSP2(sc.TraceJobs, sc.Seed+1)
@@ -48,10 +47,9 @@ func LoadSweep(sc Scale, p *pool.Pool, _ io.Writer) (*Table, error) {
 		},
 	}
 
-	weight := sc.shardWeight(p, base.Len())
-	grid, err := runGridWeighted(p, weight, len(factors), len(strategies), func(fi, si int) (string, error) {
+	grid, err := runGrid(p, len(factors), len(strategies), func(fi, si int) (string, error) {
 		scaled := trace.ScaleLoad(base, factors[fi]) // returns a private clone
-		res, err := replayShardable(scaled, sim.Config{Policy: sched.FCFS{}, Backfiller: strategies[si].mk()}, sc.Shard, weight)
+		res, err := sim.Run(scaled, sim.Config{Policy: sched.FCFS{}, Backfiller: strategies[si].mk()})
 		if err != nil {
 			return "", err
 		}

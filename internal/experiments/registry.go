@@ -91,15 +91,8 @@ func Names() []string {
 // order. Cells are deterministically seeded and results assemble by index,
 // so the returned string is byte-identical at any worker count.
 func RunMany(names []string, sc Scale, log io.Writer) (string, error) {
-	// One knob shards everything: whole-trace replay cells read sc.Shard
-	// directly, eval-protocol sequences get it through the eval config. A
-	// caller that configured Eval.Shard on its own (leaving Scale.Shard off)
-	// keeps its setting.
-	if sc.Shard.Enabled() {
-		sc.Eval.Shard = sc.Shard
-	}
-	// Likewise for the scheduling scenario: one Scale knob reaches both the
-	// training rollouts (trainConfig) and the eval-protocol engines.
+	// One Scale knob sets the scheduling scenario for both the training
+	// rollouts (trainConfig) and the eval-protocol engines.
 	if sc.Scn.Enabled() {
 		sc.Eval.Scn = sc.Scn
 	}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ppo"
 	"repro/internal/sched"
-	"repro/internal/shard"
 )
 
 // Scale bundles the knobs that trade fidelity for wall-clock time. The
@@ -38,12 +37,6 @@ type Scale struct {
 	Seed uint64
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Shard, when enabled, replays whole-trace cells (conservative,
-	// loadsweep) and — via RunMany propagating it into Eval.Shard — the
-	// eval-protocol sequences as overlapping windows stitched in parallel
-	// (internal/shard). Off by default at every named scale; rlbf-exp's
-	// -shard-window/-shard-overlap flags switch it on.
-	Shard shard.Config
 	// Scn layers the scheduling scenario (priority tiers, starvation bound)
 	// onto every cell: RunMany propagates it into Eval.Scn and trainConfig
 	// threads it into training rollouts. Zero (the default at every named

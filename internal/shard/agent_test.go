@@ -1,15 +1,10 @@
-// Agent sharding lives in an external test package: core imports shard (for
-// EvalConfig.Shard), so an in-package test importing core would cycle.
-package shard_test
+package shard
 
 import (
 	"testing"
 
 	"repro/internal/backfill"
 	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/sched"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -37,40 +32,20 @@ func trainTinyAgent(t *testing.T) *core.Agent {
 	return trainer.Agent()
 }
 
-func agentRecordsEqual(a, b []metrics.Record) (int, bool) {
-	if len(a) != len(b) {
-		return -1, false
-	}
-	bad := 0
-	for i := range a {
-		if a[i].Job.ID != b[i].Job.ID || a[i].Start != b[i].Start || a[i].End != b[i].End {
-			bad++
-		}
-	}
-	return bad, bad == 0
-}
-
 // TestShardDifferentialAgent extends TestShardDifferential's guarantee to
 // the RL-agent replay path, end to end: a tiny in-test-trained greedy agent
-// (cloned per window via core.Agent.Fresh) replayed through overlapping
+// (cloned per window via core.Agent.Fresh) replayed through drain-aware
 // windows is byte-identical — records and summary — to its sequential
-// replay. This is the ROADMAP's "shard the agent replay path" item: the
-// greedy agent is deterministic per state, so the warm-up flank rebuilds
-// exactly the backlog the sequential replay saw.
+// replay. The greedy agent is deterministic per state, so the warm-up flank
+// rebuilds exactly the backlog the sequential replay saw.
 func TestShardDifferentialAgent(t *testing.T) {
 	agent := trainTinyAgent(t)
 	tr := trace.ScaleLoad(trace.SyntheticSDSCSP2(1500, 1), 0.5)
 	mk := func() backfill.Backfiller { return agent.Fresh() }
 
-	seq, err := shard.Replay(tr, sim.Config{Policy: sched.FCFS{}, Backfiller: mk()}, shard.Config{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := shard.ReplayWith(tr, sched.FCFS{}, mk, shard.Config{Window: 375, Overlap: 512, MinJobs: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad, ok := agentRecordsEqual(seq.Records, sh.Records); !ok {
+	seq := sequentialResult(t, tr, mk)
+	sh := shardedResult(t, tr, mk, Config{Window: 375, MinJobs: 1})
+	if bad, ok := recordsEqual(seq.Records, sh.Records); !ok {
 		t.Fatalf("RLBF: %d of %d records differ between sequential and sharded replay",
 			bad, len(seq.Records))
 	}
@@ -89,19 +64,16 @@ func TestShardAgentDeterministicAcrossWorkers(t *testing.T) {
 	agent := trainTinyAgent(t)
 	tr := trace.ScaleLoad(trace.SyntheticSDSCSP2(1200, 1), 0.5)
 	mk := func() backfill.Backfiller { return agent.Fresh() }
-	cfg := shard.Config{Window: 300, Overlap: 512, MinJobs: 1}
+	cfg := Config{Window: 300, MinJobs: 1}
 	var ref *sim.Result
 	for _, w := range []int{1, 4} {
 		cfg.Workers = w
-		res, err := shard.ReplayWith(tr, sched.FCFS{}, mk, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := shardedResult(t, tr, mk, cfg)
 		if ref == nil {
 			ref = res
 			continue
 		}
-		if bad, ok := agentRecordsEqual(ref.Records, res.Records); !ok {
+		if bad, ok := recordsEqual(ref.Records, res.Records); !ok {
 			t.Fatalf("Workers=%d: %d records differ from Workers=1", w, bad)
 		}
 		if ref.Summary != res.Summary {

@@ -4,17 +4,14 @@ import (
 	"repro/internal/trace"
 )
 
-// Drain-aware window auto-sizing (DESIGN.md §11).
+// Drain-aware window sizing (DESIGN.md §7).
 //
 // The warm-up exactness argument needs the flank to contain an instant where
 // the window replay's state coincides with the sequential replay's; the one
 // state reachable from a cold start is the empty system, so the flank must
-// span a drain point — an arrival that finds no job running or queued. A
-// fixed Config.Overlap is a guess at how far back such a point lies: too
-// small and the stitch drifts, too large and every window re-simulates jobs
-// it did not need. Auto-sizing replaces the guess with a pre-pass over the
-// submit-sorted trace that detects drain points directly and derives the
-// window geometry from them.
+// start at a drain point — an arrival that finds no job running or queued.
+// A pre-pass over the submit-sorted trace detects drain points directly and
+// derives every window's flanks from them.
 //
 // Drain detection replays the trace through two O(n log n) machine models —
 // no engine, no backfiller, just a completion heap and a queue:
@@ -32,38 +29,32 @@ import (
 // backfilling) interleaves these two extremes, so an arrival that finds both
 // models empty almost surely finds the real engine empty too. "Almost": a
 // backfiller may keep a job running across a gap both models drain in, so
-// this is a well-grounded heuristic, not a proof — the property tests in
-// autosize_test.go pin byte-identity empirically on the surrogate archives.
+// this is a well-grounded heuristic, not a proof — the differential tests
+// pin byte-identity empirically on the surrogate archives.
 //
-// Auto mode is exact by construction, never tolerance-based: each window's
-// leading flank starts at a drain (warm-up from a coinciding empty state)
-// and its trailing flank ends at a drain or the trace end (every job before
-// a drain has completed before any job after it arrives, so later arrivals
-// cannot perturb owned records). When a proposed cut cannot reach a drain
-// economically — the latest drain at or before it lies at or before the
-// previous kept cut, so warming up would re-replay at least the entire
-// previous window — the cut is dropped and its window merges into the
-// previous one. A workload that never drains (a saturated archive, or a
-// multi-thousand-node composition that is never simultaneously empty over a
-// million jobs) therefore degrades to fewer, larger windows — in the limit
-// one, which is the sequential replay itself — instead of emitting silently
-// drifting records. Fixed-tolerance sharding remains available as the
-// explicit Overlap > 0 override (DESIGN.md §7).
+// Each window's leading flank starts at a drain (warm-up from a coinciding
+// empty state) and its trailing flank ends at a drain or the trace end
+// (every job before a drain has completed before any job after it arrives,
+// so later arrivals cannot perturb owned records). When a proposed cut
+// cannot reach a drain economically — the latest drain at or before it lies
+// at or before the previous kept cut, so warming up would re-replay at least
+// the entire previous window — the cut is dropped and its window merges
+// into the previous one. A workload that never drains (a saturated archive,
+// or a multi-thousand-node composition that is never simultaneously empty
+// over a million jobs) therefore degrades to fewer, larger windows — in the
+// limit one, which is the sequential replay itself — instead of emitting
+// drifting records.
 
 // flank is one window's resolved replay range endpoints in job-index space.
 type flank struct {
 	lo, hi int
 }
 
-// drainProfile is the result of the auto-sizing pre-pass: the job indices
-// whose arrival finds both machine models empty, sorted ascending. Index 0
-// always qualifies — a replay from a cold start is by definition at a drain.
-type drainProfile struct {
-	drains []int
-}
-
-// analyzeDrains runs the pre-pass once per replay.
-func analyzeDrains(t *trace.Trace) drainProfile {
+// analyzeDrains runs the pre-pass once per replay and returns the job
+// indices whose arrival finds both machine models empty, sorted ascending.
+// Index 0 always qualifies — a replay from a cold start is by definition at
+// a drain.
+func analyzeDrains(t *trace.Trace) []int {
 	fcfsDrains := modelDrains(t, false)
 	greedyDrains := modelDrains(t, true)
 	inGreedy := make(map[int]struct{}, len(greedyDrains))
@@ -76,7 +67,7 @@ func analyzeDrains(t *trace.Trace) drainProfile {
 			drains = append(drains, d)
 		}
 	}
-	return drainProfile{drains: drains}
+	return drains
 }
 
 // runEntry is one running job in the model: its completion time and width.
@@ -209,10 +200,8 @@ func modelDrains(t *trace.Trace, greedy bool) (drains []int) {
 	return drains
 }
 
-// autoFlanks resolves the final window geometry: the kept proper-region cuts
-// and each surviving window's replay range. Explicit overlap keeps the
-// historical symmetric flanks around every proposed cut; overlap 0 with
-// sharding enabled means auto:
+// autoFlanks resolves the window geometry for a trace cut every window
+// jobs: the kept proper-region cuts and each kept window's replay range.
 //
 //   - A proposed cut survives only if the latest drain at or before it lies
 //     strictly after the previous kept cut; otherwise warming up from that
@@ -220,7 +209,7 @@ func modelDrains(t *trace.Trace, greedy bool) (drains []int) {
 //     is dropped and the windows merge. Surviving warm-ups are therefore
 //     each shorter than the window before them (total duplicated work below
 //     2x sequential, and in practice a tiny fraction — drains are dense on
-//     archives light enough to shard exactly).
+//     archives light enough to shard).
 //   - A surviving window's leading flank is that drain; its trailing flank
 //     is the earliest drain at or past the next kept cut, or the trace end.
 //     The trailing reach costs little: replayWindow stops as soon as every
@@ -229,22 +218,16 @@ func modelDrains(t *trace.Trace, greedy bool) (drains []int) {
 //
 // The returned cuts always start at 0 and end at t.Len(); callers fall back
 // to a sequential replay when only one window survives.
-func autoFlanks(t *trace.Trace, sc Config, cuts []int) ([]int, []flank) {
+func autoFlanks(t *trace.Trace, window int) ([]int, []flank) {
 	n := t.Len()
-	if sc.Overlap > 0 {
-		numWin := len(cuts) - 1
-		fl := make([]flank, numWin)
-		for w := 0; w < numWin; w++ {
-			fl[w] = flank{lo: max(cuts[w]-sc.Overlap, 0), hi: min(cuts[w+1]+sc.Overlap, n)}
-		}
-		return cuts, fl
+	if window >= n {
+		return []int{0, n}, []flank{{lo: 0, hi: n}}
 	}
-	dp := analyzeDrains(t)
+	drains := analyzeDrains(t)
 	kept := []int{0}
 	los := []int{0}
-	for _, c := range cuts[1 : len(cuts)-1] {
-		d := latestDrainAtOrBefore(dp.drains, c)
-		if d > kept[len(kept)-1] {
+	for c := window; c < n; c += window {
+		if d := latestDrainAtOrBefore(drains, c); d > kept[len(kept)-1] {
 			kept = append(kept, c)
 			los = append(los, d)
 		}
@@ -252,7 +235,7 @@ func autoFlanks(t *trace.Trace, sc Config, cuts []int) ([]int, []flank) {
 	kept = append(kept, n)
 	fl := make([]flank, len(kept)-1)
 	for w := range fl {
-		fl[w] = flank{lo: los[w], hi: earliestDrainAtOrAfter(dp.drains, kept[w+1], n)}
+		fl[w] = flank{lo: los[w], hi: earliestDrainAtOrAfter(drains, kept[w+1], n)}
 	}
 	return kept, fl
 }

@@ -1,49 +1,37 @@
-// Package shard replays long traces as overlapping windows simulated in
-// parallel and stitched back into a single result stream, so paper-scale
-// end-to-end replays stop being a single-threaded bottleneck (ROADMAP:
-// "Trace sharding for long replays"; cf. the split-window evaluation of
-// Deep Back-Filling, arXiv:2401.09910).
+// Package shard replays long traces as windows simulated in parallel and
+// stitched back into a single result stream, so a long end-to-end replay
+// stops being a single-threaded bottleneck (cf. the split-window evaluation
+// of Deep Back-Filling, arXiv:2401.09910).
 //
-// # Window/overlap model
+// # Window model
 //
-// A trace of n jobs is cut into ceil(n/Window) consecutive windows of
-// Window jobs — or, with Config.WindowSeconds, into windows owning the jobs
-// submitted within consecutive fixed-width slices of simulated time (empty
-// slices vanish), which keeps window sizing independent of arrival
-// burstiness. Either way window w owns a contiguous index range
-// [cuts[w], cuts[w+1]) — its "proper" region — but replays the wider range
-//
-//	[cuts[w] - Overlap, cuts[w+1] + Overlap)
-//
-// clamped to the trace. The leading Overlap jobs are the warm-up: replaying
-// them from a cold cluster rebuilds the backlog (queue + running set) the
-// sequential replay would have accumulated by the window start. The trailing
-// Overlap jobs are the cool-down: they supply the future arrivals that
-// compete with end-of-window jobs before those jobs start (a later arrival
-// can backfill into a gap and change an earlier job's start, but only while
-// that job is still waiting). Records are kept only for the proper region;
-// both flanks are discarded.
+// A trace of n jobs is cut every Window jobs. Window w owns a contiguous
+// index range [cuts[w], cuts[w+1]) — its "proper" region — but replays the
+// wider range [lo, hi) whose flanks autosize.go pins to drain points: job
+// indices whose arrival finds the machine empty. The leading flank is the
+// warm-up: replaying it from a cold cluster rebuilds the backlog (queue +
+// running set) the sequential replay carries into the window. The trailing
+// flank is the cool-down: it supplies the later arrivals that compete with
+// end-of-window jobs before those jobs start (a later arrival can backfill
+// into a gap and change an earlier job's start, but only while that job is
+// still waiting). Records are kept only for the proper region; both flanks
+// are discarded. A cut that no drain can reach merges its window into the
+// previous one, so a trace that never drains replays sequentially.
 //
 // # Determinism and exactness
 //
-// Scheduling in this simulator is memoryless beyond the engine state:
-// backfillers rebuild their profiles from the running set every round, so
-// the state (clock, queue, running) plus the remaining arrivals fully
-// determines the rest of the schedule. If at any instant inside the warm-up
-// region the window replay's state coincides with the sequential replay's —
-// in particular at any drain point, where both are empty — the two evolve
-// identically from there on, and the window's proper records are exact.
-// Batch traces drain regularly (arrival lulls), so with Overlap spanning a
-// drain interval the stitched replay is byte-identical to the sequential
-// one; the differential test pins this for the synthetic archives. With
-// insufficient overlap the stitch degrades gracefully: records stay exact
-// except for jobs whose wait straddles an unconverged boundary, and the
-// aggregate error is bounded by the documented tolerance (DESIGN.md §7).
+// The engine state (clock, queue, running) plus the remaining arrivals
+// fully determines the rest of the schedule. At a drain point both the
+// window replay and the sequential replay are empty, so from there on they
+// evolve identically and the window's proper records are exact: the
+// stitched replay is byte-identical to the sequential one. Drains are
+// detected with two bounding machine models rather than the engine itself
+// (autosize.go), so the differential tests pin this per strategy.
 //
 // Stitched records are returned in trace (submission) order — window w
-// writes its proper records into the slots [w*Window, (w+1)*Window) of one
-// shared slice — so the output is deterministic and independent of worker
-// count and window completion order.
+// writes its proper records into their trace-index slots of one shared
+// slice — so the output is deterministic and independent of worker count
+// and window completion order.
 package shard
 
 import (
@@ -59,38 +47,15 @@ import (
 )
 
 // DefaultMinJobs is the auto-off threshold: traces shorter than this replay
-// sequentially even when sharding is configured, so short tests and eval
-// sequences are untouched by the sharded path.
+// sequentially even when sharding is configured.
 const DefaultMinJobs = 2048
 
 // Config selects the sharded-replay geometry. The zero value disables
-// sharding entirely.
+// sharding.
 type Config struct {
-	// Window is the number of jobs each window owns. 0 disables job-count
-	// windows.
+	// Window is the number of jobs each window owns before drain-aware
+	// merging. 0 disables sharding.
 	Window int
-	// WindowSeconds, when > 0, cuts windows at fixed simulated-time
-	// boundaries instead of fixed job counts: window k owns the jobs
-	// submitted in [t0 + k*WindowSeconds, t0 + (k+1)*WindowSeconds), with t0
-	// the trace's first submit time and empty windows skipped. Wall-clock
-	// cuts keep window sizing independent of arrival burstiness on archives
-	// with very uneven rates. Takes precedence over Window when both are
-	// set. Overlap remains job-based either way — the warm-up/cool-down
-	// exactness argument is about backlog depth, not elapsed time.
-	WindowSeconds int64
-	// Overlap is the number of jobs replayed on each flank of a window
-	// (warm-up before, cool-down after) and discarded. Larger overlaps make
-	// the stitch exact at the cost of duplicated simulation work.
-	//
-	// Overlap 0 (with sharding enabled) selects drain-aware auto-sizing: a
-	// linear pre-pass over the trace detects drain points, pins every
-	// window's flanks to them (exact by construction), and merges windows
-	// whose cut cannot reach a drain economically — a workload that never
-	// drains degrades to fewer, larger windows rather than a drifting
-	// stitch, collapsing to the sequential replay in the limit. See
-	// autosize.go. An explicit Overlap > 0 keeps the historical fixed
-	// symmetric flanks and their documented tolerance.
-	Overlap int
 	// MinJobs is the auto-off threshold (DefaultMinJobs when 0): traces
 	// with fewer jobs replay sequentially.
 	MinJobs int
@@ -100,25 +65,25 @@ type Config struct {
 	Workers int
 }
 
-// Enabled reports whether sharding is configured at all.
-func (c Config) Enabled() bool { return c.Window > 0 || c.WindowSeconds > 0 }
-
-// Active reports whether a trace of n jobs would actually be sharded: the
-// config must be enabled and the trace at least MinJobs long.
-func (c Config) Active(n int) bool {
+// active reports whether a trace of n jobs would be sharded: Window must be
+// set and the trace at least MinJobs long.
+func (c Config) active(n int) bool {
 	m := c.MinJobs
 	if m <= 0 {
 		m = DefaultMinJobs
 	}
-	return c.Enabled() && n >= m
+	return c.Window > 0 && n >= m
 }
 
-// WorkerCount resolves Workers (0 = GOMAXPROCS).
-func (c Config) WorkerCount() int {
-	if c.Workers > 0 {
-		return c.Workers
+// Windows returns the number of windows Replay cuts t into under sc. 1
+// means a sequential replay: sharding is off, the trace is below MinJobs,
+// or no cut reaches a drain.
+func Windows(t *trace.Trace, sc Config) int {
+	if !sc.active(t.Len()) {
+		return 1
 	}
-	return runtime.GOMAXPROCS(0)
+	_, flanks := autoFlanks(t, sc.Window)
+	return len(flanks)
 }
 
 // Replay replays t under cfg, sharding it per sc when the trace is long
@@ -126,12 +91,12 @@ func (c Config) WorkerCount() int {
 // window needs private scratch state); a non-cloneable backfiller, a
 // configured Probe, or a trace below the threshold all fall back to a
 // sequential replay. Windows run as weight-1 cells on p, or on a private
-// pool of sc.WorkerCount() tokens when p is nil.
+// pool of sc.Workers (0 = GOMAXPROCS) tokens when p is nil.
 //
 // Records are always returned in trace (submission) order — including on
 // the sequential fallback — and the Summary is computed over that order, so
 // Replay's output for a given (trace, config) is identical whether or not
-// sharding engaged, modulo the overlap-convergence argument above.
+// sharding engaged.
 func Replay(t *trace.Trace, cfg sim.Config, sc Config, p *pool.Pool) (*sim.Result, error) {
 	if cfg.Probe != nil {
 		return sequential(t, cfg)
@@ -144,35 +109,30 @@ func Replay(t *trace.Trace, cfg sim.Config, sc Config, p *pool.Pool) (*sim.Resul
 		}
 		mkBF = func() backfill.Backfiller { return c.Fresh() }
 	}
-	return ReplayScenario(t, cfg.Policy, cfg.Scenario, mkBF, sc, p)
+	return replay(t, cfg.Policy, cfg.Scenario, mkBF, sc, p)
 }
 
 // ReplayWith is Replay for callers that construct backfillers themselves
-// (e.g. core.EvaluateAgent's greedy clones): mkBF is invoked once per
-// window — or once total on the sequential path — and each returned
-// instance is used by exactly one engine.
+// (e.g. an RL agent's greedy clones): mkBF is invoked once per window — or
+// once total on the sequential path — and each returned instance is used
+// by exactly one engine.
 func ReplayWith(t *trace.Trace, policy sched.Policy, mkBF func() backfill.Backfiller, sc Config, p *pool.Pool) (*sim.Result, error) {
-	return ReplayScenario(t, policy, sched.Scenario{}, mkBF, sc, p)
+	return replay(t, policy, sched.Scenario{}, mkBF, sc, p)
 }
 
-// ReplayScenario is ReplayWith with a scheduling scenario threaded into every
-// window's engine. Scenario state regenerates from (clock, queue, running) —
-// starvation wake events are re-queued when jobs re-enter a window's queue —
-// so the warm-up convergence argument is unchanged: coinciding states still
-// evolve identically.
-func ReplayScenario(t *trace.Trace, policy sched.Policy, scn sched.Scenario, mkBF func() backfill.Backfiller, sc Config, p *pool.Pool) (*sim.Result, error) {
+// replay threads the scheduling scenario into every window's engine.
+// Scenario state regenerates from (clock, queue, running) — starvation wake
+// events are re-queued when jobs re-enter a window's queue — so a window
+// warmed up from a drain still evolves exactly as the sequential replay.
+func replay(t *trace.Trace, policy sched.Policy, scn sched.Scenario, mkBF func() backfill.Backfiller, sc Config, p *pool.Pool) (*sim.Result, error) {
 	n := t.Len()
-	if !sc.Active(n) {
+	if !sc.active(n) {
 		return sequential(t, sim.Config{Policy: policy, Scenario: scn, Backfiller: mkBF()})
 	}
-	cuts := sc.cutIndices(t)
-	if len(cuts) <= 2 {
-		return sequential(t, sim.Config{Policy: policy, Scenario: scn, Backfiller: mkBF()})
-	}
-	// Auto-sizing may merge windows whose cut cannot reach a drain; a fully
+	// Auto-sizing merges windows whose cut cannot reach a drain; a fully
 	// undrainable trace collapses to one window, i.e. the sequential replay.
-	cuts, flanks := autoFlanks(t, sc, cuts)
-	numWin := len(cuts) - 1
+	cuts, flanks := autoFlanks(t, sc.Window)
+	numWin := len(flanks)
 	if numWin <= 1 {
 		return sequential(t, sim.Config{Policy: policy, Scenario: scn, Backfiller: mkBF()})
 	}
@@ -180,11 +140,14 @@ func ReplayScenario(t *trace.Trace, policy sched.Policy, scn sched.Scenario, mkB
 	records := make([]metrics.Record, n)
 	errs := make([]error, numWin)
 	if p == nil {
-		p = pool.New(sc.WorkerCount())
+		w := sc.Workers
+		if w <= 0 {
+			w = runtime.GOMAXPROCS(0)
+		}
+		p = pool.New(w)
 	}
 	g := p.NewGroup()
 	for w := 0; w < numWin; w++ {
-		w := w
 		g.Go(1, func() error {
 			errs[w] = replayWindow(t, sim.Config{Policy: policy, Scenario: scn, Backfiller: mkBF()},
 				cuts[w], cuts[w+1], flanks[w], index, records)
@@ -198,33 +161,6 @@ func ReplayScenario(t *trace.Trace, policy sched.Policy, scn sched.Scenario, mkB
 		}
 	}
 	return &sim.Result{Records: records, Summary: metrics.Summarize(records, t.Procs)}, nil
-}
-
-// cutIndices returns the proper-region boundaries in job-index space:
-// cuts[w] .. cuts[w+1] is window w's owned range, covering [0, n) exactly.
-// Job-count mode cuts every Window jobs; wall-clock mode cuts where a job's
-// submit time crosses a WindowSeconds boundary (traces are submit-sorted, so
-// time windows are contiguous index ranges; empty windows vanish).
-func (c Config) cutIndices(t *trace.Trace) []int {
-	n := t.Len()
-	if c.WindowSeconds > 0 {
-		cuts := make([]int, 1, 16)
-		t0 := t.Jobs[0].Submit
-		w := c.WindowSeconds
-		cur := int64(0) // window id of the previous job
-		for i := 1; i < n; i++ {
-			if id := (t.Jobs[i].Submit - t0) / w; id != cur {
-				cuts = append(cuts, i)
-				cur = id
-			}
-		}
-		return append(cuts, n)
-	}
-	cuts := make([]int, 0, (n+c.Window-1)/c.Window+1)
-	for i := 0; i < n; i += c.Window {
-		cuts = append(cuts, i)
-	}
-	return append(cuts, n)
 }
 
 // replayWindow simulates one window's extended range [fl.lo, fl.hi) on a

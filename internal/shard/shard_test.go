@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/backfill"
@@ -27,9 +26,9 @@ var strategies = []struct {
 	{"conservative", func() backfill.Backfiller { return backfill.NewConservative(backfill.RequestTime{}) }},
 }
 
-// moderateLoadTrace returns a workload whose backlog drains regularly, so a
-// 512-job overlap spans a drain interval at every window boundary (the
-// exactness precondition, see the package comment and DESIGN.md §7).
+// moderateLoadTrace returns a workload whose backlog drains regularly, so
+// drain-aware flanks keep most proposed cuts (see the package comment and
+// DESIGN.md §7).
 func moderateLoadTrace(n int) *trace.Trace {
 	return trace.ScaleLoad(trace.SyntheticSDSCSP2(n, 1), 0.5)
 }
@@ -45,11 +44,23 @@ func sequentialResult(t *testing.T, tr *trace.Trace, mk func() backfill.Backfill
 
 func shardedResult(t *testing.T, tr *trace.Trace, mk func() backfill.Backfiller, cfg Config) *sim.Result {
 	t.Helper()
+	requireWindows(t, tr, cfg.Window)
 	res, err := ReplayWith(tr, sched.FCFS{}, mk, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// requireWindows fails the test unless cutting tr every window jobs keeps
+// at least two windows: with one, the sharded replay is the sequential one
+// and a differential compares the sequential replay with itself.
+func requireWindows(t *testing.T, tr *trace.Trace, window int) {
+	t.Helper()
+	if _, flanks := autoFlanks(tr, window); len(flanks) < 2 {
+		t.Fatalf("%s (%d jobs) at Window %d keeps %d window; the geometry tests nothing",
+			tr.Name, tr.Len(), window, len(flanks))
+	}
 }
 
 // recordsEqual compares two trace-ordered record streams field by field
@@ -68,16 +79,21 @@ func recordsEqual(a, b []metrics.Record) (int, bool) {
 }
 
 // TestShardDifferential pins the tentpole guarantee, in the style of
-// TestKernelDifferential: with sufficient overlap the sharded replay is
+// TestKernelDifferential: with drain-aware flanks the sharded replay is
 // byte-identical to the sequential replay — records AND summary — for every
-// heuristic backfiller, on two synthetic archives.
+// heuristic backfiller, on two synthetic archives. Every row keeps at least
+// two windows.
 func TestShardDifferential(t *testing.T) {
-	cfg := Config{Window: 625, Overlap: 512, MinJobs: 1}
-	traces := []*trace.Trace{
-		trace.ScaleLoad(trace.SyntheticSDSCSP2(2500, 1), 0.5),
-		trace.ScaleLoad(trace.SyntheticHPC2N(2500, 3), 0.5),
+	rows := []struct {
+		tr     *trace.Trace
+		window int
+	}{
+		{trace.ScaleLoad(trace.SyntheticSDSCSP2(2500, 1), 0.5), 625},
+		{trace.ScaleLoad(trace.SyntheticHPC2N(2500, 1), 0.5), 625},
+		{trace.ScaleLoad(trace.SyntheticHPC2N(2500, 1), 0.3), 250},
 	}
-	for _, tr := range traces {
+	for _, row := range rows {
+		tr, cfg := row.tr, Config{Window: row.window, MinJobs: 1}
 		for _, s := range strategies {
 			if testing.Short() && s.name == "conservative" && tr.Name == "SDSC-SP2" {
 				continue // the profile-based strategy dominates the runtime
@@ -85,13 +101,13 @@ func TestShardDifferential(t *testing.T) {
 			seq := sequentialResult(t, tr, s.mk)
 			sh := shardedResult(t, tr, s.mk, cfg)
 			if bad, ok := recordsEqual(seq.Records, sh.Records); !ok {
-				t.Errorf("%s/%s: %d of %d records differ between sequential and sharded replay",
-					tr.Name, s.name, bad, len(seq.Records))
+				t.Errorf("%s/W%d/%s: %d of %d records differ between sequential and sharded replay",
+					tr.Name, row.window, s.name, bad, len(seq.Records))
 				continue
 			}
 			if seq.Summary != sh.Summary {
-				t.Errorf("%s/%s: summaries differ: sequential %+v, sharded %+v",
-					tr.Name, s.name, seq.Summary, sh.Summary)
+				t.Errorf("%s/W%d/%s: summaries differ: sequential %+v, sharded %+v",
+					tr.Name, row.window, s.name, seq.Summary, sh.Summary)
 			}
 		}
 	}
@@ -103,7 +119,7 @@ func TestShardDifferential(t *testing.T) {
 func TestShardDeterministicAcrossWorkers(t *testing.T) {
 	tr := moderateLoadTrace(2500)
 	mk := strategies[1].mk // EASY
-	cfg := Config{Window: 400, Overlap: 512, MinJobs: 1}
+	cfg := Config{Window: 400, MinJobs: 1}
 	var ref *sim.Result
 	for _, w := range []int{1, 2, 8} {
 		cfg.Workers = w
@@ -122,12 +138,13 @@ func TestShardDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestShardUndersizedPool pins that windows degrade gracefully on a pool
-// smaller than the window count: with one token the 7 windows run strictly
-// sequentially through the shared pool, and the output is unchanged.
+// smaller than the window count: with one token the 6 kept windows run
+// strictly sequentially through the shared pool, and the output is
+// unchanged.
 func TestShardUndersizedPool(t *testing.T) {
 	tr := moderateLoadTrace(2500)
 	mk := strategies[1].mk // EASY
-	cfg := Config{Window: 400, Overlap: 512, MinJobs: 1, Workers: 8}
+	cfg := Config{Window: 400, MinJobs: 1, Workers: 8}
 	want := shardedResult(t, tr, mk, cfg)
 	res, err := ReplayWith(tr, sched.FCFS{}, mk, cfg, pool.New(1))
 	if err != nil {
@@ -138,48 +155,82 @@ func TestShardUndersizedPool(t *testing.T) {
 	}
 }
 
-// TestShardWindowShorterThanWarmup: a window narrower than the overlap means
-// every replay range spans several neighbouring windows; the stitch must
-// still be exact.
+// TestShardWindowShorterThanWarmup: with windows narrow enough that drains
+// are rarely in reach, a cut whose warm-up would reach past the previous kept
+// cut merges into the window before it, so no warm-up spans more than Window
+// jobs. The stitch must still be exact.
 func TestShardWindowShorterThanWarmup(t *testing.T) {
 	tr := moderateLoadTrace(1200)
+	const window = 150
+	cuts, flanks := autoFlanks(tr, window)
+	if len(cuts)-1 >= (tr.Len()+window-1)/window {
+		t.Fatalf("cuts %v: expected narrow windows to merge", cuts)
+	}
+	for w, fl := range flanks {
+		if warm := cuts[w] - fl.lo; warm > window {
+			t.Errorf("window %d: warm-up of %d jobs exceeds Window %d", w, warm, window)
+		}
+	}
 	for _, s := range strategies[:3] { // none, EASY, EASY-SJF
 		seq := sequentialResult(t, tr, s.mk)
-		sh := shardedResult(t, tr, s.mk, Config{Window: 150, Overlap: 400, MinJobs: 1})
+		sh := shardedResult(t, tr, s.mk, Config{Window: window, MinJobs: 1})
 		if bad, ok := recordsEqual(seq.Records, sh.Records); !ok {
-			t.Errorf("%s: %d records differ with Window=150 < Overlap=400", s.name, bad)
+			t.Errorf("%s: %d records differ with Window=%d", s.name, bad, window)
 		}
 	}
 }
 
 // TestShardJobSpanningWindowBoundary: a machine-wide job submitted in window
-// 0 keeps window 1's jobs queued long past the boundary. With the overlap
-// covering the long job the stitch is exact; with the long job outside the
-// warm-up, window 1 must visibly diverge (this pins that the warm-up is what
-// carries cross-boundary state, not an accident of the workload).
+// 0 keeps window 1's jobs queued long past the boundary. The trace drains
+// just before the spanning job and again after its backlog, so the cut at 4
+// is kept and window 1's warm-up starts at the drain before the spanning
+// job. The stitch is exact, and window 1 replayed from a cold start at its
+// cut visibly diverges: the warm-up is what carries cross-boundary state,
+// not an accident of the workload.
 func TestShardJobSpanningWindowBoundary(t *testing.T) {
 	tr := &trace.Trace{Name: "boundary", Procs: 4}
-	tr.Jobs = append(tr.Jobs, &trace.Job{ID: 1, Submit: 0, Runtime: 1000, Request: 1000, Procs: 4})
-	for i := 2; i <= 8; i++ {
-		tr.Jobs = append(tr.Jobs, &trace.Job{ID: i, Submit: int64(i), Runtime: 5, Request: 10, Procs: 1})
+	job := func(submit, runtime int64, procs int) {
+		tr.Jobs = append(tr.Jobs, &trace.Job{ID: len(tr.Jobs) + 1, Submit: submit,
+			Runtime: runtime, Request: 2 * runtime, Procs: procs})
 	}
+	job(0, 5, 1)
+	job(1, 5, 1)
+	job(10, 1000, 4) // index 2: the spanning job, arriving at a drain
+	for s := int64(11); s <= 15; s++ {
+		job(s, 5, 1) // indices 3..7: queued behind it
+	}
+	job(2000, 5, 1) // index 8: a drain after the backlog
+	job(2001, 5, 1)
+	const spanning, spanEnd = 2, 1010
 	mk := func() backfill.Backfiller { return backfill.NewEASY(backfill.RequestTime{}) }
-	seq := sequentialResult(t, tr, mk)
+	cfg := Config{Window: 4, MinJobs: 1}
+	cuts, flanks := autoFlanks(tr, cfg.Window)
+	if len(flanks) < 2 || cuts[1] != 4 {
+		t.Fatalf("cuts %v: the cut at 4 should be kept", cuts)
+	}
+	if flanks[1].lo > spanning {
+		t.Fatalf("window 1's warm-up starts at %d, after the spanning job at %d", flanks[1].lo, spanning)
+	}
 
-	exact := shardedResult(t, tr, mk, Config{Window: 4, Overlap: 8, MinJobs: 1})
-	if bad, ok := recordsEqual(seq.Records, exact.Records); !ok {
-		t.Fatalf("overlap covering the spanning job: %d records differ", bad)
+	seq := sequentialResult(t, tr, mk)
+	sh := shardedResult(t, tr, mk, cfg)
+	if bad, ok := recordsEqual(seq.Records, sh.Records); !ok {
+		t.Fatalf("warm-up covering the spanning job: %d records differ", bad)
 	}
 	// Window 1's jobs must all have waited for the machine-wide job.
-	for _, r := range exact.Records[4:] {
-		if r.Start < 1000 {
-			t.Fatalf("job %d started at %d, before the spanning job's completion at 1000", r.Job.ID, r.Start)
+	for _, r := range sh.Records[cuts[1]:cuts[2]] {
+		if r.Start < spanEnd {
+			t.Fatalf("job %d started at %d, before the spanning job's completion at %d", r.Job.ID, r.Start, spanEnd)
 		}
 	}
 
-	short := shardedResult(t, tr, mk, Config{Window: 4, Overlap: 2, MinJobs: 1})
-	if _, ok := recordsEqual(seq.Records, short.Records); ok {
-		t.Fatal("overlap 2 cannot see the spanning job, yet the stitch matched; warm-up is not being exercised")
+	cold := make([]metrics.Record, tr.Len())
+	if err := replayWindow(tr, sim.Config{Policy: sched.FCFS{}, Backfiller: mk()}, cuts[1], cuts[2],
+		flank{lo: cuts[1], hi: flanks[1].hi}, jobIndex(tr), cold); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := recordsEqual(seq.Records[cuts[1]:cuts[2]], cold[cuts[1]:cuts[2]]); ok {
+		t.Fatal("window 1 without its warm-up matched the sequential replay; warm-up is not being exercised")
 	}
 }
 
@@ -189,7 +240,7 @@ func TestShardFinalPartialWindow(t *testing.T) {
 	tr := moderateLoadTrace(1050)
 	mk := strategies[1].mk // EASY
 	seq := sequentialResult(t, tr, mk)
-	sh := shardedResult(t, tr, mk, Config{Window: 500, Overlap: 400, MinJobs: 1})
+	sh := shardedResult(t, tr, mk, Config{Window: 500, MinJobs: 1})
 	if len(sh.Records) != 1050 {
 		t.Fatalf("%d records, want 1050", len(sh.Records))
 	}
@@ -207,7 +258,7 @@ func TestShardFinalPartialWindow(t *testing.T) {
 // every path.
 func TestShardEmptyTrace(t *testing.T) {
 	tr := &trace.Trace{Name: "empty", Procs: 8}
-	for _, cfg := range []Config{{}, {Window: 100, Overlap: 50, MinJobs: 1}} {
+	for _, cfg := range []Config{{}, {Window: 100, MinJobs: 1}} {
 		res, err := Replay(tr, sim.Config{Policy: sched.FCFS{}}, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -223,17 +274,17 @@ func TestShardEmptyTrace(t *testing.T) {
 // replay exactly as before.
 func TestShardAutoOff(t *testing.T) {
 	cfg := Config{Window: 100}
-	if cfg.Active(DefaultMinJobs - 1) {
+	if cfg.active(DefaultMinJobs - 1) {
 		t.Fatal("sharding active below DefaultMinJobs")
 	}
-	if !cfg.Active(DefaultMinJobs) {
+	if !cfg.active(DefaultMinJobs) {
 		t.Fatal("sharding inactive at DefaultMinJobs")
 	}
-	if (Config{}).Active(1 << 20) {
+	if (Config{}).active(1 << 20) {
 		t.Fatal("zero config must stay disabled at any length")
 	}
 	cfg = Config{Window: 100, MinJobs: 10}
-	if !cfg.Active(10) || cfg.Active(9) {
+	if !cfg.active(10) || cfg.active(9) {
 		t.Fatal("explicit MinJobs threshold not honoured")
 	}
 }
@@ -256,7 +307,7 @@ func TestShardNonCloneableFallsBack(t *testing.T) {
 	res, err := Replay(tr, sim.Config{
 		Policy:     sched.FCFS{},
 		Backfiller: noClone{inner: backfill.NewEASY(backfill.RequestTime{})},
-	}, Config{Window: 200, Overlap: 200, MinJobs: 1}, nil)
+	}, Config{Window: 200, MinJobs: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +327,7 @@ func TestShardProbeFallsBack(t *testing.T) {
 		Policy:     sched.FCFS{},
 		Backfiller: backfill.NewEASY(backfill.RequestTime{}),
 		Probe:      probe,
-	}, Config{Window: 200, Overlap: 200, MinJobs: 1}, nil)
+	}, Config{Window: 200, MinJobs: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,26 +337,4 @@ func TestShardProbeFallsBack(t *testing.T) {
 	if len(probe.Times) == 0 {
 		t.Fatal("probe saw no samples on the fallback path")
 	}
-}
-
-// TestShardInsufficientOverlapTolerance documents the graceful-degradation
-// contract: on a near-saturated workload a 128-job overlap is NOT enough for
-// byte-identity, but the stitched mean bounded slowdown stays within the
-// documented 10% tolerance of the sequential value (DESIGN.md §7).
-func TestShardInsufficientOverlapTolerance(t *testing.T) {
-	tr := trace.ScaleLoad(trace.SyntheticSDSCSP2(2500, 1), 0.9)
-	mk := strategies[1].mk // EASY
-	seq := sequentialResult(t, tr, mk)
-	sh := shardedResult(t, tr, mk, Config{Window: 625, Overlap: 128, MinJobs: 1})
-	bad, ok := recordsEqual(seq.Records, sh.Records)
-	if ok {
-		t.Fatal("overlap 128 unexpectedly exact on the saturated trace; the tolerance case is not being exercised")
-	}
-	rel := math.Abs(sh.Summary.MeanBSLD-seq.Summary.MeanBSLD) / seq.Summary.MeanBSLD
-	if rel > 0.10 {
-		t.Fatalf("insufficient overlap drifted %.1f%% (%d bad records): sequential bsld %.3f, sharded %.3f",
-			rel*100, bad, seq.Summary.MeanBSLD, sh.Summary.MeanBSLD)
-	}
-	t.Logf("insufficient overlap: %d/%d records differ, mean bsld drift %.2f%% (tolerance 10%%)",
-		bad, len(seq.Records), rel*100)
 }
