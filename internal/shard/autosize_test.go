@@ -48,6 +48,42 @@ func TestAutoFlanksSpanDrains(t *testing.T) {
 	}
 }
 
+// TestAutoOverlapDifferential complements TestShardDifferential with
+// geometries it does not cover: narrow windows that keep many cuts on
+// SDSC-SP2, and HPC2N seed 3, whose load-0.5 trace merges to one window, at
+// lighter loads where its drains keep cuts. The derived flanks must make
+// every row's stitched replay byte-identical to sequential for every
+// heuristic strategy, and every row keeps at least two windows.
+func TestAutoOverlapDifferential(t *testing.T) {
+	rows := []struct {
+		tr     *trace.Trace
+		window int
+	}{
+		{trace.ScaleLoad(trace.SyntheticSDSCSP2(2500, 1), 0.5), 250},
+		{trace.ScaleLoad(trace.SyntheticHPC2N(2500, 3), 0.3), 625},
+		{trace.ScaleLoad(trace.SyntheticHPC2N(2500, 3), 0.4), 400},
+	}
+	for _, row := range rows {
+		tr, cfg := row.tr, Config{Window: row.window, MinJobs: 1}
+		for _, s := range strategies {
+			if testing.Short() && s.name == "conservative" && tr.Name == "SDSC-SP2" {
+				continue // the profile-based strategy dominates the runtime
+			}
+			seq := sequentialResult(t, tr, s.mk)
+			sh := shardedResult(t, tr, s.mk, cfg)
+			if bad, ok := recordsEqual(seq.Records, sh.Records); !ok {
+				t.Errorf("%s/W%d/%s: %d of %d records differ between sequential and auto-sized sharded replay",
+					tr.Name, row.window, s.name, bad, len(seq.Records))
+				continue
+			}
+			if seq.Summary != sh.Summary {
+				t.Errorf("%s/W%d/%s: summaries differ: sequential %+v, auto-sized %+v",
+					tr.Name, row.window, s.name, seq.Summary, sh.Summary)
+			}
+		}
+	}
+}
+
 // TestAutoOverlapSaturatedMerges documents the no-drain contract: a
 // near-saturated workload has busy periods too long for drains to be in
 // reach, so auto-sizing merges the unreachable cuts — degrading to fewer,
