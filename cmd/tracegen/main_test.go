@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -50,6 +51,33 @@ func TestHugeStreamingWrite(t *testing.T) {
 	for _, j := range tr.Jobs {
 		if j.Procs > tr.Procs {
 			t.Fatalf("job %d requests %d procs > machine size %d", j.ID, j.Procs, tr.Procs)
+		}
+	}
+}
+
+// TestOutputDigests pins tracegen's SWF output, byte for byte, to digests
+// recorded when trace.Job still held the group, executable, queue,
+// partition and status columns: a built-in workload, the same workload with
+// memory and priority tiers (priority rides the queue column), and the
+// streaming Lublin-Huge path.
+func TestOutputDigests(t *testing.T) {
+	for _, c := range []struct {
+		args   []string
+		digest string
+	}{
+		{[]string{"-workload", "sdsc-sp2", "-n", "2000"},
+			"ccf3943ac1bba58deaedc0952a153cfa5ce53255da088561cd1909312746682b"},
+		{[]string{"-workload", "sdsc-sp2", "-n", "2000", "-mem-dist", "prop", "-priority-tiers", "3"},
+			"0d4d3fb5cda84efdb9dbe1920a97a0dc9dc96721f0b926620a82cfda7dca83a3"},
+		{[]string{"-workload", "huge", "-n", "20000"},
+			"2b9e81a271f83d77ccf8fab12541f51ba2b1e05bca513df119aa0b043d78d87b"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", c.args, code, stderr.String())
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(stdout.Bytes())); got != c.digest {
+			t.Errorf("%v: sha256 %s, want %s", c.args, got, c.digest)
 		}
 	}
 }

@@ -54,7 +54,7 @@ type estimated struct {
 	job      *trace.Job
 	est      int64
 	starving bool
-	pri      int
+	pri      int32
 }
 
 // protection is one starving job's blocking reservation during a round.

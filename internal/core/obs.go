@@ -215,8 +215,9 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 			jm = j.Mem
 			row[featMem] = clamp01(float64(jm) / float64(memTotal))
 		}
-		if j.Priority > 0 {
-			row[featPriority] = float64(j.Priority) / float64(j.Priority+1)
+		if p := float64(j.Priority); p > 0 {
+			// p/(p+1) in float64: Priority+1 would overflow int32 at its max.
+			row[featPriority] = p / (p + 1)
 		}
 		if aging {
 			if sa := cfg.Scn.StarvesAt(j); sa > j.Submit && sa != math.MaxInt64 {

@@ -209,3 +209,21 @@ func TestRecordedStepsCarryOccupancy(t *testing.T) {
 		}
 	}
 }
+
+// TestObservationPriorityFeatureRange checks the priority feature p/(p+1)
+// stays in (0, 1) up to the largest tier an SWF queue column can carry.
+func TestObservationPriorityFeatureRange(t *testing.T) {
+	st := &fakeState{now: 0, free: 10, total: 10}
+	head := job(1, 0, 50, 50, 2)
+	one := job(2, 0, 50, 50, 2)
+	one.Priority = 1
+	top := job(3, 0, 50, 50, 2)
+	top.Priority = math.MaxInt32
+	o := buildObs(ObsConfig{MaxObs: 8}, st, head, []*trace.Job{one, top})
+	if got := o.Rows[1][featPriority]; got != 0.5 {
+		t.Fatalf("priority 1 feature = %v, want 0.5", got)
+	}
+	if got := o.Rows[2][featPriority]; !(got > 0.5 && got < 1) {
+		t.Fatalf("priority MaxInt32 feature = %v, want in (0.5, 1)", got)
+	}
+}

@@ -203,7 +203,6 @@ func (st *hugePart) draw(j *trace.Job) {
 		Request: run, // synthetic: no user estimate, as with Lublin-1/2
 		Procs:   procs,
 		User:    int32(st.user0 + 1 + st.rng.Intn(p.Users)),
-		Status:  1,
 	}
 }
 

@@ -171,7 +171,6 @@ func (p Params) Stream(n int, seed uint64, yield func(*trace.Job) error) error {
 			Request: run,
 			Procs:   procs[i],
 			User:    int32(1 + rng.Intn(p.Users)),
-			Status:  1,
 		}
 		if err := yield(j); err != nil {
 			return err

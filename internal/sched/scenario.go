@@ -81,7 +81,7 @@ type scoredSc struct {
 	job      *trace.Job
 	score    float64
 	starving bool
-	pri      int
+	pri      int32
 }
 
 // SortScenario orders jobs in place by the scenario Less order, computing

@@ -951,6 +951,9 @@ func (s *Scheduler) handleSubmit(req JobRequest) (SubmitResult, error) {
 	if err := req.Validate(); err != nil {
 		return SubmitResult{}, err
 	}
+	if err := req.fitsMachine(s.cfg.Procs, s.cfg.Mem); err != nil {
+		return SubmitResult{}, err
+	}
 	if req.IdemKey != "" {
 		if id, ok := s.idem[req.IdemKey]; ok {
 			return s.duplicateAck(id), nil
@@ -966,8 +969,7 @@ func (s *Scheduler) handleSubmit(req JobRequest) (SubmitResult, error) {
 		Request:  req.Request,
 		Procs:    req.Procs,
 		Mem:      req.Mem,
-		Priority: req.Priority,
-		Status:   1,
+		Priority: int32(req.Priority),
 	}
 	if j.Request <= 0 {
 		j.Request = j.Runtime // convenience: perfect user estimate

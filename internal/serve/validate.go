@@ -25,7 +25,8 @@ const (
 	// (2^40 ≈ 35k simulated years; anything larger is garbage, and sums of
 	// valid times still fit comfortably in int64).
 	MaxRuntime = 1 << 40
-	// MaxPriority bounds the priority tier magnitude.
+	// MaxPriority bounds the priority tier; tiers run from 0 (the default)
+	// to MaxPriority, higher is more urgent.
 	MaxPriority = 1 << 20
 	// MaxIdemKey bounds the idempotency key length in bytes (it is persisted
 	// in every snapshot and WAL submit record).
@@ -49,7 +50,8 @@ func invalidf(field, format string, args ...any) *ValidationError {
 	return &ValidationError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Validate checks a submission against the admission limits.
+// Validate checks a submission against the admission limits. Whether the job
+// fits the configured machine is checked by fitsMachine.
 func (req *JobRequest) Validate() error {
 	switch {
 	case req.Procs <= 0:
@@ -75,11 +77,25 @@ func (req *JobRequest) Validate() error {
 	case req.Request > MaxRuntime:
 		return invalidf("request", "must be at most %d, got %d", MaxRuntime, req.Request)
 	}
-	if req.Priority < -MaxPriority || req.Priority > MaxPriority {
-		return invalidf("priority", "must be within ±%d, got %d", MaxPriority, req.Priority)
+	if req.Priority < 0 || req.Priority > MaxPriority {
+		return invalidf("priority", "must be within [0, %d], got %d", MaxPriority, req.Priority)
 	}
 	if len(req.IdemKey) > MaxIdemKey {
 		return invalidf("idempotency-key", "must be at most %d bytes, got %d", MaxIdemKey, len(req.IdemKey))
+	}
+	return nil
+}
+
+// fitsMachine rejects a request wider than the machine: more processors than
+// it has, or more memory than its capacity when the memory dimension is on
+// (mem > 0). The engine would refuse such a job; checking here names the
+// field and happens before a job ID is assigned.
+func (req *JobRequest) fitsMachine(procs, mem int) error {
+	if req.Procs > procs {
+		return invalidf("procs", "must be at most the machine size %d, got %d", procs, req.Procs)
+	}
+	if mem > 0 && req.Mem > mem {
+		return invalidf("mem", "must be at most the machine capacity %d, got %d", mem, req.Mem)
 	}
 	return nil
 }

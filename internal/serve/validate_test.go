@@ -6,8 +6,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/wal"
 )
 
 // TestValidateFields pins the admission limits field by field: each bad value
@@ -34,6 +38,7 @@ func TestValidateFields(t *testing.T) {
 		{"huge request", func(r *JobRequest) { r.Request = MaxRuntime + 1 }, "request"},
 		{"priority overflow", func(r *JobRequest) { r.Priority = MaxPriority + 1 }, "priority"},
 		{"priority underflow", func(r *JobRequest) { r.Priority = -MaxPriority - 1 }, "priority"},
+		{"negative priority", func(r *JobRequest) { r.Priority = -1 }, "priority"},
 		{"giant idem key", func(r *JobRequest) { r.IdemKey = strings.Repeat("x", MaxIdemKey+1) }, "idempotency-key"},
 	}
 	for _, tc := range cases {
@@ -113,6 +118,73 @@ func TestServeSubmitValidationHTTP(t *testing.T) {
 	}
 	if res.ID != 1 {
 		t.Fatalf("first valid job got ID %d; a rejected request leaked through", res.ID)
+	}
+}
+
+// TestServeSubmitRejectsUnfitJobs checks that a job the engine would refuse
+// (a negative priority, more processors than the machine has, more memory
+// than its capacity) is rejected at admission with a *ValidationError naming
+// the field, over HTTP and through Scheduler.Submit alike: nothing reaches
+// the WAL and the next accepted job still gets ID 1.
+func TestServeSubmitRejectsUnfitJobs(t *testing.T) {
+	dir := t.TempDir()
+	cfg := walConfig(NewManualClock(time.Unix(1700000000, 0)), dir, wal.OSFS{}, 0)
+	cfg.Mem = 320
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	ts := httptest.NewServer(NewServer(s, 64, 0).Handler())
+	defer ts.Close()
+	walSize := func() int64 {
+		fi, err := os.Stat(cfg.WALPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	size0 := walSize()
+	cases := []struct {
+		name  string
+		req   JobRequest
+		field string
+	}{
+		{"negative priority", JobRequest{Procs: 1, Runtime: 10, Priority: -1}, "priority"},
+		{"wider than the machine", JobRequest{Procs: 33, Runtime: 10}, "procs"},
+		{"more memory than the machine", JobRequest{Procs: 1, Mem: 321, Runtime: 10}, "mem"},
+	}
+	for _, tc := range cases {
+		resp, body := post(t, ts.URL+"/v1/jobs", tc.req)
+		var ve ValidationError
+		if err := json.Unmarshal(body, &ve); err != nil || resp.StatusCode != http.StatusBadRequest || ve.Field != tc.field {
+			t.Errorf("HTTP %s: status %d body %s, want 400 on field %q", tc.name, resp.StatusCode, body, tc.field)
+		}
+		_, err := s.Submit(tc.req)
+		var verr *ValidationError
+		if !errors.As(err, &verr) || verr.Field != tc.field {
+			t.Errorf("Submit %s: err %v, want *ValidationError on field %q", tc.name, err, tc.field)
+		}
+	}
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Accepted != 0 || st.WALRecords != 0 || walSize() != size0 {
+		t.Fatalf("after rejections: accepted %d, wal records %d, wal %d bytes (was %d); want nothing appended",
+			st.Accepted, st.WALRecords, walSize(), size0)
+	}
+	// The limits are the machine's own size: a job exactly as wide as it
+	// is admitted, and it is job 1.
+	res, err := s.Submit(JobRequest{Procs: 32, Mem: 320, Runtime: 10, Priority: MaxPriority})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ID != 1 {
+		t.Fatalf("first accepted job got ID %d, want 1", res.ID)
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"time"
 
@@ -69,6 +70,12 @@ func decodeJobFields(p []byte) (*trace.Job, []byte, error) {
 		return nil, nil, errors.New("serve: truncated job fields in wal record")
 	}
 	u := func(i int) int64 { return int64(binary.LittleEndian.Uint64(p[i*8:])) }
+	// Priority keeps its 8-byte slot, so records are unchanged; a value
+	// outside Job.Priority's range is corruption, not something to truncate.
+	pri := u(6)
+	if pri < 0 || pri > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("serve: wal record priority %d outside [0, %d]", pri, math.MaxInt32)
+	}
 	j := &trace.Job{
 		ID:       int(u(0)),
 		Submit:   u(1),
@@ -76,8 +83,7 @@ func decodeJobFields(p []byte) (*trace.Job, []byte, error) {
 		Request:  u(3),
 		Procs:    int(u(4)),
 		Mem:      int(u(5)),
-		Priority: int(u(6)),
-		Status:   1,
+		Priority: int32(pri),
 	}
 	return j, p[7*8:], nil
 }

@@ -2,7 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,6 +16,7 @@ import (
 	"unsafe"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -488,5 +493,114 @@ func TestSnapshotPathRequiresWAL(t *testing.T) {
 	cfg.SnapshotPath = filepath.Join(t.TempDir(), "state.json")
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "WALPath") {
 		t.Fatalf("New with SnapshotPath and no WALPath: %v, want an error naming WALPath", err)
+	}
+}
+
+// TestWALJobFieldsPriority pins the submit record's bytes (priority keeps
+// its 8-byte slot) and checks the decoder rejects a priority outside
+// [0, MaxInt32], in submit and history records alike, instead of
+// truncating it into Job.Priority.
+func TestWALJobFieldsPriority(t *testing.T) {
+	j := &trace.Job{ID: 7, Submit: 1234, Runtime: 600, Request: 900, Procs: 16, Mem: 4096, Priority: 3}
+	const want = "010700000000000000d2040000000000005802000000000000840300000000000010000000000000000010000000000000030000000000000002006b31"
+	sub := encodeSubmit(nil, j, "k1")
+	if got := hex.EncodeToString(sub); got != want {
+		t.Fatalf("submit record %s, want %s", got, want)
+	}
+	rec := encodeRecord(nil, metrics.Record{Job: j, Start: 1300, End: 1900})
+	const priOff = 1 + 6*8 // kind byte, then ID..Mem
+	for _, pri := range []int64{math.MaxInt32, math.MaxInt32 + 1, -1, math.MinInt64, math.MaxInt64} {
+		for _, enc := range [][]byte{sub, rec} {
+			p := bytes.Clone(enc)
+			binary.LittleEndian.PutUint64(p[priOff:], uint64(pri))
+			r, err := decodeWalRec(p)
+			if pri == math.MaxInt32 {
+				if err != nil || r.job.Priority != math.MaxInt32 {
+					t.Fatalf("kind %d priority %d: job %+v err %v, want it decoded", p[0], pri, r.job, err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Fatalf("kind %d priority %d decoded as %d, want an error", p[0], pri, r.job.Priority)
+			}
+		}
+	}
+}
+
+// TestServeRecoverSnapshotWithOldJobKeys recovers from a snapshot whose jobs
+// carry the SWF identity keys trace.Job used to have (Group, Executable,
+// Queue, Partition, Status): json.Unmarshal ignores them, and the recovered
+// daemon finishes the script with the uninterrupted run's schedule.
+func TestServeRecoverSnapshotWithOldJobKeys(t *testing.T) {
+	const n, stop = 240, 120
+	ops := makeScript(43, n, 32, true)
+	epoch := time.Unix(1700000000, 0)
+	want := refRun(t, ops, epoch, 0)
+
+	dir := t.TempDir()
+	clk := NewManualClock(epoch)
+	cfg := walConfig(clk, dir, wal.OSFS{}, 0)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	runScriptCancel(t, s, clk, ops[:stop], 0, 0)
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(cfg.SnapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var patched int
+	var walk func(v any)
+	walk = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			if _, ok := v["Submit"]; ok {
+				v["Group"], v["Executable"], v["Queue"], v["Partition"], v["Status"] = 3, 2, v["Priority"], 0, 1
+				patched++
+			}
+			for _, c := range v {
+				walk(c)
+			}
+		case []any:
+			for _, c := range v {
+				walk(c)
+			}
+		}
+	}
+	walk(doc)
+	if patched == 0 {
+		t.Fatal("drain snapshot holds no jobs; the test would prove nothing")
+	}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cfg.SnapshotPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, _, err = Recover(cfg); err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	runScriptCancel(t, s, clk, ops[stop:], stop, 0)
+	clk.Advance(24 * time.Hour)
+	st, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := renderRecords(st.Records); got != want {
+		t.Fatalf("schedule after recovering the old-key snapshot (%d jobs patched) differs:\n got:\n%s\nwant:\n%s", patched, got, want)
+	}
+	for _, r := range st.Records {
+		if want := ops[r.Job.ID-1].req.Priority; int(r.Job.Priority) != want {
+			t.Fatalf("job %d recovered with priority %d, submitted with %d", r.Job.ID, r.Job.Priority, want)
+		}
 	}
 }

@@ -64,7 +64,7 @@ func TestConservativeAdmitsExactlyProjectedNow(t *testing.T) {
 				req = r.Int63n(run) + 1
 			}
 			j := &trace.Job{ID: i + 1, Submit: submit, Runtime: run, Request: req,
-				Procs: r.Intn(procs) + 1, Priority: r.Intn(3)}
+				Procs: r.Intn(procs) + 1, Priority: int32(r.Intn(3))}
 			if tr.Mem > 0 {
 				j.Mem = r.Intn(tr.Mem) + 1
 			}

@@ -131,7 +131,7 @@ func randomTrace(seed uint64, name string, maxJobs int, enriched bool) (*trace.T
 		req := run + r.Int63n(500)
 		j := &trace.Job{ID: i + 1, Submit: submit, Runtime: run, Request: req, Procs: r.Intn(procs) + 1}
 		if enriched {
-			j.Priority = r.Intn(3)
+			j.Priority = int32(r.Intn(3))
 		}
 		if tr.Mem > 0 {
 			j.Mem = r.Intn(tr.Mem) + 1

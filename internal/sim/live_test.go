@@ -24,7 +24,6 @@ func liveTrace(seed uint64, n, procs int) *trace.Trace {
 			Runtime: run,
 			Request: run + int64(rng.Uint64()%60),
 			Procs:   1 + int(rng.Uint64()%uint64(procs)),
-			Status:  1,
 		})
 	}
 	return t
@@ -83,14 +82,14 @@ func TestInjectValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok := &trace.Job{ID: 1, Submit: 10, Runtime: 5, Request: 5, Procs: 2, Status: 1}
+	ok := &trace.Job{ID: 1, Submit: 10, Runtime: 5, Request: 5, Procs: 2}
 	if err := e.Inject(ok); err != nil {
 		t.Fatal(err)
 	}
 	cases := []*trace.Job{
-		{ID: 2, Submit: 10, Runtime: 5, Request: 5, Procs: 9, Status: 1}, // too wide
-		{ID: 3, Submit: 5, Runtime: 5, Request: 5, Procs: 1, Status: 1},  // before pending arrival
-		{ID: 4, Submit: 10, Runtime: 5, Request: 0, Procs: 1, Status: 1}, // invalid request
+		{ID: 2, Submit: 10, Runtime: 5, Request: 5, Procs: 9}, // too wide
+		{ID: 3, Submit: 5, Runtime: 5, Request: 5, Procs: 1},  // before pending arrival
+		{ID: 4, Submit: 10, Runtime: 5, Request: 0, Procs: 1}, // invalid request
 	}
 	for _, j := range cases {
 		if err := e.Inject(j); err == nil {
@@ -98,11 +97,11 @@ func TestInjectValidation(t *testing.T) {
 		}
 	}
 	e.RunToCompletion()
-	if err := e.Inject(&trace.Job{ID: 5, Submit: 3, Runtime: 5, Request: 5, Procs: 1, Status: 1}); err == nil {
+	if err := e.Inject(&trace.Job{ID: 5, Submit: 3, Runtime: 5, Request: 5, Procs: 1}); err == nil {
 		t.Fatal("inject before engine clock should have failed")
 	}
 	// At or after the clock is fine even with everything drained.
-	if err := e.Inject(&trace.Job{ID: 6, Submit: e.Now(), Runtime: 5, Request: 5, Procs: 1, Status: 1}); err != nil {
+	if err := e.Inject(&trace.Job{ID: 6, Submit: e.Now(), Runtime: 5, Request: 5, Procs: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,7 +112,7 @@ func TestCancelPendingAndQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(id int, submit int64, procs int) *trace.Job {
-		return &trace.Job{ID: id, Submit: submit, Runtime: 100, Request: 100, Procs: procs, Status: 1}
+		return &trace.Job{ID: id, Submit: submit, Runtime: 100, Request: 100, Procs: procs}
 	}
 	// Job 1 occupies the machine; 2 and 3 queue behind it; 4 stays pending.
 	for _, j := range []*trace.Job{mk(1, 0, 2), mk(2, 1, 2), mk(3, 2, 2), mk(4, 50, 1)} {

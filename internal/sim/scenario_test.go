@@ -69,7 +69,7 @@ func TestStarvationOrderProperty(t *testing.T) {
 			run := r.Int63n(400) + 1
 			tr.Jobs = append(tr.Jobs, &trace.Job{
 				ID: i + 1, Submit: submit, Runtime: run, Request: run + r.Int63n(200),
-				Procs: r.Intn(16) + 1, Priority: r.Intn(3),
+				Procs: r.Intn(16) + 1, Priority: int32(r.Intn(3)),
 			})
 		}
 		for _, p := range []sched.Policy{sched.FCFS{}, sched.WFP3{}} {

@@ -116,12 +116,13 @@ func drawMem(rng *stats.RNG, dist string, procs, perProc, capacity int) int {
 
 // drawTier samples a priority tier in [0, tiers) with geometric weights
 // (P(tier k) ∝ 2^-k), so tier 0 holds roughly half the jobs and each higher
-// tier halves again.
-func drawTier(rng *stats.RNG, tiers int) int {
+// tier halves again. Tier k needs k lost coin flips in a row, so a tier past
+// int32 has probability below 2^-(2^31) and the narrowing cannot bite.
+func drawTier(rng *stats.RNG, tiers int) int32 {
 	for k := 0; k < tiers-1; k++ {
 		if rng.Bool(0.5) {
-			return k
+			return int32(k)
 		}
 	}
-	return tiers - 1
+	return int32(tiers - 1)
 }

@@ -43,12 +43,12 @@ func TestEnrichBoundsAndValidity(t *testing.T) {
 	if want := tr.Procs * DefaultMemPerProc; tr.Mem != want {
 		t.Fatalf("capacity = %d, want %d", tr.Mem, want)
 	}
-	seenTier := make(map[int]bool)
+	seenTier := make(map[int32]bool)
 	for _, j := range tr.Jobs {
 		if j.Mem < 1 || j.Mem > tr.Mem {
 			t.Fatalf("job %d mem %d outside [1,%d]", j.ID, j.Mem, tr.Mem)
 		}
-		if j.Priority < 0 || j.Priority >= tiers {
+		if j.Priority < 0 || j.Priority >= int32(tiers) {
 			t.Fatalf("job %d priority %d outside [0,%d)", j.ID, j.Priority, tiers)
 		}
 		seenTier[j.Priority] = true

@@ -29,18 +29,15 @@ type Job struct {
 	// Priority is the job's priority tier; higher values are more urgent.
 	// Zero is the default tier, so priority-free traces are all-zero and
 	// scheduling under them is identical to the priority-unaware code path.
-	Priority int
-	// User, Group and Executable are optional SWF identity fields, kept so
-	// that parsed traces round-trip; they do not influence scheduling. The
-	// six identity fields are int32 (ParseSWF rejects values outside that
-	// range), so Job is 80 bytes on 64-bit platforms with the scheduling
-	// fields above in its first 56.
-	User, Group, Executable int32
-	// Queue and Partition are optional SWF fields.
-	Queue, Partition int32
-	// Status is the SWF completion status (1 = completed). Synthetic jobs
-	// use 1.
-	Status int32
+	// SWF carries it in the queue column, which ParseSWF holds to int32.
+	Priority int32
+	// User is the SWF user ID, the one identity column anything reads
+	// (Analyze counts users). It packs with Priority into the last 8 bytes,
+	// so Job is 56 bytes on 64-bit platforms. The other SWF identity
+	// columns (group, executable, partition, status) are not kept: no
+	// scheduler, estimator, observation or report reads them, and
+	// SWFWriter writes the values every generated job has.
+	User int32
 }
 
 // Validate reports whether the job has the minimal attributes scheduling

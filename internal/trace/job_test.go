@@ -6,36 +6,35 @@ import (
 	"unsafe"
 )
 
-// TestJobLayout pins Job at 80 bytes on 64-bit platforms: the seven
-// scheduling fields fill the first 56 bytes and the six int32 identity
-// fields the remaining 24, with no padding.
+// TestJobLayout pins Job at 56 bytes on 64-bit platforms: the seven
+// scheduling fields and User at fixed offsets, with Priority and User
+// sharing the last 8 bytes and no padding anywhere.
 func TestJobLayout(t *testing.T) {
 	if strconv.IntSize != 64 {
 		t.Skipf("layout pinned for 64-bit int, have %d-bit", strconv.IntSize)
 	}
 	var j Job
-	if got := unsafe.Sizeof(j); got != 80 {
-		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 80", got)
+	if got := unsafe.Sizeof(j); got != 56 {
+		t.Fatalf("unsafe.Sizeof(Job{}) = %d, want 56", got)
 	}
-	sched := []struct {
-		name      string
-		off, size uintptr
+	fields := []struct {
+		name            string
+		off, size       uintptr
+		wantOff, wantSz uintptr
 	}{
-		{"ID", unsafe.Offsetof(j.ID), unsafe.Sizeof(j.ID)},
-		{"Submit", unsafe.Offsetof(j.Submit), unsafe.Sizeof(j.Submit)},
-		{"Runtime", unsafe.Offsetof(j.Runtime), unsafe.Sizeof(j.Runtime)},
-		{"Request", unsafe.Offsetof(j.Request), unsafe.Sizeof(j.Request)},
-		{"Procs", unsafe.Offsetof(j.Procs), unsafe.Sizeof(j.Procs)},
-		{"Mem", unsafe.Offsetof(j.Mem), unsafe.Sizeof(j.Mem)},
-		{"Priority", unsafe.Offsetof(j.Priority), unsafe.Sizeof(j.Priority)},
+		{"ID", unsafe.Offsetof(j.ID), unsafe.Sizeof(j.ID), 0, 8},
+		{"Submit", unsafe.Offsetof(j.Submit), unsafe.Sizeof(j.Submit), 8, 8},
+		{"Runtime", unsafe.Offsetof(j.Runtime), unsafe.Sizeof(j.Runtime), 16, 8},
+		{"Request", unsafe.Offsetof(j.Request), unsafe.Sizeof(j.Request), 24, 8},
+		{"Procs", unsafe.Offsetof(j.Procs), unsafe.Sizeof(j.Procs), 32, 8},
+		{"Mem", unsafe.Offsetof(j.Mem), unsafe.Sizeof(j.Mem), 40, 8},
+		{"Priority", unsafe.Offsetof(j.Priority), unsafe.Sizeof(j.Priority), 48, 4},
+		{"User", unsafe.Offsetof(j.User), unsafe.Sizeof(j.User), 52, 4},
 	}
-	for _, f := range sched {
-		if f.off+f.size > 56 {
-			t.Errorf("scheduling field %s at bytes [%d,%d), want inside the first 56", f.name, f.off, f.off+f.size)
+	for _, f := range fields {
+		if f.off != f.wantOff || f.size != f.wantSz {
+			t.Errorf("%s at offset %d size %d, want offset %d size %d", f.name, f.off, f.size, f.wantOff, f.wantSz)
 		}
-	}
-	if off := unsafe.Offsetof(j.User); off != 56 {
-		t.Errorf("User at offset %d, want 56 (first identity field right after the scheduling fields)", off)
 	}
 }
 

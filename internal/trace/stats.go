@@ -93,10 +93,10 @@ func (a *StatsAccum) Add(j *Job) {
 			a.s.MaxJobMem = j.Mem
 		}
 	}
-	if j.Priority > a.s.PriorityMax {
-		a.s.PriorityMax = j.Priority
+	if p := int(j.Priority); p > a.s.PriorityMax {
+		a.s.PriorityMax = p
 	}
-	a.dist[j.Priority]++
+	a.dist[int(j.Priority)]++
 }
 
 // Stats finalizes and returns the summary; the accumulator may keep

@@ -42,7 +42,9 @@ const (
 // times are rebased so the first job arrives at 0. Fractional values
 // truncate toward zero; a value that is not finite or not within int64, or
 // an identity column (status, user, group, executable, queue, partition)
-// outside int32, is an error naming the line and field.
+// outside int32, is an error naming the line and field. Of the identity
+// columns only user and queue are kept (Job.User, Job.Priority); the status,
+// group, executable and partition columns are checked and dropped.
 //
 // Memory requests come from the requested-memory column (SWF field 10,
 // KB per processor), falling back to used memory (field 7); Job.Mem stores
@@ -123,8 +125,8 @@ func ParseSWF(r io.Reader, name string) (*Trace, error) {
 	return t, nil
 }
 
-// isSWFIdentity reports whether field i is one of the identity columns
-// Job holds as int32.
+// isSWFIdentity reports whether field i is one of the identity columns,
+// which ParseSWF holds to int32 whether or not Job keeps them.
 func isSWFIdentity(i int) bool {
 	switch i {
 	case swfStatus, swfUserID, swfGroupID, swfExecutable, swfQueue, swfPartition:
@@ -161,19 +163,14 @@ func jobFromSWF(v []int64) *Job {
 		pri = 0
 	}
 	return &Job{
-		ID:         int(v[swfJobNumber]),
-		Submit:     v[swfSubmitTime],
-		Runtime:    run,
-		Request:    req,
-		Procs:      int(procs),
-		Mem:        int(mem),
-		Priority:   int(pri),
-		User:       int32(v[swfUserID]),
-		Group:      int32(v[swfGroupID]),
-		Executable: int32(v[swfExecutable]),
-		Queue:      int32(v[swfQueue]),
-		Partition:  int32(v[swfPartition]),
-		Status:     int32(v[swfStatus]),
+		ID:       int(v[swfJobNumber]),
+		Submit:   v[swfSubmitTime],
+		Runtime:  run,
+		Request:  req,
+		Procs:    int(procs),
+		Mem:      int(mem),
+		Priority: int32(pri),
+		User:     int32(v[swfUserID]),
 	}
 }
 
@@ -266,25 +263,18 @@ func NewSWFWriter(w io.Writer, name string, procs, mem int) (*SWFWriter, error) 
 }
 
 // WriteJob appends one SWF record. Wait time and CPU time are written as -1
-// (unknown); requested memory is written per processor (SWF convention), and
-// priority tiers ride the queue column when the job has no queue of its own,
-// matching how ParseSWF recovers them.
+// (unknown); requested memory is written per processor (SWF convention);
+// the priority tier rides the queue column, where ParseSWF recovers it.
+// Status is written as 1 (completed) and group, executable and partition as
+// 0, the values every generated job carries.
 func (sw *SWFWriter) WriteJob(j *Job) error {
-	status := j.Status
-	if status == 0 {
-		status = 1
-	}
 	memPerProc := int64(-1)
 	if j.Mem > 0 && j.Procs > 0 {
 		memPerProc = int64((j.Mem + j.Procs - 1) / j.Procs)
 	}
-	queue := int64(j.Queue)
-	if queue == 0 && j.Priority > 0 {
-		queue = int64(j.Priority)
-	}
-	_, err := fmt.Fprintf(sw.bw, "%d %d -1 %d %d -1 -1 %d %d %d %d %d %d %d %d %d -1 -1\n",
-		j.ID, j.Submit, j.Runtime, j.Procs, j.Procs, j.Request, memPerProc, status,
-		j.User, j.Group, j.Executable, queue, j.Partition)
+	_, err := fmt.Fprintf(sw.bw, "%d %d -1 %d %d -1 -1 %d %d %d 1 %d 0 0 %d 0 -1 -1\n",
+		j.ID, j.Submit, j.Runtime, j.Procs, j.Procs, j.Request, memPerProc,
+		j.User, j.Priority)
 	return err
 }
 

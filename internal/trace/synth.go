@@ -216,7 +216,6 @@ func (s SynthSpec) Stream(n int, seed uint64, yield func(*Job) error) error {
 			Request: req,
 			Procs:   procs[i],
 			User:    int32(1 + rng.Intn(maxInt(s.Users, 1))),
-			Status:  1,
 		}
 		if err := yield(j); err != nil {
 			return err

@@ -56,7 +56,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	for _, c := range []*Trace{tr.Clone(), Slice(tr, 10, 30), SampleSequence(tr, stats.NewRNG(4), 20)} {
 		for _, j := range c.Jobs {
-			*j = Job{ID: -1, Runtime: -1, Procs: -1, User: -1, Status: -1}
+			*j = Job{ID: -1, Runtime: -1, Procs: -1, User: -1, Priority: -1}
 		}
 	}
 	for i, j := range tr.Jobs {
@@ -132,6 +132,8 @@ func TestParseSWFNoHeaderDerivesProcs(t *testing.T) {
 	}
 }
 
+// TestSWFRoundTrip writes random traces and parses them back: every field
+// Job keeps (the seven scheduling fields and User) survives.
 func TestSWFRoundTrip(t *testing.T) {
 	rng := stats.NewRNG(5)
 	f := func(n uint8) bool {
@@ -141,11 +143,12 @@ func TestSWFRoundTrip(t *testing.T) {
 		for i := 0; i < m; i++ {
 			submit += rng.Int63n(1000)
 			run := rng.Int63n(5000) + 1
+			procs := rng.Intn(256) + 1
 			orig.Jobs = append(orig.Jobs, &Job{
 				ID: i + 1, Submit: submit, Runtime: run,
-				Request: run + rng.Int63n(5000), Procs: rng.Intn(256) + 1,
-				User: int32(rng.Intn(50)), Group: int32(rng.Intn(5)), Executable: int32(rng.Intn(20)),
-				Queue: 1, Partition: 1, Status: 1,
+				Request: run + rng.Int63n(5000), Procs: procs,
+				Mem: procs * rng.Intn(100), Priority: int32(rng.Intn(4)),
+				User: int32(rng.Intn(50)),
 			})
 		}
 		rebase(orig.Jobs)
@@ -161,9 +164,7 @@ func TestSWFRoundTrip(t *testing.T) {
 			return false
 		}
 		for i, j := range got.Jobs {
-			o := orig.Jobs[i]
-			if j.ID != o.ID || j.Submit != o.Submit || j.Runtime != o.Runtime ||
-				j.Request != o.Request || j.Procs != o.Procs {
+			if *j != *orig.Jobs[i] {
 				return false
 			}
 		}
@@ -340,7 +341,11 @@ func TestParseSWFNumericColumns(t *testing.T) {
 		{name: "user at int32 max", field: 12, val: "2147483647",
 			check: func(j *Job) bool { return j.User == 2147483647 }},
 		{name: "partition at int32 min", field: 16, val: "-2147483648",
-			check: func(j *Job) bool { return j.Partition == -2147483648 }},
+			check: func(j *Job) bool { return j.Runtime == 360 && j.User == 7 && j.Priority == 1 }},
+		{name: "user below int32", field: 12, val: "-2147483649", err: "int32 range"},
+		{name: "queue below int32", field: 15, val: "-2147483649", err: "int32 range"},
+		{name: "queue at int32 max", field: 15, val: "2147483647",
+			check: func(j *Job) bool { return j.Priority == math.MaxInt32 }},
 		{name: "wait at int64 min", field: 3, val: "-9223372036854775808",
 			check: func(j *Job) bool { return j.Runtime == 360 }},
 		{name: "runtime 100.9", field: 4, val: "100.9",
@@ -350,7 +355,7 @@ func TestParseSWFNumericColumns(t *testing.T) {
 		{name: "request unknown", field: 9, val: "-1",
 			check: func(j *Job) bool { return j.Request == 360 }},
 		{name: "queue 3 is priority 3", field: 15, val: "3",
-			check: func(j *Job) bool { return j.Queue == 3 && j.Priority == 3 }},
+			check: func(j *Job) bool { return j.Priority == 3 }},
 		{name: "runtime unknown drops the record", field: 4, val: "-1"},
 	}
 	for _, c := range cases {
@@ -384,15 +389,15 @@ func TestParseSWFNumericColumns(t *testing.T) {
 	}
 }
 
-// TestWriteJobPriorityBeyondInt32 checks a priority tier that overflows the
-// int32 queue column is written in full, not truncated.
-func TestWriteJobPriorityBeyondInt32(t *testing.T) {
+// TestWriteJobPriorityInt32Max checks the widest priority tier is written
+// to the queue column in full and parses back unchanged.
+func TestWriteJobPriorityInt32Max(t *testing.T) {
 	var sb strings.Builder
 	sw, err := NewSWFWriter(&sb, "wide", 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.WriteJob(&Job{ID: 1, Runtime: 10, Request: 10, Procs: 1, Priority: 1 << 40}); err != nil {
+	if err := sw.WriteJob(&Job{ID: 1, Runtime: 10, Request: 10, Procs: 1, Priority: math.MaxInt32}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Flush(); err != nil {
@@ -400,7 +405,14 @@ func TestWriteJobPriorityBeyondInt32(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	fields := strings.Fields(lines[len(lines)-1])
-	if got := fields[swfQueue]; got != "1099511627776" {
-		t.Fatalf("queue column %q, want 1099511627776", got)
+	if got := fields[swfQueue]; got != "2147483647" {
+		t.Fatalf("queue column %q, want 2147483647", got)
+	}
+	tr, err := ParseSWF(strings.NewReader(sb.String()), "wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != 1 || tr.Jobs[0].Priority != math.MaxInt32 {
+		t.Fatalf("parsed back %+v, want priority %d", tr.Jobs, math.MaxInt32)
 	}
 }
