@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"strconv"
 	"testing"
@@ -107,4 +109,42 @@ func TestHugeShardStitch(t *testing.T) {
 		t.Fatalf("summaries differ: sequential %+v, sharded %+v", seq.Summary, sh.Summary)
 	}
 	t.Logf("huge stitch: %d records byte-identical, mean bsld %.3f", len(seq.Records), seq.Summary.MeanBSLD)
+}
+
+// TestConservativeReplayDigests pins conservative backfilling's schedules on
+// two long replays, as rlbf-sim -backfill conservative runs them (FCFS, the
+// workload's own estimator, seed 1): FNV-1a over (id, start, end) of every
+// record in start order. The hpc2n row runs on user requests, which mostly
+// overestimate, so finishes come early and most rounds rebuild the plan; the
+// Lublin-Huge row runs on actual runtimes, so most rounds carry it.
+func TestConservativeReplayDigests(t *testing.T) {
+	for _, c := range []struct {
+		trace  string
+		jobs   int
+		digest uint64
+	}{
+		{"hpc2n", 10_000, 0xa8415078f236b1af},
+		{"lublin-huge", 100_000, 0x6cc7e5e436e51d54},
+	} {
+		tr, err := experiments.ResolveTrace(c.trace, c.jobs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(tr, sim.Config{Policy: sched.FCFS{}, Backfiller: backfill.NewConservative(experiments.Estimator(tr))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [24]byte
+		for _, r := range res.Records {
+			binary.LittleEndian.PutUint64(b[0:], uint64(r.Job.ID))
+			binary.LittleEndian.PutUint64(b[8:], uint64(r.Start))
+			binary.LittleEndian.PutUint64(b[16:], uint64(r.End))
+			h.Write(b[:])
+		}
+		if got := h.Sum64(); got != c.digest || len(res.Records) != c.jobs {
+			t.Errorf("%s %d jobs: %d records, digest %016x, want %d and %016x",
+				c.trace, c.jobs, len(res.Records), got, c.jobs, c.digest)
+		}
+	}
 }

@@ -304,6 +304,32 @@ func TestConservativeSkipsOversizedCandidates(t *testing.T) {
 	}
 }
 
+// TestConservativeRebuildsWhenAStartFellBehind pins the carry's last
+// condition on a state that does not run a round at every event. The plan
+// made at 0 starts x at 10, when r1 ends; r1 finishes there, at its filed
+// end, but the next round comes at 20. Every journal condition holds, yet
+// x's planned start is behind now: the plan must be rebuilt, and x start at
+// 20 as a fresh plan would start it.
+func TestConservativeRebuildsWhenAStartFellBehind(t *testing.T) {
+	r1, r2 := job(1, 0, 10, 10, 4), job(2, 0, 50, 50, 4)
+	st := &memState{now: 0, free: 0, total: 8, running: []Running{{Job: r1}, {Job: r2}}}
+	st.journal.Open()
+	head, x := job(3, 0, 100, 100, 8), job(4, 0, 30, 30, 4) // head at 50, x at [10, 40)
+	c := NewConservative(RequestTime{})
+	c.Backfill(st, head, []*trace.Job{x})
+	if len(st.started) != 0 {
+		t.Fatalf("started %v on a full machine", ids(st.started))
+	}
+	st.now = 10
+	st.setRunning([]Running{{Job: r2}})
+	st.free = 4
+	st.now = 20
+	c.Backfill(st, head, []*trace.Job{x})
+	if !slices.Equal(ids(st.started), []int{4}) {
+		t.Fatalf("started %v at 20, want [4]", ids(st.started))
+	}
+}
+
 func TestConservativeName(t *testing.T) {
 	if NewConservative(RequestTime{}).Name() != "CONS-RT" {
 		t.Fatal("conservative name wrong")

@@ -31,19 +31,19 @@ type Cursor struct{ journal, seq uint64 }
 
 // Journal is a State's change log: every job start, finish and arrival, in
 // the order they happened, each numbered in sequence. Backfillers that keep
-// state across rounds (the reservation index, EASY's verdict) hold a Cursor
-// and read only the entries after it, instead of re-deriving the running
-// set or the queue (DESIGN.md §6).
+// state across rounds (the reservation index, EASY's verdict, conservative
+// backfilling's carried plan) hold a Cursor and read only the entries after
+// it, instead of re-deriving the running set or the queue (DESIGN.md §6).
 //
 // A journal keeps its most recent entries only: storage is a fixed buffer
 // whose older half is dropped when it fills, so a State that nobody reads
-// (the serve daemon's conservative engine) stays bounded, and a consumer that
-// fell behind sees its cursor rejected and starts over. Open gives the
-// journal a new identity, which rejects every cursor handed out before it: a
-// State opens a new journal whenever its running set changes, or its queue
-// gains a job, other than through recorded entries (a new engine, a fake
-// reset in place). Removing a waiting job (a cancel) needs no entry. Within
-// one journal, running jobs have distinct IDs.
+// stays bounded, and a consumer that fell behind sees its cursor rejected
+// and starts over. Open gives the journal a new identity, which rejects
+// every cursor handed out before it: a State opens a new journal whenever
+// its running set changes, or its queue gains a job, other than through
+// recorded entries (a new engine, a fake reset in place). Removing a waiting
+// job (a cancel) needs no entry. Within one journal, running jobs have
+// distinct IDs.
 //
 // The zero Journal is closed: it records nothing and rejects every cursor,
 // which is correct for any State, only slower.

@@ -263,6 +263,20 @@ func (p *Profile) Rollback(mark int) {
 	p.marks--
 }
 
+// Trim drops the profile's past: afterwards it starts at t, and the free
+// function from t on is unchanged. A t at or before the profile start
+// changes nothing. Conservative backfilling trims the plan it carries from
+// round to round this way instead of rebuilding it. Open checkpoints stay
+// valid: a rollback still restores the free function from t on.
+func (p *Profile) Trim(t int64) {
+	i := p.seek(t)
+	if p.segs[i].Time > t {
+		return
+	}
+	p.segs[i].Time = t
+	p.segs = p.segs[:copy(p.segs, p.segs[i:])]
+}
+
 // FindStart returns the earliest time >= after at which procs processors are
 // simultaneously free for `duration` seconds.
 //

@@ -4,8 +4,8 @@ package cluster
 // vector: processors plus an optional memory dimension. It is a thin
 // composition of per-dimension scalar profiles — the procs dimension IS a
 // scalar Profile, so with the memory dimension off every operation is a
-// direct delegation and the width-1 cost model (FindStart, Checkpoint,
-// Rollback, ResetSpans) is exactly the PR 5 skyline's. The fuzz differential
+// direct delegation and the width-1 cost model (FindStart, Trim,
+// ResetSpans) is exactly the scalar skyline's. The fuzz differential
 // in profile_test pins that segment-for-segment.
 //
 // A feasible start time must satisfy both dimensions simultaneously.
@@ -20,11 +20,6 @@ type VecProfile struct {
 	hasMem bool
 
 	memSpans []Span // scratch for ResetSpans
-}
-
-// VecMark pairs the per-dimension checkpoint marks.
-type VecMark struct {
-	p, m int
 }
 
 // NewVecProfile creates a profile with total processors and memTotal memory
@@ -145,21 +140,12 @@ func (v *VecProfile) ReserveFound(start, end int64, procs, mem int) error {
 	return v.m.ReserveFound(start, end, mem)
 }
 
-// Checkpoint marks both dimensions and returns the paired mark.
-func (v *VecProfile) Checkpoint() VecMark {
-	mk := VecMark{p: v.p.Checkpoint()}
+// Trim drops both dimensions' past (Profile.Trim): afterwards the profile
+// starts at t, and both free functions from t on are unchanged.
+func (v *VecProfile) Trim(t int64) {
+	v.p.Trim(t)
 	if v.hasMem {
-		mk.m = v.m.Checkpoint()
-	}
-	return mk
-}
-
-// Rollback undoes every reserve made since the matching Checkpoint on both
-// dimensions. The mark is consumed.
-func (v *VecProfile) Rollback(mk VecMark) {
-	v.p.Rollback(mk.p)
-	if v.hasMem {
-		v.m.Rollback(mk.m)
+		v.m.Trim(t)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // TestVecProfileWidth1Differential drives a memless VecProfile and a scalar
 // Profile through identical random op sequences — FindStart-placed and
-// arbitrary reserves, point/range probes, checkpoint/rollback — and requires
+// arbitrary reserves, point/range probes, trims of the past — and requires
 // identical answers and an identical procs-dimension segment list throughout.
 // This is the acceptance argument that the PR's generalisation costs the
 // classic scalar path nothing semantically.
@@ -24,9 +24,6 @@ func TestVecProfileWidth1Differential(t *testing.T) {
 		from := r.Int63n(200) - 100
 		vec := NewVecProfile(total, 0, from)
 		ref := NewProfile(total, from)
-		var vmk VecMark
-		var rmk int
-		open := false
 		for step := 0; step < 150; step++ {
 			switch r.Intn(6) {
 			case 0: // reserve, FindStart-placed
@@ -74,17 +71,10 @@ func TestVecProfileWidth1Differential(t *testing.T) {
 				if a, b := vec.FindStart(after, dur, procs, mem), ref.FindStart(after, dur, procs); a != b {
 					t.Fatalf("seed %d step %d: FindStart = %d, scalar %d", seed, step, a, b)
 				}
-			case 4:
-				if !open {
-					vmk, rmk = vec.Checkpoint(), ref.Checkpoint()
-					open = true
-				}
-			case 5:
-				if open {
-					vec.Rollback(vmk)
-					ref.Rollback(rmk)
-					open = false
-				}
+			case 4, 5: // drop the past up to a cut, before or after the start
+				cut := from + r.Int63n(300) - 50
+				vec.Trim(cut)
+				ref.Trim(cut)
 			}
 			if len(vec.p.segs) != len(ref.segs) {
 				t.Fatalf("seed %d step %d: %d segments, scalar %d", seed, step, len(vec.p.segs), len(ref.segs))
@@ -189,37 +179,43 @@ func TestVecProfileFindStartJoint(t *testing.T) {
 	}
 }
 
-// TestVecProfileRollbackBothDims verifies the paired checkpoint restores the
-// exact segment lists of both dimensions.
-func TestVecProfileRollbackBothDims(t *testing.T) {
-	r := stats.NewRNG(11)
-	v := NewVecProfile(16, 200, 0)
-	if err := v.Reserve(10, 40, 5, 50); err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-	beforeP := append([]segment(nil), v.p.segs...)
-	beforeM := append([]segment(nil), v.m.segs...)
-	mk := v.Checkpoint()
-	for i := 0; i < 30; i++ {
-		procs := r.Intn(16) + 1
-		mem := r.Intn(120)
-		dur := r.Int63n(60) + 1
-		s := v.FindStart(r.Int63n(100), dur, procs, mem)
-		_ = v.ReserveFound(s, s+dur, procs, mem)
-	}
-	v.Rollback(mk)
-	if len(v.p.segs) != len(beforeP) || len(v.m.segs) != len(beforeM) {
-		t.Fatalf("rollback changed segment counts: procs %d->%d, mem %d->%d",
-			len(beforeP), len(v.p.segs), len(beforeM), len(v.m.segs))
-	}
-	for i := range beforeP {
-		if v.p.segs[i] != beforeP[i] {
-			t.Fatalf("procs segment %d = %+v, want %+v", i, v.p.segs[i], beforeP[i])
+// TestVecProfileTrimDifferential checks Trim the way conservative
+// backfilling uses it — place, trim at the next round's now, place more from
+// there — against the oracle's flat reservation list: from the cut on, both
+// dimensions' free functions and every later FindStart must be unchanged by
+// the dropped past. Cuts before the profile start must change nothing.
+func TestVecProfileTrimDifferential(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := stats.NewRNG(seed)
+		total := []int{2, 16, 64}[r.Intn(3)]
+		memTotal := []int{0, 8, 1000}[r.Intn(3)]
+		v := NewVecProfile(total, memTotal, 0)
+		o := &oracle.Profile{Procs: total, Mem: memTotal}
+		cut := int64(0)
+		for i := 0; i < 80; i++ {
+			if i%20 == 10 {
+				cut = max(cut, r.Int63n(400)-50)
+				v.Trim(cut)
+				if v.p.segs[0].Time != cut || (v.hasMem && v.m.segs[0].Time != cut) {
+					t.Fatalf("seed %d op %d: trimmed to %d, profile starts at %d", seed, i, cut, v.p.segs[0].Time)
+				}
+			}
+			procs := r.Intn(total) + 1
+			mem := r.Intn(memTotal + 1)
+			dur := r.Int63n(120) + 1
+			after := cut + r.Int63n(300)
+			start := v.FindStart(after, dur, procs, mem)
+			if w := o.FindStart(after, dur, procs, mem); w != start {
+				t.Fatalf("seed %d op %d: FindStart(%d,%d,%d,%d) = %d, oracle %d",
+					seed, i, after, dur, procs, mem, start, w)
+			}
+			if err := v.ReserveFound(start, start+dur, procs, mem); err != nil || !o.Reserve(start, start+dur, procs, mem) {
+				t.Fatalf("seed %d op %d: reserve [%d,%d)x(%d,%d) refused: %v", seed, i, start, start+dur, procs, mem, err)
+			}
 		}
-	}
-	for i := range beforeM {
-		if v.m.segs[i] != beforeM[i] {
-			t.Fatalf("mem segment %d = %+v, want %+v", i, v.m.segs[i], beforeM[i])
+		checkSkyline(t, fmt.Sprintf("seed %d procs", seed), &v.p, o, false)
+		if v.hasMem {
+			checkSkyline(t, fmt.Sprintf("seed %d mem", seed), &v.m, o, true)
 		}
 	}
 }

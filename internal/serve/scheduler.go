@@ -1003,8 +1003,11 @@ func (s *Scheduler) handleSubmit(req JobRequest) (SubmitResult, error) {
 
 // duplicateAck re-acknowledges a submission whose idempotency key was
 // already accepted: the client retried after losing the original reply, so
-// it gets the original job's identity back instead of a second enqueue.
+// it gets the original job's identity back instead of a second enqueue. The
+// engine advances to now first, as for a status query, and a job still
+// queued gets its predicted start from the same plan /status answers from.
 func (s *Scheduler) duplicateAck(id int) SubmitResult {
+	now := s.advanceNow()
 	res := SubmitResult{ID: id, Duplicate: true, PredictedStart: -1}
 	if j, ok := s.submitted[id]; ok {
 		res.Submit = j.Submit
@@ -1012,6 +1015,8 @@ func (s *Scheduler) duplicateAck(id int) SubmitResult {
 	if rec, ok := s.started[id]; ok {
 		res.Started = true
 		res.PredictedStart = rec.Start
+	} else if p, ok := s.predictedStart(id, now); ok {
+		res.PredictedStart = p
 	}
 	return res
 }

@@ -135,6 +135,52 @@ func TestSchedulerPredictedStartNeverLater(t *testing.T) {
 	}
 }
 
+// TestSchedulerDuplicateAckPredicts pins, through Scheduler.Submit, that a
+// retried submission carries the queued job's predicted start, before and
+// after the clock moves, and reports the start once the job has started.
+func TestSchedulerDuplicateAckPredicts(t *testing.T) {
+	clk := NewManualClock(time.Unix(1700000000, 0))
+	s, err := New(testConfig(clk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	defer s.Drain()
+	if _, err := s.Submit(JobRequest{Procs: 32, Runtime: 500}); err != nil {
+		t.Fatal(err)
+	}
+	req := JobRequest{Procs: 4, Runtime: 100, IdemKey: "again"}
+	first, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Started || first.PredictedStart != first.Submit+500 {
+		t.Fatalf("ack %+v: want queued until %d", first, first.Submit+500)
+	}
+	for _, step := range []time.Duration{0, 200 * time.Second} {
+		clk.Advance(step)
+		dup, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.Status(first.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !dup.Duplicate || dup.ID != first.ID || dup.Started || dup.PredictedStart != first.PredictedStart || st.PredictedStart != dup.PredictedStart {
+			t.Fatalf("after %v: retry %+v, status %+v, want the original prediction %d", step, dup, st, first.PredictedStart)
+		}
+	}
+	clk.Advance(300 * time.Second)
+	dup, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dup.Duplicate || !dup.Started || dup.PredictedStart != first.PredictedStart {
+		t.Fatalf("retry after the start: %+v, want started at %d", dup, first.PredictedStart)
+	}
+}
+
 // TestSchedulerPredictedStartPriorityException extends the property to
 // priority scheduling: a waiting job's prediction may move later only when a
 // strictly higher-priority job arrived since the previous observation — the

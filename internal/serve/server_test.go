@@ -288,6 +288,61 @@ func TestServeIdempotencyHeader(t *testing.T) {
 	}
 }
 
+// TestServeRetriedSubmitKeepsPrediction pins that a retried submission of a
+// job that is still queued is acknowledged with the same predicted start as
+// the original ack and /v1/jobs/{id}, not with -1.
+func TestServeRetriedSubmitKeepsPrediction(t *testing.T) {
+	s, _, ts := newTestDaemon(t, 8, 1000)
+	defer s.Drain()
+
+	submit := func(req JobRequest, key string) SubmitResult {
+		t.Helper()
+		data, _ := json.Marshal(req)
+		hreq, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(data))
+		hreq.Header.Set("Content-Type", "application/json")
+		if key != "" {
+			hreq.Header.Set("Idempotency-Key", key)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit: %d", resp.StatusCode)
+		}
+		var res SubmitResult
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// The whole machine for ~1000 s of wall time, then a job that must wait.
+	if blocker := submit(JobRequest{Procs: 8, Runtime: 1_000_000}, ""); !blocker.Started {
+		t.Fatalf("blocker did not start: %+v", blocker)
+	}
+	first := submit(JobRequest{Procs: 1, Runtime: 60}, "retry-queued")
+	if first.Started || first.PredictedStart < 0 {
+		t.Fatalf("queued job's ack %+v: want a prediction", first)
+	}
+	retry := submit(JobRequest{Procs: 1, Runtime: 60}, "retry-queued")
+	if !retry.Duplicate || retry.ID != first.ID || retry.Started || retry.PredictedStart != first.PredictedStart {
+		t.Fatalf("retry got %+v, want a duplicate of %+v with the same prediction", retry, first)
+	}
+	r, err := http.Get(fmt.Sprintf("%s/v1/jobs/%d", ts.URL, first.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var st JobStatus
+	if err := json.NewDecoder(r.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "queued" || st.PredictedStart != retry.PredictedStart {
+		t.Fatalf("status %+v, retry predicted %d", st, retry.PredictedStart)
+	}
+}
+
 // TestServeLoadShedding pins the overload contract: once the admission queue
 // is full, further requests are shed immediately with 429 + Retry-After
 // instead of being parked, and the parked requests still complete.

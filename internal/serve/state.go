@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/backfill"
 	"repro/internal/metrics"
@@ -56,13 +59,95 @@ type State struct {
 }
 
 // marshalState renders the snapshot JSON once, for callers that both persist
-// it and hand it to the replication feed.
+// it and hand it to the replication feed. The bytes are json.Marshal's, but
+// written element by element into one buffer sized up front: a single
+// json.Marshal of a deep queue grows a pooled buffer by doubling and then
+// copies it out, several times the snapshot in short-lived heap at every
+// compaction. Each element still goes through encoding/json, so values,
+// escaping and the idempotency keys' order are exactly json.Marshal's.
 func marshalState(st *State) ([]byte, error) {
-	data, err := json.Marshal(st)
-	if err != nil {
-		return nil, fmt.Errorf("serve: marshal state: %v", err)
+	jobs := len(st.Queued) + len(st.Running) + len(st.Pending) + len(st.Records)
+	w := stateEncoder{buf: bytes.NewBuffer(make([]byte, 0, 256+140*jobs+12*len(st.Canceled)+40*len(st.Idem)))}
+	w.enc = json.NewEncoder(w.buf)
+	w.field(`{"version":`, st.Version)
+	w.field(`,"name":`, st.Name)
+	w.field(`,"procs":`, st.Procs)
+	if st.Mem != 0 {
+		w.field(`,"mem":`, st.Mem)
 	}
-	return data, nil
+	w.field(`,"sim_clock":`, st.SimClock)
+	w.field(`,"next_id":`, st.NextID)
+	encodeList(&w, `,"queued":`, st.Queued)
+	encodeList(&w, `,"running":`, st.Running)
+	encodeList(&w, `,"pending":`, st.Pending)
+	encodeList(&w, `,"canceled":`, st.Canceled)
+	encodeList(&w, `,"records":`, st.Records)
+	if len(st.Idem) > 0 {
+		w.buf.WriteString(`,"idem":{`)
+		for i, k := range slices.Sorted(maps.Keys(st.Idem)) {
+			if i > 0 {
+				w.buf.WriteByte(',')
+			}
+			w.value(k)
+			w.buf.WriteByte(':')
+			w.value(st.Idem[k])
+		}
+		w.buf.WriteByte('}')
+	}
+	if st.WALGen != 0 {
+		w.field(`,"wal_gen":`, st.WALGen)
+	}
+	if st.WALRecords != 0 {
+		w.field(`,"wal_records":`, st.WALRecords)
+	}
+	if st.HistoryCount != 0 {
+		w.field(`,"history_count":`, st.HistoryCount)
+	}
+	w.buf.WriteByte('}')
+	if w.err != nil {
+		return nil, fmt.Errorf("serve: marshal state: %v", w.err)
+	}
+	return w.buf.Bytes(), nil
+}
+
+// stateEncoder writes JSON values into buf one at a time; the first error
+// sticks and later writes are dropped.
+type stateEncoder struct {
+	buf *bytes.Buffer
+	enc *json.Encoder
+	err error
+}
+
+// value writes v as json.Marshal would (Encode adds a newline, dropped here).
+func (w *stateEncoder) value(v any) {
+	if w.err == nil {
+		if w.err = w.enc.Encode(v); w.err == nil {
+			w.buf.Truncate(w.buf.Len() - 1)
+		}
+	}
+}
+
+func (w *stateEncoder) field(key string, v any) {
+	w.buf.WriteString(key)
+	w.value(v)
+}
+
+// encodeList writes a non-empty list under key; an empty one is omitted, as
+// the omitempty tags on State's lists have it.
+func encodeList[T any](w *stateEncoder, key string, xs []T) {
+	if len(xs) == 0 {
+		return
+	}
+	w.buf.WriteString(key)
+	for i := range xs {
+		if i == 0 {
+			w.buf.WriteByte('[')
+		} else {
+			w.buf.WriteByte(',')
+		}
+		w.value(xs[i])
+	}
+	w.buf.WriteByte(']')
 }
 
 // parseState validates snapshot bytes, whether read from disk (readStateFS)

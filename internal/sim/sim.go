@@ -14,8 +14,9 @@
 // and arrival is also written to a bounded change journal
 // (backfill.Journal), from which backfillers that keep state across rounds
 // learn what changed instead of re-deriving it: the reservation index
-// applies the starts and finishes, and EASY answers a round that saw only
-// arrivals by testing just those. All orderings use sched.Less (score, then
+// applies the starts and finishes, EASY answers a round that saw only
+// arrivals by testing just those, and conservative backfilling carries its
+// plan while the changes go by it. All orderings use sched.Less (score, then
 // submit time, then ID), and arrivals are fed lazily from the submit-sorted
 // trace instead of being heap-pushed one event per job up front — the event
 // heap holds only pending completions (size ~ running jobs, not trace

@@ -93,8 +93,32 @@ func (v *verdictRounds) Backfill(st backfill.State, head *trace.Job, queue []*tr
 func engineWalk(t *testing.T, tr *trace.Trace, cfg Config) [][]metrics.Record {
 	t.Helper()
 	var out [][]metrics.Record
-	out = append(out, mustRun(t, tr.Clone(), cfg).Records, mustRun(t, tr.Clone(), cfg).Records)
+	for _, w := range engineKinds {
+		out = append(out, w.run(t, tr, cfg))
+	}
+	return out
+}
 
+// engineKinds are engineWalk's engines, in order.
+var engineKinds = []struct {
+	name string
+	run  func(t *testing.T, tr *trace.Trace, cfg Config) []metrics.Record
+}{
+	{"replay", replayWalk},
+	{"replay", replayWalk},
+	{"restore", restoreWalk},
+	{"live", liveWalk},
+}
+
+func replayWalk(t *testing.T, tr *trace.Trace, cfg Config) []metrics.Record {
+	t.Helper()
+	return mustRun(t, tr.Clone(), cfg).Records
+}
+
+// restoreWalk replays up to the middle job's submit, snapshots, and finishes
+// on an engine restored from the snapshot.
+func restoreWalk(t *testing.T, tr *trace.Trace, cfg Config) []metrics.Record {
+	t.Helper()
 	work := tr.Clone()
 	a, err := NewEngine(work, cfg)
 	if err != nil {
@@ -110,8 +134,13 @@ func engineWalk(t *testing.T, tr *trace.Trace, cfg Config) [][]metrics.Record {
 		t.Fatal(err)
 	}
 	b.RunToCompletion()
-	out = append(out, append(append([]metrics.Record(nil), a.Records()...), b.Records()...))
+	return append(append([]metrics.Record(nil), a.Records()...), b.Records()...)
+}
 
+// liveWalk injects the jobs into a live engine one by one, cancelling every
+// seventh job's third predecessor and, every eleventh, the queue's head.
+func liveWalk(t *testing.T, tr *trace.Trace, cfg Config) []metrics.Record {
+	t.Helper()
 	live, err := NewLiveEngine(tr.Name, tr.Procs, tr.Mem, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +163,7 @@ func engineWalk(t *testing.T, tr *trace.Trace, cfg Config) [][]metrics.Record {
 		}
 	}
 	live.RunToCompletion()
-	return append(out, live.Records())
+	return live.Records()
 }
 
 // TestEASYVerdictDifferential requires EASY — with its journal-fed
