@@ -111,26 +111,39 @@ func TestHugeShardStitch(t *testing.T) {
 	t.Logf("huge stitch: %d records byte-identical, mean bsld %.3f", len(seq.Records), seq.Summary.MeanBSLD)
 }
 
-// TestConservativeReplayDigests pins conservative backfilling's schedules on
-// two long replays, as rlbf-sim -backfill conservative runs them (FCFS, the
-// workload's own estimator, seed 1): FNV-1a over (id, start, end) of every
-// record in start order. The hpc2n row runs on user requests, which mostly
+// TestReplayDigests pins the schedules of long replays, as rlbf-sim runs
+// them (the workload's own estimator, seed 1): FNV-1a over (id, start, end)
+// of every record in start order, one row per backfiller, trace and policy.
+// Conservative: the hpc2n row runs on user requests, which mostly
 // overestimate, so finishes come early and most rounds rebuild the plan; the
-// Lublin-Huge row runs on actual runtimes, so most rounds carry it.
-func TestConservativeReplayDigests(t *testing.T) {
+// Lublin-Huge row runs on actual runtimes, so most rounds carry it. EASY:
+// the Lublin-Huge row answers most finish rounds from the live list; on
+// hpc2n's user requests early finishes raise the head's extra, so many
+// rounds scan in full; under WFP3 the queue is reordered every round, so
+// no list is kept.
+func TestReplayDigests(t *testing.T) {
 	for _, c := range []struct {
-		trace  string
-		jobs   int
-		digest uint64
+		backfill string
+		trace    string
+		policy   sched.Policy
+		jobs     int
+		digest   uint64
 	}{
-		{"hpc2n", 10_000, 0xa8415078f236b1af},
-		{"lublin-huge", 100_000, 0x6cc7e5e436e51d54},
+		{"conservative", "hpc2n", sched.FCFS{}, 10_000, 0xa8415078f236b1af},
+		{"conservative", "lublin-huge", sched.FCFS{}, 100_000, 0x6cc7e5e436e51d54},
+		{"easy", "lublin-huge", sched.FCFS{}, 100_000, 0xa51419ddd8e05c61},
+		{"easy", "hpc2n", sched.FCFS{}, 10_000, 0x0f07fd16e8dbad14},
+		{"easy", "sdsc-sp2", sched.WFP3{}, 10_000, 0xb559f4f6e2212865},
 	} {
 		tr, err := experiments.ResolveTrace(c.trace, c.jobs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(tr, sim.Config{Policy: sched.FCFS{}, Backfiller: backfill.NewConservative(experiments.Estimator(tr))})
+		var bf backfill.Backfiller = backfill.NewConservative(experiments.Estimator(tr))
+		if c.backfill == "easy" {
+			bf = backfill.NewEASY(experiments.Estimator(tr))
+		}
+		res, err := sim.Run(tr, sim.Config{Policy: c.policy, Backfiller: bf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,8 +156,8 @@ func TestConservativeReplayDigests(t *testing.T) {
 			h.Write(b[:])
 		}
 		if got := h.Sum64(); got != c.digest || len(res.Records) != c.jobs {
-			t.Errorf("%s %d jobs: %d records, digest %016x, want %d and %016x",
-				c.trace, c.jobs, len(res.Records), got, c.jobs, c.digest)
+			t.Errorf("%s %s %s %d jobs: %d records, digest %016x, want %d and %016x",
+				c.backfill, c.trace, c.policy.Name(), c.jobs, len(res.Records), got, c.jobs, c.digest)
 		}
 	}
 }

@@ -199,6 +199,56 @@ func TestEASYResumeRecomputesExtraAfterStarts(t *testing.T) {
 	}
 }
 
+// TestEASYLiveListSkipsCanceledJob pins the list against cancels: job 3
+// cannot start in the first round but goes on the list, is canceled, and
+// fits once job 2 finishes. Job 5, long and wider than the head's extra,
+// stays off the list and waits in both rounds, so the round after the finish
+// resumes past it and rescans the list. That round must not start job 3.
+func TestEASYLiveListSkipsCanceledJob(t *testing.T) {
+	a, b := job(1, 0, 100, 100, 6), job(2, 0, 50, 50, 2)
+	st := &memState{now: 0, free: 2, total: 10, running: []Running{{Job: a}, {Job: b}}}
+	st.journal.Open()
+	head := job(4, 0, 50, 50, 8)  // shadow 100, extra 2
+	short := job(3, 0, 20, 20, 3) // ends by the shadow, wider than the free processors
+	wide := job(5, 0, 1000, 1000, 3)
+	e := NewEASY(RequestTime{})
+	e.Backfill(st, head, []*trace.Job{short, wide})
+	if len(st.started) != 0 {
+		t.Fatalf("first round started %v", ids(st.started))
+	}
+	st.journal.Record(Canceled, short, 0)
+	st.now, st.free = 10, 4
+	st.setRunning([]Running{{Job: a}})
+	e.Backfill(st, head, []*trace.Job{wide})
+	if len(st.started) != 0 {
+		t.Fatalf("the round after the finish started %v, job 3 canceled before it", ids(st.started))
+	}
+}
+
+// TestEASYLiveListRescansWhenExtraGrows pins the list's cap: job 3 fits the
+// free processors but ends past the shadow and is wider than the head's
+// extra (0), so it stays off the list. Job 2 then finishes 4990 s before its
+// estimate, the extra grows to 2, and job 3 must start.
+func TestEASYLiveListRescansWhenExtraGrows(t *testing.T) {
+	a, long := job(1, 0, 100, 100, 6), job(2, 0, 10, 5000, 2)
+	st := &memState{now: 0, free: 2, total: 10, running: []Running{{Job: a}, {Job: long}}}
+	st.journal.Open()
+	head := job(4, 0, 50, 50, 8) // shadow 100, extra 0
+	narrow := job(3, 0, 1000, 1000, 2)
+	queue := []*trace.Job{narrow}
+	e := NewEASY(RequestTime{})
+	e.Backfill(st, head, queue)
+	if len(st.started) != 0 {
+		t.Fatalf("first round started %v", ids(st.started))
+	}
+	st.now, st.free = 10, 4
+	st.setRunning([]Running{{Job: a}})
+	e.Backfill(st, head, queue)
+	if !slices.Equal(ids(st.started), []int{3}) {
+		t.Fatalf("after the early finish the round started %v, want [3] on the grown extra", ids(st.started))
+	}
+}
+
 func TestEstimatorNames(t *testing.T) {
 	if (RequestTime{}).Name() != "RT" || (ActualRuntime{}).Name() != "AR" {
 		t.Fatal("estimator names wrong")

@@ -2,6 +2,7 @@ package backfill
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"repro/internal/sched"
@@ -40,10 +41,12 @@ type EASY struct {
 	Scn sched.Scenario
 
 	// Reusable scratch: EASY runs on every blocked scheduling event, so the
-	// candidate decoration and reservation buffers are kept across calls.
+	// candidate decoration and reservation buffers are kept across calls,
+	// as are the live list and the last round's verdict.
 	res   ReservationScratch
 	cands []estimated
 	prots []protection
+	live  []listed
 	last  verdict
 }
 
@@ -63,7 +66,17 @@ type protection struct {
 	res Reservation
 }
 
-// verdict is what the last round leaves behind: with aging off, every queued
+// listed is one candidate as the scan tests it, and one live-list entry: the
+// job with its estimate (0 until estimated; every estimate is at least 1),
+// processors and memory demand.
+type listed struct {
+	job   *trace.Job
+	est   int64
+	procs int
+	mem   int
+}
+
+// verdict is what the last round leaves behind. With aging off, every queued
 // job it did not start failed against free resources, the head's reservation
 // and now. Until the journal shows a start or a finish, the free resources
 // and the running set — hence the reservation — stay as they were, except
@@ -76,15 +89,35 @@ type protection struct {
 // than a fresh one (a backfilled job that ends exactly at the shadow, and
 // whose ID sorts after the job that set it, lowers the fresh Extra); a fresh
 // reservation has the same shadow and an Extra no larger, so every job that
-// failed still fails. Cancels only remove candidates, and another head drops
-// the verdict.
+// failed still fails. Cancels and reorders only remove or move candidates,
+// and another head drops the verdict.
+//
+// In policy order a round also keeps the live list (EASY.live): every job it
+// left waiting with an estimate within the horizon (shadow − now) or no
+// wider than the cap (the head's fresh Extra), in queue order, so every
+// waiting job off the list fails both EASY tests. Finishes only add
+// processors and memory to every instant of the availability profile, so
+// the shadow only moves earlier and the horizon only shrinks; a round whose
+// journal shows only finishes and tail arrivals therefore tests the list,
+// the pending jobs and the arrivals, unless a job that finished before its
+// estimate raised the fresh Extra past the cap. A rescan checks the cap
+// only when a job off the list fits the free processors (narrowest): else
+// none of them can start, whatever the extra, and the bounds stay as they
+// are. A round that stops at a full machine leaves the rest of the queue
+// pending, and the next round scans it like arrivals. A cancel or a reorder
+// drops the list.
 type verdict struct {
-	at       Cursor // the journal position after the round's own starts; zero = no verdict
-	head     *trace.Job
-	est      Estimator
-	memTotal int
-	res      Reservation // the head's, when a round that started nothing computed it
-	haveRes  bool
+	at        Cursor // the journal position after the round's own starts; zero = no verdict
+	head      *trace.Job
+	est       Estimator
+	memTotal  int
+	res       Reservation // the head's, when a round that started nothing computed it
+	haveRes   bool
+	listed    bool  // EASY.live holds the list
+	horizon   int64 // the list's bounds: shadow − now and Extra when they were last tightened
+	cap       int
+	narrowest int // no job off the list needs fewer processors
+	pending   int // the jobs before the arrivals that no round has classified
 }
 
 // NewEASY returns EASY backfilling with the given estimator and the classic
@@ -103,14 +136,18 @@ func (e *EASY) Name() string {
 	return n
 }
 
-// Backfill implements Backfiller. The head's reservation is computed when the
-// first candidate that fits the free resources appears, so a round that can
-// start nothing (a full machine, or only wide jobs waiting) costs one pass of
-// integer compares; in policy order candidates are scanned straight off the
-// queue and estimated only once they fit. While the last round's verdict
-// holds, the scan starts at the first job that arrived since (resume). The
-// queue must be the state's waiting queue (less the head), which grows only
-// through journaled arrivals.
+// Backfill implements Backfiller. A round returns at once when the machine
+// is full. In policy order with aging off, candidates are read straight off
+// the queue, and the round files the jobs it leaves waiting that could still
+// start under this head on the live list; a later round that follows only
+// finishes and tail arrivals scans the list and then the jobs no round has
+// classified yet. Otherwise (SJF order, aging, a reordered queue) the head's
+// reservation is computed when the first candidate that fits the free
+// resources appears, candidates are estimated once they fit, and no list is
+// kept. While the last round's verdict holds, a round that follows only
+// arrivals scans just the unclassified jobs (resume). The queue must be the
+// state's waiting queue (less the head), which changes only through
+// journaled starts, arrivals, cancels and reorders.
 func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	free := st.FreeProcs()
 	if free == 0 {
@@ -118,8 +155,40 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	}
 	now := st.Now()
 	memFree, memTotal := MemOf(st)
-	queue = queue[e.resume(st, head, queue, memTotal):]
-	res, haveRes := e.last.res, e.last.haveRes
+	from, rescan, reordered := e.resume(st, head, queue, memTotal)
+	v := &e.last
+	res, haveRes := v.res, v.haveRes
+
+	// The list is kept in policy order with aging off, unless the queue was
+	// just reordered; a round resumed at the arrivals extends a list it has
+	// and builds none. A full round, and a rescan when a job off the list
+	// fits the free processors, check the bounds against the fresh
+	// reservation and tighten them; any other round keeps them, which
+	// files a superset.
+	file := e.Order == PolicyOrder && !e.Scn.Aging() && !reordered && (from == 0 || v.listed)
+	var relist []listed
+	w := 0 // the list is e.live[:w], followed by relist[i:] while it is rescanned
+	if file {
+		if rescan {
+			relist = e.live
+		} else if v.listed {
+			w = len(e.live)
+		}
+		if from == 0 || rescan && free >= v.narrowest {
+			if !haveRes {
+				res, haveRes = e.res.Compute(st, head, e.Est), true
+			}
+			if rescan && res.Extra > v.cap {
+				from = 0 // jobs off the list may now use the extra processors
+			}
+			if from == 0 {
+				relist, w, v.narrowest = nil, 0, math.MaxInt
+			}
+			v.horizon, v.cap = res.Shadow-now, res.Extra
+		}
+	}
+	horizon, capProcs := v.horizon, v.cap
+	queue = queue[from:]
 
 	// With aging on, every starving queued job gets its own blocking
 	// reservation, computed EASY-style against the running set. Candidates
@@ -133,10 +202,11 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 		}
 	}
 
-	// In policy order the queue itself is the scan order; in SJF order only
-	// the jobs that fit at round start are decorated and sorted.
+	// The scan runs over the list (when rescanned), then the queue; in SJF
+	// order only the jobs that fit at round start are decorated and sorted.
 	sorted := e.Order == SJFOrder
-	n := len(queue)
+	nl := len(relist)
+	n := nl + len(queue)
 	var cands []estimated
 	if sorted {
 		cands = e.sjfOrder(queue, now, free, memFree, memTotal)
@@ -144,97 +214,143 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	}
 
 	started := false
-	for i := 0; i < n && free > 0; i++ {
-		var j *trace.Job
-		var est int64
-		if sorted {
-			j, est = cands[i].job, cands[i].est
-		} else {
-			j = queue[i]
+	i := 0
+	for ; i < n && free > 0; i++ {
+		var c listed
+		switch {
+		case i < nl:
+			c = relist[i]
+		case sorted:
+			c.job, c.est = cands[i].job, cands[i].est
+			c.procs, c.mem = c.job.Procs, memDemand(c.job, memTotal)
+		default:
+			c.job = queue[i-nl]
+			c.procs, c.mem = c.job.Procs, memDemand(c.job, memTotal)
 		}
-		jm := memDemand(j, memTotal)
-		if j.Procs > free || jm > memFree {
-			continue
-		}
-		if !sorted {
-			est = e.Est.Estimate(j)
-		}
-		if !haveRes {
-			res, haveRes = e.res.Compute(st, head, e.Est), true
-		}
-		end := now + est
-		endsByShadow := end <= res.Shadow
-		usesExtraOnly := j.Procs <= res.Extra && jm <= res.ExtraMem
-		if !endsByShadow && !usesExtraOnly {
-			continue
-		}
-		clear := true
-		for pi := range e.prots {
-			p := &e.prots[pi]
-			if p.job == j {
-				continue // a starving job is not blocked by its own reservation
+		j := c.job
+		if c.procs <= free && c.mem <= memFree {
+			if c.est == 0 {
+				c.est = e.Est.Estimate(j)
 			}
-			if end <= p.res.Shadow || (j.Procs <= p.res.Extra && jm <= p.res.ExtraMem) {
+			if !haveRes {
+				res, haveRes = e.res.Compute(st, head, e.Est), true
+			}
+			end := now + c.est
+			endsByShadow := end <= res.Shadow
+			if (endsByShadow || c.procs <= res.Extra && c.mem <= res.ExtraMem) && e.clears(j, end, c.procs, c.mem) {
+				st.StartJob(j)
+				started = true
+				free -= c.procs
+				memFree -= c.mem
+				if !endsByShadow {
+					// The job runs past the shadow time, so it permanently
+					// consumes part of the head job's surplus.
+					res.Extra -= c.procs
+					res.ExtraMem -= c.mem
+				}
+				e.consume(j, end, c.procs, c.mem)
 				continue
 			}
-			clear = false
-			break
 		}
-		if !clear {
+		if !file {
 			continue
 		}
-		st.StartJob(j)
-		started = true
-		free -= j.Procs
-		memFree -= jm
-		if !endsByShadow {
-			// The job runs past the shadow time, so it permanently consumes
-			// part of the head job's surplus.
-			res.Extra -= j.Procs
-			res.ExtraMem -= jm
+		if c.procs > capProcs {
+			if c.est == 0 {
+				c.est = e.Est.Estimate(j)
+			}
+			if c.est > horizon {
+				v.narrowest = min(v.narrowest, c.procs)
+				continue // fails both tests under this head from now on
+			}
 		}
-		for pi := 0; pi < len(e.prots); pi++ {
-			p := &e.prots[pi]
-			if p.job == j {
-				// The starving job itself started; its reservation is moot.
-				e.prots = append(e.prots[:pi], e.prots[pi+1:]...)
-				pi--
-				continue
-			}
-			if end > p.res.Shadow {
-				p.res.Extra -= j.Procs
-				p.res.ExtraMem -= jm
-			}
+		if i >= nl {
+			e.live = append(e.live[:w], c)
+		} else if w != i {
+			relist[w] = c
+		}
+		w++
+	}
+	if file {
+		// A full machine ends the scan: the rest of the list stays on it,
+		// and the rest of the queue is pending for the next round.
+		if i < nl {
+			w += copy(relist[w:], relist[i:])
+			i = nl
+		}
+		e.live, v.pending = e.live[:w], n-i
+	} else {
+		v.pending = 0
+	}
+	v.at, v.head, v.est, v.memTotal = st.Journal().Cursor(), head, comparableOrNil(e.Est), memTotal
+	v.listed = file
+	v.res, v.haveRes = res, haveRes && !started
+}
+
+// clears reports whether a candidate ending at end respects every starving
+// job's reservation but its own.
+func (e *EASY) clears(j *trace.Job, end int64, procs, mem int) bool {
+	for pi := range e.prots {
+		p := &e.prots[pi]
+		if p.job != j && end > p.res.Shadow && (procs > p.res.Extra || mem > p.res.ExtraMem) {
+			return false
 		}
 	}
-	e.last = verdict{at: st.Journal().Cursor(), head: head, est: comparableOrNil(e.Est), memTotal: memTotal}
-	if !started {
-		e.last.res, e.last.haveRes = res, haveRes
+	return true
+}
+
+// consume updates the starving jobs' reservations for a job that started
+// and ends at end: a starving job that started drops its own, and one whose
+// shadow the job runs past loses the job's resources from its extra.
+func (e *EASY) consume(j *trace.Job, end int64, procs, mem int) {
+	for pi := 0; pi < len(e.prots); pi++ {
+		p := &e.prots[pi]
+		if p.job == j {
+			e.prots = append(e.prots[:pi], e.prots[pi+1:]...)
+			pi--
+			continue
+		}
+		if end > p.res.Shadow {
+			p.res.Extra -= procs
+			p.res.ExtraMem -= mem
+		}
 	}
 }
 
-// resume returns the index where this round's scan starts. The last round's
-// verdict holds when aging is off, the head, estimator and memory switch are
-// the same, and the journal shows only arrivals since, sitting at the
-// queue's tail in journal order: every job before them still fails, so the
-// scan starts at the first arrival. Otherwise it drops the verdict, and the
-// scan starts at 0.
-func (e *EASY) resume(st State, head *trace.Job, queue []*trace.Job, memTotal int) int {
+// resume reads the journal since the last round and returns where this
+// round's scan of the queue starts, whether the live list is to be rescanned
+// (finishes went by), and whether the segment shows a reorder. The verdict
+// holds when aging is off, the head, estimator and memory switch are the
+// same, the journal shows no start, and the arrivals sit at the queue's
+// tail in journal order: the scan then starts at the pending jobs before
+// them. A finish needs the list too; a cancel or a reorder drops it.
+// Otherwise resume drops the verdict, and the scan starts at 0.
+func (e *EASY) resume(st State, head *trace.Job, queue []*trace.Job, memTotal int) (from int, rescan, reordered bool) {
 	v := &e.last
-	if v.head == head && v.est != nil && e.Est == v.est && v.memTotal == memTotal && !e.Scn.Aging() {
-		if changes, ok := st.Journal().Since(v.at); ok && len(changes) <= len(queue) {
-			from := len(queue) - len(changes)
-			i := 0
-			for i < len(changes) && changes[i].Kind == Arrived && changes[i].Job == queue[from+i] {
-				i++
-			}
-			if i == len(changes) {
-				return from
-			}
+	changes, ok := st.Journal().Since(v.at)
+	q := len(queue)
+	for k := len(changes) - 1; k >= 0; k-- {
+		switch c := changes[k]; c.Kind {
+		case Arrived:
+			q--
+			ok = ok && q >= 0 && queue[q] == c.Job
+		case Finished:
+			rescan = true
+		case Reordered:
+			reordered = true
+			v.listed = false
+		case Canceled:
+			v.listed = false
+		default:
+			ok = false
 		}
 	}
+	if ok && v.head == head && v.est != nil && e.Est == v.est && v.memTotal == memTotal && !e.Scn.Aging() && (v.listed || !rescan) {
+		v.haveRes = v.haveRes && !rescan
+		return max(q-v.pending, 0), rescan, reordered
+	}
 	*v = verdict{}
-	return 0
+	return 0, false, reordered
 }
 
 // sjfOrder decorates the jobs that fit the free resources with their

@@ -1,6 +1,7 @@
 package backfill
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -298,8 +299,9 @@ func (c *countingEstimator) Estimate(j *trace.Job) int64 {
 
 // TestReservationAndEASYRoundNoAllocs guards the steady state: once the
 // buffers are warm, a reservation on a changing running set, a whole EASY
-// round (fitting candidates, reservation, starts) and a round answered by
-// the previous round's verdict allocate nothing.
+// round (fitting candidates, reservation, starts), a round answered by the
+// previous round's verdict and a finish round answered by the live list
+// allocate nothing.
 func TestReservationAndEASYRoundNoAllocs(t *testing.T) {
 	st := &memState{total: 64, running: make([]Running, 0, 64), started: make([]*trace.Job, 0, 64)}
 	st.journal.Open()
@@ -395,5 +397,38 @@ func TestReservationAndEASYRoundNoAllocs(t *testing.T) {
 			t.Fatalf("%s: %d rounds after an idle one started %d jobs after %d estimates, want only the arrivals estimated",
 				e.Name(), runs+1, len(st.started), ce.calls)
 		}
+	}
+
+	// Five-processor jobs that end by the shadow go on the list but never
+	// fit the four free processors. Every later round, the two-processor
+	// job the last round started finishes and arrives again: the list is
+	// rescanned in place, the arrival starts, and the list is left as it
+	// was. Each round estimates the arrival and the index's start only.
+	waiting := make([]*trace.Job, 0, 16)
+	for i := 0; i < 10; i++ {
+		waiting = append(waiting, job(500+i, 0, 20, 20, 5))
+	}
+	again := job(600, 0, 30, 30, 2)
+	ce := &countingEstimator{}
+	e := NewEASY(ce)
+	reset()
+	e.Backfill(st, head, append(waiting, again))
+	if !slices.Equal(ids(st.started), []int{600}) {
+		t.Fatalf("list fixture started %v, want [600]", ids(st.started))
+	}
+	withAgain := append(waiting, again)
+	ce.calls = 0
+	const runs = 200
+	if avg := testing.AllocsPerRun(runs, func() {
+		st.running, st.free, st.started = st.running[:len(st.running)-1], st.free+again.Procs, st.started[:0]
+		st.journal.Record(Finished, again, st.now)
+		st.journal.Record(Arrived, again, st.now)
+		e.Backfill(st, head, withAgain)
+	}); avg != 0 {
+		t.Fatalf("list round allocates %v per run, want 0", avg)
+	}
+	if !slices.Equal(ids(st.started), []int{600}) || ce.calls != 2*(runs+1) {
+		t.Fatalf("%d list rounds: the last started %v after %d estimates in all, want [600] and 2 per round",
+			runs+1, ids(st.started), ce.calls)
 	}
 }

@@ -16,6 +16,11 @@ const (
 	Finished
 	// Arrived: a job joined the waiting queue at Time.
 	Arrived
+	// Canceled: a waiting job left the queue without starting.
+	Canceled
+	// Reordered: the waiting queue was re-sorted (a time-varying policy or
+	// aging); Job is nil.
+	Reordered
 )
 
 // Change is one journal entry.
@@ -29,21 +34,22 @@ type Change struct {
 // been seen. The zero Cursor belongs to no journal.
 type Cursor struct{ journal, seq uint64 }
 
-// Journal is a State's change log: every job start, finish and arrival, in
-// the order they happened, each numbered in sequence. Backfillers that keep
-// state across rounds (the reservation index, EASY's verdict, conservative
-// backfilling's carried plan) hold a Cursor and read only the entries after
-// it, instead of re-deriving the running set or the queue (DESIGN.md §6).
+// Journal is a State's change log: every change to the running set and the
+// waiting queue — a job start, finish, arrival or cancel, and a re-sort of
+// the queue — in the order they happened, each numbered in sequence.
+// Backfillers that keep state across rounds (the reservation index, EASY's
+// verdict and live list, conservative backfilling's carried plan) hold a
+// Cursor and read only the entries after it, instead of re-deriving the
+// running set or the queue (DESIGN.md §6); each reads the kinds it needs.
 //
 // A journal keeps its most recent entries only: storage is a fixed buffer
 // whose older half is dropped when it fills, so a State that nobody reads
 // stays bounded, and a consumer that fell behind sees its cursor rejected
 // and starts over. Open gives the journal a new identity, which rejects
 // every cursor handed out before it: a State opens a new journal whenever
-// its running set changes, or its queue gains a job, other than through
-// recorded entries (a new engine, a fake reset in place). Removing a waiting
-// job (a cancel) needs no entry. Within one journal, running jobs have
-// distinct IDs.
+// its running set or its queue changes other than through recorded entries
+// (a new engine, a fake reset in place). Within one journal, running jobs
+// have distinct IDs.
 //
 // The zero Journal is closed: it records nothing and rejects every cursor,
 // which is correct for any State, only slower.

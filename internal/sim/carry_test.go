@@ -64,11 +64,11 @@ func (r *runningReads) Running() []backfill.Running {
 // rebuilds it every round does. It runs conservativeCase's randomised matrix,
 // every fourth row with an estimator below the runtimes, so running jobs
 // outlive their spans and the now+1 clamp moves. It covers every kind of
-// engine a journal can come from: replays, a snapshot restore, and a live
-// engine with injects and cancels of queued jobs and heads. A replay behind
-// a backfiller that lags until its journal entries are dropped is the
-// fourth family. Each family must both carry and rebuild, so neither path
-// passes vacuously.
+// engine a journal can come from: replays, a snapshot restore, and two live
+// engines with injects and cancels of queued jobs and heads, the second
+// crowded. A replay behind a backfiller that lags until its journal entries
+// are dropped is the fifth family. Each family must both carry and rebuild,
+// so neither path passes vacuously.
 func TestConservativeCarryDifferential(t *testing.T) {
 	carried, rebuilt := map[string]int{}, map[string]int{}
 	tally := func(family string, p *planRounds) {
@@ -102,7 +102,7 @@ func TestConservativeCarryDifferential(t *testing.T) {
 		tally("lagging", lagOpt.inner.(*planRounds))
 		trimmed += lagOpt.trimmed
 	}
-	for _, family := range []string{"replay", "restore", "live", "lagging"} {
+	for _, family := range []string{"replay", "restore", "live", "crowded", "lagging"} {
 		t.Logf("%s: %d carried rounds, %d rebuilds", family, carried[family], rebuilt[family])
 		if carried[family] == 0 || rebuilt[family] == 0 {
 			t.Errorf("%s: %d carried rounds, %d rebuilds: a path is not exercised", family, carried[family], rebuilt[family])

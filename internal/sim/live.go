@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 
+	"repro/internal/backfill"
 	"repro/internal/trace"
 )
 
@@ -50,8 +51,9 @@ func (e *Engine) Inject(j *trace.Job) error {
 // arrival stream or waiting in the queue — and reports whether it was found.
 // Running and finished jobs cannot be canceled (the simulator has no
 // preemption); callers distinguish "too late" from "unknown" themselves.
-// Removing a queued job preserves the queue's sort order, and any Wake event
-// already scheduled for the job becomes a harmless timed no-op.
+// Removing a queued job preserves the queue's sort order and is journaled
+// (backfill.Canceled), and any Wake event already scheduled for the job
+// becomes a harmless timed no-op.
 func (e *Engine) Cancel(id int) bool {
 	for i := e.nextArr; i < len(e.arrivals); i++ {
 		if e.arrivals[i].ID == id {
@@ -63,6 +65,7 @@ func (e *Engine) Cancel(id int) bool {
 		if j.ID == id {
 			e.queue = append(e.queue[:i], e.queue[i+1:]...)
 			e.qscore = append(e.qscore[:i], e.qscore[i+1:]...)
+			e.journal.Record(backfill.Canceled, j, e.clock)
 			return true
 		}
 	}

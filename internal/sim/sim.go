@@ -10,18 +10,18 @@
 // re-sorted — while time-varying policies (WFP3) fall back to a decorated
 // re-sort that computes each score exactly once per event. Queue removal
 // locates jobs by binary search on their score instead of a linear scan, and
-// the running set is maintained as an ID-sorted slice. Every start, finish
-// and arrival is also written to a bounded change journal
+// the running set is maintained as an ID-sorted slice. Every start, finish,
+// arrival, cancel and re-sort is also written to a bounded change journal
 // (backfill.Journal), from which backfillers that keep state across rounds
 // learn what changed instead of re-deriving it: the reservation index
 // applies the starts and finishes, EASY answers a round that saw only
-// arrivals by testing just those, and conservative backfilling carries its
-// plan while the changes go by it. All orderings use sched.Less (score, then
-// submit time, then ID), and arrivals are fed lazily from the submit-sorted
-// trace instead of being heap-pushed one event per job up front — the event
-// heap holds only pending completions (size ~ running jobs, not trace
-// length) — which keeps schedules bit-identical to a naive sort-every-event
-// kernel.
+// finishes and arrivals by testing its live list and the arrivals, and
+// conservative backfilling carries its plan while the changes go by it. All
+// orderings use sched.Less (score, then submit time, then ID), and arrivals
+// are fed lazily from the submit-sorted trace instead of being heap-pushed
+// one event per job up front — the event heap holds only pending
+// completions (size ~ running jobs, not trace length) — which keeps
+// schedules bit-identical to a naive sort-every-event kernel.
 package sim
 
 import (
@@ -90,8 +90,8 @@ type Engine struct {
 	// running is kept sorted by job ID (insert on start, remove on finish),
 	// so State.Running needs no per-call rebuild.
 	running []backfill.Running
-	// journal records every start, finish and arrival for the backfillers
-	// that keep state across rounds (backfill.State.Journal).
+	// journal records every start, finish, arrival, cancel and re-sort for
+	// the backfillers that keep state across rounds (backfill.State.Journal).
 	journal backfill.Journal
 	restBuf []*trace.Job // scratch: the backfiller's view of queue[1:]
 	records []metrics.Record
@@ -253,6 +253,7 @@ func (e *Engine) schedule() {
 		// computed exactly once. SortScenario routes straight to the classic
 		// sort when no scenario is configured.
 		e.sorter.SortScenario(e.queue, e.qscore, e.cfg.Policy, e.clock, e.cfg.Scenario)
+		e.journal.Record(backfill.Reordered, nil, e.clock)
 	}
 	for len(e.queue) > 0 && e.cluster.FitsRes(e.queue[0].Procs, e.queue[0].Mem) {
 		e.StartJob(e.queue[0])
@@ -287,8 +288,9 @@ func (e *Engine) TotalMem() int { return e.cluster.TotalMem() }
 // calls or simulation steps.
 func (e *Engine) Running() []backfill.Running { return e.running }
 
-// Journal implements backfill.State: the engine's recent starts, finishes
-// and arrivals. Every engine, a restored one included, opens its own.
+// Journal implements backfill.State: the engine's recent starts, finishes,
+// arrivals, cancels and re-sorts. Every engine, a restored one included,
+// opens its own.
 func (e *Engine) Journal() *backfill.Journal { return &e.journal }
 
 // runningIndex returns the position of job id in the ID-sorted running
