@@ -443,7 +443,9 @@ func BenchmarkQueueMaintenanceTimeVarying(b *testing.B) {
 }
 
 // BenchmarkEngineRunning measures State.Running with 512 executing jobs —
-// the query every backfiller reservation pass issues against the engine.
+// the query a backfiller's reservation or plan rebuild issues against the
+// engine. It returns the engine's running heap as is, so it costs the same
+// at any width.
 func BenchmarkEngineRunning(b *testing.B) {
 	const n = 512
 	tr := &trace.Trace{Name: "wide", Procs: n}
@@ -467,13 +469,15 @@ func BenchmarkEngineRunning(b *testing.B) {
 	}
 }
 
-// BenchmarkEventQueue times eventq.Queue on the simulator's event pattern: a
-// pending set of `hold` completions, each pop of the earliest followed by a
-// push at the advancing clock plus a spread-out runtime, interleaved with the
-// engine's peek-before-pop probes. The hold sizes bracket the running-set
-// sizes of the paper's traces. The sub-benchmarks keep the heap-N names the
-// binary heap carried while a calendar queue ran beside it, so older bench.txt
-// records stay comparable.
+// BenchmarkEventQueue times eventq.Queue on a completion-queue pattern: a
+// pending set of `hold` Finish events, each pop of the earliest followed by a
+// push at the advancing clock plus a spread-out runtime, interleaved with
+// peek-before-pop probes. The engine no longer queues completions here (its
+// running heap holds them; the queue carries only an aging scenario's Wake
+// ticks), so this times the structure, not the engine's replay path. The
+// hold sizes bracket the running-set sizes of the paper's traces. The
+// sub-benchmarks keep the heap-N names the binary heap carried while a
+// calendar queue ran beside it, so older bench.txt records stay comparable.
 func BenchmarkEventQueue(b *testing.B) {
 	const pushes = 4096
 	rng := stats.NewRNG(11)

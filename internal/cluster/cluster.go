@@ -1,56 +1,31 @@
-// Package cluster models the homogeneous HPC machine the paper schedules on
-// (§3.2: "we assume the HPC environment is homogeneous"): a pool of
-// interchangeable processors with allocation bookkeeping, plus a future
-// availability profile used by reservation-based (conservative) backfilling.
-// The machine optionally carries a second resource dimension (memory, in
-// abstract units); a zero memory capacity disables that dimension and keeps
-// every operation identical to the classic procs-only model.
 package cluster
 
 import "fmt"
 
-// grant records one job's allocation across both resource dimensions.
-type grant struct {
-	procs int
-	mem   int
-}
-
-// Cluster tracks processor (and optionally memory) allocations for running
-// jobs.
+// Cluster counts a machine's idle processors and, optionally, memory. It
+// does not record which job holds what: its user keeps the running jobs (the
+// simulator's running heap) and releases exactly what each one took, and
+// job IDs are kept unique at admission.
 type Cluster struct {
-	total    int
-	free     int
-	memTotal int // 0 = memory dimension off
-	memFree  int
-	alloc    map[int]grant // job ID -> resources held
+	total, free       int
+	memTotal, memFree int // memTotal 0 = memory dimension off
 }
 
 // New creates a cluster with n processors and no memory dimension. It panics
 // if n <= 0 (a machine must have capacity; the paper's traces use 128-256).
-func New(n int) *Cluster {
-	return NewWithMem(n, 0)
-}
+func New(n int) *Cluster { return NewWithMem(n, 0) }
 
 // NewWithMem creates a cluster with n processors and mem memory units; mem 0
 // disables the memory dimension. It panics if n <= 0 or mem < 0.
 func NewWithMem(n, mem int) *Cluster {
-	if n <= 0 {
-		panic(fmt.Sprintf("cluster: non-positive machine size %d", n))
+	if n <= 0 || mem < 0 {
+		panic(fmt.Sprintf("cluster: bad machine size: %d procs, %d mem", n, mem))
 	}
-	if mem < 0 {
-		panic(fmt.Sprintf("cluster: negative memory capacity %d", mem))
-	}
-	return &Cluster{total: n, free: n, memTotal: mem, memFree: mem, alloc: make(map[int]grant)}
+	return &Cluster{total: n, free: n, memTotal: mem, memFree: mem}
 }
-
-// Total returns the machine size.
-func (c *Cluster) Total() int { return c.total }
 
 // Free returns the number of idle processors.
 func (c *Cluster) Free() int { return c.free }
-
-// TotalMem returns the machine memory capacity (0 = dimension off).
-func (c *Cluster) TotalMem() int { return c.memTotal }
 
 // FreeMem returns the idle memory units (0 when the dimension is off).
 func (c *Cluster) FreeMem() int { return c.memFree }
@@ -58,74 +33,38 @@ func (c *Cluster) FreeMem() int { return c.memFree }
 // Used returns the number of busy processors.
 func (c *Cluster) Used() int { return c.total - c.free }
 
-// Running returns the number of jobs currently holding processors.
-func (c *Cluster) Running() int { return len(c.alloc) }
-
-// Utilization returns the busy fraction in [0, 1].
-func (c *Cluster) Utilization() float64 { return float64(c.Used()) / float64(c.total) }
-
 // Fits reports whether a job needing procs processors can start now.
 func (c *Cluster) Fits(procs int) bool { return procs > 0 && procs <= c.free }
 
 // FitsRes reports whether a job needing procs processors and mem memory can
 // start now. Memory is ignored when the dimension is off.
 func (c *Cluster) FitsRes(procs, mem int) bool {
-	if !c.Fits(procs) {
-		return false
-	}
-	return c.memTotal == 0 || mem <= c.memFree
+	return c.Fits(procs) && (c.memTotal == 0 || mem <= c.memFree)
 }
 
-// Alloc reserves procs processors for job id. It returns an error if the job
-// already holds an allocation or the request cannot be satisfied.
-func (c *Cluster) Alloc(id, procs int) error {
-	return c.AllocRes(id, procs, 0)
-}
-
-// AllocRes reserves procs processors and mem memory units for job id. Memory
-// is ignored (not charged) when the dimension is off.
-func (c *Cluster) AllocRes(id, procs, mem int) error {
-	if procs <= 0 {
-		return fmt.Errorf("cluster: job %d requested %d procs", id, procs)
+// Alloc takes procs processors and mem memory units for one job, or returns
+// an error if they are not free. Memory is not charged when the dimension is
+// off.
+func (c *Cluster) Alloc(procs, mem int) error {
+	if !c.FitsRes(procs, mem) {
+		return fmt.Errorf("cluster: needs %d procs and %d mem, only %d and %d free", procs, mem, c.free, c.memFree)
 	}
-	if _, ok := c.alloc[id]; ok {
-		return fmt.Errorf("cluster: job %d already allocated", id)
-	}
-	if procs > c.free {
-		return fmt.Errorf("cluster: job %d needs %d procs, only %d free", id, procs, c.free)
-	}
-	if c.memTotal == 0 {
-		mem = 0
-	} else if mem > c.memFree {
-		return fmt.Errorf("cluster: job %d needs %d mem, only %d free", id, mem, c.memFree)
-	}
-	c.alloc[id] = grant{procs: procs, mem: mem}
 	c.free -= procs
-	c.memFree -= mem
-	return nil
-}
-
-// Release frees the resources held by job id.
-func (c *Cluster) Release(id int) error {
-	g, ok := c.alloc[id]
-	if !ok {
-		return fmt.Errorf("cluster: job %d has no allocation", id)
+	if c.memTotal > 0 {
+		c.memFree -= mem
 	}
-	delete(c.alloc, id)
-	c.free += g.procs
-	c.memFree += g.mem
 	return nil
 }
 
-// Holding returns the processors held by job id (0 if none).
-func (c *Cluster) Holding(id int) int { return c.alloc[id].procs }
-
-// HoldingMem returns the memory units held by job id (0 if none).
-func (c *Cluster) HoldingMem(id int) int { return c.alloc[id].mem }
-
-// Reset returns the cluster to the fully idle state.
-func (c *Cluster) Reset() {
-	c.free = c.total
-	c.memFree = c.memTotal
-	c.alloc = make(map[int]grant)
+// Release returns what one Alloc with the same arguments took. It panics if
+// that would free more than the machine has, which only a release without
+// its Alloc can do.
+func (c *Cluster) Release(procs, mem int) {
+	c.free += procs
+	if c.memTotal > 0 {
+		c.memFree += mem
+	}
+	if c.free > c.total || c.memFree > c.memTotal {
+		panic(fmt.Sprintf("cluster: releasing %d procs and %d mem frees more than the machine has", procs, mem))
+	}
 }

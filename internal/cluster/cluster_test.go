@@ -8,52 +8,83 @@ import (
 )
 
 func TestNewPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New(0) did not panic")
-		}
-	}()
-	New(0)
+	for _, c := range []struct{ n, mem int }{{0, 0}, {-1, 0}, {4, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewWithMem(%d, %d) did not panic", c.n, c.mem)
+				}
+			}()
+			NewWithMem(c.n, c.mem)
+		}()
+	}
 }
 
 func TestAllocRelease(t *testing.T) {
 	c := New(10)
-	if err := c.Alloc(1, 4); err != nil {
+	if err := c.Alloc(4, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c.Free() != 6 || c.Used() != 4 || c.Running() != 1 {
-		t.Fatalf("state after alloc: free=%d used=%d running=%d", c.Free(), c.Used(), c.Running())
+	if c.Free() != 6 || c.Used() != 4 {
+		t.Fatalf("state after alloc: free=%d used=%d", c.Free(), c.Used())
 	}
-	if c.Holding(1) != 4 {
-		t.Fatalf("Holding(1) = %d", c.Holding(1))
+	c.Release(4, 0)
+	if c.Free() != 10 || c.Used() != 0 {
+		t.Fatalf("state after release: free=%d used=%d", c.Free(), c.Used())
 	}
-	if err := c.Release(1); err != nil {
+	// With the memory dimension on both resources are charged; with it off
+	// memory is ignored and FreeMem stays 0.
+	m := NewWithMem(10, 100)
+	if err := m.Alloc(3, 40); err != nil {
 		t.Fatal(err)
 	}
-	if c.Free() != 10 || c.Running() != 0 {
-		t.Fatalf("state after release: free=%d running=%d", c.Free(), c.Running())
+	if m.Free() != 7 || m.FreeMem() != 60 {
+		t.Fatalf("state after alloc: free=%d mem=%d", m.Free(), m.FreeMem())
+	}
+	m.Release(3, 40)
+	if m.Free() != 10 || m.FreeMem() != 100 {
+		t.Fatalf("state after release: free=%d mem=%d", m.Free(), m.FreeMem())
+	}
+	if err := c.Alloc(2, 1000); err != nil || c.FreeMem() != 0 {
+		t.Fatalf("memless alloc: err=%v mem=%d", err, c.FreeMem())
 	}
 }
 
+// A cluster counts resources, not jobs: a job ID held twice is refused at
+// admission (sim's TestInjectRejectsHeldID, TestRestoreRejectsRepeatedIDsAndOvercommit
+// and trace's TestTraceValidateRejectsRepeatedIDs), not here.
 func TestAllocErrors(t *testing.T) {
-	c := New(10)
-	if err := c.Alloc(1, 0); err == nil {
+	c := NewWithMem(10, 20)
+	if err := c.Alloc(0, 0); err == nil {
 		t.Fatal("zero-proc alloc accepted")
 	}
-	if err := c.Alloc(1, 11); err == nil {
+	if err := c.Alloc(11, 0); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
-	if err := c.Alloc(1, 5); err != nil {
+	if err := c.Alloc(1, 21); err == nil {
+		t.Fatal("memory oversubscription accepted")
+	}
+	if err := c.Alloc(5, 15); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Alloc(1, 2); err == nil {
-		t.Fatal("double allocation accepted")
+	if err := c.Alloc(6, 0); err == nil {
+		t.Fatal("alloc beyond free procs accepted")
 	}
-	if err := c.Alloc(2, 6); err == nil {
-		t.Fatal("alloc beyond free accepted")
+	if err := c.Alloc(1, 6); err == nil {
+		t.Fatal("alloc beyond free mem accepted")
 	}
-	if err := c.Release(99); err == nil {
-		t.Fatal("release of unknown job accepted")
+	if c.Free() != 5 || c.FreeMem() != 5 {
+		t.Fatalf("refused allocs changed the cluster: free=%d mem=%d", c.Free(), c.FreeMem())
+	}
+	for _, r := range []struct{ procs, mem int }{{6, 0}, {1, 6}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("release of %d procs and %d mem beyond what is held accepted", r.procs, r.mem)
+				}
+			}()
+			NewWithMem(10, 20).Release(r.procs, r.mem)
+		}()
 	}
 }
 
@@ -62,32 +93,15 @@ func TestFits(t *testing.T) {
 	if !c.Fits(8) || c.Fits(9) || c.Fits(0) {
 		t.Fatal("Fits boundary conditions wrong")
 	}
-}
-
-func TestUtilization(t *testing.T) {
-	c := New(4)
-	if c.Utilization() != 0 {
-		t.Fatal("idle utilization not 0")
-	}
-	_ = c.Alloc(1, 2)
-	if c.Utilization() != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", c.Utilization())
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := New(4)
-	_ = c.Alloc(1, 4)
-	c.Reset()
-	if c.Free() != 4 || c.Running() != 0 {
-		t.Fatal("Reset did not restore idle state")
+	m := NewWithMem(8, 4)
+	if !m.FitsRes(8, 4) || m.FitsRes(8, 5) || m.FitsRes(9, 0) || !c.FitsRes(8, 1000) {
+		t.Fatal("FitsRes boundary conditions wrong")
 	}
 }
 
 // Property: any random alloc/release sequence keeps 0 <= free <= total and
 // free + sum(held) == total.
 func TestClusterInvariants(t *testing.T) {
-	rng := stats.NewRNG(5)
 	f := func(seed uint16) bool {
 		r := stats.NewRNG(uint64(seed))
 		c := New(64)
@@ -95,19 +109,22 @@ func TestClusterInvariants(t *testing.T) {
 		for step := 0; step < 200; step++ {
 			if r.Bool(0.6) {
 				id := r.Intn(100)
+				if _, dup := held[id]; dup {
+					continue // IDs are unique at admission, above the cluster
+				}
 				procs := r.Intn(70) + 1
-				if err := c.Alloc(id, procs); err == nil {
-					if _, dup := held[id]; dup {
-						return false // duplicate alloc must have errored
-					}
+				fits := procs <= c.Free()
+				err := c.Alloc(procs, 0)
+				if (err == nil) != fits {
+					return false // refused a fitting job or took one that does not fit
+				}
+				if err == nil {
 					held[id] = procs
 				}
 			} else if len(held) > 0 {
 				// release a random held job
-				for id := range held {
-					if err := c.Release(id); err != nil {
-						return false
-					}
+				for id, procs := range held {
+					c.Release(procs, 0)
 					delete(held, id)
 					break
 				}
@@ -122,9 +139,7 @@ func TestClusterInvariants(t *testing.T) {
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 100, Values: nil}
-	_ = rng
-	if err := quick.Check(f, cfg); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,3 +1,11 @@
+// Package cluster models the future availability of the homogeneous HPC
+// machine the paper schedules on (§3.2: "we assume the HPC environment is
+// homogeneous"): the skyline Profile of free processors over time that
+// reservation-based backfilling plans on, and VecProfile, which adds an
+// optional memory dimension (in abstract units; a zero capacity disables
+// it and keeps every operation identical to the procs-only skyline); and
+// Cluster, the machine's free processors and memory now. Which jobs run is
+// the simulator's bookkeeping (internal/sim), not this package's.
 package cluster
 
 import (

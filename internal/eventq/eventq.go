@@ -1,9 +1,9 @@
-// Package eventq provides the event queue of the discrete-event scheduling
-// simulator. The optimised engine feeds arrivals lazily from the
-// submit-sorted trace and queues only Finish events here (see internal/sim);
-// the Arrive kind and the Finish-before-Arrive ordering contract are
-// retained for the reference kernel the differential test pins the engine
-// against, and for callers that do queue both kinds.
+// Package eventq provides a deterministic timed-event queue for
+// discrete-event scheduling simulation. The engine (internal/sim) feeds
+// arrivals lazily from the submit-sorted trace and keeps its running jobs in
+// its own heap on (end, job ID), so it queues only the Wake ticks of an
+// aging scenario here; the Arrive and Finish kinds and their ordering
+// contract are kept for callers that queue whole simulations' events.
 //
 // Queue is a binary min-heap ordered by (Time, Kind, Seq). A calendar queue
 // was tried and removed: it measured no end-to-end win over the heap

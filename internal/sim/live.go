@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/backfill"
 	"repro/internal/trace"
@@ -23,10 +24,11 @@ func NewLiveEngine(name string, procs, mem int, cfg Config) (*Engine, error) {
 
 // Inject appends a job to the engine's arrival stream. The job must satisfy
 // the same invariants trace.Validate enforces for batch replays: it must fit
-// the machine, and its submit time must be at or after both the engine clock
-// and the last not-yet-admitted arrival, so the stream stays submit-sorted.
-// The job is admitted to the waiting queue when the clock reaches its submit
-// time (Step/RunUntil), exactly like a batch arrival.
+// the machine, its ID must not be pending, queued or running already, and
+// its submit time must be at or after both the engine clock and the last
+// not-yet-admitted arrival, so the stream stays submit-sorted. The job is
+// admitted to the waiting queue when the clock reaches its submit time
+// (Step/RunUntil), exactly like a batch arrival.
 func (e *Engine) Inject(j *trace.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
@@ -34,8 +36,8 @@ func (e *Engine) Inject(j *trace.Job) error {
 	if j.Procs > e.procs {
 		return fmt.Errorf("sim: job %d requests %d procs > machine size %d", j.ID, j.Procs, e.procs)
 	}
-	if mt := e.cluster.TotalMem(); mt > 0 && j.Mem > mt {
-		return fmt.Errorf("sim: job %d requests %d mem > machine capacity %d", j.ID, j.Mem, mt)
+	if e.mem > 0 && j.Mem > e.mem {
+		return fmt.Errorf("sim: job %d requests %d mem > machine capacity %d", j.ID, j.Mem, e.mem)
 	}
 	if j.Submit < e.clock {
 		return fmt.Errorf("sim: job %d submitted at %d before engine clock %d", j.ID, j.Submit, e.clock)
@@ -43,8 +45,19 @@ func (e *Engine) Inject(j *trace.Job) error {
 	if n := len(e.arrivals); n > e.nextArr && j.Submit < e.arrivals[n-1].Submit {
 		return fmt.Errorf("sim: job %d submitted at %d before pending arrival at %d", j.ID, j.Submit, e.arrivals[n-1].Submit)
 	}
+	if j.ID <= e.maxID && e.holds(j.ID) {
+		return fmt.Errorf("sim: job %d is already pending, queued or running", j.ID)
+	}
+	e.maxID = max(e.maxID, j.ID)
 	e.arrivals = append(e.arrivals, j)
 	return nil
+}
+
+// holds reports whether a job with this ID is pending, queued or running.
+func (e *Engine) holds(id int) bool {
+	is := func(j *trace.Job) bool { return j.ID == id }
+	return slices.ContainsFunc(e.arrivals[e.nextArr:], is) || slices.ContainsFunc(e.queue, is) ||
+		slices.ContainsFunc(e.running, func(r backfill.Running) bool { return is(r.Job) })
 }
 
 // Cancel removes a not-yet-started job by ID — either still pending in the
@@ -72,7 +85,7 @@ func (e *Engine) Cancel(id int) bool {
 	return false
 }
 
-// NextEventTime returns the earliest pending timestamp (finish event, wake
+// NextEventTime returns the earliest pending timestamp (job completion, wake
 // tick or unadmitted arrival), or ok=false when the engine is drained. The
 // serve daemon maps it to a wall-clock deadline through its clock adapter.
 func (e *Engine) NextEventTime() (int64, bool) { return e.nextTime() }

@@ -106,6 +106,44 @@ func TestInjectValidation(t *testing.T) {
 	}
 }
 
+// Inject refuses an ID that is pending, queued or running: the engine would
+// otherwise hold one job twice. A canceled job's ID is free again.
+func TestInjectRejectsHeldID(t *testing.T) {
+	e, err := NewLiveEngine("ids", 4, 0, Config{Policy: sched.FCFS{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(id int, submit int64) *trace.Job {
+		return &trace.Job{ID: id, Submit: submit, Runtime: 100, Request: 100, Procs: 4}
+	}
+	for _, j := range []*trace.Job{mk(1, 0), mk(2, 0), mk(3, 50), mk(9, 60)} {
+		if err := e.Inject(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.RunUntil(10) // job 1 runs, 2 waits, 3 and 9 are pending
+	if e.RunningCount() != 1 || e.QueueLen() != 1 || e.PendingArrivals() != 2 {
+		t.Fatalf("running=%d queue=%d pending=%d, want 1/1/2", e.RunningCount(), e.QueueLen(), e.PendingArrivals())
+	}
+	for _, id := range []int{1, 2, 3, 9} {
+		if err := e.Inject(mk(id, 70)); err == nil {
+			t.Fatalf("job %d injected while held", id)
+		}
+	}
+	if !e.Cancel(3) {
+		t.Fatal("canceling pending job 3 failed")
+	}
+	for _, id := range []int{3, 4, 10} {
+		if err := e.Inject(mk(id, 70)); err != nil {
+			t.Fatalf("inject job %d: %v", id, err)
+		}
+	}
+	e.RunToCompletion()
+	if got := len(e.Records()); got != 6 { // 1, 2, 9 and the three injected last
+		t.Fatalf("%d records, want 6", got)
+	}
+}
+
 func TestCancelPendingAndQueued(t *testing.T) {
 	e, err := NewLiveEngine("c", 2, 0, Config{Policy: sched.FCFS{}, Backfiller: &backfill.EASY{Est: backfill.RequestTime{}}})
 	if err != nil {

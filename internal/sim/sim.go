@@ -10,7 +10,9 @@
 // re-sorted — while time-varying policies (WFP3) fall back to a decorated
 // re-sort that computes each score exactly once per event. Queue removal
 // locates jobs by binary search on their score instead of a linear scan, and
-// the running set is maintained as an ID-sorted slice. Every start, finish,
+// the running set is one binary min-heap on (end, job ID), which is also the
+// engine's only record of what runs: completions pop off its top, and a
+// cluster.Cluster counts the free processors and memory. Every start, finish,
 // arrival, cancel and re-sort is also written to a bounded change journal
 // (backfill.Journal), from which backfillers that keep state across rounds
 // learn what changed instead of re-deriving it: the reservation index
@@ -19,9 +21,9 @@
 // conservative backfilling carries its plan while the changes go by it. All
 // orderings use sched.Less (score, then submit time, then ID), and arrivals
 // are fed lazily from the submit-sorted trace instead of being heap-pushed
-// one event per job up front — the event heap holds only pending
-// completions (size ~ running jobs, not trace length) — which keeps
-// schedules bit-identical to a naive sort-every-event kernel.
+// one event per job up front — the event queue holds only the Wake ticks of
+// an aging scenario — which keeps schedules bit-identical to a naive
+// sort-every-event kernel.
 package sim
 
 import (
@@ -65,14 +67,20 @@ type Result struct {
 // backfillers (including the RL agent) can inspect and act on it. Use Run
 // for the common replay-a-whole-trace case.
 type Engine struct {
-	cfg     Config
-	procs   int
-	clock   int64
-	cluster *cluster.Cluster
-	// events holds Finish events (arrivals are fed lazily from the
-	// submit-sorted trace below, so the heap never exceeds the number of
-	// concurrently running jobs instead of starting at size n) plus, under
-	// an aging scenario, Wake ticks at starvation-transition instants.
+	cfg   Config
+	procs int
+	mem   int // 0 = memory dimension off
+	clock int64
+	// machine counts the processors and memory the running jobs leave free.
+	machine cluster.Cluster
+	// running is a binary min-heap on (end, job ID) with ends[i] the end of
+	// running[i]: the engine's only record of what runs. Its top is the next
+	// completion.
+	running []backfill.Running
+	ends    []int64
+	// events holds, under an aging scenario, the Wake ticks at waiting jobs'
+	// starvation-transition instants; arrivals are fed lazily from the
+	// submit-sorted trace below, and completions come off running.
 	events eventq.Queue
 	// arrivals is the validated, submit-sorted job list; nextArr indexes the
 	// first job not yet admitted to the waiting queue.
@@ -87,9 +95,9 @@ type Engine struct {
 	static bool
 	scnOn  bool // cfg.Scenario.Enabled(), hoisted off the hot paths
 	sorter sched.Sorter
-	// running is kept sorted by job ID (insert on start, remove on finish),
-	// so State.Running needs no per-call rebuild.
-	running []backfill.Running
+	// maxID is the largest job ID admitted, so Inject looks for a repeat
+	// only below it.
+	maxID int
 	// journal records every start, finish, arrival, cancel and re-sort for
 	// the backfillers that keep state across rounds (backfill.State.Journal).
 	journal backfill.Journal
@@ -111,11 +119,15 @@ func NewEngine(t *trace.Trace, cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:      cfg,
 		procs:    t.Procs,
-		cluster:  cluster.NewWithMem(t.Procs, t.Mem),
+		mem:      t.Mem,
+		machine:  *cluster.NewWithMem(t.Procs, t.Mem),
 		static:   !cfg.Policy.TimeVarying() && !cfg.Scenario.TimeVarying(),
 		scnOn:    cfg.Scenario.Enabled(),
 		arrivals: t.Jobs,
 		records:  make([]metrics.Record, 0, len(t.Jobs)),
+	}
+	for _, j := range t.Jobs {
+		e.maxID = max(e.maxID, j.ID)
 	}
 	e.journal.Open()
 	return e, nil
@@ -142,29 +154,22 @@ func (e *Engine) RunToCompletion() {
 // the earliest pending timestamp (so a single scheduling decision sees all
 // completions and arrivals at that instant), runs one scheduling round, and
 // notifies the probe. It reports false when no events remain. Completions
-// apply before arrivals at the same instant — the same ordering the event
-// heap enforced when arrivals were queued as events — so freed processors
-// are visible to the newly arrived jobs, and arrivals enter in trace order,
-// matching the heap's insertion-order tie-break.
+// apply before arrivals at the same instant, in job-ID order, so freed
+// processors are visible to the newly arrived jobs, and arrivals enter in
+// trace order.
 func (e *Engine) Step() bool {
 	now, ok := e.nextTime()
 	if !ok {
 		return false
 	}
 	e.clock = now
-	for {
-		next, ok := e.events.Peek()
-		if !ok || next.Time != now {
-			break
-		}
-		ev, _ := e.events.Pop()
-		switch ev.Kind {
-		case eventq.Finish:
-			e.applyFinish(ev.Payload.(*trace.Job))
-		case eventq.Wake:
-			// Starvation-transition tick: no state changes here — the
-			// scheduling round below re-ranks the queue at this instant.
-		}
+	for len(e.ends) > 0 && e.ends[0] == now {
+		e.finishTop()
+	}
+	// Starvation-transition ticks change no state: the scheduling round
+	// below re-ranks the queue at this instant.
+	for ev, ok := e.events.Peek(); ok && ev.Time == now; ev, ok = e.events.Peek() {
+		e.events.Pop()
 	}
 	for e.nextArr < len(e.arrivals) && e.arrivals[e.nextArr].Submit == now {
 		e.enqueue(e.arrivals[e.nextArr])
@@ -172,17 +177,21 @@ func (e *Engine) Step() bool {
 	}
 	e.schedule()
 	if e.cfg.Probe != nil {
-		e.cfg.Probe.Observe(e.clock, len(e.queue), e.cluster.Free(), e.procs)
+		e.cfg.Probe.Observe(e.clock, len(e.queue), e.machine.Free(), e.procs)
 	}
 	return true
 }
 
-// nextTime returns the earliest pending timestamp across the finish heap and
-// the unfed arrivals, or ok=false when the simulation is drained.
+// nextTime returns the earliest pending timestamp across the running heap,
+// the wake ticks and the unfed arrivals, or ok=false when the simulation is
+// drained.
 func (e *Engine) nextTime() (int64, bool) {
 	var t int64
-	have := false
-	if ev, ok := e.events.Peek(); ok {
+	have := len(e.ends) > 0
+	if have {
+		t = e.ends[0]
+	}
+	if ev, ok := e.events.Peek(); ok && (!have || ev.Time < t) {
 		t, have = ev.Time, true
 	}
 	if e.nextArr < len(e.arrivals) {
@@ -193,14 +202,63 @@ func (e *Engine) nextTime() (int64, bool) {
 	return t, have
 }
 
-func (e *Engine) applyFinish(j *trace.Job) {
-	if err := e.cluster.Release(j.ID); err != nil {
-		panic(fmt.Sprintf("sim: releasing job %d: %v", j.ID, err))
-	}
-	if i := e.runningIndex(j.ID); i < len(e.running) && e.running[i].Job.ID == j.ID {
-		e.running = append(e.running[:i], e.running[i+1:]...)
-	}
+// finishTop completes the job on top of the running heap.
+func (e *Engine) finishTop() {
+	j := e.running[0].Job
+	last := len(e.running) - 1
+	e.swap(0, last)
+	e.running[last] = backfill.Running{} // drop the job reference
+	e.running, e.ends = e.running[:last], e.ends[:last]
+	e.down(0)
+	e.machine.Release(j.Procs, j.Mem)
 	e.journal.Record(backfill.Finished, j, e.clock)
+}
+
+// pushRunning adds a job to the running heap once its resources are
+// allocated (shared by StartJob and snapshot restore, so the representation
+// cannot drift between them).
+func (e *Engine) pushRunning(j *trace.Job, start, end int64) {
+	e.running = append(e.running, backfill.Running{Job: j, Start: start})
+	e.ends = append(e.ends, end)
+	for i := len(e.ends) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !e.less(i, p) {
+			break
+		}
+		e.swap(i, p)
+		i = p
+	}
+}
+
+// less orders the running heap on (end, job ID).
+func (e *Engine) less(a, b int) bool {
+	if e.ends[a] != e.ends[b] {
+		return e.ends[a] < e.ends[b]
+	}
+	return e.running[a].Job.ID < e.running[b].Job.ID
+}
+
+func (e *Engine) swap(a, b int) {
+	e.running[a], e.running[b] = e.running[b], e.running[a]
+	e.ends[a], e.ends[b] = e.ends[b], e.ends[a]
+}
+
+func (e *Engine) down(i int) {
+	n := len(e.ends)
+	for {
+		m := i
+		if l := 2*i + 1; l < n && e.less(l, m) {
+			m = l
+		}
+		if r := 2*i + 2; r < n && e.less(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		e.swap(i, m)
+		i = m
+	}
 }
 
 // enqueue adds an arriving job to the waiting queue. Static policies
@@ -255,7 +313,7 @@ func (e *Engine) schedule() {
 		e.sorter.SortScenario(e.queue, e.qscore, e.cfg.Policy, e.clock, e.cfg.Scenario)
 		e.journal.Record(backfill.Reordered, nil, e.clock)
 	}
-	for len(e.queue) > 0 && e.cluster.FitsRes(e.queue[0].Procs, e.queue[0].Mem) {
+	for len(e.queue) > 0 && e.machine.FitsRes(e.queue[0].Procs, e.queue[0].Mem) {
 		e.StartJob(e.queue[0])
 	}
 	if len(e.queue) == 0 || e.cfg.Backfiller == nil {
@@ -270,34 +328,28 @@ func (e *Engine) schedule() {
 func (e *Engine) Now() int64 { return e.clock }
 
 // FreeProcs implements backfill.State.
-func (e *Engine) FreeProcs() int { return e.cluster.Free() }
+func (e *Engine) FreeProcs() int { return e.machine.Free() }
 
 // TotalProcs implements backfill.State.
 func (e *Engine) TotalProcs() int { return e.procs }
 
 // FreeMem implements backfill.MemState.
-func (e *Engine) FreeMem() int { return e.cluster.FreeMem() }
+func (e *Engine) FreeMem() int { return e.machine.FreeMem() }
 
 // TotalMem implements backfill.MemState; 0 means the machine (trace) has no
 // memory dimension and every memory constraint is inert.
-func (e *Engine) TotalMem() int { return e.cluster.TotalMem() }
+func (e *Engine) TotalMem() int { return e.mem }
 
-// Running implements backfill.State; the slice is sorted by job ID. It is
-// the engine's live bookkeeping (maintained incrementally, never rebuilt):
-// callers must treat it as read-only and must not retain it across StartJob
-// calls or simulation steps.
+// Running implements backfill.State; the slice is the running heap, in heap
+// order. It is the engine's live bookkeeping (maintained incrementally,
+// never rebuilt): callers must treat it as read-only and must not retain it
+// across StartJob calls or simulation steps.
 func (e *Engine) Running() []backfill.Running { return e.running }
 
 // Journal implements backfill.State: the engine's recent starts, finishes,
 // arrivals, cancels and re-sorts. Every engine, a restored one included,
 // opens its own.
 func (e *Engine) Journal() *backfill.Journal { return &e.journal }
-
-// runningIndex returns the position of job id in the ID-sorted running
-// slice, or the insertion point if absent.
-func (e *Engine) runningIndex(id int) int {
-	return sort.Search(len(e.running), func(i int) bool { return e.running[i].Job.ID >= id })
-}
 
 // queueIndex locates a waiting job. The queue is sorted whenever starts can
 // happen, so a binary search on the job's score finds it in O(log n); a
@@ -335,7 +387,7 @@ func (e *Engine) queueIndex(j *trace.Job) int {
 // Request Time"), a job whose actual runtime exceeds its request is killed
 // when the wall-time limit expires.
 func (e *Engine) StartJob(j *trace.Job) {
-	if err := e.cluster.AllocRes(j.ID, j.Procs, j.Mem); err != nil {
+	if err := e.machine.Alloc(j.Procs, j.Mem); err != nil {
 		panic(fmt.Sprintf("sim: starting job %d: %v", j.ID, err))
 	}
 	i := e.queueIndex(j)
@@ -344,11 +396,10 @@ func (e *Engine) StartJob(j *trace.Job) {
 	}
 	e.queue = append(e.queue[:i], e.queue[i+1:]...)
 	e.qscore = append(e.qscore[:i], e.qscore[i+1:]...)
-	run := effectiveRuntime(j)
-	e.insertRunning(j, e.clock)
+	end := e.clock + effectiveRuntime(j)
+	e.pushRunning(j, e.clock, end)
 	e.journal.Record(backfill.Started, j, e.clock)
-	e.events.Push(eventq.Event{Time: e.clock + run, Kind: eventq.Finish, Payload: j})
-	e.records = append(e.records, metrics.Record{Job: j, Start: e.clock, End: e.clock + run})
+	e.records = append(e.records, metrics.Record{Job: j, Start: e.clock, End: end})
 }
 
 // effectiveRuntime is the time a started job occupies the machine: its
@@ -358,15 +409,6 @@ func effectiveRuntime(j *trace.Job) int64 {
 		return j.Request // killed at the wall-time limit
 	}
 	return j.Runtime
-}
-
-// insertRunning adds a job to the ID-sorted running set (shared by StartJob
-// and snapshot restore, so the representation cannot drift between them).
-func (e *Engine) insertRunning(j *trace.Job, start int64) {
-	ri := e.runningIndex(j.ID)
-	e.running = append(e.running, backfill.Running{})
-	copy(e.running[ri+1:], e.running[ri:])
-	e.running[ri] = backfill.Running{Job: j, Start: start}
 }
 
 // QueueLen returns the number of waiting jobs (useful for instrumentation).

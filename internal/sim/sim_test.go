@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/backfill"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -373,8 +374,9 @@ func TestStepwiseMatchesRunToCompletion(t *testing.T) {
 	}
 }
 
-// Running must stay ID-sorted at every instant of the simulation (it is the
-// engine's live, incrementally maintained bookkeeping).
+// TestRunningStaysSortedByID checks that the running set a snapshot hands
+// out is sorted by job ID after every Step, whatever order the running heap
+// holds it in.
 func TestRunningStaysSortedByID(t *testing.T) {
 	tr := trace.SyntheticHPC2N(250, 17)
 	e, err := NewEngine(tr, Config{Policy: sched.FCFS{}, Backfiller: backfill.NewEASY(backfill.RequestTime{})})
@@ -382,12 +384,171 @@ func TestRunningStaysSortedByID(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e.Step() {
-		rs := e.Running()
+		rs := e.Snapshot().Running
 		for i := 1; i < len(rs); i++ {
 			if rs[i-1].Job.ID >= rs[i].Job.ID {
 				t.Fatalf("running set not ID-sorted at t=%d", e.Now())
 			}
 		}
+	}
+}
+
+// runningModel is what runs, kept from the records alone: a job runs from
+// the step that started it until the first step at or after its end.
+type runningModel struct {
+	live map[int]metrics.Record
+	seen int // records folded in so far
+}
+
+// check advances the model past one Step and compares the engine with it:
+// Running is exactly the started, unfinished jobs with their start times,
+// the free resources are the machine less their sums, and the snapshot's
+// running set is sorted by ID (which also rules out a job held twice).
+func (m *runningModel) check(t *testing.T, label string, e *Engine) {
+	t.Helper()
+	if m.live == nil {
+		m.live = map[int]metrics.Record{}
+	}
+	for id, r := range m.live {
+		if r.End <= e.Now() {
+			delete(m.live, id)
+		}
+	}
+	for _, r := range e.Records()[m.seen:] {
+		m.live[r.Job.ID] = r
+	}
+	m.seen = len(e.Records())
+	rs := e.Running()
+	if len(rs) != len(m.live) {
+		t.Fatalf("%s t=%d: %d running, want %d", label, e.Now(), len(rs), len(m.live))
+	}
+	procs, mem := 0, 0
+	for _, r := range rs {
+		if want, ok := m.live[r.Job.ID]; !ok || want.Job != r.Job || want.Start != r.Start {
+			t.Fatalf("%s t=%d: job %d running from %d, model has %v", label, e.Now(), r.Job.ID, r.Start, want)
+		}
+		procs += r.Job.Procs
+		if e.TotalMem() > 0 {
+			mem += r.Job.Mem
+		}
+	}
+	if e.FreeProcs() != e.TotalProcs()-procs || e.FreeMem() != e.TotalMem()-mem {
+		t.Fatalf("%s t=%d: free %d procs/%d mem, want %d/%d", label, e.Now(),
+			e.FreeProcs(), e.FreeMem(), e.TotalProcs()-procs, e.TotalMem()-mem)
+	}
+	snap := e.Snapshot().Running
+	if len(snap) != len(rs) {
+		t.Fatalf("%s t=%d: snapshot holds %d running, engine %d", label, e.Now(), len(snap), len(rs))
+	}
+	for i := 1; i < len(snap); i++ {
+		if snap[i-1].Job.ID >= snap[i].Job.ID {
+			t.Fatalf("%s t=%d: snapshot running set not ID-sorted", label, e.Now())
+		}
+	}
+}
+
+// TestRunningIsStartedLessFinished checks the running heap at every Step
+// against the records: under EASY, under conservative backfilling, under an
+// aging scenario whose Wake ticks land between events, and on a live engine
+// that cancels jobs as it goes.
+func TestRunningIsStartedLessFinished(t *testing.T) {
+	easy := func(scn sched.Scenario) backfill.Backfiller {
+		return &backfill.EASY{Est: backfill.RequestTime{}, Scn: scn}
+	}
+	aging := sched.Scenario{Priorities: true, StarvationBound: 2}
+	enriched := mustEnrich(t, trace.SyntheticSDSCSP2(300, 7),
+		trace.EnrichSpec{MemDist: trace.MemDistProp, PriorityTiers: 3, Seed: 11})
+	memless := enriched.Clone() // jobs that ask for memory on a machine without it
+	memless.Mem = 0
+	for _, c := range []struct {
+		name string
+		tr   *trace.Trace
+		cfg  Config
+	}{
+		{"easy", trace.SyntheticHPC2N(250, 17), Config{Policy: sched.FCFS{}, Backfiller: easy(sched.Scenario{})}},
+		{"easy-memless", memless, Config{Policy: sched.FCFS{}, Backfiller: easy(sched.Scenario{})}},
+		{"conservative", enriched, Config{Policy: sched.WFP3{}, Backfiller: backfill.NewConservative(backfill.RequestTime{})}},
+		{"aging", enriched, Config{Policy: sched.FCFS{}, Scenario: aging, Backfiller: easy(aging)}},
+	} {
+		e, err := NewEngine(c.tr.Clone(), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m runningModel
+		wakes := false
+		for e.Step() {
+			m.check(t, c.name, e)
+			wakes = wakes || e.events.Len() > 0
+		}
+		if len(e.Records()) != c.tr.Len() || len(e.Running()) != 0 {
+			t.Fatalf("%s: %d records of %d, %d still running", c.name, len(e.Records()), c.tr.Len(), len(e.Running()))
+		}
+		if wakes != c.cfg.Scenario.Aging() {
+			t.Fatalf("%s: wake ticks queued = %v", c.name, wakes)
+		}
+	}
+
+	tr := liveTrace(5, 300, 16)
+	e, err := NewLiveEngine(tr.Name, tr.Procs, 0, Config{Policy: sched.FCFS{}, Backfiller: easy(sched.Scenario{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m runningModel
+	canceled := 0
+	for i, j := range tr.Jobs {
+		if j.Submit > 0 {
+			for t0, ok := e.NextEventTime(); ok && t0 < j.Submit; t0, ok = e.NextEventTime() {
+				e.Step()
+				m.check(t, "live", e)
+			}
+		}
+		if err := e.Inject(j.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 3 { // cancel a job that is queued now, or else still pending
+			var q []*trace.Job
+			if q = e.AppendQueued(q); len(q) == 0 {
+				q = e.AppendPending(q)
+			}
+			if e.Cancel(q[len(q)-1].ID) {
+				canceled++
+			}
+		}
+	}
+	for e.Step() {
+		m.check(t, "live", e)
+	}
+	if canceled == 0 || len(e.Records()) != tr.Len()-canceled {
+		t.Fatalf("live: %d records of %d jobs with %d canceled", len(e.Records()), tr.Len(), canceled)
+	}
+}
+
+// A job that does not fit the free machine is a backfiller bug: StartJob
+// panics rather than overcommit.
+func TestStartJobPanicsWhenJobDoesNotFit(t *testing.T) {
+	for _, mem := range []int{0, 10} {
+		tr := mkTrace(4, job(1, 0, 100, 100, 3), job(2, 0, 100, 100, 2))
+		tr.Mem = mem
+		if mem > 0 {
+			tr.Jobs[0].Procs, tr.Jobs[0].Mem = 1, 8
+			tr.Jobs[1].Mem = 5
+		}
+		e, err := NewEngine(tr, Config{Policy: sched.FCFS{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Step() // job 1 starts; job 2 is left waiting
+		if e.QueueLen() != 1 {
+			t.Fatalf("mem %d: %d queued, want 1", mem, e.QueueLen())
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("mem %d: starting job 2 did not panic", mem)
+				}
+			}()
+			e.StartJob(tr.Jobs[1])
+		}()
 	}
 }
 
@@ -423,9 +584,9 @@ func TestJobKilledAtRequestLimit(t *testing.T) {
 	}
 }
 
-// Arrivals are fed lazily from the submit-sorted trace, so the event heap
-// holds only pending completions: its size must never exceed the running
-// set, instead of starting at one event per trace job.
+// Arrivals are fed lazily from the submit-sorted trace and completions come
+// off the running heap, so without an aging scenario the event queue stays
+// empty, instead of starting at one event per trace job.
 func TestLazyArrivalsKeepEventHeapSmall(t *testing.T) {
 	tr := trace.SyntheticSDSCSP2(500, 5)
 	e, err := NewEngine(tr.Clone(), Config{Policy: sched.FCFS{}, Backfiller: backfill.NewEASY(backfill.RequestTime{})})
@@ -436,9 +597,8 @@ func TestLazyArrivalsKeepEventHeapSmall(t *testing.T) {
 		t.Fatalf("fresh engine queued %d events, want 0 (lazy arrivals)", got)
 	}
 	for e.Step() {
-		if e.events.Len() > len(e.running) {
-			t.Fatalf("at t=%d the heap holds %d events > %d running jobs",
-				e.Now(), e.events.Len(), len(e.running))
+		if got := e.events.Len(); got != 0 {
+			t.Fatalf("at t=%d the event queue holds %d events, want 0", e.Now(), got)
 		}
 	}
 	if len(e.Records()) != tr.Len() {

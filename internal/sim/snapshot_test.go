@@ -87,3 +87,49 @@ func TestRunUntilCompletes(t *testing.T) {
 		t.Fatalf("%d records after full drain, want 200", len(e.Records()))
 	}
 }
+
+// A snapshot that holds a job twice, or runs more than the machine has, is
+// refused at load, before any round could start a job a second time.
+func TestRestoreRejectsRepeatedIDsAndOvercommit(t *testing.T) {
+	mk := func(id, procs, mem int) *trace.Job {
+		return &trace.Job{ID: id, Submit: 0, Runtime: 100, Request: 100, Procs: procs, Mem: mem}
+	}
+	running := func(jobs ...*trace.Job) []backfill.Running {
+		var rs []backfill.Running
+		for _, j := range jobs {
+			rs = append(rs, backfill.Running{Job: j, Start: 0})
+		}
+		return rs
+	}
+	cfg := Config{Policy: sched.FCFS{}, Backfiller: backfill.NewEASY(backfill.RequestTime{})}
+	for _, c := range []struct {
+		name string
+		mem  int
+		snap Snapshot
+		rest []*trace.Job
+	}{
+		{name: "running and queued", snap: Snapshot{Running: running(mk(1, 2, 0)), Queued: []*trace.Job{mk(1, 2, 0)}}},
+		{name: "running twice", snap: Snapshot{Running: running(mk(1, 2, 0), mk(1, 2, 0))}},
+		{name: "queued twice", snap: Snapshot{Queued: []*trace.Job{mk(2, 2, 0), mk(2, 2, 0)}}},
+		{name: "running and arriving", snap: Snapshot{Running: running(mk(3, 2, 0))}, rest: []*trace.Job{mk(3, 2, 0)}},
+		{name: "queued and arriving", snap: Snapshot{Queued: []*trace.Job{mk(4, 2, 0)}}, rest: []*trace.Job{mk(4, 2, 0)}},
+		{name: "procs overcommitted", snap: Snapshot{Running: running(mk(1, 3, 0), mk(2, 3, 0))}},
+		{name: "mem overcommitted", mem: 10, snap: Snapshot{Running: running(mk(1, 1, 6), mk(2, 1, 6))}},
+	} {
+		tr := &trace.Trace{Name: "restore", Procs: 4, Mem: c.mem, Jobs: c.rest}
+		if _, err := NewEngineFromSnapshot(tr, cfg, c.snap); err == nil {
+			t.Errorf("%s: snapshot accepted", c.name)
+		}
+	}
+	// The same jobs under distinct IDs and within the machine load and run.
+	tr := &trace.Trace{Name: "restore", Procs: 4, Mem: 10, Jobs: []*trace.Job{mk(5, 2, 1)}}
+	snap := Snapshot{Running: running(mk(1, 1, 6), mk(2, 3, 4)), Queued: []*trace.Job{mk(3, 2, 0), mk(4, 2, 0)}}
+	e, err := NewEngineFromSnapshot(tr, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.RunToCompletion()
+	if len(e.Records()) != 3 {
+		t.Fatalf("%d records after the restore, want 3", len(e.Records()))
+	}
+}

@@ -106,12 +106,16 @@ func cloneJobs(jobs []*Job) []*Job {
 }
 
 // Validate checks every job and the trace-level invariants (sorted submits,
-// jobs fit the machine).
+// jobs fit the machine, job IDs unique).
 func (t *Trace) Validate() error {
 	if t.Procs <= 0 {
 		return fmt.Errorf("trace: %q has non-positive machine size %d", t.Name, t.Procs)
 	}
+	if t.Mem < 0 {
+		return fmt.Errorf("trace: %q has negative memory capacity %d", t.Name, t.Mem)
+	}
 	var prev int64
+	idsRise := true // strictly increasing IDs are unique without a set
 	for i, j := range t.Jobs {
 		if err := j.Validate(); err != nil {
 			return err
@@ -126,6 +130,18 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace: job at index %d submitted at %d before previous %d", i, j.Submit, prev)
 		}
 		prev = j.Submit
+		if i > 0 && j.ID <= t.Jobs[i-1].ID {
+			idsRise = false
+		}
+	}
+	if !idsRise {
+		seen := make(map[int]struct{}, len(t.Jobs))
+		for _, j := range t.Jobs {
+			if _, ok := seen[j.ID]; ok {
+				return fmt.Errorf("trace: %q holds job ID %d twice", t.Name, j.ID)
+			}
+			seen[j.ID] = struct{}{}
+		}
 	}
 	return nil
 }

@@ -44,6 +44,35 @@ func TestTraceValidate(t *testing.T) {
 	if err := tr.Validate(); err == nil {
 		t.Fatal("out-of-order submits accepted")
 	}
+	tr.Jobs[1].Submit = 10
+	for _, m := range []Trace{{Procs: 0}, {Procs: 8, Mem: -1}} {
+		m.Jobs = tr.Jobs
+		if err := m.Validate(); err == nil {
+			t.Fatalf("machine %d procs/%d mem accepted", m.Procs, m.Mem)
+		}
+	}
+}
+
+// Validate refuses a trace that holds one job ID twice, whether the IDs
+// rise (the common case, checked without a set) or not.
+func TestTraceValidateRejectsRepeatedIDs(t *testing.T) {
+	mk := func(ids ...int) *Trace {
+		tr := &Trace{Name: "ids", Procs: 8}
+		for i, id := range ids {
+			tr.Jobs = append(tr.Jobs, &Job{ID: id, Submit: int64(i), Runtime: 5, Request: 5, Procs: 1})
+		}
+		return tr
+	}
+	for _, ids := range [][]int{{1, 2, 3}, {3, 1, 2}, {0, 7, 5, 9}} {
+		if err := mk(ids...).Validate(); err != nil {
+			t.Errorf("IDs %v rejected: %v", ids, err)
+		}
+	}
+	for _, ids := range [][]int{{1, 1}, {1, 2, 2}, {3, 1, 3}, {5, 2, 4, 2}} {
+		if err := mk(ids...).Validate(); err == nil {
+			t.Errorf("IDs %v accepted", ids)
+		}
+	}
 }
 
 // TestCloneIndependence overwrites every job of a Clone, a Slice and a
