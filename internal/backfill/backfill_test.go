@@ -380,6 +380,91 @@ func TestConservativeRebuildsWhenAStartFellBehind(t *testing.T) {
 	}
 }
 
+// runningReads is a memState that counts the calls to Running: a carried
+// conservative round never makes one, a rebuild does.
+type runningReads struct {
+	*memState
+	reads int
+}
+
+func (r *runningReads) Running() []Running {
+	r.reads++
+	return r.memState.Running()
+}
+
+// TestConservativeCarriedRoundReadsOnlyTheEnds pins the cost model of a
+// carried round: it reads the journal, the head and the arrivals at the
+// queue's tail, and nothing else of the queue. The second round below is
+// handed a queue whose every job but the arrival is a stranger to the
+// plan; it must still carry the plan and start the arrival, as a fresh plan
+// on the true queue does. A cancel since the last round must rebuild.
+func TestConservativeCarriedRoundReadsOnlyTheEnds(t *testing.T) {
+	// 10 processors, 8 held until 100: the head (all 10) is planned at
+	// 100, and the four 4-processor jobs behind it after the head.
+	st := &runningReads{memState: &memState{now: 0, free: 2, total: 10, running: []Running{
+		{Job: job(1, 0, 100, 100, 8), Start: 0},
+	}}}
+	st.journal.Open()
+	head := job(2, 0, 50, 50, 10)
+	queue := []*trace.Job{job(3, 0, 50, 50, 4), job(4, 0, 50, 50, 4), job(5, 0, 50, 50, 4), job(6, 0, 50, 50, 4)}
+	c := NewConservative(RequestTime{})
+	c.Backfill(st, head, queue)
+	if len(st.started) != 0 || st.reads != 1 {
+		t.Fatalf("first round: started %v after %d reads of the running set, want none after 1", ids(st.started), st.reads)
+	}
+
+	// At 10 a 2-processor job arrives that ends before the head's start.
+	st.now = 10
+	arrival := job(7, 10, 40, 40, 2)
+	st.journal.Record(Arrived, arrival, st.now)
+	poisoned := make([]*trace.Job, 0, len(queue)+1)
+	for range queue {
+		poisoned = append(poisoned, &trace.Job{ID: -1, Procs: 1 << 20})
+	}
+	poisoned = append(poisoned, arrival)
+	want := &memState{now: 10, free: 2, total: 10, running: slices.Clone(st.running)}
+	NewConservative(RequestTime{}).Backfill(want, head, append(slices.Clone(queue), arrival))
+	c.Backfill(st, head, poisoned)
+	if st.reads != 1 {
+		t.Fatal("a round after one arrival rebuilt its plan")
+	}
+	if !slices.Equal(ids(st.started), ids(want.started)) || len(want.started) != 1 {
+		t.Fatalf("carried round started %v, a fresh plan %v (want the arrival)", ids(st.started), ids(want.started))
+	}
+
+	// At 20 job 5 is canceled: the plan must be rebuilt.
+	st.now = 20
+	st.journal.Record(Canceled, queue[2], st.now)
+	c.Backfill(st, head, []*trace.Job{queue[0], queue[1], queue[3]})
+	if st.reads != 2 {
+		t.Fatal("a round after a cancel carried its plan")
+	}
+}
+
+// TestConservativeNeverStartsTheHead pins the head's exclusion on a state
+// whose free count understates what its running set leaves (an engine
+// starts a head that fits before it calls the backfiller, so there the head
+// is never planned at now). The plan places the head and the job behind it
+// at now; only the job behind starts, a carried round at the same instant
+// starts nothing, and the head's planned start stays in the plan's index:
+// once it has fallen behind now, the next round must rebuild.
+func TestConservativeNeverStartsTheHead(t *testing.T) {
+	st := &runningReads{memState: &memState{now: 0, free: 4, total: 10}}
+	st.journal.Open()
+	head, behind := job(2, 0, 50, 50, 8), job(3, 0, 50, 50, 2)
+	c := NewConservative(RequestTime{})
+	c.Backfill(st, head, []*trace.Job{behind})
+	c.Backfill(st, head, nil)
+	if !slices.Equal(ids(st.started), []int{3}) || st.reads != 1 {
+		t.Fatalf("two rounds at 0 started %v after %d reads of the running set, want [3] after 1", ids(st.started), st.reads)
+	}
+	st.now = 10
+	c.Backfill(st, head, nil)
+	if !slices.Equal(ids(st.started), []int{3}) || st.reads != 2 {
+		t.Fatalf("the round at 10 started %v after %d reads of the running set, want [3] after 2", ids(st.started), st.reads)
+	}
+}
+
 func TestConservativeName(t *testing.T) {
 	if NewConservative(RequestTime{}).Name() != "CONS-RT" {
 		t.Fatal("conservative name wrong")

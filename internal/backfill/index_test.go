@@ -432,3 +432,45 @@ func TestReservationAndEASYRoundNoAllocs(t *testing.T) {
 			runs+1, ids(st.started), ce.calls)
 	}
 }
+
+// TestConservativeCarriedRoundNoAllocs guards conservative backfilling's
+// steady state: once the buffers are warm, a carried round — a finish at
+// its span's end, an arrival placed at the tail and started now, the
+// tombstones it leaves compacted away every few rounds, the profile trimmed
+// — allocates nothing.
+func TestConservativeCarriedRoundNoAllocs(t *testing.T) {
+	// 10 processors, 8 held for good: the head (all 10) and the waiting
+	// 4-processor jobs never start. Every round a 2-processor job that
+	// ends before the head's start arrives, fits the free processors and
+	// starts; the next round it finishes at its filed end and arrives again.
+	long := Running{Job: job(1, 0, 1<<40, 1<<40, 8)}
+	st := &runningReads{memState: &memState{free: 2, total: 10, running: make([]Running, 0, 4), started: make([]*trace.Job, 0, 4)}}
+	st.running = append(st.running, long)
+	st.journal.Open()
+	head := job(2, 0, 50, 50, 10)
+	again := job(3, 0, 5, 5, 2)
+	queue := []*trace.Job{job(4, 0, 50, 50, 4), job(5, 0, 50, 50, 4), job(6, 0, 50, 50, 4), again}
+	base := []Running{long}
+	c := NewConservative(RequestTime{})
+	c.Backfill(st, head, queue)
+	round := func() {
+		st.now += 5 // the job started last round ends here, at its filed end
+		st.setRunning(base)
+		st.free = 2
+		st.now += 5
+		st.journal.Record(Arrived, again, st.now)
+		st.started = st.started[:0]
+		c.Backfill(st, head, queue)
+	}
+	for i := 0; i < 10; i++ {
+		round()
+	}
+	reads := st.reads
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Fatalf("carried conservative round allocates %v per run, want 0", avg)
+	}
+	if st.reads != reads || !slices.Equal(ids(st.started), []int{3}) {
+		t.Fatalf("the rounds read the running set %d times and the last started %v, want carried rounds starting [3]",
+			st.reads-reads, ids(st.started))
+	}
+}

@@ -23,14 +23,8 @@ type planEntry struct {
 type planner struct {
 	prof  cluster.VecProfile
 	spans []cluster.Span
-	ends  []spanEnd   // the running jobs' span ends, as fill laid them out
+	ends  slots       // where each running job's span ends: (end, job ID)
 	plan  []planEntry // in policy order: head first, then queue
-}
-
-// spanEnd is where a running job's span ends in the profile.
-type spanEnd struct {
-	id  int
-	end int64
 }
 
 // runningEnd is the end of a running job's span in the profile: its
@@ -51,7 +45,7 @@ func (pl *planner) fill(st State, est Estimator, now int64) *cluster.VecProfile 
 	for _, r := range st.Running() {
 		end := runningEnd(r, est, now)
 		pl.spans = append(pl.spans, cluster.Span{End: end, Procs: r.Job.Procs, Mem: memDemand(r.Job, memTotal)})
-		pl.ends = append(pl.ends, spanEnd{id: r.Job.ID, end: end})
+		pl.ends = append(pl.ends, slot{at: end, n: r.Job.ID})
 	}
 	pl.prof.ResetSpans(st.TotalProcs(), memTotal, now, pl.spans)
 	return &pl.prof

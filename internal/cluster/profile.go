@@ -24,17 +24,23 @@ import (
 // scanning from the first segment, and FindStart is a single monotonic
 // candidate walk instead of a per-boundary MinFree re-scan (DESIGN.md §9).
 //
-// Trial placements are supported transactionally: Checkpoint marks the
-// current state and journals every subsequent Reserve; Rollback undoes them
-// in O(touched segments) by applying the inverse range updates in reverse
+// Reservations can be undone transactionally: Checkpoint marks the current
+// state and journals every subsequent Reserve; Rollback undoes them in
+// O(touched segments) by applying the inverse range updates in reverse
 // order. Because the coalesced segment list is the unique canonical
 // representation of the free function, a rollback restores the segment slice
-// byte-identically — profile-based backfillers exploit this to trial-place a
-// whole queue per candidate without ever rebuilding the profile from the
-// running set.
+// byte-identically. No backfiller uses the pair any more (conservative
+// backfilling carries one plan across rounds instead, DESIGN.md §9); only
+// benchmark code calls it (benchmark/replay.go and the root bench_test.go).
 type Profile struct {
 	total int
 	segs  []segment // sorted by Time; segs[i] spans [segs[i].Time, segs[i+1].Time)
+	// buf is segs' backing array from its first element, and segs starts
+	// off segments into it: Trim drops the past by advancing segs, and
+	// slides it back to the front once the dropped prefix outgrows it or
+	// it runs out of room, so Reset reuses the whole array.
+	buf []segment
+	off int
 
 	// journal records reserves made while a checkpoint is active (marks > 0)
 	// so Rollback can undo them; Reset and Rollback shrink it in place.
@@ -59,7 +65,9 @@ func NewProfile(total int, from int64) *Profile {
 	if total <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive profile capacity %d", total))
 	}
-	return &Profile{total: total, segs: []segment{{Time: from, Free: total}}}
+	p := &Profile{}
+	p.Reset(total, from)
+	return p
 }
 
 // Total returns the profile capacity.
@@ -80,7 +88,8 @@ func (p *Profile) Reset(total int, from int64) {
 		panic(fmt.Sprintf("cluster: non-positive profile capacity %d", total))
 	}
 	p.total = total
-	p.segs = append(p.segs[:0], segment{Time: from, Free: total})
+	p.segs = append(p.buf[:0], segment{Time: from, Free: total})
+	p.buf, p.off = p.segs, 0
 	p.journal = p.journal[:0]
 	p.marks = 0
 }
@@ -136,6 +145,7 @@ func (p *Profile) ResetSpans(total int, from int64, spans []Span) {
 		// free strictly increases (procs > 0), so the skyline stays canonical.
 		p.segs = append(p.segs, segment{Time: end, Free: free})
 	}
+	p.buf = p.segs
 }
 
 // sortSpans orders spans by End. Running sets are small (tens of jobs), so a
@@ -274,7 +284,9 @@ func (p *Profile) Rollback(mark int) {
 // Trim drops the profile's past: afterwards it starts at t, and the free
 // function from t on is unchanged. A t at or before the profile start
 // changes nothing. Conservative backfilling trims the plan it carries from
-// round to round this way instead of rebuilding it. Open checkpoints stay
+// round to round this way instead of rebuilding it. Trim copies nothing
+// until the dropped segments outnumber the live ones, and then only the
+// live ones, so a trim costs O(log S) amortised. Open checkpoints stay
 // valid: a rollback still restores the free function from t on.
 func (p *Profile) Trim(t int64) {
 	i := p.seek(t)
@@ -282,7 +294,26 @@ func (p *Profile) Trim(t int64) {
 		return
 	}
 	p.segs[i].Time = t
-	p.segs = p.segs[:copy(p.segs, p.segs[i:])]
+	p.segs, p.off = p.segs[i:], p.off+i
+	if p.off > len(p.segs) {
+		p.slide()
+	}
+}
+
+// slide moves the skyline to the front of its backing array.
+func (p *Profile) slide() {
+	p.segs, p.off = append(p.buf[:0], p.segs...), 0
+}
+
+// grow makes room for one more segment: at the front of the array when
+// trims left room there, in a larger array otherwise.
+func (p *Profile) grow() {
+	if p.off > 0 {
+		p.slide()
+		return
+	}
+	p.segs = slices.Grow(p.segs, 1)
+	p.buf = p.segs
 }
 
 // FindStart returns the earliest time >= after at which procs processors are
@@ -351,6 +382,9 @@ func (p *Profile) ensureBoundary(t int64) int {
 	}
 	if lo < len(p.segs) && p.segs[lo].Time == t {
 		return lo
+	}
+	if len(p.segs) == cap(p.segs) {
+		p.grow()
 	}
 	p.segs = append(p.segs, segment{})
 	copy(p.segs[lo+1:], p.segs[lo:])

@@ -457,6 +457,33 @@ func TestProfileWalkAllocs(t *testing.T) {
 	}
 }
 
+// TestProfileTrimKeepsStorage pins Trim's storage discipline: it drops the
+// past without giving the array's front away, so a rebuild after a run of
+// trims (Reset, ResetSpans) and a reserve that grows a trimmed skyline reuse
+// the one array and allocate nothing. The skyline itself is pinned against
+// the oracle by the Trim differentials.
+func TestProfileTrimKeepsStorage(t *testing.T) {
+	spans := make([]Span, 64)
+	var p Profile
+	cycle := func() {
+		for i := range spans {
+			spans[i] = Span{End: int64(10 * (i + 1)), Procs: 1}
+		}
+		p.ResetSpans(128, 0, spans)
+		for at := int64(5); at < 640; at += 10 {
+			p.Trim(at)
+			if err := p.Reserve(at, at+3, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Reset(128, 0)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("a rebuild-and-trim cycle allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestProfileCanonicalForm pins the representation invariant the O(touched)
 // rollback relies on: no two adjacent segments ever share a free count.
 func TestProfileCanonicalForm(t *testing.T) {

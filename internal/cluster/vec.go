@@ -141,7 +141,8 @@ func (v *VecProfile) ReserveFound(start, end int64, procs, mem int) error {
 }
 
 // Trim drops both dimensions' past (Profile.Trim): afterwards the profile
-// starts at t, and both free functions from t on are unchanged.
+// starts at t, and both free functions from t on are unchanged. Neither
+// dimension copies its skyline to do it.
 func (v *VecProfile) Trim(t int64) {
 	v.p.Trim(t)
 	if v.hasMem {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/backfill"
+	"repro/internal/lublin"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -112,4 +114,62 @@ func TestConservativeCarryDifferential(t *testing.T) {
 		t.Error("no lagging catch-up found its cursor trimmed away")
 	}
 	t.Logf("%d trimmed catch-ups", trimmed)
+}
+
+// TestConservativeCarryRates pins how often conservative backfilling carries
+// its plan on the rlbf-sim conservative rows at seed 1 (the traces and
+// estimators `rlbf-sim -backfill conservative` uses). The round counts are
+// the schedules' and must not move; a carried round is the cheap one, so
+// each row must carry at least as many rounds as the plan did when every
+// carried round compared the whole plan with the queue. The reordered rows
+// (WFP3, aging) carry through a re-sort that leaves the order as it was;
+// rebuilding on every reorder instead would multiply their rebuilds. The
+// Lublin-Huge row takes about a second and is skipped under -short.
+func TestConservativeCarryRates(t *testing.T) {
+	const seed = 1 // rlbf-sim's default; each workload offsets it as experiments.ResolveTrace does
+	rt, ar := backfill.RequestTime{}, backfill.ActualRuntime{}
+	rows := []struct {
+		name            string
+		tr              func() *trace.Trace
+		policy          string
+		scn             sched.Scenario
+		est             backfill.Estimator
+		rounds, carried int
+		long            bool
+	}{
+		{name: "hpc2n 10K FCFS", tr: func() *trace.Trace { return trace.SyntheticHPC2N(10000, seed+2) },
+			policy: "FCFS", est: rt, rounds: 18417, carried: 18417 - 9657},
+		{name: "sdsc-sp2 10K FCFS", tr: func() *trace.Trace { return trace.SyntheticSDSCSP2(10000, seed+1) },
+			policy: "FCFS", est: rt, rounds: 15974, carried: 15974 - 8350},
+		{name: "hpc2n 10K WFP3", tr: func() *trace.Trace { return trace.SyntheticHPC2N(10000, seed+2) },
+			policy: "WFP3", est: rt, rounds: 18204, carried: 18204 - 11960},
+		{name: "sdsc-sp2 10K SJF", tr: func() *trace.Trace { return trace.SyntheticSDSCSP2(10000, seed+1) },
+			policy: "SJF", est: rt, rounds: 15193, carried: 15193 - 13987},
+		{name: "sdsc-sp2 10K F1", tr: func() *trace.Trace { return trace.SyntheticSDSCSP2(10000, seed+1) },
+			policy: "F1", est: rt, rounds: 18823, carried: 18823 - 18785},
+		{name: "hpc2n 5K starvation-bound 2", tr: func() *trace.Trace { return trace.SyntheticHPC2N(5000, seed+2) },
+			policy: "FCFS", scn: sched.Scenario{StarvationBound: 2}, est: rt, rounds: 12496, carried: 12496 - 5050},
+		{name: "lublin-huge 100K FCFS", tr: func() *trace.Trace { return lublin.Huge(0, 0, 0).Generate(100000, seed+5) },
+			policy: "FCFS", est: ar, rounds: 134767, carried: 134767 - 91, long: true},
+	}
+	for _, row := range rows {
+		if row.long && testing.Short() {
+			t.Logf("%s: skipped under -short", row.name)
+			continue
+		}
+		policy, err := sched.ByNameExtended(row.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := &planRounds{inner: backfill.NewConservative(row.est)}
+		if _, err := Run(row.tr(), Config{Policy: policy, Scenario: row.scn, Backfiller: pr}); err != nil {
+			t.Fatal(err)
+		}
+		rounds := pr.carried + pr.rebuilt
+		t.Logf("%s: %d rounds, %d carried, %d rebuilt", row.name, rounds, pr.carried, pr.rebuilt)
+		if rounds != row.rounds || pr.carried < row.carried {
+			t.Errorf("%s: %d rounds with %d carried, want %d rounds with at least %d carried",
+				row.name, rounds, pr.carried, row.rounds, row.carried)
+		}
+	}
 }
