@@ -22,7 +22,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/ppo"
 	"repro/internal/sched"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -191,30 +190,6 @@ func BenchmarkRunManyTiny(b *testing.B) {
 	}
 	b.Run("seq", func(b *testing.B) { run(b, 1) })
 	b.Run("pooled", func(b *testing.B) { run(b, runtime.GOMAXPROCS(0)) })
-}
-
-// BenchmarkShardedReplay measures the sharded trace replayer on a ~10K-job
-// synthetic SDSC-SP2 workload at the load level the differential test proves
-// byte-exact: one full replay per iteration, sequentially vs cut every 5000
-// and 2500 jobs (2 and 4 kept windows under drain-aware flanks). On one core
-// the sharded variants pay the drain pre-pass and the warm-up each window
-// re-simulates; with k cores the windows replay concurrently — the CI bench
-// job records both via -cpu 1,4 (EXPERIMENTS.md).
-func BenchmarkShardedReplay(b *testing.B) {
-	tr := trace.ScaleLoad(trace.SyntheticSDSCSP2(10000, 1), 0.5)
-	mk := func() backfill.Backfiller { return backfill.NewEASY(backfill.RequestTime{}) }
-	run := func(b *testing.B, cfg shard.Config) {
-		b.Helper()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := shard.ReplayWith(tr, sched.FCFS{}, mk, cfg, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("seq", func(b *testing.B) { run(b, shard.Config{}) })
-	b.Run("shards-2", func(b *testing.B) { run(b, shard.Config{Window: 5000, MinJobs: 1}) })
-	b.Run("shards-4", func(b *testing.B) { run(b, shard.Config{Window: 2500, MinJobs: 1}) })
 }
 
 // ---- micro-benchmarks for the substrates ----

@@ -45,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -102,6 +103,14 @@ func main() {
 			retries: *retries, report: *report, minThroughput: *minThroughput, maxP99: *maxP99,
 		})
 		return
+	}
+	switch {
+	case *predictCap < 0:
+		usage("-predict-cap %d: want 0 or more (0 = the default)", *predictCap)
+	case *compactEvery < 0:
+		usage("-compact-every %d: want 0 or more (0 = the default)", *compactEvery)
+	case !(*starvationBound >= 0) || math.IsInf(*starvationBound, 1):
+		usage("-starvation-bound %v: want a finite bound >= 0 (0 = off)", *starvationBound)
 	}
 
 	policy, err := sched.ByNameExtended(*policyArg)
@@ -324,6 +333,12 @@ func bfName(bf backfill.Backfiller) string {
 		return "none"
 	}
 	return bf.Name()
+}
+
+// usage reports a bad flag value and exits 2, before any file is opened.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rlbf-serve: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(format string, args ...any) {

@@ -17,15 +17,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
 	"repro/internal/backfill"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/sched"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -39,7 +40,6 @@ func main() {
 	modelArg := flag.String("model", "", "model file for -backfill rlbf")
 	noise := flag.Float64("noise", 0, "prediction noise level for easy (+x, e.g. 0.2)")
 	csvPath := flag.String("csv", "", "write per-job records to this CSV file")
-	shardWindow := flag.Int("shard-window", 0, "jobs per window for a parallel replay with drain-aware flanks (0 = sequential)")
 	memDist := flag.String("mem-dist", trace.MemDistNone, "enrich the trace with per-job memory demands: none, prop or uniform")
 	memPerProc := flag.Int("mem-per-proc", 0, "machine memory per processor in KB when enriching")
 	tiers := flag.Int("priority-tiers", 0, "enrich the trace with geometric priority tiers (0 or 1 = none)")
@@ -49,8 +49,17 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a heap/allocation profile taken after the replay to this file")
 	flag.Parse()
 	if _, builtin := experiments.ResolveStream(*traceArg, *jobs, *seed); builtin && *jobs < 1 {
-		fmt.Fprintf(os.Stderr, "rlbf-sim: -jobs %d: a built-in workload needs at least 1 job\n", *jobs)
-		os.Exit(2)
+		usage("-jobs %d: a built-in workload needs at least 1 job", *jobs)
+	}
+	switch {
+	case !finiteNonNegative(*noise):
+		usage("-noise %v: want a finite level >= 0", *noise)
+	case !finiteNonNegative(*starvationBound):
+		usage("-starvation-bound %v: want a finite bound >= 0 (0 = off)", *starvationBound)
+	case *tiers < 0:
+		usage("-priority-tiers %d: want 0 or more (0 or 1 = none)", *tiers)
+	case *memPerProc < 0:
+		usage("-mem-per-proc %d: want 0 or more KB (0 = the default)", *memPerProc)
 	}
 
 	policy, err := sched.ByNameExtended(*policyArg)
@@ -101,36 +110,12 @@ func main() {
 		fatal("unknown backfill strategy %q", *bfArg)
 	}
 
-	// Sharding only engages for a cloneable (or absent) backfiller and more
-	// than one kept window; otherwise shard.Replay would silently run
-	// sequentially, so keep the probe and tell the user why.
-	shardCfg := shard.Config{Window: *shardWindow, MinJobs: 1}
-	windows := shard.Windows(tr, shardCfg)
-	if *shardWindow > 0 && windows < 2 {
-		fmt.Fprintf(os.Stderr, "rlbf-sim: sharding ignored: -shard-window %d keeps one window (the trace is no longer, or no cut reaches a drain)\n", *shardWindow)
-	}
-	if windows > 1 && bf != nil {
-		if _, ok := bf.(backfill.Cloneable); !ok {
-			fmt.Fprintf(os.Stderr, "rlbf-sim: sharding ignored: backfiller %s cannot be cloned across windows\n", bf.Name())
-			windows = 1
-		}
-	}
-	// Both modes go through shard.Replay — a configured probe forces a
-	// sequential replay — so the records (and any CSV) come back in trace
-	// order either way and the two outputs stay row-for-row comparable. A
-	// probe observes the whole engine timeline, which a stitched replay
-	// cannot reproduce, so the sparkline exists only in sequential mode.
-	var probe *sim.TimelineProbe
-	simCfg := sim.Config{Policy: policy, Scenario: scn, Backfiller: bf}
-	if windows < 2 {
-		probe = &sim.TimelineProbe{}
-		simCfg.Probe = probe // assigned only when non-nil: a typed-nil probe would defeat the engine's nil check
-	}
+	probe := &sim.TimelineProbe{}
 	stopCPU, err := prof.StartCPU(*cpuProfile)
 	if err != nil {
 		fatal("cpu profile: %v", err)
 	}
-	res, err := shard.Replay(tr, simCfg, shardCfg, nil)
+	res, err := sim.Run(tr, sim.Config{Policy: policy, Scenario: scn, Backfiller: bf, Probe: probe})
 	if perr := stopCPU(); perr != nil {
 		fatal("cpu profile: %v", perr)
 	}
@@ -140,18 +125,15 @@ func main() {
 	if err := prof.WriteHeap(*memProfile); err != nil {
 		fatal("heap profile: %v", err)
 	}
+	records := inTraceOrder(tr, res.Records)
 	bfName := "none"
 	if bf != nil {
 		bfName = bf.Name()
 	}
 	fmt.Printf("%s | policy %s | backfill %s\n", trace.ComputeStats(tr), policy.Name(), bfName)
-	fmt.Println(res.Summary)
-	if probe != nil {
-		fmt.Println(probe)
-		fmt.Printf("util |%s|\n", probe.Sparkline(72))
-	} else {
-		fmt.Printf("sharded replay: %d windows cut every %d jobs (timeline probe off)\n", windows, *shardWindow)
-	}
+	fmt.Println(metrics.Summarize(records, tr.Procs))
+	fmt.Println(probe)
+	fmt.Printf("util |%s|\n", probe.Sparkline(72))
 
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
@@ -159,7 +141,7 @@ func main() {
 			fatal("%v", err)
 		}
 		fmt.Fprintln(f, "job,submit,start,end,wait,procs,runtime,request,bsld")
-		for _, r := range res.Records {
+		for _, r := range records {
 			fmt.Fprintf(f, "%d,%d,%d,%d,%d,%d,%d,%d,%.3f\n",
 				r.Job.ID, r.Job.Submit, r.Start, r.End, r.Wait(), r.Job.Procs,
 				r.Job.Runtime, r.Job.Request, r.BoundedSlowdown())
@@ -167,8 +149,31 @@ func main() {
 		if err := f.Close(); err != nil {
 			fatal("%v", err)
 		}
-		fmt.Printf("wrote %d records to %s\n", len(res.Records), *csvPath)
+		fmt.Printf("wrote %d records to %s\n", len(records), *csvPath)
 	}
+}
+
+// inTraceOrder returns the records in the order their jobs appear in the
+// trace, not in completion order, so the summary's float sums and the CSV
+// rows come out in one fixed order.
+func inTraceOrder(tr *trace.Trace, recs []metrics.Record) []metrics.Record {
+	pos := make(map[*trace.Job]int, tr.Len())
+	for i, j := range tr.Jobs {
+		pos[j] = i
+	}
+	out := make([]metrics.Record, len(recs))
+	for _, r := range recs {
+		out[pos[r.Job]] = r
+	}
+	return out
+}
+
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// usage reports a bad flag value and exits 2, before any work.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "rlbf-sim: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(format string, args ...any) {

@@ -70,9 +70,6 @@ func NewProfile(total int, from int64) *Profile {
 	return p
 }
 
-// Total returns the profile capacity.
-func (p *Profile) Total() int { return p.total }
-
 // Segments returns the current skyline depth (number of coalesced segments).
 // Deep-backlog benchmarks and tests use it to confirm they are in the regime
 // they mean to exercise.

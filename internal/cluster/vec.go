@@ -42,9 +42,6 @@ func (v *VecProfile) Reset(total, memTotal int, from int64) {
 // HasMem reports whether the memory dimension is active.
 func (v *VecProfile) HasMem() bool { return v.hasMem }
 
-// Total returns the processor capacity.
-func (v *VecProfile) Total() int { return v.p.total }
-
 // TotalMem returns the memory capacity (0 when the dimension is off).
 func (v *VecProfile) TotalMem() int {
 	if !v.hasMem {

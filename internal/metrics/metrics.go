@@ -43,13 +43,6 @@ func (r Record) BoundedSlowdown() float64 {
 	return math.Max((wait+run)/denom, 1)
 }
 
-// Slowdown returns the unbounded slowdown (turnaround/runtime), guarding
-// against zero-length jobs.
-func (r Record) Slowdown() float64 {
-	run := math.Max(float64(r.RunSeconds()), 1)
-	return float64(r.Turnaround()) / run
-}
-
 // Summary aggregates a full schedule.
 type Summary struct {
 	Jobs            int

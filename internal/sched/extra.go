@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/trace"
 )
@@ -85,18 +87,14 @@ func Extended() []Policy {
 // ByNameExtended resolves any implemented policy, including the non-Table 3
 // extras.
 func ByNameExtended(name string) (Policy, error) {
-	if p, err := ByName(name); err == nil {
-		return p, nil
+	ext := Extended()
+	names := make([]string, len(ext))
+	for i, p := range ext {
+		if p.Name() == name {
+			return p, nil
+		}
+		names[i] = p.Name()
 	}
-	switch name {
-	case "F2":
-		return F2{}, nil
-	case "F3":
-		return F3{}, nil
-	case "F4":
-		return F4{}, nil
-	case "SAF":
-		return SAF{}, nil
-	}
-	return ByName(name) // reuse the error message
+	last := len(names) - 1
+	return nil, fmt.Errorf("sched: unknown policy %q (want %s or %s)", name, strings.Join(names[:last], ", "), names[last])
 }

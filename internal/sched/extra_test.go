@@ -73,3 +73,13 @@ func TestByNameExtended(t *testing.T) {
 		t.Fatal("unknown policy accepted")
 	}
 }
+
+// TestByNameExtendedErrorListsEveryPolicy checks the error for an unknown
+// name lists all eight policies the lookup accepts.
+func TestByNameExtendedErrorListsEveryPolicy(t *testing.T) {
+	_, err := ByNameExtended("sjf")
+	want := `sched: unknown policy "sjf" (want FCFS, SJF, WFP3, F1, F2, F3, F4 or SAF)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("ByNameExtended(\"sjf\") error %v, want %s", err, want)
+	}
+}

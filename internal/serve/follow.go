@@ -203,6 +203,9 @@ func NewFollower(cfg Config, fc FollowConfig) (*Follower, error) {
 	if len(fc.Peers) == 0 {
 		return nil, errors.New("serve: follower requires at least one peer")
 	}
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
 	applyWALDefaults(&cfg)
 	if fc.Session == "" {
 		fc.Session = cfg.Name

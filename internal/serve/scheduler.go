@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log"
 	"maps"
+	"math"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -93,6 +94,21 @@ type Config struct {
 	// the follower to durably apply the record before degrading (for that
 	// ack) to asynchronous replication. 0 defaults to 1s.
 	ReplAckTimeout time.Duration
+}
+
+// checkConfig refuses settings no daemon can run with. The constructors and
+// Recover call it before they apply a default or open a file, so 0 keeps
+// meaning "default" and a refused daemon touches nothing on disk.
+func checkConfig(cfg Config) error {
+	switch b := cfg.Scenario.StarvationBound; {
+	case cfg.PredictCap < 0:
+		return fmt.Errorf("serve: negative PredictCap %d (0 = the default)", cfg.PredictCap)
+	case cfg.CompactEvery < 0:
+		return fmt.Errorf("serve: negative CompactEvery %d (0 = the default)", cfg.CompactEvery)
+	case !(b >= 0) || math.IsInf(b, 1):
+		return fmt.Errorf("serve: starvation bound %v is not finite and >= 0", b)
+	}
+	return nil
 }
 
 // applyWALDefaults resolves the durability defaults shared by the
@@ -233,7 +249,6 @@ const (
 	cmdStatus
 	cmdStats
 	cmdSync
-	cmdSnapshot
 	cmdDrain
 	cmdApply
 	cmdPromote
@@ -449,6 +464,9 @@ func (s *Scheduler) loadState(st *State, prior []metrics.Record) error {
 }
 
 func newScheduler(cfg Config) (*Scheduler, error) {
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
 	if cfg.Policy == nil {
 		return nil, errors.New("serve: config needs a base scheduling policy")
 	}
@@ -670,13 +688,6 @@ func (s *Scheduler) Sync() error {
 	return err
 }
 
-// CaptureState advances to now and returns a consistent state snapshot
-// (also written to SnapshotPath while the WAL is up).
-func (s *Scheduler) CaptureState() (*State, error) {
-	r, err := s.do(command{kind: cmdSnapshot})
-	return r.state, err
-}
-
 // ApplyReplica mirrors one replication batch: the payloads are appended
 // verbatim to the local WAL, applied to the engine (re-deriving the same
 // schedule the primary computed), and the resulting history digest is
@@ -890,13 +901,6 @@ func (s *Scheduler) handle(c command) bool {
 	case cmdSync:
 		s.advanceNow()
 		c.reply <- reply{}
-	case cmdSnapshot:
-		s.advanceNow()
-		st, err := s.captureState()
-		if err == nil {
-			err = s.writeSnapshot(st)
-		}
-		c.reply <- reply{state: st, err: err}
 	case cmdApply:
 		seq, err := s.handleApply(c.batch)
 		c.reply <- reply{seq: seq, err: err}

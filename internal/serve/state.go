@@ -29,8 +29,8 @@ const stateVersion = 1
 // The on-disk snapshot (DESIGN.md §13) carries the live state only: Records
 // is stripped (the append-only history log holds the record stream) and
 // WALGen/WALRecords/HistoryCount tie the snapshot to its logs, so writing one
-// costs O(live state), not O(history). Drain and CaptureState return the
-// State with Records filled, for reporting.
+// costs O(live state), not O(history). Drain returns the State with Records
+// filled, for reporting.
 type State struct {
 	Version  int                `json:"version"`
 	Name     string             `json:"name"`

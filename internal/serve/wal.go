@@ -368,7 +368,7 @@ func (s *Scheduler) encodeSnapshot(st *State) ([]byte, error) {
 }
 
 // writeSnapshot persists the current state outside the rotation path
-// (cmdSnapshot, drain) in the live-state form tied to the current WAL
+// (drain) in the live-state form tied to the current WAL
 // generation. Without a WAL — none configured, or degraded — it writes
 // nothing: the on-disk triple stays the last consistent one, which Recover
 // restarts from.
@@ -530,6 +530,9 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	t0 := time.Now()
 	if cfg.WALPath == "" {
 		return nil, nil, errors.New("serve: Recover requires Config.WALPath")
+	}
+	if err := checkConfig(cfg); err != nil {
+		return nil, nil, err
 	}
 	applyWALDefaults(&cfg)
 	fs := cfg.FS

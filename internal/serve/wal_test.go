@@ -496,6 +496,47 @@ func TestSnapshotPathRequiresWAL(t *testing.T) {
 	}
 }
 
+// TestConfigRefusesNegativeSettings checks New, Recover and NewFollower
+// refuse a negative PredictCap or CompactEvery and a negative or non-finite
+// starvation bound before they open a file, and that 0 still means the
+// default.
+func TestConfigRefusesNegativeSettings(t *testing.T) {
+	clk := NewManualClock(time.Unix(1700000000, 0))
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+		want string
+	}{
+		{"predict-cap", func(cfg *Config) { cfg.PredictCap = -1 }, "PredictCap"},
+		{"compact-every", func(cfg *Config) { cfg.CompactEvery = -7 }, "CompactEvery"},
+		{"negative bound", func(cfg *Config) { cfg.Scenario.StarvationBound = -1 }, "starvation bound"},
+		{"NaN bound", func(cfg *Config) { cfg.Scenario.StarvationBound = math.NaN() }, "starvation bound"},
+		{"infinite bound", func(cfg *Config) { cfg.Scenario.StarvationBound = math.Inf(1) }, "starvation bound"},
+	} {
+		dir := t.TempDir()
+		cfg := walConfig(clk, dir, nil, 0)
+		c.set(&cfg)
+		_, err := New(cfg)
+		_, _, rerr := Recover(cfg)
+		_, ferr := NewFollower(cfg, FollowConfig{Peers: []string{"http://127.0.0.1:1"}})
+		for what, e := range map[string]error{"New": err, "Recover": rerr, "NewFollower": ferr} {
+			if e == nil || !strings.Contains(e.Error(), c.want) {
+				t.Errorf("%s: %s returned %v, want an error naming %s", c.name, what, e, c.want)
+			}
+		}
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Errorf("%s: a refused config left %d files in its directory", c.name, len(files))
+		}
+	}
+	s, err := New(testConfig(clk))
+	if err != nil {
+		t.Fatalf("PredictCap, CompactEvery and the bound all 0: %v", err)
+	}
+	if s.cfg.PredictCap != 4096 || s.cfg.CompactEvery != 4096 {
+		t.Errorf("zero settings resolved to PredictCap %d, CompactEvery %d; want the 4096 defaults", s.cfg.PredictCap, s.cfg.CompactEvery)
+	}
+}
+
 // TestWALJobFieldsPriority pins the submit record's bytes (priority keeps
 // its 8-byte slot) and checks the decoder rejects a priority outside
 // [0, MaxInt32], in submit and history records alike, instead of

@@ -28,7 +28,7 @@ func NewLiveEngine(name string, procs, mem int, cfg Config) (*Engine, error) {
 // its submit time must be at or after both the engine clock and the last
 // not-yet-admitted arrival, so the stream stays submit-sorted. The job is
 // admitted to the waiting queue when the clock reaches its submit time
-// (Step/RunUntil), exactly like a batch arrival.
+// (Step), exactly like a batch arrival.
 func (e *Engine) Inject(j *trace.Job) error {
 	if err := j.Validate(); err != nil {
 		return err

@@ -55,7 +55,7 @@ func TestLiveInjectMatchesBatchReplay(t *testing.T) {
 				// then inject: events at the submit instant itself are
 				// processed together with the arrival, exactly as in batch.
 				if j.Submit > 0 {
-					live.RunUntil(j.Submit - 1)
+					runUntil(live, j.Submit-1)
 				}
 				if err := live.Inject(j.Clone()); err != nil {
 					t.Fatalf("seed %d: inject job %d: %v", seed, j.ID, err)
@@ -121,7 +121,7 @@ func TestInjectRejectsHeldID(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.RunUntil(10) // job 1 runs, 2 waits, 3 and 9 are pending
+	runUntil(e, 10) // job 1 runs, 2 waits, 3 and 9 are pending
 	if e.RunningCount() != 1 || e.QueueLen() != 1 || e.PendingArrivals() != 2 {
 		t.Fatalf("running=%d queue=%d pending=%d, want 1/1/2", e.RunningCount(), e.QueueLen(), e.PendingArrivals())
 	}
@@ -158,7 +158,7 @@ func TestCancelPendingAndQueued(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e.RunUntil(10)
+	runUntil(e, 10)
 	if e.QueueLen() != 2 || e.PendingArrivals() != 1 || e.RunningCount() != 1 {
 		t.Fatalf("queue=%d pending=%d running=%d, want 2/1/1", e.QueueLen(), e.PendingArrivals(), e.RunningCount())
 	}
@@ -223,7 +223,7 @@ func TestCancelKeepsSnapshotResumable(t *testing.T) {
 		t.Fatal("cancel failed")
 	}
 	mid := tr.Jobs[len(tr.Jobs)/2].Submit
-	live.RunUntil(mid)
+	runUntil(live, mid)
 	snap := live.Snapshot()
 	rest := &trace.Trace{Name: tr.Name, Procs: tr.Procs, Jobs: live.AppendPending(nil)}
 	snap.NextArrival = 0

@@ -90,7 +90,7 @@ func TestReservationIndexDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !a.RunUntil(work.Jobs[len(work.Jobs)/2].Submit) {
+			if !runUntil(a, work.Jobs[len(work.Jobs)/2].Submit) {
 				t.Fatal("replay drained before the cut")
 			}
 			snap := a.Snapshot()
@@ -110,7 +110,7 @@ func TestReservationIndexDifferential(t *testing.T) {
 			}
 			for i, j := range tr.Jobs {
 				if j.Submit > 0 {
-					live.RunUntil(j.Submit - 1)
+					runUntil(live, j.Submit-1)
 				}
 				if err := live.Inject(j.Clone()); err != nil {
 					t.Fatal(err)

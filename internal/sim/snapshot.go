@@ -100,21 +100,3 @@ func NewEngineFromSnapshot(t *trace.Trace, cfg Config, snap Snapshot) (*Engine, 
 	}
 	return e, nil
 }
-
-// RunUntil is the bounded-horizon replay entry point: it processes event
-// batches while the next pending timestamp is <= horizon, then stops. It
-// reports whether any events remain (false = the replay is complete). After
-// RunUntil returns true, Snapshot captures a state from which
-// NewEngineFromSnapshot continues the replay exactly.
-func (e *Engine) RunUntil(horizon int64) bool {
-	for {
-		t, ok := e.nextTime()
-		if !ok {
-			return false
-		}
-		if t > horizon {
-			return true
-		}
-		e.Step()
-	}
-}

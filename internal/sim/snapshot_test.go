@@ -44,7 +44,7 @@ func TestSnapshotResumeDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !a.RunUntil(horizon) {
+			if !runUntil(a, horizon) {
 				t.Fatalf("%s: replay drained before horizon %d", tc.name, horizon)
 			}
 			snap := a.Snapshot()
@@ -69,19 +69,43 @@ func TestSnapshotResumeDifferential(t *testing.T) {
 	}
 }
 
-// TestRunUntilCompletes pins RunUntil's return contract: false once the
-// replay has drained, true while events remain past the horizon.
-func TestRunUntilCompletes(t *testing.T) {
+// runUntil steps e through every event batch due at or before horizon and
+// reports whether events remain past it (false = the replay has drained).
+// After it returns true, Snapshot captures a state from which
+// NewEngineFromSnapshot continues the replay exactly.
+func runUntil(e *Engine, horizon int64) bool {
+	for {
+		at, ok := e.NextEventTime()
+		if !ok {
+			return false
+		}
+		if at > horizon {
+			return true
+		}
+		e.Step()
+	}
+}
+
+// TestStepReportsDrain pins the contract a stepping caller relies on: while
+// NextEventTime reports an event, Step processes the batch at that instant;
+// once the replay has drained, NextEventTime reports none and Step false.
+func TestStepReportsDrain(t *testing.T) {
 	tr := trace.SyntheticSDSCSP2(200, 1)
 	e, err := NewEngine(tr.Clone(), Config{Policy: sched.FCFS{}, Backfiller: backfill.NewEASY(backfill.RequestTime{})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !e.RunUntil(0) {
-		t.Fatal("RunUntil(0) drained a 200-job trace")
+	for {
+		at, ok := e.NextEventTime()
+		if !ok {
+			break
+		}
+		if !e.Step() || e.Now() != at {
+			t.Fatalf("Step with an event pending at %d left the clock at %d", at, e.Now())
+		}
 	}
-	if e.RunUntil(1 << 62) {
-		t.Fatal("RunUntil(max) reports pending events after draining")
+	if e.Step() {
+		t.Fatal("Step reports work after the replay drained")
 	}
 	if len(e.Records()) != 200 {
 		t.Fatalf("%d records after full drain, want 200", len(e.Records()))

@@ -155,7 +155,7 @@ func restoreWalk(t *testing.T, tr *trace.Trace, cfg Config) []metrics.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.RunUntil(work.Jobs[len(work.Jobs)/2].Submit) {
+	if !runUntil(a, work.Jobs[len(work.Jobs)/2].Submit) {
 		t.Fatal("replay drained before the cut")
 	}
 	snap := a.Snapshot()
@@ -205,7 +205,7 @@ func injectWalk(t *testing.T, tr *trace.Trace, cfg Config, squeeze int64) []metr
 		j = j.Clone()
 		j.Submit /= squeeze
 		if j.Submit > 0 {
-			live.RunUntil(j.Submit - 1)
+			runUntil(live, j.Submit-1)
 		}
 		if err := live.Inject(j); err != nil {
 			t.Fatal(err)

@@ -91,15 +91,3 @@ func Summarize(xs []float64) Summary {
 	s.P99 = Percentile(xs, 99)
 	return s
 }
-
-// MeanInt64 returns the mean of an int64 slice as float64.
-func MeanInt64(xs []int64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += float64(x)
-	}
-	return s / float64(len(xs))
-}

@@ -87,15 +87,6 @@ func TestSummarizeOrderInvariant(t *testing.T) {
 	}
 }
 
-func TestMeanInt64(t *testing.T) {
-	if m := MeanInt64([]int64{1, 2, 3, 4}); !almostEq(m, 2.5, 1e-12) {
-		t.Fatalf("MeanInt64 = %v", m)
-	}
-	if MeanInt64(nil) != 0 {
-		t.Fatal("MeanInt64(nil) should be 0")
-	}
-}
-
 // Property: percentile is monotone in p.
 func TestPercentileMonotone(t *testing.T) {
 	r := NewRNG(123)

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/stats"
@@ -113,54 +112,4 @@ func (a Analysis) String() string {
 	fmt.Fprintf(&sb, "  users     %d distinct, top user %4.1f%% of jobs\n", a.Users, a.TopUserF*100)
 	fmt.Fprintf(&sb, "  load      offered %4.1f%% of machine capacity\n", a.OfferedLoad*100)
 	return sb.String()
-}
-
-// UtilizationTimeline reconstructs machine usage over time from completed
-// schedule records expressed as (start, end, procs) triples; it returns the
-// per-interval busy fraction sampled at `buckets` uniform points of the
-// makespan. It is a post-hoc analysis helper for schedule results.
-func UtilizationTimeline(startEnds [][3]int64, machineProcs int, buckets int) []float64 {
-	if len(startEnds) == 0 || buckets <= 0 || machineProcs <= 0 {
-		return nil
-	}
-	var lo, hi int64
-	lo = startEnds[0][0]
-	for _, se := range startEnds {
-		if se[0] < lo {
-			lo = se[0]
-		}
-		if se[1] > hi {
-			hi = se[1]
-		}
-	}
-	if hi <= lo {
-		return nil
-	}
-	type ev struct {
-		t int64
-		d int
-	}
-	evs := make([]ev, 0, 2*len(startEnds))
-	for _, se := range startEnds {
-		evs = append(evs, ev{se[0], int(se[2])}, ev{se[1], -int(se[2])})
-	}
-	sort.Slice(evs, func(a, b int) bool {
-		if evs[a].t != evs[b].t {
-			return evs[a].t < evs[b].t
-		}
-		return evs[a].d < evs[b].d
-	})
-	out := make([]float64, buckets)
-	used := 0
-	ei := 0
-	span := hi - lo
-	for b := 0; b < buckets; b++ {
-		at := lo + span*int64(b)/int64(buckets)
-		for ei < len(evs) && evs[ei].t <= at {
-			used += evs[ei].d
-			ei++
-		}
-		out[b] = float64(used) / float64(machineProcs)
-	}
-	return out
 }

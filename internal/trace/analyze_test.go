@@ -53,32 +53,6 @@ func TestAnalyzeEmpty(t *testing.T) {
 	}
 }
 
-func TestUtilizationTimeline(t *testing.T) {
-	// one job using the full machine for [0, 100), then idle until 200
-	se := [][3]int64{{0, 100, 4}}
-	tl := UtilizationTimeline(se, 4, 4)
-	if len(tl) != 4 {
-		t.Fatalf("timeline has %d buckets", len(tl))
-	}
-	if tl[0] != 1 || tl[1] != 1 {
-		t.Fatalf("busy phase wrong: %v", tl)
-	}
-	se = append(se, [3]int64{100, 200, 2})
-	tl = UtilizationTimeline(se, 4, 4)
-	if tl[2] != 0.5 || tl[3] != 0.5 {
-		t.Fatalf("half-busy phase wrong: %v", tl)
-	}
-}
-
-func TestUtilizationTimelineEdgeCases(t *testing.T) {
-	if UtilizationTimeline(nil, 4, 4) != nil {
-		t.Fatal("empty input should yield nil")
-	}
-	if UtilizationTimeline([][3]int64{{0, 0, 2}}, 4, 4) != nil {
-		t.Fatal("zero-span input should yield nil")
-	}
-}
-
 func TestScaleLoadCompressesArrivals(t *testing.T) {
 	tr := SyntheticSDSCSP2(500, 9)
 	twice := ScaleLoad(tr, 2)
@@ -105,69 +79,4 @@ func TestScaleLoadPanicsOnBadFactor(t *testing.T) {
 		}
 	}()
 	ScaleLoad(SyntheticSDSCSP2(10, 1), 0)
-}
-
-func TestFilterAndRebase(t *testing.T) {
-	tr := SyntheticSDSCSP2(200, 3)
-	wide := Filter(tr, func(j *Job) bool { return j.Procs >= 8 })
-	for _, j := range wide.Jobs {
-		if j.Procs < 8 {
-			t.Fatal("Filter kept a narrow job")
-		}
-	}
-	if wide.Len() == 0 || wide.Len() == tr.Len() {
-		t.Fatalf("filter had no effect: %d of %d", wide.Len(), tr.Len())
-	}
-	rb := Rebase(wide)
-	if rb.Jobs[0].Submit != 0 {
-		t.Fatal("Rebase did not zero the first submit")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := SyntheticSDSCSP2(100, 1)
-	b := SyntheticHPC2N(100, 2)
-	m, err := Merge(256, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 200 {
-		t.Fatalf("merged %d jobs", m.Len())
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ids := map[int]bool{}
-	for _, j := range m.Jobs {
-		if ids[j.ID] {
-			t.Fatal("duplicate IDs after merge")
-		}
-		ids[j.ID] = true
-	}
-	// merging onto a too-small machine fails
-	if _, err := Merge(2, a); err == nil {
-		t.Fatal("merge onto tiny machine accepted")
-	}
-}
-
-func TestWithRequestFactor(t *testing.T) {
-	tr := SyntheticSDSCSP2(100, 4)
-	doubled := WithRequestFactor(tr, 2)
-	for i, j := range doubled.Jobs {
-		orig := tr.Jobs[i]
-		if j.Request < orig.Runtime {
-			t.Fatal("request fell below runtime")
-		}
-		want := int64(math.Round(float64(orig.Runtime) * 2))
-		if j.Request != want && j.Request != orig.Runtime {
-			t.Fatalf("request %d, want %d", j.Request, want)
-		}
-	}
-	// factor < 1 clamps to 1
-	same := WithRequestFactor(tr, 0.5)
-	for i, j := range same.Jobs {
-		if j.Request != tr.Jobs[i].Runtime {
-			t.Fatal("factor < 1 should clamp request to runtime")
-		}
-	}
 }

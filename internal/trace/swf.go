@@ -296,16 +296,3 @@ func WriteSWF(w io.Writer, t *Trace) error {
 	}
 	return sw.Flush()
 }
-
-// SaveSWFFile writes the trace to path in SWF format.
-func SaveSWFFile(path string, t *Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteSWF(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}

@@ -75,15 +75,15 @@ func TestTraceValidateRejectsRepeatedIDs(t *testing.T) {
 	}
 }
 
-// TestCloneIndependence overwrites every job of a Clone, a Slice and a
-// SampleSequence and checks the source trace is unchanged, field by field.
+// TestCloneIndependence overwrites every job of a Clone and a Slice and
+// checks the source trace is unchanged, field by field.
 func TestCloneIndependence(t *testing.T) {
 	tr := SyntheticSDSCSP2(50, 3)
 	want := make([]Job, tr.Len())
 	for i, j := range tr.Jobs {
 		want[i] = *j
 	}
-	for _, c := range []*Trace{tr.Clone(), Slice(tr, 10, 30), SampleSequence(tr, stats.NewRNG(4), 20)} {
+	for _, c := range []*Trace{tr.Clone(), Slice(tr, 10, 30)} {
 		for _, j := range c.Jobs {
 			*j = Job{ID: -1, Runtime: -1, Procs: -1, User: -1, Priority: -1}
 		}
@@ -270,39 +270,6 @@ func TestSyntheticRequestGEQRuntime(t *testing.T) {
 		if j.Request < j.Runtime {
 			t.Fatalf("job %d: request %d < runtime %d", j.ID, j.Request, j.Runtime)
 		}
-	}
-}
-
-func TestSampleSequence(t *testing.T) {
-	tr := SyntheticSDSCSP2(1000, 1)
-	rng := stats.NewRNG(2)
-	s := SampleSequence(tr, rng, 100)
-	if s.Len() != 100 {
-		t.Fatalf("sample has %d jobs", s.Len())
-	}
-	if s.Jobs[0].Submit != 0 {
-		t.Fatalf("sample not rebased: first submit %d", s.Jobs[0].Submit)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// mutation must not touch the source
-	s.Jobs[0].Runtime = 123456789
-	for _, j := range tr.Jobs {
-		if j.Runtime == 123456789 {
-			t.Fatal("sample shares storage with source trace")
-		}
-	}
-}
-
-func TestSampleSequenceWholeTrace(t *testing.T) {
-	tr := SyntheticSDSCSP2(50, 1)
-	s := SampleSequence(tr, stats.NewRNG(1), 500)
-	if s.Len() != 50 {
-		t.Fatalf("whole-trace sample has %d jobs", s.Len())
-	}
-	if s := SampleSequence(tr, stats.NewRNG(1), -3); s.Len() != 0 {
-		t.Fatalf("SampleSequence(t, rng, -3) has %d jobs, want 0", s.Len())
 	}
 }
 

@@ -3,13 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// The transforms in this file are the standard workload-manipulation
-// operations of trace-driven scheduling studies (cf. the Parallel Workloads
-// Archive guidelines): scaling offered load, filtering, and merging. All
-// return new traces and leave their inputs untouched.
 
 // ScaleLoad multiplies the offered load by `factor` by dividing every
 // inter-arrival gap by it (factor > 1 compresses arrivals = more load). Job
@@ -31,70 +25,6 @@ func ScaleLoad(t *Trace, factor float64) *Trace {
 		prevOrig = c.Jobs[i].Submit
 		acc += gap / factor
 		c.Jobs[i].Submit = base + int64(math.Round(acc))
-	}
-	return c
-}
-
-// Filter returns the jobs for which keep returns true (submit times are NOT
-// rebased; use Rebase if needed).
-func Filter(t *Trace, keep func(*Job) bool) *Trace {
-	c := &Trace{Name: t.Name, Procs: t.Procs, Mem: t.Mem}
-	for _, j := range t.Jobs {
-		if keep(j) {
-			c.Jobs = append(c.Jobs, j.Clone())
-		}
-	}
-	return c
-}
-
-// Rebase shifts submit times so the first job arrives at 0.
-func Rebase(t *Trace) *Trace {
-	c := t.Clone()
-	rebase(c.Jobs)
-	return c
-}
-
-// Merge interleaves several traces by submission time onto one machine of
-// the given size, renumbering job IDs to stay unique. Jobs wider than the
-// target machine are rejected with an error.
-func Merge(procs int, traces ...*Trace) (*Trace, error) {
-	out := &Trace{Name: "merged", Procs: procs}
-	for _, t := range traces {
-		for _, j := range t.Jobs {
-			if j.Procs > procs {
-				return nil, fmt.Errorf("trace: job %d of %s needs %d procs > merged machine %d",
-					j.ID, t.Name, j.Procs, procs)
-			}
-			out.Jobs = append(out.Jobs, j.Clone())
-		}
-	}
-	sort.SliceStable(out.Jobs, func(a, b int) bool {
-		return out.Jobs[a].Submit < out.Jobs[b].Submit
-	})
-	for i, j := range out.Jobs {
-		j.ID = i + 1
-	}
-	rebase(out.Jobs)
-	return out, nil
-}
-
-// WithRequestFactor returns a copy where every request time is
-// actual*factor (rounded, floored at the actual runtime) — a synthetic
-// estimate used to study over-estimation sensitivity when a trace lacks
-// user-provided requests.
-func WithRequestFactor(t *Trace, factor float64) *Trace {
-	if factor < 1 {
-		factor = 1
-	}
-	c := t.Clone()
-	for _, j := range c.Jobs {
-		j.Request = int64(math.Round(float64(j.Runtime) * factor))
-		if j.Request < j.Runtime {
-			j.Request = j.Runtime
-		}
-		if j.Request < 1 {
-			j.Request = 1
-		}
 	}
 	return c
 }
