@@ -111,6 +111,14 @@ func main() {
 		usage("-compact-every %d: want 0 or more (0 = the default)", *compactEvery)
 	case !(*starvationBound >= 0) || math.IsInf(*starvationBound, 1):
 		usage("-starvation-bound %v: want a finite bound >= 0 (0 = off)", *starvationBound)
+	case !(*scale >= 0) || math.IsInf(*scale, 1):
+		usage("-scale %v: want a finite scale >= 0 (0 = the default, 1)", *scale)
+	case *lease < 0:
+		usage("-lease %v: want 0 or more (0 = the default)", *lease)
+	case *ackTimeout < 0:
+		usage("-ack-timeout %v: want 0 or more (0 = the default)", *ackTimeout)
+	case *roundBudget < 0:
+		usage("-round-budget %v: want 0 or more (0 = off)", *roundBudget)
 	}
 
 	policy, err := sched.ByNameExtended(*policyArg)

@@ -28,10 +28,10 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestRejectsOutOfRangeFlags checks a negative -predict-cap or
-// -compact-every and a negative or non-finite -starvation-bound stop the
-// daemon at startup with exit 2 and a message naming the flag, before it
-// opens its WAL or snapshot.
+// TestRejectsOutOfRangeFlags checks a negative -predict-cap, -compact-every,
+// -lease, -ack-timeout or -round-budget and a negative or non-finite
+// -starvation-bound or -scale stop the daemon at startup with exit 2 and a
+// message naming the flag, before it opens its WAL or snapshot.
 func TestRejectsOutOfRangeFlags(t *testing.T) {
 	for _, c := range []struct{ args, flag string }{
 		{"-predict-cap -1", "-predict-cap"},
@@ -39,6 +39,12 @@ func TestRejectsOutOfRangeFlags(t *testing.T) {
 		{"-starvation-bound -1", "-starvation-bound"},
 		{"-starvation-bound NaN", "-starvation-bound"},
 		{"-starvation-bound +Inf", "-starvation-bound"},
+		{"-scale NaN", "-scale"},
+		{"-scale +Inf", "-scale"},
+		{"-scale -2", "-scale"},
+		{"-lease -1s", "-lease"},
+		{"-ack-timeout -5s", "-ack-timeout"},
+		{"-round-budget -1s", "-round-budget"},
 	} {
 		dir := t.TempDir()
 		args := "-addr 127.0.0.1:0 -wal " + filepath.Join(dir, "s.wal") + " -snapshot " + filepath.Join(dir, "s.json") + " " + c.args

@@ -29,22 +29,6 @@ func TestTableRendering(t *testing.T) {
 			t.Fatalf("rendered table missing %q:\n%s", want, s)
 		}
 	}
-	csv := tbl.CSV()
-	if !strings.HasPrefix(csv, "a,bb\n") {
-		t.Fatalf("CSV header wrong: %q", csv)
-	}
-	if !strings.Contains(csv, "333,4") {
-		t.Fatalf("CSV rows wrong: %q", csv)
-	}
-}
-
-func TestTableCSVEscaping(t *testing.T) {
-	tbl := &Table{Header: []string{`he"ad`, "b,c"}}
-	tbl.AddRow("x\ny", "plain")
-	csv := tbl.CSV()
-	if !strings.Contains(csv, `"he""ad"`) || !strings.Contains(csv, `"b,c"`) {
-		t.Fatalf("CSV escaping wrong: %q", csv)
-	}
 }
 
 func TestWorkloadsCoverTable2(t *testing.T) {

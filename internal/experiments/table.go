@@ -64,28 +64,4 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// CSV renders the table as comma-separated values (headers first).
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cells := make([]string, len(t.Header))
-	for i, h := range t.Header {
-		cells[i] = esc(h)
-	}
-	sb.WriteString(strings.Join(cells, ",") + "\n")
-	for _, row := range t.Rows {
-		out := make([]string, len(row))
-		for i, c := range row {
-			out[i] = esc(c)
-		}
-		sb.WriteString(strings.Join(out, ",") + "\n")
-	}
-	return sb.String()
-}
-
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

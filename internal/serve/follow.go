@@ -14,54 +14,115 @@ import (
 	"repro/internal/wal"
 )
 
-// Warm-standby replication, serve side (DESIGN.md §14). The primary's run
-// goroutine mirrors every WAL append into the replica.Feed and publishes at
-// round boundaries, so batch ends always coincide with history-digest
-// samples; a Follower tails the feed, applies each batch through the same
-// deterministic kernel, and byte-verifies its derived record stream against
-// the primary's digest continuously. Failover is lease-based: a follower
-// that cannot make stream progress for Config.Lease holds an election among
-// its peers and, if best positioned, promotes — bumping the WAL generation,
-// which doubles as the fencing token a restarting zombie primary checks
-// before accepting writes.
+// Warm-standby replication, serve side (DESIGN.md §14): a Follower tails
+// the primary's feed, applies each batch through the same kernel and checks
+// its history digest against the primary's; on lease expiry it promotes,
+// bumping the WAL generation, which is the fencing token.
 
-// --- primary-side hooks (run goroutine only) ---
+// --- the replication owner ---
 
-// publishRepl hands the WAL payloads appended since the last publish to the
-// replication feed, stamped with the history cursor as of now. Called at
-// round boundaries (end of advanceTo, after a cancel append), so a batch
-// always ends at an instant where the digest is well-defined.
-func (s *Scheduler) publishRepl() {
-	if s.feed == nil || len(s.repPend) == 0 {
-		return
-	}
-	n := len(s.repPend)
-	s.feed.Publish(s.repPend, s.histCount, s.histDigest)
-	s.repPend = nil
-	s.mReplPublished.Add(int64(n))
-	w := replLiveWindow(s.cfg)
-	s.mReplFollowers.Set(int64(s.feed.Followers(w)))
-	s.mReplLag.Set(int64(s.feed.Lag(w)))
+// replication owns the replica role and its fencing, the feed with the WAL
+// payloads not yet published to it, and the semi-sync ack wait. feed and
+// pend are the run goroutine's; role and leaderHint are shared.
+type replication struct {
+	role       atomic.Int32
+	leaderHint atomic.Value // string: primary base URL, set on followers
+	feed       *replica.Feed
+	pend       [][]byte // WAL payloads appended since the last publish
+	ackTimeout time.Duration
+	window     time.Duration // a follower heard from within it is live
+
+	mRole        *metrics.Gauge
+	mFenced      *metrics.Counter
+	mFailovers   *metrics.Counter
+	mFollowers   *metrics.Gauge
+	mLag         *metrics.Gauge
+	mPublished   *metrics.Counter
+	mAckTimeouts *metrics.Counter
+	mReseeds     *metrics.Counter
+	gLeaseAge    *metrics.FGauge
 }
 
-// replWait is the semi-synchronous ack: after an fsync'd client-visible
-// append, the primary waits (bounded) for a live follower to durably apply
-// it, so an acked job survives the loss of this host. With no live follower
-// the wait is skipped — replication is then async by necessity; a timeout
-// degrades this one ack to async and is counted.
-func (s *Scheduler) replWait() {
-	if s.feed == nil || s.wlog == nil || s.role.Load() != RolePrimary {
+func (r *replication) setRole(role int32) {
+	r.role.Store(role)
+	r.mRole.Set(int64(role))
+}
+
+// queue holds a copy of one appended WAL payload for the next publish.
+func (r *replication) queue(p []byte) {
+	r.pend = append(r.pend, append([]byte(nil), p...))
+}
+
+// publish hands the queued payloads to the feed, stamped with the history
+// cursor. Called at round boundaries, so a batch always ends at an instant
+// where the digest is well-defined.
+func (r *replication) publish(histCount int, histDigest uint32) {
+	if len(r.pend) == 0 {
 		return
 	}
-	w := replLiveWindow(s.cfg)
-	if !s.feed.HasFollower(w) {
+	n := len(r.pend)
+	r.feed.Publish(r.pend, histCount, histDigest)
+	r.pend = nil
+	r.mPublished.Add(int64(n))
+	r.mFollowers.Set(int64(r.feed.Followers(r.window)))
+	r.mLag.Set(int64(r.feed.Lag(r.window)))
+}
+
+// wait is the semi-synchronous ack: a primary waits (bounded) for a live
+// follower to durably apply the WAL through (gen, records), so an acked job
+// survives the loss of this host. With no live follower replication is
+// async by necessity; a timeout degrades this one ack to async.
+func (r *replication) wait(gen uint64, records int64, name string) {
+	if r.role.Load() != RolePrimary || !r.feed.HasFollower(r.window) {
 		return
 	}
-	if !s.feed.WaitApplied(s.walGen, s.wlog.Records(), s.cfg.ReplAckTimeout, w) {
-		s.mReplAckTimeouts.Inc()
+	if !r.feed.WaitApplied(gen, int(records), r.ackTimeout, r.window) {
+		r.mAckTimeouts.Inc()
 		log.Printf("serve: %s: semi-sync replication ack timed out after %v; this ack degrades to async",
-			s.cfg.Name, s.cfg.ReplAckTimeout)
+			name, r.ackTimeout)
 	}
+}
+
+// standDown closes the feed of a daemon whose durability failed. A live
+// follower holds the complete acked history, so a primary with one fences
+// itself and lets the lease expiry promote it: accepting writes here would
+// fork history. Without followers, degraded service is the lesser evil.
+func (r *replication) standDown(name string) {
+	if r.feed.HasFollower(r.window) && r.role.CompareAndSwap(RolePrimary, RoleFenced) {
+		r.mRole.Set(int64(RoleFenced))
+		log.Printf("serve: %s: durability lost with a live follower attached; self-fencing so the follower can take over", name)
+	}
+	r.feed.Close()
+}
+
+// writeAllowed gates state-changing commands by role.
+func (s *Scheduler) writeAllowed() error {
+	switch s.rep.role.Load() {
+	case RoleFollower:
+		return ErrFollower
+	case RoleFenced:
+		s.rep.mFenced.Inc()
+		log.Printf("serve: %s: fenced: write refused (generation %d is stale)", s.cfg.Name, s.WALGen())
+		return ErrFenced
+	}
+	return nil
+}
+
+// Fence demotes this replica to the fenced role: peerGen at peer exceeds the
+// local generation, meaning a follower was promoted while this daemon was
+// primary (or down). All subsequent writes are refused with ErrFenced and
+// counted in rlbf_fenced_total; reads keep working so operators can inspect
+// the zombie's final state.
+func (s *Scheduler) Fence(peer string, peerGen uint64) {
+	if s.rep.role.Swap(RoleFenced) == RoleFenced {
+		return
+	}
+	if peer != "" {
+		s.rep.leaderHint.Store(peer)
+	}
+	s.rep.mRole.Set(int64(RoleFenced))
+	log.Printf("serve: %s: fenced: peer %s holds generation %d > local %d; refusing writes",
+		s.cfg.Name, peer, peerGen, s.WALGen())
 }
 
 // HistoryFrames serves the first `to` history-log records for a follower
@@ -70,7 +131,7 @@ func (s *Scheduler) replWait() {
 // history prefix was synced, so the file always holds at least `to` intact
 // records by the time anyone asks.
 func (s *Scheduler) HistoryFrames(to int) ([][]byte, error) {
-	res, err := wal.Replay(s.fs, historyPath(s.cfg))
+	res, err := wal.Replay(s.dur.fs, s.dur.histPath())
 	if err != nil {
 		return nil, err
 	}
@@ -86,75 +147,64 @@ func (s *Scheduler) HistoryFrames(to int) ([][]byte, error) {
 // history cursor against the primary's. Divergence is a refusal: the replica
 // stops rather than serve (or later promote) a forked history.
 func (s *Scheduler) handleApply(b *applyBatch) (int, error) {
-	if s.role.Load() != RoleFollower {
+	if s.rep.role.Load() != RoleFollower {
 		return 0, ErrNotFollower
-	}
-	if s.degraded.Load() {
-		return 0, fmt.Errorf("serve: follower degraded: %s", s.DegradedReason())
 	}
 	for i, p := range b.payloads {
 		if err := s.applyCommand(p); err != nil {
 			return 0, fmt.Errorf("serve: apply batch record %d: %w", i, err)
 		}
-		s.walAppend(p)
+		s.logCommand(s.dur.append(p))
 	}
 	s.syncRecords()
-	s.walSync() // the ack we send upstream must not outrun our own disk
+	s.degradeOn(s.dur.sync()) // the ack we send upstream must not outrun our own disk
 	if s.degraded.Load() {
 		return 0, fmt.Errorf("serve: follower degraded: %s", s.DegradedReason())
 	}
 	// The continuous byte-verification: our re-derived record stream must
 	// carry the primary's exact digest at every batch boundary.
-	if s.histCount != b.histCount || s.histDigest != b.histDigest {
+	if count, digest := s.dur.cursor(); count != b.histCount || digest != b.histDigest {
 		err := fmt.Errorf("%w: local %d records digest %08x vs primary %d records digest %08x",
-			ErrReplicaDivergence, s.histCount, s.histDigest, b.histCount, b.histDigest)
+			ErrReplicaDivergence, count, digest, b.histCount, b.histDigest)
 		log.Printf("serve: %s: %v", s.cfg.Name, err)
 		return 0, err
 	}
-	s.publishRepl() // keep our own feed current for chained followers / post-promotion rejoins
-	s.mQueue.Set(int64(s.eng.QueueLen()))
-	s.mFree.Set(int64(s.eng.FreeProcs()))
-	s.mRunning.Set(int64(s.eng.RunningCount()))
-	if b.rotateTo != 0 && b.rotateTo != s.walGen {
-		s.compactTo(b.rotateTo)
-		if s.degraded.Load() {
-			return 0, fmt.Errorf("serve: follower rotation: %s", s.DegradedReason())
+	s.rep.publish(s.dur.cursor()) // keep our own feed current for chained followers / post-promotion rejoins
+	s.setGauges()
+	if b.rotateTo != 0 && b.rotateTo != s.dur.gen.Load() {
+		if err := s.compactTo(b.rotateTo); err != nil {
+			return 0, fmt.Errorf("serve: follower rotation: %w", err)
 		}
 	}
-	if s.wlog == nil {
+	if !s.dur.on() {
 		return 0, errors.New("serve: follower wal closed")
 	}
-	return s.wlog.Records(), nil
+	return int(s.dur.records.Load()), nil
 }
 
 // handlePromote (run goroutine) turns a verified follower into the primary.
 func (s *Scheduler) handlePromote() error {
-	if s.role.Load() != RoleFollower {
+	if s.rep.role.Load() != RoleFollower {
 		return ErrNotFollower
-	}
-	if s.degraded.Load() {
-		return fmt.Errorf("serve: promote: degraded: %s", s.DegradedReason())
 	}
 	// Re-anchor the wall→sim adapter: simulation resumes from the furthest
 	// instant the stream proved, counted from this wall moment — the same
 	// re-anchoring Recover performs after a crash.
 	s.simEpoch = max(s.simEpoch, s.replClock, s.eng.Now())
 	s.wallEpoch = s.clock.Now()
-	prevGen := s.walGen
+	prevGen := s.dur.gen.Load()
 	// Bump the generation BEFORE accepting writes: the rotation is the
 	// fencing token. A zombie ex-primary restarting at prevGen now probes a
 	// higher generation and fences itself.
-	s.compact()
-	if s.degraded.Load() {
-		return fmt.Errorf("serve: promote: generation bump failed: %s", s.DegradedReason())
+	if err := s.compact(); err != nil {
+		return fmt.Errorf("serve: promote: generation bump failed: %w", err)
 	}
-	s.role.Store(RolePrimary)
-	s.mRole.Set(int64(RolePrimary))
-	s.mFailovers.Inc()
-	s.leaderHint.Store("")
-	s.gLeaseAge.Set(0)
+	s.rep.setRole(RolePrimary)
+	s.rep.mFailovers.Inc()
+	s.rep.leaderHint.Store("")
+	s.rep.gLeaseAge.Set(0)
 	log.Printf("serve: %s: promoted to primary at generation %d (fencing token bumped from %d): recovery verified, %d derived records byte-checked against primary digest %08x, sim clock %d",
-		s.cfg.Name, s.walGen, prevGen, s.histCount, s.histDigest, s.eng.Now())
+		s.cfg.Name, s.dur.gen.Load(), prevGen, s.dur.histCount, s.dur.histDigest, s.eng.Now())
 	return nil
 }
 
@@ -178,15 +228,12 @@ type FollowConfig struct {
 // loop that keeps it in lockstep with the primary and promotes it when the
 // primary's lease expires.
 type Follower struct {
-	s     *Scheduler
-	fc    FollowConfig
-	lease time.Duration
-	cl    *replica.Client
-	gen   uint64
-	seq   int
-	stop  chan struct{}
-	done  chan struct{}
-	err   atomic.Value // error: divergence or unrecoverable stream state
+	s    *Scheduler
+	fc   FollowConfig
+	cl   *replica.Client
+	stop chan struct{}
+	done chan struct{}
+	err  atomic.Value // error: divergence or unrecoverable stream state
 }
 
 // NewFollower builds a follower replica. With no usable local state it
@@ -211,55 +258,49 @@ func NewFollower(cfg Config, fc FollowConfig) (*Follower, error) {
 		fc.Session = cfg.Name
 	}
 
-	var s *Scheduler
-	var peer string
+	// One probe finds the primary: a local lineage it does not extend (we
+	// missed a failover, or our last appends were never replicated and
+	// acked) cannot be trusted, so the follower bootstraps fresh from it.
+	peer, h := findPrimary(fc)
 	local, localGen, localSeq := localPosition(cfg)
-	if local {
-		p, h := findPrimary(fc)
-		if h != nil && (h.Gen != localGen || h.Applied < int64(localSeq)) {
-			// The primary is on another generation (we missed a failover) or
-			// behind our local tail (our last appends were never replicated
-			// and acked): the local lineage cannot be trusted. Bootstrap
-			// fresh from the primary's snapshot.
-			log.Printf("serve: %s: local wal (gen %d, %d records) does not extend primary %s (gen %d, %d records); re-bootstrapping",
-				cfg.Name, localGen, localSeq, p, h.Gen, h.Applied)
-			local = false
-			peer = p
-		} else if h != nil {
-			peer = p
-		}
+	if local && h != nil && (h.Gen != localGen || h.Applied < int64(localSeq)) {
+		log.Printf("serve: %s: local wal (gen %d, %d records) does not extend primary %s (gen %d, %d records); re-bootstrapping",
+			cfg.Name, localGen, localSeq, peer, h.Gen, h.Applied)
+		local = false
 	}
+	var s *Scheduler
 	var err error
-	if local {
+	switch {
+	case local:
 		s, _, err = recoverInternal(cfg, false)
 		// Seed our own feed at the resumed mid-generation position so its
 		// sequence numbers stay absolute; it cannot serve bootstraps until
 		// the next rotation (the mid-generation state is not a rotation
 		// snapshot), which Seed encodes by leaving the snapshot nil.
-		if err == nil && s.feed != nil {
-			s.feed.Seed(s.walGen, int(s.walCount.Load()), s.histCount, s.histDigest)
+		if err == nil {
+			count, digest := s.dur.cursor()
+			s.rep.feed.Seed(s.WALGen(), int(s.WALApplied()), count, digest)
 		}
-	} else {
-		s, peer, err = bootstrapFollower(cfg, fc)
+	case peer == "":
+		err = fmt.Errorf("serve: follower bootstrap: no reachable primary among %v", fc.Peers)
+	default:
+		s, err = bootstrapFollower(cfg, &replica.Client{Base: peer, Session: fc.Session, HTTP: fc.HTTP})
 	}
 	if err != nil {
 		return nil, err
 	}
-	s.role.Store(RoleFollower)
-	s.mRole.Set(int64(RoleFollower))
+	s.rep.setRole(RoleFollower)
 	if peer == "" {
 		peer = fc.Peers[0]
 	}
-	s.leaderHint.Store(peer)
+	s.rep.leaderHint.Store(peer)
 	f := &Follower{
-		s: s, fc: fc, lease: cfg.Lease,
+		s: s, fc: fc,
 		cl:   &replica.Client{Base: peer, Session: fc.Session, HTTP: fc.HTTP},
-		gen:  s.walGen,
-		seq:  int(s.walCount.Load()),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	log.Printf("serve: %s: following %s from generation %d, record %d", cfg.Name, peer, f.gen, f.seq)
+	log.Printf("serve: %s: following %s from generation %d, record %d", cfg.Name, peer, s.WALGen(), s.WALApplied())
 	return f, nil
 }
 
@@ -290,13 +331,11 @@ func findPrimary(fc FollowConfig) (string, *replica.Health) {
 // bootstrapData is one verified primary bootstrap: the rotation snapshot, its
 // parsed state, and the history prefix whose digest matched the primary's.
 type bootstrapData struct {
-	gen        uint64
-	state      []byte // raw snapshot JSON (persisted and fed to the local feed)
-	st         *State
-	frames     [][]byte // encoded history payloads, for the local history log
-	prior      []metrics.Record
-	histCount  int
-	histDigest uint32
+	gen    uint64
+	state  []byte // raw snapshot JSON (persisted and fed to the local feed)
+	st     *State
+	frames [][]byte // encoded history payloads, for the local history log
+	prior  []metrics.Record
 }
 
 // fetchBootstrap pulls the primary's rotation snapshot and history prefix and
@@ -318,22 +357,16 @@ func fetchBootstrap(cl *replica.Client) (*bootstrapData, error) {
 		return nil, fmt.Errorf("serve: follower bootstrap: primary served %d of %d history records", len(frames), sn.HistCount)
 	}
 	frames = frames[:sn.HistCount]
-	var digest uint32
-	prior := make([]metrics.Record, 0, len(frames))
-	for i, p := range frames {
-		rec, err := decodeWalRec(p)
-		if err != nil || rec.kind != walKindRecord {
-			return nil, fmt.Errorf("serve: follower bootstrap: history entry %d: %v", i, err)
-		}
-		prior = append(prior, metrics.Record{Job: rec.job, Start: rec.start, End: rec.end})
-		digest = wal.Digest(digest, p)
+	prior, err := decodeHistory(frames)
+	if err != nil {
+		return nil, fmt.Errorf("serve: follower bootstrap: %w", err)
 	}
-	if digest != sn.HistDigest {
+	if digest := historyDigest(frames); digest != sn.HistDigest {
 		return nil, fmt.Errorf("%w: bootstrap history digest %08x vs primary %08x", ErrReplicaDivergence, digest, sn.HistDigest)
 	}
 	return &bootstrapData{
 		gen: sn.Gen, state: sn.State, st: st, frames: frames,
-		prior: prior, histCount: sn.HistCount, histDigest: digest,
+		prior: prior,
 	}, nil
 }
 
@@ -342,7 +375,7 @@ func fetchBootstrap(cl *replica.Client) (*bootstrapData, error) {
 // snapshot generation through rotate) and points the history cursor at it.
 // Any previously open logs must be closed by the caller.
 func (s *Scheduler) installBootstrap(b *bootstrapData) error {
-	if err := s.createHistory(b.frames); err != nil {
+	if err := s.dur.createHistory(b.frames); err != nil {
 		return fmt.Errorf("serve: follower bootstrap: %w", err)
 	}
 	if err := s.rotate(b.gen, b.state); err != nil {
@@ -354,15 +387,10 @@ func (s *Scheduler) installBootstrap(b *bootstrapData) error {
 // bootstrapFollower pulls the primary's rotation snapshot and verified
 // history prefix, persists a fresh local durability triple from them, and
 // returns a scheduler positioned at (snapshot generation, record 0).
-func bootstrapFollower(cfg Config, fc FollowConfig) (*Scheduler, string, error) {
-	peer, _ := findPrimary(fc)
-	if peer == "" {
-		return nil, "", fmt.Errorf("serve: follower bootstrap: no reachable primary among %v", fc.Peers)
-	}
-	cl := &replica.Client{Base: peer, Session: fc.Session, HTTP: fc.HTTP}
+func bootstrapFollower(cfg Config, cl *replica.Client) (*Scheduler, error) {
 	b, err := fetchBootstrap(cl)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	s, err := newEmpty(cfg)
 	if err == nil {
@@ -373,21 +401,18 @@ func bootstrapFollower(cfg Config, fc FollowConfig) (*Scheduler, string, error) 
 		err = s.installBootstrap(b)
 	}
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return s, peer, nil
+	return s, nil
 }
 
-// handleReseed (run goroutine) replaces a follower's entire state with a
-// fresh verified bootstrap — the recovery path for a follower whose stream
-// position fell out of the primary's feed retention (it lagged more than one
-// compaction behind). It is NewFollower's bootstrap applied in place, through
-// the same loader and rotation, so the scheduler identity — HTTP bindings,
-// metrics registry, command channel — survives the reset. The state loads
-// before the old logs close, so a bootstrap that does not load leaves the
-// follower as it was.
+// handleReseed (run goroutine) replaces a follower's state with a fresh
+// verified bootstrap, for a follower that lagged out of the primary's feed
+// retention: NewFollower's bootstrap applied in place, so HTTP bindings,
+// metrics and the command channel survive. The state loads before the old
+// logs close, so a bootstrap that does not load leaves the follower as it was.
 func (s *Scheduler) handleReseed(b *bootstrapData) error {
-	if s.role.Load() != RoleFollower {
+	if s.rep.role.Load() != RoleFollower {
 		return ErrNotFollower
 	}
 	if s.degraded.Load() {
@@ -396,16 +421,16 @@ func (s *Scheduler) handleReseed(b *bootstrapData) error {
 	if err := s.loadState(b.st, b.prior); err != nil {
 		return fmt.Errorf("serve: reseed: %w", err)
 	}
-	s.closeLogs()
+	s.dur.closeLogs()
 	if err := s.installBootstrap(b); err != nil {
 		// The old logs are gone and the new triple is incomplete: durability
 		// is lost until an operator intervenes, exactly like a failed rotation.
-		s.degrade("reseed", err)
-		return err
+		return s.degradeOn(fmt.Errorf("reseed: %w", err))
 	}
-	s.mReplReseeds.Inc()
+	s.rep.mReseeds.Inc()
+	count, digest := s.dur.cursor()
 	log.Printf("serve: %s: re-bootstrapped in place at generation %d (%d history records, digest %08x)",
-		s.cfg.Name, b.gen, b.histCount, b.histDigest)
+		s.cfg.Name, b.gen, count, digest)
 	return nil
 }
 
@@ -452,7 +477,7 @@ func (f *Follower) poll() time.Duration {
 	if f.fc.Poll > 0 {
 		return f.fc.Poll
 	}
-	return min(max(f.lease/4, 50*time.Millisecond), time.Second)
+	return min(max(f.s.cfg.Lease/4, 50*time.Millisecond), time.Second)
 }
 
 // loop is the follower's stream loop: long-poll the primary, apply batches,
@@ -469,25 +494,27 @@ func (f *Follower) loop() {
 			return
 		default:
 		}
-		if f.s.role.Load() != RoleFollower {
+		if f.s.rep.role.Load() != RoleFollower {
 			return
 		}
-		f.s.gLeaseAge.Set(time.Since(last).Seconds())
-		b, err := f.cl.Stream(f.gen, f.seq, f.seq, poll)
+		f.s.rep.gLeaseAge.Set(time.Since(last).Seconds())
+		// The stream position is the local WAL's: its generation and the
+		// records applied in it.
+		gen, seq := f.s.WALGen(), int(f.s.WALApplied())
+		b, err := f.cl.Stream(gen, seq, seq, poll)
 		if err == nil && b.SnapshotNeeded {
 			// Our position fell out of the primary's retention window (more
 			// than one compaction behind). The primary is alive — it answered —
 			// so re-bootstrap in place from its current snapshot rather than
 			// dying: a warm standby must survive arbitrary lag.
 			log.Printf("serve: %s: stream position (gen %d, record %d) left the primary's feed; re-bootstrapping in place",
-				f.s.cfg.Name, f.gen, f.seq)
+				f.s.cfg.Name, gen, seq)
 			bd, ferr := fetchBootstrap(f.cl)
 			if ferr == nil {
 				if rerr := f.s.Reseed(bd); rerr != nil {
 					f.fail(rerr) // local install failed: terminal
 					return
 				}
-				f.gen, f.seq = bd.gen, 0
 				last = time.Now()
 				backoff = 50 * time.Millisecond
 				continue
@@ -499,7 +526,7 @@ func (f *Follower) loop() {
 			err = ferr // transient fetch failure: the retry/lease path below
 		}
 		if err != nil {
-			if time.Since(last) > f.lease {
+			if time.Since(last) > f.s.cfg.Lease {
 				switch f.election() {
 				case electPromote:
 					if perr := f.s.Promote(); perr != nil {
@@ -522,18 +549,18 @@ func (f *Follower) loop() {
 		}
 		backoff = 50 * time.Millisecond
 		last = time.Now()
-		f.s.gLeaseAge.Set(0)
-		if b.Gen != f.gen {
+		f.s.rep.gLeaseAge.Set(0)
+		if b.Gen != gen {
 			continue // stale response (duplicate delivery across a rotation)
 		}
 		recs := b.Records
-		switch off := f.seq - b.Seq; {
+		switch off := seq - b.Seq; {
 		case off < 0:
 			continue // gap — should not happen; re-request from our position
 		case off >= len(recs):
 			// Fully duplicate delivery. Unless it also carries the rotation
 			// signal for exactly our position, there is nothing to do.
-			if b.NextGen == 0 || f.seq != b.Seq+len(recs) {
+			if b.NextGen == 0 || seq != b.Seq+len(recs) {
 				continue
 			}
 			recs = nil
@@ -543,15 +570,10 @@ func (f *Follower) loop() {
 		if len(recs) == 0 && b.NextGen == 0 {
 			continue // idle long-poll timeout
 		}
-		seq, aerr := f.s.ApplyReplica(recs, b.HistCount, b.HistDigest, b.NextGen)
-		if aerr != nil {
-			f.fail(aerr)
+		if _, err := f.s.ApplyReplica(recs, b.HistCount, b.HistDigest, b.NextGen); err != nil {
+			f.fail(err)
 			return
 		}
-		if b.NextGen != 0 {
-			f.gen = b.NextGen
-		}
-		f.seq = seq
 	}
 }
 
@@ -577,7 +599,7 @@ func (f *Follower) election() electOutcome {
 		switch {
 		case h.Role == "primary" && h.Gen >= myGen:
 			f.cl = &replica.Client{Base: p, Session: f.fc.Session, HTTP: f.fc.HTTP}
-			f.s.leaderHint.Store(p)
+			f.s.rep.leaderHint.Store(p)
 			log.Printf("serve: %s: adopting primary %s at generation %d", myName, p, h.Gen)
 			return electFollowNew
 		case h.Role == "follower":
@@ -637,7 +659,7 @@ func WatchPeers(s *Scheduler, peers []string, every time.Duration, hc *http.Clie
 				return
 			case <-time.After(every):
 			}
-			if s.role.Load() != RolePrimary {
+			if s.rep.role.Load() != RolePrimary {
 				continue
 			}
 			for _, p := range peers {

@@ -246,7 +246,7 @@ func TestServeFollowerReseedsAfterLag(t *testing.T) {
 	if err := f.Err(); err != nil {
 		t.Fatalf("follower died instead of re-bootstrapping: %v", err)
 	}
-	if got := f.Scheduler().mReplReseeds.Value(); got < 1 {
+	if got := f.Scheduler().rep.mReseeds.Value(); got < 1 {
 		t.Fatalf("rlbf_repl_rebootstraps_total = %d, want >= 1", got)
 	}
 
@@ -438,7 +438,7 @@ func TestServeFollowerRestartInPlace(t *testing.T) {
 			if got := sc.n.Load() - fetches; (got > 0) != row.bootstrap {
 				t.Fatalf("restarted follower fetched %d snapshots; bootstrap expected: %v", got, row.bootstrap)
 			}
-			if got := f2.Scheduler().mReplReseeds.Value(); got != 0 {
+			if got := f2.Scheduler().rep.mReseeds.Value(); got != 0 {
 				t.Fatalf("rlbf_repl_rebootstraps_total = %d after a restart, want 0", got)
 			}
 

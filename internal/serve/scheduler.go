@@ -1,19 +1,9 @@
 // Package serve turns the batch scheduling simulator into a long-lived
-// scheduler service: a single authoritative sim.Engine driven in real or
-// scaled time by streaming job submissions, cancellations and status queries
-// from many concurrent clients (DESIGN.md §12).
-//
-// The concurrency model is single-writer: every engine mutation happens on
-// one goroutine (run), which consumes commands from an unbuffered channel.
-// HTTP handlers — bounded by the shared internal/pool semaphore — only ever
-// send commands and wait for replies, so the scheduling kernel needs no
-// locks and stays exactly the deterministic batch kernel. The clock adapter
-// maps wall time to simulation seconds (simNow = simEpoch + elapsed *
-// TimeScale); between commands the goroutine sleeps until the next pending
-// engine event's wall deadline. Crash recovery is the write-ahead log of
-// DESIGN.md §13: every state-changing command is logged before its ack, the
-// log rotates through live-state snapshots, and Recover replays snapshot plus
-// log tail into a byte-identical schedule.
+// scheduler service: one sim.Engine driven in real or scaled time by
+// concurrent clients' submissions, cancellations and status queries
+// (DESIGN.md §12). Every engine mutation happens on one goroutine, which
+// consumes commands from an unbuffered channel, so the kernel needs no locks.
+// Durability is the write-ahead log of §13; replication is §14.
 package serve
 
 import (
@@ -98,15 +88,26 @@ type Config struct {
 
 // checkConfig refuses settings no daemon can run with. The constructors and
 // Recover call it before they apply a default or open a file, so 0 keeps
-// meaning "default" and a refused daemon touches nothing on disk.
+// meaning "default" (or "off", for RoundBudget) and a refused daemon touches
+// nothing on disk. A time scale that is not finite would leave every wall
+// deadline at or before now, so the run loop would advance forever without
+// reading a command.
 func checkConfig(cfg Config) error {
-	switch b := cfg.Scenario.StarvationBound; {
+	switch b, ts := cfg.Scenario.StarvationBound, cfg.TimeScale; {
 	case cfg.PredictCap < 0:
 		return fmt.Errorf("serve: negative PredictCap %d (0 = the default)", cfg.PredictCap)
 	case cfg.CompactEvery < 0:
 		return fmt.Errorf("serve: negative CompactEvery %d (0 = the default)", cfg.CompactEvery)
 	case !(b >= 0) || math.IsInf(b, 1):
 		return fmt.Errorf("serve: starvation bound %v is not finite and >= 0", b)
+	case !(ts >= 0) || math.IsInf(ts, 1):
+		return fmt.Errorf("serve: time scale %v is not finite and >= 0 (0 = the default)", ts)
+	case cfg.Lease < 0:
+		return fmt.Errorf("serve: negative Lease %v (0 = the default)", cfg.Lease)
+	case cfg.ReplAckTimeout < 0:
+		return fmt.Errorf("serve: negative ReplAckTimeout %v (0 = the default)", cfg.ReplAckTimeout)
+	case cfg.RoundBudget < 0:
+		return fmt.Errorf("serve: negative RoundBudget %v (0 = off)", cfg.RoundBudget)
 	}
 	return nil
 }
@@ -117,13 +118,13 @@ func applyWALDefaults(cfg *Config) {
 	if cfg.FS == nil {
 		cfg.FS = wal.OSFS{}
 	}
-	if cfg.CompactEvery <= 0 {
+	if cfg.CompactEvery == 0 {
 		cfg.CompactEvery = 4096
 	}
-	if cfg.Lease <= 0 {
+	if cfg.Lease == 0 {
 		cfg.Lease = 3 * time.Second
 	}
-	if cfg.ReplAckTimeout <= 0 {
+	if cfg.ReplAckTimeout == 0 {
 		cfg.ReplAckTimeout = time.Second
 	}
 }
@@ -284,9 +285,11 @@ type reply struct {
 	err    error
 }
 
-// Scheduler owns the live engine. Construct with New, Recover or NewFollower,
-// call Start, and issue commands through the exported methods; every method is
-// safe for concurrent use (they serialize on the command channel).
+// Scheduler is the engine loop: the engine, the round, the job bookkeeping
+// and predictions. dur (wal.go) owns the files and returns their errors;
+// rep (follow.go) owns the role and the replication feed. Construct with
+// New, Recover or NewFollower and call Start; every exported method is safe
+// for concurrent use (they serialize on the command channel).
 type Scheduler struct {
 	cfg   Config
 	clock Clock
@@ -301,35 +304,20 @@ type Scheduler struct {
 	killC    chan struct{}
 	draining atomic.Bool
 
-	// Degraded mode: flipped (never cleared) by the run goroutine when the
-	// durability layer fails; read by /healthz and Stats.
+	// Degraded mode: flipped (never cleared) by degradeOn; read by /healthz
+	// and Stats.
 	degraded       atomic.Bool
 	degradedReason atomic.Value // string
 
-	// Replication. role is written by the run goroutine (promote) and by
-	// Fence; feed is the primary-side stream buffer (nil without a WAL).
-	// walGenA/walCount shadow the run-goroutine walGen/wlog.Records() for
-	// lock-free reads from /healthz and the fencing probes. roundT0 is the
-	// watchdog's start-of-round stamp (0 = idle).
-	role       atomic.Int32
-	leaderHint atomic.Value // string: primary base URL, set on followers
-	feed       *replica.Feed
-	walGenA    atomic.Uint64
-	walCount   atomic.Int64
-	roundT0    atomic.Int64
-	testSlow   func() // test hook: injected delay inside a round
+	dur durability
+	rep replication
+
+	roundT0  atomic.Int64 // the watchdog's start-of-round stamp (0 = idle)
+	testSlow func()       // test hook: injected delay inside a round
 
 	// Everything below is owned by the run goroutine.
-	fs         wal.FS
-	wlog       *wal.Log // command write-ahead log; nil = WAL off or degraded
-	hlog       *wal.Log // append-only completed-record history
-	walGen     uint64
-	histCount  int
-	histDigest uint32   // chained CRC32C over history payloads
-	repPend    [][]byte // WAL payloads appended since the last feed publish
-	replClock  int64    // furthest instant seen in applied batches (follower)
-	encBuf     []byte
-	idem       map[string]int // idempotency key -> assigned job ID
+	replClock int64          // furthest instant seen in applied commands
+	idem      map[string]int // idempotency key -> assigned job ID
 
 	eng       *sim.Engine
 	pred      backfill.Predictor
@@ -358,24 +346,10 @@ type Scheduler struct {
 	hDecision  *metrics.Histogram
 	hSubmit    *metrics.Histogram
 
-	mShed        *metrics.Counter
-	mWALRecords  *metrics.Counter
-	mWALBytes    *metrics.Gauge
-	mCompactions *metrics.Counter
-	mDegraded    *metrics.Gauge
-	hWALSync     *metrics.Histogram
-
-	mRole            *metrics.Gauge
-	mFenced          *metrics.Counter
-	mFailovers       *metrics.Counter
-	mReplFollowers   *metrics.Gauge
-	mReplLag         *metrics.Gauge
-	mReplPublished   *metrics.Counter
-	mReplAckTimeouts *metrics.Counter
-	mReplReseeds     *metrics.Counter
-	gLeaseAge        *metrics.FGauge
-	mRoundStalled    *metrics.Gauge
-	mRoundStalls     *metrics.Counter
+	mShed         *metrics.Counter
+	mDegraded     *metrics.Gauge
+	mRoundStalled *metrics.Gauge
+	mRoundStalls  *metrics.Counter
 }
 
 // New prepares a scheduler over an empty cluster, initializing the
@@ -390,22 +364,6 @@ func New(cfg Config) (*Scheduler, error) {
 			return nil, err
 		}
 	}
-	return s, nil
-}
-
-// newEmpty builds the in-memory scheduler over an empty cluster without
-// touching the durability files (Recover attaches them itself).
-func newEmpty(cfg Config) (*Scheduler, error) {
-	s, err := newScheduler(cfg)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := sim.NewLiveEngine(cfg.Name, cfg.Procs, cfg.Mem, s.simConfig())
-	if err != nil {
-		return nil, err
-	}
-	s.eng = eng
-	s.nextID = 1
 	return s, nil
 }
 
@@ -427,7 +385,7 @@ func (s *Scheduler) loadState(st *State, prior []metrics.Record) error {
 	if err != nil {
 		return fmt.Errorf("serve: load state: %w", err)
 	}
-	if d := len(prior) - s.histCount; d > 0 {
+	if d := len(prior) - s.dur.histCount; d > 0 {
 		s.mStarted.Add(int64(d))
 	}
 	s.eng = eng
@@ -437,7 +395,7 @@ func (s *Scheduler) loadState(st *State, prior []metrics.Record) error {
 	s.nextID = st.NextID
 	s.prior = prior
 	s.recSeen = 0
-	s.repPend = nil
+	s.rep.pend = nil
 	s.predStamp = -1
 	clear(s.submitted)
 	clear(s.started)
@@ -457,13 +415,13 @@ func (s *Scheduler) loadState(st *State, prior []metrics.Record) error {
 		s.canceledIDs[id] = true
 	}
 	maps.Copy(s.idem, st.Idem)
-	s.mQueue.Set(int64(eng.QueueLen()))
-	s.mFree.Set(int64(eng.FreeProcs()))
-	s.mRunning.Set(int64(eng.RunningCount()))
+	s.setGauges()
 	return nil
 }
 
-func newScheduler(cfg Config) (*Scheduler, error) {
+// newEmpty builds the in-memory scheduler over an empty cluster without
+// touching the durability files (Recover attaches them itself).
+func newEmpty(cfg Config) (*Scheduler, error) {
 	if err := checkConfig(cfg); err != nil {
 		return nil, err
 	}
@@ -472,9 +430,6 @@ func newScheduler(cfg Config) (*Scheduler, error) {
 	}
 	if cfg.Procs <= 0 {
 		return nil, fmt.Errorf("serve: non-positive machine size %d", cfg.Procs)
-	}
-	if cfg.TimeScale < 0 {
-		return nil, fmt.Errorf("serve: negative time scale %g", cfg.TimeScale)
 	}
 	if cfg.WALPath != "" && cfg.SnapshotPath == "" {
 		return nil, errors.New("serve: WALPath requires SnapshotPath (compaction writes snapshots)")
@@ -488,7 +443,8 @@ func newScheduler(cfg Config) (*Scheduler, error) {
 		clock:       cfg.Clock,
 		scale:       cfg.TimeScale,
 		est:         cfg.Estimator,
-		fs:          cfg.FS,
+		dur:         durability{fs: cfg.FS, walPath: cfg.WALPath, snapPath: cfg.SnapshotPath},
+		rep:         replication{feed: replica.NewFeed(), ackTimeout: cfg.ReplAckTimeout, window: max(3*cfg.ReplAckTimeout, 3*time.Second)},
 		cmds:        make(chan command),
 		done:        make(chan struct{}),
 		killC:       make(chan struct{}),
@@ -516,6 +472,7 @@ func newScheduler(cfg Config) (*Scheduler, error) {
 		s.reg = metrics.NewRegistry()
 	}
 	s.wallEpoch = s.clock.Now()
+	// Registration order is the /metrics exposition order.
 	s.mSubmits = s.reg.NewCounter("rlbf_submissions_total", "Accepted job submissions.")
 	s.mCancels = s.reg.NewCounter("rlbf_cancellations_total", "Successful job cancellations.")
 	s.mStatus = s.reg.NewCounter("rlbf_status_queries_total", "Status queries served.")
@@ -529,25 +486,28 @@ func newScheduler(cfg Config) (*Scheduler, error) {
 	s.hSubmit = s.reg.NewHistogram("rlbf_submit_latency_seconds",
 		"Wall time to admit a submission and run its scheduling round.", nil)
 	s.mShed = s.reg.NewCounter("rlbf_shed_total", "Submissions rejected by admission-queue load shedding.")
-	s.mWALRecords = s.reg.NewCounter("rlbf_wal_records_total", "Records appended to the write-ahead log.")
-	s.mWALBytes = s.reg.NewGauge("rlbf_wal_bytes", "Size of the current write-ahead log generation.")
-	s.mCompactions = s.reg.NewCounter("rlbf_wal_compactions_total", "WAL compaction rotations.")
+	s.dur.mRecords = s.reg.NewCounter("rlbf_wal_records_total", "Records appended to the write-ahead log.")
+	s.dur.mBytes = s.reg.NewGauge("rlbf_wal_bytes", "Size of the current write-ahead log generation.")
+	s.dur.mCompactions = s.reg.NewCounter("rlbf_wal_compactions_total", "WAL compaction rotations.")
 	s.mDegraded = s.reg.NewGauge("rlbf_degraded", "1 when durability has failed and scheduling continues in-memory.")
-	s.hWALSync = s.reg.NewHistogram("rlbf_wal_sync_seconds", "Wall time of one WAL fsync.", nil)
-	s.mRole = s.reg.NewGauge("rlbf_role", "Replica role: 0 primary, 1 follower, 2 fenced.")
-	s.mFenced = s.reg.NewCounter("rlbf_fenced_total", "Writes refused because this replica is fenced (a newer primary generation exists).")
-	s.mFailovers = s.reg.NewCounter("rlbf_failovers_total", "Promotions of this replica from follower to primary.")
-	s.mReplFollowers = s.reg.NewGauge("rlbf_repl_followers", "Follower sessions heard from within the liveness window.")
-	s.mReplLag = s.reg.NewGauge("rlbf_repl_lag_records", "Published WAL records not yet applied by the most advanced live follower.")
-	s.mReplPublished = s.reg.NewCounter("rlbf_repl_published_total", "WAL records published to the replication feed.")
-	s.mReplAckTimeouts = s.reg.NewCounter("rlbf_repl_ack_timeouts_total", "Semi-sync replication acks that timed out and degraded to async.")
-	s.mReplReseeds = s.reg.NewCounter("rlbf_repl_rebootstraps_total", "Follower in-place re-bootstraps after falling out of the primary's feed retention window.")
-	s.gLeaseAge = s.reg.NewFGauge("rlbf_lease_age_seconds", "Follower only: seconds since the last successful stream contact with the primary.")
+	s.dur.hSync = s.reg.NewHistogram("rlbf_wal_sync_seconds", "Wall time of one WAL fsync.", nil)
+	s.rep.mRole = s.reg.NewGauge("rlbf_role", "Replica role: 0 primary, 1 follower, 2 fenced.")
+	s.rep.mFenced = s.reg.NewCounter("rlbf_fenced_total", "Writes refused because this replica is fenced (a newer primary generation exists).")
+	s.rep.mFailovers = s.reg.NewCounter("rlbf_failovers_total", "Promotions of this replica from follower to primary.")
+	s.rep.mFollowers = s.reg.NewGauge("rlbf_repl_followers", "Follower sessions heard from within the liveness window.")
+	s.rep.mLag = s.reg.NewGauge("rlbf_repl_lag_records", "Published WAL records not yet applied by the most advanced live follower.")
+	s.rep.mPublished = s.reg.NewCounter("rlbf_repl_published_total", "WAL records published to the replication feed.")
+	s.rep.mAckTimeouts = s.reg.NewCounter("rlbf_repl_ack_timeouts_total", "Semi-sync replication acks that timed out and degraded to async.")
+	s.rep.mReseeds = s.reg.NewCounter("rlbf_repl_rebootstraps_total", "Follower in-place re-bootstraps after falling out of the primary's feed retention window.")
+	s.rep.gLeaseAge = s.reg.NewFGauge("rlbf_lease_age_seconds", "Follower only: seconds since the last successful stream contact with the primary.")
 	s.mRoundStalled = s.reg.NewGauge("rlbf_round_stalled", "1 while a scheduling round has exceeded its watchdog budget.")
 	s.mRoundStalls = s.reg.NewCounter("rlbf_round_stalls_total", "Scheduling rounds that exceeded the watchdog budget.")
-	if cfg.WALPath != "" {
-		s.feed = replica.NewFeed()
+	eng, err := sim.NewLiveEngine(cfg.Name, cfg.Procs, cfg.Mem, s.simConfig())
+	if err != nil {
+		return nil, err
 	}
+	s.eng = eng
+	s.nextID = 1
 	return s, nil
 }
 
@@ -558,44 +518,62 @@ func (s *Scheduler) simConfig() sim.Config {
 // Registry returns the metrics registry the daemon reports into.
 func (s *Scheduler) Registry() *metrics.Registry { return s.reg }
 
-// Feed returns the replication feed (nil without a WAL). The HTTP layer
-// mounts replica.NewHandler over it.
-func (s *Scheduler) Feed() *replica.Feed { return s.feed }
+// Feed returns the replication feed, or nil without a WAL: there is nothing
+// to replicate. The HTTP layer mounts replica.NewHandler over it.
+func (s *Scheduler) Feed() *replica.Feed {
+	if s.cfg.WALPath == "" {
+		return nil
+	}
+	return s.rep.feed
+}
 
 // Role returns the replica role as a string (primary, follower, fenced).
-func (s *Scheduler) Role() string { return roleName(s.role.Load()) }
+func (s *Scheduler) Role() string { return roleName(s.rep.role.Load()) }
 
 // WALGen returns the current WAL generation — the fencing token. Safe for
-// concurrent use (it reads an atomic shadow of the run goroutine's state).
-func (s *Scheduler) WALGen() uint64 { return s.walGenA.Load() }
+// concurrent use.
+func (s *Scheduler) WALGen() uint64 { return s.dur.gen.Load() }
 
 // WALApplied returns the number of WAL records in the current generation,
 // for peer election comparisons. Safe for concurrent use.
-func (s *Scheduler) WALApplied() int64 { return s.walCount.Load() }
+func (s *Scheduler) WALApplied() int64 { return s.dur.records.Load() }
 
 // LeaderHint returns the primary's base URL as known to a follower, or "".
 func (s *Scheduler) LeaderHint() string {
-	if v, ok := s.leaderHint.Load().(string); ok {
+	if v, ok := s.rep.leaderHint.Load().(string); ok {
 		return v
 	}
 	return ""
 }
 
-// Fence demotes this replica to the fenced role: peerGen at peer exceeds the
-// local generation, meaning a follower was promoted while this daemon was
-// primary (or down). All subsequent writes are refused with ErrFenced and
-// counted in rlbf_fenced_total; reads keep working so operators can inspect
-// the zombie's final state.
-func (s *Scheduler) Fence(peer string, peerGen uint64) {
-	if s.role.Swap(RoleFenced) == RoleFenced {
-		return
+// Degraded reports whether the durability layer has failed and the daemon is
+// running in-memory only.
+func (s *Scheduler) Degraded() bool { return s.degraded.Load() }
+
+// DegradedReason returns the first durability failure, or "".
+func (s *Scheduler) DegradedReason() string {
+	if r, ok := s.degradedReason.Load().(string); ok {
+		return r
 	}
-	if peer != "" {
-		s.leaderHint.Store(peer)
+	return ""
+}
+
+// degradeOn is the one place the daemon decides about a durability error.
+// The first one flips it into degraded in-memory mode: the files close, the
+// reason shows on /healthz, Stats and rlbf_degraded, the replication owner
+// stands down, and scheduling continues without persistence. The daemon
+// prefers dropping durability over dropping jobs. It returns err.
+func (s *Scheduler) degradeOn(err error) error {
+	if err == nil || s.degraded.Load() {
+		return err
 	}
-	s.mRole.Set(int64(RoleFenced))
-	log.Printf("serve: %s: fenced: peer %s holds generation %d > local %d; refusing writes",
-		s.cfg.Name, peer, peerGen, s.WALGen())
+	s.degradedReason.Store(err.Error())
+	s.degraded.Store(true)
+	s.mDegraded.Set(1)
+	s.dur.closeLogs()
+	log.Printf("serve: %s: durability lost (%v); continuing degraded in-memory", s.cfg.Name, err)
+	s.rep.standDown(s.cfg.Name)
+	return err
 }
 
 // Start launches the engine goroutine and, when RoundBudget is set, the
@@ -748,7 +726,7 @@ func (s *Scheduler) run() {
 		// Only a primary self-advances: followers and fenced zombies move
 		// their engines exclusively through applied stream batches, so their
 		// schedules stay byte-aligned with the primary's.
-		if s.role.Load() == RolePrimary {
+		if s.rep.role.Load() == RolePrimary {
 			if t, ok := s.eng.NextEventTime(); ok {
 				if d := s.wallUntil(t); d <= 0 {
 					s.beginRound()
@@ -801,17 +779,19 @@ func (s *Scheduler) simNow() int64 {
 	return now
 }
 
-// wallUntil returns the wall-clock delay until simulation instant t.
+// wallUntil returns the wall-clock delay until simulation instant t. A
+// delay past the int64 nanoseconds (a tiny TimeScale) saturates: converted,
+// it would wrap negative and spin the run loop without reading a command.
 func (s *Scheduler) wallUntil(t int64) time.Duration {
-	deadline := s.wallEpoch.Add(time.Duration(float64(t-s.simEpoch) / s.scale * float64(time.Second)))
-	return deadline.Sub(s.clock.Now())
+	wait := min(float64(t-s.simEpoch)/s.scale*float64(time.Second), 1<<62)
+	return s.wallEpoch.Add(time.Duration(wait)).Sub(s.clock.Now())
 }
 
 // advanceNow advances a primary to the current simulation instant and
 // returns it. On a follower or fenced replica the engine only moves via the
 // replication stream, so reads are answered at the engine's own clock.
 func (s *Scheduler) advanceNow() int64 {
-	if s.role.Load() != RolePrimary {
+	if s.rep.role.Load() != RolePrimary {
 		return s.eng.Now()
 	}
 	now := s.simNow()
@@ -820,26 +800,37 @@ func (s *Scheduler) advanceNow() int64 {
 }
 
 // advanceTo processes every engine event due at or before simulation instant
-// `now`, timing each event batch as one scheduling decision. When the
-// advance will fire events, it is logged to the WAL first, so replay reaches
-// the same instant before re-deriving the same events; idle advances write
-// nothing.
+// `now`. When the advance will fire events, it is logged to the WAL first, so
+// replay reaches the same instant before re-deriving the same events; idle
+// advances write nothing.
 func (s *Scheduler) advanceTo(now int64) {
 	if t, ok := s.eng.NextEventTime(); ok && t <= now {
-		s.walAdvance(now)
+		s.logCommand(s.dur.appendAdvance(now))
 	}
+	s.stepThrough(now)
+	s.syncRecords()
+	s.rep.publish(s.dur.cursor())
+	s.setGauges()
+}
+
+// stepThrough steps the engine through every event at or before t, timing
+// each event batch as one scheduling decision: the one step loop behind the
+// live clock, recovery's replay and a follower's apply.
+func (s *Scheduler) stepThrough(t int64) {
 	for {
-		t, ok := s.eng.NextEventTime()
-		if !ok || t > now {
-			break
+		et, ok := s.eng.NextEventTime()
+		if !ok || et > t {
+			return
 		}
 		t0 := time.Now()
 		s.eng.Step()
 		s.hDecision.Observe(time.Since(t0).Seconds())
 		s.mDecisions.Inc()
 	}
-	s.syncRecords()
-	s.publishRepl()
+}
+
+// setGauges refreshes the queue, free-processor and running gauges.
+func (s *Scheduler) setGauges() {
 	s.mQueue.Set(int64(s.eng.QueueLen()))
 	s.mFree.Set(int64(s.eng.FreeProcs()))
 	s.mRunning.Set(int64(s.eng.RunningCount()))
@@ -853,7 +844,27 @@ func (s *Scheduler) syncRecords() {
 		r := recs[s.recSeen]
 		s.started[r.Job.ID] = r
 		s.mStarted.Inc()
-		s.walHistory(r)
+		s.degradeOn(s.dur.history(r))
+	}
+}
+
+// logCommand takes a command payload the durability owner appended (nil with
+// the WAL off) and queues it for the replication feed; an append error
+// degrades.
+func (s *Scheduler) logCommand(p []byte, err error) {
+	if s.degradeOn(err) == nil && p != nil {
+		s.rep.queue(p)
+	}
+}
+
+// ackTail is the tail of every client-visible write: make the WAL durable,
+// publish to the replication feed, and wait (bounded) for a live follower to
+// apply it. The ack must not outrun the disk.
+func (s *Scheduler) ackTail() {
+	s.degradeOn(s.dur.sync())
+	s.rep.publish(s.dur.cursor())
+	if s.dur.on() {
+		s.rep.wait(s.dur.gen.Load(), s.dur.records.Load(), s.cfg.Name)
 	}
 }
 
@@ -882,13 +893,8 @@ func (s *Scheduler) handle(c command) bool {
 			s.canceledIDs[c.id] = true
 			s.predStamp = -1 // the plan changed without a counted round
 			s.mCancels.Inc()
-			if s.wlog != nil {
-				s.encBuf = encodeCancel(s.encBuf[:0], c.id, now)
-				s.walAppend(s.encBuf)
-				s.walSync()
-				s.publishRepl()
-				s.replWait()
-			}
+			s.logCommand(s.dur.appendCancel(c.id, now))
+			s.ackTail()
 		}
 		c.reply <- reply{ok: ok}
 	case cmdStatus:
@@ -913,29 +919,14 @@ func (s *Scheduler) handle(c command) bool {
 		s.advanceNow()
 		st, err := s.captureState()
 		if err == nil {
-			err = s.writeSnapshot(st)
+			err = s.degradeOn(s.dur.writeSnapshot(st))
 		}
-		s.closeWAL()
-		if s.feed != nil {
-			s.feed.Close()
-		}
+		s.degradeOn(s.dur.close())
+		s.rep.feed.Close()
 		c.reply <- reply{state: st, err: err}
 		return true
 	}
 	return false
-}
-
-// writeAllowed gates state-changing commands by role.
-func (s *Scheduler) writeAllowed() error {
-	switch s.role.Load() {
-	case RoleFollower:
-		return ErrFollower
-	case RoleFenced:
-		s.mFenced.Inc()
-		log.Printf("serve: %s: fenced: write refused (generation %d is stale)", s.cfg.Name, s.WALGen())
-		return ErrFenced
-	}
-	return nil
 }
 
 // handleSubmit admits one job at the current simulation instant. Events
@@ -960,7 +951,11 @@ func (s *Scheduler) handleSubmit(req JobRequest) (SubmitResult, error) {
 	}
 	if req.IdemKey != "" {
 		if id, ok := s.idem[req.IdemKey]; ok {
-			return s.duplicateAck(id), nil
+			// A retry after a lost reply: the original job's identity, not a
+			// second enqueue, answered at now like a status query.
+			res := s.ackOf(id, s.advanceNow())
+			res.Duplicate = true
+			return res, nil
 		}
 	}
 	t0 := time.Now()
@@ -986,33 +981,20 @@ func (s *Scheduler) handleSubmit(req JobRequest) (SubmitResult, error) {
 	if req.IdemKey != "" {
 		s.idem[req.IdemKey] = j.ID
 	}
-	if s.wlog != nil {
-		s.encBuf = encodeSubmit(s.encBuf[:0], j, req.IdemKey)
-		s.walAppend(s.encBuf)
-	}
+	s.logCommand(s.dur.appendSubmit(j, req.IdemKey))
 	s.advanceTo(now)
-	s.walSync() // the ack below must not outrun the disk
-	s.replWait()
+	s.ackTail()
 	s.mSubmits.Inc()
-	res := SubmitResult{ID: j.ID, Submit: now, PredictedStart: -1}
-	if rec, ok := s.started[j.ID]; ok {
-		res.Started = true
-		res.PredictedStart = rec.Start
-	} else if p, ok := s.predictedStart(j.ID, now); ok {
-		res.PredictedStart = p
-	}
+	res := s.ackOf(j.ID, now)
 	s.hSubmit.Observe(time.Since(t0).Seconds())
 	return res, nil
 }
 
-// duplicateAck re-acknowledges a submission whose idempotency key was
-// already accepted: the client retried after losing the original reply, so
-// it gets the original job's identity back instead of a second enqueue. The
-// engine advances to now first, as for a status query, and a job still
-// queued gets its predicted start from the same plan /status answers from.
-func (s *Scheduler) duplicateAck(id int) SubmitResult {
-	now := s.advanceNow()
-	res := SubmitResult{ID: id, Duplicate: true, PredictedStart: -1}
+// ackOf acknowledges submitted job id at now: its start once it has
+// started, else its predicted start from the plan /status answers from (-1
+// when unavailable).
+func (s *Scheduler) ackOf(id int, now int64) SubmitResult {
+	res := SubmitResult{ID: id, PredictedStart: -1}
 	if j, ok := s.submitted[id]; ok {
 		res.Submit = j.Submit
 	}
@@ -1051,13 +1033,10 @@ func (s *Scheduler) statusOf(id int, now int64) JobStatus {
 	return st
 }
 
-// predictedStart answers from the reservation profile via the shared
-// planner (backfill.Predictor), caching the full plan per engine state so a
-// burst of status queries costs one projection. The cache is keyed on the
-// decision count and the clock; an engine mutation outside a counted round (a
-// cancel, an applied command, a loaded state) drops it by resetting
-// predStamp. Queues beyond PredictCap are
-// not projected (ok=false) — a deep backlog would make every query O(queue).
+// predictedStart answers from the shared planner (backfill.Predictor),
+// caching the full plan per (decision count, clock), so a burst of status
+// queries costs one projection; a mutation outside a counted round resets
+// predStamp. Queues beyond PredictCap are not projected (ok=false).
 func (s *Scheduler) predictedStart(id int, now int64) (int64, bool) {
 	decs := s.mDecisions.Value()
 	if s.predStamp != decs || s.predClock != now {
@@ -1101,19 +1080,19 @@ func (s *Scheduler) statsLocked() Stats {
 		SubmitP99Ms:     s.hSubmit.Quantile(0.99) * 1000,
 		SubmitMaxMs:     s.hSubmit.Max() * 1000,
 		Draining:        s.draining.Load(),
-		WALGen:          s.walGen,
-		WALRecords:      s.mWALRecords.Value(),
-		WALBytes:        s.mWALBytes.Value(),
-		Compactions:     s.mCompactions.Value(),
-		WALSyncP99Ms:    s.hWALSync.Quantile(0.99) * 1000,
+		WALGen:          s.dur.gen.Load(),
+		WALRecords:      s.dur.mRecords.Value(),
+		WALBytes:        s.dur.mBytes.Value(),
+		Compactions:     s.dur.mCompactions.Value(),
+		WALSyncP99Ms:    s.dur.hSync.Quantile(0.99) * 1000,
 		Shed:            s.mShed.Value(),
 		Degraded:        s.degraded.Load(),
 		Role:            s.Role(),
-		ReplFollowers:   int(s.mReplFollowers.Value()),
-		ReplLag:         int(s.mReplLag.Value()),
-		ReplAckTimeouts: s.mReplAckTimeouts.Value(),
-		FencedWrites:    s.mFenced.Value(),
-		Failovers:       s.mFailovers.Value(),
+		ReplFollowers:   int(s.rep.mFollowers.Value()),
+		ReplLag:         int(s.rep.mLag.Value()),
+		ReplAckTimeouts: s.rep.mAckTimeouts.Value(),
+		FencedWrites:    s.rep.mFenced.Value(),
+		Failovers:       s.rep.mFailovers.Value(),
 		RoundStalls:     s.mRoundStalls.Value(),
 	}
 }
@@ -1136,7 +1115,7 @@ func (s *Scheduler) liveState() *State {
 		Queued:       snap.Queued,
 		Running:      snap.Running,
 		Pending:      s.eng.AppendPending(nil),
-		HistoryCount: s.histCount,
+		HistoryCount: s.dur.histCount,
 	}
 	for id := range s.canceledIDs {
 		st.Canceled = append(st.Canceled, id)

@@ -373,3 +373,33 @@ func TestSchedulerPredictionAfterCancel(t *testing.T) {
 		})
 	}
 }
+
+// TestSchedulerTinyTimeScaleKeepsServing checks a daemon at a tiny positive
+// time scale still answers commands: the wall delay to its next event is
+// longer than int64 nanoseconds can hold, and must wait rather than read
+// as already due, which would spin the run loop.
+func TestSchedulerTinyTimeScaleKeepsServing(t *testing.T) {
+	cfg := testConfig(NewManualClock(time.Unix(1700000000, 0)))
+	cfg.TimeScale = 1e-12
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	if _, err := s.Submit(JobRequest{Procs: 1, Runtime: 10000}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { _, err := s.Stats(); done <- err }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stats got no answer within 5 s at TimeScale 1e-12")
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -213,7 +213,7 @@ func (sv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Role:    sv.sched.Role(),
 		Gen:     sv.sched.WALGen(),
 		Applied: sv.sched.WALApplied(),
-		LeaseMS: sv.sched.gLeaseAge.Value() * 1000,
+		LeaseMS: sv.sched.rep.gLeaseAge.Value() * 1000,
 	}
 	code := http.StatusOK
 	switch {

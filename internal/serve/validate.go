@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 )
 
 // Submission validation. The limits are deliberately generous — they exist to
@@ -142,8 +141,6 @@ func decodeError(err error) error {
 		return invalidf("body", "request body exceeds %d bytes", maxRequestBody)
 	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
 		return invalidf("body", "empty or truncated JSON body")
-	case strings.Contains(err.Error(), "unknown field"):
-		return invalidf("body", "%v", err)
 	default:
 		return invalidf("body", "%v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -18,21 +19,13 @@ import (
 // Durability layer (DESIGN.md §13). Three files cooperate:
 //
 //	snapshot  (SnapshotPath)       live state, atomically replaced, O(state)
-//	wal       (WALPath)            state-changing commands since the last
-//	                               rotation: submit / cancel / clock advance
-//	history   (WALPath + ".hist")  append-only stream of every completed
-//	                               record (job start+end), never rewritten
+//	wal       (WALPath)            submit / cancel / clock advance commands
+//	                               since the last rotation
+//	history   (WALPath + ".hist")  append-only stream of every dispatch
+//	                               record, the witness recovery checks
 //
-// Every state-changing command is framed, CRC'd and fsync'd into the WAL
-// before the client sees its acknowledgement, so a SIGKILL at any instant
-// loses no accepted submission. Recovery loads the
-// snapshot, replays the WAL tail onto it and — because the kernel is
-// deterministic — re-derives exactly the records the crashed process had
-// produced; the history log is the witness: the re-derived stream is
-// byte-compared against it. Job starts and finishes are not replayed as
-// commands precisely because they are derived: a record is emitted at
-// dispatch with its completion time fixed (no preemption), so the start
-// entry subsumes the finish.
+// Job starts and finishes are derived, not logged: replaying the commands
+// re-derives them, and the history log is byte-compared against the replay.
 
 // WAL record kinds. The history log reuses the same framing with
 // walKindRecord entries.
@@ -169,261 +162,191 @@ func decodeWalRec(p []byte) (walRec, error) {
 	}
 }
 
-// --- scheduler-side logging hooks (run goroutine only) ---
+// --- the durability owner ---
 
-// degrade flips the daemon into degraded in-memory mode: the durability
-// layer is closed, the reason is surfaced through /healthz, Stats and the
-// rlbf_degraded gauge, and scheduling continues without persistence. The
-// daemon prefers dropping durability over dropping jobs.
-func (s *Scheduler) degrade(op string, err error) {
-	if s.degraded.Load() {
-		return
-	}
-	reason := fmt.Sprintf("%s: %v", op, err)
-	s.degradedReason.Store(reason)
-	s.degraded.Store(true)
-	s.mDegraded.Set(1)
-	s.closeLogs()
-	log.Printf("serve: %s: durability lost (%s); continuing degraded in-memory", s.cfg.Name, reason)
-	if s.feed != nil {
-		// A degraded daemon cannot replicate (its WAL no longer advances).
-		// With a live follower attached the follower holds the complete
-		// acked history, so the right move is to stand down and let the
-		// lease expiry promote it — continuing to accept writes here would
-		// fork history the moment it does. Without followers, degraded
-		// in-memory service remains the lesser evil.
-		if s.feed.HasFollower(replLiveWindow(s.cfg)) && s.role.CompareAndSwap(RolePrimary, RoleFenced) {
-			s.mRole.Set(int64(RoleFenced))
-			log.Printf("serve: %s: durability lost with a live follower attached; self-fencing so the follower can take over", s.cfg.Name)
-		}
-		s.feed.Close()
-	}
+// durability owns the files: the command WAL, the history log and its
+// cursor, the snapshot, the WAL generation and the encode buffer. Its
+// methods return errors; the Scheduler decides what they mean (degradeOn).
+// Run goroutine only, except gen and records, which /healthz, the fencing
+// probes and the follower's stream loop read.
+type durability struct {
+	fs                wal.FS
+	walPath, snapPath string
+
+	wlog       *wal.Log      // command write-ahead log; nil = WAL off or degraded
+	hlog       *wal.Log      // append-only completed-record history
+	gen        atomic.Uint64 // WAL generation: the fencing token
+	records    atomic.Int64  // records in generation gen
+	histCount  int
+	histDigest uint32 // chained CRC32C over history payloads
+	encBuf     []byte
+
+	mRecords     *metrics.Counter
+	mBytes       *metrics.Gauge
+	mCompactions *metrics.Counter
+	hSync        *metrics.Histogram
 }
 
-// replLiveWindow is how recently a follower session must have been heard
-// from to count as alive. Stream long-polls are capped at one second
-// server-side, so a healthy follower refreshes well inside this window.
-func replLiveWindow(cfg Config) time.Duration {
-	return max(3*cfg.ReplAckTimeout, 3*time.Second)
+// on reports whether the WAL is open (configured and not degraded).
+func (d *durability) on() bool { return d.wlog != nil }
+
+// cursor is the history position: record count and chained digest.
+func (d *durability) cursor() (int, uint32) { return d.histCount, d.histDigest }
+
+func (d *durability) histPath() string { return d.walPath + ".hist" }
+
+// append frames one command payload into the WAL and returns it, or nil with
+// the WAL off.
+func (d *durability) append(p []byte) ([]byte, error) {
+	if d.wlog == nil {
+		return nil, nil
+	}
+	if err := d.wlog.Append(p); err != nil {
+		return nil, fmt.Errorf("wal append: %w", err)
+	}
+	d.mRecords.Inc()
+	d.mBytes.Set(d.wlog.Size())
+	d.records.Add(1)
+	return p, nil
 }
 
-// Degraded reports whether the durability layer has failed and the daemon is
-// running in-memory only.
-func (s *Scheduler) Degraded() bool { return s.degraded.Load() }
-
-// DegradedReason returns the first durability failure, or "".
-func (s *Scheduler) DegradedReason() string {
-	if r, ok := s.degradedReason.Load().(string); ok {
-		return r
-	}
-	return ""
+func (d *durability) appendSubmit(j *trace.Job, idem string) ([]byte, error) {
+	d.encBuf = encodeSubmit(d.encBuf[:0], j, idem)
+	return d.append(d.encBuf)
 }
 
-// walAppend frames one record into the WAL; failures degrade. The payload is
-// also queued (copied — callers reuse encBuf) for the replication feed,
-// published at the next round boundary so batch ends line up with history
-// digest samples.
-func (s *Scheduler) walAppend(payload []byte) {
-	if s.wlog == nil {
-		return
-	}
-	if err := s.wlog.Append(payload); err != nil {
-		s.degrade("wal append", err)
-		return
-	}
-	if s.feed != nil {
-		s.repPend = append(s.repPend, append([]byte(nil), payload...))
-	}
-	s.mWALRecords.Inc()
-	s.mWALBytes.Set(s.wlog.Size())
-	s.walCount.Store(int64(s.wlog.Records()))
+func (d *durability) appendCancel(id int, t int64) ([]byte, error) {
+	d.encBuf = encodeCancel(d.encBuf[:0], id, t)
+	return d.append(d.encBuf)
 }
 
-// walAdvance logs a clock advance that is about to fire engine events, so
-// replay reaches the same instant before the same events.
-func (s *Scheduler) walAdvance(now int64) {
-	if s.wlog == nil {
-		return
-	}
-	s.encBuf = encodeAdvance(s.encBuf[:0], now)
-	s.walAppend(s.encBuf)
+func (d *durability) appendAdvance(t int64) ([]byte, error) {
+	d.encBuf = encodeAdvance(d.encBuf[:0], t)
+	return d.append(d.encBuf)
 }
 
-// walSync makes the WAL durable before a client acknowledgement.
-func (s *Scheduler) walSync() {
-	if s.wlog == nil {
-		return
+// sync makes the WAL durable.
+func (d *durability) sync() error {
+	if d.wlog == nil {
+		return nil
 	}
 	t0 := time.Now()
-	err := s.wlog.Sync()
-	s.hWALSync.Observe(time.Since(t0).Seconds())
+	err := d.wlog.Sync()
+	d.hSync.Observe(time.Since(t0).Seconds())
 	if err != nil {
-		s.degrade("wal sync", err)
-	}
-}
-
-// walHistory appends one completed record to the history log (group-synced
-// at snapshot boundaries — history is re-derivable from the WAL, so it needs
-// no per-record fsync).
-func (s *Scheduler) walHistory(r metrics.Record) {
-	if s.hlog == nil {
-		return
-	}
-	s.encBuf = encodeRecord(s.encBuf[:0], r)
-	if err := s.hlog.Append(s.encBuf); err != nil {
-		s.degrade("history append", err)
-		return
-	}
-	s.histCount++
-	s.histDigest = wal.Digest(s.histDigest, s.encBuf)
-}
-
-// maybeCompact rotates the durability files once the WAL has accumulated
-// CompactEvery records: sync history, atomically write a fresh live-state
-// snapshot (generation g+1), then truncate the WAL by creating generation
-// g+1. Both the per-snapshot write cost (O(live state)) and recovery replay
-// (O(records since snapshot)) stay bounded instead of O(history). Followers
-// never compact on their own — their rotations mirror the primary's via the
-// stream, keeping generation numbers (the fencing tokens) aligned.
-func (s *Scheduler) maybeCompact() {
-	if s.wlog == nil || s.wlog.Records() < s.cfg.CompactEvery || s.role.Load() != RolePrimary {
-		return
-	}
-	s.compact()
-}
-
-// compact writes a rotation snapshot and starts WAL generation walGen+1.
-// Crash windows are all safe: before the snapshot rename the old
-// snapshot+WAL pair is intact; between rename and rotation the new snapshot
-// supersedes the old WAL, whose generation now reads as stale and is
-// discarded on recovery.
-func (s *Scheduler) compact() { s.compactTo(s.walGen + 1) }
-
-// compactTo rotates to an explicit generation: the primary always targets
-// walGen+1; a follower mirrors whatever generation the primary's stream
-// announces.
-func (s *Scheduler) compactTo(gen uint64) {
-	if s.degraded.Load() {
-		return
-	}
-	// Publish any pending records first so the feed's previous-generation
-	// buffer is complete before it rotates.
-	s.publishRepl()
-	st := s.liveState() // the history log owns the record stream
-	st.WALGen = gen
-	data, err := s.encodeSnapshot(st)
-	if err == nil {
-		err = s.rotate(gen, data)
-	}
-	if err != nil {
-		s.degrade("compaction", err)
-		return
-	}
-	s.mCompactions.Inc()
-}
-
-// rotate makes data, a rotation snapshot at generation gen, the durable
-// base: it writes the snapshot atomically, replaces the WAL with an empty
-// generation gen and rotates the replication feed onto it. The history log
-// must already hold every record the snapshot counts. This is the one
-// bring-up behind compaction, a fresh daemon and a follower bootstrap.
-func (s *Scheduler) rotate(gen uint64, data []byte) error {
-	if err := wal.WriteFileAtomic(s.fs, s.cfg.SnapshotPath, data); err != nil {
-		return fmt.Errorf("snapshot write: %w", err)
-	}
-	if s.wlog != nil {
-		s.wlog.Close()
-		s.wlog = nil
-	}
-	wl, err := wal.Create(s.fs, s.cfg.WALPath, gen)
-	if err != nil {
-		return fmt.Errorf("wal rotate: %w", err)
-	}
-	s.wlog = wl
-	s.setGen(gen)
-	s.walCount.Store(0)
-	s.mWALBytes.Set(wl.Size())
-	if s.feed != nil {
-		s.feed.Rotate(gen, data, s.histCount, s.histDigest)
+		return fmt.Errorf("wal sync: %w", err)
 	}
 	return nil
 }
 
-// setGen updates the run goroutine's generation and its atomic shadow.
-func (s *Scheduler) setGen(gen uint64) {
-	s.walGen = gen
-	s.walGenA.Store(gen)
+// history appends one completed record to the history log. It is
+// re-derivable from the WAL, so it is synced only at snapshot boundaries.
+func (d *durability) history(r metrics.Record) error {
+	if d.hlog == nil {
+		return nil
+	}
+	d.encBuf = encodeRecord(d.encBuf[:0], r)
+	if err := d.hlog.Append(d.encBuf); err != nil {
+		return fmt.Errorf("history append: %w", err)
+	}
+	d.histCount++
+	d.histDigest = wal.Digest(d.histDigest, d.encBuf)
+	return nil
 }
 
 // encodeSnapshot syncs the history log, so every record the snapshot's
 // HistoryCount cursor covers is durable before the snapshot can be, and
 // marshals st.
-func (s *Scheduler) encodeSnapshot(st *State) ([]byte, error) {
-	if s.hlog != nil {
-		if err := s.hlog.Sync(); err != nil {
+func (d *durability) encodeSnapshot(st *State) ([]byte, error) {
+	if d.hlog != nil {
+		if err := d.hlog.Sync(); err != nil {
 			return nil, fmt.Errorf("history sync: %w", err)
 		}
 	}
 	return marshalState(st)
 }
 
-// writeSnapshot persists the current state outside the rotation path
-// (drain) in the live-state form tied to the current WAL
-// generation. Without a WAL — none configured, or degraded — it writes
-// nothing: the on-disk triple stays the last consistent one, which Recover
-// restarts from.
-func (s *Scheduler) writeSnapshot(st *State) error {
-	if s.wlog == nil {
+// rotate writes data, a snapshot at generation gen, atomically and starts
+// an empty WAL generation gen. History must hold every record it counts.
+func (d *durability) rotate(gen uint64, data []byte) error {
+	if err := wal.WriteFileAtomic(d.fs, d.snapPath, data); err != nil {
+		return fmt.Errorf("snapshot write: %w", err)
+	}
+	if d.wlog != nil {
+		d.wlog.Close()
+		d.wlog = nil
+	}
+	wl, err := wal.Create(d.fs, d.walPath, gen)
+	if err != nil {
+		return fmt.Errorf("wal rotate: %w", err)
+	}
+	d.useWAL(wl)
+	return nil
+}
+
+// useWAL makes wl the WAL, at its generation and record count.
+func (d *durability) useWAL(wl *wal.Log) {
+	d.wlog = wl
+	d.gen.Store(wl.Gen())
+	d.records.Store(int64(wl.Records()))
+	d.mBytes.Set(wl.Size())
+}
+
+// writeSnapshot persists st outside the rotation path (drain) in the
+// live-state form tied to the current WAL generation. Without a WAL — none
+// configured, or degraded — it writes nothing: the on-disk triple stays the
+// last consistent one, which Recover restarts from.
+func (d *durability) writeSnapshot(st *State) error {
+	if d.wlog == nil {
 		return nil
 	}
 	cp := *st
 	cp.Records = nil
-	cp.WALGen = s.walGen
-	cp.WALRecords = s.wlog.Records()
-	data, err := s.encodeSnapshot(&cp)
+	cp.WALGen = d.gen.Load()
+	cp.WALRecords = int(d.records.Load())
+	data, err := d.encodeSnapshot(&cp)
 	if err == nil {
-		err = wal.WriteFileAtomic(s.fs, s.cfg.SnapshotPath, data)
+		err = wal.WriteFileAtomic(d.fs, d.snapPath, data)
 	}
 	if err != nil {
-		s.degrade("snapshot write", err)
+		return fmt.Errorf("snapshot write: %w", err)
 	}
+	return nil
+}
+
+// closeLogs closes both logs without syncing them.
+func (d *durability) closeLogs() {
+	if d.wlog != nil {
+		d.wlog.Close()
+		d.wlog = nil
+	}
+	if d.hlog != nil {
+		d.hlog.Close()
+		d.hlog = nil
+	}
+}
+
+// close syncs and closes both logs (the drain path).
+func (d *durability) close() error {
+	var err error
+	if d.wlog != nil {
+		if err = d.wlog.Sync(); err != nil {
+			err = fmt.Errorf("wal sync: %w", err)
+		}
+	}
+	if d.hlog != nil && err == nil {
+		if err = d.hlog.Sync(); err != nil {
+			err = fmt.Errorf("history sync: %w", err)
+		}
+	}
+	d.closeLogs()
 	return err
 }
 
-// closeLogs closes both durability logs without syncing them.
-func (s *Scheduler) closeLogs() {
-	if s.wlog != nil {
-		s.wlog.Close()
-		s.wlog = nil
-	}
-	if s.hlog != nil {
-		s.hlog.Close()
-		s.hlog = nil
-	}
-}
-
-// closeWAL syncs and closes the durability files (drain path).
-func (s *Scheduler) closeWAL() {
-	if s.wlog != nil {
-		if err := s.wlog.Sync(); err != nil {
-			s.degrade("wal sync", err)
-		}
-	}
-	if s.hlog != nil {
-		if err := s.hlog.Sync(); err != nil {
-			s.degrade("history sync", err)
-		}
-	}
-	s.closeLogs()
-}
-
-// historyPath is where the history log lives: beside the WAL it pairs with.
-func historyPath(cfg Config) string { return cfg.WALPath + ".hist" }
-
 // createHistory starts a fresh history log holding frames, durably, and
 // points the history cursor at its end.
-func (s *Scheduler) createHistory(frames [][]byte) error {
-	hl, err := wal.Create(s.fs, historyPath(s.cfg), 1)
+func (d *durability) createHistory(frames [][]byte) error {
+	hl, err := wal.Create(d.fs, d.histPath(), 1)
 	if err != nil {
 		return fmt.Errorf("serve: create history log: %w", err)
 	}
@@ -439,19 +362,131 @@ func (s *Scheduler) createHistory(frames [][]byte) error {
 		hl.Close()
 		return fmt.Errorf("serve: write history log: %w", err)
 	}
-	s.useHistory(hl, frames)
+	d.useHistory(hl, frames)
 	return nil
 }
 
 // useHistory makes hl, which holds exactly frames, the history log, with the
-// cursor (record count, chained digest) at its end.
-func (s *Scheduler) useHistory(hl *wal.Log, frames [][]byte) {
-	s.hlog = hl
-	s.histCount = len(frames)
-	s.histDigest = 0
-	for _, p := range frames {
-		s.histDigest = wal.Digest(s.histDigest, p)
+// cursor at its end.
+func (d *durability) useHistory(hl *wal.Log, frames [][]byte) {
+	d.hlog = hl
+	d.histCount = len(frames)
+	d.histDigest = historyDigest(frames)
+}
+
+// repairHistory reopens the history log Replay read as hres at its first
+// keep records, cutting a torn tail and orphans; a missing log is created.
+func (d *durability) repairHistory(hres *wal.ReplayResult, keep int) error {
+	if _, err := d.fs.Stat(d.histPath()); errors.Is(err, os.ErrNotExist) {
+		return d.createHistory(nil)
 	}
+	goodSize := int64(16) // wal header
+	for _, p := range hres.Records[:keep] {
+		goodSize += 8 + int64(len(p))
+	}
+	hl, err := wal.OpenAppend(d.fs, d.histPath(), &wal.ReplayResult{
+		Gen: hres.Gen, Records: hres.Records[:keep], GoodSize: goodSize,
+	})
+	if err != nil {
+		return fmt.Errorf("serve: reopen history log: %w", err)
+	}
+	d.useHistory(hl, hres.Records[:keep])
+	return nil
+}
+
+// reopenWAL reopens the WAL Replay read as wres in place, or creates an
+// empty generation gen when there is none to resume.
+func (d *durability) reopenWAL(wres *wal.ReplayResult, gen uint64) error {
+	var wl *wal.Log
+	var err error
+	if wres != nil {
+		wl, err = wal.OpenAppend(d.fs, d.walPath, wres)
+	} else {
+		wl, err = wal.Create(d.fs, d.walPath, gen)
+	}
+	if err != nil {
+		return fmt.Errorf("serve: reopen wal: %w", err)
+	}
+	d.useWAL(wl)
+	return nil
+}
+
+// decodeHistory decodes history-log frames into their records.
+func decodeHistory(frames [][]byte) ([]metrics.Record, error) {
+	recs := make([]metrics.Record, 0, len(frames))
+	for i, p := range frames {
+		rec, err := decodeWalRec(p)
+		if err == nil && rec.kind != walKindRecord {
+			err = fmt.Errorf("kind %d is not a record", rec.kind)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("history entry %d: %w", i, err)
+		}
+		recs = append(recs, metrics.Record{Job: rec.job, Start: rec.start, End: rec.end})
+	}
+	return recs, nil
+}
+
+// historyDigest folds the chained digest over history frames.
+func historyDigest(frames [][]byte) uint32 {
+	var sum uint32
+	for _, p := range frames {
+		sum = wal.Digest(sum, p)
+	}
+	return sum
+}
+
+// --- rotation: the Scheduler's seams over both owners ---
+
+// maybeCompact rotates the files once the WAL holds CompactEvery records,
+// bounding snapshot cost and recovery replay. Followers never compact on
+// their own: they mirror the primary's rotations, so generation numbers (the
+// fencing tokens) stay aligned.
+func (s *Scheduler) maybeCompact() {
+	if s.dur.on() && s.dur.records.Load() >= int64(s.cfg.CompactEvery) && s.rep.role.Load() == RolePrimary {
+		s.compact()
+	}
+}
+
+// compact writes a rotation snapshot and starts the next WAL generation.
+// Crash windows are all safe: before the snapshot rename the old
+// snapshot+WAL pair is intact; between rename and rotation the new snapshot
+// supersedes the old WAL, whose generation now reads as stale and is
+// discarded on recovery.
+func (s *Scheduler) compact() error { return s.compactTo(s.dur.gen.Load() + 1) }
+
+// compactTo rotates to an explicit generation: the primary always targets
+// the next one; a follower mirrors whatever generation the primary's stream
+// announces. A failure degrades, and is returned.
+func (s *Scheduler) compactTo(gen uint64) error {
+	if s.degraded.Load() {
+		return fmt.Errorf("compaction: degraded: %s", s.DegradedReason())
+	}
+	// Publish any pending records first so the feed's previous-generation
+	// buffer is complete before it rotates.
+	s.rep.publish(s.dur.cursor())
+	st := s.liveState() // the history log owns the record stream
+	st.WALGen = gen
+	data, err := s.dur.encodeSnapshot(st)
+	if err == nil {
+		err = s.rotate(gen, data)
+	}
+	if err != nil {
+		return s.degradeOn(fmt.Errorf("compaction: %w", err))
+	}
+	s.dur.mCompactions.Inc()
+	return nil
+}
+
+// rotate makes data, a rotation snapshot at generation gen, the durable base
+// and rotates the replication feed onto it: the one bring-up behind
+// compaction, a fresh daemon and a follower bootstrap.
+func (s *Scheduler) rotate(gen uint64, data []byte) error {
+	if err := s.dur.rotate(gen, data); err != nil {
+		return err
+	}
+	s.rep.feed.Rotate(gen, data, s.dur.histCount, s.dur.histDigest)
+	return nil
 }
 
 // initFreshWAL brings the durability files up for a brand-new daemon: an
@@ -459,12 +494,11 @@ func (s *Scheduler) useHistory(hl *wal.Log, frames [][]byte) {
 // recovery always finds a consistent triple, even after a crash seconds into
 // the first run.
 func (s *Scheduler) initFreshWAL() error {
-	if err := s.createHistory(nil); err != nil {
+	if err := s.dur.createHistory(nil); err != nil {
 		return err
 	}
-	s.compactTo(1)
-	if s.degraded.Load() {
-		return fmt.Errorf("serve: init durability: %s", s.DegradedReason())
+	if err := s.compactTo(1); err != nil {
+		return fmt.Errorf("serve: init durability: %w", err)
 	}
 	return nil
 }
@@ -512,12 +546,10 @@ func Recover(cfg Config) (*Scheduler, *RecoveryInfo, error) {
 }
 
 // RecoverFenced is Recover for a daemon that already knows a peer holds a
-// newer generation (FenceCheck): it rebuilds state for read service but skips
-// the final compaction, so an unreplicated WAL tail is NOT rebased into a
-// fresh generation that could tie with — while forking from — the promoted
-// peer's lineage. The on-disk generation stays visibly stale, which lets a
-// later -follow restart detect it and re-bootstrap from the new primary
-// instead of resuming a forked history.
+// newer generation (FenceCheck): it skips the final compaction, so an
+// unreplicated WAL tail is not rebased into a generation that could tie with
+// the promoted peer's lineage. The on-disk generation stays visibly stale,
+// so a later -follow restart re-bootstraps from the new primary.
 func RecoverFenced(cfg Config) (*Scheduler, *RecoveryInfo, error) {
 	return recoverInternal(cfg, false)
 }
@@ -531,16 +563,17 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	if cfg.WALPath == "" {
 		return nil, nil, errors.New("serve: Recover requires Config.WALPath")
 	}
-	if err := checkConfig(cfg); err != nil {
+	// The scheduler is built over an empty cluster first; it opens no file.
+	s, err := newEmpty(cfg)
+	if err != nil {
 		return nil, nil, err
 	}
-	applyWALDefaults(&cfg)
-	fs := cfg.FS
+	d := &s.dur
 	info := &RecoveryInfo{}
 
 	// 1. Snapshot.
 	var st *State
-	switch loaded, err := readStateFS(fs, cfg.SnapshotPath); {
+	switch loaded, err := readStateFS(d.fs, d.snapPath); {
 	case err == nil:
 		st = loaded
 		info.SnapshotLoaded = true
@@ -550,11 +583,10 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 		return nil, nil, err
 	}
 
-	// 2. History log: every record completed so far, split at the snapshot
-	// boundary into prior history and the post-snapshot suffix the replay
-	// must reproduce.
+	// 2. History log: prior history, then the suffix the replay must
+	// reproduce.
 	var hres *wal.ReplayResult
-	switch res, err := wal.Replay(fs, historyPath(cfg)); {
+	switch res, err := wal.Replay(d.fs, d.histPath()); {
 	case err == nil:
 		hres = res
 		info.TornHistory = res.Torn
@@ -563,13 +595,9 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	default:
 		return nil, nil, fmt.Errorf("serve: history log: %w", err)
 	}
-	histJobs := make([]metrics.Record, 0, len(hres.Records))
-	for i, p := range hres.Records {
-		rec, err := decodeWalRec(p)
-		if err != nil || rec.kind != walKindRecord {
-			return nil, nil, fmt.Errorf("serve: history entry %d: %v", i, err)
-		}
-		histJobs = append(histJobs, metrics.Record{Job: rec.job, Start: rec.start, End: rec.end})
+	histJobs, err := decodeHistory(hres.Records)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: %w", err)
 	}
 	histBase := 0
 	if st != nil {
@@ -583,21 +611,17 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 		}
 	}
 
-	// 3. Build the scheduler at the snapshot state, with prior history from
-	// the history log rather than the snapshot body.
-	s, err := newEmpty(cfg)
-	if err == nil && st != nil {
-		err = s.loadState(st, histJobs[:histBase])
-	}
-	if err != nil {
-		return nil, nil, err
+	// 3. Load the snapshot state with its prior history.
+	if st != nil {
+		if err := s.loadState(st, histJobs[:histBase]); err != nil {
+			return nil, nil, err
+		}
 	}
 	info.PriorRecords = histBase
 
-	// 4. WAL tail: same generation as the snapshot, minus the prefix the
-	// snapshot already reflects. A stale generation (crash inside compact,
-	// after the snapshot rename and before the rotation) is wholly covered
-	// by the snapshot and discarded.
+	// 4. WAL tail: the snapshot's generation past the records it reflects.
+	// An older generation (a crash between snapshot rename and rotation) is
+	// wholly covered by the snapshot.
 	gen := uint64(1)
 	skip := 0
 	if st != nil {
@@ -609,7 +633,7 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	}
 	var cmds [][]byte
 	var wres *wal.ReplayResult
-	switch res, err := wal.Replay(fs, cfg.WALPath); {
+	switch res, err := wal.Replay(d.fs, d.walPath); {
 	case err == nil:
 		wres = res
 		info.TornWAL = wres.Torn
@@ -629,9 +653,8 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 		return nil, nil, fmt.Errorf("serve: wal: %w", err)
 	}
 
-	// 5. Replay commands. The kernel is deterministic, so applying the same
-	// submissions, cancellations and clock advances to the snapshot state
-	// reproduces exactly the schedule the crashed process computed.
+	// 5. Replay commands: the kernel is deterministic, so this reproduces
+	// the schedule the crashed process computed.
 	for i, p := range cmds {
 		if err := s.applyCommand(p); err != nil {
 			return nil, nil, fmt.Errorf("serve: wal record %d: %w", skip+i, err)
@@ -658,37 +681,21 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	info.Verified = common
 	info.HistoryTruncated = len(post) - common
 
-	// 7. Repair the history log: keep header + prior + verified entries
-	// (dropping both any torn tail and any orphan entries that ran ahead of
-	// the recoverable state — replay re-derives those identically), then
-	// append the entries the crash lost.
-	keep := histBase + common
-	goodSize := int64(16) // wal header
-	for _, p := range hres.Records[:keep] {
-		goodSize += 8 + int64(len(p))
-	}
-	if _, err := fs.Stat(historyPath(cfg)); errors.Is(err, os.ErrNotExist) {
-		if err := s.createHistory(nil); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		hl, err := wal.OpenAppend(fs, historyPath(cfg), &wal.ReplayResult{
-			Gen: hres.Gen, Records: hres.Records[:keep], GoodSize: goodSize,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: reopen history log: %w", err)
-		}
-		s.useHistory(hl, hres.Records[:keep])
+	// 7. Repair the history log: keep prior + verified entries, then append
+	// the ones the crash lost. Orphans that ran ahead are re-derived
+	// identically as the clock re-advances.
+	if err := d.repairHistory(hres, histBase+common); err != nil {
+		return nil, nil, err
 	}
 	for _, r := range rederived[common:] {
-		s.walHistory(r)
+		if err := d.history(r); err != nil {
+			return nil, nil, fmt.Errorf("serve: %w", err)
+		}
 		info.HistoryAppended++
 	}
 
-	// 8. Adopt the re-derived records into the daemon bookkeeping and
-	// re-anchor the clock at the furthest instant the log proves was
-	// reached: the snapshot clock or the latest replayed command (both in
-	// replClock), or the engine's own clock.
+	// 8. Adopt the re-derived records and re-anchor the clock at the
+	// furthest instant the files prove was reached.
 	for _, r := range rederived {
 		s.started[r.Job.ID] = r
 		s.mStarted.Inc()
@@ -696,34 +703,19 @@ func recoverInternal(cfg Config, compactAfter bool) (*Scheduler, *RecoveryInfo, 
 	s.recSeen = len(rederived)
 	s.replClock = max(s.replClock, s.eng.Now())
 	s.simEpoch = s.replClock
-	s.setGen(gen)
+	d.gen.Store(gen)
 
 	if compactAfter {
-		// 9. Compact immediately: the next crash recovers from a fresh
-		// snapshot and an empty WAL instead of re-replaying this tail, which
-		// keeps crash-loop recovery time bounded.
-		s.compact()
-		if s.degraded.Load() {
-			return nil, nil, fmt.Errorf("serve: post-recovery compaction: %s", s.DegradedReason())
+		// 9. Compact, so the next crash does not replay this tail again.
+		if err := s.compact(); err != nil {
+			return nil, nil, fmt.Errorf("serve: post-recovery compaction: %w", err)
 		}
-	} else {
-		// 9'. Follower restart: reopen the WAL in place (torn tail repaired)
-		// so the stream resumes at (gen, record count) instead of forking a
-		// new generation.
-		var wl *wal.Log
-		if wres != nil {
-			wl, err = wal.OpenAppend(fs, cfg.WALPath, wres)
-		} else {
-			wl, err = wal.Create(fs, cfg.WALPath, gen)
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: reopen wal: %w", err)
-		}
-		s.wlog = wl
-		s.walCount.Store(int64(wl.Records()))
-		s.mWALBytes.Set(wl.Size())
+	} else if err := d.reopenWAL(wres, gen); err != nil {
+		// 9'. A follower restart reopens the WAL in place, so the stream
+		// resumes at (gen, record count).
+		return nil, nil, err
 	}
-	info.WALGen = s.walGen
+	info.WALGen = d.gen.Load()
 	info.Elapsed = time.Since(t0)
 	return s, info, nil
 }
@@ -753,7 +745,7 @@ func (s *Scheduler) applyCommand(p []byte) error {
 		s.mSubmits.Inc()
 		t = rec.job.Submit
 	case walKindCancel, walKindAdvance:
-		s.stepTo(t)
+		s.stepThrough(t)
 		if rec.kind == walKindCancel {
 			if s.eng.Cancel(rec.id) {
 				s.mCancels.Inc()
@@ -766,16 +758,4 @@ func (s *Scheduler) applyCommand(p []byte) error {
 	s.replClock = max(s.replClock, t)
 	s.predStamp = -1
 	return nil
-}
-
-// stepTo advances the engine through every event at or before t (the
-// applier's twin of advanceTo, without wall-clock metrics or WAL writes).
-func (s *Scheduler) stepTo(t int64) {
-	for {
-		et, ok := s.eng.NextEventTime()
-		if !ok || et > t {
-			return
-		}
-		s.eng.Step()
-	}
 }

@@ -271,7 +271,7 @@ func TestCompactionCapturesLiveStateOnly(t *testing.T) {
 	if len(full.Records) != n || len(full.Idem) != n {
 		t.Fatalf("captured %d records and %d idempotency keys, want %d of each", len(full.Records), len(full.Idem), n)
 	}
-	full.Records, full.WALGen, full.WALRecords = nil, s.walGen+1, 0
+	full.Records, full.WALGen, full.WALRecords = nil, s.WALGen()+1, 0
 	want, err := marshalState(full)
 	if err != nil {
 		t.Fatal(err)
@@ -407,8 +407,10 @@ func TestServeWALIdempotentSubmitAcrossCrash(t *testing.T) {
 // Degraded/Stats — and keeps scheduling rather than dying with jobs queued.
 // Once the disk is back, the drained daemon must still restart: Recover over
 // the same files rebuilds every job acknowledged before the first failed
-// sync. Jobs acknowledged while degraded were never durable (/healthz said
-// so) and are not expected back.
+// sync, and a cancel acked then comes back canceled. A cancel issued while
+// degraded is still acked and shows in Status. Jobs and cancels acknowledged
+// while degraded were never durable (/healthz said so) and are not expected
+// back.
 func TestServeWALDegradedMode(t *testing.T) {
 	dir := t.TempDir()
 	ffs := wal.NewFaultFS(wal.OSFS{})
@@ -421,14 +423,29 @@ func TestServeWALDegradedMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
+	// cancelFirstQueued cancels the first job of a run that did not start
+	// at its submit and reports its ID; the cancel must be acked.
+	cancelFirstQueued := func(res SubmitResult, id *int) bool {
+		if *id != 0 || res.Started {
+			return false
+		}
+		if ok, err := s.CancelJob(res.ID); err != nil || !ok {
+			t.Fatalf("cancel of queued job %d: ok=%v err=%v", res.ID, ok, err)
+		}
+		*id = res.ID
+		return true
+	}
 	var durable []SubmitResult
+	canceledEarly, canceledLate := 0, 0
 	for i, op := range ops[:30] {
 		clk.Advance(op.advance)
 		res, err := s.Submit(op.req)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
-		durable = append(durable, res)
+		if !cancelFirstQueued(res, &canceledEarly) {
+			durable = append(durable, res)
+		}
 	}
 	if s.Degraded() {
 		t.Fatal("degraded before any fault")
@@ -436,9 +453,18 @@ func TestServeWALDegradedMode(t *testing.T) {
 	ffs.FailSyncsAfter(0)
 	for i, op := range ops[30:] {
 		clk.Advance(op.advance)
-		if _, err := s.Submit(op.req); err != nil {
+		res, err := s.Submit(op.req)
+		if err != nil {
 			t.Fatalf("submit %d during disk failure: %v (degraded mode must keep scheduling)", 30+i, err)
 		}
+		if s.Degraded() && cancelFirstQueued(res, &canceledLate) {
+			if js, err := s.Status(canceledLate); err != nil || js.State != "canceled" {
+				t.Fatalf("job %d canceled while degraded: status %+v, %v", canceledLate, js, err)
+			}
+		}
+	}
+	if canceledEarly == 0 || canceledLate == 0 {
+		t.Fatalf("script queued no job to cancel (before the fault %d, after %d)", canceledEarly, canceledLate)
 	}
 	if !s.Degraded() {
 		t.Fatal("daemon not degraded after sync failures")
@@ -459,8 +485,8 @@ func TestServeWALDegradedMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Records) != 60 {
-		t.Fatalf("%d records after degraded run, want 60", len(st.Records))
+	if len(st.Records) != 58 {
+		t.Fatalf("%d records after degraded run, want the 58 jobs not canceled", len(st.Records))
 	}
 
 	s, info, err := Recover(cfg)
@@ -481,6 +507,9 @@ func TestServeWALDegradedMode(t *testing.T) {
 			t.Fatalf("job %d acknowledged at %d before the disk failed: recovered as %+v", res.ID, res.Submit, js)
 		}
 	}
+	if js, err := s.Status(canceledEarly); err != nil || js.State != "canceled" {
+		t.Fatalf("job %d canceled before the disk failed: recovered as %+v, %v", canceledEarly, js, err)
+	}
 	if _, err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
@@ -497,9 +526,9 @@ func TestSnapshotPathRequiresWAL(t *testing.T) {
 }
 
 // TestConfigRefusesNegativeSettings checks New, Recover and NewFollower
-// refuse a negative PredictCap or CompactEvery and a negative or non-finite
-// starvation bound before they open a file, and that 0 still means the
-// default.
+// refuse a negative PredictCap, CompactEvery, Lease, ReplAckTimeout or
+// RoundBudget and a negative or non-finite starvation bound or time scale
+// before they open a file, and that 0 still means the default.
 func TestConfigRefusesNegativeSettings(t *testing.T) {
 	clk := NewManualClock(time.Unix(1700000000, 0))
 	for _, c := range []struct {
@@ -512,6 +541,12 @@ func TestConfigRefusesNegativeSettings(t *testing.T) {
 		{"negative bound", func(cfg *Config) { cfg.Scenario.StarvationBound = -1 }, "starvation bound"},
 		{"NaN bound", func(cfg *Config) { cfg.Scenario.StarvationBound = math.NaN() }, "starvation bound"},
 		{"infinite bound", func(cfg *Config) { cfg.Scenario.StarvationBound = math.Inf(1) }, "starvation bound"},
+		{"negative scale", func(cfg *Config) { cfg.TimeScale = -1 }, "time scale"},
+		{"NaN scale", func(cfg *Config) { cfg.TimeScale = math.NaN() }, "time scale"},
+		{"infinite scale", func(cfg *Config) { cfg.TimeScale = math.Inf(1) }, "time scale"},
+		{"lease", func(cfg *Config) { cfg.Lease = -time.Second }, "Lease"},
+		{"ack timeout", func(cfg *Config) { cfg.ReplAckTimeout = -5 * time.Second }, "ReplAckTimeout"},
+		{"round budget", func(cfg *Config) { cfg.RoundBudget = -time.Second }, "RoundBudget"},
 	} {
 		dir := t.TempDir()
 		cfg := walConfig(clk, dir, nil, 0)
@@ -534,6 +569,9 @@ func TestConfigRefusesNegativeSettings(t *testing.T) {
 	}
 	if s.cfg.PredictCap != 4096 || s.cfg.CompactEvery != 4096 {
 		t.Errorf("zero settings resolved to PredictCap %d, CompactEvery %d; want the 4096 defaults", s.cfg.PredictCap, s.cfg.CompactEvery)
+	}
+	if s.cfg.Lease != 3*time.Second || s.cfg.ReplAckTimeout != time.Second || s.scale != 1 {
+		t.Errorf("zero settings resolved to Lease %v, ReplAckTimeout %v, scale %v; want 3s, 1s and 1", s.cfg.Lease, s.cfg.ReplAckTimeout, s.scale)
 	}
 }
 
