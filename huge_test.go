@@ -12,6 +12,7 @@ import (
 	"repro/internal/lublin"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -68,28 +69,42 @@ func BenchmarkSimulatorHuge(b *testing.B) {
 // the Lublin-Huge row answers most finish rounds from the live list; on
 // hpc2n's user requests early finishes raise the head's extra, so many
 // rounds scan in full; under WFP3 the queue is reordered every round, so
-// no list is kept.
+// no list is kept. The deep row compresses Lublin-Huge's arrivals to one
+// every gap seconds and moves every runtime by up to 5 % either way, as the
+// serve workloads do, and plans on the untouched requests: the queue climbs
+// past 1,000 jobs, and every job that finishes early rebuilds the plan.
 func TestReplayDigests(t *testing.T) {
 	for _, c := range []struct {
 		backfill string
 		trace    string
 		policy   sched.Policy
 		jobs     int
+		gap      int64 // > 0: the deep row
 		digest   uint64
 	}{
-		{"conservative", "hpc2n", sched.FCFS{}, 10_000, 0xa8415078f236b1af},
-		{"conservative", "lublin-huge", sched.FCFS{}, 100_000, 0x6cc7e5e436e51d54},
-		{"easy", "lublin-huge", sched.FCFS{}, 100_000, 0xa51419ddd8e05c61},
-		{"easy", "hpc2n", sched.FCFS{}, 10_000, 0x0f07fd16e8dbad14},
-		{"easy", "sdsc-sp2", sched.WFP3{}, 10_000, 0xb559f4f6e2212865},
+		{"conservative", "hpc2n", sched.FCFS{}, 10_000, 0, 0xa8415078f236b1af},
+		{"conservative", "lublin-huge", sched.FCFS{}, 100_000, 0, 0x6cc7e5e436e51d54},
+		{"conservative", "lublin-huge", sched.FCFS{}, 2_500, 5, 0xae4dac5bd759890a},
+		{"easy", "lublin-huge", sched.FCFS{}, 100_000, 0, 0xa51419ddd8e05c61},
+		{"easy", "hpc2n", sched.FCFS{}, 10_000, 0, 0x0f07fd16e8dbad14},
+		{"easy", "sdsc-sp2", sched.WFP3{}, 10_000, 0, 0xb559f4f6e2212865},
 	} {
 		tr, err := experiments.ResolveTrace(c.trace, c.jobs, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var bf backfill.Backfiller = backfill.NewConservative(experiments.Estimator(tr))
+		est := experiments.Estimator(tr)
+		if c.gap > 0 {
+			rng := stats.NewRNG(1)
+			for i, j := range tr.Jobs {
+				j.Submit = int64(i) * c.gap
+				j.Runtime = max(int64(float64(j.Runtime)*(0.95+0.1*rng.Float64())), 1)
+			}
+			est = backfill.RequestTime{}
+		}
+		var bf backfill.Backfiller = backfill.NewConservative(est)
 		if c.backfill == "easy" {
-			bf = backfill.NewEASY(experiments.Estimator(tr))
+			bf = backfill.NewEASY(est)
 		}
 		res, err := sim.Run(tr, sim.Config{Policy: c.policy, Backfiller: bf})
 		if err != nil {
@@ -104,8 +119,8 @@ func TestReplayDigests(t *testing.T) {
 			h.Write(b[:])
 		}
 		if got := h.Sum64(); got != c.digest || len(res.Records) != c.jobs {
-			t.Errorf("%s %s %s %d jobs: %d records, digest %016x, want %d and %016x",
-				c.backfill, c.trace, c.policy.Name(), c.jobs, len(res.Records), got, c.jobs, c.digest)
+			t.Errorf("%s %s %s %d jobs (gap %d): %d records, digest %016x, want %d and %016x",
+				c.backfill, c.trace, c.policy.Name(), c.jobs, c.gap, len(res.Records), got, c.jobs, c.digest)
 		}
 	}
 }

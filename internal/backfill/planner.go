@@ -1,6 +1,9 @@
 package backfill
 
 import (
+	"math"
+	"math/bits"
+
 	"repro/internal/cluster"
 	"repro/internal/trace"
 )
@@ -25,6 +28,7 @@ type planner struct {
 	spans []cluster.Span
 	ends  slots       // where each running job's span ends: (end, job ID)
 	plan  []planEntry // in policy order: head first, then queue
+	floor floors      // the latest start placed per bucket since fill
 }
 
 // runningEnd is the end of a running job's span in the profile: its
@@ -48,14 +52,51 @@ func (pl *planner) fill(st State, est Estimator, now int64) *cluster.VecProfile 
 		pl.ends = append(pl.ends, slot{at: end, n: r.Job.ID})
 	}
 	pl.prof.ResetSpans(st.TotalProcs(), memTotal, now, pl.spans)
+	pl.floor = noFloors
 	return &pl.prof
 }
 
 // placeBase reserves j at its earliest start and records the placement, even
-// when the reservation fails; it returns the reservation's error.
+// when the reservation fails; it returns the reservation's error. On a
+// procs-only profile the search starts at the dominance floor, not at now:
+// since fill the profile has only lost capacity, so j cannot start before a
+// job placed since then that is no wider and no longer (DESIGN.md §9).
 func (pl *planner) placeBase(p *cluster.VecProfile, est Estimator, now int64, j *trace.Job) error {
 	dur := est.Estimate(j)
-	s := p.FindStart(now, dur, j.Procs, j.Mem)
+	b, k := bucket(int64(j.Procs), len(pl.floor)), bucket(dur, len(pl.floor[0]))
+	after := now
+	if !p.HasMem() && b > 0 && k > 0 {
+		after = max(now, pl.floor[b-1][k-1])
+	}
+	s := p.FindStart(after, dur, j.Procs, j.Mem)
+	pl.floor[b][k] = max(pl.floor[b][k], s)
 	pl.plan = append(pl.plan, planEntry{job: j, dur: dur, start: s})
 	return p.ReserveFound(s, s+dur, j.Procs, j.Mem)
+}
+
+// floors holds, per (procs, duration) bucket, the latest start placed in it
+// since the last fill. Buckets are log₂ of the value (0 for values <= 0, the
+// last bucket open-ended), so a job in the bucket below on both axes is no
+// wider and no longer, also after FindStart clamps the width to the machine
+// and the duration to at least 1. Memory is not bucketed: on a memory
+// machine the floor stays at now.
+type floors [16][24]int64
+
+// noFloors is the table of an empty build: every cell math.MinInt64.
+var noFloors = func() (f floors) {
+	for i := range f {
+		for k := range f[i] {
+			f[i][k] = math.MinInt64
+		}
+	}
+	return f
+}()
+
+// bucket returns x's log₂ bucket of n: 0 for x <= 0, bits.Len(x) capped at
+// n-1 otherwise. It never decreases as x grows.
+func bucket(x int64, n int) int {
+	if x <= 0 {
+		return 0
+	}
+	return min(bits.Len64(uint64(x)), n-1)
 }

@@ -511,7 +511,7 @@ func (f *Follower) loop() {
 				f.s.cfg.Name, gen, seq)
 			bd, ferr := fetchBootstrap(f.cl)
 			if ferr == nil {
-				if rerr := f.s.Reseed(bd); rerr != nil {
+				if rerr := f.s.reseed(bd); rerr != nil {
 					f.fail(rerr) // local install failed: terminal
 					return
 				}

@@ -680,10 +680,10 @@ func (s *Scheduler) ApplyReplica(payloads [][]byte, histCount int, histDigest ui
 	return r.seq, err
 }
 
-// Reseed replaces a follower's state with a fresh verified bootstrap from the
+// reseed replaces a follower's state with a fresh verified bootstrap from the
 // primary — the stream loop calls it when its position fell out of the
 // primary's feed retention window. Only meaningful on a follower.
-func (s *Scheduler) Reseed(b *bootstrapData) error {
+func (s *Scheduler) reseed(b *bootstrapData) error {
 	_, err := s.do(command{kind: cmdReseed, reseed: b})
 	return err
 }
@@ -917,10 +917,8 @@ func (s *Scheduler) handle(c command) bool {
 	case cmdDrain:
 		s.draining.Store(true)
 		s.advanceNow()
-		st, err := s.captureState()
-		if err == nil {
-			err = s.degradeOn(s.dur.writeSnapshot(st))
-		}
+		st := s.captureState()
+		err := s.degradeOn(s.dur.writeSnapshot(st))
 		s.degradeOn(s.dur.close())
 		s.rep.feed.Close()
 		c.reply <- reply{state: st, err: err}
@@ -1130,9 +1128,9 @@ func (s *Scheduler) liveState() *State {
 // captureState is liveState made self-contained for a caller on another
 // goroutine (snapshot and drain replies): it adds a copy of the whole record
 // history and clones the idempotency map.
-func (s *Scheduler) captureState() (*State, error) {
+func (s *Scheduler) captureState() *State {
 	st := s.liveState()
 	st.Records = append(append([]metrics.Record(nil), s.prior...), s.eng.Records()...)
 	st.Idem = maps.Clone(st.Idem)
-	return st, nil
+	return st
 }
