@@ -86,11 +86,11 @@ func main() {
 	switch strings.ToLower(*bfArg) {
 	case "none":
 	case "easy":
-		bf = &backfill.EASY{Est: est, Scn: scn}
+		bf = backfill.NewEASY(est)
 	case "easy-ar":
-		bf = &backfill.EASY{Est: backfill.ActualRuntime{}, Scn: scn}
+		bf = backfill.NewEASY(backfill.ActualRuntime{})
 	case "easy-sjf":
-		bf = &backfill.EASY{Est: est, Order: backfill.SJFOrder, Scn: scn}
+		bf = &backfill.EASY{Est: est, Order: backfill.SJFOrder}
 	case "conservative":
 		bf = backfill.NewConservative(est)
 	case "rlbf":

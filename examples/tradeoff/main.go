@@ -39,6 +39,7 @@ func (m *microState) TotalProcs() int             { return m.total }
 func (m *microState) Running() []backfill.Running { return m.running }
 func (m *microState) StartJob(*trace.Job)         { panic("read-only scenario") }
 func (m *microState) Journal() *backfill.Journal  { return &m.journal }
+func (m *microState) Scenario() sched.Scenario    { return sched.Scenario{} }
 
 func part1() {
 	fmt.Println("== Figure 2 micro-scenario ==")

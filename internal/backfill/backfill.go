@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sort"
 
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -40,6 +41,9 @@ type State interface {
 	// keeps none returns a zero Journal, and backfillers then re-derive
 	// everything on every call.
 	Journal() *Journal
+	// Scenario returns the scheduling scenario the state's queue runs under
+	// (priority tiers, starvation bound); the zero value is the classic one.
+	Scenario() sched.Scenario
 }
 
 // MemState is implemented by States whose machine carries the memory

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -18,11 +19,12 @@ type memState struct {
 	journal Journal
 }
 
-func (m *memState) Now() int64         { return m.now }
-func (m *memState) FreeProcs() int     { return m.free }
-func (m *memState) TotalProcs() int    { return m.total }
-func (m *memState) Running() []Running { return m.running }
-func (m *memState) Journal() *Journal  { return &m.journal }
+func (m *memState) Now() int64               { return m.now }
+func (m *memState) FreeProcs() int           { return m.free }
+func (m *memState) TotalProcs() int          { return m.total }
+func (m *memState) Running() []Running       { return m.running }
+func (m *memState) Journal() *Journal        { return &m.journal }
+func (m *memState) Scenario() sched.Scenario { return sched.Scenario{} }
 func (m *memState) StartJob(j *trace.Job) {
 	if j.Procs > m.free {
 		panic("memState: job does not fit")

@@ -25,7 +25,11 @@ const (
 // 1995, §2.1.3 of the paper): when the head job cannot start, compute its
 // reservation and start any later job that fits the free processors and
 // either finishes (per the estimator) before the shadow time or only uses
-// the extra processors.
+// the extra processors. The state's scenario layers priority tiers and the
+// starvation bound onto the scan: with aging on, every starving queued job's
+// reservation becomes blocking (kube-batch StarvationThreshold semantics) — a
+// candidate must respect the head's AND every starving job's shadow/extra.
+// The zero scenario reproduces classic EASY exactly.
 type EASY struct {
 	// Est supplies predicted runtimes for both the reservation and the
 	// candidate-fit test. RequestTime{} gives plain EASY; ActualRuntime{}
@@ -33,12 +37,6 @@ type EASY struct {
 	Est Estimator
 	// Order controls candidate scan order (PolicyOrder by default).
 	Order CandidateOrder
-	// Scn layers priority tiers and the starvation bound onto the scan:
-	// with aging on, every starving queued job's reservation becomes
-	// blocking (kube-batch StarvationThreshold semantics) — a candidate
-	// must respect the head's AND every starving job's shadow/extra. The
-	// zero scenario reproduces classic EASY exactly.
-	Scn sched.Scenario
 
 	// Reusable scratch: EASY runs on every blocked scheduling event, so the
 	// candidate decoration and reservation buffers are kept across calls,
@@ -125,7 +123,7 @@ type verdict struct {
 func NewEASY(est Estimator) *EASY { return &EASY{Est: est} }
 
 // Fresh implements Cloneable: same configuration, own scratch.
-func (e *EASY) Fresh() Backfiller { return &EASY{Est: e.Est, Order: e.Order, Scn: e.Scn} }
+func (e *EASY) Fresh() Backfiller { return &EASY{Est: e.Est, Order: e.Order} }
 
 // Name implements Backfiller.
 func (e *EASY) Name() string {
@@ -155,7 +153,8 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	}
 	now := st.Now()
 	memFree, memTotal := MemOf(st)
-	from, rescan, reordered := e.resume(st, head, queue, memTotal)
+	scn := st.Scenario()
+	from, rescan, reordered := e.resume(st, head, queue, memTotal, scn.Aging())
 	v := &e.last
 	res, haveRes := v.res, v.haveRes
 
@@ -165,7 +164,7 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	// fits the free processors, check the bounds against the fresh
 	// reservation and tighten them; any other round keeps them, which
 	// files a superset.
-	file := e.Order == PolicyOrder && !e.Scn.Aging() && !reordered && (from == 0 || v.listed)
+	file := e.Order == PolicyOrder && !scn.Aging() && !reordered && (from == 0 || v.listed)
 	var relist []listed
 	w := 0 // the list is e.live[:w], followed by relist[i:] while it is rescanned
 	if file {
@@ -194,9 +193,9 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	// reservation, computed EASY-style against the running set. Candidates
 	// must then clear the head's shadow AND every starving job's.
 	e.prots = e.prots[:0]
-	if e.Scn.Aging() {
+	if scn.Aging() {
 		for _, j := range queue {
-			if e.Scn.Starving(j, now) {
+			if scn.Starving(j, now) {
 				e.prots = append(e.prots, protection{job: j, res: e.res.Compute(st, j, e.Est)})
 			}
 		}
@@ -209,7 +208,7 @@ func (e *EASY) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	n := nl + len(queue)
 	var cands []estimated
 	if sorted {
-		cands = e.sjfOrder(queue, now, free, memFree, memTotal)
+		cands = e.sjfOrder(queue, scn, now, free, memFree, memTotal)
 		n = len(cands)
 	}
 
@@ -325,7 +324,7 @@ func (e *EASY) consume(j *trace.Job, end int64, procs, mem int) {
 // tail in journal order: the scan then starts at the pending jobs before
 // them. A finish needs the list too; a cancel or a reorder drops it.
 // Otherwise resume drops the verdict, and the scan starts at 0.
-func (e *EASY) resume(st State, head *trace.Job, queue []*trace.Job, memTotal int) (from int, rescan, reordered bool) {
+func (e *EASY) resume(st State, head *trace.Job, queue []*trace.Job, memTotal int, aging bool) (from int, rescan, reordered bool) {
 	v := &e.last
 	changes, ok := st.Journal().Since(v.at)
 	q := len(queue)
@@ -345,7 +344,7 @@ func (e *EASY) resume(st State, head *trace.Job, queue []*trace.Job, memTotal in
 			ok = false
 		}
 	}
-	if ok && v.head == head && v.est != nil && e.Est == v.est && v.memTotal == memTotal && !e.Scn.Aging() && (v.listed || !rescan) {
+	if ok && v.head == head && v.est != nil && e.Est == v.est && v.memTotal == memTotal && !aging && (v.listed || !rescan) {
 		v.haveRes = v.haveRes && !rescan
 		return max(q-v.pending, 0), rescan, reordered
 	}
@@ -358,8 +357,8 @@ func (e *EASY) resume(st State, head *trace.Job, queue []*trace.Job, memTotal in
 // once per round rather than per comparison, and returns them
 // shortest-estimate-first. Leaving out the jobs that do not fit is exact:
 // free resources only fall within a round, so they never would.
-func (e *EASY) sjfOrder(queue []*trace.Job, now int64, free, memFree, memTotal int) []estimated {
-	scnOrder := e.Scn.Enabled()
+func (e *EASY) sjfOrder(queue []*trace.Job, scn sched.Scenario, now int64, free, memFree, memTotal int) []estimated {
+	scnOrder := scn.Enabled()
 	cands := e.cands[:0]
 	for _, j := range queue {
 		if j.Procs > free || memDemand(j, memTotal) > memFree {
@@ -367,7 +366,7 @@ func (e *EASY) sjfOrder(queue []*trace.Job, now int64, free, memFree, memTotal i
 		}
 		c := estimated{job: j, est: e.Est.Estimate(j)}
 		if scnOrder {
-			c.starving = e.Scn.Starving(j, now)
+			c.starving = scn.Starving(j, now)
 			c.pri = j.Priority
 		}
 		cands = append(cands, c)
@@ -376,7 +375,7 @@ func (e *EASY) sjfOrder(queue []*trace.Job, now int64, free, memFree, memTotal i
 	// Starving first, then higher tiers, then the classic shortest-estimate
 	// order: exactly the classic comparison when no scenario is active, and
 	// under one with uniform tiers and nobody starving.
-	pri := e.Scn.Priorities
+	pri := scn.Priorities
 	slices.SortStableFunc(cands, func(a, b estimated) int {
 		if a.starving != b.starving {
 			if a.starving {

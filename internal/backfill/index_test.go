@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/oracle"
+	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -40,10 +41,11 @@ type fuzzState struct {
 	journal  Journal
 }
 
-func (f *fuzzState) Now() int64        { return f.now }
-func (f *fuzzState) TotalProcs() int   { return f.procs }
-func (f *fuzzState) TotalMem() int     { return f.mem }
-func (f *fuzzState) Journal() *Journal { return &f.journal }
+func (f *fuzzState) Now() int64               { return f.now }
+func (f *fuzzState) TotalProcs() int          { return f.procs }
+func (f *fuzzState) TotalMem() int            { return f.mem }
+func (f *fuzzState) Journal() *Journal        { return &f.journal }
+func (f *fuzzState) Scenario() sched.Scenario { return sched.Scenario{} }
 
 func (f *fuzzState) FreeProcs() int {
 	free := f.procs

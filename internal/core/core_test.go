@@ -29,6 +29,7 @@ func (f *fakeState) FreeProcs() int              { return f.free }
 func (f *fakeState) TotalProcs() int             { return f.total }
 func (f *fakeState) Running() []backfill.Running { return f.running }
 func (f *fakeState) Journal() *backfill.Journal  { return &f.journal }
+func (f *fakeState) Scenario() sched.Scenario    { return sched.Scenario{} }
 func (f *fakeState) StartJob(j *trace.Job) {
 	f.started = append(f.started, j)
 	f.free -= j.Procs

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"repro/internal/backfill"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -53,12 +52,6 @@ type ObsConfig struct {
 	// features (seconds).
 	MaxWait float64
 	MaxRun  float64
-	// Scn supplies the scenario semantics the encoder surfaces: the
-	// starvation bound normalises featAge, and (with the free-memory state)
-	// memory demands gate the selectable mask exactly as they gate
-	// StartJob. The zero scenario zeroes featAge and leaves the mask
-	// procs-only on memless machines.
-	Scn sched.Scenario
 }
 
 // DefaultObsConfig returns the paper's observation settings.
@@ -149,7 +142,8 @@ func NewObservation(cfg ObsConfig) *Observation {
 // waiting jobs sorted by submission time (head forced in, longest-waiting
 // kept when cutting to MaxObs), one feature vector per job with the free
 // resource fraction appended, and a mask that excludes the head job, jobs
-// that cannot start now, and padding.
+// that cannot start now, and padding. The state's scenario normalises featAge
+// by its starvation bound; the zero scenario zeroes it.
 func BuildObservation(cfg ObsConfig, st backfill.State, head *trace.Job, queue []*trace.Job,
 	est backfill.Estimator, res backfill.Reservation) *Observation {
 	return BuildObservationInto(cfg, st, head, queue, est, res, NewObservation(cfg))
@@ -170,7 +164,8 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 	total := st.TotalProcs()
 	freeFrac := float64(free) / float64(total)
 	memFree, memTotal := backfill.MemOf(st)
-	aging := cfg.Scn.Aging()
+	scn := st.Scenario()
+	aging := scn.Aging()
 
 	// reset the reused buffers: padding rows must read as zero
 	for i := range o.Flat {
@@ -220,7 +215,7 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 			row[featPriority] = p / (p + 1)
 		}
 		if aging {
-			if sa := cfg.Scn.StarvesAt(j); sa > j.Submit && sa != math.MaxInt64 {
+			if sa := scn.StarvesAt(j); sa > j.Submit && sa != math.MaxInt64 {
 				row[featAge] = clamp01(wait / float64(sa-j.Submit))
 			} else if sa <= j.Submit {
 				row[featAge] = 1

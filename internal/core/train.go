@@ -69,9 +69,9 @@ type TrainConfig struct {
 	// (default GOMAXPROCS). Results are independent of the worker count.
 	Workers int
 	// Scn threads the scheduling scenario (priority tiers, starvation bound)
-	// into every rollout and baseline engine, and into the observation encoder
-	// (Obs.Scn is overwritten with this value). The zero value trains on the
-	// paper's classic semantics.
+	// into every rollout and baseline engine; the agent and the baseline's
+	// EASY read it from the engine. The zero value trains on the paper's
+	// classic semantics.
 	Scn sched.Scenario
 }
 
@@ -93,7 +93,7 @@ func DefaultTrainConfig() TrainConfig {
 // QuickTrainConfig returns a scaled-down configuration (smaller observation,
 // fewer/shorter trajectories, fewer update iterations) that exercises the
 // identical code path in seconds instead of hours. Used by tests, examples
-// and the default benchmark scale; see DESIGN.md's substitution table.
+// and rlbf-bench's training workload; see DESIGN.md's substitution table.
 func QuickTrainConfig() TrainConfig {
 	cfg := DefaultTrainConfig()
 	cfg.Obs.MaxObs = 32
@@ -113,7 +113,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 		c.Est = backfill.RequestTime{}
 	}
 	c.Obs = c.Obs.withDefaults()
-	c.Obs.Scn = c.Scn
 	if c.TrajPerEpoch <= 0 {
 		c.TrajPerEpoch = 100
 	}
@@ -314,7 +313,7 @@ func (t *Trainer) baselineFor(start int, seq *trace.Trace) (float64, error) {
 	res, err := sim.Run(seq.Clone(), sim.Config{
 		Policy:     sched.FCFS{},
 		Scenario:   t.cfg.Scn,
-		Backfiller: &backfill.EASY{Est: t.cfg.Est, Order: backfill.SJFOrder, Scn: t.cfg.Scn},
+		Backfiller: &backfill.EASY{Est: t.cfg.Est, Order: backfill.SJFOrder},
 	})
 	if err != nil {
 		return 0, err

@@ -20,7 +20,7 @@ var errAborted = errors.New("aborted after another experiment failed")
 
 // cellPool resolves the pool an experiment runs on: the shared RunMany pool
 // when one is passed, or a private pool sized by the scale (direct callers
-// such as benchmarks and the CLI with a single experiment).
+// such as tests).
 func (s Scale) cellPool(p *pool.Pool) *pool.Pool {
 	if p != nil {
 		return p

@@ -91,11 +91,6 @@ func Names() []string {
 // order. Cells are deterministically seeded and results assemble by index,
 // so the returned string is byte-identical at any worker count.
 func RunMany(names []string, sc Scale, log io.Writer) (string, error) {
-	// One Scale knob sets the scheduling scenario for both the training
-	// rollouts (trainConfig) and the eval-protocol engines.
-	if sc.Scn.Enabled() {
-		sc.Eval.Scn = sc.Scn
-	}
 	zoo := NewZoo()
 	reg := registry(zoo)
 	if len(names) == 1 && names[0] == "all" {

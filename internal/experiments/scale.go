@@ -37,12 +37,6 @@ type Scale struct {
 	Seed uint64
 	// Workers bounds parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Scn layers the scheduling scenario (priority tiers, starvation bound)
-	// onto every cell: RunMany propagates it into Eval.Scn and trainConfig
-	// threads it into training rollouts. Zero (the default at every named
-	// scale) reproduces the paper's classic semantics; the "scenario"
-	// experiment enables it locally on enriched workloads.
-	Scn sched.Scenario
 	// PerPolicyModels trains a separate RL model per base policy (the
 	// paper's Table 4/5 protocol). When false, models are trained with FCFS
 	// only and transferred to the other base policies — the generality the
@@ -125,7 +119,9 @@ func (s Scale) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// trainConfig assembles the core.TrainConfig for one model.
+// trainConfig assembles the core.TrainConfig for one model. It trains under
+// the eval protocol's scenario, so a model is scored under the semantics it
+// learned.
 func (s Scale) trainConfig(policy sched.Policy, est backfill.Estimator) core.TrainConfig {
 	cfg := core.DefaultTrainConfig()
 	cfg.BasePolicy = policy
@@ -139,6 +135,6 @@ func (s Scale) trainConfig(policy sched.Policy, est backfill.Estimator) core.Tra
 	cfg.PPO.PiIters = s.PiIters
 	cfg.PPO.VIters = s.VIters
 	cfg.PPO.MiniBatch = 2048
-	cfg.Scn = s.Scn
+	cfg.Scn = s.Eval.Scn
 	return cfg
 }

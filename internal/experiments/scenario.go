@@ -57,11 +57,10 @@ func ScenarioWorkloads(n int, seed uint64) ([]*trace.Trace, error) {
 func ScenarioCompare(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, error) {
 	p = sc.cellPool(p)
 	sc = sc.clampToPool(p)
-	scn := sc.Scn
+	scn := sc.Eval.Scn
 	if !scn.Enabled() {
 		scn = DefaultScenario()
 	}
-	sc.Scn = scn
 	sc.Eval.Scn = scn
 
 	workloads, err := ScenarioWorkloads(sc.TraceJobs, sc.Seed)
@@ -84,7 +83,7 @@ func ScenarioCompare(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, e
 		return nil, err
 	}
 
-	cols := scenarioColumns(sc, zoo, log, scn)
+	cols := scenarioColumns(sc, zoo, log)
 	grid, err := runGrid(p, len(workloads), len(cols), func(wi, ci int) (string, error) {
 		return cols[ci].eval(workloads[wi])
 	})
@@ -97,10 +96,11 @@ func ScenarioCompare(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, e
 	return tbl, nil
 }
 
-// scenarioColumns builds the column evaluators: two backfilling heuristics
-// per base policy (each scenario-aware) and the RL agent. Every cell
-// constructs its own backfiller — they carry scratch state.
-func scenarioColumns(sc Scale, zoo *Zoo, log io.Writer, scn sched.Scenario) []table4Column {
+// scenarioColumns builds the column evaluators: EASY and conservative
+// backfilling per base policy, both reading the scenario from the engine, and
+// the RL agent. Every cell constructs its own backfiller — they carry scratch
+// state.
+func scenarioColumns(sc Scale, zoo *Zoo, log io.Writer) []table4Column {
 	heuristic := func(pol sched.Policy, mk func(est backfill.Estimator) backfill.Backfiller) table4Column {
 		return table4Column{eval: func(tr *trace.Trace) (string, error) {
 			mean, _, err := core.EvaluateStrategy(tr, pol, mk(estimatorFor(tr)), sc.Eval)
@@ -112,18 +112,9 @@ func scenarioColumns(sc Scale, zoo *Zoo, log io.Writer, scn sched.Scenario) []ta
 	}
 	var cols []table4Column
 	for _, pol := range []sched.Policy{sched.FCFS{}, sched.SJF{}, sched.WFP3{}} {
-		pol := pol
 		cols = append(cols,
-			heuristic(pol, func(est backfill.Estimator) backfill.Backfiller {
-				return &backfill.EASY{Est: est, Scn: scn}
-			}),
-			heuristic(pol, func(est backfill.Estimator) backfill.Backfiller {
-				// Conservative needs no scenario knob: the engine's queue
-				// order plus zero-slip reservations already honour tiers and
-				// bounds (see internal/backfill/conservative.go).
-				return backfill.NewConservative(est)
-			}),
-		)
+			heuristic(pol, func(est backfill.Estimator) backfill.Backfiller { return backfill.NewEASY(est) }),
+			heuristic(pol, func(est backfill.Estimator) backfill.Backfiller { return backfill.NewConservative(est) }))
 	}
 	cols = append(cols, table4Column{eval: func(tr *trace.Trace) (string, error) {
 		agent, _, err := zoo.Get(sched.FCFS{}, tr, sc, log)

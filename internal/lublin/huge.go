@@ -336,8 +336,8 @@ func (h HugeSpec) merge(n int, seed uint64, emit func(*trace.Job) error) error {
 	return nil
 }
 
-// Generate materializes a Stream into a trace (for in-memory replay and the
-// huge benchmarks). The jobs share one backing array.
+// Generate materializes a Stream into a trace for in-memory replay. The jobs
+// share one backing array.
 func (h HugeSpec) Generate(n int, seed uint64) *trace.Trace {
 	t := &trace.Trace{Name: h.Name(), Procs: h.Nodes}
 	if n > 0 {

@@ -24,21 +24,21 @@ type bfPair struct {
 	heavy bool
 	est   backfill.Estimator
 	ref   oracle.Backfiller
-	opt   func(scn sched.Scenario) backfill.Backfiller
+	opt   func() backfill.Backfiller
 }
 
 func bfPairs() []bfPair {
 	rt, ar := backfill.RequestTime{}, backfill.ActualRuntime{}
-	easy := func(est backfill.Estimator, order backfill.CandidateOrder) func(sched.Scenario) backfill.Backfiller {
-		return func(scn sched.Scenario) backfill.Backfiller { return &backfill.EASY{Est: est, Order: order, Scn: scn} }
+	easy := func(est backfill.Estimator, order backfill.CandidateOrder) func() backfill.Backfiller {
+		return func() backfill.Backfiller { return &backfill.EASY{Est: est, Order: order} }
 	}
 	return []bfPair{
-		{name: "none", est: rt, opt: func(sched.Scenario) backfill.Backfiller { return nil }},
+		{name: "none", est: rt, opt: func() backfill.Backfiller { return nil }},
 		{name: "easy-rt", est: rt, ref: oracle.EASY(false), opt: easy(rt, backfill.PolicyOrder)},
 		{name: "easy-ar", est: ar, ref: oracle.EASY(false), opt: easy(ar, backfill.PolicyOrder)},
 		{name: "easy-rt-sjf", est: rt, ref: oracle.EASY(true), opt: easy(rt, backfill.SJFOrder)},
 		{name: "cons-rt", heavy: true, est: rt, ref: oracle.Conservative(),
-			opt: func(sched.Scenario) backfill.Backfiller { return backfill.NewConservative(rt) }},
+			opt: func() backfill.Backfiller { return backfill.NewConservative(rt) }},
 	}
 }
 
@@ -64,7 +64,7 @@ func runDiffRow(t *testing.T, row diffRow) {
 					}
 					label := tr.Name + "/" + p.Name() + "/" + pair.name + "/" + scnLabel(scn)
 					want := oracle.Run(run.Clone(), p, scn, pair.est.Estimate, pair.ref)
-					res, err := Run(run, Config{Policy: p, Scenario: scn, Backfiller: pair.opt(scn)})
+					res, err := Run(run, Config{Policy: p, Scenario: scn, Backfiller: pair.opt()})
 					if err != nil {
 						t.Fatal(err)
 					}

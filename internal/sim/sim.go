@@ -48,9 +48,8 @@ type Config struct {
 	Backfiller backfill.Backfiller
 	// Scenario layers priority tiers and the aging-based starvation bound
 	// onto the base policy (see sched.Scenario). The zero value keeps the
-	// classic, byte-identical scheduling semantics. EASY honours scenarios
-	// through its own copy; callers should configure both from the same
-	// value.
+	// classic, byte-identical scheduling semantics. Backfillers read it
+	// through State.Scenario.
 	Scenario sched.Scenario
 	// Probe, when non-nil, observes the engine after every event batch
 	// (instrumentation only; it cannot influence scheduling).
@@ -350,6 +349,9 @@ func (e *Engine) Running() []backfill.Running { return e.running }
 // arrivals, cancels and re-sorts. Every engine, a restored one included,
 // opens its own.
 func (e *Engine) Journal() *backfill.Journal { return &e.journal }
+
+// Scenario implements backfill.State: the configured scheduling scenario.
+func (e *Engine) Scenario() sched.Scenario { return e.cfg.Scenario }
 
 // queueIndex locates a waiting job. The queue is sorted whenever starts can
 // happen, so a binary search on the job's score finds it in O(log n); a

@@ -452,9 +452,6 @@ func (m *runningModel) check(t *testing.T, label string, e *Engine) {
 // aging scenario whose Wake ticks land between events, and on a live engine
 // that cancels jobs as it goes.
 func TestRunningIsStartedLessFinished(t *testing.T) {
-	easy := func(scn sched.Scenario) backfill.Backfiller {
-		return &backfill.EASY{Est: backfill.RequestTime{}, Scn: scn}
-	}
 	aging := sched.Scenario{Priorities: true, StarvationBound: 2}
 	enriched := mustEnrich(t, trace.SyntheticSDSCSP2(300, 7),
 		trace.EnrichSpec{MemDist: trace.MemDistProp, PriorityTiers: 3, Seed: 11})
@@ -465,10 +462,10 @@ func TestRunningIsStartedLessFinished(t *testing.T) {
 		tr   *trace.Trace
 		cfg  Config
 	}{
-		{"easy", trace.SyntheticHPC2N(250, 17), Config{Policy: sched.FCFS{}, Backfiller: easy(sched.Scenario{})}},
-		{"easy-memless", memless, Config{Policy: sched.FCFS{}, Backfiller: easy(sched.Scenario{})}},
+		{"easy", trace.SyntheticHPC2N(250, 17), Config{Policy: sched.FCFS{}, Backfiller: backfill.NewEASY(backfill.RequestTime{})}},
+		{"easy-memless", memless, Config{Policy: sched.FCFS{}, Backfiller: backfill.NewEASY(backfill.RequestTime{})}},
 		{"conservative", enriched, Config{Policy: sched.WFP3{}, Backfiller: backfill.NewConservative(backfill.RequestTime{})}},
-		{"aging", enriched, Config{Policy: sched.FCFS{}, Scenario: aging, Backfiller: easy(aging)}},
+		{"aging", enriched, Config{Policy: sched.FCFS{}, Scenario: aging, Backfiller: backfill.NewEASY(backfill.RequestTime{})}},
 	} {
 		e, err := NewEngine(c.tr.Clone(), c.cfg)
 		if err != nil {
@@ -489,7 +486,7 @@ func TestRunningIsStartedLessFinished(t *testing.T) {
 	}
 
 	tr := liveTrace(5, 300, 16)
-	e, err := NewLiveEngine(tr.Name, tr.Procs, 0, Config{Policy: sched.FCFS{}, Backfiller: easy(sched.Scenario{})})
+	e, err := NewLiveEngine(tr.Name, tr.Procs, 0, Config{Policy: sched.FCFS{}, Backfiller: backfill.NewEASY(backfill.RequestTime{})})
 	if err != nil {
 		t.Fatal(err)
 	}

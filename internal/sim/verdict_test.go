@@ -245,7 +245,7 @@ func TestEASYVerdictDifferential(t *testing.T) {
 			for _, order := range []backfill.CandidateOrder{backfill.PolicyOrder, backfill.SJFOrder} {
 				for ei, est := range estimators {
 					scn := scenarios[(ti+ei)%len(scenarios)]
-					proto := &backfill.EASY{Est: est, Order: order, Scn: scn}
+					proto := &backfill.EASY{Est: est, Order: order}
 					label := fmt.Sprintf("trace %d/%s/%s/%s", ti, pol.Name(), proto.Name(), scnLabel(scn))
 					ref := Config{Policy: pol, Scenario: scn, Backfiller: freshEASY{proto}}
 					opt := &verdictRounds{t: t, est: est, inner: proto.Fresh()}

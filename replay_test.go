@@ -3,62 +3,14 @@ package repro
 import (
 	"encoding/binary"
 	"hash/fnv"
-	"os"
-	"strconv"
 	"testing"
 
 	"repro/internal/backfill"
 	"repro/internal/experiments"
-	"repro/internal/lublin"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
-
-// hugeJobs resolves the huge-scenario trace length: one million jobs unless
-// RLBF_HUGE_JOBS overrides it (useful for locally iterating on the scenario
-// without the full generation and replay cost).
-func hugeJobs(tb testing.TB) int {
-	tb.Helper()
-	n := 1_000_000
-	if s := os.Getenv("RLBF_HUGE_JOBS"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v <= 0 {
-			tb.Fatalf("bad RLBF_HUGE_JOBS %q", s)
-		}
-		n = v
-	}
-	return n
-}
-
-// hugeTrace generates the huge-scale scenario: a million-job composition of
-// Lublin partition streams on a 4096-node machine at 0.8 utilization.
-func hugeTrace(tb testing.TB) *trace.Trace {
-	tb.Helper()
-	return experiments.HugeTrace(lublin.Huge(0, 0, 0), hugeJobs(tb), 1)
-}
-
-// BenchmarkSimulatorHuge replays the huge-scale scenario under conservative
-// backfilling — the profile-heaviest heuristic, whose reservation skyline
-// grows with the backlog and therefore leans hardest on FindStart.
-// CI runs this at -benchtime 1x as the standing million-job regression
-// record; set RLBF_HUGE_JOBS to iterate locally at smaller scales.
-func BenchmarkSimulatorHuge(b *testing.B) {
-	tr := hugeTrace(b)
-	b.Run("conservative-seq", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(tr, sim.Config{Policy: sched.FCFS{}, Backfiller: backfill.NewConservative(backfill.ActualRuntime{})})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.Logf("%d jobs, mean bsld %.3f", tr.Len(), res.Summary.MeanBSLD)
-			}
-		}
-	})
-}
 
 // TestReplayDigests pins the schedules of long replays, as rlbf-sim runs
 // them (the workload's own estimator, seed 1): FNV-1a over (id, start, end)

@@ -7,10 +7,8 @@ import (
 	"repro/internal/experiments"
 )
 
-// TestFigure1TinySmoke exercises the benchmark harness code path in the
-// tier-1 test run: one Figure 1 regeneration at tiny scale (the same entry
-// point BenchmarkFigure1 drives). It keeps `go test ./...` covering the root
-// package instead of reporting "no tests to run".
+// TestFigure1TinySmoke regenerates Figure 1 at tiny scale in the tier-1 test
+// run, through the same entry point `rlbf-exp -exp fig1` drives.
 func TestFigure1TinySmoke(t *testing.T) {
 	sc, ok := experiments.ByName("tiny")
 	if !ok {
@@ -32,8 +30,8 @@ func TestFigure1TinySmoke(t *testing.T) {
 	}
 }
 
-// TestBenchScaleSelection pins the RLBF_BENCH_SCALE contract the benchmarks
-// rely on: tiny is the default, and every documented scale resolves.
+// TestBenchScaleSelection pins the scales `rlbf-exp -scale` selects: every
+// documented scale resolves to itself, and an unknown name is refused.
 func TestBenchScaleSelection(t *testing.T) {
 	for _, name := range []string{"tiny", "quick", "paper"} {
 		sc, ok := experiments.ByName(name)
