@@ -55,6 +55,9 @@ type Conservative struct {
 	// arrivals, since at.
 	started []Change
 	arrived []*trace.Job
+	// What a rebuild after early finishes takes from the last plan; its
+	// hints hold the plan storage the rebuild does not build into.
+	fix repair
 }
 
 // NewConservative returns conservative backfilling with the given estimator.
@@ -75,7 +78,8 @@ func (c *Conservative) Name() string { return "CONS-" + c.Est.Name() }
 func (c *Conservative) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 	now := st.Now()
 	_, memTotal := MemOf(st)
-	if !c.carry(st, now, memTotal, head, queue) && !c.rebuild(st, now, memTotal, head, queue) {
+	carried, hinted := c.carry(st, now, memTotal, head, queue)
+	if !carried && !c.rebuild(st, now, memTotal, head, queue, hinted) {
 		c.est = nil
 		return
 	}
@@ -113,15 +117,31 @@ func (c *Conservative) Backfill(st State, head *trace.Job, queue []*trace.Job) {
 }
 
 // rebuild plans from scratch: the running set's profile, then head and
-// queue in order. It reports false when a reservation fails.
-func (c *Conservative) rebuild(st State, now int64, memTotal int, head *trace.Job, queue []*trace.Job) bool {
+// queue in order. It reports false when a reservation fails. With hinted
+// (carry saw early finishes, DESIGN.md §9), the last plan's live entries
+// are head + queue less the arrivals, and each of them is placed from its
+// old start (placeHinted) until the first that is not, or that started
+// behind now, or until the gain list outgrows gainCap; the rest take
+// placeBase. The last plan's storage becomes the hints, the hints' the
+// new plan's, so the swap allocates nothing.
+func (c *Conservative) rebuild(st State, now int64, memTotal int, head *trace.Job, queue []*trace.Job, hinted bool) bool {
 	p := c.pl.fill(st, c.Est, now)
-	c.pl.plan, c.lo, c.dead = c.pl.plan[:0], 0, 0
-	if c.pl.placeBase(p, c.Est, now, head) != nil {
-		return false
+	f := &c.fix
+	f.hints, c.pl.plan = c.pl.plan, f.hints[:0]
+	f.next, f.used = c.lo, 0
+	if !hinted {
+		f.next = len(f.hints)
 	}
-	for _, j := range queue {
-		if c.pl.placeBase(p, c.Est, now, j) != nil {
+	c.lo, c.dead = 0, 0
+	for i := 0; i <= len(queue); i++ {
+		j := nth(head, queue, i)
+		var err error
+		if e, ok := f.take(j, now); ok {
+			err = c.pl.placeHinted(p, now, e, f)
+		} else {
+			err = c.pl.placeBase(p, c.Est, now, j)
+		}
+		if err != nil {
 			return false
 		}
 	}
@@ -133,7 +153,13 @@ func (c *Conservative) rebuild(st State, now int64, memTotal int, head *trace.Jo
 
 // carry brings the last plan up to now from the journal, and reports false
 // — leaving the plan for rebuild to overwrite — unless it then equals the
-// plan a rebuild would make. That holds when, since the last round:
+// plan a rebuild would make. When the only departures from the plan were
+// early finishes and heads started off their planned start, it also
+// reports that the rebuild may take the plan's starts as hints: on a
+// procs-only machine, when every other condition below holds, with the
+// repair's lists seeded (each early finish's [now, planned end) and each
+// such head's planned slot as gain, the head's running span as loss). The
+// plan carries when, since the last round:
 //   - every job that started is a planned one, at its planned start: until
 //     the first reorder, the first live entry (the queue's head);
 //   - every job that finished did so at the end of its span, which is then
@@ -152,87 +178,108 @@ func (c *Conservative) rebuild(st State, now int64, memTotal int, head *trace.Jo
 // starts: a started job's reservation became a running span over the same
 // interval, which only jobs planned before it see earlier, and they already
 // fit beside it. The arrivals are placed at the tail.
-func (c *Conservative) carry(st State, now int64, memTotal int, head *trace.Job, queue []*trace.Job) bool {
+func (c *Conservative) carry(st State, now int64, memTotal int, head *trace.Job, queue []*trace.Job) (carried, hinted bool) {
 	if c.est == nil || c.Est != c.est || c.mem != memTotal {
-		return false
+		return false, false
 	}
 	changes, ok := st.Journal().Since(c.at)
 	if !ok {
-		return false
+		return false, false
 	}
-	ends := &c.pl.ends
-	reordered := false
+	ends, fix := &c.pl.ends, &c.fix
+	fix.gain, fix.loss = fix.gain[:0], fix.loss[:0]
+	reordered, moved := false, false
 	c.started, c.arrived = c.started[:0], c.arrived[:0]
 	for _, ch := range changes {
 		switch ch.Kind {
 		case Started:
 			if reordered {
 				c.started = append(c.started, ch)
-			} else if !c.startHead(ch) {
-				return false
+			} else if ok, off := c.startHead(ch); !ok {
+				return false, false
+			} else {
+				moved = moved || off
 			}
 			ends.push(slot{at: ch.Time + c.Est.Estimate(ch.Job), n: ch.Job.ID})
 		case Finished:
-			if len(*ends) == 0 || (*ends)[0] != (slot{at: ch.Time, n: ch.Job.ID}) {
-				return false
+			if len(*ends) > 0 && (*ends)[0] == (slot{at: ch.Time, n: ch.Job.ID}) {
+				ends.pop()
+				continue
 			}
-			ends.pop()
+			// Off the heap's top: an early finish gives [now, end) back. A
+			// late one, or one of no span, is past what the repair covers.
+			end, ok := ends.remove(ch.Job.ID)
+			if !ok || end < ch.Time {
+				return false, false
+			}
+			fix.gain.add(now, end)
+			moved = true
 		case Arrived:
 			c.arrived = append(c.arrived, ch.Job)
 		case Reordered:
 			reordered = true
 		default:
-			return false
+			return false, false
 		}
 	}
 	if len(*ends) > 0 && (*ends)[0].at <= now {
-		return false
+		return false, false
 	}
 	n := len(queue) + 1 - len(c.arrived) // head + queue less the arrivals
 	if n < 0 {
-		return false
+		return false, false
 	}
 	if reordered {
-		if !c.reorder(head, queue, n) {
-			return false
+		if moved || !c.reorder(head, queue, n) {
+			return false, false
 		}
 	} else if len(c.pl.plan)-c.lo-c.dead != n || n > 0 && c.pl.plan[c.lo].job != head {
-		return false
+		return false, false
 	}
 	for i, j := range c.arrived {
 		if nth(head, queue, n+i) != j {
-			return false
+			return false, false
 		}
+	}
+	if moved {
+		return false, memTotal == 0
 	}
 	if !c.indexed {
 		c.index()
 	}
 	if s, ok := c.next(); ok && s.at < now {
-		return false
+		return false, false
 	}
 	p := &c.pl.prof
 	p.Trim(now)
 	for _, j := range c.arrived {
 		if c.pl.placeBase(p, c.Est, now, j) != nil {
-			return false
+			return false, false
 		}
 		k := len(c.pl.plan) - 1
 		c.starts.push(slot{at: c.pl.plan[k].start, n: k})
 	}
-	return true
+	return true, false
 }
 
 // startHead files a start made before any reorder, which must be the first
-// live entry's, at its planned start.
-func (c *Conservative) startHead(ch Change) bool {
+// live entry's. It reports whether the start was off the plan (the engine
+// started the head before its planned start); such a head's planned slot
+// goes into the repair's gain and its running span into its loss.
+func (c *Conservative) startHead(ch Change) (ok, off bool) {
 	if c.lo == len(c.pl.plan) {
-		return false
+		return false, false
 	}
-	if e := c.pl.plan[c.lo]; e.job != ch.Job || e.start != ch.Time {
-		return false
+	e := c.pl.plan[c.lo]
+	if e.job != ch.Job {
+		return false, false
+	}
+	if off = e.start != ch.Time; off {
+		c.fix.gain.add(e.start, e.start+e.dur)
+		c.fix.loss.add(ch.Time, ch.Time+e.dur)
 	}
 	c.drop(c.lo)
-	return true
+	return true, off
 }
 
 // reorder compares the live plan with the first n jobs of head + queue (the
@@ -340,16 +387,39 @@ func (a slot) less(b slot) bool { return a.at < b.at || a.at == b.at && a.n < b.
 type slots []slot
 
 func (h *slots) push(x slot) {
-	s := append(*h, x)
-	for i := len(s) - 1; i > 0; {
+	*h = append(*h, x)
+	h.up(len(*h) - 1)
+}
+
+// remove deletes the slot with n == id and returns its time; it scans the
+// heap, so it serves the rare early finish, not the filed one.
+func (h *slots) remove(id int) (int64, bool) {
+	s := *h
+	for i, x := range s {
+		if x.n != id {
+			continue
+		}
+		last := len(s) - 1
+		s[i] = s[last]
+		*h = s[:last]
+		if i < last {
+			h.down(i)
+			h.up(i)
+		}
+		return x.at, true
+	}
+	return 0, false
+}
+
+func (s slots) up(i int) {
+	for i > 0 {
 		p := (i - 1) / 2
 		if !s[i].less(s[p]) {
-			break
+			return
 		}
 		s[i], s[p] = s[p], s[i]
 		i = p
 	}
-	*h = s
 }
 
 // pop removes the top.
@@ -383,4 +453,80 @@ func (s slots) down(i int) {
 		s[i], s[m] = s[m], s[i]
 		i = m
 	}
+}
+
+// repair is what a rebuild takes from the last plan when the journal shows
+// early finishes (DESIGN.md §9): the last plan's entries, hints[next:] not
+// yet placed, and two window lists against the last build. gain holds every
+// interval where the build so far can have more capacity than the last
+// build had at the same point, loss every interval where it can have less.
+// used counts the placements that took their hint.
+type repair struct {
+	hints      []planEntry
+	next, used int
+	gain, loss windows
+}
+
+// gainCap bounds the gain list: once it holds more windows, the rest of the
+// build places from the floor. 8 to 32 measured alike; 128 and 512 slower.
+const gainCap = 16
+
+// take returns the hint for j, the build's next job, and false once the
+// rest of the build must take placeBase: j is not the last plan's next live
+// entry (an arrival), its old start is behind now, or gain is over its cap.
+func (f *repair) take(j *trace.Job, now int64) (planEntry, bool) {
+	for f.next < len(f.hints) && f.hints[f.next].job == nil {
+		f.next++
+	}
+	if f.next == len(f.hints) {
+		return planEntry{}, false
+	}
+	e := f.hints[f.next]
+	if e.job != j || e.start < now || len(f.gain) > gainCap {
+		f.next = len(f.hints)
+		return planEntry{}, false
+	}
+	f.next++
+	f.used++
+	return e, true
+}
+
+// window is the interval [lo, hi).
+type window struct{ lo, hi int64 }
+
+// windows is a sorted list of disjoint windows, no two touching.
+type windows []window
+
+// add merges [lo, hi) into the list.
+func (ws *windows) add(lo, hi int64) {
+	if hi <= lo {
+		return
+	}
+	s := *ws
+	i := s.first(lo - 1) // the first window that meets or touches [lo, hi)
+	k := i
+	for ; k < len(s) && s[k].lo <= hi; k++ {
+		lo, hi = min(lo, s[k].lo), max(hi, s[k].hi)
+	}
+	*ws = slices.Replace(s, i, k, window{lo, hi})
+}
+
+// meets reports whether [lo, hi) overlaps a window of the list.
+func (ws windows) meets(lo, hi int64) bool {
+	i := ws.first(lo)
+	return i < len(ws) && ws[i].lo < hi
+}
+
+// first returns the index of the first window that ends after t.
+func (ws windows) first(t int64) int {
+	lo, hi := 0, len(ws)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ws[mid].hi <= t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }

@@ -63,12 +63,57 @@ func (pl *planner) fill(st State, est Estimator, now int64) *cluster.VecProfile 
 // job placed since then that is no wider and no longer (DESIGN.md §9).
 func (pl *planner) placeBase(p *cluster.VecProfile, est Estimator, now int64, j *trace.Job) error {
 	dur := est.Estimate(j)
-	b, k := bucket(int64(j.Procs), len(pl.floor)), bucket(dur, len(pl.floor[0]))
-	after := now
-	if !p.HasMem() && b > 0 && k > 0 {
-		after = max(now, pl.floor[b-1][k-1])
+	return pl.reserve(p, j, dur, p.FindStart(pl.after(p, now, j.Procs, dur), dur, j.Procs, j.Mem))
+}
+
+// placeHinted is placeBase for a job of the last plan, entry e, on a
+// procs-only profile: it finds the same start from e's old one, walking the
+// skyline only where capacity came back (DESIGN.md §9). Any start before
+// e.start that fits now but did not fit in the last build has a window that
+// meets fix.gain, so only the starts whose windows do are walked; when none
+// of them fits, e.start still fits unless its window meets fix.loss and
+// MinFree says so, and otherwise the answer is the first fit after it. A
+// move is recorded in fix: the old slot as gain, the new one as loss.
+func (pl *planner) placeHinted(p *cluster.VecProfile, now int64, e planEntry, fix *repair) error {
+	j, d, s := e.job, e.dur, e.start
+	from, start := pl.after(p, now, j.Procs, d), s
+	for _, g := range fix.gain {
+		lo, hi := max(from, g.lo-d+1), min(g.hi, s)
+		if lo >= s {
+			break
+		}
+		if lo >= hi {
+			continue
+		}
+		if from = p.FindStartBefore(lo, hi, d, j.Procs, j.Mem); from < hi {
+			start = from
+			break
+		}
 	}
-	s := p.FindStart(after, dur, j.Procs, j.Mem)
+	if start == s && fix.loss.meets(s, s+d) && p.MinFree(s, s+d) < j.Procs {
+		start = p.FindStart(max(s, from), d, j.Procs, j.Mem)
+	}
+	if start != s {
+		fix.gain.add(s, s+d)
+		fix.loss.add(start, start+d)
+	}
+	return pl.reserve(p, j, d, start)
+}
+
+// after returns where a walk for a procs x dur job may start: the dominance
+// floor on a procs-only profile, now otherwise.
+func (pl *planner) after(p *cluster.VecProfile, now int64, procs int, dur int64) int64 {
+	b, k := bucket(int64(procs), len(pl.floor)), bucket(dur, len(pl.floor[0]))
+	if p.HasMem() || b == 0 || k == 0 {
+		return now
+	}
+	return max(now, pl.floor[b-1][k-1])
+}
+
+// reserve places j at s: it raises the floor of j's bucket, records the
+// placement and reserves it, returning the reservation's error.
+func (pl *planner) reserve(p *cluster.VecProfile, j *trace.Job, dur, s int64) error {
+	b, k := bucket(int64(j.Procs), len(pl.floor)), bucket(dur, len(pl.floor[0]))
 	pl.floor[b][k] = max(pl.floor[b][k], s)
 	pl.plan = append(pl.plan, planEntry{job: j, dur: dur, start: s})
 	return p.ReserveFound(s, s+dur, j.Procs, j.Mem)

@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -31,7 +32,7 @@ import (
 // representation of the free function, a rollback restores the segment slice
 // byte-identically. No backfiller uses the pair any more (conservative
 // backfilling carries one plan across rounds instead, DESIGN.md §9); only
-// benchmark code calls it (benchmark/replay.go and the root bench_test.go).
+// benchmark code calls it (benchmark/replay.go).
 type Profile struct {
 	total int
 	segs  []segment // sorted by Time; segs[i] spans [segs[i].Time, segs[i+1].Time)
@@ -302,15 +303,15 @@ func (p *Profile) slide() {
 	p.segs, p.off = append(p.buf[:0], p.segs...), 0
 }
 
-// grow makes room for one more segment: at the front of the array when
-// trims left room there, in a larger array otherwise.
-func (p *Profile) grow() {
-	if p.off > 0 {
+// grow makes room for k more segments: at the front of the array when trims
+// left that much room there, in a larger array otherwise.
+func (p *Profile) grow(k int) {
+	if p.off > 0 && cap(p.buf)-len(p.segs) >= k {
 		p.slide()
 		return
 	}
-	p.segs = slices.Grow(p.segs, 1)
-	p.buf = p.segs
+	p.segs = slices.Grow(p.segs, k)
+	p.buf, p.off = p.segs, 0
 }
 
 // FindStart returns the earliest time >= after at which procs processors are
@@ -324,6 +325,15 @@ func (p *Profile) grow() {
 // there. Each segment between `after` and the answer is visited at most once
 // — O(log S + walked) total, not O(boundaries x MinFree).
 func (p *Profile) FindStart(after, duration int64, procs int) int64 {
+	return p.FindStartBefore(after, math.MaxInt64, duration, procs)
+}
+
+// FindStartBefore is FindStart with the walk cut off at before: it returns
+// FindStart's answer when that is earlier than before, and otherwise a time
+// >= before that is no later than the answer, having walked only the
+// segments that windows starting before before can meet. Either way no
+// start in [after, result) fits.
+func (p *Profile) FindStartBefore(after, before, duration int64, procs int) int64 {
 	if procs > p.total {
 		procs = p.total // cannot exceed machine; caller validates job size
 	}
@@ -333,7 +343,7 @@ func (p *Profile) FindStart(after, duration int64, procs int) int64 {
 	cand := after
 	end := cand + duration
 	n := len(p.segs)
-	for i := p.seek(cand); ; {
+	for i := p.seek(cand); cand < before; {
 		if p.segs[i].Time >= end {
 			return cand // window cleared before this segment begins
 		}
@@ -359,61 +369,90 @@ func (p *Profile) FindStart(after, duration int64, procs int) int64 {
 		cand = p.segs[i].Time
 		end = cand + duration
 	}
+	return cand
 }
 
-// ensureBoundary guarantees a segment starts exactly at t and returns its
-// index. Times at or before the profile start map to segment 0; times past
-// the last boundary extend the skyline.
-func (p *Profile) ensureBoundary(t int64) int {
-	if t <= p.segs[0].Time {
-		return 0
+// addRange adds delta to the free count of every instant in [start, end)
+// (clamped to the profile start) in one pass. It binary-searches both ends,
+// decides whether each end needs a new boundary and whether each seam
+// merges (interior segments shift uniformly, so only the two seams can come
+// to share a free count), and then moves the tail once and the covered
+// segments once: leftwards middle first, rightwards tail first. The
+// representation stays canonical in O(log S + touched + tail).
+func (p *Profile) addRange(start, end int64, delta int) {
+	s := p.segs
+	n := len(s)
+	start = max(start, s[0].Time)
+	if end <= start || delta == 0 {
+		return
 	}
-	lo, hi := 0, len(p.segs)
+	i := search(s, 0, start) // the first segment at or after start
+	j := search(s, i, end)   // the first segment at or after end
+	// A new boundary goes at start unless one is there (start > s[0].Time
+	// then, so s[i-1] exists), and at end likewise; the segment it splits
+	// is s[i-1] or s[j-1]. Otherwise a seam merges when the shifted
+	// segment beside it comes to equal its neighbour.
+	splitL := i == n || s[i].Time != start
+	splitR := j == n || s[j].Time != end
+	mergeL := !splitL && i > 0 && s[i-1].Free == s[i].Free+delta
+	mergeR := !splitR && s[j].Free == s[j-1].Free+delta
+	freeR := s[j-1].Free // before the shift: s[j-1] may be covered
+	mid, tail := i+b2i(mergeL), j+b2i(mergeR)
+	shiftM := b2i(splitL) - b2i(mergeL)
+	shiftT := shiftM + b2i(splitR) - b2i(mergeR)
+	if shiftT > 0 {
+		if cap(s)-n < shiftT {
+			p.grow(shiftT)
+			s = p.segs
+		}
+		s = s[:n+shiftT]
+		copy(s[tail+shiftT:], s[tail:n])
+	}
+	switch shiftM {
+	case 1:
+		for k := j - 1; k >= mid; k-- {
+			s[k+1] = segment{Time: s[k].Time, Free: s[k].Free + delta}
+		}
+	case 0:
+		for k := mid; k < j; k++ {
+			s[k].Free += delta
+		}
+	case -1:
+		for k := mid; k < j; k++ {
+			s[k-1] = segment{Time: s[k].Time, Free: s[k].Free + delta}
+		}
+	}
+	if shiftT < 0 {
+		copy(s[tail+shiftT:], s[tail:n])
+		s = s[:n+shiftT]
+	}
+	if splitL {
+		s[i] = segment{Time: start, Free: s[i-1].Free + delta}
+	}
+	if splitR {
+		s[j+shiftM] = segment{Time: end, Free: freeR}
+	}
+	p.segs = s
+}
+
+// search returns the index of the first segment from lo on that starts at
+// or after t, or len(s) when there is none.
+func search(s []segment, lo int, t int64) int {
+	hi := len(s)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if p.segs[mid].Time < t {
+		if s[mid].Time < t {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(p.segs) && p.segs[lo].Time == t {
-		return lo
-	}
-	if len(p.segs) == cap(p.segs) {
-		p.grow()
-	}
-	p.segs = append(p.segs, segment{})
-	copy(p.segs[lo+1:], p.segs[lo:])
-	p.segs[lo] = segment{Time: t, Free: p.segs[lo-1].Free}
 	return lo
 }
 
-// addRange adds delta to the free count of every instant in [start, end)
-// (clamped to the profile start) and re-coalesces at the two seams. Interior
-// segments shift uniformly, so adjacent inequality is preserved there; only
-// the boundary pairs can merge, keeping the representation canonical in
-// O(log S + touched segments).
-func (p *Profile) addRange(start, end int64, delta int) {
-	if end <= start {
-		return
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	i := p.ensureBoundary(start)
-	j := p.ensureBoundary(end)
-	for k := i; k < j; k++ {
-		p.segs[k].Free += delta
-	}
-	p.mergeAt(j) // j first: merging there leaves indices <= i untouched
-	p.mergeAt(i)
-}
-
-// mergeAt removes the boundary between segments i-1 and i when both sides
-// have the same free count.
-func (p *Profile) mergeAt(i int) {
-	if i <= 0 || i >= len(p.segs) {
-		return
-	}
-	if p.segs[i].Free == p.segs[i-1].Free {
-		p.segs = append(p.segs[:i], p.segs[i+1:]...)
-	}
+	return 0
 }

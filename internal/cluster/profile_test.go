@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/oracle"
@@ -513,6 +514,187 @@ func TestProfileCanonicalForm(t *testing.T) {
 			check()
 			p.Rollback(mark)
 			check()
+		}
+	}
+}
+
+// rangeOp is one addRange call of TestProfileAddRangeFuzz's naive model.
+type rangeOp struct {
+	start, end int64
+	delta      int
+}
+
+// checkRanges requires p to be canonical and its free function, from its
+// start on, to be total plus the sum of every op's delta over the op's
+// window: the naive model, probed at every boundary of either side.
+func checkRanges(t *testing.T, label string, p *Profile, total int, ops []rangeOp) {
+	t.Helper()
+	for i := 1; i < len(p.segs); i++ {
+		if p.segs[i].Time <= p.segs[i-1].Time || p.segs[i].Free == p.segs[i-1].Free {
+			t.Fatalf("%s: segments %d,%d not canonical: %+v", label, i-1, i, p.segs)
+		}
+	}
+	from := p.segs[0].Time
+	bounds := []int64{from}
+	for _, s := range p.segs {
+		bounds = append(bounds, s.Time)
+	}
+	for _, op := range ops {
+		bounds = append(bounds, op.start, op.end)
+	}
+	for _, at := range bounds {
+		if at < from {
+			continue
+		}
+		want := total
+		for _, op := range ops {
+			if op.start <= at && at < op.end {
+				want += op.delta
+			}
+		}
+		if got := p.FreeAt(at); got != want {
+			t.Fatalf("%s: FreeAt(%d) = %d, naive %d; segments %+v", label, at, got, want, p.segs)
+		}
+	}
+}
+
+// TestProfileAddRangeFuzz drives the one-pass addRange with small deltas of
+// either sign on a short time grid, so that ranges often start or end on a
+// boundary, split one segment at both ends, and merge at either seam or at
+// both, interleaved with trims and with ranges at or before the profile
+// start and past its last boundary, and checks every step against the naive
+// model, with a FindStartBefore probe against FindStart. Every fourth step a
+// checkpoint, a run of reserves and a rollback must give back the segments
+// byte for byte.
+func TestProfileAddRangeFuzz(t *testing.T) {
+	splits, left, right, both := 0, 0, 0, 0
+	for seed := uint64(1); seed <= 60; seed++ {
+		r := stats.NewRNG(seed)
+		const total = 8
+		var p Profile
+		p.Reset(total, r.Int63n(20))
+		var ops []rangeOp
+		for step := range 150 {
+			label := fmt.Sprintf("seed %d step %d", seed, step)
+			from, last := p.segs[0].Time, p.segs[len(p.segs)-1].Time
+			op := rangeOp{delta: r.Intn(5) - 2}
+			n := len(p.segs)
+			switch r.Intn(7) {
+			case 0: // at or before the profile start
+				op.start = from - r.Int63n(10)
+				op.end = from + r.Int63n(30) - 5
+			case 1: // past the last boundary
+				op.start = last + r.Int63n(10)
+				op.end = op.start + r.Int63n(10)
+			case 2:
+				p.Trim(from + r.Int63n(20))
+				checkRanges(t, label+" trim", &p, total, ops)
+				continue
+			case 3: // from a boundary, by the step that merges its left seam
+				i := r.Intn(n)
+				op.start, op.end = p.segs[i].Time, p.segs[i].Time+1+r.Int63n(25)
+				if i > 0 && r.Bool(0.8) {
+					op.delta = p.segs[i-1].Free - p.segs[i].Free
+				}
+				if k := i + 1 + r.Intn(3); k < n && r.Bool(0.5) {
+					op.end = p.segs[k].Time
+				}
+			case 4: // to a boundary, by the step that merges its right seam
+				k := r.Intn(n)
+				op.start, op.end = p.segs[k].Time-1-r.Int63n(25), p.segs[k].Time
+				if k > 0 && r.Bool(0.8) {
+					op.delta = p.segs[k].Free - p.segs[k-1].Free
+				}
+			default:
+				op.start = from + r.Int63n(60) - 5
+				op.end = op.start + r.Int63n(25)
+			}
+			// The boundaries the range needs; those it then loses merged.
+			needs := func(at int64) int {
+				if at <= from || slices.ContainsFunc(p.segs, func(s segment) bool { return s.Time == at }) {
+					return 0
+				}
+				return 1
+			}
+			splitL, splitR := needs(op.start), needs(op.end)
+			p.addRange(op.start, op.end, op.delta)
+			if op.end > max(op.start, from) && op.delta != 0 {
+				merged := splitL + splitR - (len(p.segs) - n)
+				switch {
+				case splitL+splitR == 2:
+					splits++
+				case merged == 2:
+					both++
+				case merged == 1 && splitL == 1:
+					right++
+				case merged == 1 && splitR == 1:
+					left++
+				}
+			}
+			if op.end > op.start {
+				ops = append(ops, op)
+			}
+			checkRanges(t, label, &p, total, ops)
+			// FindStartBefore answers as FindStart below its cut, and past
+			// the cut stops at or after it, no later than the answer.
+			after, before := p.segs[0].Time+r.Int63n(60)-5, p.segs[0].Time+r.Int63n(80)
+			dur, procs := 1+r.Int63n(20), 1+r.Intn(total)
+			want := p.FindStart(after, dur, procs)
+			if got := p.FindStartBefore(after, before, dur, procs); got != want && (want < before || got < before || got > want) {
+				t.Fatalf("%s: FindStartBefore(%d, %d, %d, %d) = %d, FindStart %d", label, after, before, dur, procs, got, want)
+			}
+			if step%4 == 0 {
+				before := append([]segment(nil), p.segs...)
+				mark := p.Checkpoint()
+				for range 1 + r.Intn(6) {
+					s := p.segs[0].Time + r.Int63n(60) - 5
+					_ = p.Reserve(s, s+1+r.Int63n(20), 1+r.Intn(3))
+				}
+				p.Rollback(mark)
+				if !slices.Equal(p.segs, before) {
+					t.Fatalf("%s: rollback gave %+v, want %+v", label, p.segs, before)
+				}
+			}
+		}
+	}
+	if splits < 200 || left < 200 || right < 200 || both < 50 {
+		t.Fatalf("%d ranges split a segment at both ends, %d merged at the left seam, %d at the right, %d at both: the fuzz is not reaching them",
+			splits, left, right, both)
+	}
+	t.Logf("%d splits at both ends, %d left merges, %d right, %d both", splits, left, right, both)
+}
+
+// TestProfileAddRangeGrowsByTwo reserves a window inside one segment, which
+// needs two new boundaries, on a full array: with no trimmed prefix, with a
+// prefix of one (too little room to slide into) and with a prefix of two.
+// Each must leave the right skyline, and the one with room at the front must
+// slide into it rather than allocate.
+func TestProfileAddRangeGrowsByTwo(t *testing.T) {
+	for prefix := range 3 {
+		var p Profile
+		p.Reset(10, 0)
+		for k := range 3 {
+			if err := p.Reserve(int64(10*k), int64(10*k+5), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.segs = slices.Clip(p.segs)
+		p.buf = p.segs
+		p.Trim(int64(5 * prefix))
+		if len(p.segs) != cap(p.segs) {
+			t.Fatalf("prefix %d: %d segments in an array of %d", prefix, len(p.segs), cap(p.segs))
+		}
+		array := &p.buf[0]
+		if err := p.Reserve(31, 33, 4); err != nil {
+			t.Fatal(err)
+		}
+		want := []segment{{0, 9}, {5, 10}, {10, 9}, {15, 10}, {20, 9}, {25, 10}, {31, 6}, {33, 10}}[prefix:]
+		want[0].Time = int64(5 * prefix)
+		if !slices.Equal(p.segs, want) {
+			t.Fatalf("prefix %d: %+v, want %+v", prefix, p.segs, want)
+		}
+		if moved := &p.buf[0] != array; moved != (prefix < 2) {
+			t.Fatalf("prefix %d: array replaced %v", prefix, moved)
 		}
 	}
 }

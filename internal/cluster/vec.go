@@ -1,5 +1,7 @@
 package cluster
 
+import "math"
+
 // VecProfile generalises the skyline Profile to a small fixed resource
 // vector: processors plus an optional memory dimension. It is a thin
 // composition of per-dimension scalar profiles — the procs dimension IS a
@@ -153,19 +155,28 @@ func (v *VecProfile) Trim(t int64) {
 // walk; otherwise the two scalar searches alternate to a fixed point (see
 // the type comment for why that converges on the earliest joint start).
 func (v *VecProfile) FindStart(after, duration int64, procs, mem int) int64 {
-	cand := v.p.FindStart(after, duration, procs)
+	return v.FindStartBefore(after, math.MaxInt64, duration, procs, mem)
+}
+
+// FindStartBefore is FindStart with the walks cut off at before
+// (Profile.FindStartBefore): it returns FindStart's answer when that is
+// earlier than before, and otherwise a time >= before that is no later than
+// the answer. Either way no start in [after, result) fits.
+func (v *VecProfile) FindStartBefore(after, before, duration int64, procs, mem int) int64 {
+	cand := v.p.FindStartBefore(after, before, duration, procs)
 	if !v.hasMem || mem <= 0 {
 		return cand
 	}
-	for {
-		c2 := v.m.FindStart(cand, duration, mem)
-		if c2 == cand {
-			return cand
+	for cand < before {
+		c2 := v.m.FindStartBefore(cand, before, duration, mem)
+		if c2 == cand || c2 >= before {
+			return c2
 		}
-		c3 := v.p.FindStart(c2, duration, procs)
+		c3 := v.p.FindStartBefore(c2, before, duration, procs)
 		if c3 == c2 {
 			return c2
 		}
 		cand = c3
 	}
+	return cand
 }

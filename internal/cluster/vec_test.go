@@ -177,6 +177,14 @@ func TestVecProfileFindStartJoint(t *testing.T) {
 	if got := v.FindStart(0, 10, 4, 95); got != 100 {
 		t.Fatalf("FindStart = %d, want 100", got)
 	}
+	// Cut off before the joint start, the walks stop at or past the cut and
+	// no later than the answer; cut off after it, they find it.
+	if got := v.FindStartBefore(0, 60, 10, 4, 20); got < 60 || got > 100 {
+		t.Fatalf("FindStartBefore(0, 60) = %d, want within [60, 100]", got)
+	}
+	if got := v.FindStartBefore(0, 101, 10, 4, 20); got != 100 {
+		t.Fatalf("FindStartBefore(0, 101) = %d, want 100", got)
+	}
 }
 
 // TestVecProfileTrimDifferential checks Trim the way conservative
