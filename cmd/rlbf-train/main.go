@@ -58,18 +58,7 @@ func main() {
 		fatal("%v", err)
 	}
 
-	cfg := core.DefaultTrainConfig()
-	cfg.BasePolicy = policy
-	cfg.Est = experiments.Estimator(tr)
-	cfg.Obs.MaxObs = sc.MaxObs
-	cfg.TrajPerEpoch = sc.TrajPerEpoch
-	cfg.EpisodeLen = sc.EpisodeLen
-	cfg.Seed = sc.Seed
-	cfg.PPO.PiIters = sc.PiIters
-	cfg.PPO.VIters = sc.VIters
-	cfg.PPO.MiniBatch = 2048
-
-	trainer, err := core.NewTrainer(tr, cfg)
+	trainer, err := core.NewTrainer(tr, sc.TrainConfig(policy, experiments.Estimator(tr)))
 	if err != nil {
 		fatal("%v", err)
 	}

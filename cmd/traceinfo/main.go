@@ -13,70 +13,86 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
 	"repro/internal/trace"
 )
 
-func main() {
-	n := flag.Int("n", 10000, "jobs to generate for built-in workloads (SWF files use all jobs)")
-	seed := flag.Uint64("seed", 1, "generator seed for built-in workloads")
-	memDist := flag.String("mem-dist", trace.MemDistNone, "enrich with per-job memory demands before reporting: none, prop or uniform")
-	memPerProc := flag.Int("mem-per-proc", 0, "machine memory per processor in KB when enriching")
-	tiers := flag.Int("priority-tiers", 0, "enrich with geometric priority tiers before reporting (0 or 1 = none)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"sdsc-sp2", "hpc2n", "lublin-1", "lublin-2"}
+// run is the command with its arguments and output streams; it returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("traceinfo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 10000, "jobs to generate for built-in workloads, at least 1 (SWF files use all jobs)")
+	seed := fs.Uint64("seed", 1, "generator seed for built-in workloads")
+	memDist := fs.String("mem-dist", trace.MemDistNone, "enrich with per-job memory demands before reporting: none, prop or uniform")
+	memPerProc := fs.Int("mem-per-proc", 0, "machine memory per processor in KB when enriching")
+	tiers := fs.Int("priority-tiers", 0, "enrich with geometric priority tiers before reporting (0 or 1 = none)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *n < 1 {
+		fmt.Fprintf(stderr, "traceinfo: -n %d: need at least 1 job\n", *n)
+		return 2
+	}
+
+	names := fs.Args()
+	if len(names) == 0 {
+		names = []string{"sdsc-sp2", "hpc2n", "lublin-1", "lublin-2"}
 	}
 	exit := 0
-	for _, arg := range args {
+	for _, arg := range names {
 		spec := trace.EnrichSpec{MemDist: *memDist, MemPerProc: *memPerProc, PriorityTiers: *tiers, Seed: *seed}
+		ts, builtin := experiments.ResolveStream(arg, *n, *seed)
 		// Summary fast path: a plain built-in workload streams job-by-job
 		// through the accumulator — no job slice is ever materialized, so
 		// inspecting a million-job workload runs in constant memory.
-		if !spec.Enabled() {
-			if ts, ok := experiments.ResolveStream(arg, *n, *seed); ok {
-				acc := trace.NewStatsAccum(ts.Name, ts.Procs, 0)
-				if err := ts.Run(func(j *trace.Job) error { acc.Add(j); return nil }); err != nil {
-					fmt.Fprintf(os.Stderr, "traceinfo: %v\n", err)
-					exit = 1
-					continue
-				}
-				printStats(acc.Stats())
+		if builtin && !spec.Enabled() {
+			acc := trace.NewStatsAccum(ts.Name, ts.Procs, 0)
+			if err := ts.Run(func(j *trace.Job) error { acc.Add(j); return nil }); err != nil {
+				fmt.Fprintf(stderr, "traceinfo: %v\n", err)
+				exit = 1
 				continue
 			}
+			printStats(stdout, acc.Stats())
+			continue
 		}
 		// SWF files use all their jobs; -n only caps built-in generators.
 		nArg := *n
-		if !experiments.IsBuiltin(arg) {
+		if !builtin {
 			nArg = 0
 		}
 		tr, err := experiments.ResolveTrace(arg, nArg, *seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "traceinfo: %v\n", err)
+			fmt.Fprintf(stderr, "traceinfo: %v\n", err)
 			exit = 1
 			continue
 		}
 		if spec.Enabled() {
 			if tr, err = trace.Enrich(tr, spec); err != nil {
-				fmt.Fprintf(os.Stderr, "traceinfo: %v\n", err)
+				fmt.Fprintf(stderr, "traceinfo: %v\n", err)
 				exit = 1
 				continue
 			}
 		}
-		printStats(trace.ComputeStats(tr))
+		printStats(stdout, trace.ComputeStats(tr))
 	}
-	os.Exit(exit)
+	return exit
 }
 
-func printStats(st trace.Stats) {
-	fmt.Println(st.String())
+func printStats(w io.Writer, st trace.Stats) {
+	fmt.Fprintln(w, st.String())
 	if pt := st.PriorityTable(); pt != "" {
-		fmt.Printf("%-10s tier distribution: %s\n", "", pt)
+		fmt.Fprintf(w, "%-10s tier distribution: %s\n", "", pt)
 	}
 }

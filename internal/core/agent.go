@@ -150,8 +150,8 @@ func (a *Agent) CloneForRollout(rng *stats.RNG, violationPenalty float64) *Agent
 func (a *Agent) Name() string { return "RLBF" }
 
 // Fresh implements backfill.Cloneable: a greedy evaluation clone sharing the
-// read-only networks with its own scratch, so parallel eval sequences and
-// sharded replay windows never race.
+// read-only networks with its own scratch, so parallel eval sequences never
+// race.
 func (a *Agent) Fresh() backfill.Backfiller {
 	c := &Agent{Policy: a.Policy, Value: a.Value, Obs: a.Obs, Est: a.Est}
 	c.initBuffers()

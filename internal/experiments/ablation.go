@@ -20,7 +20,7 @@ import (
 // idling them (results are worker-count independent).
 func trainVariant(sc Scale, mutate func(*core.TrainConfig), log io.Writer) (float64, error) {
 	tr := trace.SyntheticSDSCSP2(sc.TraceJobs, sc.Seed+1)
-	cfg := sc.trainConfig(sched.FCFS{}, backfill.RequestTime{})
+	cfg := sc.TrainConfig(sched.FCFS{}, backfill.RequestTime{})
 	mutate(&cfg)
 	trainer, err := core.NewTrainer(tr, cfg)
 	if err != nil {

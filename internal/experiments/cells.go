@@ -29,14 +29,14 @@ func (s Scale) cellPool(p *pool.Pool) *pool.Pool {
 }
 
 // trainWeight is the pool weight of a cell that trains a model: training
-// itself runs cfg.Workers rollout goroutines (see trainConfig), so the cell
+// itself runs cfg.Workers rollout goroutines (see TrainConfig), so the cell
 // must hold that many tokens to keep the machine subscribed exactly once.
 func (s Scale) trainWeight() int {
 	return s.workers()
 }
 
 // clampToPool bounds the scale's parallelism to the pool its cells run on,
-// so a training cell's internal fan-out (trainConfig.Workers) never exceeds
+// so a training cell's internal fan-out (TrainConfig.Workers) never exceeds
 // the tokens it can actually hold — with a pool smaller than the scale's
 // worker count, an unclamped training would oversubscribe the machine.
 // Training results are independent of the worker count (see core.TrainConfig

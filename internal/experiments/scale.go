@@ -119,10 +119,10 @@ func (s Scale) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// trainConfig assembles the core.TrainConfig for one model. It trains under
+// TrainConfig assembles the core.TrainConfig for one model. It trains under
 // the eval protocol's scenario, so a model is scored under the semantics it
 // learned.
-func (s Scale) trainConfig(policy sched.Policy, est backfill.Estimator) core.TrainConfig {
+func (s Scale) TrainConfig(policy sched.Policy, est backfill.Estimator) core.TrainConfig {
 	cfg := core.DefaultTrainConfig()
 	cfg.BasePolicy = policy
 	cfg.Est = est

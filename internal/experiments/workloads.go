@@ -29,19 +29,6 @@ func Workloads(n int, seed uint64) []*trace.Trace {
 // per-workload offsets ResolveTrace assigns (sdsc-sp2 +1 ... lublin-2 +4).
 const hugeSeedOff = 5
 
-// IsBuiltin reports whether name resolves to a built-in generated workload
-// (so n jobs are drawn from its generator) as opposed to an SWF file path.
-// Callers that document different -n semantics for files versus generators
-// (traceinfo reads whole files, but must cap generators somewhere) use this
-// to decide what to pass ResolveTrace.
-func IsBuiltin(name string) bool {
-	switch strings.ToLower(name) {
-	case "sdsc-sp2", "sdsc", "hpc2n", "lublin-1", "lublin1", "lublin-2", "lublin2", "huge", "lublin-huge":
-		return true
-	}
-	return false
-}
-
 // ResolveTrace returns a workload by built-in name ("sdsc-sp2", "hpc2n",
 // "lublin-1", "lublin-2", "huge", case-insensitive) generated with n jobs,
 // or parses the argument as an SWF file path.
@@ -248,7 +235,7 @@ func (z *Zoo) started(key string) bool {
 
 // train runs one model's training (the singleflight leader's work).
 func (z *Zoo) train(policy sched.Policy, tr *trace.Trace, sc Scale, log io.Writer) (*core.Agent, []core.EpochStats, error) {
-	cfg := sc.trainConfig(policy, estimatorFor(tr))
+	cfg := sc.TrainConfig(policy, estimatorFor(tr))
 	trainer, err := core.NewTrainer(tr, cfg)
 	if err != nil {
 		return nil, nil, err

@@ -85,20 +85,17 @@ type scoredSc struct {
 }
 
 // SortScenario orders jobs in place by the scenario Less order, computing
-// each job's score and starvation state exactly once. A disabled scenario
-// routes to the classic Sort so the hot path is untouched.
+// each job's score and starvation state exactly once. When scores is non-nil
+// it must have len(scores) == len(jobs) and receives the sorted jobs' scores
+// (aligned index-for-index with the sorted queue).
 func (s *Sorter) SortScenario(jobs []*trace.Job, scores []float64, p Policy, now int64, sc Scenario) {
-	if !sc.Enabled() {
-		s.Sort(jobs, scores, p, now)
-		return
-	}
 	if scores != nil && len(scores) != len(jobs) {
 		panic("sched: scores length does not match jobs")
 	}
-	if cap(s.scBuf) < len(jobs) {
-		s.scBuf = make([]scoredSc, len(jobs))
+	if cap(s.buf) < len(jobs) {
+		s.buf = make([]scoredSc, len(jobs))
 	}
-	buf := s.scBuf[:len(jobs)]
+	buf := s.buf[:len(jobs)]
 	for i, j := range jobs {
 		buf[i] = scoredSc{job: j, score: p.Score(j, now), starving: sc.Starving(j, now), pri: j.Priority}
 	}

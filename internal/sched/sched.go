@@ -6,7 +6,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/trace"
 )
@@ -122,45 +121,17 @@ func Less(a, b *trace.Job, sa, sb float64) bool {
 	return a.ID < b.ID
 }
 
-// scored decorates a job with its policy score so the score is computed
-// exactly once per sort instead of O(n log n) times inside the comparator.
-type scored struct {
-	job   *trace.Job
-	score float64
-}
-
 // Sorter sorts job queues with a reusable decoration buffer, avoiding the
 // per-event allocation and repeated Score calls of the naive comparator
 // sort. The zero value is ready to use; a Sorter is not goroutine-safe.
 type Sorter struct {
-	buf   []scored
-	scBuf []scoredSc // scenario-decorated variant, see SortScenario
+	buf []scoredSc // see SortScenario
 }
 
-// Sort orders jobs in place by the canonical Less order, computing each
-// job's score exactly once. When scores is non-nil it must have
-// len(scores) == len(jobs) and receives the sorted jobs' scores (aligned
-// index-for-index with the sorted queue).
+// Sort orders jobs in place by the canonical Less order: SortScenario under
+// the zero scenario.
 func (s *Sorter) Sort(jobs []*trace.Job, scores []float64, p Policy, now int64) {
-	if scores != nil && len(scores) != len(jobs) {
-		panic("sched: scores length does not match jobs")
-	}
-	if cap(s.buf) < len(jobs) {
-		s.buf = make([]scored, len(jobs))
-	}
-	buf := s.buf[:len(jobs)]
-	for i, j := range jobs {
-		buf[i] = scored{job: j, score: p.Score(j, now)}
-	}
-	sort.SliceStable(buf, func(a, b int) bool {
-		return Less(buf[a].job, buf[b].job, buf[a].score, buf[b].score)
-	})
-	for i, e := range buf {
-		jobs[i] = e.job
-		if scores != nil {
-			scores[i] = e.score
-		}
-	}
+	s.SortScenario(jobs, scores, p, now, Scenario{})
 }
 
 // Sort orders jobs in place by ascending policy score, breaking ties by

@@ -19,7 +19,8 @@
 // applies the starts and finishes, EASY answers a round that saw only
 // finishes and arrivals by testing its live list and the arrivals, and
 // conservative backfilling carries its plan while the changes go by it. All
-// orderings use sched.Less (score, then submit time, then ID), and arrivals
+// orderings use the scenario order (sched.Scenario.Less, which is score, then
+// submit time, then ID under the zero scenario), and arrivals
 // are fed lazily from the submit-sorted trace instead of being heap-pushed
 // one event per job up front — the event queue holds only the Wake ticks of
 // an aging scenario — which keeps schedules bit-identical to a naive
@@ -86,13 +87,12 @@ type Engine struct {
 	arrivals []*trace.Job
 	nextArr  int
 	// queue holds the waiting jobs; qscore[i] is queue[i]'s policy score.
-	// For static policies both stay sorted (sched.Less) at all times; for
+	// For static policies both stay sorted (Scenario.Less) at all times; for
 	// time-varying policies they are re-sorted at the top of every
 	// scheduling round, so they are ordered whenever StartJob can run.
 	queue  []*trace.Job
 	qscore []float64
 	static bool
-	scnOn  bool // cfg.Scenario.Enabled(), hoisted off the hot paths
 	sorter sched.Sorter
 	// maxID is the largest job ID admitted, so Inject looks for a repeat
 	// only below it.
@@ -121,7 +121,6 @@ func NewEngine(t *trace.Trace, cfg Config) (*Engine, error) {
 		mem:      t.Mem,
 		machine:  *cluster.NewWithMem(t.Procs, t.Mem),
 		static:   !cfg.Policy.TimeVarying() && !cfg.Scenario.TimeVarying(),
-		scnOn:    cfg.Scenario.Enabled(),
 		arrivals: t.Jobs,
 		records:  make([]metrics.Record, 0, len(t.Jobs)),
 	}
@@ -268,7 +267,7 @@ func (e *Engine) down(i int) {
 // as a Wake event so its rank change cannot overshoot an event drought.
 func (e *Engine) enqueue(j *trace.Job) {
 	e.journal.Record(backfill.Arrived, j, e.clock)
-	if e.scnOn && e.cfg.Scenario.Aging() {
+	if e.cfg.Scenario.Aging() {
 		if sa := e.cfg.Scenario.StarvesAt(j); sa > e.clock && sa != math.MaxInt64 {
 			e.events.Push(eventq.Event{Time: sa, Kind: eventq.Wake, Payload: j})
 		}
@@ -279,18 +278,11 @@ func (e *Engine) enqueue(j *trace.Job) {
 		return
 	}
 	score := e.cfg.Policy.Score(j, e.clock)
-	var i int
-	if e.scnOn {
-		// Aging is off here (static would be false), so scenario order is
-		// time-invariant and binary insertion stays valid.
-		i = sort.Search(len(e.queue), func(i int) bool {
-			return e.cfg.Scenario.Less(j, e.queue[i], score, e.qscore[i], e.clock)
-		})
-	} else {
-		i = sort.Search(len(e.queue), func(i int) bool {
-			return sched.Less(j, e.queue[i], score, e.qscore[i])
-		})
-	}
+	// Aging is off here (static would be false), so scenario order is
+	// time-invariant and binary insertion stays valid.
+	i := sort.Search(len(e.queue), func(i int) bool {
+		return e.cfg.Scenario.Less(j, e.queue[i], score, e.qscore[i], e.clock)
+	})
 	e.queue = append(e.queue, nil)
 	copy(e.queue[i+1:], e.queue[i:])
 	e.queue[i] = j
@@ -307,8 +299,7 @@ func (e *Engine) schedule() {
 	}
 	if !e.static {
 		// Time-varying scores: one decorated sort per event, each score
-		// computed exactly once. SortScenario routes straight to the classic
-		// sort when no scenario is configured.
+		// computed exactly once.
 		e.sorter.SortScenario(e.queue, e.qscore, e.cfg.Policy, e.clock, e.cfg.Scenario)
 		e.journal.Record(backfill.Reordered, nil, e.clock)
 	}
@@ -362,16 +353,9 @@ func (e *Engine) queueIndex(j *trace.Job) int {
 		return 0 // the common case: starting the head
 	}
 	score := e.cfg.Policy.Score(j, e.clock)
-	var i int
-	if e.scnOn {
-		i = sort.Search(len(e.queue), func(i int) bool {
-			return !e.cfg.Scenario.Less(e.queue[i], j, e.qscore[i], score, e.clock)
-		})
-	} else {
-		i = sort.Search(len(e.queue), func(i int) bool {
-			return !sched.Less(e.queue[i], j, e.qscore[i], score)
-		})
-	}
+	i := sort.Search(len(e.queue), func(i int) bool {
+		return !e.cfg.Scenario.Less(e.queue[i], j, e.qscore[i], score, e.clock)
+	})
 	if i < len(e.queue) && e.queue[i] == j {
 		return i
 	}

@@ -14,9 +14,8 @@ import (
 // A snapshot plus the not-yet-admitted suffix of the trace is enough to
 // resume the replay exactly where it stopped (see NewEngineFromSnapshot), so
 // a long replay can be cut into bounded-horizon segments whose concatenated
-// records equal the straight-through run. The sharded replayer
-// (internal/shard) builds on the same invariant: engine state at an instant
-// plus the remaining arrivals fully determines the rest of the schedule.
+// records equal the straight-through run: engine state at an instant plus
+// the remaining arrivals fully determines the rest of the schedule.
 type Snapshot struct {
 	// Clock is the simulation time the snapshot was taken at.
 	Clock int64

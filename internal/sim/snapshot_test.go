@@ -9,12 +9,12 @@ import (
 	"repro/internal/trace"
 )
 
-// TestSnapshotResumeDifferential pins the resume invariant the sharded
-// replayer's stitching argument rests on: engine state plus the remaining
-// arrivals fully determines the rest of the schedule. A replay cut at an
-// arbitrary horizon and resumed via NewEngineFromSnapshot must produce, as
-// the concatenation of both segments' records, exactly the straight-through
-// run — for static and time-varying policies, with and without backfilling.
+// TestSnapshotResumeDifferential pins the resume invariant the daemon's
+// snapshot recovery rests on: engine state plus the remaining arrivals fully
+// determines the rest of the schedule. A replay cut at an arbitrary horizon
+// and resumed via NewEngineFromSnapshot must produce, as the concatenation
+// of both segments' records, exactly the straight-through run — for static
+// and time-varying policies, with and without backfilling.
 func TestSnapshotResumeDifferential(t *testing.T) {
 	tr := trace.SyntheticSDSCSP2(800, 1)
 	cases := []struct {
