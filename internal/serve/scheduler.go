@@ -90,8 +90,7 @@ type Config struct {
 // Recover call it before they apply a default or open a file, so 0 keeps
 // meaning "default" (or "off", for RoundBudget) and a refused daemon touches
 // nothing on disk. A time scale that is not finite would leave every wall
-// deadline at or before now, so the run loop would advance forever without
-// reading a command.
+// deadline at or before now, so the run loop would never sleep.
 func checkConfig(cfg Config) error {
 	switch b, ts := cfg.Scenario.StarvationBound, cfg.TimeScale; {
 	case cfg.PredictCap < 0:
@@ -225,6 +224,8 @@ type Stats struct {
 	SubmitP50Ms     float64 `json:"submit_p50_ms"`
 	SubmitP99Ms     float64 `json:"submit_p99_ms"`
 	SubmitMaxMs     float64 `json:"submit_max_ms"`
+	CmdWaitP99Ms    float64 `json:"command_wait_p99_ms"`
+	CmdWaitMaxMs    float64 `json:"command_wait_max_ms"`
 	Draining        bool    `json:"draining"`
 	WALGen          uint64  `json:"wal_gen,omitempty"`
 	WALRecords      int64   `json:"wal_records_total,omitempty"`
@@ -263,6 +264,7 @@ type command struct {
 	batch  *applyBatch
 	reseed *bootstrapData
 	reply  chan reply
+	sent   time.Time // when do handed the command over (rlbf_command_wait_seconds)
 }
 
 // applyBatch is one replication batch handed to the run goroutine: WAL
@@ -345,6 +347,7 @@ type Scheduler struct {
 	mRunning   *metrics.Gauge
 	hDecision  *metrics.Histogram
 	hSubmit    *metrics.Histogram
+	hCmdWait   *metrics.Histogram
 
 	mShed         *metrics.Counter
 	mDegraded     *metrics.Gauge
@@ -485,6 +488,8 @@ func newEmpty(cfg Config) (*Scheduler, error) {
 		"Wall time of one scheduling round (engine event batch).", nil)
 	s.hSubmit = s.reg.NewHistogram("rlbf_submit_latency_seconds",
 		"Wall time to admit a submission and run its scheduling round.", nil)
+	s.hCmdWait = s.reg.NewHistogram("rlbf_command_wait_seconds",
+		"Wall time a command waited between its hand-over to the engine loop and the loop taking it.", nil)
 	s.mShed = s.reg.NewCounter("rlbf_shed_total", "Submissions rejected by admission-queue load shedding.")
 	s.dur.mRecords = s.reg.NewCounter("rlbf_wal_records_total", "Records appended to the write-ahead log.")
 	s.dur.mBytes = s.reg.NewGauge("rlbf_wal_bytes", "Size of the current write-ahead log generation.")
@@ -709,6 +714,7 @@ func (s *Scheduler) Drain() (*State, error) {
 // do sends one command to the engine goroutine and waits for its reply.
 func (s *Scheduler) do(c command) (reply, error) {
 	c.reply = make(chan reply, 1)
+	c.sent = time.Now()
 	select {
 	case s.cmds <- c:
 	case <-s.done:
@@ -718,45 +724,70 @@ func (s *Scheduler) do(c command) (reply, error) {
 	return r, r.err
 }
 
-// run is the single-writer engine loop.
+// run is the single-writer engine loop. A waiting command comes before a
+// catch-up pass: every accepted command advances the engine through its own
+// instant, so taking it first loses no event, and no command waits out a
+// chase of due events. A refused command advances nothing, so when one leaves
+// an event due that was due when it was taken, one pass runs before the next
+// command (DESIGN.md §12, "The clock adapter").
 func (s *Scheduler) run() {
 	defer close(s.done)
+	owed := false
 	for {
 		var timerC <-chan time.Time
+		due := false
 		// Only a primary self-advances: followers and fenced zombies move
 		// their engines exclusively through applied stream batches, so their
 		// schedules stay byte-aligned with the primary's.
 		if s.rep.role.Load() == RolePrimary {
 			if t, ok := s.eng.NextEventTime(); ok {
 				if d := s.wallUntil(t); d <= 0 {
-					s.beginRound()
-					s.advanceTo(s.simNow())
-					s.endRound()
-					continue
+					due = true
 				} else {
 					timerC = s.clock.After(d)
 				}
 			}
 		}
-		select {
-		case c := <-s.cmds:
-			s.beginRound()
-			stop := s.handle(c)
-			s.endRound()
-			if stop {
+		var c command
+		took := false
+		switch {
+		case due && owed:
+			// The last command was refused with this event already due.
+		case due:
+			select {
+			case c = <-s.cmds:
+				took = true
+			case <-s.killC:
+				return
+			default:
+			}
+		default:
+			select {
+			case c = <-s.cmds:
+				took = true
+			case <-timerC:
+			case <-s.killC:
+				// Test hook: die in place, like SIGKILL — no sync, no close,
+				// no final snapshot.
 				return
 			}
-			s.maybeCompact()
-		case <-timerC:
-			s.beginRound()
-			s.advanceTo(s.simNow())
-			s.endRound()
-			s.maybeCompact()
-		case <-s.killC:
-			// Test hook: die in place, like SIGKILL — no sync, no close, no
-			// final snapshot.
-			return
 		}
+		s.beginRound()
+		if took {
+			s.hCmdWait.Observe(time.Since(c.sent).Seconds())
+			t0 := s.simNow()
+			if s.handle(c) {
+				s.endRound()
+				return
+			}
+			t, ok := s.eng.NextEventTime()
+			owed = ok && t <= t0
+		} else {
+			s.advanceTo(s.simNow())
+			owed = false
+		}
+		s.endRound()
+		s.maybeCompact()
 	}
 }
 
@@ -781,7 +812,8 @@ func (s *Scheduler) simNow() int64 {
 
 // wallUntil returns the wall-clock delay until simulation instant t. A
 // delay past the int64 nanoseconds (a tiny TimeScale) saturates: converted,
-// it would wrap negative and spin the run loop without reading a command.
+// it would wrap negative and spin the run loop on passes that process
+// nothing.
 func (s *Scheduler) wallUntil(t int64) time.Duration {
 	wait := min(float64(t-s.simEpoch)/s.scale*float64(time.Second), 1<<62)
 	return s.wallEpoch.Add(time.Duration(wait)).Sub(s.clock.Now())
@@ -1077,6 +1109,8 @@ func (s *Scheduler) statsLocked() Stats {
 		SubmitP50Ms:     s.hSubmit.Quantile(0.5) * 1000,
 		SubmitP99Ms:     s.hSubmit.Quantile(0.99) * 1000,
 		SubmitMaxMs:     s.hSubmit.Max() * 1000,
+		CmdWaitP99Ms:    s.hCmdWait.Quantile(0.99) * 1000,
+		CmdWaitMaxMs:    s.hCmdWait.Max() * 1000,
 		Draining:        s.draining.Load(),
 		WALGen:          s.dur.gen.Load(),
 		WALRecords:      s.dur.mRecords.Value(),

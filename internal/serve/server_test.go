@@ -216,6 +216,7 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		"rlbf_submissions_total 5",
 		"# TYPE rlbf_decision_latency_seconds histogram",
 		"rlbf_submit_latency_seconds_count 5",
+		"# TYPE rlbf_command_wait_seconds histogram",
 		`rlbf_decision_latency_seconds_bucket{le="+Inf"}`,
 		"# TYPE rlbf_queue_depth gauge",
 	} {
