@@ -3,6 +3,10 @@
 // random job sequences scheduled under a base policy, mean bounded slowdown
 // reported.
 //
+// -seed seeds the sequence sampling and, for a built-in workload, the
+// workload's generator too. Its default, 2023, is the seed rlbf-train's
+// default quick scale generates its built-in workload with.
+//
 // Usage:
 //
 //	rlbf-eval -model rl-sdsc.json -trace hpc2n -policy FCFS -seqs 10 -seqlen 1024
@@ -26,7 +30,7 @@ func main() {
 	policyArg := flag.String("policy", "FCFS", "base scheduling policy: FCFS, SJF, WFP3, F1")
 	seqs := flag.Int("seqs", 10, "number of sampled job sequences (at least 1)")
 	seqLen := flag.Int("seqlen", 1024, "jobs per sequence (at least 1)")
-	seed := flag.Uint64("seed", 2023, "sampling seed")
+	seed := flag.Uint64("seed", 2023, "seed of the sequence sampling and of a built-in workload's generator; the default is also the seed rlbf-train's default quick scale generates with")
 	workers := flag.Int("workers", 0, "concurrent sequence replays (0 or 1 = sequential)")
 	flag.Parse()
 	if _, builtin := experiments.ResolveStream(*traceArg, *jobs, *seed); builtin && *jobs < 1 {

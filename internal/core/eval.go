@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/backfill"
 	"repro/internal/sched"
@@ -34,31 +32,8 @@ type EvalConfig struct {
 // DefaultEvalConfig returns the paper's evaluation protocol.
 func DefaultEvalConfig() EvalConfig { return EvalConfig{Sequences: 10, SeqLen: 1024, Seed: 2023} }
 
-func (c EvalConfig) workers() int {
-	if c.Workers < 1 {
-		return 1
-	}
-	if c.Workers > c.Sequences {
-		return c.Sequences
-	}
-	return c.Workers
-}
-
-// sequenceStarts derives the sequence sample offsets from the seed, so every
-// strategy evaluated with the same config sees the exact same job sequences.
-func sequenceStarts(t *trace.Trace, cfg EvalConfig) []int {
-	rng := stats.NewRNG(cfg.Seed)
-	starts := make([]int, cfg.Sequences)
-	for i := range starts {
-		if t.Len() > cfg.SeqLen {
-			starts[i] = rng.Intn(t.Len() - cfg.SeqLen + 1)
-		}
-	}
-	return starts
-}
-
-// runSequences replays every sampled sequence, fanning across cfg.Workers
-// goroutines. mkBF yields the backfiller for one worker: backfillers carry
+// runSequences replays every sampled sequence through fanOut on cfg.Workers
+// goroutines. mkBF yields the backfiller for one replay: backfillers carry
 // scratch state, so each concurrent replay needs its own instance. Results
 // are written by sequence index — never by completion order — so the output
 // is bit-identical at any worker count.
@@ -72,38 +47,24 @@ func runSequences(t *trace.Trace, base sched.Policy, cfg EvalConfig,
 	case t.Len() == 0:
 		return 0, nil, fmt.Errorf("eval: trace %q has no jobs", t.Name)
 	}
-	starts := sequenceStarts(t, cfg)
-	per := make([]float64, len(starts))
-	errs := make([]error, len(starts))
-
-	w := cfg.workers()
-	var wg sync.WaitGroup
-	var failed atomic.Bool
-	sem := make(chan struct{}, w)
-	for i, start := range starts {
-		if failed.Load() {
-			break // fail-fast: the result is already lost
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i, start int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			seq := trace.Slice(t, start, cfg.SeqLen)
-			res, err := sim.Run(seq, sim.Config{Policy: base, Scenario: cfg.Scn, Backfiller: mkBF()})
-			if err != nil {
-				errs[i] = err
-				failed.Store(true)
-				return
-			}
-			per[i] = res.Summary.MeanBSLD
-		}(i, start)
+	// Every window comes from one RNG seeded with cfg.Seed, so every
+	// strategy evaluated with the same config sees the same sequences.
+	rng := stats.NewRNG(cfg.Seed)
+	wins := make([]window, cfg.Sequences)
+	for i := range wins {
+		wins[i] = drawWindow(t, cfg.SeqLen, rng)
 	}
-	wg.Wait()
-	for _, err := range errs {
+	per := make([]float64, len(wins))
+	err := fanOut(len(wins), cfg.Workers, func(i int) error {
+		res, err := sim.Run(wins[i].jobs(t), sim.Config{Policy: base, Scenario: cfg.Scn, Backfiller: mkBF()})
 		if err != nil {
-			return 0, nil, err
+			return err
 		}
+		per[i] = res.Summary.MeanBSLD
+		return nil
+	})
+	if err != nil {
+		return 0, nil, err
 	}
 	return stats.Mean(per), per, nil
 }

@@ -66,7 +66,8 @@ type TrainConfig struct {
 	ViolationPenalty float64
 	Seed             uint64
 	// Workers parallelises rollouts and gradient computation
-	// (default GOMAXPROCS). Results are independent of the worker count.
+	// (default GOMAXPROCS). Rollouts do not depend on it; the PPO update's
+	// per-worker sums do, in their last bits.
 	Workers int
 	// Scn threads the scheduling scenario (priority tiers, starvation bound)
 	// into every rollout and baseline engine; the agent and the baseline's
@@ -160,7 +161,7 @@ type Trainer struct {
 	epoch int
 
 	mu       sync.Mutex
-	baseline map[int]float64 // start index -> baseline bsld
+	baseline map[window]float64 // episode window -> baseline bsld
 
 	// workers recycles rollout clones across episodes: a clone's batch
 	// caches and observation scratch are per-decision overwritten and carry
@@ -185,7 +186,7 @@ func NewTrainer(tr *trace.Trace, cfg TrainConfig) (*Trainer, error) {
 		trace:    tr,
 		agent:    agent,
 		opt:      ppo.New(agent.Policy, agent.Value, cfg.PPO),
-		baseline: make(map[int]float64),
+		baseline: make(map[window]float64),
 	}, nil
 }
 
@@ -204,27 +205,17 @@ func (t *Trainer) RunEpoch() (EpochStats, error) {
 	bases := make([]float64, n)
 	rewards := make([]float64, n)
 	violations := make([]int, n)
-	errs := make([]error, n)
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, t.cfg.Workers)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// The seed depends only on (master seed, epoch, index) so the
-			// run is reproducible regardless of goroutine scheduling.
-			rng := stats.NewRNG(t.cfg.Seed + uint64(t.epoch)*1000003 + uint64(i)*7919 + 17)
-			trajs[i], bslds[i], bases[i], rewards[i], violations[i], errs[i] = t.rollout(rng)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return EpochStats{}, err
-		}
+	err := fanOut(n, t.cfg.Workers, func(i int) error {
+		// The seed depends only on (master seed, epoch, index), so the
+		// run is reproducible regardless of goroutine scheduling.
+		rng := stats.NewRNG(t.cfg.Seed + uint64(t.epoch)*1000003 + uint64(i)*7919 + 17)
+		var err error
+		trajs[i], bslds[i], bases[i], rewards[i], violations[i], err = t.rollout(rng)
+		return err
+	})
+	if err != nil {
+		return EpochStats{}, err
 	}
 
 	st := EpochStats{Epoch: t.epoch}
@@ -265,13 +256,12 @@ func (t *Trainer) Train(epochs int, cb func(EpochStats)) ([]EpochStats, error) {
 // sampling agent, and returns the trajectory with the terminal reward
 // (sjf - bsld)/sjf applied (§3.4).
 func (t *Trainer) rollout(rng *stats.RNG) (ppo.Trajectory, float64, float64, float64, int, error) {
-	start := 0
-	if t.trace.Len() > t.cfg.EpisodeLen {
-		start = rng.Intn(t.trace.Len() - t.cfg.EpisodeLen + 1)
-	}
-	seq := trace.Slice(t.trace, start, t.cfg.EpisodeLen)
+	// The window is the rollout RNG's first draw; the sampling clone
+	// draws its actions from the same RNG after it.
+	w := drawWindow(t.trace, t.cfg.EpisodeLen, rng)
+	seq := w.jobs(t.trace)
 
-	base, err := t.baselineFor(start, seq)
+	base, err := t.baselineFor(w, seq)
 	if err != nil {
 		return ppo.Trajectory{}, 0, 0, 0, 0, err
 	}
@@ -300,11 +290,10 @@ func (t *Trainer) rolloutWorker(rng *stats.RNG) *Agent {
 }
 
 // baselineFor returns (computing and caching on first use) the reward
-// baseline for the sequence starting at the given index: FCFS scheduling
-// with SJF-ordered EASY backfilling (§3.4).
-func (t *Trainer) baselineFor(start int, seq *trace.Trace) (float64, error) {
+// baseline for the window's sequence: FCFS with SJF-ordered EASY (§3.4).
+func (t *Trainer) baselineFor(w window, seq *trace.Trace) (float64, error) {
 	t.mu.Lock()
-	if v, ok := t.baseline[start]; ok {
+	if v, ok := t.baseline[w]; ok {
 		t.mu.Unlock()
 		return v, nil
 	}
@@ -320,7 +309,7 @@ func (t *Trainer) baselineFor(start int, seq *trace.Trace) (float64, error) {
 	}
 	v := t.cfg.Goal.metric(res.Summary)
 	t.mu.Lock()
-	t.baseline[start] = v
+	t.baseline[w] = v
 	t.mu.Unlock()
 	return v, nil
 }

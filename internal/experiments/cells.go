@@ -39,9 +39,10 @@ func (s Scale) trainWeight() int {
 // so a training cell's internal fan-out (TrainConfig.Workers) never exceeds
 // the tokens it can actually hold — with a pool smaller than the scale's
 // worker count, an unclamped training would oversubscribe the machine.
-// Training results are independent of the worker count (see core.TrainConfig
-// and TestRunManyDeterministicAcrossWorkers), so clamping never changes
-// outputs.
+// Rollouts are independent of the worker count, but the PPO update sums
+// per worker (see core.TrainConfig), so clamping can move a trained model
+// in its last bits; TestRunManyDeterministicAcrossWorkers checks that the
+// tiny-scale tables do not move.
 func (s Scale) clampToPool(p *pool.Pool) Scale {
 	if w := p.Capacity(); s.workers() > w {
 		s.Workers = w

@@ -10,17 +10,3 @@ func Slice(t *Trace, start, n int) *Trace {
 	rebase(c.Jobs)
 	return c
 }
-
-// Split partitions the trace into a training prefix containing frac of the
-// jobs and a testing suffix with the remainder. Both halves share the clone
-// semantics of Slice (independent jobs, rebased submit times).
-func Split(t *Trace, frac float64) (train, test *Trace) {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	cut := int(float64(len(t.Jobs)) * frac)
-	return Slice(t, 0, cut), Slice(t, cut, len(t.Jobs)-cut)
-}

@@ -273,17 +273,6 @@ func TestSyntheticRequestGEQRuntime(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	tr := SyntheticSDSCSP2(100, 1)
-	train, test := Split(tr, 0.8)
-	if train.Len() != 80 || test.Len() != 20 {
-		t.Fatalf("split sizes %d/%d", train.Len(), test.Len())
-	}
-	if test.Jobs[0].Submit != 0 {
-		t.Fatal("test half not rebased")
-	}
-}
-
 // TestSliceBounds checks out-of-range arguments clamp to a shorter or empty
 // trace instead of panicking.
 func TestSliceBounds(t *testing.T) {
