@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/md5"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
@@ -30,5 +32,21 @@ func TestRemovedShardFlags(t *testing.T) {
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "flag provided but not defined") {
 			t.Errorf("rlbf-exp %s: %v, output %q; want exit 2 and an unknown-flag error", flag, err, out)
 		}
+	}
+}
+
+// TestTinyAllPinned pins the stdout of `rlbf-exp -scale tiny -exp all -quiet`
+// by its md5: every experiment at tiny scale, the RL ones training and
+// evaluating agents end to end, in well under a second. The output does not
+// depend on GOMAXPROCS.
+func TestTinyAllPinned(t *testing.T) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "RLBF_EXP_ARGS=-scale tiny -exp all -quiet")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("rlbf-exp -scale tiny -exp all -quiet: %v", err)
+	}
+	if got, want := fmt.Sprintf("%x", md5.Sum(out)), "860b96c356a18dc356036ee531df66e0"; got != want {
+		t.Fatalf("stdout md5 %s, want %s; stdout:\n%s", got, want, out)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/backfill"
 	"repro/internal/nn"
 	"repro/internal/ppo"
@@ -55,30 +57,18 @@ type recorder struct {
 	violationPenalty float64
 }
 
-// record appends the decision to the episode in ppo.Step's compact form: the
-// occupied head rows and the skip row, back to back, with the mask and the
-// action renumbered onto those rows (the skip slot follows the last occupied
-// row). The selectable rows keep their order, so PPO's softmax over them is
-// bit-identical to the agent's over the padded observation, and nothing the
-// step allocates grows with MaxObs. Value is filled in one batched critic
-// forward over the whole episode when the trajectory is taken: the weights do
-// not change mid-rollout, so deferring is bit-identical to scoring here.
+// record appends the decision to the episode as ppo.Step: the observation's
+// rows and mask, cloned, with Live placing them in the critic's input (the
+// skip slot is its last row, every row between is zero) and the action
+// unchanged. Nothing the step allocates grows with MaxObs. Value is filled in
+// one batched critic forward over the whole episode when the trajectory is
+// taken: the weights do not change mid-rollout, so deferring is bit-identical
+// to scoring here.
 func (r *recorder) record(obs *Observation, action int, logP float64) *ppo.Step {
-	occ := obs.Occupied
-	head := occ * JobFeatures
-	cells := make([]float64, head+JobFeatures)
-	copy(cells, obs.Flat[:head])
-	copy(cells[head:], obs.Rows[obs.SkipRow])
-	mask := make([]bool, occ+1)
-	copy(mask, obs.Mask[:occ])
-	mask[occ] = obs.Mask[obs.SkipRow]
-	if action == obs.SkipRow {
-		action = occ
-	}
 	r.steps = append(r.steps, ppo.Step{
-		FlatObs: cells,
-		Live:    nn.Live{Head: head, Tail: JobFeatures},
-		Mask:    mask,
+		FlatObs: slices.Clone(obs.Cells),
+		Live:    nn.Live{Head: obs.Skip * JobFeatures, Tail: JobFeatures},
+		Mask:    slices.Clone(obs.Mask),
 		Action:  action,
 		LogP:    logP,
 	})
@@ -179,16 +169,15 @@ func (a *Agent) Backfill(st backfill.State, head *trace.Job, queue []*trace.Job)
 			action = nn.Argmax(probs)
 		}
 
-		if action == obs.SkipRow {
+		if action == obs.Skip {
 			return
 		}
 		job := obs.Jobs[action]
 		st.StartJob(job)
-		// Violation check (§3.4): did this action delay the head job's
-		// estimated reservation?
-		after := a.res.Compute(st, head, a.Est)
-		if after.Shadow > res.Shadow {
-			if a.rec != nil {
+		// Violation check (§3.4), for the reward only: did this action delay
+		// the head job's estimated reservation?
+		if a.rec != nil {
+			if after := a.res.Compute(st, head, a.Est); after.Shadow > res.Shadow {
 				a.rec.violations++
 				step.Reward += a.rec.violationPenalty
 			}
@@ -208,12 +197,13 @@ func (a *Agent) Backfill(st backfill.State, head *trace.Job, queue []*trace.Job)
 
 // distribution scores every selectable candidate row with one batched
 // kernel-network forward and returns the masked-softmax action distribution
-// (a view into the agent's scratch; valid until the next call). Scores are
-// bit-identical to the per-row Forward loop this replaces
-// (nn.TestBatchedKernelDifferential), and the call is allocation-free.
+// over the observation's rows (a view into the agent's scratch; valid until
+// the next call). Scores are bit-identical to the per-row Forward loop this
+// replaces (nn.TestBatchedKernelDifferential), and the call is
+// allocation-free.
 func (a *Agent) distribution(obs *Observation) []float64 {
 	n := len(obs.Mask)
-	probs, _ := a.Policy.ScoreMasked(obs.Flat, obs.Mask, a.pBatch, a.gather, a.scores[:n], a.probs[:n])
+	probs, _ := a.Policy.ScoreMasked(obs.Cells, obs.Mask, a.pBatch, a.gather, a.scores[:n], a.probs[:n])
 	return probs
 }
 

@@ -11,9 +11,9 @@ import (
 	"repro/internal/trace"
 )
 
-// allocFixture builds a decision point with a part-filled queue: some
-// selectable rows, some masked, some padding — the shape every per-decision
-// hot-path call sees.
+// allocFixture builds a decision point whose queue is cut to MaxObs: some
+// selectable rows, some masked — the shape every per-decision hot-path call
+// sees.
 func allocFixture() (ObsConfig, *fakeState, *trace.Job, []*trace.Job, backfill.Estimator, backfill.Reservation) {
 	st := &fakeState{now: 1000, free: 8, total: 32,
 		running: []backfill.Running{{Job: job(1, 0, 5000, 5000, 24), Start: 0}}}
@@ -53,17 +53,21 @@ func TestBuildObservationIntoMatchesFresh(t *testing.T) {
 	o := NewObservation(cfg)
 	// dirty the buffers with a full-queue decision first
 	BuildObservationInto(cfg, st, head, queue, est, res, o)
-	// then rebuild with a shorter queue: stale rows must read as padding
+	// then rebuild with a shorter queue: no stale row may survive
 	short := queue[:3]
 	got := BuildObservationInto(cfg, st, head, short, est, res, o)
 	want := BuildObservation(cfg, st, head, short, est, res)
-	if got.Selectable != want.Selectable || got.SkipRow != want.SkipRow {
+	if got.Selectable != want.Selectable || got.Skip != want.Skip {
 		t.Fatalf("selectable/skip differ: got %d/%d want %d/%d",
-			got.Selectable, got.SkipRow, want.Selectable, want.SkipRow)
+			got.Selectable, got.Skip, want.Selectable, want.Skip)
 	}
-	for i := range want.Flat {
-		if got.Flat[i] != want.Flat[i] {
-			t.Fatalf("flat[%d] = %v, want %v", i, got.Flat[i], want.Flat[i])
+	if len(got.Cells) != len(want.Cells) || len(got.Mask) != len(want.Mask) || len(got.Jobs) != len(want.Jobs) {
+		t.Fatalf("shapes differ: got %d cells, %d mask, %d jobs, want %d, %d, %d",
+			len(got.Cells), len(got.Mask), len(got.Jobs), len(want.Cells), len(want.Mask), len(want.Jobs))
+	}
+	for i := range want.Cells {
+		if got.Cells[i] != want.Cells[i] {
+			t.Fatalf("cell %d = %v, want %v", i, got.Cells[i], want.Cells[i])
 		}
 	}
 	for i := range want.Mask {

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"math"
+	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/backfill"
+	"repro/internal/nn"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -74,7 +77,7 @@ func TestObservationMasksHeadAndPadding(t *testing.T) {
 	if o.Mask[0] {
 		t.Fatal("head job must be masked (§3.2)")
 	}
-	if o.Rows[0][featRJob] != 1 {
+	if o.Row(0)[featRJob] != 1 {
 		t.Fatal("head row must carry the rjob flag")
 	}
 	if !o.Mask[1] {
@@ -83,22 +86,16 @@ func TestObservationMasksHeadAndPadding(t *testing.T) {
 	if o.Mask[2] {
 		t.Fatal("too-wide job must be masked")
 	}
-	if !o.Mask[o.SkipRow] {
+	if !o.Mask[o.Skip] {
 		t.Fatal("skip slot must be selectable when enabled")
 	}
 	if o.Selectable != 1 {
 		t.Fatalf("Selectable = %d, want 1", o.Selectable)
 	}
-	// padding rows are zero and masked
-	for i := 3; i < o.SkipRow; i++ {
-		if o.Mask[i] {
-			t.Fatalf("padding row %d selectable", i)
-		}
-		for _, v := range o.Rows[i] {
-			if v != 0 {
-				t.Fatalf("padding row %d not zeroed", i)
-			}
-		}
+	// no padding: the skip slot follows the last queued job
+	if o.Skip != 3 || len(o.Mask) != 4 || len(o.Jobs) != 4 || len(o.Cells) != 4*JobFeatures {
+		t.Fatalf("skip slot %d, %d mask rows, %d job rows, %d cells; want the skip slot at 3 of 4 rows",
+			o.Skip, len(o.Mask), len(o.Jobs), len(o.Cells))
 	}
 }
 
@@ -108,15 +105,15 @@ func TestObservationFeatureRanges(t *testing.T) {
 	head := job(2, 10, 100, 100, 16)
 	queue := []*trace.Job{job(3, 50, 123456, 234567, 4)}
 	o := buildObs(ObsConfig{MaxObs: 4, SkipAction: true}, st, head, queue)
-	for i, row := range o.Rows {
-		for k, v := range row {
+	for i := range o.Mask {
+		for k, v := range o.Row(i) {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				t.Fatalf("row %d feature %d out of [0,1]: %v", i, k, v)
 			}
 		}
 	}
 	// free fraction appended to every job row (§3.2)
-	if o.Rows[0][featFree] != 0.5 || o.Rows[1][featFree] != 0.5 {
+	if o.Row(0)[featFree] != 0.5 || o.Row(1)[featFree] != 0.5 {
 		t.Fatal("free fraction not appended to job vectors")
 	}
 }
@@ -150,10 +147,10 @@ func TestObservationSafeFlag(t *testing.T) {
 	short := job(3, 0, 50, 50, 2)  // ends at 50 <= shadow 100: safe
 	long := job(4, 0, 500, 500, 2) // overruns shadow, extra=0: unsafe
 	o := buildObs(ObsConfig{MaxObs: 8}, st, head, []*trace.Job{short, long})
-	if o.Rows[1][featSafe] != 1 {
+	if o.Row(1)[featSafe] != 1 {
 		t.Fatal("short job should be flagged EASY-safe")
 	}
-	if o.Rows[2][featSafe] != 0 {
+	if o.Row(2)[featSafe] != 0 {
 		t.Fatal("long job should not be flagged safe")
 	}
 }
@@ -410,6 +407,49 @@ func TestModelAgentValidation(t *testing.T) {
 	m2.Estimator = "bogus"
 	if _, err := m2.Agent(); err == nil {
 		t.Fatal("unknown estimator accepted")
+	}
+}
+
+// TestModelAgentRejectsWideOutputs checks that a policy or value network
+// with more than one output does not load: the agent would read only the
+// first and ignore the rest.
+func TestModelAgentRejectsWideOutputs(t *testing.T) {
+	base := ExportModel(NewAgent(ObsConfig{MaxObs: 4}, NetworkSpec{}, nil, 1), "FCFS", "x", 1)
+	widen := func(n *nn.MLP) *nn.MLP {
+		sizes := slices.Clone(n.Sizes)
+		sizes[len(sizes)-1] = 2
+		return nn.NewMLP(sizes, nn.ReLU, stats.NewRNG(2))
+	}
+	policy, value := base, base
+	policy.Policy = widen(base.Policy)
+	value.Value = widen(base.Value)
+	for name, m := range map[string]Model{"policy": policy, "value": value} {
+		if _, err := m.Agent(); err == nil {
+			t.Errorf("a %s network with two outputs loaded", name)
+		}
+	}
+	if _, err := base.Agent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadModelRejectsUnknownActivation checks that a model file naming an
+// activation the networks cannot compute fails to load, where it used to
+// load and panic at the agent's first decision.
+func TestReadModelRejectsUnknownActivation(t *testing.T) {
+	file, err := os.ReadFile("testdata/agent_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadModel(bytes.NewReader(file)); err != nil {
+		t.Fatal(err)
+	}
+	gelu := bytes.Replace(file, []byte(`"act": "relu"`), []byte(`"act": "gelu"`), 1)
+	if bytes.Equal(gelu, file) {
+		t.Fatal("the model file names no relu activation")
+	}
+	if _, err := ReadModel(bytes.NewReader(gelu)); err == nil {
+		t.Fatal("a model with a gelu network loaded")
 	}
 }
 

@@ -52,6 +52,12 @@ func (m Model) Agent() (*Agent, error) {
 		return nil, fmt.Errorf("core: model value input %d does not match obs dim %d",
 			m.Value.Sizes[0], m.Obs.FlatDim())
 	}
+	// each network scores with its one output: a row's kernel score, V(s)
+	out := func(n *nn.MLP) int { return n.Sizes[len(n.Sizes)-1] }
+	if out(m.Policy) != 1 || out(m.Value) != 1 {
+		return nil, fmt.Errorf("core: model policy and value outputs are %d and %d wide, want 1",
+			out(m.Policy), out(m.Value))
+	}
 	var est backfill.Estimator = backfill.RequestTime{}
 	switch m.Estimator {
 	case "RT", "":

@@ -23,24 +23,51 @@ var parentDecisionTimes = []int64{1000, 4000, 90000}
 
 // parentScores is what the agent makes of one decision: the kernel
 // network's raw row scores (masked rows 0), their masked softmax and its
-// argmax.
+// argmax. The recorded ones are over the padded layout of the time, Rows()
+// entries with the skip slot last.
 type parentScores struct {
 	Scores, Probs []float64
 	Action        int
 }
 
-func greedyScores(a *Agent, now int64) parentScores {
+// greedyScores returns the decision's scores and the observation's skip slot.
+func greedyScores(a *Agent, now int64) (parentScores, int) {
 	_, st, head, queue, est, _ := allocFixture()
 	st.now = now
-	probs := a.distribution(BuildObservation(a.Obs, st, head, queue, est, backfill.ComputeReservation(st, head, est)))
-	return parentScores{slices.Clone(a.scores[:len(probs)]), slices.Clone(probs), nn.Argmax(probs)}
+	obs := BuildObservation(a.Obs, st, head, queue, est, backfill.ComputeReservation(st, head, est))
+	probs := a.distribution(obs)
+	return parentScores{slices.Clone(a.scores[:len(probs)]), slices.Clone(probs), nn.Argmax(probs)}, obs.Skip
+}
+
+// compactScores maps a decision recorded over the padded layout onto the
+// observation's rows: the rows before the skip slot keep their index, and
+// the padded skip slot (the last entry) moves to skip. It fails when a
+// padding entry is not 0, since the compact layout has no row to carry it.
+func compactScores(t *testing.T, w parentScores, skip int) parentScores {
+	t.Helper()
+	last := len(w.Scores) - 1
+	for i := skip; i < last; i++ {
+		if w.Scores[i] != 0 || w.Probs[i] != 0 {
+			t.Fatalf("recorded padding row %d scores %v with probability %v", i, w.Scores[i], w.Probs[i])
+		}
+	}
+	c := parentScores{
+		Scores: append(slices.Clone(w.Scores[:skip]), w.Scores[last]),
+		Probs:  append(slices.Clone(w.Probs[:skip]), w.Probs[last]),
+		Action: w.Action,
+	}
+	if w.Action == last {
+		c.Action = skip
+	}
+	return c
 }
 
 // TestParentModelFile pins the model file format across the removal of the
 // observation config's scenario copy. The model file and its greedy scores
 // under testdata were written by the commit before it, so the file carries an
 // "Scn" key in "obs". It still loads, scores every decision bit for bit as
-// recorded, and saves again as the same JSON less that one key.
+// recorded (the padded rows of the time mapped onto the observation's, see
+// compactScores), and saves again as the same JSON less that one key.
 func TestParentModelFile(t *testing.T) {
 	file, err := os.ReadFile("testdata/agent_parent.json")
 	if err != nil {
@@ -69,8 +96,11 @@ func TestParentModelFile(t *testing.T) {
 		t.Fatalf("%d recorded decisions, want %d", len(want), len(parentDecisionTimes))
 	}
 	for i, w := range want {
-		got := greedyScores(a, parentDecisionTimes[i])
-		if !same(got.Scores, w.Scores) || !same(got.Probs, w.Probs) || got.Action != w.Action {
+		if len(w.Scores) != a.Obs.Rows() || len(w.Probs) != a.Obs.Rows() {
+			t.Fatalf("decision %d: %d scores and %d probabilities recorded, want %d", i, len(w.Scores), len(w.Probs), a.Obs.Rows())
+		}
+		got, skip := greedyScores(a, parentDecisionTimes[i])
+		if w := compactScores(t, w, skip); !same(got.Scores, w.Scores) || !same(got.Probs, w.Probs) || got.Action != w.Action {
 			t.Fatalf("decision %d: %+v, recorded %+v", i, got, w)
 		}
 	}
@@ -104,8 +134,8 @@ type ageProbe struct {
 
 func (p *ageProbe) Backfill(st backfill.State, head *trace.Job, queue []*trace.Job) {
 	p.Agent.Backfill(st, head, queue)
-	for _, row := range p.obs.Rows {
-		p.maxAge = max(p.maxAge, row[featAge])
+	for i := range p.obs.Mask {
+		p.maxAge = max(p.maxAge, p.obs.Row(i)[featAge])
 	}
 }
 

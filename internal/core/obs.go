@@ -41,8 +41,8 @@ const (
 // ObsConfig shapes the observation.
 type ObsConfig struct {
 	// MaxObs is MAX_OBSV_SIZE (§3.3.2): at most this many jobs are observed;
-	// shorter queues are zero-padded, longer ones are cut after FCFS
-	// sorting. Default 128 (the paper's value).
+	// longer queues are cut after FCFS sorting, and the critic reads shorter
+	// ones as zero-padded. Default 128 (the paper's value).
 	MaxObs int
 	// SkipAction appends an always-valid all-zero action row that ends the
 	// backfill round; the kernel network's biases act as a learned "do
@@ -72,41 +72,46 @@ func (c ObsConfig) withDefaults() ObsConfig {
 	return c
 }
 
-// Rows returns the number of action slots: MaxObs job rows plus the skip
-// slot (always present so model shapes do not depend on the flag).
+// Rows returns the most action slots an observation has: MaxObs job rows
+// plus the skip slot (always present so model shapes do not depend on the
+// flag).
 func (c ObsConfig) Rows() int { return c.withDefaults().MaxObs + 1 }
 
-// FlatDim returns the flattened observation length for the value network.
+// FlatDim returns the value network's input width: Rows() rows, the
+// unobserved ones zero.
 func (c ObsConfig) FlatDim() int { return c.Rows() * JobFeatures }
 
-// Observation is one decision point's encoded state. Observations may be
+// Observation is one decision point's encoded state: the head, the observed
+// queue and the skip slot, one row of JobFeatures cells each. The padding up
+// to MaxObs that the critic's fixed-width input implies is never laid out —
+// nn.Live places the rows in that input (DESIGN.md §8). Observations may be
 // freshly built (BuildObservation) or reused across decisions
 // (BuildObservationInto), which makes the per-decision encode allocation-free
 // on the simulator's hottest RL path.
 type Observation struct {
-	// Rows has Rows() feature vectors (padded with zeros).
-	Rows [][]float64
+	// Cells holds the rows back to back: the head in row 0, the observed
+	// queue after it, the skip slot last.
+	Cells []float64
 	// Mask marks selectable rows: waiting jobs that fit the free processors,
-	// plus the skip slot when enabled. The head job and padding are masked.
+	// plus the skip slot when enabled. The head job is masked.
 	Mask []bool
-	// Flat is the flattened observation for the value network.
-	Flat []float64
-	// Jobs maps row index to the job it encodes (nil for skip/padding).
+	// Jobs maps row index to the job it encodes (nil for the skip slot).
 	Jobs []*trace.Job
-	// SkipRow is the index of the skip slot.
-	SkipRow int
+	// Skip is the index of the skip slot, the last row; the head and the
+	// observed queue fill the rows before it.
+	Skip int
 	// Selectable counts the selectable job rows (excluding the skip slot);
 	// when it is zero no backfill decision is needed.
 	Selectable int
-	// Occupied counts the leading job rows the builder filled (the head plus
-	// the observed queue): every row in [Occupied, SkipRow) is zero padding.
-	Occupied int
 
 	// sortBuf is the scratch for the FCFS cut; the pointer-receiver sorter
 	// keeps sort.Stable allocation-free (a closure-based sort.SliceStable
 	// escapes per call).
 	sortBuf jobsBySubmit
 }
+
+// Row returns row i's feature vector, a view into Cells.
+func (o *Observation) Row(i int) []float64 { return o.Cells[i*JobFeatures : (i+1)*JobFeatures] }
 
 // jobsBySubmit sorts by (Submit, ID): FCFS order for the MaxObs cut.
 type jobsBySubmit []*trace.Job
@@ -125,25 +130,19 @@ func (s *jobsBySubmit) Less(i, j int) bool {
 // BuildObservationInto.
 func NewObservation(cfg ObsConfig) *Observation {
 	cfg = cfg.withDefaults()
-	o := &Observation{
-		Rows:    make([][]float64, cfg.Rows()),
-		Mask:    make([]bool, cfg.Rows()),
-		Flat:    make([]float64, cfg.FlatDim()),
-		Jobs:    make([]*trace.Job, cfg.Rows()),
-		SkipRow: cfg.Rows() - 1,
+	return &Observation{
+		Cells: make([]float64, 0, cfg.FlatDim()),
+		Mask:  make([]bool, 0, cfg.Rows()),
+		Jobs:  make([]*trace.Job, 0, cfg.Rows()),
 	}
-	for i := range o.Rows {
-		o.Rows[i] = o.Flat[i*JobFeatures : (i+1)*JobFeatures]
-	}
-	return o
 }
 
 // BuildObservation encodes the backfilling state per §3.2-3.3: head plus
 // waiting jobs sorted by submission time (head forced in, longest-waiting
 // kept when cutting to MaxObs), one feature vector per job with the free
-// resource fraction appended, and a mask that excludes the head job, jobs
-// that cannot start now, and padding. The state's scenario normalises featAge
-// by its starvation bound; the zero scenario zeroes it.
+// resource fraction appended, and a mask that excludes the head job and jobs
+// that cannot start now. The state's scenario normalises featAge by its
+// starvation bound; the zero scenario zeroes it.
 func BuildObservation(cfg ObsConfig, st backfill.State, head *trace.Job, queue []*trace.Job,
 	est backfill.Estimator, res backfill.Reservation) *Observation {
 	return BuildObservationInto(cfg, st, head, queue, est, res, NewObservation(cfg))
@@ -156,7 +155,7 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 	est backfill.Estimator, res backfill.Reservation, o *Observation) *Observation {
 
 	cfg = cfg.withDefaults()
-	if len(o.Rows) != cfg.Rows() {
+	if cap(o.Mask) != cfg.Rows() {
 		panic("core: observation shape does not match the config")
 	}
 	now := st.Now()
@@ -167,16 +166,6 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 	scn := st.Scenario()
 	aging := scn.Aging()
 
-	// reset the reused buffers: padding rows must read as zero
-	for i := range o.Flat {
-		o.Flat[i] = 0
-	}
-	for i := range o.Mask {
-		o.Mask[i] = false
-		o.Jobs[i] = nil
-	}
-	o.Selectable = 0
-
 	// queue sorted by submit (FCFS order for cutting, §3.3.2); the head is
 	// always retained in row 0.
 	o.sortBuf = append(o.sortBuf[:0], queue...)
@@ -185,7 +174,17 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 	if len(jobs) > cfg.MaxObs-1 {
 		jobs = jobs[:cfg.MaxObs-1]
 	}
-	o.Occupied = len(jobs) + 1
+
+	// size the reused buffers to this decision's rows and clear them
+	o.Skip = len(jobs) + 1
+	rows := o.Skip + 1
+	o.Cells = o.Cells[:rows*JobFeatures]
+	o.Mask = o.Mask[:rows]
+	o.Jobs = o.Jobs[:rows]
+	clear(o.Cells)
+	clear(o.Mask)
+	o.Jobs[o.Skip] = nil
+	o.Selectable = 0
 
 	window := float64(res.Shadow - now) // the head's backfill window (Figure 2)
 	safeCount := 0
@@ -194,7 +193,7 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 		if i > 0 {
 			j = jobs[i-1]
 		}
-		row := o.Rows[i]
+		row := o.Row(i)
 		o.Jobs[i] = j
 		wait := float64(now - j.Submit)
 		if wait < 0 {
@@ -250,11 +249,11 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 		}
 	}
 	if cfg.SkipAction {
-		o.Mask[o.SkipRow] = true
+		o.Mask[o.Skip] = true
 		// The skip row carries queue-level aggregates so "stop backfilling"
 		// can be weighed against the current candidates rather than acting
 		// as a fixed bias threshold.
-		skip := o.Rows[o.SkipRow]
+		skip := o.Row(o.Skip)
 		skip[featSkip] = 1
 		skip[featFree] = freeFrac
 		if o.Selectable > 0 {

@@ -19,10 +19,10 @@ func TestObservationWindowFeature(t *testing.T) {
 	half := job(3, 0, 50, 50, 2)
 	over := job(4, 0, 500, 500, 2)
 	o := buildObs(ObsConfig{MaxObs: 8}, st, head, []*trace.Job{half, over})
-	if got := o.Rows[1][featWindow]; math.Abs(got-0.5) > 1e-12 {
+	if got := o.Row(1)[featWindow]; math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("half-window feature = %v, want 0.5", got)
 	}
-	if got := o.Rows[2][featWindow]; got != 1 {
+	if got := o.Row(2)[featWindow]; got != 1 {
 		t.Fatalf("over-window feature = %v, want 1 (capped)", got)
 	}
 }
@@ -35,14 +35,14 @@ func TestObservationExtraFitFeature(t *testing.T) {
 	narrow := job(3, 0, 500, 500, 2) // fits the 2 extra procs
 	wide := job(4, 0, 500, 500, 4)   // does not
 	o := buildObs(ObsConfig{MaxObs: 8}, st, head, []*trace.Job{narrow, wide})
-	if o.Rows[1][featExtraFit] != 1 {
+	if o.Row(1)[featExtraFit] != 1 {
 		t.Fatal("narrow job should have the extra-fit flag")
 	}
-	if o.Rows[2][featExtraFit] != 0 {
+	if o.Row(2)[featExtraFit] != 0 {
 		t.Fatal("wide job should not have the extra-fit flag")
 	}
 	// extra-fit implies EASY-safe even for long jobs
-	if o.Rows[1][featSafe] != 1 {
+	if o.Row(1)[featSafe] != 1 {
 		t.Fatal("extra-fitting long job should be safe")
 	}
 }
@@ -54,7 +54,7 @@ func TestSkipRowAggregates(t *testing.T) {
 	safe := job(3, 0, 50, 50, 2)     // ends before shadow
 	unsafe := job(4, 0, 500, 500, 4) // overruns, too wide for extra
 	o := buildObs(ObsConfig{MaxObs: 8, SkipAction: true}, st, head, []*trace.Job{safe, unsafe})
-	skip := o.Rows[o.SkipRow]
+	skip := o.Row(o.Skip)
 	if skip[featSkip] != 1 {
 		t.Fatal("skip indicator not set")
 	}
@@ -74,10 +74,10 @@ func TestSkipRowZeroWhenDisabled(t *testing.T) {
 		running: []backfill.Running{{Job: job(1, 0, 100, 100, 4), Start: 0}}}
 	head := job(2, 0, 50, 50, 8)
 	o := buildObs(ObsConfig{MaxObs: 8, SkipAction: false}, st, head, []*trace.Job{job(3, 0, 50, 50, 2)})
-	if o.Mask[o.SkipRow] {
+	if o.Mask[o.Skip] {
 		t.Fatal("skip selectable while disabled")
 	}
-	for _, v := range o.Rows[o.SkipRow] {
+	for _, v := range o.Row(o.Skip) {
 		if v != 0 {
 			t.Fatal("disabled skip row should stay zero")
 		}
@@ -89,20 +89,28 @@ func TestObservationZeroWindowWhenHeadFits(t *testing.T) {
 	st := &fakeState{now: 50, free: 8, total: 8}
 	head := job(1, 0, 50, 50, 4)
 	o := buildObs(ObsConfig{MaxObs: 4}, st, head, nil)
-	if o.Rows[0][featWindow] != 1 {
-		t.Fatalf("zero-window feature = %v, want 1", o.Rows[0][featWindow])
+	if o.Row(0)[featWindow] != 1 {
+		t.Fatalf("zero-window feature = %v, want 1", o.Row(0)[featWindow])
 	}
 }
 
-// TestObservationOccupiedInvariant pins what the critic's kernels rely on:
-// over fuzzed queues — empty, short, longer than MaxObs-1 — with the skip
-// action on and off, and with one observation reused across decisions, rows
-// [Occupied, SkipRow) are all zero and row Occupied-1 is not.
-func TestObservationOccupiedInvariant(t *testing.T) {
+// TestObservationCompactRows pins the observation's layout over fuzzed
+// queues — empty, short, longer than MaxObs-1 — with the skip action on and
+// off, and with one observation reused across decisions: the head and the
+// observed queue, then the skip slot, and nothing after it. Each decision
+// the agent takes on it is the one it would take on the same rows padded to
+// Rows() with the skip slot last: every probability bit for bit, the argmax
+// and a categorical draw.
+func TestObservationCompactRows(t *testing.T) {
 	rng := stats.NewRNG(11)
 	est := backfill.RequestTime{}
 	for _, skip := range []bool{true, false} {
 		cfg := ObsConfig{MaxObs: 8, SkipAction: skip}
+		a := NewAgent(cfg, NetworkSpec{}, est, 3)
+		rows := cfg.Rows()
+		padCells, padMask := make([]float64, cfg.FlatDim()), make([]bool, rows)
+		padBatch, gather := nn.NewBatchCache(a.Policy, rows), make([]int, rows)
+		padScores, padProbs := make([]float64, rows), make([]float64, rows)
 		o := NewObservation(cfg)
 		for trial := 0; trial < 200; trial++ {
 			st := &fakeState{now: 1000, free: rng.Intn(9), total: 16,
@@ -114,8 +122,12 @@ func TestObservationOccupiedInvariant(t *testing.T) {
 			}
 			BuildObservationInto(cfg, st, head, queue, est, backfill.ComputeReservation(st, head, est), o)
 
-			if want := min(len(queue), cfg.MaxObs-1) + 1; o.Occupied != want {
-				t.Fatalf("skip=%v queue=%d: Occupied = %d, want %d", skip, len(queue), o.Occupied, want)
+			if want := min(len(queue), cfg.MaxObs-1) + 1; o.Skip != want {
+				t.Fatalf("skip=%v queue=%d: skip slot %d, want %d", skip, len(queue), o.Skip, want)
+			}
+			if n := o.Skip + 1; len(o.Mask) != n || len(o.Jobs) != n || len(o.Cells) != n*JobFeatures {
+				t.Fatalf("skip=%v queue=%d: %d mask rows, %d job rows, %d cells, want %d rows",
+					skip, len(queue), len(o.Mask), len(o.Jobs), len(o.Cells), n)
 			}
 			zero := func(row []float64) bool {
 				for _, v := range row {
@@ -125,26 +137,53 @@ func TestObservationOccupiedInvariant(t *testing.T) {
 				}
 				return true
 			}
-			for i := o.Occupied; i < o.SkipRow; i++ {
-				if !zero(o.Rows[i]) {
-					t.Fatalf("skip=%v queue=%d: padding row %d (Occupied %d) is not zero: %v", skip, len(queue), i, o.Occupied, o.Rows[i])
+			for i := 0; i < o.Skip; i++ {
+				if o.Jobs[i] == nil || zero(o.Row(i)) {
+					t.Fatalf("skip=%v queue=%d: row %d is empty", skip, len(queue), i)
 				}
 			}
-			if zero(o.Rows[o.Occupied-1]) {
-				t.Fatalf("skip=%v queue=%d: last occupied row %d is all zero", skip, len(queue), o.Occupied-1)
+			if o.Jobs[o.Skip] != nil || zero(o.Row(o.Skip)) == skip || o.Mask[o.Skip] != skip {
+				t.Fatalf("skip=%v: skip slot job %v, zero %v, selectable %v", skip, o.Jobs[o.Skip], !skip, o.Mask[o.Skip])
 			}
-			if zero(o.Rows[o.SkipRow]) == skip {
-				t.Fatalf("skip=%v: skip row zero = %v", skip, !skip)
+			if o.Selectable == 0 && !skip {
+				continue // no decision to take
+			}
+
+			clear(padCells)
+			clear(padMask)
+			copy(padCells, o.Cells[:o.Skip*JobFeatures])
+			copy(padCells[(rows-1)*JobFeatures:], o.Row(o.Skip))
+			copy(padMask, o.Mask[:o.Skip])
+			padMask[rows-1] = o.Mask[o.Skip]
+			padded := func(i int) int { // the padded row of observation row i
+				if i == o.Skip {
+					return rows - 1
+				}
+				return i
+			}
+			want, _ := a.Policy.ScoreMasked(padCells, padMask, padBatch, gather, padScores, padProbs)
+			got := a.distribution(o)
+			for i, p := range got {
+				if math.Float64bits(p) != math.Float64bits(want[padded(i)]) {
+					t.Fatalf("skip=%v queue=%d: row %d probability %v, padded %v", skip, len(queue), i, p, want[padded(i)])
+				}
+			}
+			if g, w := nn.Argmax(got), nn.Argmax(want); padded(g) != w {
+				t.Fatalf("skip=%v queue=%d: argmax row %d, padded %d", skip, len(queue), g, w)
+			}
+			seed := uint64(trial)
+			if g, w := nn.SampleCategorical(got, stats.NewRNG(seed)), nn.SampleCategorical(want, stats.NewRNG(seed)); padded(g) != w {
+				t.Fatalf("skip=%v queue=%d: sampled row %d, padded %d", skip, len(queue), g, w)
 			}
 		}
 	}
 }
 
 // TestRecordedStepsCarryOccupancy checks the hand-over to ppo: every recorded
-// step is the compact form of the padded observation the agent decided on —
-// the occupied head rows and the skip row back to back, Live placing them,
-// mask and action renumbered onto those rows — and is smaller than it. The
-// decisions are replayed on a second state to rebuild each padded observation.
+// step is the observation the agent decided on — its cells and mask as built,
+// Live placing the skip slot last in the critic's input, the action as
+// sampled — and is smaller than the critic's input. The decisions are
+// replayed on a second state to rebuild each observation.
 func TestRecordedStepsCarryOccupancy(t *testing.T) {
 	cfg := ObsConfig{MaxObs: 8, SkipAction: true}
 	est := backfill.RequestTime{}
@@ -164,36 +203,33 @@ func TestRecordedStepsCarryOccupancy(t *testing.T) {
 	st, remaining := mkState(), append([]*trace.Job(nil), queue...)
 	for si, s := range traj.Steps {
 		o := BuildObservation(cfg, st, head, remaining, est, backfill.ComputeReservation(st, head, est))
-		headCells := o.Occupied * JobFeatures
-		if want := (nn.Live{Head: headCells, Tail: JobFeatures}); s.Live != want {
+		if want := (nn.Live{Head: o.Skip * JobFeatures, Tail: JobFeatures}); s.Live != want {
 			t.Fatalf("step %d: occupancy %+v, want %+v", si, s.Live, want)
 		}
-		if len(s.FlatObs) != headCells+JobFeatures || len(s.FlatObs) >= cfg.FlatDim() {
-			t.Fatalf("step %d: %d cells recorded for %d occupied rows of a %d-cell observation",
-				si, len(s.FlatObs), o.Occupied, cfg.FlatDim())
+		if len(s.FlatObs) != len(o.Cells) || len(s.FlatObs) >= cfg.FlatDim() {
+			t.Fatalf("step %d: %d cells recorded for a %d-cell observation of a %d-cell critic input",
+				si, len(s.FlatObs), len(o.Cells), cfg.FlatDim())
 		}
 		if s.Obs != nil {
 			t.Fatalf("step %d: recorded a row-header slice", si)
 		}
-		want := append(append([]float64(nil), o.Flat[:headCells]...), o.Rows[o.SkipRow]...)
-		for i, v := range want {
+		for i, v := range o.Cells {
 			if s.FlatObs[i] != v {
 				t.Fatalf("step %d: cell %d = %v, want %v", si, i, s.FlatObs[i], v)
 			}
 		}
-		wantMask := append(append([]bool(nil), o.Mask[:o.Occupied]...), o.Mask[o.SkipRow])
-		if len(s.Mask) != len(wantMask) {
-			t.Fatalf("step %d: mask over %d rows, want %d", si, len(s.Mask), len(wantMask))
+		if len(s.Mask) != len(o.Mask) {
+			t.Fatalf("step %d: mask over %d rows, want %d", si, len(s.Mask), len(o.Mask))
 		}
-		for i, m := range wantMask {
+		for i, m := range o.Mask {
 			if s.Mask[i] != m {
 				t.Fatalf("step %d: mask[%d] = %v, want %v", si, i, s.Mask[i], m)
 			}
 		}
-		if s.Action < 0 || s.Action > o.Occupied || !s.Mask[s.Action] {
+		if s.Action < 0 || s.Action > o.Skip || !s.Mask[s.Action] {
 			t.Fatalf("step %d: action %d is not a selectable recorded row", si, s.Action)
 		}
-		if s.Action == o.Occupied { // the skip slot follows the last occupied row
+		if s.Action == o.Skip {
 			if si != len(traj.Steps)-1 {
 				t.Fatalf("step %d skipped but %d steps were recorded", si, len(traj.Steps))
 			}
@@ -220,10 +256,10 @@ func TestObservationPriorityFeatureRange(t *testing.T) {
 	top := job(3, 0, 50, 50, 2)
 	top.Priority = math.MaxInt32
 	o := buildObs(ObsConfig{MaxObs: 8}, st, head, []*trace.Job{one, top})
-	if got := o.Rows[1][featPriority]; got != 0.5 {
+	if got := o.Row(1)[featPriority]; got != 0.5 {
 		t.Fatalf("priority 1 feature = %v, want 0.5", got)
 	}
-	if got := o.Rows[2][featPriority]; !(got > 0.5 && got < 1) {
+	if got := o.Row(2)[featPriority]; !(got > 0.5 && got < 1) {
 		t.Fatalf("priority MaxInt32 feature = %v, want in (0.5, 1)", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -441,6 +442,24 @@ func TestLoadMLPRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadMLP(bytes.NewReader([]byte(`{"sizes":[2,2],"act":"relu","w":[[1,2,3]],"b":[[0,0]]}`))); err == nil {
 		t.Fatal("wrong weight shape accepted")
+	}
+}
+
+// TestLoadMLPRejectsUnknownActivation checks that a model file naming an
+// activation the forward pass cannot compute fails to load, instead of
+// loading and panicking at its first forward.
+func TestLoadMLPRejectsUnknownActivation(t *testing.T) {
+	for _, act := range []string{"gelu", "", "ReLU"} {
+		doc := `{"sizes":[2,2,1],"act":"` + act + `","w":[[1,2,3,4],[5,6]],"b":[[0,0],[0]]}`
+		if _, err := LoadMLP(bytes.NewReader([]byte(doc))); err == nil || !strings.Contains(err.Error(), "activation") {
+			t.Errorf("activation %q: err %v, want an unknown-activation error", act, err)
+		}
+	}
+	for _, act := range []Activation{ReLU, Tanh, Identity} {
+		doc := `{"sizes":[2,2,1],"act":"` + string(act) + `","w":[[1,2,3,4],[5,6]],"b":[[0,0],[0]]}`
+		if _, err := LoadMLP(bytes.NewReader([]byte(doc))); err != nil {
+			t.Errorf("activation %q: %v", act, err)
+		}
 	}
 }
 

@@ -38,6 +38,11 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 	if len(j.W) != len(j.Sizes)-1 || len(j.B) != len(j.Sizes)-1 {
 		return fmt.Errorf("nn: serialized MLP layer count mismatch")
 	}
+	switch j.Act {
+	case ReLU, Tanh, Identity:
+	default:
+		return fmt.Errorf("nn: serialized MLP has unknown activation %q", j.Act)
+	}
 	m.Sizes = j.Sizes
 	m.Act = j.Act
 	m.W = nil

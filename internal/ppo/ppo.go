@@ -21,8 +21,8 @@ import (
 )
 
 // Step is one decision recorded during a rollout. It keeps only the rows the
-// observation occupies, so a step costs what the decision saw, not the
-// observation's padded width.
+// observation occupies, so a step costs what the decision saw, not the value
+// network's full input width.
 type Step struct {
 	// FlatObs holds the step's rows back to back, one feature vector each
 	// (the kernel network's input width): row i is what the kernel network
