@@ -112,7 +112,7 @@ func BenchmarkPPOUpdate(b *testing.B) {
 						}
 					}
 					steps[si] = ppo.Step{FlatObs: flat, Mask: mask, Action: rng.Intn(bc.occ),
-						LogP: -2.77, Value: 0, Reward: rng.Float64()}
+						LogP: -2.77, Reward: rng.Float64()}
 					if bc.live { // the compact form core records: occupied rows, then the skip row
 						head := bc.occ * feat
 						steps[si].FlatObs = append(flat[:head:head], flat[(slots-1)*feat:]...)

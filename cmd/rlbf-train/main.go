@@ -10,6 +10,13 @@
 // The two profile flags cover the training epochs only (not trace loading or
 // the model write); read them with `go tool pprof -top rlbf-train cpu.prof`
 // and `go tool pprof -sample_index=alloc_space -top rlbf-train mem.prof`.
+//
+// Training uses one worker per GOMAXPROCS, and the PPO update sums its
+// gradients per worker, so the same flags write the same model file only at
+// the same worker count (ROADMAP item 3(e)). The "training on" line names the
+// count; pin it with GOMAXPROCS to repeat a model elsewhere:
+//
+//	GOMAXPROCS=2 rlbf-train -scale paper -epochs 2 -o m.json
 package main
 
 import (
@@ -62,8 +69,8 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Fprintf(os.Stderr, "training on %s (%d jobs, %d procs) with %s base policy, %d epochs\n",
-		tr.Name, tr.Len(), tr.Procs, policy.Name(), sc.Epochs)
+	fmt.Fprintf(os.Stderr, "training on %s (%d jobs, %d procs) with %s base policy, %d epochs, %d workers\n",
+		tr.Name, tr.Len(), tr.Procs, policy.Name(), sc.Epochs, trainer.Config().Workers)
 	stopCPU, err := prof.StartCPU(*cpuProfile)
 	if err != nil {
 		fatal("cpu profile: %v", err)

@@ -22,8 +22,10 @@ import (
 // a backfill delays the head job's estimated reservation (§3.4).
 type Agent struct {
 	Policy *nn.MLP // kernel network: JobFeatures -> ... -> 1
-	Value  *nn.MLP // critic: FlatDim -> ... -> 1
-	Obs    ObsConfig
+	// Value is the critic (FlatDim -> ... -> 1). The agent never runs it:
+	// ppo.Update scores the recorded steps itself.
+	Value *nn.MLP
+	Obs   ObsConfig
 	// Est provides the runtime estimates used for reservations, the safe
 	// flag, and violation detection. RLBackfilling itself does not need
 	// accurate predictions; the default is the user request time.
@@ -34,10 +36,8 @@ type Agent struct {
 
 	// pBatch scores all of a decision's candidate rows with one batched
 	// kernel-network forward (one GEMM per layer) instead of a MulVec chain
-	// per row; vBatch (allocated lazily, training only) batches the critic
-	// over a whole episode's recorded steps.
+	// per row.
 	pBatch *nn.BatchCache
-	vBatch *nn.BatchCache
 	scores []float64
 	probs  []float64
 	gather []int
@@ -60,10 +60,9 @@ type recorder struct {
 // record appends the decision to the episode as ppo.Step: the observation's
 // rows and mask, cloned, with Live placing them in the critic's input (the
 // skip slot is its last row, every row between is zero) and the action
-// unchanged. Nothing the step allocates grows with MaxObs. Value is filled in
-// one batched critic forward over the whole episode when the trajectory is
-// taken: the weights do not change mid-rollout, so deferring is bit-identical
-// to scoring here.
+// unchanged. Nothing the step allocates grows with MaxObs. V(s) is not
+// recorded: ppo.Update scores every step with the critic, whose weights are
+// still the ones the step was taken under.
 func (r *recorder) record(obs *Observation, action int, logP float64) *ppo.Step {
 	r.steps = append(r.steps, ppo.Step{
 		FlatObs: slices.Clone(obs.Cells),
@@ -128,7 +127,9 @@ func (a *Agent) initBuffers() {
 }
 
 // CloneForRollout returns an agent sharing the (read-only) networks but with
-// its own caches and recorder, so parallel rollout workers do not race.
+// its own caches and recorder, so parallel rollout workers do not race. A
+// clone's scratch is sized by the decision (the policy's rows, not the
+// critic's input), so one clone per episode costs ~150 KB at MaxObs 128.
 func (a *Agent) CloneForRollout(rng *stats.RNG, violationPenalty float64) *Agent {
 	c := &Agent{Policy: a.Policy, Value: a.Value, Obs: a.Obs, Est: a.Est}
 	c.initBuffers()
@@ -207,44 +208,13 @@ func (a *Agent) distribution(obs *Observation) []float64 {
 	return probs
 }
 
-// valueBlockRows bounds the critic batch when filling step values: at the
-// paper's 1,677-wide flat observation (129 rows x 13 features) one block is
-// ~0.9 MB of cache.
-const valueBlockRows = 64
-
-// estimateValues fills Step.Value for every recorded step of an episode with
-// one batched critic forward per valueBlockRows block — replacing the
-// per-decision single-row critic evaluation, the most expensive network call
-// of the rollout path. The critic's weights are frozen during a rollout, so
-// the deferred values are bit-identical to scoring at decision time.
-func (a *Agent) estimateValues(steps []ppo.Step) {
-	if a.vBatch == nil {
-		a.vBatch = nn.NewBatchCache(a.Value, valueBlockRows)
-	}
-	for lo := 0; lo < len(steps); lo += valueBlockRows {
-		hi := lo + valueBlockRows
-		if hi > len(steps) {
-			hi = len(steps)
-		}
-		a.vBatch.Resize(hi - lo)
-		for r := lo; r < hi; r++ {
-			a.vBatch.SetRow(r-lo, steps[r].FlatObs, steps[r].Live)
-		}
-		out := a.Value.ForwardBatch(a.vBatch.X[0], a.vBatch)
-		for r := lo; r < hi; r++ {
-			steps[r].Value = out.At(r-lo, 0)
-		}
-	}
-}
-
 // takeTrajectory finishes a training episode: the terminal reward is added
-// to the last step, the critic values are filled in batch, and the recorded
-// steps are returned (empty when no backfill decision occurred).
+// to the last step and the recorded steps are returned (empty when no
+// backfill decision occurred).
 func (a *Agent) takeTrajectory(terminalReward float64) (ppo.Trajectory, int) {
 	steps := a.rec.steps
 	if len(steps) > 0 {
 		steps[len(steps)-1].Reward += terminalReward
-		a.estimateValues(steps)
 	}
 	v := a.rec.violations
 	a.rec.steps = nil

@@ -191,3 +191,40 @@ func TestRecordedDecisionFootprint(t *testing.T) {
 		t.Fatalf("a recorded decision costs %.0f B at MaxObs 128 and %.0f B at MaxObs 16: footprint follows MaxObs", paper, small)
 	}
 }
+
+// TestRolloutCloneFootprint gates what one training episode costs beyond its
+// recorded steps: CloneForRollout plus the episode's takeTrajectory at the
+// paper's MaxObs 128 allocate less than one 64-row block of the critic's
+// 1,677-wide input (~0.86 MB). A clone keeps only the policy's per-decision
+// scratch; ppo.Update runs the critic, so no clone holds a critic cache.
+func TestRolloutCloneFootprint(t *testing.T) {
+	head := job(2, 10, 100, 100, 32)
+	queue := []*trace.Job{job(10, 500, 60, 90, 2), job(11, 493, 60, 90, 16)}
+	runner := job(1, 0, 5000, 5000, 24)
+	a := NewAgent(ObsConfig{MaxObs: 128, SkipAction: true}, NetworkSpec{}, backfill.RequestTime{}, 7)
+	block := float64(64 * a.Obs.FlatDim() * 8)
+
+	measureOnce := func() float64 {
+		st := &fakeState{now: 1000, free: 8, total: 32,
+			running: []backfill.Running{{Job: runner, Start: 0}}}
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		w := a.CloneForRollout(stats.NewRNG(3), -2)
+		w.Backfill(st, head, queue)
+		traj, _ := w.takeTrajectory(1)
+		runtime.ReadMemStats(&m1)
+		if len(traj.Steps) == 0 {
+			t.Fatal("the fixture recorded no decision")
+		}
+		return float64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	// Background allocations only ever add to a window: take the least of three.
+	bytes := math.Inf(1)
+	for attempt := 0; attempt < 3; attempt++ {
+		bytes = min(bytes, measureOnce())
+	}
+	if bytes >= block {
+		t.Fatalf("a rollout clone and its trajectory allocate %.0f B, want < %.0f B (one 64-row critic block)", bytes, block)
+	}
+}

@@ -162,13 +162,6 @@ type Trainer struct {
 
 	mu       sync.Mutex
 	baseline map[window]float64 // episode window -> baseline bsld
-
-	// workers recycles rollout clones across episodes: a clone's batch
-	// caches and observation scratch are per-decision overwritten and carry
-	// no cross-episode state, so reuse is semantics-free (results depend
-	// only on the shared networks and the per-episode RNG) but saves the
-	// MB-scale cache allocations every episode.
-	workers sync.Pool
 }
 
 // NewTrainer prepares training on the given trace.
@@ -266,7 +259,7 @@ func (t *Trainer) rollout(rng *stats.RNG) (ppo.Trajectory, float64, float64, flo
 		return ppo.Trajectory{}, 0, 0, 0, 0, err
 	}
 
-	worker := t.rolloutWorker(rng)
+	worker := t.agent.CloneForRollout(rng, t.cfg.ViolationPenalty)
 	res, err := sim.Run(seq, sim.Config{Policy: t.cfg.BasePolicy, Scenario: t.cfg.Scn, Backfiller: worker})
 	if err != nil {
 		return ppo.Trajectory{}, 0, 0, 0, 0, err
@@ -274,19 +267,7 @@ func (t *Trainer) rollout(rng *stats.RNG) (ppo.Trajectory, float64, float64, flo
 	got := t.cfg.Goal.metric(res.Summary)
 	reward := (base - got) / base
 	traj, viol := worker.takeTrajectory(reward)
-	t.workers.Put(worker) // takeTrajectory reset the recorder; scratch is reusable
 	return traj, got, base, reward, viol, nil
-}
-
-// rolloutWorker hands out a sampling clone for one episode, recycling the
-// scratch of a previous episode's clone when one is pooled.
-func (t *Trainer) rolloutWorker(rng *stats.RNG) *Agent {
-	if v := t.workers.Get(); v != nil {
-		w := v.(*Agent)
-		w.rec.rng = rng
-		return w
-	}
-	return t.agent.CloneForRollout(rng, t.cfg.ViolationPenalty)
 }
 
 // baselineFor returns (computing and caching on first use) the reward

@@ -405,7 +405,7 @@ func TestSoftmaxPolicyGradMatchesComposition(t *testing.T) {
 		for _, coef := range []float64{0, 0.01} {
 			SoftmaxLogProbGrad(probs, mask, a, lg)
 			SoftmaxEntropyGrad(probs, mask, eg)
-			SoftmaxPolicyGrad(probs, mask, a, dlogp, coef, fused)
+			SoftmaxPolicyGrad(probs, mask, a, dlogp, coef, Entropy(probs), fused)
 			for i := range probs {
 				if !mask[i] {
 					continue // masked rows never reach the backward pass

@@ -127,10 +127,12 @@ func SoftmaxLogProbGrad(probs []float64, mask []bool, a int, grad []float64) {
 
 // SoftmaxPolicyGrad fuses SoftmaxLogProbGrad and SoftmaxEntropyGrad into the
 // PPO policy score gradient dlogp*d(log p[a])/ds - entropyCoef*dH/ds in a
-// single scratch-free pass, writing into grad. It is bit-identical to the
-// two-pass composition: each term is computed with the same expressions and
-// combined in the same order.
-func SoftmaxPolicyGrad(probs []float64, mask []bool, a int, dlogp, entropyCoef float64, grad []float64) {
+// single scratch-free pass, writing into grad. h must be Entropy(probs),
+// which the caller has already computed for its statistics; it is read only
+// when entropyCoef is non-zero. It is bit-identical to the two-pass
+// composition: each term is computed with the same expressions and combined
+// in the same order.
+func SoftmaxPolicyGrad(probs []float64, mask []bool, a int, dlogp, entropyCoef, h float64, grad []float64) {
 	if entropyCoef == 0 {
 		for i := range grad {
 			if !mask[i] {
@@ -145,7 +147,6 @@ func SoftmaxPolicyGrad(probs []float64, mask []bool, a int, dlogp, entropyCoef f
 		}
 		return
 	}
-	h := Entropy(probs)
 	for i := range grad {
 		if !mask[i] {
 			grad[i] = 0

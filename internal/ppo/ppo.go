@@ -38,10 +38,10 @@ type Step struct {
 	Mask []bool
 	// Action is the sampled row of FlatObs.
 	Action int
-	// LogP is log pi(a|s) at collection time.
+	// LogP is log pi(a|s) at collection time. V(s) is not recorded: Update
+	// scores every step with the critic itself, under the weights the step
+	// was collected with.
 	LogP float64
-	// Value is V(s) at collection time.
-	Value float64
 	// Reward is the immediate reward credited to this step.
 	Reward float64
 
@@ -108,12 +108,11 @@ type PPO struct {
 	vOpt  *nn.Adam
 	rng   *stats.RNG
 
-	// persistent update scratch, grown on demand
-	pi      []*piScratch
-	v       []*vScratch
-	piTotal *nn.Grads
-	vTotal  *nn.Grads
-	idx     []int
+	// persistent update scratch, grown on demand; worker 0's gradients are
+	// also the reduced total an optimiser step reads
+	pi  []*piScratch
+	v   []*vScratch
+	idx []int
 }
 
 // piScratch is one policy-update worker's reusable state: gradient
@@ -145,10 +144,11 @@ func (s *piScratch) ensure(policy *nn.MLP, n int) {
 	}
 }
 
-// valueBatchRows bounds the value-network batch matrix: large enough that
-// the GEMM amortises, small enough that the cache stays ~1.7 MB at the paper's
-// 1,677-wide flat observation (129 rows x 13 features).
-const valueBatchRows = 128
+// valueBatchRows is the row block of every critic pass (the values before
+// GAE and the regression steps): large enough that the GEMM amortises, small
+// enough that the cache stays ~0.9 MB at the paper's 1,677-wide flat
+// observation (129 rows x 13 features).
+const valueBatchRows = 64
 
 // vScratch is one value-update worker's reusable state.
 type vScratch struct {
@@ -163,9 +163,6 @@ func (p *PPO) piScratches(workers int) []*piScratch {
 	for len(p.pi) < workers {
 		p.pi = append(p.pi, &piScratch{g: nn.NewGrads(p.Policy)})
 	}
-	if p.piTotal == nil {
-		p.piTotal = nn.NewGrads(p.Policy)
-	}
 	return p.pi
 }
 
@@ -177,9 +174,6 @@ func (p *PPO) vScratches(workers int) []*vScratch {
 			bc:      nn.NewBatchCache(p.Value, valueBatchRows),
 			gradOut: nn.NewMat(valueBatchRows, 1),
 		})
-	}
-	if p.vTotal == nil {
-		p.vTotal = nn.NewGrads(p.Value)
 	}
 	return p.v
 }
@@ -209,39 +203,20 @@ type UpdateStats struct {
 	VLossLast  float64
 }
 
-// Update performs one PPO epoch over the collected trajectories: GAE
-// advantage estimation, normalised advantages, PiIters clipped-surrogate
-// policy steps with KL early stopping, and VIters value-regression steps.
+// Update performs one PPO epoch over the collected trajectories: one critic
+// pass for V(s), GAE advantage estimation, normalised advantages, PiIters
+// clipped-surrogate policy steps with KL early stopping, and VIters
+// value-regression steps.
 func (p *PPO) Update(trajs []Trajectory) UpdateStats {
 	var steps []Step
-	var advs, rets []float64
 	for _, tr := range trajs {
-		if len(tr.Steps) == 0 {
-			continue
-		}
-		rewards := make([]float64, len(tr.Steps))
-		values := make([]float64, len(tr.Steps))
-		for i, s := range tr.Steps {
-			rewards[i] = s.Reward
-			values[i] = s.Value
-		}
-		adv, ret := GAE(rewards, values, p.Cfg.Gamma, p.Cfg.Lambda)
 		steps = append(steps, tr.Steps...)
-		advs = append(advs, adv...)
-		rets = append(rets, ret...)
 	}
 	st := UpdateStats{Steps: len(steps)}
 	if len(steps) == 0 {
 		return st
 	}
-	normalize(advs)
-
-	workers := p.Cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-
-	// ---- policy updates ----
+	workers := max(p.Cfg.Workers, 1)
 	if cap(p.idx) < len(steps) {
 		p.idx = make([]int, len(steps))
 	}
@@ -249,6 +224,27 @@ func (p *PPO) Update(trajs []Trajectory) UpdateStats {
 	for i := range idx {
 		idx[i] = i
 	}
+
+	// The critic's weights are still the ones every step was collected
+	// under, so these are the values a rollout would have recorded.
+	values := p.values(steps, idx, workers)
+	advs := make([]float64, 0, len(steps))
+	rets := make([]float64, 0, len(steps))
+	var rewards []float64
+	off := 0
+	for _, tr := range trajs {
+		rewards = rewards[:0]
+		for _, s := range tr.Steps {
+			rewards = append(rewards, s.Reward)
+		}
+		adv, ret := GAE(rewards, values[off:off+len(rewards)], p.Cfg.Gamma, p.Cfg.Lambda)
+		advs = append(advs, adv...)
+		rets = append(rets, ret...)
+		off += len(rewards)
+	}
+	normalize(advs)
+
+	// ---- policy updates ----
 	for iter := 0; iter < p.Cfg.PiIters; iter++ {
 		batch := p.minibatch(idx)
 		loss, kl, ent := p.policyStep(steps, advs, batch, workers)
@@ -277,6 +273,60 @@ func (p *PPO) Update(trajs []Trajectory) UpdateStats {
 	return st
 }
 
+// split runs fn(w, lo, hi) for static contiguous chunks of [0, n), chunk w
+// on its own goroutine, and returns how many chunks ran (at most workers).
+// Every chunk but the last holds ceil(n/workers) items, so a worker always
+// sums the same samples in the same order: a gradient sum depends on the
+// worker count and on nothing else (DESIGN.md §8).
+func split(n, workers int, fn func(w, lo, hi int)) int {
+	if n == 0 {
+		return 0
+	}
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	w := 0
+	for lo := 0; lo < n; lo += chunk {
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			fn(w, lo, hi)
+		}(w, lo, min(lo+chunk, n))
+		w++
+	}
+	wg.Wait()
+	return w
+}
+
+// criticBlocks runs the critic over steps[rows[i]], valueBatchRows rows per
+// batched forward through bc, and hands each block's rows and outputs to fn
+// before the next block overwrites the cache.
+func (p *PPO) criticBlocks(bc *nn.BatchCache, steps []Step, rows []int, fn func(block []int, out *nn.Mat)) {
+	for start := 0; start < len(rows); start += valueBatchRows {
+		block := rows[start:min(start+valueBatchRows, len(rows))]
+		bc.Resize(len(block))
+		for r, si := range block {
+			bc.SetRow(r, steps[si].FlatObs, steps[si].Live)
+		}
+		fn(block, p.Value.ForwardBatch(bc.X[0], bc))
+	}
+}
+
+// values returns V(s) of steps[rows[i]] at index rows[i]. ForwardBatch
+// computes every row on its own, so each value is bit-identical to a per-row
+// critic forward whatever block or worker the row lands in.
+func (p *PPO) values(steps []Step, rows []int, workers int) []float64 {
+	scratch := p.vScratches(workers)
+	vals := make([]float64, len(steps))
+	split(len(rows), workers, func(w, lo, hi int) {
+		p.criticBlocks(scratch[w].bc, steps, rows[lo:hi], func(block []int, out *nn.Mat) {
+			for r, si := range block {
+				vals[si] = out.At(r, 0)
+			}
+		})
+	})
+	return vals
+}
+
 // minibatch returns the sample indices for one update iteration, shuffling
 // in place when a minibatch size is configured.
 func (p *PPO) minibatch(idx []int) []int {
@@ -301,44 +351,26 @@ func (p *PPO) minibatch(idx []int) []int {
 func (p *PPO) policyStep(steps []Step, advs []float64, batch []int, workers int) (loss, kl, ent float64) {
 	scratch := p.piScratches(workers)
 	clip := p.Cfg.ClipRatio
-
-	var wg sync.WaitGroup
-	chunk := (len(batch) + workers - 1) / workers
-	active := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(batch) {
-			break
+	active := split(len(batch), workers, func(w, lo, hi int) {
+		s := scratch[w]
+		s.g.Zero()
+		s.loss, s.kl, s.ent = 0, 0, 0
+		for _, si := range batch[lo:hi] {
+			p.policyStepOne(s, &steps[si], advs[si], clip)
 		}
-		hi := lo + chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		active++
-		wg.Add(1)
-		go func(s *piScratch, lo, hi int) {
-			defer wg.Done()
-			s.g.Zero()
-			s.loss, s.kl, s.ent = 0, 0, 0
-			for _, si := range batch[lo:hi] {
-				p.policyStepOne(s, &steps[si], advs[si], clip)
-			}
-		}(scratch[w], lo, hi)
-	}
-	wg.Wait()
+	})
 
-	total := p.piTotal
-	total.Zero()
-	for w := 0; w < active; w++ {
-		total.Add(scratch[w].g)
+	total := scratch[0].g
+	for _, s := range scratch[1:active] {
+		total.Add(s.g)
 	}
 	n := float64(len(batch))
 	total.Scale(1 / n)
 	p.piOpt.Step(p.Policy, total)
-	for w := 0; w < active; w++ {
-		loss += scratch[w].loss
-		kl += scratch[w].kl
-		ent += scratch[w].ent
+	for _, s := range scratch[:active] {
+		loss += s.loss
+		kl += s.kl
+		ent += s.ent
 	}
 	return loss / n, kl / n, ent / n
 }
@@ -364,7 +396,8 @@ func (p *PPO) policyStepOne(s *piScratch, st *Step, adv, clip float64) {
 	obj := math.Min(unclipped, clipped)
 	s.loss += -obj
 	s.kl += st.LogP - newLogP
-	s.ent += nn.Entropy(probs)
+	h := nn.Entropy(probs)
+	s.ent += h
 
 	// dL/dlogp: zero when the clip branch saturates
 	var dlogp float64
@@ -372,7 +405,7 @@ func (p *PPO) policyStepOne(s *piScratch, st *Step, adv, clip float64) {
 		dlogp = -ratio * adv
 	}
 	dscore := s.dscore[:n]
-	nn.SoftmaxPolicyGrad(probs, st.Mask, st.Action, dlogp, p.Cfg.EntropyCoef, dscore)
+	nn.SoftmaxPolicyGrad(probs, st.Mask, st.Action, dlogp, p.Cfg.EntropyCoef, h, dscore)
 
 	gradOut := s.gradOut
 	gradOut.Rows = k
@@ -388,65 +421,37 @@ func (p *PPO) policyStepOne(s *piScratch, st *Step, adv, clip float64) {
 }
 
 // valueStep computes one mean-squared-error regression step for the critic
-// and returns the loss. Each worker assembles its share of the minibatch
-// into valueBatchRows-row blocks and runs one ForwardBatch+BackwardBatch per
-// block; gradients and loss are bit-identical to the per-row loop.
+// and returns the loss. Each worker runs its share of the minibatch through
+// criticBlocks and backpropagates every block with one BackwardBatch;
+// gradients and loss are bit-identical to the per-row loop.
 func (p *PPO) valueStep(steps []Step, rets []float64, batch []int, workers int) float64 {
 	scratch := p.vScratches(workers)
-
-	var wg sync.WaitGroup
-	chunk := (len(batch) + workers - 1) / workers
-	active := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(batch) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		active++
-		wg.Add(1)
-		go func(s *vScratch, lo, hi int) {
-			defer wg.Done()
-			s.g.Zero()
-			s.loss = 0
-			for start := lo; start < hi; start += valueBatchRows {
-				end := start + valueBatchRows
-				if end > hi {
-					end = hi
-				}
-				nb := end - start
-				s.bc.Resize(nb)
-				for r, si := range batch[start:end] {
-					s.bc.SetRow(r, steps[si].FlatObs, steps[si].Live)
-				}
-				out := p.Value.ForwardBatch(s.bc.X[0], s.bc)
-				gradOut := s.gradOut
-				gradOut.Rows = nb
-				for r, si := range batch[start:end] {
-					diff := out.At(r, 0) - rets[si]
-					s.loss += diff * diff
-					gradOut.Data[r] = 2 * diff
-				}
-				p.Value.BackwardBatch(s.bc, gradOut, s.g)
+	active := split(len(batch), workers, func(w, lo, hi int) {
+		s := scratch[w]
+		s.g.Zero()
+		s.loss = 0
+		p.criticBlocks(s.bc, steps, batch[lo:hi], func(block []int, out *nn.Mat) {
+			gradOut := s.gradOut
+			gradOut.Rows = len(block)
+			for r, si := range block {
+				diff := out.At(r, 0) - rets[si]
+				s.loss += diff * diff
+				gradOut.Data[r] = 2 * diff
 			}
-		}(scratch[w], lo, hi)
-	}
-	wg.Wait()
+			p.Value.BackwardBatch(s.bc, gradOut, s.g)
+		})
+	})
 
-	total := p.vTotal
-	total.Zero()
-	for w := 0; w < active; w++ {
-		total.Add(scratch[w].g)
+	total := scratch[0].g
+	for _, s := range scratch[1:active] {
+		total.Add(s.g)
 	}
 	n := float64(len(batch))
 	total.Scale(1 / n)
 	p.vOpt.Step(p.Value, total)
 	var loss float64
-	for w := 0; w < active; w++ {
-		loss += scratch[w].loss
+	for _, s := range scratch[:active] {
+		loss += s.loss
 	}
 	return loss / n
 }

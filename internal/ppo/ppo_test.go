@@ -101,13 +101,6 @@ func (p *PPO) Distribution(obs [][]float64, mask []bool) []float64 {
 	return probs
 }
 
-// ValueOf evaluates the critic on a flattened observation.
-func (p *PPO) ValueOf(flat []float64) float64 {
-	x := nn.NewMat(1, len(flat))
-	copy(x.Data, flat)
-	return p.Value.ForwardBatch(x, nn.NewBatchCache(p.Value, 1)).At(0, 0)
-}
-
 // mkPPO builds a small agent with deterministic init.
 func mkPPO(featDim, slots int, cfg Config) *PPO {
 	rng := stats.NewRNG(99)
@@ -148,7 +141,6 @@ func banditTrajectories(p *PPO, rng *stats.RNG, nTraj, featDim, slots int) []Tra
 		trajs[ti] = Trajectory{Steps: []Step{{
 			FlatObs: flat, Mask: mask, Action: a,
 			LogP:   nn.LogProb(probs, a),
-			Value:  p.ValueOf(flat),
 			Reward: reward,
 		}}}
 	}
@@ -265,7 +257,7 @@ func TestValueRegression(t *testing.T) {
 		target := flat[0] + flat[1] // learnable function
 		trajs = append(trajs, Trajectory{Steps: []Step{{
 			FlatObs: flat, Mask: []bool{true, true}, Action: 0, LogP: math.Log(0.5),
-			Value: 0, Reward: target,
+			Reward: target,
 		}}})
 	}
 	st := p.Update(trajs)
@@ -349,7 +341,7 @@ func TestUpdateOccupancyInvariant(t *testing.T) {
 					}
 					act := rng.Intn(occ + 1) // occ is the skip slot once compact
 					steps[si] = Step{FlatObs: flat, Mask: mask, Action: act,
-						LogP: -math.Log(float64(occ + 1)), Value: rng.Normal(0, 1), Reward: rng.Float64()}
+						LogP: -math.Log(float64(occ + 1)), Reward: rng.Float64()}
 					if act == occ {
 						steps[si].Action = slots - 1
 					}
@@ -379,6 +371,87 @@ func TestUpdateOccupancyInvariant(t *testing.T) {
 				for i, b := range nets[0].B[l] {
 					if math.Float64bits(b) != math.Float64bits(nets[1].B[l][i]) {
 						t.Fatalf("workers=%d: %s B[%d][%d] %v != %v", workers, name, l, i, b, nets[1].B[l][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// refValue is the plain-loop critic forward of one step: the step's cells
+// placed in a zero row of the critic's full input width, then per layer every
+// product added in ascending input order from +0.0 (zeros included, no
+// batch), the bias, and the activation (identity on the output layer).
+func refValue(m *nn.MLP, cells []float64, live nn.Live) float64 {
+	x := make([]float64, m.Sizes[0])
+	if live == (nn.Live{}) {
+		copy(x, cells)
+	} else {
+		copy(x[:live.Head], cells)
+		copy(x[len(x)-live.Tail:], cells[live.Head:])
+	}
+	for l, w := range m.W {
+		out := m.Sizes[l+1]
+		z := make([]float64, out)
+		for k := range z {
+			for j, xj := range x {
+				z[k] += xj * w.Data[j*out+k]
+			}
+			z[k] += m.B[l][k]
+			switch {
+			case l == len(m.W)-1: // identity on the output layer
+			case m.Act == nn.Tanh:
+				z[k] = math.Tanh(z[k])
+			case z[k] <= 0: // ReLU
+				z[k] = 0
+			}
+		}
+		x = z
+	}
+	return x[0]
+}
+
+// TestValuesMatchPerRowForward pins the critic pass Update runs before GAE:
+// every step's value is the bit pattern of refValue on that step alone,
+// whatever block of valueBatchRows and whatever worker's chunk the step falls
+// in. Step counts straddle one and two blocks; steps are compact (occupied
+// rows plus the skip row, with their Live), dense (the whole input), or both
+// interleaved, on a ReLU and a tanh critic.
+func TestValuesMatchPerRowForward(t *testing.T) {
+	const feat, slots = 4, 12
+	for _, act := range []nn.Activation{nn.ReLU, nn.Tanh} {
+		for _, workers := range []int{1, 4} {
+			for _, n := range []int{1, 63, 64, 65, 129} {
+				for _, mode := range []string{"compact", "dense", "mixed"} {
+					rng := stats.NewRNG(uint64(n))
+					policy := nn.NewMLP([]int{feat, 8, 1}, act, rng)
+					value := nn.NewMLP([]int{feat * slots, 16, 8, 1}, act, rng)
+					p := New(policy, value, DefaultConfig())
+					steps := make([]Step, n)
+					rows := make([]int, n)
+					for i := range steps {
+						rows[i] = i
+						occ := 1 + rng.Intn(slots-1)
+						if mode == "dense" || (mode == "mixed" && i%2 == 1) {
+							occ = slots - 1
+						}
+						cells := make([]float64, (occ+1)*feat)
+						for k := range cells {
+							if rng.Bool(0.8) { // exact zeros too, as in real observations
+								cells[k] = rng.Normal(0, 1)
+							}
+						}
+						steps[i] = Step{FlatObs: cells, Mask: make([]bool, occ+1)}
+						if occ < slots-1 {
+							steps[i].Live = nn.Live{Head: occ * feat, Tail: feat}
+						}
+					}
+					got := p.values(steps, rows, workers)
+					for i, s := range steps {
+						if want := refValue(value, s.FlatObs, s.Live); math.Float64bits(got[i]) != math.Float64bits(want) {
+							t.Fatalf("%s critic, workers=%d, %d %s steps: step %d value %v, want %v",
+								act, workers, n, mode, i, got[i], want)
+						}
 					}
 				}
 			}
