@@ -6,8 +6,12 @@
 //	rlbf-exp -exp all -scale paper -out results.txt
 //
 // Experiments: fig1, fig4, table2, table4, table5, ablation-skip,
-// ablation-penalty, ablation-obs, conservative (or "all"). Scales: tiny,
-// quick, paper.
+// ablation-penalty, ablation-obs, conservative, loadsweep, scenario (or
+// "all"). Scales: tiny, quick, paper.
+//
+// The experiments run one after another in the order given; results go to
+// stdout (or -out) in that order. Progress goes to stderr: each experiment's
+// lines follow its "== running <id> (scale <scale>) ==" header.
 package main
 
 import (
@@ -30,7 +34,7 @@ func main() {
 	jobs := flag.Int("jobs", 0, "override the per-trace job count")
 	epochs := flag.Int("epochs", 0, "override the training epoch count")
 	traj := flag.Int("traj", 0, "override the trajectories per training epoch")
-	workers := flag.Int("workers", 0, "worker-pool size for parallel experiment cells (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "goroutines for table cells, training rollouts and PPO updates (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *list {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/backfill"
+	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -32,7 +33,7 @@ type EvalConfig struct {
 // DefaultEvalConfig returns the paper's evaluation protocol.
 func DefaultEvalConfig() EvalConfig { return EvalConfig{Sequences: 10, SeqLen: 1024, Seed: 2023} }
 
-// runSequences replays every sampled sequence through fanOut on cfg.Workers
+// runSequences replays every sampled sequence through pool.Each on cfg.Workers
 // goroutines. mkBF yields the backfiller for one replay: backfillers carry
 // scratch state, so each concurrent replay needs its own instance. Results
 // are written by sequence index — never by completion order — so the output
@@ -55,7 +56,7 @@ func runSequences(t *trace.Trace, base sched.Policy, cfg EvalConfig,
 		wins[i] = drawWindow(t, cfg.SeqLen, rng)
 	}
 	per := make([]float64, len(wins))
-	err := fanOut(len(wins), cfg.Workers, func(i int) error {
+	err := pool.Each(len(wins), cfg.Workers, func(i int) error {
 		res, err := sim.Run(wins[i].jobs(t), sim.Config{Policy: base, Scenario: cfg.Scn, Backfiller: mkBF()})
 		if err != nil {
 			return err

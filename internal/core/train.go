@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/backfill"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/ppo"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -199,7 +200,7 @@ func (t *Trainer) RunEpoch() (EpochStats, error) {
 	rewards := make([]float64, n)
 	violations := make([]int, n)
 
-	err := fanOut(n, t.cfg.Workers, func(i int) error {
+	err := pool.Each(n, t.cfg.Workers, func(i int) error {
 		// The seed depends only on (master seed, epoch, index), so the
 		// run is reproducible regardless of goroutine scheduling.
 		rng := stats.NewRNG(t.cfg.Seed + uint64(t.epoch)*1000003 + uint64(i)*7919 + 17)

@@ -2,23 +2,19 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/backfill"
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 // trainVariant trains one model on the SDSC-SP2 surrogate with a config
-// mutation and evaluates it (FCFS base). Each variant is one weighted cell;
-// the seed is fixed by the scale, so variants are independent of the order
-// the pool runs them in. The cell already holds trainWeight tokens, so the
-// final evaluation fans its sequences across the same workers instead of
-// idling them (results are worker-count independent).
-func trainVariant(sc Scale, mutate func(*core.TrainConfig), log io.Writer) (float64, error) {
+// mutation and evaluates it (FCFS base). Training and the final evaluation
+// both fan out over the scale's workers; the seed is fixed by the scale, and
+// results are worker-count independent.
+func trainVariant(sc Scale, mutate func(*core.TrainConfig)) (float64, error) {
 	tr := trace.SyntheticSDSCSP2(sc.TraceJobs, sc.Seed+1)
 	cfg := sc.TrainConfig(sched.FCFS{}, backfill.RequestTime{})
 	mutate(&cfg)
@@ -37,33 +33,22 @@ func trainVariant(sc Scale, mutate func(*core.TrainConfig), log io.Writer) (floa
 	return mean, err
 }
 
-// variantTable runs one training cell per (label, mutation) pair on the pool
-// and assembles a two-column table in the given order.
-func variantTable(sc Scale, p *pool.Pool, tbl *Table, labels []string,
-	mutations []func(*core.TrainConfig), log io.Writer) (*Table, error) {
-	p = sc.cellPool(p)
-	sc = sc.clampToPool(p)
-	vals := make([]string, len(mutations))
-	err := runCells(p, sc.trainWeight(), len(mutations), func(i int) error {
-		v, err := trainVariant(sc, mutations[i], log)
+// variantTable trains one model per (label, mutation) pair, one after
+// another, and assembles a two-column table in the given order.
+func variantTable(sc Scale, tbl *Table, labels []string, mutations []func(*core.TrainConfig)) (*Table, error) {
+	for i, mutate := range mutations {
+		v, err := trainVariant(sc, mutate)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		vals[i] = f2(v)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, label := range labels {
-		tbl.AddRow(label, vals[i])
+		tbl.AddRow(labels[i], f2(v))
 	}
 	return tbl, nil
 }
 
 // AblationSkip compares training with and without the learned skip action
 // (DESIGN.md: the paper leaves the "stop backfilling" mechanism implicit).
-func AblationSkip(sc Scale, p *pool.Pool, log io.Writer) (*Table, error) {
+func AblationSkip(sc Scale) (*Table, error) {
 	tbl := &Table{
 		Title:  "Ablation: skip action (SDSC-SP2, FCFS base)",
 		Header: []string{"variant", "bsld"},
@@ -76,12 +61,12 @@ func AblationSkip(sc Scale, p *pool.Pool, log io.Writer) (*Table, error) {
 		labels = append(labels, fmt.Sprintf("skip=%v", skip))
 		muts = append(muts, func(c *core.TrainConfig) { c.Obs.SkipAction = skip })
 	}
-	return variantTable(sc, p, tbl, labels, muts, log)
+	return variantTable(sc, tbl, labels, muts)
 }
 
 // AblationPenalty sweeps the reservation-violation penalty (§3.4 calls for a
 // "large negative reward"; how large matters).
-func AblationPenalty(sc Scale, p *pool.Pool, log io.Writer) (*Table, error) {
+func AblationPenalty(sc Scale) (*Table, error) {
 	tbl := &Table{
 		Title:  "Ablation: violation penalty (SDSC-SP2, FCFS base)",
 		Header: []string{"penalty", "bsld"},
@@ -99,12 +84,12 @@ func AblationPenalty(sc Scale, p *pool.Pool, log io.Writer) (*Table, error) {
 			}
 		})
 	}
-	return variantTable(sc, p, tbl, labels, muts, log)
+	return variantTable(sc, tbl, labels, muts)
 }
 
 // AblationObs sweeps MAX_OBSV_SIZE (§3.3.2 fixes it at 128 but notes it is a
 // configurable training parameter).
-func AblationObs(sc Scale, p *pool.Pool, log io.Writer) (*Table, error) {
+func AblationObs(sc Scale) (*Table, error) {
 	tbl := &Table{
 		Title:  "Ablation: MAX_OBSV_SIZE (SDSC-SP2, FCFS base)",
 		Header: []string{"MaxObs", "bsld"},
@@ -120,15 +105,14 @@ func AblationObs(sc Scale, p *pool.Pool, log io.Writer) (*Table, error) {
 		labels = append(labels, fmt.Sprintf("%d", m))
 		muts = append(muts, func(c *core.TrainConfig) { c.Obs.MaxObs = m })
 	}
-	return variantTable(sc, p, tbl, labels, muts, log)
+	return variantTable(sc, tbl, labels, muts)
 }
 
 // ConservativeCompare pits no-backfilling, EASY and conservative backfilling
 // against each other on every workload (related-work baseline, §5). Each
-// (workload, strategy) replay is a weight-1 cell constructing its own
+// (workload, strategy) replay is a grid cell constructing its own
 // backfiller.
-func ConservativeCompare(sc Scale, p *pool.Pool, _ io.Writer) (*Table, error) {
-	p = sc.cellPool(p)
+func ConservativeCompare(sc Scale) (*Table, error) {
 	tbl := &Table{
 		Title:  "Baseline: no backfilling vs EASY vs conservative (FCFS base, whole trace)",
 		Header: []string{"trace", "none", "EASY", "conservative"},
@@ -140,7 +124,7 @@ func ConservativeCompare(sc Scale, p *pool.Pool, _ io.Writer) (*Table, error) {
 		func(est backfill.Estimator) backfill.Backfiller { return backfill.NewEASY(est) },
 		func(est backfill.Estimator) backfill.Backfiller { return backfill.NewConservative(est) },
 	}
-	grid, err := runGrid(p, len(workloads), len(mkBF), func(wi, si int) (string, error) {
+	grid, err := runGrid(sc, len(workloads), len(mkBF), func(wi, si int) (string, error) {
 		tr := workloads[wi]
 		res, err := sim.Run(tr.Clone(), sim.Config{Policy: sched.FCFS{}, Backfiller: mkBF[si](estimatorFor(tr))})
 		if err != nil {

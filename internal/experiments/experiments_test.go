@@ -66,7 +66,7 @@ func TestEstimatorForSyntheticUsesAR(t *testing.T) {
 func TestFigure1Shape(t *testing.T) {
 	sc := TinyScale()
 	sc.TraceJobs = 400
-	tbl, err := Figure1(sc, nil)
+	tbl, err := Figure1(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTable2Generated(t *testing.T) {
 func TestConservativeCompare(t *testing.T) {
 	sc := TinyScale()
 	sc.TraceJobs = 200
-	tbl, err := ConservativeCompare(sc, nil, nil)
+	tbl, err := ConservativeCompare(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestTable4Tiny(t *testing.T) {
 	sc.TraceJobs = 300
 	sc.Eval = evalCfg(2, 100)
 	zoo := NewZoo()
-	tbl, err := Table4(sc, zoo, nil, io.Discard)
+	tbl, err := Table4(sc, zoo, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestScenarioTiny(t *testing.T) {
 	sc := TinyScale()
 	sc.TraceJobs = 300
 	sc.Eval = evalCfg(2, 100)
-	tbl, err := ScenarioCompare(sc, NewZoo(), nil, io.Discard)
+	tbl, err := ScenarioCompare(sc, NewZoo(), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestScenarioTiny(t *testing.T) {
 func TestLoadSweep(t *testing.T) {
 	sc := TinyScale()
 	sc.TraceJobs = 300
-	tbl, err := LoadSweep(sc, nil, nil)
+	tbl, err := LoadSweep(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

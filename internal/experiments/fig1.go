@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/backfill"
-	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -15,13 +14,12 @@ import (
 // under EASY backfilling driven by runtime predictions of varying accuracy —
 // the actual runtime (perfect prediction), actual +5/10/20/40/100 % noise,
 // and the raw user request time — and report the average bounded slowdown.
-// Every (policy, estimator) point is an independent cell on the worker pool
-// (pass nil for a private pool); the grid assembles by index.
+// Every (policy, estimator) point is an independent cell of the grid, which
+// assembles by index.
 //
 // Expected shape (paper): better prediction accuracy does NOT monotonically
 // improve bsld; only SJF is best with the perfect prediction.
-func Figure1(sc Scale, p *pool.Pool) (*Table, error) {
-	p = sc.cellPool(p)
+func Figure1(sc Scale) (*Table, error) {
 	tr := trace.SyntheticSDSCSP2(sc.TraceJobs, sc.Seed+1)
 
 	// One estimator per column: AR, the noise levels, then RT.
@@ -41,7 +39,7 @@ func Figure1(sc Scale, p *pool.Pool) (*Table, error) {
 		},
 	}
 
-	grid, err := runGrid(p, len(pols), len(ests), func(pi, ci int) (string, error) {
+	grid, err := runGrid(sc, len(pols), len(ests), func(pi, ci int) (string, error) {
 		res, err := sim.Run(tr.Clone(), sim.Config{
 			Policy:     pols[pi],
 			Backfiller: backfill.NewEASY(ests[ci]),

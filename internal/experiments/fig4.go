@@ -4,22 +4,18 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/pool"
 	"repro/internal/sched"
 )
 
 // Figure4 reproduces the training curves (§4.2): RLBackfilling trained with
 // the FCFS base policy on each of the four traces; one row per epoch with
 // the epoch's mean bsld (the y-axis of the paper's plots) and mean reward.
-// The four trainings run as weighted cells on the worker pool (deduplicated
-// with any concurrent experiment via the zoo singleflight); curves assemble
-// in workload order from the zoo cache.
+// The four trainings run one after another through the zoo, each on all the
+// workers, and the curves assemble in workload order.
 //
 // Expected shape (paper): bsld falls / reward rises with epochs; the
 // synthetic Lublin traces converge faster than the archive traces.
-func Figure4(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, error) {
-	p = sc.cellPool(p)
-	sc = sc.clampToPool(p)
+func Figure4(sc Scale, zoo *Zoo, log io.Writer) (*Table, error) {
 	workloads := Workloads(sc.TraceJobs, sc.Seed)
 	header := []string{"epoch"}
 	for _, tr := range workloads {
@@ -32,10 +28,6 @@ func Figure4(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, error) {
 			fmt.Sprintf("scale=%s: %d epochs x %d traj x %d jobs, MaxObs=%d", sc.Name, sc.Epochs, sc.TrajPerEpoch, sc.EpisodeLen, sc.MaxObs),
 			"paper shape: bsld decreases with training; synthetic traces converge fastest",
 		},
-	}
-
-	if err := zoo.Prefetch(p, sc, log, []sched.Policy{sched.FCFS{}}, workloads); err != nil {
-		return nil, err
 	}
 
 	curves := make([][]string, sc.Epochs)

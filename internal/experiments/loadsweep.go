@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/backfill"
-	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -15,12 +13,11 @@ import (
 // backfilling strategies compare as the offered load scales. It compresses
 // the SDSC-SP2 surrogate's arrivals by factors 0.5-2.0 and reports bsld for
 // no backfilling, EASY, SJF-ordered EASY and conservative backfilling under
-// FCFS. Every (factor, strategy) point is a weight-1 cell on the worker
-// pool, scaling the trace and constructing its backfiller privately. The
-// crossover structure (aggressive EASY gaining on conservative as load
-// rises) is the classic result this checks.
-func LoadSweep(sc Scale, p *pool.Pool, _ io.Writer) (*Table, error) {
-	p = sc.cellPool(p)
+// FCFS. Every (factor, strategy) point is an independent grid cell, scaling
+// the trace and constructing its backfiller privately. The crossover
+// structure (aggressive EASY gaining on conservative as load rises) is the
+// classic result this checks.
+func LoadSweep(sc Scale) (*Table, error) {
 	base := trace.SyntheticSDSCSP2(sc.TraceJobs, sc.Seed+1)
 	est := backfill.RequestTime{}
 	strategies := []struct {
@@ -47,7 +44,7 @@ func LoadSweep(sc Scale, p *pool.Pool, _ io.Writer) (*Table, error) {
 		},
 	}
 
-	grid, err := runGrid(p, len(factors), len(strategies), func(fi, si int) (string, error) {
+	grid, err := runGrid(sc, len(factors), len(strategies), func(fi, si int) (string, error) {
 		scaled := trace.ScaleLoad(base, factors[fi]) // returns a private clone
 		res, err := sim.Run(scaled, sim.Config{Policy: sched.FCFS{}, Backfiller: strategies[si].mk()})
 		if err != nil {

@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"io"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/sched"
 )
 
@@ -102,8 +99,7 @@ func TestZooSingleflight(t *testing.T) {
 	}
 }
 
-// Concurrent prefetches from two "experiments" must also dedupe onto one
-// training per key.
+// Two concurrent prefetches of the same keys must still train each key once.
 func TestZooPrefetchDedupes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RL experiment skipped in -short mode")
@@ -113,7 +109,6 @@ func TestZooPrefetchDedupes(t *testing.T) {
 	sc.Eval = evalCfg(2, 100)
 	workloads := Workloads(sc.TraceJobs, sc.Seed)[:2]
 	zoo := NewZoo()
-	p := pool.New(4)
 	log := &countingLogWriter{}
 
 	var wg sync.WaitGroup
@@ -121,7 +116,7 @@ func TestZooPrefetchDedupes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := zoo.Prefetch(p, sc, log, []sched.Policy{fcfs()}, workloads); err != nil {
+			if err := zoo.Prefetch(sc, log, []sched.Policy{fcfs()}, workloads); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -132,49 +127,35 @@ func TestZooPrefetchDedupes(t *testing.T) {
 	}
 }
 
-func TestLogMuxPrefixesWholeLines(t *testing.T) {
-	var buf bytes.Buffer
-	mux := newLogMux(&buf)
-	w := mux.prefix("[t4] ")
-	fmt.Fprintf(w, "hello %d\nworld\n", 7)
-	w2 := mux.prefix("[t5] ")
-	fmt.Fprint(w2, "partial")
-	fmt.Fprint(w2, " line\n")
-	w2.Flush() // nothing pending: no-op
-	fmt.Fprint(w, "tail with no newline")
-	w.Flush()
-	got := buf.String()
-	want := "[t4] hello 7\n[t4] world\n[t5] partial line\n[t4] tail with no newline\n"
-	if got != want {
-		t.Fatalf("log mux output:\n%q\nwant:\n%q", got, want)
+// RunMany runs the experiments in request order: each experiment's progress
+// lines, unprefixed, follow its own header and precede the next header.
+func TestRunManyLogsInOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("RL experiment skipped in -short mode")
 	}
-}
-
-// Interleaved concurrent writers must still emit whole prefixed lines.
-func TestLogMuxConcurrent(t *testing.T) {
-	var buf bytes.Buffer
-	mux := newLogMux(&buf)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w := mux.prefix(fmt.Sprintf("[w%d] ", i))
-			for k := 0; k < 50; k++ {
-				fmt.Fprintf(w, "line %d\n", k)
-			}
-		}(i)
+	sc := TinyScale()
+	sc.TraceJobs = 300
+	sc.Eval = evalCfg(2, 100)
+	var log bytes.Buffer
+	if _, err := RunMany([]string{"fig4", "table2"}, sc, &log); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
-		if !strings.HasPrefix(line, "[w") || !strings.Contains(line, "] line ") {
-			t.Fatalf("shredded log line: %q", line)
+	lines := strings.Split(strings.TrimSuffix(log.String(), "\n"), "\n")
+	if first, last := lines[0], lines[len(lines)-1]; first != "== running fig4 (scale tiny) ==" ||
+		last != "== running table2 (scale tiny) ==" {
+		t.Fatalf("log starts %q and ends %q, want fig4's header first and table2's last", first, last)
+	}
+	if n := strings.Count(log.String(), "training RL-"); n != 4 {
+		t.Fatalf("%d trainings under fig4's header, want 4:\n%s", n, log.String())
+	}
+	for _, line := range lines {
+		if strings.HasPrefix(line, "[") {
+			t.Fatalf("prefixed progress line %q", line)
 		}
 	}
 }
 
-// RunMany must keep writing nothing when log is nil (io.Discard path) and
-// still render concurrently.
+// RunMany must keep writing nothing when log is nil (io.Discard path).
 func TestRunManyNilLog(t *testing.T) {
 	sc := TinyScale()
 	sc.TraceJobs = 250
@@ -187,40 +168,5 @@ func TestRunManyNilLog(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q", want)
 		}
-	}
-}
-
-// After a cell fails, runCells must skip the cells it has not started yet
-// (fail-fast) and still report the lowest-index error deterministically.
-func TestRunCellsFailsFastAndDeterministically(t *testing.T) {
-	p := pool.New(1) // serial: cells run in submission order
-	var ran []int
-	err := runCells(p, 1, 6, func(i int) error {
-		ran = append(ran, i)
-		if i >= 2 {
-			return fmt.Errorf("cell %d failed", i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "cell 2 failed" {
-		t.Fatalf("err = %v, want lowest-index failure (cell 2)", err)
-	}
-	if len(ran) != 3 { // cells 0,1,2 ran; 3-5 skipped by the latch
-		t.Fatalf("ran cells %v, want fail-fast skip after the first error", ran)
-	}
-}
-
-// A group handed an already-aborted pool (a sibling experiment failed) must
-// skip its cells AND report errAborted, so its experiment stops instead of
-// proceeding on missing results (e.g. fig4 falling back to inline training).
-func TestRunCellsReportsAbortFromSibling(t *testing.T) {
-	p := pool.New(1)
-	p.Abort()
-	err := runCells(p, 1, 3, func(i int) error {
-		t.Errorf("cell %d ran on an aborted pool", i)
-		return nil
-	})
-	if !errors.Is(err, errAborted) {
-		t.Fatalf("err = %v, want errAborted", err)
 	}
 }

@@ -1,67 +1,52 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
-	"sync"
-
-	"repro/internal/pool"
 )
 
-// Runner executes one named experiment at a scale, fanning its cells across
-// the given worker pool (nil = a private pool sized by the scale), and
-// returns the rendered result.
-type Runner func(sc Scale, p *pool.Pool, log io.Writer) (string, error)
+// Runner executes one named experiment at a scale, fanning its cells over
+// the scale's workers, and returns the rendered result.
+type Runner func(sc Scale, log io.Writer) (string, error)
 
 // Registry maps experiment IDs (as used by `rlbf-exp -exp`) to runners. RL
 // experiments share one model zoo per invocation of RunMany.
 func registry(zoo *Zoo) map[string]Runner {
 	return map[string]Runner{
-		"fig1": func(sc Scale, p *pool.Pool, _ io.Writer) (string, error) {
-			t, err := Figure1(sc, p)
-			return render(t, err)
+		"fig1": func(sc Scale, _ io.Writer) (string, error) {
+			return render(Figure1(sc))
 		},
-		"table2": func(sc Scale, _ *pool.Pool, _ io.Writer) (string, error) {
+		"table2": func(sc Scale, _ io.Writer) (string, error) {
 			return Table2(sc).String(), nil
 		},
-		"fig4": func(sc Scale, p *pool.Pool, log io.Writer) (string, error) {
-			t, err := Figure4(sc, zoo, p, log)
-			return render(t, err)
+		"fig4": func(sc Scale, log io.Writer) (string, error) {
+			return render(Figure4(sc, zoo, log))
 		},
-		"table4": func(sc Scale, p *pool.Pool, log io.Writer) (string, error) {
-			t, err := Table4(sc, zoo, p, log)
-			return render(t, err)
+		"table4": func(sc Scale, log io.Writer) (string, error) {
+			return render(Table4(sc, zoo, log))
 		},
-		"table5": func(sc Scale, p *pool.Pool, log io.Writer) (string, error) {
-			t, err := Table5(sc, zoo, p, log)
-			return render(t, err)
+		"table5": func(sc Scale, log io.Writer) (string, error) {
+			return render(Table5(sc, zoo, log))
 		},
-		"ablation-skip": func(sc Scale, p *pool.Pool, log io.Writer) (string, error) {
-			t, err := AblationSkip(sc, p, log)
-			return render(t, err)
+		"ablation-skip": func(sc Scale, _ io.Writer) (string, error) {
+			return render(AblationSkip(sc))
 		},
-		"ablation-penalty": func(sc Scale, p *pool.Pool, log io.Writer) (string, error) {
-			t, err := AblationPenalty(sc, p, log)
-			return render(t, err)
+		"ablation-penalty": func(sc Scale, _ io.Writer) (string, error) {
+			return render(AblationPenalty(sc))
 		},
-		"ablation-obs": func(sc Scale, p *pool.Pool, log io.Writer) (string, error) {
-			t, err := AblationObs(sc, p, log)
-			return render(t, err)
+		"ablation-obs": func(sc Scale, _ io.Writer) (string, error) {
+			return render(AblationObs(sc))
 		},
-		"conservative": func(sc Scale, p *pool.Pool, log io.Writer) (string, error) {
-			t, err := ConservativeCompare(sc, p, log)
-			return render(t, err)
+		"conservative": func(sc Scale, _ io.Writer) (string, error) {
+			return render(ConservativeCompare(sc))
 		},
-		"loadsweep": func(sc Scale, p *pool.Pool, log io.Writer) (string, error) {
-			t, err := LoadSweep(sc, p, log)
-			return render(t, err)
+		"loadsweep": func(sc Scale, _ io.Writer) (string, error) {
+			return render(LoadSweep(sc))
 		},
-		"scenario": func(sc Scale, p *pool.Pool, log io.Writer) (string, error) {
-			t, err := ScenarioCompare(sc, zoo, p, log)
-			return render(t, err)
+		"scenario": func(sc Scale, log io.Writer) (string, error) {
+			return render(ScenarioCompare(sc, zoo, log))
 		},
 	}
 }
@@ -84,11 +69,11 @@ func Names() []string {
 	return names
 }
 
-// RunMany executes the named experiments (or all of them for "all")
-// concurrently against one shared model zoo and one shared worker pool sized
-// by sc.Workers (GOMAXPROCS when 0), writing line-atomic, experiment-prefixed
-// progress to log, and returns the rendered tables concatenated in request
-// order. Cells are deterministically seeded and results assemble by index,
+// RunMany executes the named experiments (or all of them for "all") one
+// after another, in request order, against one shared model zoo, writing
+// each experiment's progress to log after its "== running" header. It
+// returns the rendered tables concatenated in request order, or the first
+// error. Cells are deterministically seeded and results assemble by index,
 // so the returned string is byte-identical at any worker count.
 func RunMany(names []string, sc Scale, log io.Writer) (string, error) {
 	zoo := NewZoo()
@@ -101,44 +86,16 @@ func RunMany(names []string, sc Scale, log io.Writer) (string, error) {
 			return "", fmt.Errorf("experiments: unknown experiment %q (have %s)", n, strings.Join(Names(), ", "))
 		}
 	}
-
-	p := pool.New(sc.workers())
-	mux := newLogMux(log)
-	outs := make([]string, len(names))
-	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	for i, n := range names {
-		wg.Add(1)
-		go func(i int, name string, run Runner) {
-			// Experiment coordinators hold no pool tokens themselves — they
-			// only submit cells and block on results — so any number of them
-			// can run without oversubscribing the machine.
-			defer wg.Done()
-			w := mux.prefix("[" + name + "] ")
-			defer w.Flush()
-			fmt.Fprintf(w, "== running %s (scale %s) ==\n", name, sc.Name)
-			outs[i], errs[i] = run(sc, p, w)
-			if errs[i] != nil {
-				p.Abort() // fail-fast: stop sibling experiments' pending cells
-			}
-		}(i, n, reg[n])
-	}
-	wg.Wait()
-
-	// Prefer the real failure over the errAborted echoes of experiments that
-	// were cut short by it; among real failures, lowest index wins.
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, errAborted) {
-			return "", fmt.Errorf("experiments: %s: %w", names[i], err)
-		}
-	}
-	for i, err := range errs {
-		if err != nil {
-			return "", fmt.Errorf("experiments: %s: %w", names[i], err)
-		}
+	if log == nil {
+		log = io.Discard
 	}
 	var out strings.Builder
-	for _, s := range outs {
+	for _, n := range names {
+		fmt.Fprintf(log, "== running %s (scale %s) ==\n", n, sc.Name)
+		s, err := reg[n](sc, log)
+		if err != nil {
+			return "", fmt.Errorf("experiments: %s: %w", n, err)
+		}
 		out.WriteString(s)
 		out.WriteString("\n")
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/backfill"
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -54,9 +53,7 @@ func ScenarioWorkloads(n int, seed uint64) ([]*trace.Trace, error) {
 // directly on the enriched workload (FCFS base, the paper's transfer choice).
 // Columns are mean bounded slowdowns under the eval protocol, so the table
 // reads like Table 4 restricted to the scenario dimensions.
-func ScenarioCompare(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, error) {
-	p = sc.cellPool(p)
-	sc = sc.clampToPool(p)
+func ScenarioCompare(sc Scale, zoo *Zoo, log io.Writer) (*Table, error) {
 	scn := sc.Eval.Scn
 	if !scn.Enabled() {
 		scn = DefaultScenario()
@@ -79,12 +76,12 @@ func ScenarioCompare(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, e
 		},
 	}
 
-	if err := zoo.Prefetch(p, sc, log, []sched.Policy{sched.FCFS{}}, workloads); err != nil {
+	if err := zoo.Prefetch(sc, log, []sched.Policy{sched.FCFS{}}, workloads); err != nil {
 		return nil, err
 	}
 
 	cols := scenarioColumns(sc, zoo, log)
-	grid, err := runGrid(p, len(workloads), len(cols), func(wi, ci int) (string, error) {
+	grid, err := runGrid(sc, len(workloads), len(cols), func(wi, ci int) (string, error) {
 		return cols[ci].eval(workloads[wi])
 	})
 	if err != nil {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/pool"
 )
 
 // Table is a rendered experiment result: a title, column headers and string
@@ -65,3 +67,25 @@ func (t *Table) String() string {
 }
 
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
+
+// runGrid evaluates a rows x cols grid of independent cells over the scale's
+// workers and returns the cell strings row by row — the shape shared by every
+// replay-style experiment (one simulation per table cell). Cells are seeded
+// by their coordinates and land in their own slots, never in completion
+// order, so the grid is byte-identical at any worker count; the lowest-index
+// error is returned.
+func runGrid(sc Scale, rows, cols int, cell func(r, c int) (string, error)) ([][]string, error) {
+	flat := make([]string, rows*cols)
+	err := pool.Each(len(flat), sc.workers(), func(i int) (err error) {
+		flat[i], err = cell(i/cols, i%cols)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]string, rows)
+	for r := range out {
+		out[r] = flat[r*cols : (r+1)*cols]
+	}
+	return out, nil
+}

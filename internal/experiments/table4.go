@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/backfill"
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -16,16 +15,14 @@ import (
 // FCFS/SJF with EASY, EASY-AR and RLBackfilling, plus the WFP3+EASY and
 // F1+EASY reference columns. RLBF models are trained per (policy, trace)
 // pair, exactly as the paper's protocol implies (Table 5's diagonals match
-// Table 4). The required models are prefetched as weighted pool cells, then
+// Table 4). The required models are trained first, one at a time, then
 // every (workload, column) evaluation runs as an independent cell and the
 // table assembles by index.
 //
 // Expected shape (paper): RLBF beats EASY(RT) on every trace and beats
 // EASY-AR on the archive traces with FCFS; EASY columns are "-" for the
 // Lublin traces, which have no user request times.
-func Table4(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, error) {
-	p = sc.cellPool(p)
-	sc = sc.clampToPool(p)
+func Table4(sc Scale, zoo *Zoo, log io.Writer) (*Table, error) {
 	workloads := Workloads(sc.TraceJobs, sc.Seed)
 	tbl := &Table{
 		Title: "Table 4: bsld of base policy + backfilling strategy",
@@ -40,12 +37,12 @@ func Table4(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, error) {
 
 	// Train every model the RLBF columns will evaluate before the cell grid
 	// runs, so evaluation cells only ever hit the zoo cache.
-	if err := zoo.Prefetch(p, sc, log, []sched.Policy{sched.FCFS{}, sched.SJF{}}, workloads); err != nil {
+	if err := zoo.Prefetch(sc, log, []sched.Policy{sched.FCFS{}, sched.SJF{}}, workloads); err != nil {
 		return nil, err
 	}
 
 	cols := table4Columns(sc, zoo, log)
-	grid, err := runGrid(p, len(workloads), len(cols), func(wi, ci int) (string, error) {
+	grid, err := runGrid(sc, len(workloads), len(cols), func(wi, ci int) (string, error) {
 		return cols[ci].eval(workloads[wi])
 	})
 	if err != nil {

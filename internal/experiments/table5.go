@@ -6,22 +6,19 @@ import (
 
 	"repro/internal/backfill"
 	"repro/internal/core"
-	"repro/internal/pool"
 	"repro/internal/sched"
 )
 
 // Table5 reproduces the generality matrix (§4.4): a model trained on trace X
 // (column RL-X) is applied to every trace Y (rows), under FCFS and SJF base
 // policies. The EASY and EASY-AR columns are the heuristic baselines on the
-// same sequences. Models are prefetched through the pool (sharing the zoo
-// singleflight with Table 4), then every (base, Y, column) evaluation is an
-// independent cell assembled by index.
+// same sequences. Models are trained first (sharing the zoo with Table 4),
+// then every (base, Y, column) evaluation is an independent cell assembled
+// by index.
 //
 // Expected shape (paper): RL-X transferred to Y still beats EASY in most
 // cells, and the diagonal is not always the best column entry.
-func Table5(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, error) {
-	p = sc.cellPool(p)
-	sc = sc.clampToPool(p)
+func Table5(sc Scale, zoo *Zoo, log io.Writer) (*Table, error) {
 	workloads := Workloads(sc.TraceJobs, sc.Seed)
 	bases := []sched.Policy{sched.FCFS{}, sched.SJF{}}
 	header := []string{"trace", "EASY", "EASY-AR"}
@@ -38,14 +35,14 @@ func Table5(sc Scale, zoo *Zoo, p *pool.Pool, log io.Writer) (*Table, error) {
 		},
 	}
 
-	if err := zoo.Prefetch(p, sc, log, bases, workloads); err != nil {
+	if err := zoo.Prefetch(sc, log, bases, workloads); err != nil {
 		return nil, err
 	}
 
 	// Cell grid: one row per (base policy, trace Y), with the EASY and
 	// EASY-AR baselines plus one transferred model per source trace X.
 	nCols := 2 + len(workloads)
-	grid, err := runGrid(p, len(bases)*len(workloads), nCols, func(r, ci int) (string, error) {
+	grid, err := runGrid(sc, len(bases)*len(workloads), nCols, func(r, ci int) (string, error) {
 		base := bases[r/len(workloads)]
 		y := workloads[r%len(workloads)]
 		switch {

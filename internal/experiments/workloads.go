@@ -9,7 +9,6 @@ import (
 	"repro/internal/backfill"
 	"repro/internal/core"
 	"repro/internal/lublin"
-	"repro/internal/pool"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -132,22 +131,17 @@ func isSynthetic(t *trace.Trace) bool {
 
 // Zoo holds trained RLBackfilling models keyed by "<policy>/<trace>",
 // shared by Table 4, Table 5 and Figure 4 (the paper trains one model per
-// base policy and trace). It is concurrency-safe with singleflight
-// semantics: concurrent Get calls for the same key block on ONE training
-// run (the first caller trains, the rest wait on its completion), while
-// requests for distinct keys proceed independently — no global training
-// lock.
+// base policy and trace). It is a mutex-guarded cache whose entries each
+// train once, so concurrent Get calls for one key run one training and the
+// lock is never held while a model trains. A training error is kept too —
+// retrying the identical deterministic training would fail identically.
 type Zoo struct {
 	mu      sync.Mutex
 	entries map[string]*zooEntry
 }
 
-// zooEntry is one singleflight slot: done closes when training finished
-// (successfully or not); the result fields are immutable afterwards. A
-// training error is sticky — retrying the identical deterministic training
-// would fail identically.
 type zooEntry struct {
-	done  chan struct{}
+	once  sync.Once
 	agent *core.Agent
 	curve []core.EpochStats
 	err   error
@@ -178,63 +172,33 @@ func (z *Zoo) Get(policy sched.Policy, tr *trace.Trace, sc Scale, log io.Writer)
 	policy = sc.normPolicy(policy)
 	key := zooKey(policy, tr)
 	z.mu.Lock()
-	if e, ok := z.entries[key]; ok {
-		z.mu.Unlock()
-		<-e.done // singleflight: ride the in-flight (or finished) training
-		return e.agent, e.curve, e.err
+	e := z.entries[key]
+	if e == nil {
+		e = &zooEntry{}
+		z.entries[key] = e
 	}
-	e := &zooEntry{done: make(chan struct{})}
-	z.entries[key] = e
 	z.mu.Unlock()
-
-	e.agent, e.curve, e.err = z.train(policy, tr, sc, log)
-	close(e.done)
+	e.once.Do(func() { e.agent, e.curve, e.err = train(policy, tr, sc, log) })
 	return e.agent, e.curve, e.err
 }
 
-// Prefetch trains every (policy, trace) model the caller will evaluate,
-// as weighted cells on the shared pool, before evaluation cells run. Keys
-// are deduplicated after policy normalization, and keys whose training
-// already exists or is in flight (a concurrent experiment got there first —
-// the Get singleflight guarantees one run per key) are skipped entirely, so
-// redundant full-weight cells never act as pool-wide FIFO barriers; eval
-// cells riding an in-flight training block on its completion in Get. Like
-// runCells, Prefetch reports the lowest-index error (deterministic across
-// runs) and stops launching trainings after the first failure.
-func (z *Zoo) Prefetch(p *pool.Pool, sc Scale, log io.Writer, policies []sched.Policy, traces []*trace.Trace) error {
-	sc = sc.clampToPool(p) // direct callers may pass a pool smaller than the scale
-	type pair struct {
-		pol sched.Policy
-		tr  *trace.Trace
-	}
-	seen := make(map[string]bool)
-	var pairs []pair
+// Prefetch trains every (policy, trace) model the caller will evaluate, one
+// at a time and each on all the scale's workers, before the evaluation grid
+// runs, so grid cells only ever hit the cache. It stops at and returns the
+// first error.
+func (z *Zoo) Prefetch(sc Scale, log io.Writer, policies []sched.Policy, traces []*trace.Trace) error {
 	for _, tr := range traces {
 		for _, pol := range policies {
-			np := sc.normPolicy(pol)
-			key := zooKey(np, tr)
-			if seen[key] || z.started(key) {
-				continue
+			if _, _, err := z.Get(pol, tr, sc, log); err != nil {
+				return err
 			}
-			seen[key] = true
-			pairs = append(pairs, pair{np, tr})
 		}
 	}
-	return runCells(p, sc.trainWeight(), len(pairs), func(i int) error {
-		_, _, err := z.Get(pairs[i].pol, pairs[i].tr, sc, log)
-		return err
-	})
+	return nil
 }
 
-// started reports whether a training for key exists (done or in flight).
-func (z *Zoo) started(key string) bool {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	return z.entries[key] != nil
-}
-
-// train runs one model's training (the singleflight leader's work).
-func (z *Zoo) train(policy sched.Policy, tr *trace.Trace, sc Scale, log io.Writer) (*core.Agent, []core.EpochStats, error) {
+// train runs one model's training.
+func train(policy sched.Policy, tr *trace.Trace, sc Scale, log io.Writer) (*core.Agent, []core.EpochStats, error) {
 	cfg := sc.TrainConfig(policy, estimatorFor(tr))
 	trainer, err := core.NewTrainer(tr, cfg)
 	if err != nil {

@@ -1,16 +1,6 @@
-// Package pool provides the bounded, weighted worker pool shared by the
-// experiments layer (DESIGN.md §6.1): every table cell, figure point,
-// model-training job and eval sequence of a `rlbf-exp` invocation is
-// submitted here, so total machine pressure is capped regardless of how many
-// experiments fan out concurrently.
-//
-// Weights express internal parallelism: a plain simulation cell weighs 1,
-// while a training cell that itself runs cfg.Workers rollout goroutines
-// acquires cfg.Workers tokens up front, so the pool never oversubscribes the
-// machine. Grants are strictly FIFO — a heavy request at the head of the
-// line is never starved by a stream of light ones — which also gives the
-// deadlock-freedom argument its shape: a task acquires its full weight
-// before it starts and never acquires more while running.
+// Package pool holds Each, the indexed fan-out that training rollouts and
+// evaluation sequences in internal/core and the grid cells of
+// internal/experiments run through (DESIGN.md §6.1).
 package pool
 
 import (
@@ -18,139 +8,35 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a weighted counting semaphore with FIFO grant order. The zero
-// value is not usable; construct with New.
-type Pool struct {
-	mu      sync.Mutex
-	cap     int
-	avail   int
-	waiters []waiter
-	aborted atomic.Bool
-}
-
-type waiter struct {
-	n     int
-	ready chan struct{}
-}
-
-// New returns a pool with the given token capacity (at least 1).
-func New(capacity int) *Pool {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Pool{cap: capacity, avail: capacity}
-}
-
-// Capacity returns the pool's total token count.
-func (p *Pool) Capacity() int {
-	return p.cap
-}
-
-// Abort marks the pool as aborted. The mark is advisory and sticky: the pool
-// keeps granting tokens (in-flight work finishes normally), but cooperative
-// producers consult Aborted before starting new work, so one failure stops
-// every fan-out sharing the pool instead of only its own.
-func (p *Pool) Abort() {
-	p.aborted.Store(true)
-}
-
-// Aborted reports whether Abort has been called.
-func (p *Pool) Aborted() bool {
-	return p.aborted.Load()
-}
-
-// clamp bounds a requested weight to [1, capacity], so a task asking for
-// more parallelism than the pool owns degrades to "the whole pool" instead
-// of deadlocking.
-func (p *Pool) clamp(n int) int {
-	if n < 1 {
-		return 1
-	}
-	if n > p.cap {
-		return p.cap
-	}
-	return n
-}
-
-// Acquire blocks until n tokens (clamped to [1, capacity]) are granted and
-// returns the granted weight, which must be passed back to Release. Grants
-// are FIFO: callers are served in arrival order even when a later, lighter
-// request could be satisfied immediately.
-func (p *Pool) Acquire(n int) int {
-	n = p.clamp(n)
-	p.mu.Lock()
-	if len(p.waiters) == 0 && p.avail >= n {
-		p.avail -= n
-		p.mu.Unlock()
-		return n
-	}
-	w := waiter{n: n, ready: make(chan struct{})}
-	p.waiters = append(p.waiters, w)
-	p.mu.Unlock()
-	<-w.ready
-	return n
-}
-
-// Release returns n tokens (the value Acquire granted) and wakes waiters in
-// FIFO order while their requests fit.
-func (p *Pool) Release(n int) {
-	n = p.clamp(n)
-	p.mu.Lock()
-	p.avail += n
-	if p.avail > p.cap {
-		p.avail = p.cap
-	}
-	for len(p.waiters) > 0 && p.avail >= p.waiters[0].n {
-		w := p.waiters[0]
-		p.waiters = p.waiters[1:]
-		p.avail -= w.n
-		close(w.ready)
-	}
-	p.mu.Unlock()
-}
-
-// Group tracks a batch of tasks submitted to one pool, propagating the first
-// error. Use one Group per fan-out and Wait before reading results.
-type Group struct {
-	p  *Pool
-	wg sync.WaitGroup
-
-	mu  sync.Mutex
-	err error
-}
-
-// NewGroup returns an empty task group backed by the pool.
-func (p *Pool) NewGroup() *Group {
-	return &Group{p: p}
-}
-
-// Go submits fn as one task of the given weight. The call blocks until the
-// pool grants the weight (bounded submit — a producer cannot race ahead of
-// the machine), then runs fn on its own goroutine and releases the weight
-// when fn returns. The first non-nil error is retained for Wait; tasks that
-// need deterministic error selection should record errors into indexed slots
-// instead and return nil.
-func (g *Group) Go(weight int, fn func() error) {
-	granted := g.p.Acquire(weight)
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		defer g.p.Release(granted)
-		if err := fn(); err != nil {
-			g.mu.Lock()
-			if g.err == nil {
-				g.err = err
+// Each calls fn(i) for each i in [0, n) on at most workers goroutines
+// (at least 1); fn writes its result into slot i. Indices start in order and
+// none starts once one has failed, so the lowest-index error, which is
+// returned, is the same at any worker count.
+func Each(n, workers int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for range min(max(workers, 1), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if errs[i] = fn(i); errs[i] != nil {
+					failed.Store(true)
+				}
 			}
-			g.mu.Unlock()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-	}()
-}
-
-// Wait blocks until every submitted task has finished and returns the first
-// recorded error.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
+	}
+	return nil
 }

@@ -2,198 +2,50 @@ package pool
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
-func TestCapacityClamped(t *testing.T) {
-	if got := New(0).Capacity(); got != 1 {
-		t.Fatalf("New(0) capacity %d, want 1", got)
-	}
-	if got := New(-3).Capacity(); got != 1 {
-		t.Fatalf("New(-3) capacity %d, want 1", got)
-	}
-	if got := New(7).Capacity(); got != 7 {
-		t.Fatalf("New(7) capacity %d, want 7", got)
-	}
-}
-
-func TestAcquireClampsOversizedRequests(t *testing.T) {
-	p := New(2)
-	if got := p.Acquire(100); got != 2 {
-		t.Fatalf("oversized acquire granted %d, want 2 (clamped)", got)
-	}
-	p.Release(2)
-	if got := p.Acquire(0); got != 1 {
-		t.Fatalf("zero-weight acquire granted %d, want 1", got)
-	}
-	p.Release(1)
-}
-
-// The pool must never let the concurrently-held weight exceed its capacity.
-func TestBoundedConcurrency(t *testing.T) {
-	const capacity = 3
-	p := New(capacity)
-	g := p.NewGroup()
-	var cur, max int64
-	for i := 0; i < 50; i++ {
-		w := i%capacity + 1
-		g.Go(w, func() error {
-			n := atomic.AddInt64(&cur, int64(w))
-			for {
-				m := atomic.LoadInt64(&max)
-				if n <= m || atomic.CompareAndSwapInt64(&max, m, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			atomic.AddInt64(&cur, -int64(w))
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if max > capacity {
-		t.Fatalf("held weight peaked at %d > capacity %d", max, capacity)
-	}
-}
-
-// waitForWaiters blocks until the pool's FIFO queue holds n waiters, so the
-// test synchronizes on observed state instead of timing assumptions.
-func waitForWaiters(t *testing.T, p *Pool, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		p.mu.Lock()
-		got := len(p.waiters)
-		p.mu.Unlock()
-		if got == n {
-			return
+// TestFanOutLowestIndexErrorWins fails index 5 before index 2; the error
+// reported is still index 2's.
+func TestFanOutLowestIndexErrorWins(t *testing.T) {
+	fiveFailed := make(chan struct{})
+	err := Each(8, 4, func(i int) error {
+		switch i {
+		case 2:
+			<-fiveFailed
+			return errors.New("index 2")
+		case 5:
+			defer close(fiveFailed)
+			return errors.New("index 5")
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool never reached %d waiters (have %d)", n, got)
+		return nil
+	})
+	if err == nil || err.Error() != "index 2" {
+		t.Fatalf("got %v, want index 2's error", err)
+	}
+}
+
+// TestFanOutStopsAfterFailure checks that, at one worker, no index after
+// the failing one runs.
+func TestFanOutStopsAfterFailure(t *testing.T) {
+	var mu sync.Mutex
+	var ran []int
+	err := Each(6, 1, func(i int) error {
+		mu.Lock()
+		ran = append(ran, i)
+		mu.Unlock()
+		if i == 2 {
+			return fmt.Errorf("index %d", i)
 		}
-		time.Sleep(time.Millisecond)
+		return nil
+	})
+	if err == nil || err.Error() != "index 2" {
+		t.Fatalf("got %v, want index 2's error", err)
 	}
-}
-
-// A heavy task queued behind light ones must not be starved: grants are
-// FIFO, so once the heavy request is at the head, lighter late arrivals wait
-// behind it.
-func TestFIFOPreventsStarvation(t *testing.T) {
-	p := New(2)
-	first := p.Acquire(1) // hold one token
-	heavyRan := make(chan struct{})
-	lightRan := make(chan struct{})
-	go func() {
-		w := p.Acquire(2) // needs the whole pool; must queue
-		close(heavyRan)
-		p.Release(w)
-	}()
-	waitForWaiters(t, p, 1) // the heavy request is enqueued at the head
-	go func() {
-		w := p.Acquire(1)
-		close(lightRan)
-		p.Release(w)
-	}()
-	// A token is free, but FIFO means the light request must queue behind
-	// the heavy one rather than being granted immediately.
-	waitForWaiters(t, p, 2)
-	select {
-	case <-heavyRan:
-		t.Fatal("heavy task ran while a token was still held")
-	case <-lightRan:
-		t.Fatal("light task jumped the FIFO queue past the heavy waiter")
-	default:
+	if !slices.Equal(ran, []int{0, 1, 2}) {
+		t.Fatalf("ran %v, want [0 1 2]", ran)
 	}
-	p.Release(first)
-	<-heavyRan
-	<-lightRan
-}
-
-func TestGroupPropagatesFirstError(t *testing.T) {
-	p := New(4)
-	g := p.NewGroup()
-	boom := errors.New("boom")
-	for i := 0; i < 10; i++ {
-		i := i
-		g.Go(1, func() error {
-			if i == 3 {
-				return boom
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("Wait() = %v, want %v", err, boom)
-	}
-}
-
-// Bounded submit: with capacity 1, Go must not return before the previous
-// task released its token, so a submitting loop cannot race ahead of the
-// machine.
-func TestSubmitIsBounded(t *testing.T) {
-	p := New(1)
-	g := p.NewGroup()
-	var running int64
-	for i := 0; i < 20; i++ {
-		g.Go(1, func() error {
-			if n := atomic.AddInt64(&running, 1); n != 1 {
-				t.Errorf("%d tasks running concurrently on a capacity-1 pool", n)
-			}
-			atomic.AddInt64(&running, -1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Stress the semaphore under the race detector: many groups, mixed weights,
-// shared pool.
-func TestConcurrentGroupsRace(t *testing.T) {
-	p := New(4)
-	var wg sync.WaitGroup
-	var total int64
-	for gi := 0; gi < 8; gi++ {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			g := p.NewGroup()
-			for i := 0; i < 25; i++ {
-				w := (gi+i)%3 + 1
-				g.Go(w, func() error {
-					atomic.AddInt64(&total, 1)
-					return nil
-				})
-			}
-			if err := g.Wait(); err != nil {
-				t.Error(err)
-			}
-		}(gi)
-	}
-	wg.Wait()
-	if total != 8*25 {
-		t.Fatalf("ran %d tasks, want %d", total, 8*25)
-	}
-}
-
-// Abort is advisory and sticky: tokens keep flowing (in-flight work can
-// finish), but the flag stays set for cooperative producers to consult.
-func TestAbortIsStickyAndNonBlocking(t *testing.T) {
-	p := New(2)
-	if p.Aborted() {
-		t.Fatal("fresh pool reports aborted")
-	}
-	p.Abort()
-	p.Abort() // idempotent
-	if !p.Aborted() {
-		t.Fatal("Abort did not stick")
-	}
-	w := p.Acquire(2) // an aborted pool still grants tokens
-	p.Release(w)
 }

@@ -6,20 +6,19 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
-	"repro/internal/pool"
 	"repro/internal/replica"
 )
 
 // Server is the HTTP/JSON front end over a Scheduler. Request handling is
-// bounded by an internal/pool semaphore: at most MaxInflight requests hold a
-// slot at once, and up to maxQueued more wait FIFO inside Acquire — under
-// overload the daemon degrades to bounded queueing, and past the queue bound
-// it sheds load with 429 + Retry-After instead of letting latency and
-// goroutine count grow without limit. Submissions carry an optional
-// Idempotency-Key header, so a shed or timed-out request can be retried
-// without risk of double-enqueueing.
+// bounded by a channel of slots: at most maxInflight requests hold a slot at
+// once, and up to maxQueued more wait to send on it — under overload the
+// daemon degrades to bounded queueing, and past the queue bound it sheds load
+// with 429 + Retry-After instead of letting latency and goroutine count grow
+// without limit. Submissions carry an optional Idempotency-Key header, so a
+// shed or timed-out request can be retried without risk of double-enqueueing.
 //
 // Routes:
 //
@@ -30,10 +29,12 @@ import (
 //	GET    /metrics        Prometheus text exposition
 //	GET    /healthz        liveness (ok / degraded, 503 once draining)
 type Server struct {
-	sched    *Scheduler
-	slots    *pool.Pool
-	maxLoad  int64
-	inflight atomic.Int64 // requests holding or waiting for a slot
+	sched     *Scheduler
+	slots     chan struct{} // one element per request holding a slot
+	closed    chan struct{} // closed by Close
+	closeOnce sync.Once
+	maxLoad   int64
+	inflight  atomic.Int64 // requests holding or waiting for a slot
 }
 
 // NewServer wraps a scheduler. maxInflight bounds concurrently handled
@@ -46,7 +47,12 @@ func NewServer(s *Scheduler, maxInflight, maxQueued int) *Server {
 	if maxQueued < 1 {
 		maxQueued = 4 * maxInflight
 	}
-	return &Server{sched: s, slots: pool.New(maxInflight), maxLoad: int64(maxInflight + maxQueued)}
+	return &Server{
+		sched:   s,
+		slots:   make(chan struct{}, maxInflight),
+		closed:  make(chan struct{}),
+		maxLoad: int64(maxInflight + maxQueued),
+	}
 }
 
 // Handler returns the daemon's route mux.
@@ -79,17 +85,20 @@ func (sv *Server) bounded(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		defer sv.inflight.Add(-1)
-		if sv.slots.Acquire(1) == 0 {
+		select {
+		case sv.slots <- struct{}{}:
+		case <-sv.closed:
 			httpError(w, http.StatusServiceUnavailable, "server shutting down")
 			return
 		}
-		defer sv.slots.Release(1)
+		defer func() { <-sv.slots }()
 		h(w, r)
 	}
 }
 
-// Close aborts the admission pool, releasing queued requests with a 503.
-func (sv *Server) Close() { sv.slots.Abort() }
+// Close releases every request waiting for a slot with a 503. It is safe to
+// call more than once.
+func (sv *Server) Close() { sv.closeOnce.Do(func() { close(sv.closed) }) }
 
 func (sv *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

@@ -359,10 +359,8 @@ func TestServeLoadShedding(t *testing.T) {
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
 
-	// Hold the only slot so HTTP requests park in Acquire.
-	if sv.slots.Acquire(1) == 0 {
-		t.Fatal("could not take the handler slot")
-	}
+	// Hold the only slot so HTTP requests park waiting for it.
+	sv.slots <- struct{}{}
 	done := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
@@ -397,11 +395,56 @@ func TestServeLoadShedding(t *testing.T) {
 		t.Fatalf("shed counter %d, want 1", s.mShed.Value())
 	}
 
-	sv.slots.Release(1)
+	<-sv.slots
 	for i := 0; i < 2; i++ {
 		if code := <-done; code != http.StatusOK {
 			t.Fatalf("parked request finished with %d, want 200", code)
 		}
+	}
+}
+
+// TestServeCloseReleasesParkedRequests pins Close's promise: a request
+// parked behind a held slot is answered 503 when the server closes, instead
+// of waiting for the slot. A second Close is a no-op.
+func TestServeCloseReleasesParkedRequests(t *testing.T) {
+	sv := NewServer(nil, 1, 1) // one handler slot, one waiter
+	release := make(chan struct{})
+	h := sv.bounded(func(w http.ResponseWriter, r *http.Request) {
+		<-release
+		w.WriteHeader(http.StatusOK)
+	})
+	serve := func(done chan<- int) {
+		rec := httptest.NewRecorder()
+		h(rec, httptest.NewRequest(http.MethodGet, "/statz", nil))
+		done <- rec.Code
+	}
+
+	holder, parked := make(chan int, 1), make(chan int, 1)
+	go serve(holder)
+	for i := 0; len(sv.slots) < 1 && i < 400; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	go serve(parked)
+	for i := 0; sv.inflight.Load() < 2 && i < 400; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if sv.inflight.Load() != 2 {
+		t.Fatalf("inflight %d, want one holder and one parked request", sv.inflight.Load())
+	}
+
+	sv.Close()
+	sv.Close()
+	select {
+	case code := <-parked:
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("parked request finished with %d, want 503", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked request still waiting 5 s after Close")
+	}
+	close(release)
+	if code := <-holder; code != http.StatusOK {
+		t.Fatalf("slot holder finished with %d, want 200", code)
 	}
 }
 

@@ -14,7 +14,7 @@ func TestFigure1TinySmoke(t *testing.T) {
 	if !ok {
 		t.Fatal("tiny scale missing")
 	}
-	tbl, err := experiments.Figure1(sc, nil)
+	tbl, err := experiments.Figure1(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
