@@ -90,8 +90,8 @@ func BenchmarkPPOUpdate(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := stats.NewRNG(2)
 			slots := bc.slots
-			policy := nn.NewMLP([]int{feat, 32, 16, 8, 1}, nn.ReLU, rng)
-			value := nn.NewMLP([]int{feat * slots, 64, 32, 1}, nn.ReLU, rng)
+			policy := nn.NewMLP([]int{feat, 32, 16, 8, 1}, rng)
+			value := nn.NewMLP([]int{feat * slots, 64, 32, 1}, rng)
 			cfg := ppo.DefaultConfig()
 			cfg.PiIters = 5
 			cfg.VIters = 5

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"os"
 	"slices"
@@ -418,7 +419,7 @@ func TestModelAgentRejectsWideOutputs(t *testing.T) {
 	widen := func(n *nn.MLP) *nn.MLP {
 		sizes := slices.Clone(n.Sizes)
 		sizes[len(sizes)-1] = 2
-		return nn.NewMLP(sizes, nn.ReLU, stats.NewRNG(2))
+		return nn.NewMLP(sizes, stats.NewRNG(2))
 	}
 	policy, value := base, base
 	policy.Policy = widen(base.Policy)
@@ -444,25 +445,39 @@ func TestReadModelRejectsUnknownActivation(t *testing.T) {
 	if _, err := ReadModel(bytes.NewReader(file)); err != nil {
 		t.Fatal(err)
 	}
-	gelu := bytes.Replace(file, []byte(`"act": "relu"`), []byte(`"act": "gelu"`), 1)
-	if bytes.Equal(gelu, file) {
-		t.Fatal("the model file names no relu activation")
-	}
-	if _, err := ReadModel(bytes.NewReader(gelu)); err == nil {
-		t.Fatal("a model with a gelu network loaded")
+	for _, act := range []string{"gelu", "tanh"} {
+		other := bytes.Replace(file, []byte(`"act": "relu"`), []byte(`"act": "`+act+`"`), 1)
+		if bytes.Equal(other, file) {
+			t.Fatal("the model file names no relu activation")
+		}
+		if _, err := ReadModel(bytes.NewReader(other)); err == nil {
+			t.Fatalf("a model with a %s network loaded", act)
+		}
 	}
 }
 
+// TestNewAgentUsesPaperArchitecture pins the paper's shapes (§3.3): the
+// kernel network scores a row through 32-16-8, the critic reads the flat
+// observation through 64-32, and the model file names both ReLU.
 func TestNewAgentUsesPaperArchitecture(t *testing.T) {
-	a := NewAgent(DefaultObsConfig(), NetworkSpec{}, nil, 1)
-	wantKernel := []int{JobFeatures, 32, 16, 8, 1}
-	for i, s := range wantKernel {
-		if a.Policy.Sizes[i] != s {
-			t.Fatalf("kernel sizes %v, want %v", a.Policy.Sizes, wantKernel)
-		}
+	obs := DefaultObsConfig()
+	a := NewAgent(obs, NetworkSpec{}, nil, 1)
+	if want := []int{13, 32, 16, 8, 1}; !slices.Equal(a.Policy.Sizes, want) {
+		t.Fatalf("kernel sizes %v, want %v", a.Policy.Sizes, want)
 	}
-	if a.Value.Sizes[0] != 129*JobFeatures {
-		t.Fatalf("value input %d, want %d", a.Value.Sizes[0], 129*JobFeatures)
+	if want := []int{obs.FlatDim(), 64, 32, 1}; !slices.Equal(a.Value.Sizes, want) {
+		t.Fatalf("value sizes %v, want %v", a.Value.Sizes, want)
+	}
+	var file bytes.Buffer
+	if err := ExportModel(a, "FCFS", "x", 0).Write(&file); err != nil {
+		t.Fatal(err)
+	}
+	var m struct{ Policy, Value struct{ Act string } }
+	if err := json.Unmarshal(file.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Policy.Act != "relu" || m.Value.Act != "relu" {
+		t.Fatalf("model file activations %q and %q, want relu", m.Policy.Act, m.Value.Act)
 	}
 }
 

@@ -63,11 +63,12 @@ func compactScores(t *testing.T, w parentScores, skip int) parentScores {
 }
 
 // TestParentModelFile pins the model file format across the removal of the
-// observation config's scenario copy. The model file and its greedy scores
-// under testdata were written by the commit before it, so the file carries an
-// "Scn" key in "obs". It still loads, scores every decision bit for bit as
-// recorded (the padded rows of the time mapped onto the observation's, see
-// compactScores), and saves again as the same JSON less that one key.
+// observation config's scenario copy and of its log-normalisation caps. The
+// model file and its greedy scores under testdata were written by the commit
+// before the first, so the file carries "Scn", "MaxWait" and "MaxRun" keys in
+// "obs". It still loads, scores every decision bit for bit as recorded (the
+// padded rows of the time mapped onto the observation's, see compactScores),
+// and saves again as the same JSON less those three keys.
 func TestParentModelFile(t *testing.T) {
 	file, err := os.ReadFile("testdata/agent_parent.json")
 	if err != nil {
@@ -117,12 +118,14 @@ func TestParentModelFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := old["obs"].(map[string]any)
-	if _, ok := obs["Scn"]; !ok {
-		t.Fatal("the parent's model file carries no Scn key")
+	for _, key := range []string{"Scn", "MaxWait", "MaxRun"} {
+		if _, ok := obs[key]; !ok {
+			t.Fatalf("the parent's model file carries no %s key", key)
+		}
+		delete(obs, key)
 	}
-	delete(obs, "Scn")
 	if !reflect.DeepEqual(old, cur) {
-		t.Fatalf("the model saves as\n%s\nwant the parent's file less obs.Scn", saved.Bytes())
+		t.Fatalf("the model saves as\n%s\nwant the parent's file less obs.Scn, obs.MaxWait and obs.MaxRun", saved.Bytes())
 	}
 }
 

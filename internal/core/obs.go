@@ -48,26 +48,16 @@ type ObsConfig struct {
 	// backfill round; the kernel network's biases act as a learned "do
 	// nothing" threshold. See DESIGN.md (the paper leaves this implicit).
 	SkipAction bool
-	// MaxWait and MaxRun cap the log normalisation of waiting/estimate
-	// features (seconds).
-	MaxWait float64
-	MaxRun  float64
 }
 
 // DefaultObsConfig returns the paper's observation settings.
 func DefaultObsConfig() ObsConfig {
-	return ObsConfig{MaxObs: 128, SkipAction: true, MaxWait: 1e6, MaxRun: 1e6}
+	return ObsConfig{MaxObs: 128, SkipAction: true}
 }
 
 func (c ObsConfig) withDefaults() ObsConfig {
 	if c.MaxObs <= 0 {
 		c.MaxObs = 128
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 1e6
-	}
-	if c.MaxRun <= 0 {
-		c.MaxRun = 1e6
 	}
 	return c
 }
@@ -201,8 +191,8 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 		}
 		e := est.Estimate(j)
 		estimate := float64(e)
-		row[featWait] = logNorm(wait, cfg.MaxWait)
-		row[featEstimate] = logNorm(estimate, cfg.MaxRun)
+		row[featWait] = logNorm(wait)
+		row[featEstimate] = logNorm(estimate)
 		row[featProcs] = clamp01(float64(j.Procs) / float64(total))
 		jm := 0
 		if memTotal > 0 {
@@ -264,16 +254,22 @@ func BuildObservationInto(cfg ObsConfig, st backfill.State, head *trace.Job, que
 	return o
 }
 
-// logNorm maps x in [0, cap] to [0, 1] on a log scale (robust to the
+// logCap caps the log normalisation of the waiting and estimate features, in
+// seconds (about 11.6 days); logCapDenom is its log1p, logNorm's divisor.
+const logCap = 1e6
+
+var logCapDenom = math.Log1p(logCap)
+
+// logNorm maps x in [0, logCap] to [0, 1] on a log scale (robust to the
 // heavy-tailed wait/runtime distributions of HPC workloads).
-func logNorm(x, capV float64) float64 {
+func logNorm(x float64) float64 {
 	if x < 0 {
 		x = 0
 	}
-	if x > capV {
-		x = capV
+	if x > logCap {
+		x = logCap
 	}
-	return math.Log1p(x) / math.Log1p(capV)
+	return math.Log1p(x) / logCapDenom
 }
 
 func clamp01(x float64) float64 {

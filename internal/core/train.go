@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/backfill"
-	"repro/internal/metrics"
 	"repro/internal/pool"
 	"repro/internal/ppo"
 	"repro/internal/sched"
@@ -15,43 +14,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Goal selects the scheduling metric the reward optimises. The paper trains
-// for average bounded slowdown and names other goals (average waiting time)
-// as future work (§3.1); both are implemented.
-type Goal int
-
-const (
-	// GoalBSLD optimises average bounded job slowdown (the paper's choice).
-	GoalBSLD Goal = iota
-	// GoalWait optimises average waiting time.
-	GoalWait
-)
-
-// metric extracts the goal's value from a schedule summary. Waiting time is
-// shifted by one second so the relative-improvement reward (base-x)/base
-// stays well-defined on idle traces where every wait is zero.
-func (g Goal) metric(s metrics.Summary) float64 {
-	if g == GoalWait {
-		return s.MeanWait + 1
-	}
-	return s.MeanBSLD
-}
-
-// String implements fmt.Stringer.
-func (g Goal) String() string {
-	if g == GoalWait {
-		return "wait"
-	}
-	return "bsld"
-}
-
 // TrainConfig holds everything one training run needs (§4.1.1).
 type TrainConfig struct {
 	// BasePolicy is the base scheduling policy the agent backfills for
 	// (FCFS in the paper's training experiments).
 	BasePolicy sched.Policy
-	// Goal is the optimisation target of the reward (default GoalBSLD).
-	Goal Goal
 	// Est is the estimator used for reservations/violations (request time
 	// unless the trace lacks user estimates).
 	Est backfill.Estimator
@@ -126,9 +93,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.PPO.ClipRatio == 0 {
-		c.PPO = ppo.DefaultConfig()
 	}
 	c.PPO.Workers = c.Workers
 	c.PPO.Seed = c.Seed + 0x9e37
@@ -265,7 +229,7 @@ func (t *Trainer) rollout(rng *stats.RNG) (ppo.Trajectory, float64, float64, flo
 	if err != nil {
 		return ppo.Trajectory{}, 0, 0, 0, 0, err
 	}
-	got := t.cfg.Goal.metric(res.Summary)
+	got := res.Summary.MeanBSLD
 	reward := (base - got) / base
 	traj, viol := worker.takeTrajectory(reward)
 	return traj, got, base, reward, viol, nil
@@ -289,7 +253,7 @@ func (t *Trainer) baselineFor(w window, seq *trace.Trace) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := t.cfg.Goal.metric(res.Summary)
+	v := res.Summary.MeanBSLD
 	t.mu.Lock()
 	t.baseline[w] = v
 	t.mu.Unlock()

@@ -17,79 +17,77 @@ func randSizes(r *stats.RNG) []int {
 }
 
 // TestBatchedKernelDifferential pins the tentpole guarantee of the batched
-// kernels: over fuzzed shapes, activations and batch sizes, ForwardBatch and
+// kernels: over fuzzed shapes and batch sizes, ForwardBatch and
 // BackwardBatch are bit-identical — outputs, parameter gradients AND input
 // gradients — to running the per-row Forward/Backward loop in batch-row
 // order. Inputs include exact zeros, which the kernels skip and the per-row
 // reference adds.
 func TestBatchedKernelDifferential(t *testing.T) {
-	for _, act := range []Activation{ReLU, Tanh, Identity} {
-		for seed := uint64(1); seed <= 25; seed++ {
-			r := stats.NewRNG(seed*31 + uint64(len(act)))
-			sizes := randSizes(r)
-			m := NewMLP(sizes, act, r)
-			n := r.Intn(17) + 1
+	for seed := uint64(1); seed <= 75; seed++ {
+		r := stats.NewRNG(seed * 31)
+		sizes := randSizes(r)
+		m := NewMLP(sizes, r)
+		n := r.Intn(17) + 1
 
-			x := NewMat(n, sizes[0])
-			gradOut := NewMat(n, sizes[len(sizes)-1])
-			for i := range x.Data {
-				if r.Bool(0.15) {
-					continue // leave exact zeros in the batch
-				}
-				x.Data[i] = r.Normal(0, 1)
+		x := NewMat(n, sizes[0])
+		gradOut := NewMat(n, sizes[len(sizes)-1])
+		for i := range x.Data {
+			if r.Bool(0.15) {
+				continue // leave exact zeros in the batch
 			}
-			for i := range gradOut.Data {
-				if r.Bool(0.25) {
-					continue // zero gradient rows/elements must also match
-				}
-				gradOut.Data[i] = r.Normal(0, 1)
+			x.Data[i] = r.Normal(0, 1)
+		}
+		for i := range gradOut.Data {
+			if r.Bool(0.25) {
+				continue // zero gradient rows/elements must also match
 			}
+			gradOut.Data[i] = r.Normal(0, 1)
+		}
 
-			// sequential reference: per-row Forward/Backward in row order
-			cache := NewCache(m)
-			seqG := NewGrads(m)
-			seqOut := NewMat(n, gradOut.Cols)
-			seqIn := NewMat(n, sizes[0])
-			for row := 0; row < n; row++ {
-				out := m.Forward(x.Row(row), cache)
-				copy(seqOut.Row(row), out)
-				gin := m.Backward(cache, gradOut.Row(row), seqG)
-				copy(seqIn.Row(row), gin)
-			}
+		// sequential reference: per-row Forward/Backward in row order
+		cache := NewCache(m)
+		seqG := NewGrads(m)
+		seqOut := NewMat(n, gradOut.Cols)
+		seqIn := NewMat(n, sizes[0])
+		for row := 0; row < n; row++ {
+			out := m.Forward(x.Row(row), cache)
+			copy(seqOut.Row(row), out)
+			gin := m.Backward(cache, gradOut.Row(row), seqG)
+			copy(seqIn.Row(row), gin)
+		}
 
-			// batched path, assembled in-place via Input
-			bc := NewBatchCache(m, n+3) // capacity above n: reuse must not leak rows
-			in := bc.Input(n)
-			copy(in.Data[:n*in.Cols], x.Data)
-			batchOut := m.ForwardBatch(in, bc)
-			batchG := NewGrads(m)
-			m.BackwardBatch(bc, gradOut, batchG)
-			batchIn := bc.InputGrad(m)
+		// batched path, assembled in-place via Input
+		bc := NewBatchCache(m, n+3) // capacity above n: reuse must not leak rows
+		in := bc.Input(n)
+		copy(in.Data[:n*in.Cols], x.Data)
+		batchOut := m.ForwardBatch(in, bc)
+		batchG := NewGrads(m)
+		m.BackwardBatch(bc, gradOut, batchG)
+		batchIn := bc.InputGrad(m)
 
-			for i := range seqOut.Data {
-				if batchOut.Data[i] != seqOut.Data[i] {
-					t.Fatalf("act=%s seed=%d sizes=%v n=%d: output[%d] %v != %v",
-						act, seed, sizes, n, i, batchOut.Data[i], seqOut.Data[i])
+		for i := range seqOut.Data {
+			if batchOut.Data[i] != seqOut.Data[i] {
+				t.Fatalf("seed=%d sizes=%v n=%d: output[%d] %v != %v",
+					seed, sizes, n, i, batchOut.Data[i], seqOut.Data[i])
+			}
+		}
+		for i := range seqIn.Data {
+			if batchIn.Data[i] != seqIn.Data[i] {
+				t.Fatalf("seed=%d sizes=%v n=%d: input grad[%d] %v != %v",
+					seed, sizes, n, i, batchIn.Data[i], seqIn.Data[i])
+			}
+		}
+		for l := range seqG.W {
+			for i := range seqG.W[l].Data {
+				if batchG.W[l].Data[i] != seqG.W[l].Data[i] {
+					t.Fatalf("seed=%d sizes=%v n=%d: dW[%d][%d] %v != %v",
+						seed, sizes, n, l, i, batchG.W[l].Data[i], seqG.W[l].Data[i])
 				}
 			}
-			for i := range seqIn.Data {
-				if batchIn.Data[i] != seqIn.Data[i] {
-					t.Fatalf("act=%s seed=%d sizes=%v n=%d: input grad[%d] %v != %v",
-						act, seed, sizes, n, i, batchIn.Data[i], seqIn.Data[i])
-				}
-			}
-			for l := range seqG.W {
-				for i := range seqG.W[l].Data {
-					if batchG.W[l].Data[i] != seqG.W[l].Data[i] {
-						t.Fatalf("act=%s seed=%d sizes=%v n=%d: dW[%d][%d] %v != %v",
-							act, seed, sizes, n, l, i, batchG.W[l].Data[i], seqG.W[l].Data[i])
-					}
-				}
-				for i := range seqG.B[l] {
-					if batchG.B[l][i] != seqG.B[l][i] {
-						t.Fatalf("act=%s seed=%d sizes=%v n=%d: dB[%d][%d] %v != %v",
-							act, seed, sizes, n, l, i, batchG.B[l][i], seqG.B[l][i])
-					}
+			for i := range seqG.B[l] {
+				if batchG.B[l][i] != seqG.B[l][i] {
+					t.Fatalf("seed=%d sizes=%v n=%d: dB[%d][%d] %v != %v",
+						seed, sizes, n, l, i, batchG.B[l][i], seqG.B[l][i])
 				}
 			}
 		}
@@ -115,80 +113,78 @@ func compactRow(x []float64, live Live) []float64 {
 // kernel that reads a cell the load did not write turns the result into NaN.
 func TestSpanKernelDifferential(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	for _, act := range []Activation{ReLU, Tanh, Identity} {
-		for seed := uint64(1); seed <= 40; seed++ {
-			r := stats.NewRNG(seed*53 + uint64(len(act)))
-			sizes := randSizes(r)
-			sizes[0] = r.Intn(40) + 1
-			cols := sizes[0]
-			m := NewMLP(sizes, act, r)
-			bc := NewBatchCache(m, 20) // reused across rounds, capacity above n
+	for seed := uint64(1); seed <= 120; seed++ {
+		r := stats.NewRNG(seed * 53)
+		sizes := randSizes(r)
+		sizes[0] = r.Intn(40) + 1
+		cols := sizes[0]
+		m := NewMLP(sizes, r)
+		bc := NewBatchCache(m, 20) // reused across rounds, capacity above n
 
-			for round := 0; round < 3; round++ {
-				n := r.Intn(17) + 1
-				allDense := round == 2 && r.Bool(0.5)
-				x := NewMat(n, cols)
-				live := make([]Live, n)
-				gradOut := NewMat(n, sizes[len(sizes)-1])
-				for row := 0; row < n; row++ {
-					l := Live{Head: r.Intn(cols + 1)}
-					l.Tail = r.Intn(cols - l.Head + 1)
-					if allDense || r.Bool(0.2) {
-						l = Live{}
-					}
-					live[row] = l
-					for j := 0; j < cols; j++ {
-						inside := l == (Live{}) || j < l.Head || j >= cols-l.Tail
-						switch {
-						case !inside && r.Bool(0.3), inside && r.Bool(0.1):
-							x.Set(row, j, negZero)
-						case inside && !r.Bool(0.15): // else an exact +0.0
-							x.Set(row, j, r.Normal(0, 1))
-						}
+		for round := 0; round < 3; round++ {
+			n := r.Intn(17) + 1
+			allDense := round == 2 && r.Bool(0.5)
+			x := NewMat(n, cols)
+			live := make([]Live, n)
+			gradOut := NewMat(n, sizes[len(sizes)-1])
+			for row := 0; row < n; row++ {
+				l := Live{Head: r.Intn(cols + 1)}
+				l.Tail = r.Intn(cols - l.Head + 1)
+				if allDense || r.Bool(0.2) {
+					l = Live{}
+				}
+				live[row] = l
+				for j := 0; j < cols; j++ {
+					inside := l == (Live{}) || j < l.Head || j >= cols-l.Tail
+					switch {
+					case !inside && r.Bool(0.3), inside && r.Bool(0.1):
+						x.Set(row, j, negZero)
+					case inside && !r.Bool(0.15): // else an exact +0.0
+						x.Set(row, j, r.Normal(0, 1))
 					}
 				}
-				for i := range gradOut.Data {
-					if !r.Bool(0.25) {
-						gradOut.Data[i] = r.Normal(0, 1)
+			}
+			for i := range gradOut.Data {
+				if !r.Bool(0.25) {
+					gradOut.Data[i] = r.Normal(0, 1)
+				}
+			}
+
+			cache := NewCache(m)
+			seqG := NewGrads(m)
+			seqOut := NewMat(n, gradOut.Cols)
+			seqIn := NewMat(n, cols)
+			for row := 0; row < n; row++ {
+				copy(seqOut.Row(row), m.Forward(x.Row(row), cache))
+				copy(seqIn.Row(row), m.Backward(cache, gradOut.Row(row), seqG))
+			}
+
+			for i := range bc.X[0].Data {
+				bc.X[0].Data[i] = math.NaN()
+			}
+			in := bc.Input(n)
+			for row := 0; row < n; row++ {
+				bc.SetRow(row, compactRow(x.Row(row), live[row]), live[row])
+			}
+			out := m.ForwardBatch(in, bc)
+			g := NewGrads(m)
+			m.BackwardBatch(bc, gradOut, g)
+			gin := bc.InputGrad(m)
+
+			same := func(what string, got, want []float64) {
+				t.Helper()
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("seed=%d round=%d sizes=%v n=%d live=%v: %s[%d] %v != %v",
+							seed, round, sizes, n, live, what, i, got[i], want[i])
 					}
 				}
-
-				cache := NewCache(m)
-				seqG := NewGrads(m)
-				seqOut := NewMat(n, gradOut.Cols)
-				seqIn := NewMat(n, cols)
-				for row := 0; row < n; row++ {
-					copy(seqOut.Row(row), m.Forward(x.Row(row), cache))
-					copy(seqIn.Row(row), m.Backward(cache, gradOut.Row(row), seqG))
-				}
-
-				for i := range bc.X[0].Data {
-					bc.X[0].Data[i] = math.NaN()
-				}
-				in := bc.Input(n)
-				for row := 0; row < n; row++ {
-					bc.SetRow(row, compactRow(x.Row(row), live[row]), live[row])
-				}
-				out := m.ForwardBatch(in, bc)
-				g := NewGrads(m)
-				m.BackwardBatch(bc, gradOut, g)
-				gin := bc.InputGrad(m)
-
-				same := func(what string, got, want []float64) {
-					t.Helper()
-					for i := range want {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("act=%s seed=%d round=%d sizes=%v n=%d live=%v: %s[%d] %v != %v",
-								act, seed, round, sizes, n, live, what, i, got[i], want[i])
-						}
-					}
-				}
-				same("output", out.Data[:n*out.Cols], seqOut.Data)
-				same("input grad", gin.Data[:n*cols], seqIn.Data)
-				for l := range seqG.W {
-					same("dW", g.W[l].Data, seqG.W[l].Data)
-					same("dB", g.B[l], seqG.B[l])
-				}
+			}
+			same("output", out.Data[:n*out.Cols], seqOut.Data)
+			same("input grad", gin.Data[:n*cols], seqIn.Data)
+			for l := range seqG.W {
+				same("dW", g.W[l].Data, seqG.W[l].Data)
+				same("dB", g.B[l], seqG.B[l])
 			}
 		}
 	}
@@ -209,7 +205,7 @@ func TestSetRowReuseProperty(t *testing.T) {
 		r := stats.NewRNG(seed * 97)
 		cols := r.Intn(40) + 2
 		sizes := []int{cols, r.Intn(8) + 1, r.Intn(3) + 1}
-		m := NewMLP(sizes, ReLU, r)
+		m := NewMLP(sizes, r)
 		const capRows = 11
 		reused := NewBatchCache(m, capRows)
 		cell := func() float64 {
@@ -290,7 +286,7 @@ func TestSetRowReuseProperty(t *testing.T) {
 }
 
 func TestSetRowRejectsWrongWidth(t *testing.T) {
-	m := NewMLP([]int{5, 2}, ReLU, stats.NewRNG(9))
+	m := NewMLP([]int{5, 2}, stats.NewRNG(9))
 	bc := NewBatchCache(m, 2)
 	bc.Input(1)
 	defer func() {
@@ -306,7 +302,7 @@ func TestSetRowRejectsWrongWidth(t *testing.T) {
 // into g is bit-identical to accumulating the same rows as 4+4+4+1 blocks.
 func TestBatchedGradSplitInvariant(t *testing.T) {
 	r := stats.NewRNG(77)
-	m := NewMLP([]int{6, 9, 3}, Tanh, r)
+	m := NewMLP([]int{6, 9, 3}, r)
 	const n = 13
 	x := NewMat(n, 6)
 	gradOut := NewMat(n, 3)
@@ -426,7 +422,7 @@ func TestSoftmaxPolicyGradMatchesComposition(t *testing.T) {
 // cache assembled in place, a ForwardBatch costs zero allocations.
 func TestForwardBatchNoAllocs(t *testing.T) {
 	r := stats.NewRNG(3)
-	m := NewMLP([]int{10, 32, 16, 8, 1}, ReLU, r)
+	m := NewMLP([]int{10, 32, 16, 8, 1}, r)
 	bc := NewBatchCache(m, 129)
 	in := bc.Input(129)
 	for i := range in.Data {
@@ -457,7 +453,7 @@ func TestMaskedSoftmaxIntoNoAllocs(t *testing.T) {
 
 func TestBatchCacheRejectsOverCapacity(t *testing.T) {
 	r := stats.NewRNG(6)
-	m := NewMLP([]int{3, 2}, ReLU, r)
+	m := NewMLP([]int{3, 2}, r)
 	bc := NewBatchCache(m, 4)
 	defer func() {
 		if recover() == nil {

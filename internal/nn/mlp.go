@@ -7,68 +7,23 @@ import (
 	"repro/internal/stats"
 )
 
-// Activation names the supported nonlinearities.
-type Activation string
-
-const (
-	// ReLU is max(0, x).
-	ReLU Activation = "relu"
-	// Tanh is the hyperbolic tangent.
-	Tanh Activation = "tanh"
-	// Identity is the linear activation (used for output layers).
-	Identity Activation = "identity"
-)
-
-func actForward(a Activation, x float64) float64 {
-	switch a {
-	case ReLU:
-		if x > 0 {
-			return x
-		}
-		return 0
-	case Tanh:
-		return math.Tanh(x)
-	case Identity:
-		return x
-	}
-	panic(fmt.Sprintf("nn: unknown activation %q", a))
-}
-
-// actBackward returns d(act)/dx given the pre-activation x and the computed
-// activation y.
-func actBackward(a Activation, x, y float64) float64 {
-	switch a {
-	case ReLU:
-		if x > 0 {
-			return 1
-		}
-		return 0
-	case Tanh:
-		return 1 - y*y
-	case Identity:
-		return 1
-	}
-	panic(fmt.Sprintf("nn: unknown activation %q", a))
-}
-
 // MLP is a fully connected feed-forward network. Layer l maps Sizes[l] to
-// Sizes[l+1] via W[l]ᵀ*x + B[l] followed by Act (Identity on the final
-// layer). Weights are input-major: row j of W[l] is input j's fan-out, so a
+// Sizes[l+1] via W[l]ᵀ*x + B[l] followed by ReLU, except on the final layer,
+// which is linear: the paper's kernel and value networks (§3.3) both use it. Weights are input-major: row j of W[l] is input j's fan-out, so a
 // layer's forward is a sum of weight rows scaled by the inputs (see addRows).
 // Weights are read-only during ForwardBatch/BackwardBatch, so one MLP can be
 // shared across goroutines that own their own BatchCache and Grads.
 type MLP struct {
 	Sizes []int
-	Act   Activation
 	W     []*Mat      // W[l] is Sizes[l] x Sizes[l+1]
 	B     [][]float64 // B[l] has len Sizes[l+1]
 }
 
 // NewMLP builds an MLP with the given layer sizes (at least two entries:
-// input and output) and hidden activation, initialised with He-uniform
+// input and output), initialised with He-uniform
 // weights drawn from rng, one output's fan-in after another (the order the
 // model file lists them in).
-func NewMLP(sizes []int, act Activation, rng *stats.RNG) *MLP {
+func NewMLP(sizes []int, rng *stats.RNG) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least input and output sizes")
 	}
@@ -77,7 +32,7 @@ func NewMLP(sizes []int, act Activation, rng *stats.RNG) *MLP {
 			panic("nn: MLP layer sizes must be positive")
 		}
 	}
-	m := &MLP{Sizes: append([]int(nil), sizes...), Act: act}
+	m := &MLP{Sizes: append([]int(nil), sizes...)}
 	for l := 0; l < len(sizes)-1; l++ {
 		in, out := sizes[l], sizes[l+1]
 		w := NewMat(in, out)
@@ -107,7 +62,7 @@ func (m *MLP) NumParams() int {
 
 // Clone deep-copies the network.
 func (m *MLP) Clone() *MLP {
-	c := &MLP{Sizes: append([]int(nil), m.Sizes...), Act: m.Act}
+	c := &MLP{Sizes: append([]int(nil), m.Sizes...)}
 	for l := range m.W {
 		c.W = append(c.W, m.W[l].Clone())
 		c.B = append(c.B, append([]float64(nil), m.B[l]...))
@@ -267,14 +222,8 @@ func (m *MLP) ForwardBatch(x *Mat, cache *BatchCache) *Mat {
 			addRows(xr[:head], w[:head*out], zr)
 			addRows(xr[tail:], w[tail*out:], zr)
 		}
-		act := m.Act
-		if l == L-1 {
-			act = Identity
-		}
-		// activation hoisted out of the element loop (actForward switches on
-		// the activation name; per-element that dominates small layers)
-		switch act {
-		case ReLU:
+		// ReLU on the hidden layers, identity on the output layer
+		if l < L-1 {
 			for r := 0; r < z.Rows; r++ {
 				zr, xr := z.Row(r), xo.Row(r)
 				for i, v := range zr {
@@ -287,21 +236,13 @@ func (m *MLP) ForwardBatch(x *Mat, cache *BatchCache) *Mat {
 					}
 				}
 			}
-		case Identity:
+		} else {
 			for r := 0; r < z.Rows; r++ {
 				zr, xr := z.Row(r), xo.Row(r)
 				for i, v := range zr {
 					zv := v + b[i]
 					zr[i] = zv
 					xr[i] = zv
-				}
-			}
-		default:
-			for r := 0; r < z.Rows; r++ {
-				zr, xr := z.Row(r), xo.Row(r)
-				for i, v := range zr {
-					zr[i] = v + b[i]
-					xr[i] = actForward(act, zr[i])
 				}
 			}
 		}
@@ -387,35 +328,24 @@ func (m *MLP) BackwardBatch(cache *BatchCache, gradOut *Mat, g *Grads) {
 // backprop fills Delta[l] = dLoss/dZ[l-1] (for layer 0, which no activation
 // feeds, dLoss/dInput) from Delta[l+1]: per input one dot product over its
 // own weight row in ascending output order — MulVec's summation — times the
-// activation's derivative. An input ReLU left dead gets its zero without the
-// dot product.
+// ReLU's derivative. An input ReLU left dead gets its zero without the dot
+// product.
 func (m *MLP) backprop(l int, cache *BatchCache) {
 	w, d, y := m.W[l], cache.Delta[l+1], cache.Delta[l]
-	act := Identity
-	if l > 0 {
-		act = m.Act
-	}
 	for r := 0; r < d.Rows; r++ {
 		dr, yr := d.Row(r), y.Row(r)
-		switch act {
-		case ReLU:
-			for j, z := range cache.Z[l-1].Row(r) {
-				s := 0.0
-				if z > 0 {
-					for k, wk := range w.Row(j) {
-						s += wk * dr[k]
-					}
+		if l == 0 {
+			w.MulVec(dr, yr)
+			continue
+		}
+		for j, z := range cache.Z[l-1].Row(r) {
+			s := 0.0
+			if z > 0 {
+				for k, wk := range w.Row(j) {
+					s += wk * dr[k]
 				}
-				yr[j] = s
 			}
-		case Identity:
-			w.MulVec(dr, yr)
-		default:
-			w.MulVec(dr, yr)
-			zr, xr := cache.Z[l-1].Row(r), cache.X[l].Row(r)
-			for j := range yr {
-				yr[j] *= actBackward(act, zr[j], xr[j])
-			}
+			yr[j] = s
 		}
 	}
 }

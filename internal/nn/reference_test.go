@@ -40,13 +40,14 @@ func (m *MLP) Forward(x []float64, cache *Cache) []float64 {
 	copy(cache.X[0], x)
 	for l := 0; l < m.Layers(); l++ {
 		m.W[l].MulVecT(cache.X[l], cache.Z[l])
-		act := m.Act
-		if l == m.Layers()-1 {
-			act = Identity
-		}
+		hidden := l < m.Layers()-1
 		for i, z := range cache.Z[l] {
-			cache.Z[l][i] = z + m.B[l][i]
-			cache.X[l+1][i] = actForward(act, cache.Z[l][i])
+			z += m.B[l][i]
+			cache.Z[l][i] = z
+			if hidden && !(z > 0) {
+				z = 0 // ReLU
+			}
+			cache.X[l+1][i] = z
 		}
 	}
 	return cache.X[m.Layers()]
@@ -62,14 +63,14 @@ func (m *MLP) Backward(cache *Cache, gradOut []float64, g *Grads) []float64 {
 	}
 	copy(cache.D[L], gradOut)
 	for l := L - 1; l >= 0; l-- {
-		act := m.Act
-		if l == L-1 {
-			act = Identity
-		}
-		// delta through the activation
+		// delta through the activation: ReLU's 0 or 1 on the hidden layers
 		d := cache.D[l+1]
-		for i := range d {
-			d[i] *= actBackward(act, cache.Z[l][i], cache.X[l+1][i])
+		if l < L-1 {
+			for i, z := range cache.Z[l] {
+				if !(z > 0) {
+					d[i] *= 0
+				}
+			}
 		}
 		// parameter gradients
 		g.W[l].AddOuterScaled(cache.X[l], d, 1)

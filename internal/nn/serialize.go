@@ -6,19 +6,23 @@ import (
 	"io"
 )
 
+// relu names the one hidden activation in the model file: every file this
+// package writes says it, and a file that names another is rejected.
+const relu = "relu"
+
 // mlpJSON is the stable on-disk form of an MLP. The file lists each layer's
 // weights one output after another (w[l][k*in+j] connects input j to output
 // k), the transpose of the input-major rows held in memory.
 type mlpJSON struct {
 	Sizes []int       `json:"sizes"`
-	Act   Activation  `json:"act"`
+	Act   string      `json:"act"`
 	W     [][]float64 `json:"w"`
 	B     [][]float64 `json:"b"`
 }
 
 // MarshalJSON implements json.Marshaler.
 func (m *MLP) MarshalJSON() ([]byte, error) {
-	j := mlpJSON{Sizes: m.Sizes, Act: m.Act}
+	j := mlpJSON{Sizes: m.Sizes, Act: relu}
 	for l := range m.W {
 		j.W = append(j.W, m.W[l].T().Data)
 		j.B = append(j.B, m.B[l])
@@ -38,13 +42,10 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 	if len(j.W) != len(j.Sizes)-1 || len(j.B) != len(j.Sizes)-1 {
 		return fmt.Errorf("nn: serialized MLP layer count mismatch")
 	}
-	switch j.Act {
-	case ReLU, Tanh, Identity:
-	default:
+	if j.Act != relu {
 		return fmt.Errorf("nn: serialized MLP has unknown activation %q", j.Act)
 	}
 	m.Sizes = j.Sizes
-	m.Act = j.Act
 	m.W = nil
 	m.B = nil
 	for l := 0; l < len(j.Sizes)-1; l++ {

@@ -56,17 +56,21 @@ type Trajectory struct {
 	Steps []Step
 }
 
-// Config holds the PPO hyper-parameters. Defaults (§4.1.1 and Spinning Up):
-// clip 0.2, lr 1e-3, 80 policy and value iterations, target KL 0.01,
-// gamma 1 (terminal-only rewards), lambda 0.97.
+// The paper's fixed PPO settings (§4.1.1, Spinning Up's defaults): the
+// surrogate's clip ratio and the policy's and critic's Adam learning rates.
+// Returns are undiscounted (gamma 1): an episode's reward is terminal (§3.4).
+const (
+	clipRatio = 0.2
+	piLR      = 1e-3
+	vLR       = 1e-3
+)
+
+// Config holds the PPO hyper-parameters that vary. Defaults (§4.1.1 and
+// Spinning Up): 80 policy and value iterations, target KL 0.01, lambda 0.97.
 type Config struct {
-	ClipRatio   float64
-	PiLR        float64
-	VLR         float64
 	PiIters     int
 	VIters      int
 	TargetKL    float64
-	Gamma       float64
 	Lambda      float64
 	EntropyCoef float64
 	// MiniBatch limits the samples used per update iteration (0 = full
@@ -80,13 +84,9 @@ type Config struct {
 // DefaultConfig returns the paper/Spinning Up defaults.
 func DefaultConfig() Config {
 	return Config{
-		ClipRatio:   0.2,
-		PiLR:        1e-3,
-		VLR:         1e-3,
 		PiIters:     80,
 		VIters:      80,
 		TargetKL:    0.01,
-		Gamma:       1.0,
 		Lambda:      0.97,
 		EntropyCoef: 0.01,
 		MiniBatch:   4096,
@@ -184,8 +184,8 @@ func New(policy, value *nn.MLP, cfg Config) *PPO {
 		Policy: policy,
 		Value:  value,
 		Cfg:    cfg,
-		piOpt:  nn.NewAdam(policy, cfg.PiLR),
-		vOpt:   nn.NewAdam(value, cfg.VLR),
+		piOpt:  nn.NewAdam(policy, piLR),
+		vOpt:   nn.NewAdam(value, vLR),
 		rng:    stats.NewRNG(cfg.Seed + 0x5bd1e995),
 	}
 }
@@ -237,7 +237,7 @@ func (p *PPO) Update(trajs []Trajectory) UpdateStats {
 		for _, s := range tr.Steps {
 			rewards = append(rewards, s.Reward)
 		}
-		adv, ret := GAE(rewards, values[off:off+len(rewards)], p.Cfg.Gamma, p.Cfg.Lambda)
+		adv, ret := GAE(rewards, values[off:off+len(rewards)], p.Cfg.Lambda)
 		advs = append(advs, adv...)
 		rets = append(rets, ret...)
 		off += len(rewards)
@@ -350,13 +350,12 @@ func (p *PPO) minibatch(idx []int) []int {
 // bit-identical to the per-row loop at any Workers value.
 func (p *PPO) policyStep(steps []Step, advs []float64, batch []int, workers int) (loss, kl, ent float64) {
 	scratch := p.piScratches(workers)
-	clip := p.Cfg.ClipRatio
 	active := split(len(batch), workers, func(w, lo, hi int) {
 		s := scratch[w]
 		s.g.Zero()
 		s.loss, s.kl, s.ent = 0, 0, 0
 		for _, si := range batch[lo:hi] {
-			p.policyStepOne(s, &steps[si], advs[si], clip)
+			p.policyStepOne(s, &steps[si], advs[si])
 		}
 	})
 
@@ -378,7 +377,7 @@ func (p *PPO) policyStep(steps []Step, advs []float64, batch []int, workers int)
 // policyStepOne processes one recorded decision: batched forward over the
 // selectable rows, surrogate loss, and batched backward of the score
 // gradients into s.g.
-func (p *PPO) policyStepOne(s *piScratch, st *Step, adv, clip float64) {
+func (p *PPO) policyStepOne(s *piScratch, st *Step, adv float64) {
 	n := len(st.Mask)
 	s.ensure(p.Policy, n)
 
@@ -392,7 +391,7 @@ func (p *PPO) policyStepOne(s *piScratch, st *Step, adv, clip float64) {
 
 	// clipped surrogate: L = -min(ratio*A, clip(ratio)*A)
 	unclipped := ratio * adv
-	clipped := clampF(ratio, 1-clip, 1+clip) * adv
+	clipped := clampF(ratio, 1-clipRatio, 1+clipRatio) * adv
 	obj := math.Min(unclipped, clipped)
 	s.loss += -obj
 	s.kl += st.LogP - newLogP
@@ -456,9 +455,9 @@ func (p *PPO) valueStep(steps []Step, rets []float64, batch []int, workers int) 
 	return loss / n
 }
 
-// GAE computes generalised advantage estimates and discounted rewards-to-go
-// for one episode (terminal value 0).
-func GAE(rewards, values []float64, gamma, lambda float64) (adv, ret []float64) {
+// GAE computes generalised advantage estimates and undiscounted
+// rewards-to-go for one episode (terminal value 0).
+func GAE(rewards, values []float64, lambda float64) (adv, ret []float64) {
 	n := len(rewards)
 	adv = make([]float64, n)
 	ret = make([]float64, n)
@@ -468,10 +467,10 @@ func GAE(rewards, values []float64, gamma, lambda float64) (adv, ret []float64) 
 		if t+1 < n {
 			nextV = values[t+1]
 		}
-		delta := rewards[t] + gamma*nextV - values[t]
-		lastAdv = delta + gamma*lambda*lastAdv
+		delta := rewards[t] + nextV - values[t]
+		lastAdv = delta + lambda*lastAdv
 		adv[t] = lastAdv
-		lastRet = rewards[t] + gamma*lastRet
+		lastRet = rewards[t] + lastRet
 		ret[t] = lastRet
 	}
 	return adv, ret
