@@ -77,12 +77,7 @@ func AblationPenalty(sc Scale) (*Table, error) {
 	for _, pen := range []float64{0, -1, -5, -20} {
 		pen := pen
 		labels = append(labels, fmt.Sprintf("%.0f", pen))
-		muts = append(muts, func(c *core.TrainConfig) {
-			c.ViolationPenalty = pen
-			if pen == 0 {
-				c.ViolationPenalty = -1e-9 // keep "zero" penalty from defaulting
-			}
-		})
+		muts = append(muts, func(c *core.TrainConfig) { c.ViolationPenalty = pen })
 	}
 	return variantTable(sc, tbl, labels, muts)
 }
