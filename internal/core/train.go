@@ -62,8 +62,8 @@ func DefaultTrainConfig() TrainConfig {
 // QuickTrainConfig returns a scaled-down configuration (smaller observation,
 // fewer/shorter trajectories, fewer update iterations) that exercises the
 // identical code path in seconds instead of the paper scale's minutes per
-// model. Used by tests, examples
-// and rlbf-bench's training workload; see DESIGN.md's substitution table.
+// model. Used by tests, examples and rlbf-bench's training workload; see
+// DESIGN.md's substitution table.
 func QuickTrainConfig() TrainConfig {
 	cfg := DefaultTrainConfig()
 	cfg.Obs.MaxObs = 32

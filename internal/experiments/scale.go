@@ -65,11 +65,10 @@ func PaperScale() Scale {
 	}
 }
 
-// QuickScale runs the identical experiments at a laptop-feasible size (on 2
-// Xeon vCPUs at GOMAXPROCS 2, 33 s per model and 132 s for the RL tables,
-// -exp fig4,table4,table5); it is calibrated so
-// the trained agents reach EASY parity or better on the SDSC-SP2 surrogate
-// (see EXPERIMENTS.md).
+// QuickScale runs the identical experiments at a laptop-feasible size: on 2
+// Xeon vCPUs at GOMAXPROCS 2 one model trains in 33 s, and -exp
+// fig4,table4,table5 takes 132 s. It is calibrated so the trained agents
+// reach EASY parity or better on the SDSC-SP2 surrogate (see EXPERIMENTS.md).
 func QuickScale() Scale {
 	return Scale{
 		Name:         "quick",

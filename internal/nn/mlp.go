@@ -20,9 +20,8 @@ type MLP struct {
 }
 
 // NewMLP builds an MLP with the given layer sizes (at least two entries:
-// input and output), initialised with He-uniform
-// weights drawn from rng, one output's fan-in after another (the order the
-// model file lists them in).
+// input and output), initialised with He-uniform weights drawn from rng, one
+// output's fan-in after another (the order the model file lists them in).
 func NewMLP(sizes []int, rng *stats.RNG) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least input and output sizes")
