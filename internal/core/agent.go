@@ -23,7 +23,8 @@ import (
 type Agent struct {
 	Policy *nn.MLP // kernel network: JobFeatures -> ... -> 1
 	// Value is the critic (FlatDim -> ... -> 1). The agent never runs it:
-	// ppo.Update scores the recorded steps itself.
+	// ppo.Update scores the recorded steps itself. It exists only in
+	// training; an agent loaded from a model file has none.
 	Value *nn.MLP
 	Obs   ObsConfig
 	// Est provides the runtime estimates used for reservations, the safe

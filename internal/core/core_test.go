@@ -400,9 +400,9 @@ func TestModelAgentValidation(t *testing.T) {
 	}
 	a := NewAgent(ObsConfig{MaxObs: 16}, NetworkSpec{}, nil, 1)
 	m := ExportModel(a, "FCFS", "x", 1)
-	m.Obs.MaxObs = 64 // now value net no longer matches
+	m.Policy = nn.NewMLP([]int{JobFeatures + 1, 8, 1}, stats.NewRNG(2))
 	if _, err := m.Agent(); err == nil {
-		t.Fatal("obs/value shape mismatch accepted")
+		t.Fatal("a kernel network of the wrong input width accepted")
 	}
 	m2 := ExportModel(a, "FCFS", "x", 1)
 	m2.Estimator = "bogus"
@@ -411,23 +411,17 @@ func TestModelAgentValidation(t *testing.T) {
 	}
 }
 
-// TestModelAgentRejectsWideOutputs checks that a policy or value network
-// with more than one output does not load: the agent would read only the
-// first and ignore the rest.
+// TestModelAgentRejectsWideOutputs checks that a policy network with more
+// than one output does not load: the agent would read only the first and
+// ignore the rest.
 func TestModelAgentRejectsWideOutputs(t *testing.T) {
 	base := ExportModel(NewAgent(ObsConfig{MaxObs: 4}, NetworkSpec{}, nil, 1), "FCFS", "x", 1)
-	widen := func(n *nn.MLP) *nn.MLP {
-		sizes := slices.Clone(n.Sizes)
-		sizes[len(sizes)-1] = 2
-		return nn.NewMLP(sizes, stats.NewRNG(2))
-	}
-	policy, value := base, base
-	policy.Policy = widen(base.Policy)
-	value.Value = widen(base.Value)
-	for name, m := range map[string]Model{"policy": policy, "value": value} {
-		if _, err := m.Agent(); err == nil {
-			t.Errorf("a %s network with two outputs loaded", name)
-		}
+	wide := base
+	sizes := slices.Clone(base.Policy.Sizes)
+	sizes[len(sizes)-1] = 2
+	wide.Policy = nn.NewMLP(sizes, stats.NewRNG(2))
+	if _, err := wide.Agent(); err == nil {
+		t.Error("a policy network with two outputs loaded")
 	}
 	if _, err := base.Agent(); err != nil {
 		t.Fatal(err)
@@ -457,8 +451,9 @@ func TestReadModelRejectsUnknownActivation(t *testing.T) {
 }
 
 // TestNewAgentUsesPaperArchitecture pins the paper's shapes (§3.3): the
-// kernel network scores a row through 32-16-8, the critic reads the flat
-// observation through 64-32, and the model file names both ReLU.
+// kernel network scores a row through 32-16-8 and the critic reads the flat
+// observation through 64-32. The model file names the kernel network ReLU
+// and carries no critic, and the agent it loads has none.
 func TestNewAgentUsesPaperArchitecture(t *testing.T) {
 	obs := DefaultObsConfig()
 	a := NewAgent(obs, NetworkSpec{}, nil, 1)
@@ -472,12 +467,30 @@ func TestNewAgentUsesPaperArchitecture(t *testing.T) {
 	if err := ExportModel(a, "FCFS", "x", 0).Write(&file); err != nil {
 		t.Fatal(err)
 	}
-	var m struct{ Policy, Value struct{ Act string } }
+	var m map[string]json.RawMessage
 	if err := json.Unmarshal(file.Bytes(), &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Policy.Act != "relu" || m.Value.Act != "relu" {
-		t.Fatalf("model file activations %q and %q, want relu", m.Policy.Act, m.Value.Act)
+	if _, ok := m["value"]; ok {
+		t.Fatal("the model file carries the critic")
+	}
+	var policy struct{ Act string }
+	if err := json.Unmarshal(m["policy"], &policy); err != nil {
+		t.Fatal(err)
+	}
+	if policy.Act != "relu" {
+		t.Fatalf("model file activation %q, want relu", policy.Act)
+	}
+	loaded, err := ReadModel(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := loaded.Agent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Value != nil {
+		t.Fatal("a loaded agent has a critic")
 	}
 }
 

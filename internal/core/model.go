@@ -10,11 +10,13 @@ import (
 	"repro/internal/nn"
 )
 
-// Model is the serialisable form of a trained RLBackfilling agent, carrying
-// enough metadata to reproduce Table 5's "RL-X applied to Y" protocol.
+// Model is the serialisable form of a trained RLBackfilling agent: the
+// kernel policy, which is all an evaluating agent runs (§3.3.1), plus enough
+// metadata to reproduce Table 5's "RL-X applied to Y" protocol. The critic
+// only shapes training and is not saved; ReadModel ignores the "value" key
+// that older files carry.
 type Model struct {
 	Policy     *nn.MLP   `json:"policy"`
-	Value      *nn.MLP   `json:"value"`
 	Obs        ObsConfig `json:"obs"`
 	Estimator  string    `json:"estimator"`   // "RT" or "AR"
 	BasePolicy string    `json:"base_policy"` // policy used during training
@@ -22,7 +24,7 @@ type Model struct {
 	Epochs     int       `json:"epochs"`
 }
 
-// ExportModel captures the agent's networks and metadata.
+// ExportModel captures the agent's policy and metadata.
 func ExportModel(a *Agent, basePolicy, trainedOn string, epochs int) Model {
 	estName := "RT"
 	if _, ok := a.Est.(backfill.ActualRuntime); ok {
@@ -30,7 +32,6 @@ func ExportModel(a *Agent, basePolicy, trainedOn string, epochs int) Model {
 	}
 	return Model{
 		Policy:     a.Policy,
-		Value:      a.Value,
 		Obs:        a.Obs,
 		Estimator:  estName,
 		BasePolicy: basePolicy,
@@ -39,24 +40,19 @@ func ExportModel(a *Agent, basePolicy, trainedOn string, epochs int) Model {
 	}
 }
 
-// Agent reconstructs a ready-to-use greedy agent from the model.
+// Agent reconstructs a ready-to-use greedy agent from the model. The agent
+// has no critic (Value is nil): evaluation never runs one.
 func (m Model) Agent() (*Agent, error) {
-	if m.Policy == nil || m.Value == nil {
-		return nil, fmt.Errorf("core: model is missing networks")
+	if m.Policy == nil {
+		return nil, fmt.Errorf("core: model is missing its policy network")
 	}
 	if m.Policy.Sizes[0] != JobFeatures {
 		return nil, fmt.Errorf("core: model kernel expects %d features, library uses %d",
 			m.Policy.Sizes[0], JobFeatures)
 	}
-	if m.Value.Sizes[0] != m.Obs.FlatDim() {
-		return nil, fmt.Errorf("core: model value input %d does not match obs dim %d",
-			m.Value.Sizes[0], m.Obs.FlatDim())
-	}
-	// each network scores with its one output: a row's kernel score, V(s)
-	out := func(n *nn.MLP) int { return n.Sizes[len(n.Sizes)-1] }
-	if out(m.Policy) != 1 || out(m.Value) != 1 {
-		return nil, fmt.Errorf("core: model policy and value outputs are %d and %d wide, want 1",
-			out(m.Policy), out(m.Value))
+	// the kernel scores each row with its one output
+	if out := m.Policy.Sizes[len(m.Policy.Sizes)-1]; out != 1 {
+		return nil, fmt.Errorf("core: model policy output is %d wide, want 1", out)
 	}
 	var est backfill.Estimator = backfill.RequestTime{}
 	switch m.Estimator {
@@ -66,7 +62,7 @@ func (m Model) Agent() (*Agent, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown estimator %q in model", m.Estimator)
 	}
-	a := &Agent{Policy: m.Policy, Value: m.Value, Obs: m.Obs, Est: est}
+	a := &Agent{Policy: m.Policy, Obs: m.Obs, Est: est}
 	a.initBuffers()
 	return a, nil
 }

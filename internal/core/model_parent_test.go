@@ -63,12 +63,13 @@ func compactScores(t *testing.T, w parentScores, skip int) parentScores {
 }
 
 // TestParentModelFile pins the model file format across the removal of the
-// observation config's scenario copy and of its log-normalisation caps. The
-// model file and its greedy scores under testdata were written by the commit
-// before the first, so the file carries "Scn", "MaxWait" and "MaxRun" keys in
-// "obs". It still loads, scores every decision bit for bit as recorded (the
-// padded rows of the time mapped onto the observation's, see compactScores),
-// and saves again as the same JSON less those three keys.
+// observation config's scenario copy, of its log-normalisation caps and of
+// the critic. The model file and its greedy scores under testdata were
+// written by the commit before the first, so the file carries "Scn",
+// "MaxWait" and "MaxRun" keys in "obs" and a "value" network. It still
+// loads, scores every decision bit for bit as recorded (the padded rows of
+// the time mapped onto the observation's, see compactScores), and saves
+// again as the same JSON less those four keys.
 func TestParentModelFile(t *testing.T) {
 	file, err := os.ReadFile("testdata/agent_parent.json")
 	if err != nil {
@@ -124,8 +125,12 @@ func TestParentModelFile(t *testing.T) {
 		}
 		delete(obs, key)
 	}
+	if _, ok := old["value"]; !ok {
+		t.Fatal("the parent's model file carries no value key")
+	}
+	delete(old, "value")
 	if !reflect.DeepEqual(old, cur) {
-		t.Fatalf("the model saves as\n%s\nwant the parent's file less obs.Scn, obs.MaxWait and obs.MaxRun", saved.Bytes())
+		t.Fatalf("the model saves as\n%s\nwant the parent's file less value, obs.Scn, obs.MaxWait and obs.MaxRun", saved.Bytes())
 	}
 }
 
