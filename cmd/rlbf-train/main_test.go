@@ -41,7 +41,7 @@ func TestTinyModelPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprintf("%x", md5.Sum(file)), "d15be83101a1c4513e82690ad8c6c648"; got != want {
+	if got, want := fmt.Sprintf("%x", md5.Sum(file)), "fa57ae3078eb15a71da7d2bad0cf82de"; got != want {
 		t.Fatalf("model file md5 %s, want %s", got, want)
 	}
 
