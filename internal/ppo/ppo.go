@@ -14,9 +14,9 @@ package ppo
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/nn"
+	"repro/internal/pool"
 	"repro/internal/stats"
 )
 
@@ -273,28 +273,22 @@ func (p *PPO) Update(trajs []Trajectory) UpdateStats {
 	return st
 }
 
-// split runs fn(w, lo, hi) for static contiguous chunks of [0, n), chunk w
-// on its own goroutine, and returns how many chunks ran (at most workers).
-// Every chunk but the last holds ceil(n/workers) items, so a worker always
-// sums the same samples in the same order: a gradient sum depends on the
-// worker count and on nothing else (DESIGN.md §8).
-func split(n, workers int, fn func(w, lo, hi int)) int {
+// chunks runs fn(i, lo, hi) over static contiguous chunks of [0, n) on
+// pool.Each, one chunk per worker, and returns how many chunks ran (at most
+// workers). Every chunk but the last holds ceil(n/workers) items, so chunk i
+// always sums the same samples in the same order into scratch i: a gradient
+// sum depends on the worker count and on nothing else (DESIGN.md §8).
+func chunks(n, workers int, fn func(i, lo, hi int)) int {
 	if n == 0 {
 		return 0
 	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	w := 0
-	for lo := 0; lo < n; lo += chunk {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, min(lo+chunk, n))
-		w++
-	}
-	wg.Wait()
-	return w
+	size := (n + workers - 1) / workers
+	count := (n + size - 1) / size
+	pool.Each(count, count, func(i int) error {
+		fn(i, i*size, min((i+1)*size, n))
+		return nil
+	})
+	return count
 }
 
 // criticBlocks runs the critic over steps[rows[i]], valueBatchRows rows per
@@ -317,7 +311,7 @@ func (p *PPO) criticBlocks(bc *nn.BatchCache, steps []Step, rows []int, fn func(
 func (p *PPO) values(steps []Step, rows []int, workers int) []float64 {
 	scratch := p.vScratches(workers)
 	vals := make([]float64, len(steps))
-	split(len(rows), workers, func(w, lo, hi int) {
+	chunks(len(rows), workers, func(w, lo, hi int) {
 		p.criticBlocks(scratch[w].bc, steps, rows[lo:hi], func(block []int, out *nn.Mat) {
 			for r, si := range block {
 				vals[si] = out.At(r, 0)
@@ -350,7 +344,7 @@ func (p *PPO) minibatch(idx []int) []int {
 // bit-identical to the per-row loop at any Workers value.
 func (p *PPO) policyStep(steps []Step, advs []float64, batch []int, workers int) (loss, kl, ent float64) {
 	scratch := p.piScratches(workers)
-	active := split(len(batch), workers, func(w, lo, hi int) {
+	active := chunks(len(batch), workers, func(w, lo, hi int) {
 		s := scratch[w]
 		s.g.Zero()
 		s.loss, s.kl, s.ent = 0, 0, 0
@@ -425,7 +419,7 @@ func (p *PPO) policyStepOne(s *piScratch, st *Step, adv float64) {
 // gradients and loss are bit-identical to the per-row loop.
 func (p *PPO) valueStep(steps []Step, rets []float64, batch []int, workers int) float64 {
 	scratch := p.vScratches(workers)
-	active := split(len(batch), workers, func(w, lo, hi int) {
+	active := chunks(len(batch), workers, func(w, lo, hi int) {
 		s := scratch[w]
 		s.g.Zero()
 		s.loss = 0
