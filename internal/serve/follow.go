@@ -219,9 +219,6 @@ type FollowConfig struct {
 	Poll time.Duration
 	// HTTP overrides the transport (tests inject replica.FaultTransport).
 	HTTP *http.Client
-	// Session identifies this follower in the primary's durability acks;
-	// "" defaults to the scheduler name.
-	Session string
 }
 
 // Follower is a warm-standby replica: a read-only Scheduler plus the stream
@@ -254,9 +251,6 @@ func NewFollower(cfg Config, fc FollowConfig) (*Follower, error) {
 		return nil, err
 	}
 	applyWALDefaults(&cfg)
-	if fc.Session == "" {
-		fc.Session = cfg.Name
-	}
 
 	// One probe finds the primary: a local lineage it does not extend (we
 	// missed a failover, or our last appends were never replicated and
@@ -284,7 +278,7 @@ func NewFollower(cfg Config, fc FollowConfig) (*Follower, error) {
 	case peer == "":
 		err = fmt.Errorf("serve: follower bootstrap: no reachable primary among %v", fc.Peers)
 	default:
-		s, err = bootstrapFollower(cfg, &replica.Client{Base: peer, Session: fc.Session, HTTP: fc.HTTP})
+		s, err = bootstrapFollower(cfg, &replica.Client{Base: peer, Session: cfg.Name, HTTP: fc.HTTP})
 	}
 	if err != nil {
 		return nil, err
@@ -296,7 +290,7 @@ func NewFollower(cfg Config, fc FollowConfig) (*Follower, error) {
 	s.rep.leaderHint.Store(peer)
 	f := &Follower{
 		s: s, fc: fc,
-		cl:   &replica.Client{Base: peer, Session: fc.Session, HTTP: fc.HTTP},
+		cl:   &replica.Client{Base: peer, Session: cfg.Name, HTTP: fc.HTTP},
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -464,10 +458,6 @@ func (f *Follower) Stop() {
 	<-f.done
 }
 
-// Promote forces an immediate promotion (tests and operator tooling; the
-// loop itself promotes on lease expiry).
-func (f *Follower) Promote() error { return f.s.Promote() }
-
 func (f *Follower) fail(err error) {
 	f.err.Store(err)
 	log.Printf("serve: %s: follower stream stopped: %v", f.s.cfg.Name, err)
@@ -598,7 +588,7 @@ func (f *Follower) election() electOutcome {
 		}
 		switch {
 		case h.Role == "primary" && h.Gen >= myGen:
-			f.cl = &replica.Client{Base: p, Session: f.fc.Session, HTTP: f.fc.HTTP}
+			f.cl = &replica.Client{Base: p, Session: myName, HTTP: f.fc.HTTP}
 			f.s.rep.leaderHint.Store(p)
 			log.Printf("serve: %s: adopting primary %s at generation %d", myName, p, h.Gen)
 			return electFollowNew

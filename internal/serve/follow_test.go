@@ -92,7 +92,7 @@ func TestServeFailoverDifferential(t *testing.T) {
 			if err := f.Err(); err != nil {
 				t.Fatalf("follower stream error before promotion: %v", err)
 			}
-			if err := f.Promote(); err != nil {
+			if err := f.Scheduler().Promote(); err != nil {
 				t.Fatalf("promote: %v", err)
 			}
 			p2 := f.Scheduler()
@@ -192,7 +192,7 @@ func TestServeFailoverFaultyTransport(t *testing.T) {
 	p.crash()
 	ts.Close()
 	f.Stop()
-	if err := f.Promote(); err != nil {
+	if err := f.Scheduler().Promote(); err != nil {
 		t.Fatalf("promote after faulty stream: %v", err)
 	}
 	clk.Advance(24 * time.Hour)
@@ -253,7 +253,7 @@ func TestServeFollowerReseedsAfterLag(t *testing.T) {
 	p.crash()
 	ts.Close()
 	f.Stop()
-	if err := f.Promote(); err != nil {
+	if err := f.Scheduler().Promote(); err != nil {
 		t.Fatalf("promote after reseed: %v", err)
 	}
 	clk.Advance(24 * time.Hour)
@@ -445,7 +445,7 @@ func TestServeFollowerRestartInPlace(t *testing.T) {
 			p.crash()
 			ts.Close()
 			f2.Stop()
-			if err := f2.Promote(); err != nil {
+			if err := f2.Scheduler().Promote(); err != nil {
 				t.Fatalf("promote restarted follower: %v", err)
 			}
 			clk.Advance(24 * time.Hour)

@@ -55,8 +55,6 @@ type Config struct {
 	// would turn every status query into a full plan. 0 defaults to 4096;
 	// beyond the cap /status reports the job queued without a prediction.
 	PredictCap int
-	// Registry receives the daemon's metrics; nil creates a private one.
-	Registry *metrics.Registry
 	// WALPath, when non-empty, enables the durability layer (DESIGN.md §13):
 	// every state-changing command is appended to a checksummed write-ahead
 	// log and fsync'd before the client sees its acknowledgement, so a crash
@@ -457,7 +455,7 @@ func newEmpty(cfg Config) (*Scheduler, error) {
 		idem:        make(map[string]int),
 		predCache:   make(map[int]int64),
 		predStamp:   -1,
-		reg:         cfg.Registry,
+		reg:         metrics.NewRegistry(),
 	}
 	if s.clock == nil {
 		s.clock = RealClock{}
@@ -470,9 +468,6 @@ func newEmpty(cfg Config) (*Scheduler, error) {
 	}
 	if s.cfg.PredictCap == 0 {
 		s.cfg.PredictCap = 4096
-	}
-	if s.reg == nil {
-		s.reg = metrics.NewRegistry()
 	}
 	s.wallEpoch = s.clock.Now()
 	// Registration order is the /metrics exposition order.

@@ -3,13 +3,20 @@ package serveclient
 import (
 	"fmt"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/pool"
 	"repro/internal/serve"
 	"repro/internal/stats"
+)
+
+// Generated jobs are 1 to maxProcs processors wide and run 1 to maxRuntime
+// simulated seconds.
+const (
+	maxProcs   = 8
+	maxRuntime = 3600
 )
 
 // LoadConfig drives a load-generation run against one or more daemons.
@@ -24,10 +31,6 @@ type LoadConfig struct {
 	// Rate is the target aggregate submission rate in jobs/second; 0 means
 	// unpaced (each submitter loops as fast as the daemon replies).
 	Rate float64
-	// MaxProcs caps the processor width of generated jobs (default 8).
-	MaxProcs int
-	// MaxRuntime caps generated runtimes in simulated seconds (default 3600).
-	MaxRuntime int64
 	// StatusEvery issues a status query after every Nth submission per
 	// worker (0 disables status traffic).
 	StatusEvery int
@@ -78,12 +81,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if cfg.Submitters < 1 {
 		cfg.Submitters = 1
 	}
-	if cfg.MaxProcs < 1 {
-		cfg.MaxProcs = 8
-	}
-	if cfg.MaxRuntime < 1 {
-		cfg.MaxRuntime = 3600
-	}
 	hc := &http.Client{
 		Timeout: 30 * time.Second,
 		Transport: &http.Transport{
@@ -102,68 +99,63 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		pace = time.Duration(float64(cfg.Submitters) / cfg.Rate * float64(time.Second))
 	}
 	deadline := time.Now().Add(cfg.Duration)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Submitters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := stats.NewRNG(cfg.Seed + uint64(w)*0x9e3779b97f4a7c15)
+	pool.Each(cfg.Submitters, cfg.Submitters, func(w int) error {
+		rng := stats.NewRNG(cfg.Seed + uint64(w)*0x9e3779b97f4a7c15)
+		if pace > 0 {
+			// Stagger worker phases so paced submitters do not arrive in
+			// lockstep bursts.
+			time.Sleep(time.Duration(rng.Uint64() % uint64(pace)))
+		}
+		// Jitter in [backoff/2, 3*backoff/2) decorrelates the retry storm
+		// a daemon restart would otherwise face.
+		jitter := func(backoff time.Duration) time.Duration {
+			return backoff/2 + time.Duration(rng.Uint64()%uint64(backoff))
+		}
+		n := 0
+		for time.Now().Before(deadline) {
+			req := serve.JobRequest{
+				Procs:   1 + int(rng.Uint64()%maxProcs),
+				Runtime: 1 + int64(rng.Uint64()%maxRuntime),
+			}
+			req.Request = req.Runtime + int64(rng.Uint64()%600)
+			req.IdemKey = fmt.Sprintf("lg-%x-%d-%d", cfg.Seed, w, n)
+			t0 := time.Now()
+			res, nTries, err := cl.Submit(req, cfg.Retries, deadline, jitter)
+			hist.Observe(time.Since(t0).Seconds())
+			retries.Add(nTries)
+			if res.Code == http.StatusTooManyRequests {
+				shed.Add(1)
+			}
+			switch {
+			case err != nil || res.Code == 0:
+				errCount.Add(1)
+			case res.Code == http.StatusAccepted:
+				submitted.Add(1)
+				if res.Submit != nil && res.Submit.Duplicate {
+					dups.Add(1)
+				}
+			default:
+				rejected.Add(1)
+			}
+			n++
+			if err == nil && res.Submit != nil {
+				if cfg.StatusEvery > 0 && n%cfg.StatusEvery == 0 {
+					if _, serr := cl.Status(res.Submit.ID); serr == nil {
+						statusQ.Add(1)
+					}
+				}
+				if cfg.CancelEvery > 0 && n%cfg.CancelEvery == 0 {
+					if _, cerr := cl.Cancel(res.Submit.ID); cerr == nil {
+						cancels.Add(1)
+					}
+				}
+			}
 			if pace > 0 {
-				// Stagger worker phases so paced submitters do not arrive in
-				// lockstep bursts.
-				time.Sleep(time.Duration(rng.Uint64() % uint64(pace)))
+				time.Sleep(pace)
 			}
-			// Jitter in [backoff/2, 3*backoff/2) decorrelates the retry storm
-			// a daemon restart would otherwise face.
-			jitter := func(backoff time.Duration) time.Duration {
-				return backoff/2 + time.Duration(rng.Uint64()%uint64(backoff))
-			}
-			n := 0
-			for time.Now().Before(deadline) {
-				req := serve.JobRequest{
-					Procs:   1 + int(rng.Uint64()%uint64(cfg.MaxProcs)),
-					Runtime: 1 + int64(rng.Uint64()%uint64(cfg.MaxRuntime)),
-				}
-				req.Request = req.Runtime + int64(rng.Uint64()%600)
-				req.IdemKey = fmt.Sprintf("lg-%x-%d-%d", cfg.Seed, w, n)
-				t0 := time.Now()
-				res, nTries, err := cl.Submit(req, cfg.Retries, deadline, jitter)
-				hist.Observe(time.Since(t0).Seconds())
-				retries.Add(nTries)
-				if res.Code == http.StatusTooManyRequests {
-					shed.Add(1)
-				}
-				switch {
-				case err != nil || res.Code == 0:
-					errCount.Add(1)
-				case res.Code == http.StatusAccepted:
-					submitted.Add(1)
-					if res.Submit != nil && res.Submit.Duplicate {
-						dups.Add(1)
-					}
-				default:
-					rejected.Add(1)
-				}
-				n++
-				if err == nil && res.Submit != nil {
-					if cfg.StatusEvery > 0 && n%cfg.StatusEvery == 0 {
-						if _, serr := cl.Status(res.Submit.ID); serr == nil {
-							statusQ.Add(1)
-						}
-					}
-					if cfg.CancelEvery > 0 && n%cfg.CancelEvery == 0 {
-						if _, cerr := cl.Cancel(res.Submit.ID); cerr == nil {
-							cancels.Add(1)
-						}
-					}
-				}
-				if pace > 0 {
-					time.Sleep(pace)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 
 	rep := &LoadReport{
 		Submitters:    cfg.Submitters,
