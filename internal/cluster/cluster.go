@@ -30,9 +30,6 @@ func (c *Cluster) Free() int { return c.free }
 // FreeMem returns the idle memory units (0 when the dimension is off).
 func (c *Cluster) FreeMem() int { return c.memFree }
 
-// Used returns the number of busy processors.
-func (c *Cluster) Used() int { return c.total - c.free }
-
 // Fits reports whether a job needing procs processors can start now.
 func (c *Cluster) Fits(procs int) bool { return procs > 0 && procs <= c.free }
 

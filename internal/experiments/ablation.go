@@ -121,7 +121,7 @@ func ConservativeCompare(sc Scale) (*Table, error) {
 	}
 	grid, err := runGrid(sc, len(workloads), len(mkBF), func(wi, si int) (string, error) {
 		tr := workloads[wi]
-		res, err := sim.Run(tr.Clone(), sim.Config{Policy: sched.FCFS{}, Backfiller: mkBF[si](estimatorFor(tr))})
+		res, err := sim.Run(tr.Clone(), sim.Config{Policy: sched.FCFS{}, Backfiller: mkBF[si](Estimator(tr))})
 		if err != nil {
 			return "", err
 		}

@@ -55,10 +55,10 @@ func TestWorkloadsCoverTable2(t *testing.T) {
 
 func TestEstimatorForSyntheticUsesAR(t *testing.T) {
 	ws := Workloads(50, 1)
-	if estimatorFor(ws[0]).Name() != "RT" {
+	if Estimator(ws[0]).Name() != "RT" {
 		t.Fatal("archive surrogate should use request time")
 	}
-	if estimatorFor(ws[2]).Name() != "AR" {
+	if Estimator(ws[2]).Name() != "AR" {
 		t.Fatal("Lublin trace should use actual runtime")
 	}
 }

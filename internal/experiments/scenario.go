@@ -100,7 +100,7 @@ func ScenarioCompare(sc Scale, zoo *Zoo, log io.Writer) (*Table, error) {
 func scenarioColumns(sc Scale, zoo *Zoo, log io.Writer) []table4Column {
 	heuristic := func(pol sched.Policy, mk func(est backfill.Estimator) backfill.Backfiller) table4Column {
 		return table4Column{eval: func(tr *trace.Trace) (string, error) {
-			mean, _, err := core.EvaluateStrategy(tr, pol, mk(estimatorFor(tr)), sc.Eval)
+			mean, _, err := core.EvaluateStrategy(tr, pol, mk(Estimator(tr)), sc.Eval)
 			if err != nil {
 				return "", err
 			}

@@ -111,14 +111,10 @@ func HugeTrace(spec lublin.HugeSpec, n int, seed uint64) *trace.Trace {
 	return spec.Generate(n, seed+hugeSeedOff)
 }
 
-// Estimator returns the reservation estimator appropriate for the workload
-// (exported for the CLI tools).
-func Estimator(t *trace.Trace) backfill.Estimator { return estimatorFor(t) }
-
-// estimatorFor returns the reservation estimator for a workload: request
-// time for real-trace surrogates, actual runtime for the Lublin traces
-// (which carry no user estimates, §4.1.2).
-func estimatorFor(t *trace.Trace) backfill.Estimator {
+// Estimator returns the reservation estimator for a workload: request time
+// for real-trace surrogates, actual runtime for the Lublin traces (which
+// carry no user estimates, §4.1.2).
+func Estimator(t *trace.Trace) backfill.Estimator {
 	if isSynthetic(t) {
 		return backfill.ActualRuntime{}
 	}
@@ -199,7 +195,7 @@ func (z *Zoo) Prefetch(sc Scale, log io.Writer, policies []sched.Policy, traces 
 
 // train runs one model's training.
 func train(policy sched.Policy, tr *trace.Trace, sc Scale, log io.Writer) (*core.Agent, []core.EpochStats, error) {
-	cfg := sc.TrainConfig(policy, estimatorFor(tr))
+	cfg := sc.TrainConfig(policy, Estimator(tr))
 	trainer, err := core.NewTrainer(tr, cfg)
 	if err != nil {
 		return nil, nil, err

@@ -50,15 +50,6 @@ func NewMLP(sizes []int, rng *stats.RNG) *MLP {
 // Layers returns the number of weight layers.
 func (m *MLP) Layers() int { return len(m.W) }
 
-// NumParams returns the total parameter count.
-func (m *MLP) NumParams() int {
-	n := 0
-	for l := range m.W {
-		n += len(m.W[l].Data) + len(m.B[l])
-	}
-	return n
-}
-
 // Clone deep-copies the network.
 func (m *MLP) Clone() *MLP {
 	c := &MLP{Sizes: append([]int(nil), m.Sizes...)}

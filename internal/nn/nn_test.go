@@ -62,8 +62,11 @@ func TestNewMLPShapes(t *testing.T) {
 	if m.Layers() != 2 {
 		t.Fatalf("Layers = %d", m.Layers())
 	}
-	if m.NumParams() != 5*8+8+8*3+3 {
-		t.Fatalf("NumParams = %d", m.NumParams())
+	for l, in := range []int{5, 8} {
+		out := m.Sizes[l+1]
+		if m.W[l].Rows != in || m.W[l].Cols != out || len(m.B[l]) != out {
+			t.Fatalf("layer %d: %dx%d weights and %d biases, want %dx%d and %d", l, m.W[l].Rows, m.W[l].Cols, len(m.B[l]), in, out, out)
+		}
 	}
 	cache := NewCache(m)
 	out := m.Forward([]float64{1, 2, 3, 4, 5}, cache)
@@ -413,12 +416,12 @@ func TestSoftmaxEntropyGradNumeric(t *testing.T) {
 func TestMLPSerializationRoundTrip(t *testing.T) {
 	rng := stats.NewRNG(12)
 	m := NewMLP([]int{4, 9, 3}, rng)
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	file, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadMLP(&buf)
-	if err != nil {
+	loaded := &MLP{}
+	if err := json.Unmarshal(file, loaded); err != nil {
 		t.Fatal(err)
 	}
 	x := []float64{0.1, -0.5, 2, 0.7}
@@ -431,14 +434,24 @@ func TestMLPSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// loadMLP decodes a network file through MLP.UnmarshalJSON, as a model
+// file's networks are.
+func loadMLP(doc string) (*MLP, error) {
+	m := &MLP{}
+	if err := json.Unmarshal([]byte(doc), m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func TestLoadMLPRejectsGarbage(t *testing.T) {
-	if _, err := LoadMLP(bytes.NewReader([]byte("{"))); err == nil {
+	if _, err := loadMLP("{"); err == nil {
 		t.Fatal("truncated JSON accepted")
 	}
-	if _, err := LoadMLP(bytes.NewReader([]byte(`{"sizes":[2],"act":"relu","w":[],"b":[]}`))); err == nil {
+	if _, err := loadMLP(`{"sizes":[2],"act":"relu","w":[],"b":[]}`); err == nil {
 		t.Fatal("single-layer network accepted")
 	}
-	if _, err := LoadMLP(bytes.NewReader([]byte(`{"sizes":[2,2],"act":"relu","w":[[1,2,3]],"b":[[0,0]]}`))); err == nil {
+	if _, err := loadMLP(`{"sizes":[2,2],"act":"relu","w":[[1,2,3]],"b":[[0,0]]}`); err == nil {
 		t.Fatal("wrong weight shape accepted")
 	}
 }
@@ -449,12 +462,12 @@ func TestLoadMLPRejectsGarbage(t *testing.T) {
 func TestLoadMLPRejectsUnknownActivation(t *testing.T) {
 	for _, act := range []string{"tanh", "identity", "gelu", "", "ReLU"} {
 		doc := `{"sizes":[2,2,1],"act":"` + act + `","w":[[1,2,3,4],[5,6]],"b":[[0,0],[0]]}`
-		if _, err := LoadMLP(bytes.NewReader([]byte(doc))); err == nil || !strings.Contains(err.Error(), "activation") {
+		if _, err := loadMLP(doc); err == nil || !strings.Contains(err.Error(), "activation") {
 			t.Errorf("activation %q: err %v, want an unknown-activation error", act, err)
 		}
 	}
 	doc := `{"sizes":[2,2,1],"act":"relu","w":[[1,2,3,4],[5,6]],"b":[[0,0],[0]]}`
-	if _, err := LoadMLP(bytes.NewReader([]byte(doc))); err != nil {
+	if _, err := loadMLP(doc); err != nil {
 		t.Errorf("activation relu: %v", err)
 	}
 }
@@ -511,7 +524,7 @@ func TestParentModelFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadMLP(bytes.NewReader(file))
+	m, err := loadMLP(string(file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +563,7 @@ func TestParentModelFile(t *testing.T) {
 	}
 	for what, net := range map[string]*MLP{"loaded": m, "rebuilt": parentRecipe()} {
 		var buf bytes.Buffer
-		if err := net.Save(&buf); err != nil {
+		if err := json.NewEncoder(&buf).Encode(net); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(buf.Bytes(), file) {

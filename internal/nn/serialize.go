@@ -3,7 +3,6 @@ package nn
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // relu names the one hidden activation in the model file: every file this
@@ -57,20 +56,4 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 		m.B = append(m.B, j.B[l])
 	}
 	return nil
-}
-
-// Save writes the network as JSON.
-func (m *MLP) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(m)
-}
-
-// LoadMLP reads a network saved with Save.
-func LoadMLP(r io.Reader) (*MLP, error) {
-	m := &MLP{}
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(m); err != nil {
-		return nil, fmt.Errorf("nn: loading MLP: %w", err)
-	}
-	return m, nil
 }
