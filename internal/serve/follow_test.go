@@ -459,3 +459,72 @@ func TestServeFollowerRestartInPlace(t *testing.T) {
 		})
 	}
 }
+
+// TestServeWatchPeers runs the zombie-primary guard against a fake peer
+// whose /healthz reports a chosen generation. A peer at the primary's own
+// generation leaves it serving, and a stopped watcher probes no more. A peer
+// one generation ahead fences the primary at the first probe that sees it:
+// the role reads fenced, a submit fails with ErrFenced and
+// rlbf_fenced_total counts it, and the fenced primary probes no more.
+func TestServeWatchPeers(t *testing.T) {
+	p, err := New(walConfig(NewManualClock(time.Unix(1700000000, 0)), t.TempDir(), wal.OSFS{}, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	t.Cleanup(p.crash)
+
+	var peerGen atomic.Uint64
+	var probes, ahead atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		probes.Add(1)
+		h := replica.Health{Status: "ok", Name: "peer", Role: "primary", Gen: peerGen.Load()}
+		if h.Gen > p.WALGen() {
+			ahead.Add(1)
+		}
+		json.NewEncoder(w).Encode(h)
+	}))
+	defer peer.Close()
+	const every = 5 * time.Millisecond
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s", what)
+			}
+		}
+	}
+
+	peerGen.Store(p.WALGen())
+	stop := WatchPeers(p, []string{peer.URL}, every, nil)
+	waitFor("the watcher probes 5 times", func() bool { return probes.Load() >= 5 })
+	if p.Role() != "primary" {
+		t.Fatalf("role %q beside a peer at the same generation", p.Role())
+	}
+	if _, err := p.Submit(JobRequest{Procs: 1, Runtime: 10}); err != nil {
+		t.Fatalf("submit beside a peer at the same generation: %v", err)
+	}
+	stop()
+	time.Sleep(20 * every) // a probe already under way may still finish
+	n := probes.Load()
+	time.Sleep(10 * every)
+	if got := probes.Load(); got != n {
+		t.Fatalf("%d probes after stop", got-n)
+	}
+
+	stop = WatchPeers(p, []string{peer.URL}, every, nil)
+	defer stop()
+	peerGen.Store(p.WALGen() + 1)
+	waitFor("the primary is fenced", func() bool { return p.Role() == "fenced" })
+	if _, err := p.Submit(JobRequest{Procs: 1, Runtime: 10}); !errors.Is(err, ErrFenced) {
+		t.Fatalf("submit after fencing: %v, want ErrFenced", err)
+	}
+	if st, err := p.Stats(); err != nil || st.FencedWrites != 1 {
+		t.Fatalf("fenced writes %+v (err %v), want rlbf_fenced_total 1", st, err)
+	}
+	n = probes.Load()
+	time.Sleep(10 * every)
+	if got := probes.Load(); got != n || ahead.Load() != 1 {
+		t.Fatalf("%d probes saw the newer generation and %d more ran after fencing, want 1 and 0", ahead.Load(), got-n)
+	}
+}
