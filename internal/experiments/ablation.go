@@ -12,8 +12,11 @@ import (
 
 // trainVariant trains one model on the SDSC-SP2 surrogate with a config
 // mutation and evaluates it (FCFS base). Training and the final evaluation
-// both fan out over the scale's workers; the seed is fixed by the scale, and
-// results are worker-count independent.
+// both fan out over the scale's workers, and the seed is fixed by the scale.
+// Rollouts and evaluations do not depend on the worker count, but the PPO
+// update's sums do, in their last bits (TrainConfig.Workers): tiny-scale
+// results are the same at any worker count, while quick and paper ones move
+// with it.
 func trainVariant(sc Scale, mutate func(*core.TrainConfig)) (float64, error) {
 	tr := trace.SyntheticSDSCSP2(sc.TraceJobs, sc.Seed+1)
 	cfg := sc.TrainConfig(sched.FCFS{}, backfill.RequestTime{})
